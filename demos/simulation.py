@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Reproducible Monte Carlo, thread count included.
+"""Reproducible Monte Carlo.
 
 Streams are keyed by (seed, block index) with a counter-based generator,
-and per-block results are reduced in block order, so estimates are
-bit-identical no matter how many worker threads run the blocks.  The
+and per-block results are reduced in block order, so rerunning an
+estimate with the same seed gives a bit-identical report.  The
 scenario sampler at the end draws rows that depend on earlier rows; as
 long as each conditional mean stays inside the declared set, the
 certified bound keeps holding.
@@ -35,10 +35,10 @@ def main():
     print(f"\ndetector risk bound: {det.risk:.4f}")
 
     reports = [mc_detector_risk(det, gaussian_sampler([-0.5], [[1.0]], seed=1),
-                                side=1, n=100_000, threads=t)
-               for t in (1, 4)]
-    print(f"1 thread : estimate {reports[0].estimate!r}")
-    print(f"4 threads: estimate {reports[1].estimate!r}")
+                                side=1, n=100_000)
+               for _ in range(2)]
+    print(f"first run : estimate {reports[0].estimate!r}")
+    print(f"second run: estimate {reports[1].estimate!r}")
     print("bit-identical:", reports[0] == reports[1])
 
     # adversarial drift: each row's mean reacts to the previous row but

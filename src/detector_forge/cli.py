@@ -312,15 +312,20 @@ def cmd_pair(cfg: dict, runtime: dict) -> Emitter:
         t0 = time.perf_counter()
         for side, (i, fam) in zip((1, 2), enumerate(cfg["families"])):
             sampler = _sampler_from_family(fam, f"$.families[{i}]", seed + i)
-            rep = mc_detector_risk(det, sampler, side, n,
-                                   threads=runtime["threads"])
+            rep = mc_detector_risk(det, sampler, side, n)
             out.add_mc(f"family{i + 1}/side{side}", rep)
         out.timings["mc"] = time.perf_counter() - t0
     return out
 
 
-def _battery_block(cfg: dict, runtime: dict, block: dict, out: Emitter,
-                   colors=None):
+def _battery_task(task: str, cfg: dict, runtime: dict,
+                  colors=None) -> Emitter:
+    """Shared runner of ``multitest`` and ``color``; ``colors`` (the color
+    task's partition) makes same-colored hypotheses close and adds the
+    inferred color to the report."""
+    out = Emitter(task, cfg)
+    block = cfg[task]
+    results = out.report["results"]
     fams = [build_family(f, f"$.families[{i}]")
             for i, f in enumerate(cfg["families"])]
     J = len(fams)
@@ -339,8 +344,7 @@ def _battery_block(cfg: dict, runtime: dict, block: dict, out: Emitter,
                                   "hypothesis index out of range")
         rel = ClosenessRelation.from_pairs(J, [tuple(p) for p in pairs])
     t0 = time.perf_counter()
-    battery = build_battery(fams, rel, _saddle_options(runtime),
-                            threads=runtime["threads"])
+    battery = build_battery(fams, rel, _saddle_options(runtime))
     if "target_risk" in block:
         shifted = min_k_for_risk(battery, float(block["target_risk"]))
     else:
@@ -350,7 +354,7 @@ def _battery_block(cfg: dict, runtime: dict, block: dict, out: Emitter,
     K = shifted.repetitions
     E = np.where(rel.matrix, 0.0, battery.risks ** K)
     rows = np.abs((E * np.exp(-shifted.alpha)).sum(axis=1) - shifted.eps_hat)
-    out.report["results"].update({
+    results.update({
         "risks": battery.risks, "alpha": shifted.alpha,
         "eps_hat": shifted.eps_hat, "repetitions": K,
         "vacuous": shifted.vacuous,
@@ -358,57 +362,36 @@ def _battery_block(cfg: dict, runtime: dict, block: dict, out: Emitter,
     })
     if shifted.vacuous:
         out.warn("risk level is vacuous (>= 1); the test accepts everything")
-    return fams, shifted
+    if colors is not None:
+        results["partition"] = colors
+    if "observations" in block:
+        res = run_multitest(shifted, np.asarray(block["observations"],
+                                                dtype=float))
+        results["accepted"] = list(res.accepted)
+        if colors is not None:
+            results["color"] = infer_color(res, colors)
+    mc_cfg = block.get("mc")
+    if mc_cfg is not None:
+        samplers = [build_sampler(s, f"$.{task}.mc.samplers[{i}]",
+                                  runtime["seed"] + i)
+                    for i, s in enumerate(mc_cfg["samplers"])]
+        t0 = time.perf_counter()
+        reports = mc_test_error(shifted, samplers,
+                                trials=int(mc_cfg.get("trials", 1000)),
+                                colors=colors)
+        out.timings["mc"] = time.perf_counter() - t0
+        for i, rep in enumerate(reports):
+            out.add_mc(f"hypothesis{i}", rep)
+    return out
 
 
 def cmd_multitest(cfg: dict, runtime: dict) -> Emitter:
-    out = Emitter("multitest", cfg)
-    block = cfg["multitest"]
-    _, shifted = _battery_block(cfg, runtime, block, out)
-    if "observations" in block:
-        res = run_multitest(shifted, np.asarray(block["observations"],
-                                                dtype=float))
-        out.report["results"]["accepted"] = list(res.accepted)
-    mc_cfg = block.get("mc")
-    if mc_cfg is not None:
-        samplers = [build_sampler(s, f"$.multitest.mc.samplers[{i}]",
-                                  runtime["seed"] + i)
-                    for i, s in enumerate(mc_cfg["samplers"])]
-        t0 = time.perf_counter()
-        reports = mc_test_error(shifted, samplers,
-                                trials=int(mc_cfg.get("trials", 1000)),
-                                threads=runtime["threads"])
-        out.timings["mc"] = time.perf_counter() - t0
-        for i, rep in enumerate(reports):
-            out.add_mc(f"hypothesis{i}", rep)
-    return out
+    return _battery_task("multitest", cfg, runtime)
 
 
 def cmd_color(cfg: dict, runtime: dict) -> Emitter:
-    out = Emitter("color", cfg)
-    block = cfg["color"]
-    colors = [int(c) for c in block["partition"]]
-    _, shifted = _battery_block(cfg, runtime, block, out, colors=colors)
-    out.report["results"]["partition"] = colors
-    if "observations" in block:
-        res = run_multitest(shifted, np.asarray(block["observations"],
-                                                dtype=float))
-        guess = infer_color(res, colors)
-        out.report["results"]["accepted"] = list(res.accepted)
-        out.report["results"]["color"] = guess
-    mc_cfg = block.get("mc")
-    if mc_cfg is not None:
-        samplers = [build_sampler(s, f"$.color.mc.samplers[{i}]",
-                                  runtime["seed"] + i)
-                    for i, s in enumerate(mc_cfg["samplers"])]
-        t0 = time.perf_counter()
-        reports = mc_test_error(shifted, samplers,
-                                trials=int(mc_cfg.get("trials", 1000)),
-                                colors=colors, threads=runtime["threads"])
-        out.timings["mc"] = time.perf_counter() - t0
-        for i, rep in enumerate(reports):
-            out.add_mc(f"hypothesis{i}", rep)
-    return out
+    colors = [int(c) for c in cfg["color"]["partition"]]
+    return _battery_task("color", cfg, runtime, colors)
 
 
 def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
@@ -457,8 +440,7 @@ def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
         rep = mc_aggregation(
             problem, np.asarray(mc_cfg["truth"], dtype=float), sampler,
             int(mc_cfg.get("trials", 1000)), repetitions=K,
-            eps=None if eps is None else float(eps), deltas=deltas,
-            threads=runtime["threads"])
+            eps=None if eps is None else float(eps), deltas=deltas)
         out.timings["mc"] = time.perf_counter() - t0
         out.add_mc("aggregation", rep)
     return out
@@ -524,8 +506,7 @@ def cmd_simulate(cfg: dict, runtime: dict) -> Emitter:
     sampler = build_sampler(block["sampler"], "$.simulate.sampler",
                             runtime["seed"])
     t0 = time.perf_counter()
-    rep = mc_detector_risk(det, sampler, int(block["side"]), int(block["n"]),
-                           threads=runtime["threads"])
+    rep = mc_detector_risk(det, sampler, int(block["side"]), int(block["n"]))
     out.timings["mc"] = time.perf_counter() - t0
     out.add_mc("detector", rep)
     return out
@@ -576,7 +557,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--tol", type=float,
                         help="override the solver tolerance")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored, kept for compatibility; "
+                             "every solve and Monte Carlo block runs on one "
+                             "thread")
     parser.add_argument("--validate", action="store_true",
                         help="schema-check the config and exit")
     args = parser.parse_args(argv)
@@ -601,7 +585,6 @@ def main(argv=None) -> int:
             "seed": args.seed if args.seed is not None
             else int(cfg.get("seed", 0)),
             "tol": args.tol,
-            "threads": max(1, int(args.threads)),
         }
         if runtime["tol"] is None:
             runtime["tol"] = cfg.get("solver", {}).get("tol")

@@ -72,10 +72,15 @@ def apply_detector(det: AffineDetector, obs) -> TestVerdict:
     return TestVerdict(1 if s >= 0.0 else 2, s)
 
 
+def _repeated_statistic(det: AffineDetector, observations) -> float:
+    """Detector statistic summed over a batch of observations (one per row)."""
+    obs = np.atleast_2d(np.asarray(observations, dtype=float))
+    return float(np.sum(obs @ det.h) + det.a * obs.shape[0])
+
+
 def apply_repeated(det: AffineDetector, observations: Sequence) -> TestVerdict:
     """Decide on a batch of independent observations by summing statistics."""
-    obs = np.atleast_2d(np.asarray(observations, dtype=float))
-    s = float(np.sum(obs @ det.h) + det.a * obs.shape[0])
+    s = _repeated_statistic(det, observations)
     return TestVerdict(1 if s >= 0.0 else 2, s)
 
 

@@ -14,13 +14,12 @@ feeds color inference (union-of-hypotheses questions) downstream.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .detectors import build_detector
+from .detectors import _repeated_statistic, build_detector
 from .errors import InfeasibleError
 from .families import RegularData
 from .saddle import SaddleOptions, SaddleProblem
@@ -81,17 +80,16 @@ class PairwiseBattery:
         """Sum of the pair detector statistic over the observation batch."""
         if self.closeness.close(i, j):
             return 0.0
-        obs = np.atleast_2d(np.asarray(observations, dtype=float))
-        det = self.detectors[(i, j)] if i < j else self.detectors[(j, i)]
-        s = float(np.sum(obs @ det.h) + det.a * obs.shape[0])
-        return s if i < j else -s
+        if i < j:
+            return _repeated_statistic(self.detectors[(i, j)], observations)
+        return -_repeated_statistic(self.detectors[(j, i)], observations)
 
 
 def build_battery(hypotheses: Sequence[RegularData],
                   closeness: Optional[ClosenessRelation] = None,
-                  options: Optional[SaddleOptions] = None,
-                  threads: int = 1) -> PairwiseBattery:
-    """Solve every non-close pair; failures are aggregated, not swallowed."""
+                  options: Optional[SaddleOptions] = None) -> PairwiseBattery:
+    """Solve every non-close pair in index order; failures are aggregated,
+    not swallowed."""
     hyps = list(hypotheses)
     J = len(hyps)
     if J == 0:
@@ -101,25 +99,13 @@ def build_battery(hypotheses: Sequence[RegularData],
         raise ValueError("closeness size does not match the hypothesis count")
     pairs = [(i, j) for i in range(J) for j in range(i + 1, J) if not rel.close(i, j)]
 
-    def solve(pair):
-        i, j = pair
-        return build_detector(SaddleProblem(hyps[i], hyps[j]), options)
-
     results, failures = {}, []
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pair: pool.submit(solve, pair) for pair in pairs}
-        for pair, fut in futs.items():
-            try:
-                results[pair] = fut.result()
-            except Exception as exc:
-                failures.append(f"({pair[0]}, {pair[1]}): {exc}")
-    else:
-        for pair in pairs:
-            try:
-                results[pair] = solve(pair)
-            except Exception as exc:
-                failures.append(f"({pair[0]}, {pair[1]}): {exc}")
+    for i, j in pairs:
+        try:
+            results[(i, j)] = build_detector(SaddleProblem(hyps[i], hyps[j]),
+                                             options)
+        except Exception as exc:
+            failures.append(f"({i}, {j}): {exc}")
     if failures:
         raise RuntimeError("battery solves failed for pairs " + "; ".join(failures))
 

@@ -37,6 +37,7 @@ __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
 _EIG_TOL = 1e-8
 _DEGENERATE_FLOOR = -745.0
 _VERTEX_CAP = 16          # box vertex enumeration limit, 2^16 corners
+_DYKSTRA_ITER = 200       # cap on alternations between two spectral bands
 
 
 def _sqrt_pd(M: np.ndarray):
@@ -280,6 +281,29 @@ def _phi_pieces(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
     return H, Qinv, logdet, frob
 
 
+def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
+                  Theta: np.ndarray):
+    """The lifted moment bound at covariance Theta and its gradient.
+
+    Returns (value, grad_h, grad_H) with grad_H symmetric; the bound is
+    linear in Theta, so its supremum over a covariance set is this at the
+    set's support point for H / 2.
+    """
+    d = spec.dim
+    H, Qinv, logdet, frob = _phi_pieces(spec, h, H)
+    tr_term = 0.5 * float(sym_flatten(Theta - spec.Theta_star) @ sym_flatten(H))
+    val, Y, y, tau = _lifted_max(spec, h, H, Qinv)
+    M1 = np.eye(d) + Qinv @ H
+    qh = Qinv @ h
+    gh = M1 @ y + tau * qh
+    gH = 0.5 * (M1 @ Y @ M1.T + np.outer(M1 @ y, qh)
+                + np.outer(qh, M1 @ y) + tau * np.outer(qh, qh))
+    gH += 0.5 * Qinv
+    gH += 0.5 * (Theta - spec.Theta_star)
+    gH += 2.0 * spec.frob_coeff() * spec.Theta_star @ H @ spec.Theta_star
+    return logdet + tr_term + frob + val, gh, 0.5 * (gH + gH.T)
+
+
 def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """Moment-bound family over detector pairs (h, H); parameter is Theta.
 
@@ -289,31 +313,18 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """
     d = spec.dim
     n = d + d * d
-    Tstar_flat = sym_flatten(spec.Theta_star)
 
     def split(x):
         return x[:d], sym_unflatten(x[d:])
 
     def phi(x, mu):
         h, H = split(x)
-        H, Qinv, logdet, frob = _phi_pieces(spec, h, H)
-        tr_term = 0.5 * float((np.asarray(mu) - Tstar_flat) @ sym_flatten(H))
-        val, *_ = _lifted_max(spec, h, H, Qinv)
-        return logdet + tr_term + frob + val
+        val, _, _ = _lifted_bound(spec, h, H, sym_unflatten(mu))
+        return val
 
     def grad_h(x, mu):
         h, H = split(x)
-        H, Qinv, _, _ = _phi_pieces(spec, h, H)
-        _, Y, y, tau = _lifted_max(spec, h, H, Qinv)
-        M1 = np.eye(d) + Qinv @ H
-        qh = Qinv @ h
-        gh = M1 @ y + tau * qh
-        gH = 0.5 * (M1 @ Y @ M1.T + np.outer(M1 @ y, qh)
-                    + np.outer(qh, M1 @ y) + tau * np.outer(qh, qh))
-        gH += 0.5 * Qinv
-        gH += 0.5 * (sym_unflatten(np.asarray(mu)) - spec.Theta_star)
-        gH += 2.0 * spec.frob_coeff() * spec.Theta_star @ H @ spec.Theta_star
-        gH = 0.5 * (gH + gH.T)
+        _, gh, gH = _lifted_bound(spec, h, H, sym_unflatten(mu))
         return np.concatenate([gh, sym_flatten(gH)])
 
     def grad_mu(x, mu):
@@ -341,30 +352,14 @@ class QuadSolveOptions:
     max_iter: int = 6000
     fix_h: bool = False            # restrict to purely quadratic detectors
     fix_H: bool = False            # restrict to affine detectors
-    dykstra_iter: int = 200
 
 
 def _phibar(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
     """Bound with the covariance supremum folded in, plus its gradient."""
     if spec.Ucov.support is None:
         raise ValueError("covariance set needs a support-function oracle")
-    H, Qinv, logdet, frob = _phi_pieces(spec, h, H)
-    d = spec.dim
-    Hf = sym_flatten(H)
-    sup_tr, arg = spec.Ucov.support(0.5 * Hf)
-    Theta_hat = sym_unflatten(arg)
-    tr_term = sup_tr - 0.5 * float(sym_flatten(spec.Theta_star) @ Hf)
-    val, Y, y, tau = _lifted_max(spec, h, H, Qinv)
-
-    M1 = np.eye(d) + Qinv @ H
-    qh = Qinv @ h
-    gh = M1 @ y + tau * qh
-    gH = 0.5 * (M1 @ Y @ M1.T + np.outer(M1 @ y, qh)
-                + np.outer(qh, M1 @ y) + tau * np.outer(qh, qh))
-    gH += 0.5 * Qinv
-    gH += 0.5 * (Theta_hat - spec.Theta_star)
-    gH += 2.0 * spec.frob_coeff() * spec.Theta_star @ H @ spec.Theta_star
-    return logdet + tr_term + frob + val, gh, 0.5 * (gH + gH.T)
+    _, arg = spec.Ucov.support(0.5 * sym_flatten(H))
+    return _lifted_bound(spec, h, H, sym_unflatten(arg))
 
 
 def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
@@ -381,7 +376,7 @@ def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
         x = H.copy()
         p1 = np.zeros_like(H)
         p2 = np.zeros_like(H)
-        for _ in range(opts.dykstra_iter):
+        for _ in range(_DYKSTRA_ITER):
             y = spec1.clip_matrix(x + p1)
             p1 = x + p1 - y
             x2 = spec2.clip_matrix(y + p2)

@@ -56,9 +56,6 @@ class SaddleProblem:
 @dataclass
 class SaddleOptions:
     tol: float = 1e-6
-    max_iter: int = 100000
-    radius: float = 1e3
-    radius_max: float = 1e6
     warmup: int = 150
     inner_rtol: float = 1e-8
     inner_max_iter: int = 4000
@@ -80,6 +77,8 @@ class SaddleSolution:
 
 
 _DEGENERATE_FLOOR = -745.0  # exp underflows below this; risk is numerically zero
+_RADIUS = 1e3          # initial search radius for an unbounded h-domain
+_RADIUS_MAX = 1e6      # the radius doubles up to this cap
 
 
 def _side_max(data: RegularData, h_signed: np.ndarray, start: Optional[np.ndarray],
@@ -143,7 +142,7 @@ def solve_saddle(problem: SaddleProblem,
     """
     opts = options or SaddleOptions()
     warnings: list = []
-    radius = opts.radius
+    radius = _RADIUS
     iters_used = 0
     rng = np.random.default_rng(opts.seed if opts.seed is not None else 0)
 
@@ -203,7 +202,7 @@ def solve_saddle(problem: SaddleProblem,
             break  # no point widening the search, the risk already underflows
 
         if problem.data1.h_set.bound_radius is None and capped:
-            if np.linalg.norm(h_star) >= 0.98 * radius and radius < opts.radius_max:
+            if np.linalg.norm(h_star) >= 0.98 * radius and radius < _RADIUS_MAX:
                 radius *= 2.0
                 h0 = h_star
                 continue

@@ -2,8 +2,9 @@
 
 Every stream comes from the Philox 4x64 counter generator keyed with the
 pair (sampler seed, block index).  Trials are split into fixed-size blocks,
-each block owns its keyed stream, and block results are reduced in index
-order, so estimates are bit-identical for any worker count.  Normal draws
+each block owns its keyed stream, and blocks run on the calling thread and
+are reduced in index order, so estimates are bit-identical across reruns.
+Normal draws
 go through the inverse CDF, Poisson draws use table inversion for small
 rates and transformed rejection above, and one-hot draws use a cumulative
 table: the uniform-to-sample maps are pinned down exactly so another
@@ -16,7 +17,6 @@ bound by more than ``sigmas`` standard errors (three by default).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -227,13 +227,11 @@ def _detector_dim(det) -> int:
 
 
 def _map_blocks(total: int, job, threads: int) -> list:
-    spans = [(b, lo, min(lo + _BLOCK, total))
-             for b, lo in enumerate(range(0, total, _BLOCK))]
-    if threads and int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            futures = [pool.submit(job, *span) for span in spans]
-            return [f.result() for f in futures]
-    return [job(*span) for span in spans]
+    """Run ``job(block, lo, hi)`` over the blocks of ``total`` trials, in
+    index order on the calling thread.  ``threads`` is accepted and ignored;
+    the three-argument signature stays because bench/tracer.py wraps it."""
+    return [job(b, lo, min(lo + _BLOCK, total))
+            for b, lo in enumerate(range(0, total, _BLOCK))]
 
 
 def _moment_report(moments: list, n: int, bound: Optional[float],
@@ -252,7 +250,8 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
                      threads: int = 1, sigmas: float = 3.0) -> McReport:
     """Estimate E e^{-phi} (side 1) or E e^{+phi} (side 2) and compare to
     the certified risk.  Works for affine detectors and for quadratic ones
-    fed with raw (unlifted) observations."""
+    fed with raw (unlifted) observations.  ``threads`` is accepted and
+    ignored; every block runs on the calling thread."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     n = int(n)
@@ -285,7 +284,7 @@ def _indicator_report(counts: list, n: int, bound: float,
 
 def mc_test_error(battery, samplers: Sequence[Sampler],
                   repetitions: Optional[int] = None, trials: int = 1000, *,
-                  colors: Optional[Sequence[int]] = None, threads: int = 1,
+                  colors: Optional[Sequence[int]] = None,
                   sigmas: float = 3.0) -> tuple:
     """Per-hypothesis error frequency of the repeated multi-test.
 
@@ -338,7 +337,7 @@ def mc_test_error(battery, samplers: Sequence[Sampler],
                     bad += guess is not None and guess != colors[i]
             return bad
 
-        return _indicator_report(_map_blocks(trials, job, threads), trials,
+        return _indicator_report(_map_blocks(trials, job, 1), trials,
                                  shifted.eps_hat, sigmas)
 
     return tuple(errs(i, samplers[i]) for i in range(J))
@@ -347,7 +346,7 @@ def mc_test_error(battery, samplers: Sequence[Sampler],
 def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
                    trials: int = 1000, *, repetitions: int,
                    eps: Optional[float] = None, deltas=None, tests=None,
-                   threads: int = 1, sigmas: float = 3.0) -> McReport:
+                   sigmas: float = 3.0) -> McReport:
     """Frequency with which the aggregated pick lands outside the certified
     neighborhood of the best estimate.
 
@@ -403,5 +402,5 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
             bad += gaps[idx] > closest + 2.0 * radius + 1e-9
         return bad
 
-    return _indicator_report(_map_blocks(trials, job, threads), trials,
+    return _indicator_report(_map_blocks(trials, job, 1), trials,
                              float(bound), sigmas)

@@ -135,12 +135,3 @@ def test_battery_aggregates_failures():
     with pytest.raises(RuntimeError, match=r"\(0, 1\)"):
         build_battery([good, bad])
 
-
-def test_threaded_build_matches_serial():
-    hyps = line_hypotheses()
-    serial = build_battery(hyps, threads=1)
-    threaded = build_battery(hyps, threads=4)
-    assert np.array_equal(serial.risks, threaded.risks)
-    for pair in serial.detectors:
-        assert np.array_equal(serial.detectors[pair].h, threaded.detectors[pair].h)
-        assert serial.detectors[pair].a == threaded.detectors[pair].a

@@ -231,6 +231,36 @@ def test_variance_pair_matches_scalar_reduction():
     assert np.linalg.norm(off) <= 1e-4
 
 
+def test_solver_side_values_are_lifted_bound_at_support_point():
+    # the folded bound of each side is lift_gaussian's phi at the support
+    # point of the covariance interval, and dominates phi elsewhere on it
+    rng = np.random.default_rng(17)
+    d = 2
+    lo1, hi1 = 0.5 * np.eye(d), np.eye(d)
+    lo2, hi2 = np.array([[1.5, 0.2], [0.2, 1.0]]), 2.0 * np.eye(d)
+    s1 = QuadLiftSpec(A=np.array([[1.0, 0.0], [0.0, -0.5]]),
+                      U=box([-0.5], [0.5]), Ucov=psd_interval(lo1, hi1),
+                      Theta_star=hi1)
+    s2 = QuadLiftSpec(A=np.array([[0.0, 1.0], [0.0, 0.5]]),
+                      U=singleton(np.zeros(1)), Ucov=psd_interval(lo2, hi2),
+                      Theta_star=hi2)
+    det = solve_quad_detector(s1, s2)
+    for spec, sign, value in ((s1, -1.0, det.meta["side_values"][0]),
+                              (s2, 1.0, det.meta["side_values"][1])):
+        h, H = sign * det.h, sign * det.H
+        x = np.concatenate([h, sym_flatten(H)])
+        phi = lift_gaussian(spec).phi
+        _, top = spec.Ucov.support(0.5 * sym_flatten(H))
+        assert value == phi(x, top)
+        lo, hi = spec.Ucov.meta["lo"], spec.Ucov.meta["hi"]
+        w, V = np.linalg.eigh(hi - lo)
+        root = (V * np.sqrt(w)) @ V.T
+        for _ in range(20):
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            S = (Q * rng.uniform(0.0, 1.0, d)) @ Q.T
+            assert value >= phi(x, sym_flatten(lo + root @ S @ root)) - 1e-12
+
+
 def test_affine_cannot_separate_equal_means():
     s1 = singleton_spec(d=2, Theta=np.eye(2))
     s2 = singleton_spec(d=2, Theta=16.0 * np.eye(2))

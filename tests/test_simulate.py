@@ -256,7 +256,7 @@ def test_mc_aggregation_fast_path(plane_problem):
     assert rep.bound == pytest.approx(0.1)
     assert rep.passed
     assert rep == mc_aggregation(
-        plane_problem, [0.2, 0.1], s, 1000, repetitions=12, eps=0.1, threads=4
+        plane_problem, [0.2, 0.1], s, 1000, repetitions=12, eps=0.1
     )
 
 

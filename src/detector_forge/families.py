@@ -56,6 +56,9 @@ class RegularData:
         Dimension of a single observation.
     phi, grad_h, grad_mu : callables
         Bound value, subgradient in h, supergradient in mu.
+    direction : callable or None
+        h -> c such that every maximizer of <c, mu> over m_set maximizes
+        phi(h; mu), so one support call gives sup_mu phi; None: iterate.
     """
 
     h_set: ConvexSet
@@ -65,7 +68,7 @@ class RegularData:
     grad_h: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_mu: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kind: str = "custom"
-    linear_in_mu: bool = False
+    direction: Optional[Callable[[np.ndarray], np.ndarray]] = None
     meta: dict = field(default_factory=dict)
 
 
@@ -103,7 +106,7 @@ def sub_gaussian_family(mean_set: ConvexSet, cov_set: ConvexSet) -> RegularData:
         return np.concatenate([h, 0.5 * sym_flatten(np.outer(h, h))])
 
     return RegularData(full_space(d), m_set, d, phi, grad_h, grad_mu,
-                       kind="sub_gaussian", linear_in_mu=True,
+                       kind="sub_gaussian", direction=lambda h: grad_mu(h, None),
                        meta={"d": d, "mean_set": mean_set, "cov_set": cov_set})
 
 
@@ -131,7 +134,8 @@ def poisson_family(intensity_set: ConvexSet) -> RegularData:
         return _safe_exp(h) - 1.0
 
     return RegularData(full_space(d), intensity_set, d, phi, grad_h, grad_mu,
-                       kind="poisson", linear_in_mu=True, meta={"d": d})
+                       kind="poisson", direction=lambda h: grad_mu(h, None),
+                       meta={"d": d})
 
 
 def discrete_family(prob_set: ConvexSet) -> RegularData:
@@ -162,16 +166,15 @@ def discrete_family(prob_set: ConvexSet) -> RegularData:
         return w / np.sum(w)
 
     def grad_mu(h, mu):
-        mu_c = np.maximum(mu, 0.0)
-        live = mu_c > 0.0
-        if not np.any(live):
-            raise ValueError("probability vector has no mass")
-        m = float(np.max(h[live]))
-        e = np.exp(np.minimum(h - m, _EXP_CAP))
-        return e / float(np.sum(mu_c * e))
+        w, m = weights(h, mu)
+        return np.exp(np.minimum(h - m, _EXP_CAP)) / np.sum(w)
+
+    def direction(h):
+        # log is increasing, so maximizing <e^h, mu> maximizes phi
+        return np.exp(h - np.max(h))
 
     return RegularData(full_space(d), prob_set, d, phi, grad_h, grad_mu,
-                       kind="discrete", meta={"d": d})
+                       kind="discrete", direction=direction, meta={"d": d})
 
 
 def bounded_support_family(support_set: ConvexSet, mean_set: ConvexSet) -> RegularData:
@@ -203,7 +206,7 @@ def bounded_support_family(support_set: ConvexSet, mean_set: ConvexSet) -> Regul
         return np.asarray(h, dtype=float).copy()
 
     return RegularData(full_space(d), mean_set, d, phi, grad_h, grad_mu,
-                       kind="bounded_support", linear_in_mu=True,
+                       kind="bounded_support", direction=lambda h: grad_mu(h, None),
                        meta={"d": d, "support_set": support_set})
 
 
@@ -215,10 +218,8 @@ def direct_sum(datas: Sequence[RegularData]) -> RegularData:
     datas = list(datas)
     if not datas:
         raise ValueError("direct_sum of nothing")
-    h_dims = [x.h_set.dim for x in datas]
-    m_dims = [x.m_set.dim for x in datas]
-    h_off = np.concatenate([[0], np.cumsum(h_dims)]).astype(int)
-    m_off = np.concatenate([[0], np.cumsum(m_dims)]).astype(int)
+    h_off = np.cumsum([0] + [x.h_set.dim for x in datas])
+    m_off = np.cumsum([0] + [x.m_set.dim for x in datas])
 
     def blocks(h, mu):
         for i, x in enumerate(datas):
@@ -233,11 +234,17 @@ def direct_sum(datas: Sequence[RegularData]) -> RegularData:
     def grad_mu(h, mu):
         return np.concatenate([x.grad_mu(hb, mb) for x, hb, mb in blocks(h, mu)])
 
+    def direction(h):
+        # the product's support maximizes every block on its own
+        return np.concatenate([x.direction(h[h_off[i]:h_off[i + 1]])
+                               for i, x in enumerate(datas)])
+
+    exact = all(x.direction is not None for x in datas)
     return RegularData(product([x.h_set for x in datas]),
                        product([x.m_set for x in datas]),
                        int(sum(x.obs_dim for x in datas)),
                        phi, grad_h, grad_mu, kind="direct_sum",
-                       linear_in_mu=all(x.linear_in_mu for x in datas),
+                       direction=direction if exact else None,
                        meta={"parts": datas})
 
 
@@ -259,19 +266,17 @@ def iid_scale(data: RegularData, lam) -> RegularData:
         return float(sum(data.phi(lk * h, mu) for lk in lam))
 
     def grad_h(h, mu):
-        g = np.zeros(data.h_set.dim)
-        for lk in lam:
-            g += lk * data.grad_h(lk * h, mu)
-        return g
+        return sum(lk * data.grad_h(lk * h, mu) for lk in lam)
 
     def grad_mu(h, mu):
-        g = np.zeros(data.m_set.dim)
-        for lk in lam:
-            g += data.grad_mu(lk * h, mu)
-        return g
+        return sum(data.grad_mu(lk * h, mu) for lk in lam)
 
+    # equal factors scale one bound; a sum of bounds at different scales
+    # has no common maximizer in general
+    exact = data.direction is not None and np.all(lam == lam[0])
     return RegularData(h_set, data.m_set, data.obs_dim, phi, grad_h, grad_mu,
-                       kind="iid_scale", linear_in_mu=data.linear_in_mu,
+                       kind="iid_scale",
+                       direction=(lambda h: data.direction(lam[0] * h)) if exact else None,
                        meta={"base": data, "lam": lam})
 
 
@@ -302,10 +307,8 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
     if not (0.0 < eps and L * eps < 1.0):
         raise ValueError("need 0 < eps and L*eps < 1")
 
-    h_dims = [x.h_set.dim for x in datas]
-    m_dims = [x.m_set.dim for x in datas]
-    h_off = np.concatenate([[0], np.cumsum(h_dims)]).astype(int)
-    m_off = np.concatenate([[0], np.cumsum(m_dims)]).astype(int)
+    h_off = np.cumsum([0] + [x.h_set.dim for x in datas])
+    m_off = np.cumsum([0] + [x.m_set.dim for x in datas])
     weight_set = sets.simplex(L, lo=np.full(L, eps))
     w_start = np.full(L, 1.0 / L)
     cache: dict = {"key": None}
@@ -375,8 +378,10 @@ def affine_image(data: RegularData, A, a) -> RegularData:
     def grad_mu(hb, mu):
         return data.grad_mu(A.T @ hb, mu)
 
+    exact = data.direction is not None
     return RegularData(h_set, data.m_set, A.shape[0], phi, grad_h, grad_mu,
-                       kind="affine_image", linear_in_mu=data.linear_in_mu,
+                       kind="affine_image",
+                       direction=(lambda hb: data.direction(A.T @ hb)) if exact else None,
                        meta={"base": data, "A": A, "a": a})
 
 

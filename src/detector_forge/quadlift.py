@@ -339,7 +339,7 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     h_set = ConvexSet(n, proj, name="quad_band",
                       meta={"kind": "quad_band", "spec": spec})
     return RegularData(h_set, spec.Ucov, n, phi, grad_h, grad_mu,
-                       kind="quad_lift", linear_in_mu=True,
+                       kind="quad_lift", direction=lambda x: grad_mu(x, None),
                        meta={"spec": spec, "d": d})
 
 

@@ -8,10 +8,11 @@ average of the two one-sided moment bounds
 
 The solve runs a short averaged descent-ascent warmup, then minimizes the
 max-form objective F(h) = max_mu psi(h; mu) directly, where each evaluation
-is a pair of independent concave maximizations (closed-form support calls
-when the bound is linear in the parameter).  The returned certificate is
-always an upper value taken at exact-or-converged best responses, so an
-early stop can only make the certified risk conservative, never invalid.
+is a pair of independent concave maximizations: one support call when the
+family has an exact best-response direction, an iterative solve otherwise.
+The returned certificate is always an upper value taken at
+exact-or-converged best responses, so an early stop can only make the
+certified risk conservative, never invalid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .families import RegularData
+from .families import _INNER_MAX_ITER, _INNER_RTOL, RegularData
 from .optimize import maximize_projected, minimize_projected
 from .sets import ConvexSet, ball
 
@@ -57,8 +58,6 @@ class SaddleProblem:
 class SaddleOptions:
     tol: float = 1e-6
     warmup: int = 150
-    inner_rtol: float = 1e-8
-    inner_max_iter: int = 4000
     descent_max_iter: int = 3000
     seed: Optional[int] = None
 
@@ -81,14 +80,15 @@ _RADIUS = 1e3          # initial search radius for an unbounded h-domain
 _RADIUS_MAX = 1e6      # the radius doubles up to this cap
 
 
-def _side_max(data: RegularData, h_signed: np.ndarray, start: Optional[np.ndarray],
-              opts: SaddleOptions) -> tuple[np.ndarray, float, int]:
-    """max over mu of phi(h_signed; mu); exact support call when linear."""
-    if data.linear_in_mu and data.m_set.support is not None:
-        mu_any = start if start is not None else data.m_set.project(np.zeros(data.m_set.dim))
-        s_val, mu = data.m_set.support(data.grad_mu(h_signed, mu_any))
+def _side_max(data: RegularData, h_signed: np.ndarray,
+              start: Optional[np.ndarray]) -> tuple[np.ndarray, float, int]:
+    """max over mu of phi(h_signed; mu); one support call when exact."""
+    if data.direction is not None and data.m_set.support is not None:
+        s_val, mu = data.m_set.support(data.direction(h_signed))
         if not np.isfinite(s_val):
-            return mu_any, np.inf, 1
+            if start is None:
+                start = data.m_set.project(np.zeros(data.m_set.dim))
+            return start, np.inf, 1
         return mu, data.phi(h_signed, mu), 1
 
     def obj(mu):
@@ -96,22 +96,20 @@ def _side_max(data: RegularData, h_signed: np.ndarray, start: Optional[np.ndarra
 
     x0 = start if start is not None else np.zeros(data.m_set.dim)
     res = maximize_projected(obj, x0, data.m_set.project,
-                             rtol=opts.inner_rtol, max_iter=opts.inner_max_iter)
+                             rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
     return res.x, res.value, res.iterations
 
 
 def best_response(problem: SaddleProblem, h: np.ndarray,
-                  mu1_start=None, mu2_start=None,
-                  options: Optional[SaddleOptions] = None):
+                  mu1_start=None, mu2_start=None):
     """Maximize psi(h; mu1, mu2) over the parameter sets.
 
     The two sides are independent concave problems.  Returns
     (mu1, mu2, value, iterations).
     """
-    opts = options or SaddleOptions()
     h = np.asarray(h, dtype=float)
-    mu1, v1, i1 = _side_max(problem.data1, -h, mu1_start, opts)
-    mu2, v2, i2 = _side_max(problem.data2, h, mu2_start, opts)
+    mu1, v1, i1 = _side_max(problem.data1, -h, mu1_start)
+    mu2, v2, i2 = _side_max(problem.data2, h, mu2_start)
     return mu1, mu2, 0.5 * (v1 + v2), i1 + i2
 
 
@@ -156,7 +154,7 @@ def solve_saddle(problem: SaddleProblem,
         state = {"mu1": None, "mu2": None, "evals": 0}
 
         def F(h):
-            mu1, mu2, val, used = best_response(problem, h, state["mu1"], state["mu2"], opts)
+            mu1, mu2, val, used = best_response(problem, h, state["mu1"], state["mu2"])
             state["mu1"], state["mu2"] = mu1, mu2
             state["evals"] += used
             g = problem.psi_grad_h(h, mu1, mu2)
@@ -212,7 +210,7 @@ def solve_saddle(problem: SaddleProblem,
                     "the game may have no finite saddle point")
         break
 
-    mu1, mu2, upper, used = best_response(problem, h_star, state["mu1"], state["mu2"], opts)
+    mu1, mu2, upper, used = best_response(problem, h_star, state["mu1"], state["mu2"])
     iters_used += used
 
     if upper < _DEGENERATE_FLOOR:
@@ -257,7 +255,7 @@ def solve_saddle(problem: SaddleProblem,
 
     # the minimizer under the dual-optimal parameters is often a sharper
     # point than the subgradient descent could reach; adopt it if it is
-    mu1c, mu2c, upper_c, used = best_response(problem, hmin["h"], mu1, mu2, opts)
+    mu1c, mu2c, upper_c, used = best_response(problem, hmin["h"], mu1, mu2)
     iters_used += used
     if upper_c < upper:
         h_star, mu1, mu2, upper = hmin["h"], mu1c, mu2c, upper_c

@@ -10,6 +10,7 @@ the optimizers never need to know about matrix shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -134,7 +135,7 @@ def ball(center, radius: float) -> ConvexSet:
     def proj(x):
         x = np.asarray(x, dtype=float)
         d = x - c
-        n = np.linalg.norm(d)
+        n = math.hypot(*d)   # np.linalg.norm overflows to inf past ~1e154
         if n <= r:
             return x.copy()
         return c + d * (r / n)

@@ -131,8 +131,7 @@ def test_uncertified_solve_refused_without_force():
     prob = SaddleProblem(
         families.sub_gaussian_family(sets.singleton([3.0, 0.0]), cov),
         families.sub_gaussian_family(sets.singleton([0.0, 0.0]), cov))
-    opts = SaddleOptions(tol=1e-16, warmup=0, descent_max_iter=2,
-                         inner_max_iter=5, inner_rtol=1e-2)
+    opts = SaddleOptions(tol=1e-16, warmup=0, descent_max_iter=2)
     try:
         det = build_detector(prob, opts)
         # a lucky exact solve is acceptable; the certificate must then be clean

@@ -68,6 +68,19 @@ def test_perron_row_identity_and_optimality():
             assert np.max((E @ gp) / gp) >= level - 1e-8
 
 
+def test_perron_level_bounds_every_row_ratio():
+    # the level must bound each row of the shifted risk matrix exactly,
+    # also where zero entries make the eigenvector iteration slow
+    rng = np.random.default_rng(8)
+    for J in (2, 3, 4, 6, 9):
+        for _ in range(10):
+            R = rng.random((J, J)) * (rng.random((J, J)) < 0.5)
+            E = np.triu(R, 1) + np.triu(R, 1).T
+            _, g, level = perron_shifts(E)
+            assert np.all(g > 0.0)
+            assert level >= ((E @ g) / g).max()
+
+
 def test_shift_battery_and_noiseless_acceptance():
     bat = build_battery(line_hypotheses())
     shifted = shift_battery(bat, 2)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detector_forge import families, sets
+from detector_forge.quadlift import QuadLiftSpec, lift_gaussian
 from detector_forge.saddle import (SaddleOptions, SaddleProblem, best_response,
                                    solve_saddle)
 
@@ -142,3 +145,89 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         SaddleProblem(families.poisson_family(sets.singleton([1.0, 2.0])),
                       families.poisson_family(sets.singleton([1.0])))
+
+
+# ---------------------------------------------------------------------------
+# exact best-response oracles
+
+def _lifted_family():
+    spec = QuadLiftSpec(A=np.array([[1.0, 0.0, 0.3], [0.0, 1.0, -0.2]]),
+                        U=sets.box([-1.0, -1.0], [1.0, 1.0]),
+                        Ucov=sets.psd_interval(0.5 * np.eye(2), np.eye(2)),
+                        Theta_star=np.eye(2))
+    return lift_gaussian(spec)
+
+
+def _gaussian_box():
+    return families.sub_gaussian_family(
+        sets.box([-1.0, 0.0], [1.0, 2.0]),
+        sets.psd_interval(np.eye(2), np.array([[2.0, 0.3], [0.3, 1.5]])))
+
+
+EXACT_FAMILIES = {
+    "sub_gaussian": _gaussian_box,
+    "gaussian_point": lambda: families.gaussian_point_family(
+        [0.5, -1.0], [[1.0, 0.2], [0.2, 0.8]]),
+    "poisson": lambda: families.poisson_family(
+        sets.box([0.5, 1.0, 0.0], [2.0, 3.0, 4.0])),
+    "discrete": lambda: families.discrete_family(
+        sets.simplex(4, lo=[0.1, 0.0, 0.05, 0.2], hi=[0.5, 0.6, 0.3, 0.7])),
+    # a simplex's support depends only on the order of the direction's
+    # entries; a ball's does not, so this one tells e^h apart from h
+    "discrete_ball": lambda: families.discrete_family(
+        sets.ball([0.4, 0.35, 0.25], 0.2)),
+    "bounded_support": lambda: families.bounded_support_family(
+        sets.box([-1.0, -1.0], [1.0, 2.0]), sets.ball([0.0, 0.5], 0.5)),
+    "direct_sum": lambda: families.direct_sum([
+        _gaussian_box(),
+        families.discrete_family(sets.simplex(3)),
+        families.poisson_family(sets.box([1.0], [2.0]))]),
+    "affine_image": lambda: families.affine_image(
+        families.poisson_family(sets.box([0.5, 1.0], [2.0, 3.0])),
+        [[1.0, 0.5], [-0.3, 2.0], [0.0, 1.0]], [0.1, 0.0, -0.2]),
+    "iid_scale": lambda: families.iid_scale(
+        families.discrete_family(sets.simplex(3, hi=[0.6, 0.6, 0.6])),
+        [0.7, 0.7, 0.7]),
+    "lift_gaussian": _lifted_family,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(EXACT_FAMILIES)),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 2.0))
+def test_exact_route_attains_the_inner_maximum(name, seed, scale):
+    fam = EXACT_FAMILIES[name]()
+    assert fam.direction is not None
+    rng = np.random.default_rng(seed)
+    h = fam.h_set.project(scale * rng.normal(size=fam.h_set.dim))
+    mu1, mu2, val, calls = best_response(SaddleProblem(fam, fam), h)
+    assert calls == 2  # one support call per side
+    assert val == 0.5 * (fam.phi(-h, mu1) + fam.phi(h, mu2))
+    for hs, mu in ((-h, mu1), (h, mu2)):
+        assert fam.m_set.contains(mu)
+        top = fam.phi(hs, mu)
+        for _ in range(10):
+            other = fam.m_set.project(3.0 * rng.normal(size=fam.m_set.dim))
+            assert top >= fam.phi(hs, other) - 1e-9 * (1.0 + abs(top))
+
+
+def test_discrete_exact_route_is_log_support_of_exp():
+    m_set = sets.simplex(5, lo=[0.05, 0.1, 0.0, 0.1, 0.0],
+                         hi=[0.4, 0.3, 0.5, 0.6, 0.2])
+    fam = families.discrete_family(m_set)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h = 3.0 * rng.normal(size=5)
+        _, _, val, _ = best_response(SaddleProblem(fam, fam), h)
+        want = 0.5 * (np.log(m_set.support(np.exp(-h))[0])
+                      + np.log(m_set.support(np.exp(h))[0]))
+        assert val == pytest.approx(want, abs=1e-12)
+
+
+def test_families_without_exact_direction():
+    g = families.gaussian_point_family([0.0], [[1.0]])
+    box = sets.box([-1.0], [1.0])
+    assert families.semi_direct_sum([g, g]).direction is None
+    assert families.refine_with_support(g, box, box).direction is None
+    assert families.iid_scale(g, [1.0, 0.5]).direction is None
+    assert families.iid_scale(g, [0.5, 0.5]).direction is not None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,15 @@ def test_box_ball_singleton_projection():
     pt = sets.singleton([3.0, 4.0])
     assert np.allclose(pt.project(np.zeros(2)), [3.0, 4.0])
     assert pt.bound_radius == pytest.approx(5.0)
+
+
+def test_ball_projection_of_huge_point_does_not_overflow():
+    # the squared norm of this offset overflows; the projection must not
+    b = sets.ball([0.0, 0.0], 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = b.project(np.array([3e200, -4e200]))
+    assert np.allclose(p, [600.0, -800.0], rtol=1e-15)
 
 
 def test_simplex_projection_matches_sort_reference():

@@ -24,14 +24,16 @@ import numpy as np
 from .detectors import GaussianPairSpec, gaussian_symmetric_detector
 from .errors import InfeasibleError
 from .multitest import (ClosenessRelation, PairwiseBattery, ShiftedBattery,
-                        infer_color, run_multitest, shift_battery)
+                        infer_color_block, run_multitest_block, shift_battery)
 from .sets import ConvexSet, halfspaces, linear_image
 
 __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
            "LevelSets", "purify", "LevelTest", "build_level_tests",
-           "individual_inference", "CalibrationResult", "calibrate_delta",
-           "AggregateResult", "aggregate", "cell_violation",
-           "subgaussian_fast_path_deltas", "subgaussian_fast_path",
+           "individual_inference", "individual_inference_block", "first_red",
+           "CalibrationResult", "calibrate_delta", "AggregateResult",
+           "aggregate", "cell_violation", "subgaussian_fast_path_deltas",
+           "FastPathPlan", "subgaussian_fast_path_plan",
+           "subgaussian_fast_path_block", "subgaussian_fast_path",
            "FastPathResult"]
 
 _EMPTY_RESIDUAL = 1e-7
@@ -180,12 +182,27 @@ def build_level_tests(problem: AggregationProblem, deltas, repetitions: int):
     return tests
 
 
+def individual_inference_block(test: LevelTest, observations) -> np.ndarray:
+    """Per-trial ``individual_inference`` over an (n, K, d) block."""
+    obs = np.asarray(observations, dtype=float)
+    if not test.alive:
+        return np.zeros(obs.shape[0], dtype=bool)
+    _, accepted = run_multitest_block(test.shifted, obs)
+    decided, color = infer_color_block(accepted, test.colors)
+    return decided & (color == _RED)
+
+
 def individual_inference(test: LevelTest, observations) -> bool:
     """Does this level's cell win against every margin chunk?"""
-    if not test.alive:
-        return False
-    res = run_multitest(test.shifted, observations)
-    return infer_color(res, test.colors) == _RED
+    obs = np.atleast_2d(np.asarray(observations, dtype=float))
+    return bool(individual_inference_block(test, obs[None])[0])
+
+
+def first_red(red) -> np.ndarray:
+    """Lowest surviving level of each row of an (n, L) survival mask, 0 in
+    rows where none survives: the aggregated pick."""
+    red = np.asarray(red, dtype=bool)
+    return np.where(red.any(axis=1), np.argmax(red, axis=1), 0)
 
 
 @dataclass
@@ -260,8 +277,8 @@ def aggregate(problem: AggregationProblem, observations, *,
         used = np.full(L, cal.delta)
         tests = cal.tests
     red = tuple(individual_inference(t, obs) for t in tests)
-    index = next((l for l, r in enumerate(red) if r), 0)
-    return AggregateResult(index, red, used, float(sum(t.eps_hat for t in tests)))
+    return AggregateResult(int(first_red([red])[0]), red, used,
+                           float(sum(t.eps_hat for t in tests)))
 
 
 def cell_violation(geometry: VoronoiGeometry, chosen: int, point, delta) -> bool:
@@ -277,25 +294,89 @@ def cell_violation(geometry: VoronoiGeometry, chosen: int, point, delta) -> bool
 # ---------------------------------------------------------------------------
 # pure sub-Gaussian fast path: margins and statistics in closed form
 
-def subgaussian_fast_path_deltas(estimates, Theta, eps: float, repetitions: int):
+def _fast_path_pairs(estimates, Theta):
+    """The (L, m) estimates, their Voronoi geometry and the noise variance
+    q[l, lp] = u' Theta u along each direction u = u[l, lp] (one on the
+    diagonal, which no statistic uses)."""
     g = np.atleast_2d(np.asarray(estimates, dtype=float))
     Theta = np.asarray(Theta, dtype=float)
     L = g.shape[0]
     if L < 2:
         raise ValueError("need at least two candidate estimates")
-    if not eps * repetitions < L * np.sqrt(L - 1.0):
-        raise ValueError("eps * repetitions must stay below L * sqrt(L - 1)")
     geo = voronoi_geometry(g)
-    log_term = np.log(L * np.sqrt(L - 1.0) / (eps * repetitions))
-    deltas = np.zeros(L)
+    q = np.ones((L, L))
     for l in range(L):
-        worst = 0.0
         for lp in range(L):
             if lp != l:
-                q = float(geo.u[l, lp] @ (Theta @ geo.u[l, lp]))
-                worst = max(worst, np.sqrt(log_term * q))
-        deltas[l] = worst
-    return deltas
+                u = geo.u[l, lp]
+                q[l, lp] = float(u @ (Theta @ u))
+    return g, geo, q
+
+
+def _fast_path_deltas(q: np.ndarray, eps: float, repetitions: int):
+    L = q.shape[0]
+    if not eps * repetitions < L * np.sqrt(L - 1.0):
+        raise ValueError("eps * repetitions must stay below L * sqrt(L - 1)")
+    log_term = np.log(L * np.sqrt(L - 1.0) / (eps * repetitions))
+    spread = np.sqrt(log_term * q)
+    np.fill_diagonal(spread, 0.0)
+    return spread.max(axis=1)
+
+
+def subgaussian_fast_path_deltas(estimates, Theta, eps: float, repetitions: int):
+    return _fast_path_deltas(_fast_path_pairs(estimates, Theta)[2], eps,
+                             repetitions)
+
+
+@dataclass(frozen=True)
+class FastPathPlan:
+    """Everything the fast-path pick needs that does not depend on the
+    observations: psi[l, lp] = coef[l, lp] * u[l, lp]'(K w[l, lp] - sum of
+    observations) + offset."""
+
+    deltas: np.ndarray   # (L,) margins
+    u: np.ndarray        # (L, L, m) unit directions between estimates
+    Kw: np.ndarray       # (L, L, m) K times the shifted midpoints
+    coef: np.ndarray     # (L, L) deltas[l] / (2 q[l, lp])
+    offset: float        # log(L - 1) / 2
+    repetitions: int
+
+
+def subgaussian_fast_path_plan(estimates, Theta, eps: float,
+                               repetitions: int) -> FastPathPlan:
+    """Set up the fast path once for K = ``repetitions`` observations."""
+    g, geo, q = _fast_path_pairs(estimates, Theta)
+    K = int(repetitions)
+    deltas = _fast_path_deltas(q, eps, K)
+    L = g.shape[0]
+    w = 0.5 * (g[:, None, :] + g[None, :, :] + deltas[:, None, None] * geo.u)
+    return FastPathPlan(deltas, geo.u, K * w, deltas[:, None] / (2.0 * q),
+                        0.5 * np.log(L - 1.0), K)
+
+
+def subgaussian_fast_path_block(plan: FastPathPlan, observations):
+    """Fast-path statistics and picks for an (n, K, m) block of trials.
+
+    Returns (psi, red, index): the (n, L, L) shifted statistics (nan on
+    the diagonal), the (n, L) survival mask (all off-diagonal statistics
+    positive) and the (n,) picks.
+    """
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim != 3 or obs.shape[1] != plan.repetitions:
+        raise ValueError(
+            f"expected {plan.repetitions} observations per trial, "
+            f"got an array of shape {obs.shape}")
+    L = plan.coef.shape[0]
+    total = obs.sum(axis=1)
+    # stacked (1, m) @ (m, 1) products round like the 1-d dots of the
+    # per-trial formula; an elementwise product and sum would not
+    diff = plan.Kw - total[:, None, None, :]
+    proj = (diff[..., None, :] @ plan.u[..., None])[..., 0, 0]
+    psi = plan.coef * proj + plan.offset
+    diag = np.eye(L, dtype=bool)
+    psi[:, diag] = np.nan
+    red = np.all((psi > 0.0) | diag, axis=2)
+    return psi, red, first_red(red)
 
 
 @dataclass
@@ -308,24 +389,8 @@ class FastPathResult:
 
 def subgaussian_fast_path(estimates, Theta, eps: float, observations) -> FastPathResult:
     """Closed-form aggregation for sub-Gaussian observations of the estimates."""
-    g = np.atleast_2d(np.asarray(estimates, dtype=float))
-    Theta = np.asarray(Theta, dtype=float)
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
-    K = obs.shape[0]
-    L = g.shape[0]
-    deltas = subgaussian_fast_path_deltas(g, Theta, eps, K)
-    geo = voronoi_geometry(g)
-    total = obs.sum(axis=0)
-    psi = np.full((L, L), np.nan)
-    for l in range(L):
-        for lp in range(L):
-            if lp == l:
-                continue
-            u = geo.u[l, lp]
-            q = float(u @ (Theta @ u))
-            w = 0.5 * (g[l] + g[lp] + deltas[l] * u)
-            psi[l, lp] = deltas[l] / (2.0 * q) * float(u @ (K * w - total)) \
-                + 0.5 * np.log(L - 1.0)
-    red = tuple(bool(np.all(psi[l][np.arange(L) != l] > 0.0)) for l in range(L))
-    index = next((l for l, r in enumerate(red) if r), 0)
-    return FastPathResult(index, red, deltas, psi)
+    plan = subgaussian_fast_path_plan(estimates, Theta, eps, obs.shape[0])
+    psi, red, index = subgaussian_fast_path_block(plan, obs[None])
+    return FastPathResult(int(index[0]), tuple(bool(r) for r in red[0]),
+                          plan.deltas, psi[0])

@@ -161,6 +161,15 @@ def build_sampler(desc: dict, path: str, default_seed: int):
     raise ConfigError(path, f"unknown sampler kind {desc['kind']!r}")
 
 
+def _checked_sampler(desc: dict, path: str, seed: int, dim: int):
+    """``build_sampler`` for a stream that must have dimension ``dim``."""
+    sampler = build_sampler(desc, path, seed)
+    if sampler.dim != dim:
+        raise ConfigError(path, f"sampler dimension {sampler.dim} does not "
+                                f"match the observation dimension {dim}")
+    return sampler
+
+
 def _sampler_from_family(desc: dict, path: str, seed: int):
     """MC validation needs a concrete distribution, so the family's
     parameter descriptor must be a singleton."""
@@ -372,9 +381,11 @@ def _battery_task(task: str, cfg: dict, runtime: dict,
             results["color"] = infer_color(res, colors)
     mc_cfg = block.get("mc")
     if mc_cfg is not None:
-        samplers = [build_sampler(s, f"$.{task}.mc.samplers[{i}]",
-                                  runtime["seed"] + i)
-                    for i, s in enumerate(mc_cfg["samplers"])]
+        samplers = []
+        for i, desc in enumerate(mc_cfg["samplers"]):
+            path = f"$.{task}.mc.samplers[{i}]"
+            samplers.append(_checked_sampler(desc, path, runtime["seed"] + i,
+                                             fams[0].obs_dim))
         t0 = time.perf_counter()
         reports = mc_test_error(shifted, samplers,
                                 trials=int(mc_cfg.get("trials", 1000)),
@@ -434,11 +445,16 @@ def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
             out.report["results"]["fast_index"] = fp.index
     mc_cfg = block.get("mc")
     if mc_cfg is not None:
-        sampler = build_sampler(mc_cfg["sampler"], "$.aggregate.mc.sampler",
-                                runtime["seed"])
+        sampler = _checked_sampler(mc_cfg["sampler"], "$.aggregate.mc.sampler",
+                                   runtime["seed"], problem.Theta.shape[0])
+        truth = np.asarray(mc_cfg["truth"], dtype=float)
+        if truth.size != problem.G.shape[1]:
+            raise ConfigError("$.aggregate.mc.truth",
+                              f"expected {problem.G.shape[1]} entries (the "
+                              f"columns of G), got {truth.size}")
         t0 = time.perf_counter()
         rep = mc_aggregation(
-            problem, np.asarray(mc_cfg["truth"], dtype=float), sampler,
+            problem, truth, sampler,
             int(mc_cfg.get("trials", 1000)), repetitions=K,
             eps=None if eps is None else float(eps), deltas=deltas)
         out.timings["mc"] = time.perf_counter() - t0
@@ -503,8 +519,8 @@ def cmd_simulate(cfg: dict, runtime: dict) -> Emitter:
     else:
         det = AffineDetector(h=np.asarray(d["h"], dtype=float),
                              a=float(d["a"]), risk=float(d["risk"]), gap=0.0)
-    sampler = build_sampler(block["sampler"], "$.simulate.sampler",
-                            runtime["seed"])
+    sampler = _checked_sampler(block["sampler"], "$.simulate.sampler",
+                               runtime["seed"], len(d["h"]))
     t0 = time.perf_counter()
     rep = mc_detector_risk(det, sampler, int(block["side"]), int(block["n"]))
     out.timings["mc"] = time.perf_counter() - t0

@@ -26,7 +26,8 @@ from .saddle import SaddleOptions, SaddleProblem
 
 __all__ = ["ClosenessRelation", "PairwiseBattery", "build_battery", "e_matrix",
            "perron_shifts", "ShiftedBattery", "shift_battery", "MultiTestResult",
-           "run_multitest", "infer_color", "min_k_for_risk"]
+           "run_multitest", "run_multitest_block", "infer_color",
+           "infer_color_block", "min_k_for_risk"]
 
 _POWER_TOL = 1e-12
 _POWER_CAP = 100000
@@ -180,34 +181,73 @@ class MultiTestResult:
     repetitions: int
 
 
+def run_multitest_block(shifted: ShiftedBattery, observations):
+    """Shifted statistics and acceptance for a block of repeated trials.
+
+    ``observations`` is (n, K, d): n trials of K observations each.  Each
+    non-close pair's statistic comes for the whole block from one
+    (n, K, d) @ (d,) product summed over the K observations; that is the
+    arithmetic of ``PairwiseBattery.statistic`` trial by trial, so the
+    margins match it bit for bit.  (One (n K, d) @ (d, P) product for all
+    pairs rounds differently and is no faster at these sizes.)  Returns
+    the (n, J, J) margins (zero on close pairs) and the (n, J) mask of
+    accepted hypotheses: those whose margins against every non-close
+    rival are all positive.
+    """
+    obs = np.asarray(observations, dtype=float)
+    bat = shifted.battery
+    J = bat.count
+    if obs.ndim != 3 or obs.shape[1] != shifted.repetitions:
+        raise ValueError(
+            f"expected {shifted.repetitions} observations per trial, "
+            f"got an array of shape {obs.shape}")
+    K = obs.shape[1]
+    tested = ~bat.closeness.matrix
+    margins = np.zeros((obs.shape[0], J, J))
+    for i, j in zip(*np.nonzero(np.triu(tested))):
+        det = bat.detectors[(i, j)]
+        stat = np.sum(obs @ det.h, axis=1) + det.a * K
+        margins[:, i, j] = stat + shifted.alpha[i, j]
+        margins[:, j, i] = -stat + shifted.alpha[j, i]
+    accepted = np.all((margins > 0.0) | ~tested, axis=2)
+    return margins, accepted
+
+
 def run_multitest(shifted: ShiftedBattery, observations) -> MultiTestResult:
     """Accept every hypothesis whose shifted statistics are all positive."""
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     if obs.shape[0] != shifted.repetitions:
         raise ValueError(
             f"expected {shifted.repetitions} observations, got {obs.shape[0]}")
-    bat = shifted.battery
-    J = bat.count
-    margins = np.zeros((J, J))
-    for i in range(J):
-        for j in range(J):
-            if i != j and not bat.closeness.close(i, j):
-                margins[i, j] = bat.statistic(i, j, obs) + shifted.alpha[i, j]
-    accepted = tuple(i for i in range(J)
-                     if all(margins[i, j] > 0.0 for j in range(J)
-                            if i != j and not bat.closeness.close(i, j)))
-    return MultiTestResult(accepted, margins, shifted.repetitions)
+    margins, accepted = run_multitest_block(shifted, obs[None])
+    return MultiTestResult(tuple(int(i) for i in np.flatnonzero(accepted[0])),
+                           margins[0], shifted.repetitions)
+
+
+def infer_color_block(accepted, colors) -> tuple:
+    """Row-wise color inference over an (n, J) accepted mask.
+
+    Returns (decided, color): a row is decided when its accepted
+    hypotheses share exactly one color, and ``color`` holds that color
+    there (and an arbitrary one elsewhere).
+    """
+    accepted = np.asarray(accepted, dtype=bool)
+    palette, code = np.unique(np.asarray(colors), return_inverse=True)
+    if code.size != accepted.shape[1]:
+        raise ValueError("one color per hypothesis required")
+    seen = np.zeros((accepted.shape[0], palette.size), dtype=bool)
+    for c in range(palette.size):
+        seen[:, c] = np.any(accepted[:, code == c], axis=1)
+    decided = seen.sum(axis=1) == 1
+    return decided, palette[np.argmax(seen, axis=1)]
 
 
 def infer_color(result: MultiTestResult, colors: Sequence[int]) -> Optional[int]:
     """Collapse an accepted set to its common color, or None if undecided."""
-    colors = list(colors)
-    if len(colors) != result.margins.shape[0]:
-        raise ValueError("one color per hypothesis required")
-    seen = {colors[i] for i in result.accepted}
-    if len(seen) == 1:
-        return seen.pop()
-    return None
+    mask = np.zeros((1, result.margins.shape[0]), dtype=bool)
+    mask[0, list(result.accepted)] = True
+    decided, color = infer_color_block(mask, colors)
+    return color[0].item() if decided[0] else None
 
 
 def min_k_for_risk(battery: PairwiseBattery, target: float) -> ShiftedBattery:

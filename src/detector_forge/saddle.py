@@ -10,9 +10,11 @@ The solve runs a short averaged descent-ascent warmup, then minimizes the
 max-form objective F(h) = max_mu psi(h; mu) directly, where each evaluation
 is a pair of independent concave maximizations: one support call when the
 family has an exact best-response direction, an iterative solve otherwise.
-The returned certificate is always an upper value taken at
-exact-or-converged best responses, so an early stop can only make the
-certified risk conservative, never invalid.
+The iterative value carries its Frank-Wolfe gap supp_M(g) - <g, mu> at
+g = grad_mu(h, mu) when the parameter set has a support oracle, so it
+bounds the maximum even when the inner solve stops early.  The returned
+certificate is an upper value taken at these best responses, so an early
+stop can only make the certified risk conservative, never invalid.
 """
 
 from __future__ import annotations
@@ -97,7 +99,14 @@ def _side_max(data: RegularData, h_signed: np.ndarray,
     x0 = start if start is not None else np.zeros(data.m_set.dim)
     res = maximize_projected(obj, x0, data.m_set.project,
                              rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
-    return res.x, res.value, res.iterations
+    if data.m_set.support is None:
+        return res.x, res.value, res.iterations
+    # phi is concave in mu, so max_M phi <= phi(mu) + supp_M(g) - <g, mu>
+    # with g = grad_mu(h, mu): the Frank-Wolfe gap keeps an early stop an
+    # upper bound
+    g = data.grad_mu(h_signed, res.x)
+    gap = data.m_set.support(g)[0] - float(g @ res.x)
+    return res.x, res.value + max(gap, 0.0), res.iterations
 
 
 def best_response(problem: SaddleProblem, h: np.ndarray,

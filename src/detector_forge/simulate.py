@@ -4,11 +4,17 @@ Every stream comes from the Philox 4x64 counter generator keyed with the
 pair (sampler seed, block index).  Trials are split into fixed-size blocks,
 each block owns its keyed stream, and blocks run on the calling thread and
 are reduced in index order, so estimates are bit-identical across reruns.
-Normal draws
-go through the inverse CDF, Poisson draws use table inversion for small
-rates and transformed rejection above, and one-hot draws use a cumulative
-table: the uniform-to-sample maps are pinned down exactly so another
-implementation of the same contract can replay a stream.
+Normal draws go through the inverse CDF, Poisson draws use table inversion
+for small rates and transformed rejection above, and one-hot draws use a
+cumulative table: the uniform-to-sample maps are pinned down exactly so
+another implementation of the same contract can replay a stream.
+
+The multi-test, color and aggregation checks draw each trial's K
+observations with one ``draw`` call, in trial order on the block's stream
+(one call for all of a block's rows would not replay it: Poisson samplers
+fill column by column and scenario histories restart on every call), then
+stack the block and decide all its trials with one batched call, whose
+arithmetic is that of the single-trial decision.
 
 A Monte Carlo report passes when the estimate does not exceed the certified
 bound by more than ``sigmas`` standard errors (three by default).
@@ -23,11 +29,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, ndtri
 
-from .aggregate import (AggregationProblem, build_level_tests,
-                        individual_inference, subgaussian_fast_path,
-                        subgaussian_fast_path_deltas)
-from .multitest import (PairwiseBattery, ShiftedBattery, infer_color,
-                        run_multitest, shift_battery)
+from .aggregate import (AggregationProblem, build_level_tests, first_red,
+                        individual_inference_block,
+                        subgaussian_fast_path_block,
+                        subgaussian_fast_path_plan)
+from .multitest import (PairwiseBattery, ShiftedBattery, infer_color_block,
+                        run_multitest_block, shift_battery)
 
 _BLOCK = 1024
 _MASK64 = (1 << 64) - 1
@@ -234,6 +241,14 @@ def _map_blocks(total: int, job, threads: int) -> list:
             for b, lo in enumerate(range(0, total, _BLOCK))]
 
 
+def _draw_trials(sampler: Sampler, block: int, count: int,
+                 repetitions: int) -> np.ndarray:
+    """(count, repetitions, dim) observations of one block's trials: one
+    ``draw`` call per trial, in trial order, on the block's stream."""
+    rng = sampler.block_rng(block)
+    return np.stack([sampler.draw(rng, repetitions) for _ in range(count)])
+
+
 def _moment_report(moments: list, n: int, bound: Optional[float],
                    sigmas: float) -> McReport:
     total = sum(m[0] for m in moments)
@@ -320,22 +335,18 @@ def mc_test_error(battery, samplers: Sequence[Sampler],
     if colors is not None and len(colors) != J:
         raise ValueError("one color per hypothesis required")
     K = shifted.repetitions
+    tested = ~bat.closeness.matrix
 
     def errs(i: int, sampler: Sampler):
         def job(block: int, lo: int, hi: int):
-            rng = sampler.block_rng(block)
-            bad = 0
-            for _ in range(hi - lo):
-                res = run_multitest(shifted, sampler.draw(rng, K))
-                if colors is None:
-                    ok = i in res.accepted and all(
-                        bat.closeness.close(i, j) for j in res.accepted
-                        if j != i)
-                    bad += not ok
-                else:
-                    guess = infer_color(res, colors)
-                    bad += guess is not None and guess != colors[i]
-            return bad
+            obs = _draw_trials(sampler, block, hi - lo, K)
+            _, accepted = run_multitest_block(shifted, obs)
+            if colors is None:
+                bad = ~accepted[:, i] | np.any(accepted & tested[i], axis=1)
+            else:
+                decided, color = infer_color_block(accepted, colors)
+                bad = decided & (color != colors[i])
+            return int(np.count_nonzero(bad))
 
         return _indicator_report(_map_blocks(trials, job, 1), trials,
                                  shifted.eps_hat, sigmas)
@@ -365,6 +376,9 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
     if sampler.dim != problem.Theta.shape[0]:
         raise ValueError("sampler dimension does not match observations")
     mu = np.asarray(truth, dtype=float).ravel()
+    if mu.size != problem.G.shape[1]:
+        raise ValueError(f"truth has {mu.size} entries, the parameter "
+                         f"space has dimension {problem.G.shape[1]}")
     g_true = problem.G @ mu
     gaps = np.linalg.norm(g_true - problem.estimates, axis=1)
     closest = float(gaps.min())
@@ -378,29 +392,25 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
             tests = build_level_tests(problem, used, K)
         bound = eps if eps is not None else sum(t.eps_hat for t in tests)
 
-        def pick(obs: np.ndarray) -> int:
-            red = tuple(individual_inference(t, obs) for t in tests)
-            return next((l for l, r in enumerate(red) if r), 0)
+        def picks(obs: np.ndarray) -> np.ndarray:
+            return first_red(np.stack(
+                [individual_inference_block(t, obs) for t in tests], axis=1))
     else:
         if eps is None:
             raise ValueError("need eps, deltas, or tests")
-        used = subgaussian_fast_path_deltas(problem.estimates, problem.Theta,
-                                            float(eps), K)
+        plan = subgaussian_fast_path_plan(problem.estimates, problem.Theta,
+                                          float(eps), K)
+        used = plan.deltas
         bound = float(eps)
 
-        def pick(obs: np.ndarray) -> int:
-            return subgaussian_fast_path(problem.estimates, problem.Theta,
-                                         float(eps), obs).index
+        def picks(obs: np.ndarray) -> np.ndarray:
+            return subgaussian_fast_path_block(plan, obs)[2]
 
     radius = float(np.max(used))
 
     def job(block: int, lo: int, hi: int):
-        rng = sampler.block_rng(block)
-        bad = 0
-        for _ in range(hi - lo):
-            idx = pick(sampler.draw(rng, K))
-            bad += gaps[idx] > closest + 2.0 * radius + 1e-9
-        return bad
+        idx = picks(_draw_trials(sampler, block, hi - lo, K))
+        return int(np.count_nonzero(gaps[idx] > closest + 2.0 * radius + 1e-9))
 
     return _indicator_report(_map_blocks(trials, job, 1), trials,
                              float(bound), sigmas)

@@ -263,3 +263,49 @@ def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", "x", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def _mc_mismatch(task):
+    """A config whose Monte Carlo stream or truth has the wrong size, and
+    the JSON path that must be named."""
+    one_d = {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+    if task in ("multitest", "color"):
+        block = {"repetitions": 2,
+                 "mc": {"trials": 1000, "samplers": [
+                     {"kind": "gaussian", "mean": [-3.0], "cov": [[1.0]]},
+                     {"kind": "gaussian", "mean": [3.0, 0.0],
+                      "cov": np.eye(2).tolist()}]}}
+        if task == "color":
+            block["partition"] = [0, 1]
+        return ({"schema_version": "1", "task": task,
+                 "families": [_gaussian((-3.0,)), _gaussian((3.0,))],
+                 task: block}, f"$.{task}.mc.samplers[1]")
+    if task == "simulate":
+        cfg = simulate_config()
+        cfg["simulate"]["sampler"] = one_d
+        return cfg, "$.simulate.sampler"
+    mc = {"trials": 1000, "truth": [0.1, 0.0],
+          "sampler": {"kind": "gaussian", "mean": [0.1, 0.0],
+                      "cov": np.eye(2).tolist()}}
+    if task == "aggregate-sampler":
+        mc["sampler"] = one_d
+        path = "$.aggregate.mc.sampler"
+    else:
+        mc["truth"] = [0.1, 0.0, 0.0]
+        path = "$.aggregate.mc.truth"
+    return ({"schema_version": "1", "task": "aggregate", "aggregate": {
+        "estimates": [[0.0, 0.0], [6.0, 0.0]],
+        "parameter_sets": [{"type": "ball", "center": [0.0, 0.0],
+                            "radius": 20.0}],
+        "G": np.eye(2).tolist(), "Theta": np.eye(2).tolist(),
+        "repetitions": 4, "eps": 0.1, "mc": mc}}, path)
+
+
+@pytest.mark.parametrize("task", ["multitest", "color", "simulate",
+                                  "aggregate-sampler", "aggregate-truth"])
+def test_monte_carlo_size_mismatch_names_the_field(tmp_path, capsys, task):
+    cfg, path = _mc_mismatch(task)
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert f"config error at {path}:" in err
+    assert "matmul" not in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detector_forge import families, sets
+from detector_forge import families, saddle, sets
 from detector_forge.quadlift import QuadLiftSpec, lift_gaussian
 from detector_forge.saddle import (SaddleOptions, SaddleProblem, best_response,
                                    solve_saddle)
@@ -231,3 +231,21 @@ def test_families_without_exact_direction():
     assert families.refine_with_support(g, box, box).direction is None
     assert families.iid_scale(g, [1.0, 0.5]).direction is None
     assert families.iid_scale(g, [0.5, 0.5]).direction is not None
+
+
+@pytest.mark.parametrize("h", [[1.0, 0.9, -0.5, 0.7, 0.6, -1.0],
+                               [0.2, 0.25, 0.1, -0.3, 0.4, 0.35]])
+def test_early_stopped_inner_solve_still_bounds_the_maximum(monkeypatch, h):
+    # semi_direct_sum has no exact direction, so the side maximum iterates;
+    # cut off after 3 steps, its value must still dominate the maximum
+    fam = families.semi_direct_sum([
+        families.discrete_family(sets.simplex(3)),
+        families.discrete_family(sets.simplex(3, lo=np.full(3, 0.1)))])
+    h = np.asarray(h)
+    mu_long, _, _ = saddle._side_max(fam, h, None)
+    exact = fam.phi(h, mu_long)
+    monkeypatch.setattr(saddle, "_INNER_MAX_ITER", 3)
+    mu, value, iterations = saddle._side_max(fam, h, None)
+    assert iterations == 3
+    assert fam.phi(h, mu) < exact - 1e-3
+    assert value >= exact

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from detector_forge.aggregate import AggregationProblem
+from detector_forge.aggregate import (AggregationProblem, build_level_tests,
+                                      subgaussian_fast_path_deltas,
+                                      voronoi_geometry)
 from detector_forge.detectors import AffineDetector
 from detector_forge.families import gaussian_point_family, sub_gaussian_family
-from detector_forge.multitest import ClosenessRelation, build_battery, shift_battery
+from detector_forge.multitest import (ClosenessRelation, build_battery,
+                                      run_multitest_block, shift_battery)
 from detector_forge.sets import ball, box, singleton
 from detector_forge.simulate import (
     McReport,
@@ -280,9 +283,184 @@ def test_mc_aggregation_validation(plane_problem):
     bad = gaussian_sampler([0.0], [[1.0]], seed=9)
     with pytest.raises(ValueError):
         mc_aggregation(plane_problem, [0.2, 0.1], bad, 1000, repetitions=4, eps=0.1)
+    with pytest.raises(ValueError, match="truth has 3 entries"):
+        mc_aggregation(plane_problem, [0.2, 0.1, 0.0], s, 1000, repetitions=4,
+                       eps=0.1)
 
 
 def test_mc_report_fields():
     rep = McReport(estimate=0.5, std_error=0.01, n=1000, bound=0.6, passed=True)
     assert rep.bound == 0.6
     assert rep.passed is True
+
+
+# --- batched decisions against the per-trial loops they replaced ------------
+#
+# The references below draw each trial with its own ``draw`` call on the
+# block's stream, decide it with scalar pair statistics, and count errors
+# trial by trial; the batched Monte Carlo must give the same reports.
+
+_BLOCK = 1024   # trials per keyed stream in simulate
+
+def _reference_counts(sampler, trials, repetitions, decide_bad):
+    bad = 0
+    for block, lo in enumerate(range(0, trials, _BLOCK)):
+        rng = sampler.block_rng(block)
+        for _ in range(min(lo + _BLOCK, trials) - lo):
+            bad += bool(decide_bad(sampler.draw(rng, repetitions)))
+    return bad
+
+
+def _frequency_report(bad, trials, bound):
+    freq = bad / trials
+    se = math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
+    return McReport(freq, se, trials, float(bound),
+                    bool(freq <= bound + 3.0 * se))
+
+
+def _reference_margins(shifted, obs):
+    bat = shifted.battery
+    J = bat.count
+    margins = np.zeros((J, J))
+    for i in range(J):
+        for j in range(J):
+            if i != j and not bat.closeness.close(i, j):
+                margins[i, j] = bat.statistic(i, j, obs) + shifted.alpha[i, j]
+    accepted = tuple(i for i in range(J)
+                     if all(margins[i, j] > 0.0 for j in range(J)
+                            if i != j and not bat.closeness.close(i, j)))
+    return margins, accepted
+
+
+def _reference_color(accepted, colors):
+    seen = {colors[i] for i in accepted}
+    return seen.pop() if len(seen) == 1 else None
+
+
+def _mixed_samplers():
+    """Gaussian, two-rate Poisson (one rate above the inversion cap, so the
+    rejection sampler runs) and scenario streams of dimension 2."""
+
+    def drift(hist, rng):
+        prev = hist[-1] if hist.shape[0] else np.array([2.0, 33.0])
+        return 0.5 * prev + 0.5 * np.array([2.5, 34.0]) \
+            + np.array([1.0, 4.0]) * ndtri(np.maximum(rng.random(2), 5e-324))
+
+    return [gaussian_sampler([1.5, 31.0], np.diag([2.0, 30.0]), seed=41),
+            poisson_sampler([3.0, 36.0], seed=42),
+            scenario_sampler(2, drift, seed=43)]
+
+
+@pytest.fixture(scope="module")
+def close_pair_battery():
+    cov = np.diag([2.5, 33.0])
+    hyps = [gaussian_point_family(m, cov)
+            for m in ([1.5, 31.0], [3.0, 36.0], [2.5, 32.0])]
+    return build_battery(hyps, ClosenessRelation.from_pairs(3, [(0, 2)]))
+
+
+def test_batched_margins_match_pair_statistics(close_pair_battery):
+    shifted = shift_battery(close_pair_battery, 3)
+    for sampler in _mixed_samplers():
+        rng = sampler.block_rng(0)
+        obs = np.stack([sampler.draw(rng, 3) for _ in range(200)])
+        margins, accepted = run_multitest_block(shifted, obs)
+        for t in range(obs.shape[0]):
+            want, acc = _reference_margins(shifted, obs[t])
+            np.testing.assert_allclose(margins[t], want, rtol=1e-13, atol=0)
+            assert tuple(np.flatnonzero(accepted[t])) == acc
+
+
+@pytest.mark.parametrize("colors", [None, (0, 1, 0)])
+def test_mc_test_error_matches_per_trial_loop(close_pair_battery, colors):
+    shifted = shift_battery(close_pair_battery, 3)
+    bat = shifted.battery
+    samplers = _mixed_samplers()
+    trials = 1500
+    got = mc_test_error(shifted, samplers, trials=trials, colors=colors)
+    estimates = []
+    for i, sampler in enumerate(samplers):
+        def bad(obs):
+            _, acc = _reference_margins(shifted, obs)
+            if colors is None:
+                return i not in acc or any(not bat.closeness.close(i, j)
+                                           for j in acc)
+            guess = _reference_color(acc, colors)
+            return guess is not None and guess != colors[i]
+
+        count = _reference_counts(sampler, trials, 3, bad)
+        assert got[i] == _frequency_report(count, trials, shifted.eps_hat)
+        estimates.append(got[i].estimate)
+    assert all(0.0 < e < 1.0 for e in estimates)
+
+
+@pytest.fixture(scope="module")
+def rate_problem():
+    return AggregationProblem(
+        estimates=np.array([[1.5, 31.0], [3.0, 36.0], [4.0, 30.0]]),
+        parameter_sets=[box([-17.0, 13.0], [23.0, 53.0])],
+        G=np.eye(2),
+        Theta=np.diag([0.5, 4.0]),   # below the streams' noise: misses occur
+    )
+
+
+def _reference_fast_pick(problem, eps, obs):
+    g, Theta = problem.estimates, problem.Theta
+    K, L = obs.shape[0], g.shape[0]
+    deltas = subgaussian_fast_path_deltas(g, Theta, eps, K)
+    geo = voronoi_geometry(g)
+    total = obs.sum(axis=0)
+    for l in range(L):
+        red = True
+        for lp in range(L):
+            if lp != l:
+                u = geo.u[l, lp]
+                q = float(u @ (Theta @ u))
+                w = 0.5 * (g[l] + g[lp] + deltas[l] * u)
+                psi = deltas[l] / (2.0 * q) * float(u @ (K * w - total)) \
+                    + 0.5 * np.log(L - 1.0)
+                red = red and psi > 0.0
+        if red:
+            return l
+    return 0
+
+
+def _reference_level_pick(tests, obs):
+    for level, test in enumerate(tests):
+        if test.alive:
+            _, acc = _reference_margins(test.shifted, obs)
+            if _reference_color(acc, test.colors) == 0:
+                return level
+    return 0
+
+
+@pytest.mark.parametrize("route", ["eps", "deltas"])
+def test_mc_aggregation_matches_per_trial_loop(rate_problem, route):
+    K, trials, truth = 4, 1500, [3.0, 36.0]
+    gaps = np.linalg.norm(truth - rate_problem.estimates, axis=1)
+    if route == "eps":
+        kwargs = {"eps": 0.2}
+        radius = subgaussian_fast_path_deltas(
+            rate_problem.estimates, rate_problem.Theta, 0.2, K).max()
+        bound = 0.2
+
+        def pick(obs):
+            return _reference_fast_pick(rate_problem, 0.2, obs)
+    else:
+        tests = build_level_tests(rate_problem, 1.0, K)
+        kwargs = {"deltas": 1.0, "tests": tests}
+        radius = 1.0
+        bound = sum(t.eps_hat for t in tests)
+
+        def pick(obs):
+            return _reference_level_pick(tests, obs)
+
+    def bad(obs):
+        return gaps[pick(obs)] > gaps.min() + 2.0 * radius + 1e-9
+
+    for sampler in _mixed_samplers():
+        count = _reference_counts(sampler, trials, K, bad)
+        got = mc_aggregation(rate_problem, truth, sampler, trials,
+                             repetitions=K, **kwargs)
+        assert got == _frequency_report(count, trials, bound)
+        assert 0.0 < got.estimate < 1.0

@@ -189,7 +189,7 @@ def run_multitest_block(shifted: ShiftedBattery, observations):
     (n, K, d) @ (d,) product summed over the K observations; that is the
     arithmetic of ``PairwiseBattery.statistic`` trial by trial, so the
     margins match it bit for bit.  (One (n K, d) @ (d, P) product for all
-    pairs rounds differently and is no faster at these sizes.)  Returns
+    pairs would round differently.)  Returns
     the (n, J, J) margins (zero on close pairs) and the (n, J) mask of
     accepted hypotheses: those whose margins against every non-close
     rival are all positive.

@@ -11,6 +11,14 @@ a mean set under one shared covariance bound.
 The margin is either supplied, calibrated by shrinking from the problem
 diameter until the per-level risk budget breaks, or, for the pure
 sub-Gaussian case, written down directly from the fast-path formula.
+
+Empty pieces are dropped before any detector is built.  When the image
+has a support function, a margin chunk (one half-space) is empty exactly
+when the image's least value along its row exceeds the offset, which one
+support call gives; a cell (L - 1 half-spaces) is empty when one of its
+rows fails that test.  Cells that pass it, and pieces of images without
+a support function, fall back to a residual check at the estimate and
+then at its Dykstra projection onto the piece.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from .multitest import (ClosenessRelation, PairwiseBattery, ShiftedBattery,
 from .sets import ConvexSet, halfspaces, linear_image
 
 __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
-           "LevelSets", "purify", "LevelTest", "build_level_tests",
-           "individual_inference", "individual_inference_block", "first_red",
+           "level_margins", "LevelSets", "purify", "LevelTest",
+           "build_level_tests", "individual_inference",
+           "individual_inference_block", "first_red",
            "CalibrationResult", "calibrate_delta", "AggregateResult",
            "aggregate", "cell_violation", "subgaussian_fast_path_deltas",
            "FastPathPlan", "subgaussian_fast_path_plan",
@@ -98,11 +107,34 @@ def voronoi_geometry(estimates) -> VoronoiGeometry:
     return VoronoiGeometry(u, v)
 
 
-def _feasible(s: ConvexSet, A: np.ndarray, b: np.ndarray, base: ConvexSet,
-              seed: np.ndarray) -> bool:
-    x = s.project(seed)
-    resid = max(float(np.max(A @ x - b)), base.distance(x))
-    return resid <= _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
+def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
+              base: ConvexSet, seed: np.ndarray) -> bool:
+    """Is the piece {x in base : A x <= b} non-empty, up to a residual of
+    _EMPTY_RESIDUAL * (1 + |x|)?  The least value of a_i x over the base
+    is -supp(-a_i), taken at the support point, which decides one row."""
+    if base.support is not None:
+        for a_i, b_i in zip(A, b):
+            val, x = base.support(-a_i)
+            if -val - b_i > _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x))):
+                return False
+        if b.size == 1:
+            return True
+
+    def meets(x):
+        resid = max(float(np.max(A @ x - b)), base.distance(x))
+        return resid <= _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
+
+    return meets(seed) or meets(piece.project(seed))
+
+
+def level_margins(deltas, count: int) -> np.ndarray:
+    """One margin per level from a scalar, a single entry or ``count``
+    entries."""
+    d = np.asarray(deltas, dtype=float)
+    if d.ndim > 1 or d.size not in (1, count):
+        raise ValueError(f"expected 1 or {count} entries (one margin per "
+                         f"estimate), got {d.size}")
+    return np.broadcast_to(d.reshape(-1), (count,)).copy()
 
 
 @dataclass
@@ -113,10 +145,16 @@ class LevelSets:
 
 
 def purify(problem: AggregationProblem, deltas) -> list:
-    """Cut cells and margin chunks out of the images, dropping empty pieces."""
+    """Cut cells and margin chunks out of the images, dropping empty pieces.
+
+    Emptiness is exact, by one support call, for one-row pieces of an
+    image with a support function; a cell of several rows is dropped when
+    one row fails that test, and otherwise kept or dropped by the residual
+    of a point found by Dykstra's method (see ``_feasible``).
+    """
     geo = voronoi_geometry(problem.estimates)
     L = problem.count
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (L,))
+    deltas = level_margins(deltas, L)
     out = []
     for l in range(L):
         others = [lp for lp in range(L) if lp != l]
@@ -268,7 +306,7 @@ def aggregate(problem: AggregationProblem, observations, *,
     if tests is not None:
         used = np.full(L, np.nan)
     elif deltas is not None:
-        used = np.broadcast_to(np.asarray(deltas, dtype=float), (L,)).copy()
+        used = level_margins(deltas, L)
         tests = build_level_tests(problem, used, K)
     else:
         if eps is None:

@@ -29,7 +29,7 @@ from typing import Optional
 import jsonschema
 import numpy as np
 
-from .aggregate import (AggregationProblem, aggregate,
+from .aggregate import (AggregationProblem, aggregate, level_margins,
                         subgaussian_fast_path, subgaussian_fast_path_deltas)
 from .detectors import AffineDetector, build_detector
 from .errors import InfeasibleError
@@ -420,6 +420,11 @@ def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
     deltas = block.get("deltas")
     if eps is None and deltas is None:
         raise ConfigError("$.aggregate", "need either eps or deltas")
+    if deltas is not None:
+        try:
+            deltas = level_margins(deltas, problem.count)
+        except ValueError as exc:
+            raise ConfigError("$.aggregate.deltas", str(exc)) from exc
     if eps is not None:
         fast = subgaussian_fast_path_deltas(problem.estimates, problem.Theta,
                                             float(eps), K)

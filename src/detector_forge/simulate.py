@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from .aggregate import (AggregationProblem, build_level_tests, first_red,
-                        individual_inference_block,
+                        individual_inference_block, level_margins,
                         subgaussian_fast_path_block,
                         subgaussian_fast_path_plan)
 from .multitest import (PairwiseBattery, ShiftedBattery, infer_color_block,
@@ -386,8 +386,7 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
     if tests is not None or deltas is not None:
         if deltas is None:
             raise ValueError("prebuilt tests need their margin radii too")
-        used = np.broadcast_to(np.asarray(deltas, dtype=float),
-                               (problem.count,)).astype(float)
+        used = level_margins(deltas, problem.count)
         if tests is None:
             tests = build_level_tests(problem, used, K)
         bound = eps if eps is not None else sum(t.eps_hat for t in tests)

@@ -1,13 +1,23 @@
+import importlib
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from detector_forge.aggregate import (AggregationProblem, aggregate,
-                                      calibrate_delta, cell_violation,
-                                      purify, subgaussian_fast_path,
+                                      build_level_tests, calibrate_delta,
+                                      cell_violation, purify,
+                                      subgaussian_fast_path,
                                       subgaussian_fast_path_deltas,
                                       voronoi_geometry)
 from detector_forge.errors import InfeasibleError
-from detector_forge.sets import ball, box
+from detector_forge.sets import ball, box, halfspaces, linear_image
+
+# the package namespace re-exports the function ``aggregate``
+agg = importlib.import_module("detector_forge.aggregate")
 
 
 def line_problem():
@@ -171,3 +181,141 @@ def test_generic_route_matches_fast_path():
         gen = aggregate(prob, obs, deltas=fast.deltas)
         assert gen.index == fast.index
         assert gen.red == fast.red
+
+
+def test_wrong_number_of_margins_is_named():
+    prob = line_problem()
+    for call in (lambda: aggregate(prob, np.zeros((3, 1)), deltas=[1.0, 2.0, 3.0]),
+                 lambda: build_level_tests(prob, [1.0, 2.0, 3.0], 3)):
+        with pytest.raises(ValueError, match="expected 1 or 2 entries"):
+            call()
+
+
+def _triangle_problem():
+    # three estimates inside both components, so every cell meets both
+    return AggregationProblem(
+        estimates=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        parameter_sets=[box([-2.0, -2.0], [2.0, 2.0]), ball([0.5, 0.5], 3.0)],
+        G=np.eye(2),
+        Theta=np.eye(2),
+    )
+
+
+@pytest.mark.parametrize("margin", [1e200, 1e308])
+def test_purify_at_huge_margins(margin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        levels = purify(_triangle_problem(), margin)
+    assert [[i for i, _ in l.reds] for l in levels] == [[0, 1]] * 3
+    assert all(not l.blues for l in levels)
+
+
+def test_empty_chunks_cost_no_projection():
+    base = box([-2.0, -2.0], [2.0, 2.0])
+    calls = []
+    project = base.project
+
+    def counted(x):
+        calls.append(1)
+        return project(x)
+
+    base.project = counted
+    prob = AggregationProblem(
+        estimates=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        parameter_sets=[base], G=np.eye(2), Theta=np.eye(2))
+    levels = purify(prob, 100.0)   # wider than the box: every chunk is empty
+    reds = sum(len(l.reds) for l in levels)
+    assert reds == 3 and all(not l.blues for l in levels)
+    assert len(calls) <= reds
+
+
+# ---------------------------------------------------------------------------
+# purify against the Dykstra residual check alone
+
+_REFERENCE_ROUNDS = 200
+
+
+def _meets(x, A, b, base):
+    resid = max(float(np.max(A @ x - b)), base.distance(x))
+    return resid <= agg._EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
+
+
+def _dykstra_feasible(piece, A, b, base, seed):
+    """The residual check at a Dykstra projection of the seed, with no
+    support oracle.  Every round ends with a base projection, so on an
+    empty piece the residual is at least the row gap whatever the number
+    of rounds.  The cap shortens those runs; on a non-empty piece it can
+    stop short of the tolerance, which the test below allows for."""
+    x = halfspaces(A, b, base=base, max_iter=_REFERENCE_ROUNDS).project(seed)
+    return _meets(x, A, b, base)
+
+
+def _pieces(prob, deltas):
+    """(kind, key, rows A, offsets b, image, seed) for every cell and
+    margin chunk that purify examines."""
+    geo = voronoi_geometry(prob.estimates)
+    L = prob.count
+    out = []
+    for l in range(L):
+        others = [lp for lp in range(L) if lp != l]
+        A = np.stack([geo.u[l, lp] for lp in others])
+        b = np.array([geo.v[l, lp] for lp in others])
+        for i, img in enumerate(prob.images):
+            out.append(("red", (l, i), A, b, img, prob.estimates[l]))
+        for lp in others:
+            A_ch = -geo.u[l, lp][None, :]
+            b_ch = np.array([-(geo.v[l, lp] + deltas)])
+            for i, img in enumerate(prob.images):
+                out.append(("blue", (l, lp, i), A_ch, b_ch, img,
+                            prob.estimates[lp]))
+    return out
+
+
+def _kept(levels):
+    return ({("red", (l.level, i)) for l in levels for i, _ in l.reds}
+            | {("blue", (l.level, lp, i)) for l in levels
+               for lp, i, _ in l.blues})
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["box", "ball", "image"]),
+       seed=st.integers(0, 2**32 - 1), log_margin=st.floats(-3.0, 2.5))
+def test_purify_agrees_with_dykstra_reference(kind, seed, log_margin):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    center, half = rng.uniform(-2.0, 2.0, d), rng.uniform(0.2, 3.0, d)
+    G = np.eye(d)
+    if kind == "ball":
+        comp = ball(center, float(half[0]))
+    else:
+        comp = box(center - half, center + half)
+    if kind == "image":
+        G = G + rng.uniform(-1.0, 1.0, (d, d))
+    # two estimates keep every image piece single-row, where the new
+    # test needs no projection; image projections are iterative and slow
+    L = 2 if kind == "image" else int(rng.integers(2, 4))
+    prob = AggregationProblem(rng.uniform(-4.0, 4.0, (L, d)), [comp], G,
+                              np.eye(d))
+    margin = float(np.exp(log_margin))
+    pieces = _pieces(prob, margin)
+    # skip instances within 1e-6 of the tolerance band of some row
+    for *_, A, b, img, _ in pieces:
+        for a_i, b_i in zip(A, b):
+            val, x = img.support(-a_i)
+            band = agg._EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
+            assume(not -1e-6 <= -val - b_i <= band + 1e-6)
+
+    new = _kept(purify(prob, margin))
+    with mock.patch.object(agg, "_feasible", _dykstra_feasible):
+        ref = _kept(purify(prob, margin))
+    # no piece the reference finds a point in is dropped ...
+    assert ref <= new
+    # ... and a piece only the new test keeps holds a point that meets the
+    # residual check: a row's support point, the seed, or the full Dykstra
+    # projection, which the reference's cap may have cut short
+    for color, key, A, b, img, seed_pt in pieces:
+        if (color, key) in new - ref:
+            candidates = [img.support(-a_i)[1] for a_i in A] + [seed_pt]
+            if not any(_meets(x, A, b, img) for x in candidates):
+                x = halfspaces(A, b, base=img).project(seed_pt)
+                assert _meets(x, A, b, img), (color, key)

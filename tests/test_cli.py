@@ -184,6 +184,26 @@ def test_aggregate_needs_margin_source(tmp_path, capsys):
     assert "eps or deltas" in capsys.readouterr().err
 
 
+def test_aggregate_deltas_length_names_the_field(tmp_path, capsys):
+    cfg = {
+        "schema_version": "1",
+        "task": "aggregate",
+        "aggregate": {
+            "estimates": [[-2.0], [0.0], [2.0]],
+            "parameter_sets": [{"type": "box", "lo": [-4.0], "hi": [4.0]}],
+            "G": [[1.0]],
+            "Theta": [[1.0]],
+            "repetitions": 2,
+            "deltas": [1.0, 2.0],
+            "observations": [[0.1], [-0.1]],
+        },
+    }
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.aggregate.deltas: expected 1 or 3 entries" in err
+    assert "broadcast" not in err
+
+
 def test_quadlift_task_and_roundtrip(tmp_path):
     cfg = {
         "schema_version": "1",

@@ -491,8 +491,7 @@ def cmd_quadlift(cfg: dict, runtime: dict) -> Emitter:
     opts = QuadSolveOptions(fix_h=bool(block.get("fix_h", False)),
                             fix_H=bool(block.get("fix_H", False)))
     if runtime.get("tol") is not None:
-        opts = QuadSolveOptions(tol=float(runtime["tol"]), fix_h=opts.fix_h,
-                                fix_H=opts.fix_H)
+        opts.tol = float(runtime["tol"])
     t0 = time.perf_counter()
     det = solve_quad_detector(spec1, spec2, opts)
     out.timings["solve"] = time.perf_counter() - t0

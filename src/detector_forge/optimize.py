@@ -7,12 +7,16 @@ functions put kinks exactly where minimizers like to sit, and monotone line
 search alone stalls there: when no Armijo step is accepted, the method
 switches to plain subgradient steps with c/sqrt(j) sizes, keeps the best
 point seen, and resumes the monotone phase if the excursion found a better
-one.  Smooth problems never enter the escape phase and pay nothing for it.
+one.  Every pause enters the escape phase, smooth problems included: a
+solve that pauses after three calm monotone steps still runs a full escape
+round of _ESCAPE_ITERS steps before it stops, and on a smooth objective that
+round finds nothing, so short solves spend most of their iterations there.
 Problems here are small and dense, so robustness beats sophistication.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,7 +84,7 @@ def minimize_projected(
             it += 1
             accepted = False
             # keep trial points out of overflow territory
-            g_n = float(np.linalg.norm(g))
+            g_n = math.hypot(*g)  # np.linalg.norm overflows past ~1e154
             cap = 1e9 * (1.0 + float(np.linalg.norm(x)))
             while step * g_n > cap:
                 step *= _STEP_SHRINK
@@ -120,7 +124,7 @@ def minimize_projected(
             break
         mark = best_f
         c = (0.5 ** (rounds - 1)) * (1.0 + np.linalg.norm(best_x)) \
-            / (np.linalg.norm(best_g) + 1e-12)
+            / (math.hypot(*best_g) + 1e-12)
         xe, ge = best_x.copy(), best_g.copy()
         for j in range(1, _ESCAPE_ITERS + 1):
             if it >= max_iter:

@@ -6,15 +6,19 @@ average of the two one-sided moment bounds
 
     psi(h; mu1, mu2) = [phi1(-h; mu1) + phi2(h; mu2)] / 2.
 
-The solve runs a short averaged descent-ascent warmup, then minimizes the
-max-form objective F(h) = max_mu psi(h; mu) directly, where each evaluation
-is a pair of independent concave maximizations: one support call when the
-family has an exact best-response direction, an iterative solve otherwise.
-The iterative value carries its Frank-Wolfe gap supp_M(g) - <g, mu> at
-g = grad_mu(h, mu) when the parameter set has a support oracle, so it
-bounds the maximum even when the inner solve stops early.  The returned
-certificate is an upper value taken at these best responses, so an early
-stop can only make the certified risk conservative, never invalid.
+The solve has two phases.  The dual ascent maximizes
+D(mu) = min_h psi(h; mu) over the parameters, starting from the best
+response at h = 0; each evaluation is a frozen-parameter minimization over
+h, and a full-budget one at the end gives the lower value.  The max-form
+descent then minimizes F(h) = max_mu psi(h; mu) from that frozen
+minimizer, where each evaluation is a pair of independent concave
+maximizations: one support call when the family has an exact
+best-response direction, an iterative solve otherwise.  The iterative
+value carries its Frank-Wolfe gap supp_M(g) - <g, mu> at g = grad_mu(h, mu)
+when the parameter set has a support oracle, so it bounds the maximum even
+when the inner solve stops early.  The returned certificate is the upper
+value F at the descent's end, so an early stop can only make the certified
+risk conservative, never invalid.
 """
 
 from __future__ import annotations
@@ -59,9 +63,6 @@ class SaddleProblem:
 @dataclass
 class SaddleOptions:
     tol: float = 1e-6
-    warmup: int = 150
-    descent_max_iter: int = 3000
-    seed: Optional[int] = None
 
 
 @dataclass
@@ -80,6 +81,7 @@ class SaddleSolution:
 _DEGENERATE_FLOOR = -745.0  # exp underflows below this; risk is numerically zero
 _RADIUS = 1e3          # initial search radius for an unbounded h-domain
 _RADIUS_MAX = 1e6      # the radius doubles up to this cap
+_DESCENT_MAX_ITER = 3000  # budget of the max-form descent and the final frozen solve
 
 
 def _side_max(data: RegularData, h_signed: np.ndarray,
@@ -142,6 +144,13 @@ def solve_saddle(problem: SaddleProblem,
                  options: Optional[SaddleOptions] = None) -> SaddleSolution:
     """Solve the pairwise game and certify the value.
 
+    Two phases run inside a radius-doubling loop for unbounded h-domains.
+    First, from the best response at the start point, the parameters ascend
+    the dual D(mu) = min_h psi(h; mu); a full-budget minimization at the
+    dual's end point gives the lower value.  Second, the max-form objective
+    F(h) = max_mu psi(h; mu) is minimized from that frozen minimizer, and
+    the best response at the descent's end gives the upper value.
+
     Returns a solution whose sad_val equals psi at the returned point with
     best-response parameters (an upper value), whose gap bounds the distance
     to the true saddle value, and whose certified flag records whether
@@ -151,16 +160,25 @@ def solve_saddle(problem: SaddleProblem,
     warnings: list = []
     radius = _RADIUS
     iters_used = 0
-    rng = np.random.default_rng(opts.seed if opts.seed is not None else 0)
-
+    rtol = max(opts.tol * 1e-2, 1e-12)
+    # where F has a kink at h*, the frozen minimizer sits only about the
+    # square root of the dual's value error away from h*, and the descent
+    # cannot always close that distance; so the dual phase runs to the
+    # squared tolerance
+    dual_rtol = max(rtol ** 2, 1e-15)
+    d1, d2 = problem.data1, problem.data2
+    n1 = d1.m_set.dim
     h0 = np.zeros(problem.dim)
-    if opts.seed is not None:
-        h0 = rng.normal(scale=0.1, size=problem.dim)
+
+    def proj_mu(mu):
+        return np.concatenate([d1.m_set.project(mu[:n1]),
+                               d2.m_set.project(mu[n1:])])
 
     while True:
         dom, capped = _domain(problem, radius)
         h0 = dom.project(h0)
         state = {"mu1": None, "mu2": None, "evals": 0}
+        hmin = {"h": h0}
 
         def F(h):
             mu1, mu2, val, used = best_response(problem, h, state["mu1"], state["mu2"])
@@ -169,39 +187,35 @@ def solve_saddle(problem: SaddleProblem,
             g = problem.psi_grad_h(h, mu1, mu2)
             return val, g
 
-        # warmup: averaged projected descent-ascent to seed the minimization
-        h_warm = None
-        if opts.warmup > 0:
-            m1 = problem.data1.m_set.project(np.zeros(problem.data1.m_set.dim))
-            m2 = problem.data2.m_set.project(np.zeros(problem.data2.m_set.dim))
-            h = h0.copy()
-            g_h = problem.psi_grad_h(h, m1, m2)
-            c_h = (1.0 + np.linalg.norm(h0)) / (np.linalg.norm(g_h) + 1e-9)
-            c_m = 1.0
-            tail = []
-            for t in range(1, opts.warmup + 1):
-                s = 1.0 / np.sqrt(t)
-                g_h = problem.psi_grad_h(h, m1, m2)
-                g1 = 0.5 * problem.data1.grad_mu(-h, m1)
-                g2 = 0.5 * problem.data2.grad_mu(h, m2)
-                h = dom.project(h - c_h * s * g_h)
-                m1 = problem.data1.m_set.project(m1 + c_m * s * g1)
-                m2 = problem.data2.m_set.project(m2 + c_m * s * g2)
-                if 2 * t >= opts.warmup:
-                    tail.append(h)
-            h_warm = np.mean(tail, axis=0)
-            iters_used += opts.warmup
+        # min over h of psi at frozen parameters is a lower value for any
+        # parameter choice; each call warm-starts from the last minimizer
+        def frozen_min(m1, m2, budget):
+            def G(h):
+                return problem.psi(h, m1, m2), problem.psi_grad_h(h, m1, m2)
 
-        # pick the better start, then run the max-form minimization
-        starts = [h0] if h_warm is None else [h_warm, h0]
-        best_h, best_val = None, np.inf
-        for s in starts:
-            v, _ = F(dom.project(s))
-            if v < best_val:
-                best_val, best_h = v, dom.project(s)
-        res = minimize_projected(F, best_h, dom.project,
-                                 rtol=max(opts.tol * 1e-2, 1e-12),
-                                 max_iter=opts.descent_max_iter)
+            res = minimize_projected(G, hmin["h"], dom.project,
+                                     rtol=dual_rtol, max_iter=budget)
+            hmin["h"] = res.x
+            return res
+
+        def dual(mu):
+            res = frozen_min(mu[:n1], mu[n1:], 400)
+            g = np.concatenate([0.5 * d1.grad_mu(-res.x, mu[:n1]),
+                                0.5 * d2.grad_mu(res.x, mu[n1:])])
+            return res.value, g
+
+        # phase 1: dual ascent from the best response at the start point
+        mu1, mu2, _, used = best_response(problem, h0)
+        iters_used += used
+        res_dual = maximize_projected(dual, np.concatenate([mu1, mu2]), proj_mu,
+                                      rtol=dual_rtol, max_iter=300)
+        res_low = frozen_min(res_dual.x[:n1], res_dual.x[n1:], _DESCENT_MAX_ITER)
+        iters_used += res_dual.iterations + res_low.iterations
+        lower = min(res_dual.value, res_low.value)
+
+        # phase 2: max-form descent from the frozen minimizer
+        res = minimize_projected(F, hmin["h"], dom.project, rtol=rtol,
+                                 max_iter=_DESCENT_MAX_ITER)
         iters_used += res.iterations + state["evals"]
         h_star = res.x
 
@@ -226,48 +240,6 @@ def solve_saddle(problem: SaddleProblem,
         return SaddleSolution(h_star, mu1, mu2, upper, np.inf, iters_used,
                               certified=False, degenerate=True,
                               warnings=warnings + ["value diverges; risk is numerically zero"])
-
-    # lower value: min over h of psi at frozen parameters is a lower bound
-    # for any parameter choice, so ascend over the parameters (best-response
-    # points at a kink of the max-form objective can be poor certificates,
-    # the saddle parameters being a mixture of the jumping argmaxes there)
-    d1, d2 = problem.data1, problem.data2
-    n1 = d1.m_set.dim
-    low_rtol = max(opts.tol * 1e-2, 1e-12)
-    hmin = {"h": h_star.copy()}
-
-    def frozen_min(m1, m2, budget):
-        def G(h):
-            return problem.psi(h, m1, m2), problem.psi_grad_h(h, m1, m2)
-
-        res = minimize_projected(G, hmin["h"], dom.project,
-                                 rtol=low_rtol, max_iter=budget)
-        hmin["h"] = res.x
-        return res
-
-    def dual(mu):
-        res = frozen_min(mu[:n1], mu[n1:], 400)
-        g = np.concatenate([0.5 * d1.grad_mu(-res.x, mu[:n1]),
-                            0.5 * d2.grad_mu(res.x, mu[n1:])])
-        return res.value, g
-
-    def proj_mu(mu):
-        return np.concatenate([d1.m_set.project(mu[:n1]),
-                               d2.m_set.project(mu[n1:])])
-
-    res_dual = maximize_projected(dual, np.concatenate([mu1, mu2]), proj_mu,
-                                  rtol=low_rtol, max_iter=300)
-    iters_used += res_dual.iterations
-    res_low = frozen_min(res_dual.x[:n1], res_dual.x[n1:], opts.descent_max_iter)
-    iters_used += res_low.iterations
-    lower = min(res_dual.value, res_low.value)
-
-    # the minimizer under the dual-optimal parameters is often a sharper
-    # point than the subgradient descent could reach; adopt it if it is
-    mu1c, mu2c, upper_c, used = best_response(problem, hmin["h"], mu1, mu2)
-    iters_used += used
-    if upper_c < upper:
-        h_star, mu1, mu2, upper = hmin["h"], mu1c, mu2c, upper_c
 
     gap = max(upper - lower, 0.0)
     certified = bool(gap <= opts.tol * max(1.0, abs(upper)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detector_forge import families, sets
+from detector_forge import families, saddle, sets
 from detector_forge.detectors import (AffineDetector, GaussianPairSpec,
                                       apply_detector, apply_repeated,
                                       build_detector, erf_risk,
@@ -126,12 +126,13 @@ def test_degenerate_pair_builds_zero_risk_detector():
     assert np.isfinite(det.a)
 
 
-def test_uncertified_solve_refused_without_force():
+def test_uncertified_solve_refused_without_force(monkeypatch):
+    monkeypatch.setattr(saddle, "_DESCENT_MAX_ITER", 2)
     cov = sets.psd_interval(np.eye(2), 2.0 * np.eye(2))
     prob = SaddleProblem(
         families.sub_gaussian_family(sets.singleton([3.0, 0.0]), cov),
         families.sub_gaussian_family(sets.singleton([0.0, 0.0]), cov))
-    opts = SaddleOptions(tol=1e-16, warmup=0, descent_max_iter=2)
+    opts = SaddleOptions(tol=1e-16)
     try:
         det = build_detector(prob, opts)
         # a lucky exact solve is acceptable; the certificate must then be clean

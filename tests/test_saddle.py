@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from detector_forge import families, saddle, sets
 from detector_forge.quadlift import QuadLiftSpec, lift_gaussian
-from detector_forge.saddle import (SaddleOptions, SaddleProblem, best_response,
-                                   solve_saddle)
+from detector_forge.saddle import SaddleProblem, best_response, solve_saddle
 
 
 def gaussian_pair(theta1, theta2, Theta):
@@ -102,14 +101,45 @@ def test_covariance_interval_picks_worst_spread():
     assert sol.sad_val == pytest.approx(-0.25, abs=1e-5)
 
 
-def test_value_independent_of_start():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(3, 3))
-    Theta = A @ A.T + np.eye(3)
-    t1, t2 = rng.normal(size=3), rng.normal(size=3)
-    vals = [solve_saddle(gaussian_pair(t1, t2, Theta),
-                         SaddleOptions(seed=s)).sad_val for s in (None, 1, 2)]
-    assert max(vals) - min(vals) <= 2e-6
+def _interval_gap(lo1, hi1, lo2, hi2):
+    """Per-coordinate distance between the intervals [lo1, hi1] and [lo2, hi2]."""
+    return np.maximum(0.0, np.maximum(lo2 - hi1, lo1 - hi2))
+
+
+@st.composite
+def separable_pairs(draw):
+    """A pair of Poisson boxes or of Gaussian mean boxes with a shared
+    diagonal covariance, with its separable saddle value."""
+    d = draw(st.integers(1, 3))
+    coords = st.floats(0.0, 1.0, allow_nan=False)
+
+    def corners(scale, shift):
+        lo = np.array([shift + scale * draw(coords) for _ in range(d)])
+        return lo, lo + np.array([0.5 * scale * draw(coords) for _ in range(d)])
+
+    if draw(st.sampled_from(["poisson", "gaussian"])) == "poisson":
+        (lo1, hi1), (lo2, hi2) = corners(5.0, 0.2), corners(5.0, 0.2)
+        gap = _interval_gap(np.sqrt(lo1), np.sqrt(hi1), np.sqrt(lo2), np.sqrt(hi2))
+        return (families.poisson_family(sets.box(lo1, hi1)),
+                families.poisson_family(sets.box(lo2, hi2)),
+                -0.5 * np.sum(gap ** 2))
+    (lo1, hi1), (lo2, hi2) = corners(6.0, -3.0), corners(6.0, -3.0)
+    var = np.array([0.25 + 3.75 * draw(coords) for _ in range(d)])
+    cov = sets.singleton(sets.sym_flatten(np.diag(var)))
+    gap = _interval_gap(lo1, hi1, lo2, hi2)
+    return (families.sub_gaussian_family(sets.box(lo1, hi1), cov),
+            families.sub_gaussian_family(sets.box(lo2, hi2), cov),
+            -0.125 * np.sum(gap ** 2 / var))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=separable_pairs())
+def test_separable_pairs_match_their_closed_form(case):
+    fam1, fam2, ref = case
+    sol = solve_saddle(SaddleProblem(fam1, fam2))
+    assert sol.certified
+    assert sol.sad_val >= ref - 1e-9
+    assert abs(sol.sad_val - ref) <= 1e-7 * max(1.0, abs(ref))
 
 
 def test_every_h_certifies_an_upper_value():

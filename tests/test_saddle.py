@@ -111,7 +111,7 @@ def separable_pairs(draw):
     """A pair of Poisson boxes or of Gaussian mean boxes with a shared
     diagonal covariance, with its separable saddle value."""
     d = draw(st.integers(1, 3))
-    coords = st.floats(0.0, 1.0, allow_nan=False)
+    coords = st.floats(0.0, 1.0)
 
     def corners(scale, shift):
         lo = np.array([shift + scale * draw(coords) for _ in range(d)])

@@ -9,7 +9,20 @@ average of the two one-sided moment bounds
 The solve has two phases.  The dual ascent maximizes
 D(mu) = min_h psi(h; mu) over the parameters, starting from the best
 response at h = 0; each evaluation is a frozen-parameter minimization over
-h, and a full-budget one at the end gives the lower value.  The max-form
+h, and the one at the ascent's end point gives the lower value.  When both
+families are the same simple observation scheme (sub-Gaussian, Poisson or
+discrete) over the full space, that minimization has a closed form
+(Goldenshluger, Juditsky & Nemirovski, EJS 2015, section 2.3):
+
+    sub-Gaussian  h = (Theta1 + Theta2)^{-1} (theta1 - theta2),  D = psi(h)
+    Poisson       h = log(mu1 / mu2) / 2,  D = -sum (sqrt mu1 - sqrt mu2)^2 / 2
+    discrete      h = log(p / q) / 2,      D = log sum sqrt(p q)
+
+and the lower value is the exact infimum over all of R^d.  A singular
+Theta1 + Theta2, a zero rate or probability (an infimum at infinity), mixed
+kinds and composite families fall back to a projected-gradient
+minimization over the (radius-capped) h-domain, with a full budget at the
+ascent's end point.  The max-form
 descent then minimizes F(h) = max_mu psi(h; mu) from that frozen
 minimizer, where each evaluation is a pair of independent concave
 maximizations: one support call when the family has an exact
@@ -29,8 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .families import _INNER_MAX_ITER, _INNER_RTOL, RegularData
-from .optimize import maximize_projected, minimize_projected
-from .sets import ConvexSet, ball
+from .optimize import OptResult, maximize_projected, minimize_projected
+from .sets import ConvexSet, ball, sym_unflatten
 
 __all__ = ["SaddleProblem", "SaddleOptions", "SaddleSolution",
            "best_response", "solve_saddle"]
@@ -111,6 +124,51 @@ def _side_max(data: RegularData, h_signed: np.ndarray,
     return res.x, res.value + max(gap, 0.0), res.iterations
 
 
+def _frozen_argmin(data1: RegularData, data2: RegularData):
+    """Closed-form minimizer of psi(h; m1, m2) over all of R^d, or None.
+
+    For two families of the same simple observation scheme over the full
+    space, returns (m1, m2) -> (h, value) with value = min_h psi, or None at
+    parameters where the formula does not apply: a singular Theta1 + Theta2,
+    or a zero rate or probability, where the infimum may lie at infinity.
+    Returns None for every other pair of families.
+    """
+    kind = data1.kind
+    if kind != data2.kind or any(x.h_set.meta.get("kind") != "full_space"
+                                 for x in (data1, data2)):
+        return None
+    if kind == "sub_gaussian":
+        d = data1.obs_dim
+
+        def argmin(m1, m2):
+            S = sym_unflatten(m1[d:]) + sym_unflatten(m2[d:])
+            try:
+                L = np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                return None
+            h = np.linalg.solve(L.T, np.linalg.solve(L, m1[:d] - m2[:d]))
+            return h, 0.5 * (data1.phi(-h, m1) + data2.phi(h, m2))
+
+    elif kind == "poisson":
+        def argmin(m1, m2):
+            if not (np.all(m1 > 0.0) and np.all(m2 > 0.0)):
+                return None
+            value = -0.5 * float(np.sum((np.sqrt(m1) - np.sqrt(m2)) ** 2))
+            return 0.5 * np.log(m1 / m2), value
+
+    elif kind == "discrete":
+        def argmin(m1, m2):
+            # clamped at zero, as discrete_family's phi reads them
+            p, q = np.maximum(m1, 0.0), np.maximum(m2, 0.0)
+            if not (np.all(p > 0.0) and np.all(q > 0.0)):
+                return None
+            return 0.5 * np.log(p / q), float(np.log(np.sum(np.sqrt(p * q))))
+
+    else:
+        return None
+    return argmin
+
+
 def best_response(problem: SaddleProblem, h: np.ndarray,
                   mu1_start=None, mu2_start=None):
     """Maximize psi(h; mu1, mu2) over the parameter sets.
@@ -146,9 +204,14 @@ def solve_saddle(problem: SaddleProblem,
 
     Two phases run inside a radius-doubling loop for unbounded h-domains.
     First, from the best response at the start point, the parameters ascend
-    the dual D(mu) = min_h psi(h; mu); a full-budget minimization at the
-    dual's end point gives the lower value.  Second, the max-form objective
-    F(h) = max_mu psi(h; mu) is minimized from that frozen minimizer, and
+    the dual D(mu) = min_h psi(h; mu); its value at the dual's end point is
+    the lower value.  Each D evaluation takes the closed form of
+    _frozen_argmin when the families have one, an infimum over all of R^d
+    that never exceeds the minimum over the capped domain, so the lower
+    value is exact; otherwise, and where the closed form does not apply, it
+    is a projected-gradient minimization (400 steps, a full budget at the
+    end point).  Second, the max-form objective F(h) = max_mu psi(h; mu) is
+    minimized from that frozen minimizer, projected onto the domain, and
     the best response at the descent's end gives the upper value.
 
     Returns a solution whose sad_val equals psi at the returned point with
@@ -168,6 +231,7 @@ def solve_saddle(problem: SaddleProblem,
     dual_rtol = max(rtol ** 2, 1e-15)
     d1, d2 = problem.data1, problem.data2
     n1 = d1.m_set.dim
+    closed = _frozen_argmin(d1, d2)
     h0 = np.zeros(problem.dim)
 
     def proj_mu(mu):
@@ -188,8 +252,16 @@ def solve_saddle(problem: SaddleProblem,
             return val, g
 
         # min over h of psi at frozen parameters is a lower value for any
-        # parameter choice; each call warm-starts from the last minimizer
+        # parameter choice.  The closed form returns the unconstrained
+        # minimizer, where dual() takes its Danskin gradient, and leaves its
+        # projection onto the domain as the descent's start; the iterative
+        # solve warm-starts from the last minimizer
         def frozen_min(m1, m2, budget):
+            sol = closed(m1, m2) if closed is not None else None
+            if sol is not None and np.all(np.isfinite(sol[0])):
+                hmin["h"] = dom.project(sol[0])
+                return OptResult(sol[0], sol[1], 0, True, 0.0)
+
             def G(h):
                 return problem.psi(h, m1, m2), problem.psi_grad_h(h, m1, m2)
 

@@ -1,5 +1,7 @@
 """Saddle solver against closed-form pairwise optimal values."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,21 @@ def test_separable_pairs_match_their_closed_form(case):
     assert abs(sol.sad_val - ref) <= 1e-7 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("var", [3.985, 3.99, 3.997, 1.995])
+def test_overlapping_gaussian_boxes_certify_at_stall_variances(var):
+    # at these variances the projected-gradient frozen minimization stalls
+    # (its step cycles between an accepted s and a rejected 2s), and a dual
+    # ascent on it climbs that error to an uncertified solve; the closed
+    # form for same-kind basic pairs does not iterate
+    cov = sets.singleton(sets.sym_flatten(np.array([[var]])))
+    prob = SaddleProblem(families.sub_gaussian_family(sets.box([0.0], [1.8]), cov),
+                         families.sub_gaussian_family(sets.box([0.8], [2.4]), cov))
+    sol = solve_saddle(prob)
+    gap = _interval_gap(0.0, 1.8, 0.8, 2.4)  # 0: the boxes overlap
+    assert sol.certified
+    assert abs(sol.sad_val - (-gap ** 2 / (8.0 * var))) <= 1e-12
+
+
 def test_every_h_certifies_an_upper_value():
     prob = SaddleProblem(families.poisson_family(sets.box([0.5, 0.5], [1.0, 1.0])),
                          families.poisson_family(sets.box([3.0, 3.0], [5.0, 5.0])))
@@ -151,6 +168,99 @@ def test_every_h_certifies_an_upper_value():
         h = rng.normal(size=2)
         _, _, val, _ = best_response(prob, h)
         assert val >= sol.sad_val - sol.gap - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# closed-form frozen minimum
+
+def _random_pair(kind, d, rng):
+    """Two point families of one basic kind with random positive parameters."""
+    if kind == "sub_gaussian":
+        def point():
+            A = rng.normal(size=(d, d))
+            theta, Theta = rng.normal(size=d), A @ A.T + 0.1 * np.eye(d)
+            return (families.gaussian_point_family(theta, Theta),
+                    np.concatenate([theta, sets.sym_flatten(Theta)]))
+    elif kind == "poisson":
+        def point():
+            mu = rng.uniform(0.05, 10.0, size=d)
+            return families.poisson_family(sets.singleton(mu)), mu
+    else:
+        def point():
+            p = rng.uniform(0.02, 1.0, size=d + 1)
+            p /= p.sum()
+            return families.discrete_family(sets.singleton(p)), p
+    (f1, m1), (f2, m2) = point(), point()
+    return f1, f2, m1, m2
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sub_gaussian", "poisson", "discrete"]),
+       d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_frozen_argmin_is_the_minimum_and_its_danskin_gradient(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    f1, f2, m1, m2 = _random_pair(kind, d, rng)
+    argmin = saddle._frozen_argmin(f1, f2)
+    prob = SaddleProblem(f1, f2)
+    h, value = argmin(m1, m2)
+    scale = max(1.0, abs(value))
+    assert abs(value - prob.psi(h, m1, m2)) <= 1e-12 * scale
+    for _ in range(20):
+        other = h + rng.normal(size=h.size) * 10.0 ** rng.uniform(-4, 1)
+        assert value <= prob.psi(other, m1, m2) + 1e-12 * scale
+    # the dual evaluation's gradient: grad_mu at the minimizer (Danskin)
+    grad = np.concatenate([0.5 * f1.grad_mu(-h, m1), 0.5 * f2.grad_mu(h, m2)])
+    mu = np.concatenate([m1, m2])
+    n1 = m1.size
+    for i in range(mu.size):
+        t = 1e-6 * max(1.0, abs(mu[i]))
+        up, down = mu.copy(), mu.copy()
+        up[i] += t
+        down[i] -= t
+        fd = (argmin(up[:n1], up[n1:])[1] - argmin(down[:n1], down[n1:])[1]) / (2 * t)
+        assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-6)
+
+
+def test_frozen_argmin_only_for_same_kind_basic_pairs():
+    g = families.gaussian_point_family([0.0], [[1.0]])
+    p = families.poisson_family(sets.singleton([1.0]))
+    assert saddle._frozen_argmin(g, p) is None
+    assert saddle._frozen_argmin(g, families.iid_scale(g, [0.5])) is None
+    assert saddle._frozen_argmin(EXACT_FAMILIES["bounded_support"](),
+                                 EXACT_FAMILIES["bounded_support"]()) is None
+    assert saddle._frozen_argmin(p, p) is not None
+
+
+# point pairs with their saddle values
+_FALLBACK_PAIRS = {
+    # a zero rate: the infimum over h is not attained at a finite point
+    "poisson_zero_rate": (
+        lambda: (families.poisson_family(sets.singleton([2.0, 0.0])),
+                 families.poisson_family(sets.singleton([1.0, 0.0]))),
+        -0.5 * (np.sqrt(2.0) - 1.0) ** 2),
+    "discrete_partly_disjoint": (
+        lambda: (families.discrete_family(sets.singleton([0.5, 0.5, 0.0])),
+                 families.discrete_family(sets.singleton([0.0, 0.5, 0.5]))),
+        np.log(0.5)),
+    # Theta1 + Theta2 = diag(2, 0): no Cholesky factor
+    "singular_covariance": (
+        lambda: (families.gaussian_point_family([1.0, 0.0], np.diag([1.0, 0.0])),
+                 families.gaussian_point_family([0.0, 0.0], np.diag([1.0, 0.0]))),
+        -0.125),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FALLBACK_PAIRS))
+def test_frozen_min_falls_back_where_the_closed_form_does_not_apply(name):
+    make, want = _FALLBACK_PAIRS[name]
+    fam1, fam2 = make()
+    m1, m2 = (f.m_set.project(np.zeros(f.m_set.dim)) for f in (fam1, fam2))
+    assert saddle._frozen_argmin(fam1, fam2)(m1, m2) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_saddle(SaddleProblem(fam1, fam2))
+    assert sol.certified
+    assert abs(sol.sad_val - want) <= 1e-9
 
 
 def test_disjoint_supports_degenerate():

@@ -12,17 +12,21 @@ solve that pauses after three calm monotone steps still runs a full escape
 round of _ESCAPE_ITERS steps before it stops, and on a smooth objective that
 round finds nothing, so short solves spend most of their iterations there.
 Problems here are small and dense, so robustness beats sophistication.
+
+Quadratics over a finite box have an exact answer instead:
+maximize_box_quadratic enumerates the faces on which the maximum can sit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["OptResult", "minimize_projected", "maximize_projected"]
+__all__ = ["OptResult", "minimize_projected", "maximize_projected",
+           "maximize_box_quadratic"]
 
 _ARMIJO = 1e-4
 _STEP_GROW = 2.0
@@ -30,6 +34,7 @@ _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-20
 _ESCAPE_ROUNDS = 10
 _ESCAPE_ITERS = 60
+_BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
 
 
 @dataclass
@@ -164,3 +169,69 @@ def maximize_projected(fun, x0, project, rtol: float = 1e-8,
 
     res = minimize_projected(neg, x0, project, rtol=rtol, max_iter=max_iter, step0=step0)
     return OptResult(res.x, -res.value, res.iterations, res.converged, res.step)
+
+
+def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
+    """Exact maximum of q(x) = x'Tx/2 + g'x over the finite box [lo, hi].
+
+    T is any symmetric matrix.  Some maximizer lies in the relative interior
+    of a face whose free coordinates F have -T_FF positive definite (were it
+    singular, q would stay constant along a null direction up to a smaller
+    face), and there it is the face's unique stationary point.  So every
+    candidate frees a set F of coordinates with T_ii < 0 and pins the rest
+    at a corner; free sets whose -T_FF is numerically singular or
+    indefinite are dropped, the others get one batched solve, and the best
+    candidate inside the box wins.  Convex T frees nothing: plain vertex
+    enumeration.  Returns (x, q(x)) with x in the box, or None when the
+    2^(n-k) 3^k candidates (k negative diagonal entries) exceed 2^16.
+    """
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    T = 0.5 * (T + T.T)
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    n = g.size
+    radix = np.where(np.diag(T) < 0.0, 3, 2)
+    neg = np.flatnonzero(radix == 3)
+    k = neg.size
+    count = 2 ** (n - k) * 3 ** k
+    if count > _BOX_CANDIDATE_CAP:
+        return None
+    # state per coordinate: 0 at lo, 1 at hi, 2 free; the first coordinate
+    # varies slowest, so convex T meets the corners in np.indices order
+    states = np.empty((count, n), dtype=np.int8)
+    rest = np.arange(count)
+    for i in range(n - 1, -1, -1):
+        rest, states[:, i] = np.divmod(rest, radix[i])
+    X = np.where(states == 1, hi, lo)
+    if k:
+        # subset r of the negative diagonal frees neg[j] when bit j of r is set
+        subsets = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1 == 1
+        mask = np.zeros((2 ** k, n), dtype=bool)
+        mask[:, neg] = subsets
+        # -T_FF on the free block, |T|max times the identity on the pinned
+        # one, which passes the test below and leaves the free solve alone
+        size = float(np.max(np.abs(T)))
+        C = np.where(mask[:, :, None] & mask[:, None, :], -T,
+                     size * np.eye(n))
+        pd = np.linalg.eigvalsh(C)[:, 0] > n * np.finfo(float).eps * size
+        free = states == 2
+        code = free[:, neg] @ (1 << np.arange(k))
+        keep = pd[code]
+        X, free, code = X[keep], free[keep], code[keep]
+        solve = free.any(axis=1)
+        if solve.any():
+            fr, Xs = free[solve], X[solve]
+            pinned = np.where(fr, 0.0, Xs)
+            rhs = np.where(fr, g + pinned @ T, Xs)
+            Xs = np.where(fr, np.linalg.solve(C[code[solve]],
+                                              rhs[..., None])[..., 0], Xs)
+            # rounding may push a stationary point on its face's edge just
+            # outside; clipped below, it is still a point of the box
+            slack = 1e-9 * (hi - lo)
+            inside = np.all((Xs >= lo - slack) & (Xs <= hi + slack), axis=1)
+            X = np.concatenate([X[~solve], Xs[inside]])
+    X = np.clip(X, lo, hi)
+    vals = 0.5 * np.sum((X @ T) * X, axis=1) + X @ g
+    best = int(np.argmax(vals))
+    return X[best], float(vals[best])

@@ -13,9 +13,12 @@ The matrix part of a detector lives in the spectral band
 by eigenvalue clipping of Theta_star^{1/2} H Theta_star^{1/2}.
 
 Everything here works with exact oracles; there is no semidefinite
-programming inside.  Where the inner lifted maximization cannot be solved
-exactly (curvature indefinite over a non-box set), construction demands a
-caller-supplied support oracle instead of silently degrading.
+programming inside.  The inner lifted maximization over a box of means is
+exact for any curvature (optimize.maximize_box_quadratic); concave
+curvature over any other set is climbed by projected ascent whose value
+carries its Frank-Wolfe gap.  Where neither applies (curvature not concave
+over a non-box set), construction demands a caller-supplied support oracle
+instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from .detectors import AffineDetector
 from .families import RegularData, bounded_support_family
-from .optimize import maximize_projected, minimize_projected
+from .optimize import (maximize_box_quadratic, maximize_projected,
+                       minimize_projected)
 from .sets import ConvexSet, full_space, sym_flatten, sym_unflatten
 
 __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
@@ -36,7 +40,6 @@ __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
 
 _EIG_TOL = 1e-8
 _DEGENERATE_FLOOR = -745.0
-_VERTEX_CAP = 16          # box vertex enumeration limit, 2^16 corners
 _DYKSTRA_ITER = 200       # cap on alternations between two spectral bands
 
 
@@ -169,30 +172,18 @@ def compute_delta(Ucov: ConvexSet, Theta_star) -> float:
 # ---------------------------------------------------------------------------
 # the lifted moment bound
 
-def _box_vertices(s: ConvexSet) -> Optional[np.ndarray]:
-    cached = s.meta.get("_vertex_cache")
-    if cached is not None:
-        return cached
-    if s.meta.get("kind") != "box" or s.dim > _VERTEX_CAP:
-        return None
-    lo, hi = s.meta["lo"], s.meta["hi"]
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        return None
-    grid = np.indices((2,) * s.dim).reshape(s.dim, -1).T
-    verts = np.where(grid == 0, lo, hi)
-    s.meta["_vertex_cache"] = verts
-    return verts
-
-
 def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
                 Qinv: np.ndarray):
     """max over the lifted mean set of the tilted quadratic form.
 
     Returns (value, Y, y, tau): the moments A Z A', A Z e, e' Z e of the
-    maximizing lifted point Z, which drive the gradient.  Concave curvature
-    is climbed by projected ascent, convex curvature is enumerated over box
-    vertices, and the indefinite case runs both and keeps the larger; a
-    non-concave maximization over anything but a box demands z_oracle.
+    maximizing lifted point Z, which drive the gradient.  Zero curvature
+    takes one support call.  Over a box the maximum is exact for any
+    curvature (maximize_box_quadratic).  Concave curvature over any other
+    set is climbed by projected ascent, and so is a concave overestimator
+    over a box with too many faces to enumerate; the value carries the
+    ascent's Frank-Wolfe gap, so an early stop still bounds the maximum.
+    Non-concave curvature over anything but a box demands z_oracle.
     """
     d = spec.dim
     Au, a0 = spec.A[:, :-1], spec.A[:, -1]
@@ -215,45 +206,56 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
         s = w + Qinv @ (H @ w + h)
         return q_of(u), Au.T @ (h + H @ s)
 
+    def at(u, value):
+        w = Au @ u + a0
+        return value, np.outer(w, w), w, 1.0
+
     if spec.U.meta.get("kind") == "singleton":
         u0 = spec.U.meta["point"]
-        w = Au @ u0 + a0
-        return q_of(u0), np.outer(w, w), w, 1.0
+        return at(u0, q_of(u0))
 
-    T = H + H @ Qinv @ H
-    curv = np.linalg.eigvalsh(Au.T @ T @ Au) if Au.size else np.zeros(1)
+    # q(u) = u'Tu u / 2 + <g0, u> + q(0), with g0 the gradient at u = 0
+    Tu = Au.T @ (H + H @ Qinv @ H) @ Au
+    curv = np.linalg.eigvalsh(Tu) if Au.size else np.zeros(1)
     scale = max(1.0, float(np.max(np.abs(curv))))
     concave = curv.max() <= _EIG_TOL * scale
-    convex = curv.min() >= -_EIG_TOL * scale
-    verts = _box_vertices(spec.U)
-    if not concave and verts is None:
+    _, g0 = q_grad(np.zeros(spec.U.dim))
+    if concave and curv.min() >= -_EIG_TOL * scale \
+            and spec.U.support is not None:
+        # zero curvature: the gradient is constant, one support call is exact
+        _, u = spec.U.support(g0)
+        return at(u, q_of(u))
+    rho = 0.0
+    if spec.U.meta.get("kind") == "box":
+        lo, hi = spec.U.meta["lo"], spec.U.meta["hi"]
+        best = maximize_box_quadratic(Tu, g0, lo, hi)
+        if best is not None:
+            return at(best[0], q_of(best[0]))
+        # too many faces: q + rho/2 sum (u - lo)(hi - u), rho the top
+        # curvature, is concave, bounds q on the box and equals it at the
+        # corners (the alpha-BB overestimator)
+        rho = max(float(curv.max()), 0.0)
+    elif not concave:
         raise RuntimeError(
             "the inner lifted maximization has non-concave curvature and the "
-            "mean-parameter set is not an enumerable box; supply z_oracle")
+            "mean-parameter set is not a box; supply z_oracle")
 
-    best_u, best_v = None, -np.inf
-    if concave and convex and spec.U.support is not None:
-        # zero curvature: the gradient is constant, one support call is exact
-        _, g0 = q_grad(np.zeros(spec.U.dim))
-        _, best_u = spec.U.support(g0)
-        best_v = q_of(best_u)
-    if verts is not None and not concave:
-        W = verts @ Au.T + a0                       # one mean per vertex row
-        R = (W @ H + h) @ Qinv.T
-        vals = 0.5 * (2.0 * W @ h
-                      + np.einsum("ni,ij,nj->n", W, H, W)
-                      + np.einsum("ni,ni->n", W @ H + h, R))
-        k = int(np.argmax(vals))
-        if vals[k] > best_v:
-            best_u, best_v = verts[k], float(vals[k])
-    if not convex or best_u is None:
-        u0 = best_u if best_u is not None else spec.U.project(np.zeros(spec.U.dim))
-        res = maximize_projected(q_grad, u0, spec.U.project,
-                                 rtol=1e-11, max_iter=2000)
-        if res.value > best_v:
-            best_u, best_v = res.x, res.value
-    w = Au @ best_u + a0
-    return best_v, np.outer(w, w), w, 1.0
+    def climb(u):
+        v, g = q_grad(u)
+        if rho:
+            v += 0.5 * rho * float((u - lo) @ (hi - u))
+            g = g + 0.5 * rho * (lo + hi - 2.0 * u)
+        return v, g
+
+    res = maximize_projected(climb, spec.U.project(np.zeros(spec.U.dim)),
+                             spec.U.project, rtol=1e-11, max_iter=2000)
+    value = res.value
+    if spec.U.support is not None:
+        # the climbed function is concave, so its maximum over U is at most
+        # its value at u plus supp_U(g) - <g, u>
+        _, g = climb(res.x)
+        value += max(spec.U.support(g)[0] - float(g @ res.x), 0.0)
+    return at(res.x, value)
 
 
 def _oracle_matrix(spec: QuadLiftSpec, h, H, Qinv) -> np.ndarray:
@@ -365,12 +367,17 @@ def _phibar(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
 def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
                     opts: QuadSolveOptions):
     d = spec1.dim
-    shared = (np.allclose(spec1.Theta_star, spec2.Theta_star)
-              and spec1.gamma == spec2.gamma)
+    # with Theta2* = c Theta1*, both bands are |eig(root1 H root1)| <= const
+    # and both clips project in the same scaled metric, so the bands are
+    # nested and one clip of the tighter band projects onto both
+    c = np.trace(spec2.Theta_star) / np.trace(spec1.Theta_star)
+    nested = np.linalg.norm(spec2.Theta_star - c * spec1.Theta_star) \
+        <= 1e-12 * np.linalg.norm(spec2.Theta_star)
+    tighter = spec1 if spec1.gamma <= spec2.gamma / c else spec2
 
     def clip_joint(H):
-        if shared:
-            return spec1.clip_matrix(H)
+        if nested:
+            return tighter.clip_matrix(H)
         # Dykstra between the two spectral bands; each clip is exact in its
         # own scaled metric, so the alternation is run to a tight residual
         x = H.copy()

@@ -322,9 +322,12 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     """The image {M x : x in base} of a convex set under a linear map.
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
-    M z; the support function delegates to the base set through M'.
+    M z: exactly for a finite box base, as the box maximum of the concave
+    quadratic -||M z||^2 / 2 + <M'y, z> (optimize.maximize_box_quadratic),
+    and by projected gradient for any other base or a box too large to
+    enumerate.  The support function delegates to the base set through M'.
     """
-    from .optimize import minimize_projected
+    from .optimize import maximize_box_quadratic, minimize_projected
 
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != base.dim:
@@ -332,9 +335,16 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     dim = M.shape[0]
     if M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(dim)):
         return base
+    exact = base.meta.get("kind") == "box" and base.bound_radius is not None
+    gram = M.T @ M
 
     def proj(y):
         y = np.asarray(y, dtype=float)
+        if exact:
+            best = maximize_box_quadratic(-gram, M.T @ y, base.meta["lo"],
+                                          base.meta["hi"])
+            if best is not None:
+                return M @ best[0]
 
         def obj(z):
             r = M @ z - y

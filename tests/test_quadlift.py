@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from detector_forge import quadlift
 from detector_forge.families import sub_gaussian_family
 from detector_forge.quadlift import (QuadLiftSpec, QuadSolveOptions,
                                      compute_delta, lift_bounded_support,
@@ -340,3 +341,112 @@ def test_lifted_subgaussian_cover_construction():
     h = np.ones(n)
     mu = np.concatenate([np.zeros(n), sym_flatten(2.0 * np.eye(n))])
     assert fam.phi(h, mu) == pytest.approx(0.5 * h @ (2.0 * np.eye(n)) @ h)
+
+
+def lifted_q(spec, h, H, Qinv, U):
+    """The tilted quadratic form that _lifted_max maximizes, at rows of U."""
+    W = U @ spec.A[:, :-1].T + spec.A[:, -1]
+    R = (W @ H + h) @ Qinv
+    return 0.5 * (2.0 * W @ h + np.einsum("ni,ij,nj->n", W, H, W)
+                  + np.einsum("ni,ni->n", W @ H + h, R))
+
+
+def test_lifted_max_over_a_box_is_exact_for_indefinite_curvature():
+    # the ascent used to stop at a local maximum here (value 4.52516), below
+    # the grid point (1, 1, -0.2); the true maximum 4.659476 sits on an edge
+    A = np.array([[0.766, -1.078, 2.5434, -0.3526],
+                  [-1.1456, -1.5251, 1.0468, 0.871],
+                  [0.6079, -0.2743, 0.266, 0.0829]])
+    h = np.array([1.5624, -0.7249, 0.6488])
+    H = np.array([[-0.3632, -0.0644, -0.4848], [-0.0644, 0.3338, -0.1837],
+                  [-0.4848, -0.1837, 0.0753]])
+    spec = QuadLiftSpec(A=A, U=box(-np.ones(3), np.ones(3)),
+                        Ucov=psd_interval(0.5 * np.eye(3), np.eye(3)),
+                        Theta_star=np.eye(3))
+    H, Qinv, _, _ = quadlift._phi_pieces(spec, h, H)
+    value = quadlift._lifted_max(spec, h, H, Qinv)[0]
+    axis = np.linspace(-1.0, 1.0, 81)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    assert value >= lifted_q(spec, h, H, Qinv, grid).max()
+    assert value == pytest.approx(4.659476, abs=1e-6)
+
+
+def test_lifted_ascent_over_a_ball_carries_its_frank_wolfe_gap(monkeypatch):
+    # concave curvature over a ball still climbs; cut to two steps, the
+    # ascent ends far from the maximum and only its gap keeps the bound
+    ascent = quadlift.maximize_projected
+    monkeypatch.setattr(quadlift, "maximize_projected",
+                        lambda *a, **k: ascent(*a, **{**k, "max_iter": 2}))
+    # curvatures -21 and -0.013 along the axes: two steps cannot settle
+    spec = QuadLiftSpec(A=np.array([[8.0, 0.0, 0.5], [0.0, 0.2, -0.3]]),
+                        U=ball([1.0, -2.0], 1.5),
+                        Ucov=singleton(sym_flatten(np.eye(2))),
+                        Theta_star=np.eye(2))
+    h = np.array([1.0, 2.0])
+    H, Qinv, _, _ = quadlift._phi_pieces(spec, h, -0.5 * np.eye(2))
+    value = quadlift._lifted_max(spec, h, H, Qinv)[0]
+    r, t = np.meshgrid(np.linspace(0.0, 1.5, 151),
+                       np.linspace(0.0, 2.0 * np.pi, 721))
+    pts = np.column_stack([1.0 + (r * np.cos(t)).ravel(),
+                           -2.0 + (r * np.sin(t)).ravel()])
+    assert value >= lifted_q(spec, h, H, Qinv, pts).max()
+
+
+def test_lifted_max_over_a_box_past_the_face_cap_still_bounds():
+    # indefinite curvature with twelve negative diagonal entries gives 3^12
+    # face candidates, past the cap: the ascent then climbs a concave
+    # overestimator of q
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.2, 1.0, 12) * rng.choice([-1.0, 1.0], 12)
+    b = (2.0 + rng.uniform(-0.25, 0.25, 12)) * a
+    A = np.vstack([np.append(a, 0.3), np.append(b, -0.1)])
+    spec = QuadLiftSpec(A=A, U=box(-np.ones(12), np.ones(12)),
+                        Ucov=singleton(sym_flatten(np.eye(2))),
+                        Theta_star=np.eye(2))
+    h = np.array([0.4, -0.7])
+    H, Qinv, _, _ = quadlift._phi_pieces(spec, h, np.diag([0.5, -0.5]))
+    value = quadlift._lifted_max(spec, h, H, Qinv)[0]
+    corners = np.where(np.indices((2,) * 12).reshape(12, -1).T == 1, 1.0, -1.0)
+    inside = rng.uniform(-1.0, 1.0, size=(4000, 12))
+    assert value >= lifted_q(spec, h, H, Qinv,
+                             np.vstack([corners, inside])).max()
+
+
+def test_non_concave_curvature_over_a_ball_demands_an_oracle():
+    spec = QuadLiftSpec(A=np.column_stack([np.eye(2), np.zeros(2)]),
+                        U=ball(np.zeros(2), 1.0),
+                        Ucov=singleton(sym_flatten(np.eye(2))),
+                        Theta_star=np.eye(2))
+    H, Qinv, _, _ = quadlift._phi_pieces(spec, np.zeros(2),
+                                         np.diag([0.5, -0.5]))
+    with pytest.raises(RuntimeError, match="z_oracle"):
+        quadlift._lifted_max(spec, np.ones(2), H, Qinv)
+
+
+def test_proportional_references_project_with_one_clip():
+    # Theta2* = c Theta1*: the single clip of the tighter band must match
+    # 200 rounds of Dykstra between the two bands
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        d = int(rng.integers(1, 4))
+        B = rng.standard_normal((d, d))
+        Theta = B @ B.T + 0.3 * np.eye(d)
+        c = float(rng.uniform(0.2, 5.0))
+        s1, s2 = (QuadLiftSpec(A=np.zeros((d, 2)), U=singleton([0.0]),
+                               Ucov=singleton(sym_flatten(T)), Theta_star=T,
+                               gamma=float(rng.uniform(0.3, 0.99)))
+                  for T in (Theta, c * Theta))
+        raw = rng.standard_normal((d, d))
+        H = 2.0 * (raw + raw.T) / np.trace(Theta)
+        x = H.copy()
+        p1, p2 = np.zeros_like(H), np.zeros_like(H)
+        for _ in range(200):
+            y = s1.clip_matrix(x + p1)
+            p1 = x + p1 - y
+            x = s2.clip_matrix(y + p2)
+            p2 = y + p2 - x
+        proj = quadlift._pair_projector(s1, s2, QuadSolveOptions())
+        got = sym_unflatten(proj(np.concatenate([np.zeros(d),
+                                                 sym_flatten(H)]))[d:])
+        assert np.abs(got - x).max() <= 1e-12 * max(1.0, np.abs(x).max())

@@ -174,3 +174,41 @@ def test_sym_flatten_roundtrip():
     M = rng.normal(size=(4, 4))
     M = 0.5 * (M + M.T)
     assert np.allclose(sets.sym_unflatten(sets.sym_flatten(M)), M)
+
+
+def test_linear_image_of_box_projects_exactly_without_a_solve(monkeypatch):
+    from detector_forge import optimize
+
+    calls = []
+    solve = optimize.minimize_projected
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize_projected", counted)
+    rng = np.random.default_rng(21)
+    lo, hi = np.array([-1.0, 0.0, -0.5]), np.array([1.0, 2.0, 0.5])
+    base = sets.box(lo, hi)
+    M = rng.normal(size=(3, 3))
+    img = sets.linear_image(base, M)
+    wide = sets.linear_image(base, rng.normal(size=(2, 3)))
+    for _ in range(40):
+        y = rng.normal(scale=3.0, size=3)
+        x = img.project(y)
+        # box KKT of min ||M z - y||^2 / 2 at z = M^{-1} x: the gradient
+        # vanishes on free coordinates and points inward at active bounds
+        z = np.linalg.solve(M, x)
+        tol = 1e-9 * (1.0 + np.linalg.norm(y))
+        assert np.all(z >= lo - tol) and np.all(z <= hi + tol)
+        r = M.T @ (x - y)
+        at_lo, at_hi = z <= lo + tol, z >= hi - tol
+        assert np.all(r[at_lo] >= -tol) and np.all(r[at_hi] <= tol)
+        assert np.all(np.abs(r[~at_lo & ~at_hi]) <= tol)
+        # a wide map has a singular Gram matrix; its image projection must
+        # still satisfy the variational inequality over the whole image
+        y2 = rng.normal(scale=3.0, size=2)
+        x2 = wide.project(y2)
+        assert wide.support(y2 - x2)[0] <= (y2 - x2) @ x2 + tol
+        assert wide.project(x2) == pytest.approx(x2, abs=1e-12)
+    assert calls == []

@@ -47,6 +47,8 @@ __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
 
 _EMPTY_RESIDUAL = 1e-7
 _RED, _BLUE = 0, 1
+_MARGIN_SHRINK = 0.5     # calibrate_delta's factor per round
+_MARGIN_FLOOR = 1e-6     # and the margin where it gives up
 
 
 @dataclass
@@ -252,8 +254,8 @@ class CalibrationResult:
     floored: bool = False
 
 
-def calibrate_delta(problem: AggregationProblem, eps: float, repetitions: int,
-                    kappa: float = 0.5, floor: float = 1e-6) -> CalibrationResult:
+def calibrate_delta(problem: AggregationProblem, eps: float,
+                    repetitions: int) -> CalibrationResult:
     """Shrink the margin geometrically until the risk budget breaks.
 
     Returns the last margin whose worst per-level risk stayed within
@@ -262,8 +264,6 @@ def calibrate_delta(problem: AggregationProblem, eps: float, repetitions: int,
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if not (0.0 < kappa < 1.0):
-        raise ValueError("kappa must lie in (0, 1)")
     L = problem.count
     target = eps / L
     delta = 2.0 * max(img.bound_radius for img in problem.images)
@@ -277,11 +277,11 @@ def calibrate_delta(problem: AggregationProblem, eps: float, repetitions: int,
                     f"even margin {delta:g} exceeds the per-level risk budget")
             return CalibrationResult(last[0], last[1], target, last[2])
         last = (delta, risk, tests)
-        if delta < floor:
+        if delta < _MARGIN_FLOOR:
             _warnings.warn("margin shrank below the floor without ever "
                            "violating the risk budget")
             return CalibrationResult(delta, risk, target, tests, floored=True)
-        delta *= kappa
+        delta *= _MARGIN_SHRINK
 
 
 @dataclass

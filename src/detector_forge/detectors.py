@@ -16,13 +16,16 @@ import numpy as np
 from scipy.special import erfc
 
 from .optimize import minimize_projected
-from .saddle import SaddleOptions, SaddleProblem, solve_saddle
+from .saddle import _DEGENERATE_FLOOR, SaddleOptions, SaddleProblem, solve_saddle
 from .sets import ConvexSet
 
 __all__ = ["AffineDetector", "TestVerdict", "build_detector", "apply_detector",
            "apply_repeated", "risk_after_K", "k_to_match_ideal",
            "GaussianPairSpec", "GaussianPairResult", "gaussian_symmetric_detector",
            "erf_risk"]
+
+_CLOSEST_RTOL = 1e-12         # the closest-pair search of the Gaussian closed form
+_CLOSEST_MAX_ITER = 50000
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ def build_detector(problem: SaddleProblem, options: Optional[SaddleOptions] = No
     v1 = problem.data1.phi(-sol.h, sol.mu1)
     v2 = problem.data2.phi(sol.h, sol.mu2)
     a = 0.5 * (v1 - v2)
-    risk = float(np.exp(sol.sad_val)) if sol.sad_val > -745.0 else 0.0
+    risk = float(np.exp(sol.sad_val)) if sol.sad_val > _DEGENERATE_FLOOR else 0.0
     return AffineDetector(sol.h, a, risk, sol.gap, certified=sol.certified,
                           meta={"sad_val": sol.sad_val, "solution": sol})
 
@@ -128,9 +131,7 @@ class GaussianPairResult:
     risk_gaussian: float  # exact two-sided error when the noise is Gaussian
 
 
-def gaussian_symmetric_detector(spec: GaussianPairSpec,
-                                rtol: float = 1e-12,
-                                max_iter: int = 50000) -> GaussianPairResult:
+def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     """Optimal affine detector for Gaussian-type pairs with common covariance.
 
     Finds the closest pair of means in the precision metric, then reads the
@@ -160,7 +161,8 @@ def gaussian_symmetric_detector(spec: GaussianPairSpec,
             return np.concatenate([s1.project(z[:d]), s2.project(z[d:])])
 
         z0 = np.concatenate([s1.project(np.zeros(d)), s2.project(np.zeros(d))])
-        res = minimize_projected(obj, z0, proj, rtol=rtol, max_iter=max_iter)
+        res = minimize_projected(obj, z0, proj, rtol=_CLOSEST_RTOL,
+                                 max_iter=_CLOSEST_MAX_ITER)
         t1, t2 = res.x[:d], res.x[d:]
 
     diff = t1 - t2

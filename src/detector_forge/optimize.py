@@ -32,6 +32,7 @@ _ARMIJO = 1e-4
 _STEP_GROW = 2.0
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-20
+_STEP0 = 1.0          # first trial step, and the floor of a restarted one
 _ESCAPE_ROUNDS = 10
 _ESCAPE_ITERS = 60
 _BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
@@ -52,7 +53,6 @@ def minimize_projected(
     project: Callable[[np.ndarray], np.ndarray],
     rtol: float = 1e-8,
     max_iter: int = 2000,
-    step0: float = 1.0,
 ) -> OptResult:
     """Minimize a convex function over a convex set.
 
@@ -76,7 +76,7 @@ def minimize_projected(
     if not np.isfinite(f):
         raise ValueError("starting point has non-finite objective")
     best_x, best_f, best_g = x.copy(), f, g.copy()
-    step = float(step0)
+    step = _STEP0
     it = 0
     rounds = 0
     converged = False
@@ -151,7 +151,7 @@ def minimize_projected(
                 c *= _STEP_SHRINK
         if best_f < mark - rtol * max(1.0, abs(mark)):
             x, f, g = best_x.copy(), best_f, best_g.copy()
-            step = max(step, float(step0)) * _STEP_SHRINK ** 4
+            step = max(step, _STEP0) * _STEP_SHRINK ** 4
             converged = False
             continue
         break  # nothing materially better nearby
@@ -160,14 +160,14 @@ def minimize_projected(
 
 
 def maximize_projected(fun, x0, project, rtol: float = 1e-8,
-                       max_iter: int = 2000, step0: float = 1.0) -> OptResult:
+                       max_iter: int = 2000) -> OptResult:
     """Maximize a concave function over a convex set; see minimize_projected."""
 
     def neg(x):
         v, g = fun(x)
         return -v, -g
 
-    res = minimize_projected(neg, x0, project, rtol=rtol, max_iter=max_iter, step0=step0)
+    res = minimize_projected(neg, x0, project, rtol=rtol, max_iter=max_iter)
     return OptResult(res.x, -res.value, res.iterations, res.converged, res.step)
 
 

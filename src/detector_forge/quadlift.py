@@ -32,6 +32,7 @@ from .detectors import AffineDetector
 from .families import RegularData, bounded_support_family
 from .optimize import (maximize_box_quadratic, maximize_projected,
                        minimize_projected)
+from .saddle import _DEGENERATE_FLOOR
 from .sets import ConvexSet, full_space, sym_flatten, sym_unflatten
 
 __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
@@ -39,7 +40,8 @@ __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
            "special_case_affine", "lift_bounded_support"]
 
 _EIG_TOL = 1e-8
-_DEGENERATE_FLOOR = -745.0
+_AFFINE_RTOL = 1e-11       # special_case_affine's descent
+_AFFINE_MAX_ITER = 20000
 _DYKSTRA_ITER = 200       # cap on alternations between two spectral bands
 
 
@@ -463,8 +465,7 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
                               "side_values": (float(v1), float(v2))})
 
 
-def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
-                        tol: float = 1e-11, max_iter: int = 20000) -> AffineDetector:
+def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> AffineDetector:
     """Affine detector for the same pair, solved through support oracles.
 
     With the matrix part pinned to zero the bound collapses to the
@@ -494,7 +495,8 @@ def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
     def free(x):
         return np.asarray(x, dtype=float).copy()
 
-    res = minimize_projected(F, np.zeros(d), free, rtol=tol, max_iter=max_iter)
+    res = minimize_projected(F, np.zeros(d), free, rtol=_AFFINE_RTOL,
+                             max_iter=_AFFINE_MAX_ITER)
     h = res.x
     v1, _ = side(spec1, A1u, a1, -h)
     v2, _ = side(spec2, A2u, a2, h)

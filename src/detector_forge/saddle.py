@@ -6,13 +6,14 @@ average of the two one-sided moment bounds
 
     psi(h; mu1, mu2) = [phi1(-h; mu1) + phi2(h; mu2)] / 2.
 
-The solve has two phases.  The dual ascent maximizes
+The solve runs once, with no restart.  The dual ascent maximizes
 D(mu) = min_h psi(h; mu) over the parameters, starting from the best
 response at h = 0; each evaluation is a frozen-parameter minimization over
-h, and the one at the ascent's end point gives the lower value.  When both
-families are the same simple observation scheme (sub-Gaussian, Poisson or
-discrete) over the full space, that minimization has a closed form
-(Goldenshluger, Juditsky & Nemirovski, EJS 2015, section 2.3):
+h, and the one at the ascent's end point gives the lower value and names
+the detector.  When both families are the same simple observation scheme
+(sub-Gaussian, Poisson or discrete) over the full space, that minimization
+has a closed form (Goldenshluger, Juditsky & Nemirovski, EJS 2015,
+section 2.3):
 
     sub-Gaussian  h = (Theta1 + Theta2)^{-1} (theta1 - theta2),  D = psi(h)
     Poisson       h = log(mu1 / mu2) / 2,  D = -sum (sqrt mu1 - sqrt mu2)^2 / 2
@@ -21,17 +22,18 @@ discrete) over the full space, that minimization has a closed form
 and the lower value is the exact infimum over all of R^d.  A singular
 Theta1 + Theta2, a zero rate or probability (an infimum at infinity), mixed
 kinds and composite families fall back to a projected-gradient
-minimization over the (radius-capped) h-domain, with a full budget at the
-ascent's end point.  The max-form
-descent then minimizes F(h) = max_mu psi(h; mu) from that frozen
-minimizer, where each evaluation is a pair of independent concave
-maximizations: one support call when the family has an exact
+minimization over the h-domain, capped at radius 1e6 when unbounded, with
+a full budget at the ascent's end point.  The upper value is
+F(h) = max_mu psi(h; mu) at that frozen minimizer, a pair of independent
+concave maximizations: one support call when the family has an exact
 best-response direction, an iterative solve otherwise.  The iterative
 value carries its Frank-Wolfe gap supp_M(g) - <g, mu> at g = grad_mu(h, mu)
 when the parameter set has a support oracle, so it bounds the maximum even
-when the inner solve stops early.  The returned certificate is the upper
-value F at the descent's end, so an early stop can only make the certified
-risk conservative, never invalid.
+when the inner solve stops early.  Only when upper and lower stay further
+apart than the descent's own tolerance does a max-form descent of F start
+from there.  The returned certificate is the upper value F at the returned
+h, so an early stop can only make the certified risk conservative, never
+invalid.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ class SaddleSolution:
 
 
 _DEGENERATE_FLOOR = -745.0  # exp underflows below this; risk is numerically zero
-_RADIUS = 1e3          # initial search radius for an unbounded h-domain
-_RADIUS_MAX = 1e6      # the radius doubles up to this cap
-_DESCENT_MAX_ITER = 3000  # budget of the max-form descent and the final frozen solve
+_RADIUS = 1e6          # search radius for an unbounded h-domain
+# budget of the final frozen solve, and of the max-form descent where it runs
+_DESCENT_MAX_ITER = 3000
 
 
 def _side_max(data: RegularData, h_signed: np.ndarray,
@@ -182,37 +184,36 @@ def best_response(problem: SaddleProblem, h: np.ndarray,
     return mu1, mu2, 0.5 * (v1 + v2), i1 + i2
 
 
-def _domain(problem: SaddleProblem, radius: float) -> tuple[ConvexSet, bool]:
-    """Effective h-domain: the declared set, radius-capped when unbounded."""
+def _domain(problem: SaddleProblem) -> ConvexSet:
+    """Effective h-domain: the declared set, capped at _RADIUS when unbounded."""
     h_set = problem.data1.h_set
     if h_set.bound_radius is not None:
-        return h_set, False
-    cap = ball(np.zeros(problem.dim), radius)
+        return h_set
+    cap = ball(np.zeros(problem.dim), _RADIUS)
     if h_set.meta.get("kind") == "full_space":
-        return cap, True
+        return cap
     project = h_set.project
 
     def proj(x):
         return cap.project(project(x))
 
-    return ConvexSet(problem.dim, proj, name="capped"), True
+    return ConvexSet(problem.dim, proj, name="capped")
 
 
 def solve_saddle(problem: SaddleProblem,
                  options: Optional[SaddleOptions] = None) -> SaddleSolution:
     """Solve the pairwise game and certify the value.
 
-    Two phases run inside a radius-doubling loop for unbounded h-domains.
-    First, from the best response at the start point, the parameters ascend
-    the dual D(mu) = min_h psi(h; mu); its value at the dual's end point is
-    the lower value.  Each D evaluation takes the closed form of
-    _frozen_argmin when the families have one, an infimum over all of R^d
-    that never exceeds the minimum over the capped domain, so the lower
-    value is exact; otherwise, and where the closed form does not apply, it
-    is a projected-gradient minimization (400 steps, a full budget at the
-    end point).  Second, the max-form objective F(h) = max_mu psi(h; mu) is
-    minimized from that frozen minimizer, projected onto the domain, and
-    the best response at the descent's end gives the upper value.
+    One pass, with no loop, over the h-domain capped at radius _RADIUS when
+    unbounded.  From the best response at the start point, the parameters
+    ascend the dual D(mu) = min_h psi(h; mu), each evaluation the closed
+    form of _frozen_argmin where it applies and a projected-gradient
+    minimization (400 steps) otherwise; a full-budget evaluation at the
+    ascent's end point gives the lower value.  The best response at that
+    frozen minimizer gives the upper value, unless the two are further
+    apart than the descent's own tolerance: then F(h) = max_mu psi(h; mu)
+    descends from there, and the best response at its end gives the upper
+    value.
 
     Returns a solution whose sad_val equals psi at the returned point with
     best-response parameters (an upper value), whose gap bounds the distance
@@ -220,29 +221,63 @@ def solve_saddle(problem: SaddleProblem,
     gap <= tol * max(1, |sad_val|).
     """
     opts = options or SaddleOptions()
-    warnings: list = []
-    radius = _RADIUS
-    iters_used = 0
     rtol = max(opts.tol * 1e-2, 1e-12)
-    # where F has a kink at h*, the frozen minimizer sits only about the
-    # square root of the dual's value error away from h*, and the descent
-    # cannot always close that distance; so the dual phase runs to the
-    # squared tolerance
+    # the upper value is read at the frozen minimizer, and the descent starts
+    # there.  Where F has a kink at h*, that point sits only about the square
+    # root of the dual's value error away from h*, and the descent cannot
+    # always close that distance; so the dual phase runs to the squared
+    # tolerance
     dual_rtol = max(rtol ** 2, 1e-15)
     d1, d2 = problem.data1, problem.data2
     n1 = d1.m_set.dim
     closed = _frozen_argmin(d1, d2)
-    h0 = np.zeros(problem.dim)
+    dom = _domain(problem)
+    hmin = {"h": dom.project(np.zeros(problem.dim))}
 
     def proj_mu(mu):
         return np.concatenate([d1.m_set.project(mu[:n1]),
                                d2.m_set.project(mu[n1:])])
 
-    while True:
-        dom, capped = _domain(problem, radius)
-        h0 = dom.project(h0)
+    # min over h of psi at frozen parameters is a lower value for any
+    # parameter choice.  The closed form returns the unconstrained
+    # minimizer, where dual() takes its Danskin gradient, and leaves its
+    # projection onto the domain as the point the upper value is read at;
+    # the iterative solve warm-starts from the last minimizer
+    def frozen_min(m1, m2, budget):
+        sol = closed(m1, m2) if closed is not None else None
+        if sol is not None and np.all(np.isfinite(sol[0])):
+            hmin["h"] = dom.project(sol[0])
+            return OptResult(sol[0], sol[1], 0, True, 0.0)
+
+        def G(h):
+            return problem.psi(h, m1, m2), problem.psi_grad_h(h, m1, m2)
+
+        res = minimize_projected(G, hmin["h"], dom.project,
+                                 rtol=dual_rtol, max_iter=budget)
+        hmin["h"] = res.x
+        return res
+
+    def dual(mu):
+        res = frozen_min(mu[:n1], mu[n1:], 400)
+        g = np.concatenate([0.5 * d1.grad_mu(-res.x, mu[:n1]),
+                            0.5 * d2.grad_mu(res.x, mu[n1:])])
+        return res.value, g
+
+    # the dual ascent from the best response at the start point
+    mu1, mu2, _, iters_used = best_response(problem, hmin["h"])
+    res_dual = maximize_projected(dual, np.concatenate([mu1, mu2]), proj_mu,
+                                  rtol=dual_rtol, max_iter=300)
+    res_low = frozen_min(res_dual.x[:n1], res_dual.x[n1:], _DESCENT_MAX_ITER)
+    lower = min(res_dual.value, res_low.value)
+
+    # the upper value at the frozen minimizer
+    h_star = hmin["h"]
+    mu1, mu2, upper, used = best_response(problem, h_star)
+    iters_used += res_dual.iterations + res_low.iterations + used
+
+    if upper - lower > rtol * max(1.0, abs(upper)):
+        # the fallback: the max-form descent from the frozen minimizer
         state = {"mu1": None, "mu2": None, "evals": 0}
-        hmin = {"h": h0}
 
         def F(h):
             mu1, mu2, val, used = best_response(problem, h, state["mu1"], state["mu2"])
@@ -251,68 +286,24 @@ def solve_saddle(problem: SaddleProblem,
             g = problem.psi_grad_h(h, mu1, mu2)
             return val, g
 
-        # min over h of psi at frozen parameters is a lower value for any
-        # parameter choice.  The closed form returns the unconstrained
-        # minimizer, where dual() takes its Danskin gradient, and leaves its
-        # projection onto the domain as the descent's start; the iterative
-        # solve warm-starts from the last minimizer
-        def frozen_min(m1, m2, budget):
-            sol = closed(m1, m2) if closed is not None else None
-            if sol is not None and np.all(np.isfinite(sol[0])):
-                hmin["h"] = dom.project(sol[0])
-                return OptResult(sol[0], sol[1], 0, True, 0.0)
-
-            def G(h):
-                return problem.psi(h, m1, m2), problem.psi_grad_h(h, m1, m2)
-
-            res = minimize_projected(G, hmin["h"], dom.project,
-                                     rtol=dual_rtol, max_iter=budget)
-            hmin["h"] = res.x
-            return res
-
-        def dual(mu):
-            res = frozen_min(mu[:n1], mu[n1:], 400)
-            g = np.concatenate([0.5 * d1.grad_mu(-res.x, mu[:n1]),
-                                0.5 * d2.grad_mu(res.x, mu[n1:])])
-            return res.value, g
-
-        # phase 1: dual ascent from the best response at the start point
-        mu1, mu2, _, used = best_response(problem, h0)
-        iters_used += used
-        res_dual = maximize_projected(dual, np.concatenate([mu1, mu2]), proj_mu,
-                                      rtol=dual_rtol, max_iter=300)
-        res_low = frozen_min(res_dual.x[:n1], res_dual.x[n1:], _DESCENT_MAX_ITER)
-        iters_used += res_dual.iterations + res_low.iterations
-        lower = min(res_dual.value, res_low.value)
-
-        # phase 2: max-form descent from the frozen minimizer
-        res = minimize_projected(F, hmin["h"], dom.project, rtol=rtol,
+        res = minimize_projected(F, h_star, dom.project, rtol=rtol,
                                  max_iter=_DESCENT_MAX_ITER)
-        iters_used += res.iterations + state["evals"]
         h_star = res.x
-
-        if res.value < _DEGENERATE_FLOOR:
-            break  # no point widening the search, the risk already underflows
-
-        if problem.data1.h_set.bound_radius is None and capped:
-            if np.linalg.norm(h_star) >= 0.98 * radius and radius < _RADIUS_MAX:
-                radius *= 2.0
-                h0 = h_star
-                continue
-            if np.linalg.norm(h_star) >= 0.98 * radius:
-                warnings.append(
-                    f"minimizer sits on the search-radius cap {radius:g}; "
-                    "the game may have no finite saddle point")
-        break
-
-    mu1, mu2, upper, used = best_response(problem, h_star, state["mu1"], state["mu2"])
-    iters_used += used
+        mu1, mu2, upper, used = best_response(problem, h_star,
+                                              state["mu1"], state["mu2"])
+        iters_used += res.iterations + state["evals"] + used
 
     if upper < _DEGENERATE_FLOOR:
         return SaddleSolution(h_star, mu1, mu2, upper, np.inf, iters_used,
                               certified=False, degenerate=True,
-                              warnings=warnings + ["value diverges; risk is numerically zero"])
+                              warnings=["value diverges; risk is numerically zero"])
 
+    warnings: list = []
+    if (problem.data1.h_set.bound_radius is None
+            and np.linalg.norm(h_star) >= 0.98 * _RADIUS):
+        warnings.append(
+            f"minimizer sits on the search-radius cap {_RADIUS:g}; "
+            "the game may have no finite saddle point")
     gap = max(upper - lower, 0.0)
     certified = bool(gap <= opts.tol * max(1.0, abs(upper)))
     if not certified:

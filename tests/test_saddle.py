@@ -263,6 +263,56 @@ def test_frozen_min_falls_back_where_the_closed_form_does_not_apply(name):
     assert abs(sol.sad_val - want) <= 1e-9
 
 
+def _mean_box_pair(box1, box2, var):
+    """Two sub-Gaussian families of mean boxes under one diagonal covariance."""
+    cov = sets.singleton(sets.sym_flatten(np.diag(var)))
+    return SaddleProblem(families.sub_gaussian_family(sets.box(*box1), cov),
+                         families.sub_gaussian_family(sets.box(*box2), cov))
+
+
+def test_descent_certifies_where_the_dual_side_falls_short():
+    # overlapping boxes, value 0: the upper value at the frozen minimizer is
+    # 1.8e-6, above tol, and only the max-form descent brings it under
+    prob = _mean_box_pair(([0.75, -3.0, -3.0], [3.75, -2.8125, -3.0]),
+                          ([1.5, -3.0, -3.0], [1.5, 0.0, -3.0]),
+                          [1.01171875, 4.0, 0.25])
+    sol = solve_saddle(prob)
+    assert sol.certified
+    assert abs(sol.sad_val) <= 1e-6
+
+
+def test_readme_pair_skips_the_descent(monkeypatch):
+    calls = []
+    descent = saddle.minimize_projected
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(saddle, "minimize_projected", counted)
+    sol = solve_saddle(_mean_box_pair(([-2.0, -0.5], [-0.7, 0.5]),
+                                      ([0.7, -0.5], [2.0, 0.5]), [1.0, 1.0]))
+    assert sol.certified
+    assert calls == []
+
+
+def test_large_minimizer_inside_the_cap():
+    # h* = -0.5 / (2 * 2e-4) = -1250
+    sol = solve_saddle(_mean_box_pair(([0.0], [1.0]), ([1.5], [2.0]), [2e-4]))
+    assert sol.certified
+    assert sol.sad_val == pytest.approx(-156.25, abs=1e-9)
+    assert abs(sol.h[0]) == pytest.approx(1250.0, rel=1e-12)
+    assert not sol.warnings
+
+
+def test_minimizer_beyond_the_cap_warns():
+    # h* = -1e-3 / 6e-10, about 1.7e6, lies outside the search radius 1e6
+    sol = solve_saddle(_mean_box_pair(([0.0], [1.0]), ([1.001], [2.0]), [3e-10]))
+    assert any("search-radius cap" in w for w in sol.warnings)
+    assert not sol.certified and not sol.degenerate
+    assert sol.sad_val >= -416.67
+
+
 def test_disjoint_supports_degenerate():
     prob = SaddleProblem(families.discrete_family(sets.singleton([1.0, 0.0])),
                          families.discrete_family(sets.singleton([0.0, 1.0])))

@@ -1,8 +1,15 @@
 """Projected first-order minimization.
 
 One workhorse serves every inner problem in the package: projected
-(sub)gradient descent with Armijo backtracking and geometric step regrowth,
-plus a diminishing-step escape phase for nonsmooth objectives.  Support
+(sub)gradient descent with an Armijo line search along the projected arc,
+plus a diminishing-step escape phase for nonsmooth objectives.  The trial
+step doubles after every accepted step; after a rejected step s it becomes
+t s, with t the minimizer of the quadratic through f, the slope
+g'(x_s - x) and f(x_s), clamped to [0.1, 0.5] (Nocedal & Wright, Numerical
+Optimization, 2nd ed., section 3.5), or 0.5 where f(x_s) is not finite or
+that quadratic is not convex.  Halving alone keeps the step on a
+power-of-two grid, which on a quadratic of curvature just below 2/s cycles
+between an accepted s that barely contracts and a rejected 2s.  Support
 functions put kinks exactly where minimizers like to sit, and monotone line
 search alone stalls there: when no Armijo step is accepted, the method
 switches to plain subgradient steps with c/sqrt(j) sizes, keeps the best
@@ -31,6 +38,7 @@ __all__ = ["OptResult", "minimize_projected", "maximize_projected",
 _ARMIJO = 1e-4
 _STEP_GROW = 2.0
 _STEP_SHRINK = 0.5
+_INTERP_MIN = 0.1     # least fraction of a step an interpolated backtrack keeps
 _MIN_STEP = 1e-20
 _STEP0 = 1.0          # first trial step, and the floor of a restarted one
 _ESCAPE_ROUNDS = 10
@@ -44,7 +52,6 @@ class OptResult:
     value: float
     iterations: int
     converged: bool
-    step: float
 
 
 def minimize_projected(
@@ -99,10 +106,18 @@ def minimize_projected(
                 if float(move @ move) == 0.0:
                     break
                 f_c, g_c = fun(cand)
-                if np.isfinite(f_c) and f_c <= f + _ARMIJO * float(g @ move):
+                slope = float(g @ move)
+                if np.isfinite(f_c) and f_c <= f + _ARMIJO * slope:
                     accepted = True
                     break
-                step *= _STEP_SHRINK
+                # back off to the minimizer of the quadratic through f, the
+                # slope and f_c, within [_INTERP_MIN, _STEP_SHRINK] of the step
+                curv = f_c - f - slope
+                if np.isfinite(f_c) and curv > 0.0:
+                    step *= min(max(-0.5 * slope / curv, _INTERP_MIN),
+                                _STEP_SHRINK)
+                else:
+                    step *= _STEP_SHRINK
             if not accepted:
                 paused = True
                 break
@@ -156,7 +171,7 @@ def minimize_projected(
             continue
         break  # nothing materially better nearby
 
-    return OptResult(best_x, best_f, it, converged, step)
+    return OptResult(best_x, best_f, it, converged)
 
 
 def maximize_projected(fun, x0, project, rtol: float = 1e-8,
@@ -168,7 +183,7 @@ def maximize_projected(fun, x0, project, rtol: float = 1e-8,
         return -v, -g
 
     res = minimize_projected(neg, x0, project, rtol=rtol, max_iter=max_iter)
-    return OptResult(res.x, -res.value, res.iterations, res.converged, res.step)
+    return OptResult(res.x, -res.value, res.iterations, res.converged)
 
 
 def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:

@@ -29,11 +29,13 @@ concave maximizations: one support call when the family has an exact
 best-response direction, an iterative solve otherwise.  The iterative
 value carries its Frank-Wolfe gap supp_M(g) - <g, mu> at g = grad_mu(h, mu)
 when the parameter set has a support oracle, so it bounds the maximum even
-when the inner solve stops early.  Only when upper and lower stay further
-apart than the descent's own tolerance does a max-form descent of F start
-from there.  The returned certificate is the upper value F at the returned
-h, so an early stop can only make the certified risk conservative, never
-invalid.
+when the inner solve stops early.  That frozen minimizer is the returned
+h, and the returned certificate is the upper value F there, so an early
+stop can only make the certified risk conservative, never invalid.  The
+lower value is exact only on the closed form; an iterative frozen
+minimization reports the value where it stopped, which is not a proven
+lower bound, so there the gap and the certified flag rest on that
+minimization having converged.
 """
 
 from __future__ import annotations
@@ -95,26 +97,22 @@ class SaddleSolution:
 
 _DEGENERATE_FLOOR = -745.0  # exp underflows below this; risk is numerically zero
 _RADIUS = 1e6          # search radius for an unbounded h-domain
-# budget of the final frozen solve, and of the max-form descent where it runs
-_DESCENT_MAX_ITER = 3000
+_FROZEN_MAX_ITER = 3000  # budget of the final frozen solve, which gives lower
 
 
-def _side_max(data: RegularData, h_signed: np.ndarray,
-              start: Optional[np.ndarray]) -> tuple[np.ndarray, float, int]:
+def _side_max(data: RegularData,
+              h_signed: np.ndarray) -> tuple[np.ndarray, float, int]:
     """max over mu of phi(h_signed; mu); one support call when exact."""
     if data.direction is not None and data.m_set.support is not None:
         s_val, mu = data.m_set.support(data.direction(h_signed))
         if not np.isfinite(s_val):
-            if start is None:
-                start = data.m_set.project(np.zeros(data.m_set.dim))
-            return start, np.inf, 1
+            return data.m_set.project(np.zeros(data.m_set.dim)), np.inf, 1
         return mu, data.phi(h_signed, mu), 1
 
     def obj(mu):
         return data.phi(h_signed, mu), data.grad_mu(h_signed, mu)
 
-    x0 = start if start is not None else np.zeros(data.m_set.dim)
-    res = maximize_projected(obj, x0, data.m_set.project,
+    res = maximize_projected(obj, np.zeros(data.m_set.dim), data.m_set.project,
                              rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
     if data.m_set.support is None:
         return res.x, res.value, res.iterations
@@ -171,16 +169,15 @@ def _frozen_argmin(data1: RegularData, data2: RegularData):
     return argmin
 
 
-def best_response(problem: SaddleProblem, h: np.ndarray,
-                  mu1_start=None, mu2_start=None):
+def best_response(problem: SaddleProblem, h: np.ndarray):
     """Maximize psi(h; mu1, mu2) over the parameter sets.
 
     The two sides are independent concave problems.  Returns
     (mu1, mu2, value, iterations).
     """
     h = np.asarray(h, dtype=float)
-    mu1, v1, i1 = _side_max(problem.data1, -h, mu1_start)
-    mu2, v2, i2 = _side_max(problem.data2, h, mu2_start)
+    mu1, v1, i1 = _side_max(problem.data1, -h)
+    mu2, v2, i2 = _side_max(problem.data2, h)
     return mu1, mu2, 0.5 * (v1 + v2), i1 + i2
 
 
@@ -209,11 +206,8 @@ def solve_saddle(problem: SaddleProblem,
     ascend the dual D(mu) = min_h psi(h; mu), each evaluation the closed
     form of _frozen_argmin where it applies and a projected-gradient
     minimization (400 steps) otherwise; a full-budget evaluation at the
-    ascent's end point gives the lower value.  The best response at that
-    frozen minimizer gives the upper value, unless the two are further
-    apart than the descent's own tolerance: then F(h) = max_mu psi(h; mu)
-    descends from there, and the best response at its end gives the upper
-    value.
+    ascent's end point gives the lower value and the returned h, and the
+    best response at that h gives the upper value.
 
     Returns a solution whose sad_val equals psi at the returned point with
     best-response parameters (an upper value), whose gap bounds the distance
@@ -221,13 +215,11 @@ def solve_saddle(problem: SaddleProblem,
     gap <= tol * max(1, |sad_val|).
     """
     opts = options or SaddleOptions()
-    rtol = max(opts.tol * 1e-2, 1e-12)
-    # the upper value is read at the frozen minimizer, and the descent starts
-    # there.  Where F has a kink at h*, that point sits only about the square
-    # root of the dual's value error away from h*, and the descent cannot
-    # always close that distance; so the dual phase runs to the squared
-    # tolerance
-    dual_rtol = max(rtol ** 2, 1e-15)
+    # the upper value is read at the frozen minimizer.  Where F(h) =
+    # max_mu psi(h; mu) has a kink at h*, that point sits only about the
+    # square root of the dual's value error away from h*, so the dual phase
+    # runs to the squared tolerance, 1e-16 at the default tol
+    dual_rtol = max(opts.tol * 1e-2, 1e-12) ** 2
     d1, d2 = problem.data1, problem.data2
     n1 = d1.m_set.dim
     closed = _frozen_argmin(d1, d2)
@@ -247,7 +239,7 @@ def solve_saddle(problem: SaddleProblem,
         sol = closed(m1, m2) if closed is not None else None
         if sol is not None and np.all(np.isfinite(sol[0])):
             hmin["h"] = dom.project(sol[0])
-            return OptResult(sol[0], sol[1], 0, True, 0.0)
+            return OptResult(sol[0], sol[1], 0, True)
 
         def G(h):
             return problem.psi(h, m1, m2), problem.psi_grad_h(h, m1, m2)
@@ -267,31 +259,13 @@ def solve_saddle(problem: SaddleProblem,
     mu1, mu2, _, iters_used = best_response(problem, hmin["h"])
     res_dual = maximize_projected(dual, np.concatenate([mu1, mu2]), proj_mu,
                                   rtol=dual_rtol, max_iter=300)
-    res_low = frozen_min(res_dual.x[:n1], res_dual.x[n1:], _DESCENT_MAX_ITER)
+    res_low = frozen_min(res_dual.x[:n1], res_dual.x[n1:], _FROZEN_MAX_ITER)
     lower = min(res_dual.value, res_low.value)
 
     # the upper value at the frozen minimizer
     h_star = hmin["h"]
     mu1, mu2, upper, used = best_response(problem, h_star)
     iters_used += res_dual.iterations + res_low.iterations + used
-
-    if upper - lower > rtol * max(1.0, abs(upper)):
-        # the fallback: the max-form descent from the frozen minimizer
-        state = {"mu1": None, "mu2": None, "evals": 0}
-
-        def F(h):
-            mu1, mu2, val, used = best_response(problem, h, state["mu1"], state["mu2"])
-            state["mu1"], state["mu2"] = mu1, mu2
-            state["evals"] += used
-            g = problem.psi_grad_h(h, mu1, mu2)
-            return val, g
-
-        res = minimize_projected(F, h_star, dom.project, rtol=rtol,
-                                 max_iter=_DESCENT_MAX_ITER)
-        h_star = res.x
-        mu1, mu2, upper, used = best_response(problem, h_star,
-                                              state["mu1"], state["mu2"])
-        iters_used += res.iterations + state["evals"] + used
 
     if upper < _DEGENERATE_FLOOR:
         return SaddleSolution(h_star, mu1, mu2, upper, np.inf, iters_used,

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detector_forge import families, saddle, sets
@@ -136,6 +136,12 @@ def separable_pairs(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(case=separable_pairs())
+# overlapping Poisson boxes, value 0: a dual ascent whose step only halves
+# and doubles stalls at its cap 1.7e-3 short of the overlap, at 7.1e-7
+@example(case=(families.poisson_family(sets.box([0.2, 3.95, 0.2], [2.7, 3.95, 0.2])),
+               families.poisson_family(sets.box([1.98927269, 2.7, 0.2],
+                                                [4.48927269, 3.95, 0.2])),
+               0.0))
 def test_separable_pairs_match_their_closed_form(case):
     fam1, fam2, ref = case
     sol = solve_saddle(SaddleProblem(fam1, fam2))
@@ -270,24 +276,54 @@ def _mean_box_pair(box1, box2, var):
                          families.sub_gaussian_family(sets.box(*box2), cov))
 
 
-def test_descent_certifies_where_the_dual_side_falls_short():
-    # overlapping boxes, value 0: the upper value at the frozen minimizer is
-    # 1.8e-6, above tol, and only the max-form descent brings it under
-    prob = _mean_box_pair(([0.75, -3.0, -3.0], [3.75, -2.8125, -3.0]),
-                          ([1.5, -3.0, -3.0], [1.5, 0.0, -3.0]),
-                          [1.01171875, 4.0, 0.25])
+# overlapping mean boxes, value 0
+_OVERLAPPING_BOXES = {
+    # the dual's curvature along mu1[0] is about 0.247: a step that only
+    # halves and doubles cycles between an accepted 8 that barely contracts
+    # and a rejected 16, and the ascent ends at its cap short of the
+    # overlap, with gap 7.0e-6 on case B and 1.8e-6 on case A
+    "case_a": (([0.75, -3.0, -3.0], [3.75, -2.8125, -3.0]),
+               ([1.5, -3.0, -3.0], [1.5, 0.0, -3.0]), [1.01171875, 4.0, 0.25]),
+    "case_b": (([0.0, -3.0, -3.0], [3.0, -1.5, -3.0]),
+               ([1.5, -3.0, -3.0], [1.5, 0.0, -3.0]), [1.01171875, 4.0, 0.25]),
+    # the dual's squared tolerance with a 1e-15 floor leaves this at 1.2e-7
+    "floor_2d": (([1.7581182733498864, 2.002397369208701],
+                  [4.718555150259, 4.971987808325122]),
+                 ([0.008422436191673377, -0.7363215662815015],
+                  [2.207950814654626, 2.167449919267462]),
+                 [2.612813763002925, 0.34638397948104727]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERLAPPING_BOXES))
+def test_overlapping_boxes_certify_from_the_dual_side(name):
+    sol = solve_saddle(_mean_box_pair(*_OVERLAPPING_BOXES[name]))
+    assert sol.certified
+    assert abs(sol.sad_val) <= 1e-7
+
+
+def test_overlapping_simplices_with_zero_entries_certify():
+    # the best response at h = 0 is [0.6, 0.4, 0] vs [1, 0, 0], where the
+    # closed form declines the zeros; a step that only halves, with the
+    # dual's tolerance floored at 1e-15, shrank to 7e-21 there and left
+    # lower at log sqrt(0.6)
+    prob = SaddleProblem(
+        families.discrete_family(sets.simplex(3, hi=[0.6, 0.6, 0.6])),
+        families.discrete_family(sets.simplex(3, lo=[0.5, 0.0, 0.0])))
     sol = solve_saddle(prob)
     assert sol.certified
     assert abs(sol.sad_val) <= 1e-6
 
 
-def test_readme_pair_skips_the_descent(monkeypatch):
+def test_readme_pair_solves_in_closed_form(monkeypatch):
+    # every frozen minimum of a Gaussian pair is the closed form, so no
+    # projected-gradient minimization over h runs
     calls = []
-    descent = saddle.minimize_projected
+    solve = saddle.minimize_projected
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return descent(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(saddle, "minimize_projected", counted)
     sol = solve_saddle(_mean_box_pair(([-2.0, -0.5], [-0.7, 0.5]),
@@ -432,10 +468,10 @@ def test_early_stopped_inner_solve_still_bounds_the_maximum(monkeypatch, h):
         families.discrete_family(sets.simplex(3)),
         families.discrete_family(sets.simplex(3, lo=np.full(3, 0.1)))])
     h = np.asarray(h)
-    mu_long, _, _ = saddle._side_max(fam, h, None)
+    mu_long, _, _ = saddle._side_max(fam, h)
     exact = fam.phi(h, mu_long)
     monkeypatch.setattr(saddle, "_INNER_MAX_ITER", 3)
-    mu, value, iterations = saddle._side_max(fam, h, None)
+    mu, value, iterations = saddle._side_max(fam, h)
     assert iterations == 3
     assert fam.phi(h, mu) < exact - 1e-3
     assert value >= exact

@@ -29,13 +29,19 @@ concave maximizations: one support call when the family has an exact
 best-response direction, an iterative solve otherwise.  The iterative
 value carries its Frank-Wolfe gap supp_M(g) - <g, mu> at g = grad_mu(h, mu)
 when the parameter set has a support oracle, so it bounds the maximum even
-when the inner solve stops early.  That frozen minimizer is the returned
-h, and the returned certificate is the upper value F there, so an early
-stop can only make the certified risk conservative, never invalid.  The
-lower value is exact only on the closed form; an iterative frozen
+when the inner solve stops early.  Only when upper and lower stay further
+apart than the descent's own tolerance does a max-form descent of F start
+from there.  The returned certificate is the upper value F at the returned
+h, so an early stop can only make the certified risk conservative, never
+invalid.
+
+The lower value is exact only on the closed form.  An iterative frozen
 minimization reports the value where it stopped, which is not a proven
-lower bound, so there the gap and the certified flag rest on that
-minimization having converged.
+lower bound; it is its minimum only where the projected-gradient step
+h - P(h - grad) there has vanished.  At a kink of psi (the bounded-support
+bound) or in a narrow valley (the lifted Gaussian bound) it stalls with a
+large step and a value well above the minimum, so the certified flag also
+requires that step to be within tolerance.
 """
 
 from __future__ import annotations
@@ -97,22 +103,26 @@ class SaddleSolution:
 
 _DEGENERATE_FLOOR = -745.0  # exp underflows below this; risk is numerically zero
 _RADIUS = 1e6          # search radius for an unbounded h-domain
-_FROZEN_MAX_ITER = 3000  # budget of the final frozen solve, which gives lower
+# budget of the final frozen solve, and of the max-form descent where it runs
+_DESCENT_MAX_ITER = 3000
 
 
-def _side_max(data: RegularData,
-              h_signed: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _side_max(data: RegularData, h_signed: np.ndarray,
+              start: Optional[np.ndarray]) -> tuple[np.ndarray, float, int]:
     """max over mu of phi(h_signed; mu); one support call when exact."""
     if data.direction is not None and data.m_set.support is not None:
         s_val, mu = data.m_set.support(data.direction(h_signed))
         if not np.isfinite(s_val):
-            return data.m_set.project(np.zeros(data.m_set.dim)), np.inf, 1
+            if start is None:
+                start = data.m_set.project(np.zeros(data.m_set.dim))
+            return start, np.inf, 1
         return mu, data.phi(h_signed, mu), 1
 
     def obj(mu):
         return data.phi(h_signed, mu), data.grad_mu(h_signed, mu)
 
-    res = maximize_projected(obj, np.zeros(data.m_set.dim), data.m_set.project,
+    x0 = start if start is not None else np.zeros(data.m_set.dim)
+    res = maximize_projected(obj, x0, data.m_set.project,
                              rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
     if data.m_set.support is None:
         return res.x, res.value, res.iterations
@@ -169,15 +179,16 @@ def _frozen_argmin(data1: RegularData, data2: RegularData):
     return argmin
 
 
-def best_response(problem: SaddleProblem, h: np.ndarray):
+def best_response(problem: SaddleProblem, h: np.ndarray,
+                  mu1_start=None, mu2_start=None):
     """Maximize psi(h; mu1, mu2) over the parameter sets.
 
     The two sides are independent concave problems.  Returns
     (mu1, mu2, value, iterations).
     """
     h = np.asarray(h, dtype=float)
-    mu1, v1, i1 = _side_max(problem.data1, -h)
-    mu2, v2, i2 = _side_max(problem.data2, h)
+    mu1, v1, i1 = _side_max(problem.data1, -h, mu1_start)
+    mu2, v2, i2 = _side_max(problem.data2, h, mu2_start)
     return mu1, mu2, 0.5 * (v1 + v2), i1 + i2
 
 
@@ -206,20 +217,26 @@ def solve_saddle(problem: SaddleProblem,
     ascend the dual D(mu) = min_h psi(h; mu), each evaluation the closed
     form of _frozen_argmin where it applies and a projected-gradient
     minimization (400 steps) otherwise; a full-budget evaluation at the
-    ascent's end point gives the lower value and the returned h, and the
-    best response at that h gives the upper value.
+    ascent's end point gives the lower value.  The best response at that
+    frozen minimizer gives the upper value, unless the two are further
+    apart than the descent's own tolerance: then F(h) = max_mu psi(h; mu)
+    descends from there, and the best response at its end gives the upper
+    value.
 
     Returns a solution whose sad_val equals psi at the returned point with
-    best-response parameters (an upper value), whose gap bounds the distance
-    to the true saddle value, and whose certified flag records whether
-    gap <= tol * max(1, |sad_val|).
+    best-response parameters (an upper value), whose gap is upper minus
+    lower, and whose certified flag records whether gap and, after an
+    iterative final frozen minimization, its projected-gradient step are
+    both <= tol * max(1, |sad_val|).
     """
     opts = options or SaddleOptions()
-    # the upper value is read at the frozen minimizer.  Where F(h) =
-    # max_mu psi(h; mu) has a kink at h*, that point sits only about the
-    # square root of the dual's value error away from h*, so the dual phase
-    # runs to the squared tolerance, 1e-16 at the default tol
-    dual_rtol = max(opts.tol * 1e-2, 1e-12) ** 2
+    rtol = max(opts.tol * 1e-2, 1e-12)
+    # the upper value is read at the frozen minimizer, and the descent starts
+    # there.  Where F has a kink at h*, that point sits only about the square
+    # root of the dual's value error away from h*, and the descent cannot
+    # always close that distance; so the dual phase runs to the squared
+    # tolerance
+    dual_rtol = max(rtol ** 2, 1e-15)
     d1, d2 = problem.data1, problem.data2
     n1 = d1.m_set.dim
     closed = _frozen_argmin(d1, d2)
@@ -259,13 +276,38 @@ def solve_saddle(problem: SaddleProblem,
     mu1, mu2, _, iters_used = best_response(problem, hmin["h"])
     res_dual = maximize_projected(dual, np.concatenate([mu1, mu2]), proj_mu,
                                   rtol=dual_rtol, max_iter=300)
-    res_low = frozen_min(res_dual.x[:n1], res_dual.x[n1:], _FROZEN_MAX_ITER)
+    m1, m2 = res_dual.x[:n1], res_dual.x[n1:]
+    res_low = frozen_min(m1, m2, _DESCENT_MAX_ITER)
     lower = min(res_dual.value, res_low.value)
+    # the projected-gradient step where an iterative frozen minimization
+    # stopped (the closed form takes 0 iterations); see the module docstring
+    stall = 0.0
+    if res_low.iterations:
+        g = problem.psi_grad_h(res_low.x, m1, m2)
+        stall = float(np.linalg.norm(res_low.x - dom.project(res_low.x - g)))
 
     # the upper value at the frozen minimizer
     h_star = hmin["h"]
     mu1, mu2, upper, used = best_response(problem, h_star)
     iters_used += res_dual.iterations + res_low.iterations + used
+
+    if upper - lower > rtol * max(1.0, abs(upper)):
+        # the fallback: the max-form descent from the frozen minimizer
+        state = {"mu1": None, "mu2": None, "evals": 0}
+
+        def F(h):
+            mu1, mu2, val, used = best_response(problem, h, state["mu1"], state["mu2"])
+            state["mu1"], state["mu2"] = mu1, mu2
+            state["evals"] += used
+            g = problem.psi_grad_h(h, mu1, mu2)
+            return val, g
+
+        res = minimize_projected(F, h_star, dom.project, rtol=rtol,
+                                 max_iter=_DESCENT_MAX_ITER)
+        h_star = res.x
+        mu1, mu2, upper, used = best_response(problem, h_star,
+                                              state["mu1"], state["mu2"])
+        iters_used += res.iterations + state["evals"] + used
 
     if upper < _DEGENERATE_FLOOR:
         return SaddleSolution(h_star, mu1, mu2, upper, np.inf, iters_used,
@@ -279,8 +321,12 @@ def solve_saddle(problem: SaddleProblem,
             f"minimizer sits on the search-radius cap {_RADIUS:g}; "
             "the game may have no finite saddle point")
     gap = max(upper - lower, 0.0)
-    certified = bool(gap <= opts.tol * max(1.0, abs(upper)))
-    if not certified:
+    bound = opts.tol * max(1.0, abs(upper))
+    certified = bool(gap <= bound and stall <= bound)
+    if gap > bound:
         warnings.append(f"gap {gap:.3e} exceeds tolerance")
+    if stall > bound:
+        warnings.append(f"frozen minimization stalled with projected-gradient "
+                        f"step {stall:.3e}; the lower value is not a bound")
     return SaddleSolution(h_star, mu1, mu2, upper, gap, iters_used,
                           certified=certified, warnings=warnings)

@@ -276,37 +276,41 @@ def _mean_box_pair(box1, box2, var):
                          families.sub_gaussian_family(sets.box(*box2), cov))
 
 
-# overlapping mean boxes, value 0
+# overlapping mean boxes, value 0.  The dual's curvature along mu1[0] is
+# about 0.247: a step that only halves and doubles cycles between an
+# accepted 8 that barely contracts and a rejected 16, and the ascent ends at
+# its cap short of the overlap, with gap 1.8e-6 on case A and 7.0e-6 on
+# case B
 _OVERLAPPING_BOXES = {
-    # the dual's curvature along mu1[0] is about 0.247: a step that only
-    # halves and doubles cycles between an accepted 8 that barely contracts
-    # and a rejected 16, and the ascent ends at its cap short of the
-    # overlap, with gap 7.0e-6 on case B and 1.8e-6 on case A
     "case_a": (([0.75, -3.0, -3.0], [3.75, -2.8125, -3.0]),
                ([1.5, -3.0, -3.0], [1.5, 0.0, -3.0]), [1.01171875, 4.0, 0.25]),
     "case_b": (([0.0, -3.0, -3.0], [3.0, -1.5, -3.0]),
                ([1.5, -3.0, -3.0], [1.5, 0.0, -3.0]), [1.01171875, 4.0, 0.25]),
-    # the dual's squared tolerance with a 1e-15 floor leaves this at 1.2e-7
-    "floor_2d": (([1.7581182733498864, 2.002397369208701],
-                  [4.718555150259, 4.971987808325122]),
-                 ([0.008422436191673377, -0.7363215662815015],
-                  [2.207950814654626, 2.167449919267462]),
-                 [2.612813763002925, 0.34638397948104727]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_OVERLAPPING_BOXES))
-def test_overlapping_boxes_certify_from_the_dual_side(name):
+def test_overlapping_mean_boxes_certify_at_value_zero(name):
     sol = solve_saddle(_mean_box_pair(*_OVERLAPPING_BOXES[name]))
+    assert sol.certified
+    assert abs(sol.sad_val) <= 1e-7
+
+
+def test_descent_certifies_where_the_dual_side_falls_short():
+    # overlapping boxes, value 0: the upper value at the frozen minimizer is
+    # 1.2e-7, and the max-form descent from there brings it to 3.2e-8
+    sol = solve_saddle(_mean_box_pair(
+        ([1.7581182733498864, 2.002397369208701], [4.718555150259, 4.971987808325122]),
+        ([0.008422436191673377, -0.7363215662815015], [2.207950814654626, 2.167449919267462]),
+        [2.612813763002925, 0.34638397948104727]))
     assert sol.certified
     assert abs(sol.sad_val) <= 1e-7
 
 
 def test_overlapping_simplices_with_zero_entries_certify():
     # the best response at h = 0 is [0.6, 0.4, 0] vs [1, 0, 0], where the
-    # closed form declines the zeros; a step that only halves, with the
-    # dual's tolerance floored at 1e-15, shrank to 7e-21 there and left
-    # lower at log sqrt(0.6)
+    # closed form declines the zeros; a dual ascent whose step only halved
+    # shrank it to 7e-21 there and left lower at log sqrt(0.6)
     prob = SaddleProblem(
         families.discrete_family(sets.simplex(3, hi=[0.6, 0.6, 0.6])),
         families.discrete_family(sets.simplex(3, lo=[0.5, 0.0, 0.0])))
@@ -315,15 +319,73 @@ def test_overlapping_simplices_with_zero_entries_certify():
     assert abs(sol.sad_val) <= 1e-6
 
 
-def test_readme_pair_solves_in_closed_form(monkeypatch):
-    # every frozen minimum of a Gaussian pair is the closed form, so no
-    # projected-gradient minimization over h runs
+def _gaussian_sum(lo, p_lo, rate):
+    return families.direct_sum([
+        families.sub_gaussian_family(sets.box(lo, [lo[0] + 1.0, lo[1] + 1.0]),
+                                     sets.psd_interval(np.eye(2), 1.5 * np.eye(2))),
+        families.discrete_family(sets.simplex(3, lo=p_lo)),
+        families.poisson_family(sets.box([rate], [rate + 1.0]))])
+
+
+def test_descent_lowers_the_upper_value_of_an_uncertified_composite_pair():
+    # the dual side ends near the saddle value, about -0.134, but its frozen
+    # minimizer wanders along a nearly flat direction of the discrete block,
+    # where F is +0.954; the max-form descent brings F back down, so a
+    # forced detector keeps a risk below 1
+    prob = SaddleProblem(_gaussian_sum([0.0, 0.0], [0.5, 0.0, 0.0], 1.0),
+                         _gaussian_sum([2.0, 0.5], [0.0, 0.5, 0.0], 3.0))
+    sol = solve_saddle(prob)
+    assert sol.sad_val <= -0.1
+
+
+_BOX_21 = ([-1.0, -1.0], [1.0, 2.0])
+
+
+def _lifted_pair():
+    def lifted(shift):
+        return lift_gaussian(QuadLiftSpec(
+            A=np.array([[1.0, 0.0, 0.3], [0.0, 1.0, -0.2]]),
+            U=sets.box([-1.0 + shift, -1.0], [1.0 + shift, 1.0]),
+            Ucov=sets.psd_interval(0.5 * np.eye(2), np.eye(2)),
+            Theta_star=np.eye(2)))
+    return lifted(0.0), lifted(2.5)
+
+
+# pairs whose iterative frozen minimization stalls: at a kink of the
+# bounded-support bound, or in the narrow valley of the lifted one.  h_other
+# is a point where F lies below the value the minimization stopped at
+_STALLING_PAIRS = {
+    "bounded_support": (
+        lambda: (families.bounded_support_family(sets.box(*_BOX_21),
+                                                 sets.ball([-0.5, 0.0], 0.2)),
+                 families.bounded_support_family(sets.box(*_BOX_21),
+                                                 sets.ball([0.7, 1.5], 0.2))),
+        [-0.223, -0.138]),                                # F = -0.0924
+    "gaussian_vs_bounded_support": (
+        lambda: (families.gaussian_point_family([-0.5, 0.0], 0.3 * np.eye(2)),
+                 families.bounded_support_family(sets.box(*_BOX_21),
+                                                 sets.ball([0.6, 1.0], 0.2))),
+        [-0.692, 0.0]),                                   # F = -0.1558
+    "lift_gaussian": (_lifted_pair, [-0.25, 0.0, 0.0, 0.0, 0.0, 0.0]),  # F = -0.03125
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STALLING_PAIRS))
+def test_certified_lower_value_lies_below_every_upper_value(name):
+    make, h_other = _STALLING_PAIRS[name]
+    prob = SaddleProblem(*make())
+    sol = solve_saddle(prob)
+    upper_other = best_response(prob, np.asarray(h_other))[2]
+    assert not sol.certified or sol.sad_val - sol.gap <= upper_other
+
+
+def test_readme_pair_skips_the_descent(monkeypatch):
     calls = []
-    solve = saddle.minimize_projected
+    descent = saddle.minimize_projected
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return descent(*args, **kwargs)
 
     monkeypatch.setattr(saddle, "minimize_projected", counted)
     sol = solve_saddle(_mean_box_pair(([-2.0, -0.5], [-0.7, 0.5]),
@@ -468,10 +530,10 @@ def test_early_stopped_inner_solve_still_bounds_the_maximum(monkeypatch, h):
         families.discrete_family(sets.simplex(3)),
         families.discrete_family(sets.simplex(3, lo=np.full(3, 0.1)))])
     h = np.asarray(h)
-    mu_long, _, _ = saddle._side_max(fam, h)
+    mu_long, _, _ = saddle._side_max(fam, h, None)
     exact = fam.phi(h, mu_long)
     monkeypatch.setattr(saddle, "_INNER_MAX_ITER", 3)
-    mu, value, iterations = saddle._side_max(fam, h)
+    mu, value, iterations = saddle._side_max(fam, h, None)
     assert iterations == 3
     assert fam.phi(h, mu) < exact - 1e-3
     assert value >= exact

@@ -395,7 +395,10 @@ def refine_with_support(data: RegularData, support_set: ConvexSet,
     also at most s(h).
 
     The inner minimization starts from the projection of the origin, making
-    phi_hat a pure function of (h, mu).
+    phi_hat a pure function of (h, mu).  Its value is where that
+    first-order solve stopped: a valid upper bound on the true phi_hat,
+    since every shift g gives one, but possibly loose where the solve
+    pauses at a kink of the support function.
     """
     if support_set.support is None:
         raise ValueError("support_set needs a support-function oracle")

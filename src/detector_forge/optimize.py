@@ -1,24 +1,20 @@
 """Projected first-order minimization.
 
 One workhorse serves every inner problem in the package: projected
-(sub)gradient descent with an Armijo line search along the projected arc,
-plus a diminishing-step escape phase for nonsmooth objectives.  The trial
-step doubles after every accepted step; after a rejected step s it becomes
-t s, with t the minimizer of the quadratic through f, the slope
+(sub)gradient descent with an Armijo line search along the projected arc.
+The trial step doubles after every accepted step; after a rejected step s
+it becomes t s, with t the minimizer of the quadratic through f, the slope
 g'(x_s - x) and f(x_s), clamped to [0.1, 0.5] (Nocedal & Wright, Numerical
 Optimization, 2nd ed., section 3.5), or 0.5 where f(x_s) is not finite or
 that quadratic is not convex.  Halving alone keeps the step on a
 power-of-two grid, which on a quadratic of curvature just below 2/s cycles
-between an accepted s that barely contracts and a rejected 2s.  Support
-functions put kinks exactly where minimizers like to sit, and monotone line
-search alone stalls there: when no Armijo step is accepted, the method
-switches to plain subgradient steps with c/sqrt(j) sizes, keeps the best
-point seen, and resumes the monotone phase if the excursion found a better
-one.  Every pause enters the escape phase, smooth problems included: a
-solve that pauses after three calm monotone steps still runs a full escape
-round of _ESCAPE_ITERS steps before it stops, and on a smooth objective that
-round finds nothing, so short solves spend most of their iterations there.
-Problems here are small and dense, so robustness beats sophistication.
+between an accepted s that barely contracts and a rejected 2s.  Accepted
+steps only lower f, so the current point is always the best one seen.  At
+a kink of a nonsmooth objective (support functions put kinks exactly where
+minimizers like to sit) the search can pause above the minimum; callers
+that need a bound there read one from elsewhere (a Frank-Wolfe gap, a dual
+value) rather than from where the descent stopped.  Problems here are
+small and dense, so robustness beats sophistication.
 
 Quadratics over a finite box have an exact answer instead:
 maximize_box_quadratic enumerates the faces on which the maximum can sit.
@@ -40,9 +36,7 @@ _STEP_GROW = 2.0
 _STEP_SHRINK = 0.5
 _INTERP_MIN = 0.1     # least fraction of a step an interpolated backtrack keeps
 _MIN_STEP = 1e-20
-_STEP0 = 1.0          # first trial step, and the floor of a restarted one
-_ESCAPE_ROUNDS = 10
-_ESCAPE_ITERS = 60
+_STEP0 = 1.0          # first trial step
 _BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
 
 
@@ -73,105 +67,62 @@ def minimize_projected(
     project : callable
         Euclidean projection onto the feasible set.
     rtol : float
-        Relative tolerance on the objective decrease; the monotone phase
-        pauses after the decrease stays below rtol * max(1, |f|) on three
-        consecutive accepted steps, or when no step is accepted at all, and
-        the escape phase then decides whether anything better is reachable.
+        Relative tolerance on the objective decrease: the descent stops
+        after the decrease stays below rtol * max(1, |f|) on three
+        consecutive accepted steps, or when no step is accepted at all.
+        Either stop sets converged; running out of max_iter does not.
     """
     x = project(np.asarray(x0, dtype=float))
     f, g = fun(x)
     if not np.isfinite(f):
         raise ValueError("starting point has non-finite objective")
-    best_x, best_f, best_g = x.copy(), f, g.copy()
     step = _STEP0
     it = 0
-    rounds = 0
+    calm = 0
     converged = False
-
     while it < max_iter:
-        # monotone phase: Armijo along the projected arc
-        calm = 0
-        paused = False
-        while it < max_iter:
-            it += 1
-            accepted = False
-            # keep trial points out of overflow territory
-            g_n = math.hypot(*g)  # np.linalg.norm overflows past ~1e154
-            cap = 1e9 * (1.0 + float(np.linalg.norm(x)))
-            while step * g_n > cap:
+        it += 1
+        accepted = False
+        # keep trial points out of overflow territory
+        g_n = math.hypot(*g)  # np.linalg.norm overflows past ~1e154
+        cap = 1e9 * (1.0 + float(np.linalg.norm(x)))
+        while step * g_n > cap:
+            step *= _STEP_SHRINK
+        while step >= _MIN_STEP:
+            cand = project(x - step * g)
+            move = cand - x
+            if float(move @ move) == 0.0:
+                break
+            f_c, g_c = fun(cand)
+            slope = float(g @ move)
+            # a step that leaves f where it was, as rounding allows near a
+            # minimum, counts as rejected: accepted steps strictly lower f
+            if np.isfinite(f_c) and f_c < f and f_c <= f + _ARMIJO * slope:
+                accepted = True
+                break
+            # back off to the minimizer of the quadratic through f, the
+            # slope and f_c, within [_INTERP_MIN, _STEP_SHRINK] of the step
+            curv = f_c - f - slope
+            if np.isfinite(f_c) and curv > 0.0:
+                step *= min(max(-0.5 * slope / curv, _INTERP_MIN),
+                            _STEP_SHRINK)
+            else:
                 step *= _STEP_SHRINK
-            while step >= _MIN_STEP:
-                cand = project(x - step * g)
-                move = cand - x
-                if float(move @ move) == 0.0:
-                    break
-                f_c, g_c = fun(cand)
-                slope = float(g @ move)
-                if np.isfinite(f_c) and f_c <= f + _ARMIJO * slope:
-                    accepted = True
-                    break
-                # back off to the minimizer of the quadratic through f, the
-                # slope and f_c, within [_INTERP_MIN, _STEP_SHRINK] of the step
-                curv = f_c - f - slope
-                if np.isfinite(f_c) and curv > 0.0:
-                    step *= min(max(-0.5 * slope / curv, _INTERP_MIN),
-                                _STEP_SHRINK)
-                else:
-                    step *= _STEP_SHRINK
-            if not accepted:
-                paused = True
-                break
-            drop = f - f_c
-            x, f, g = cand, f_c, g_c
-            if f < best_f:
-                best_f, best_x, best_g = f, x.copy(), g.copy()
-            if drop <= rtol * max(1.0, abs(f)):
-                calm += 1
-                if calm >= 3:
-                    paused = True
-                    break
-            else:
-                calm = 0
-            step *= _STEP_GROW
-        if not paused:
-            break  # monotone phase ran out of budget
-        converged = True
-
-        # escape phase: diminishing plain subgradient steps from the pause
-        # point; each later round explores at half the previous scale
-        rounds += 1
-        if rounds > _ESCAPE_ROUNDS:
+        if not accepted:
+            converged = True
             break
-        mark = best_f
-        c = (0.5 ** (rounds - 1)) * (1.0 + np.linalg.norm(best_x)) \
-            / (math.hypot(*best_g) + 1e-12)
-        xe, ge = best_x.copy(), best_g.copy()
-        for j in range(1, _ESCAPE_ITERS + 1):
-            if it >= max_iter:
+        drop = f - f_c
+        x, f, g = cand, f_c, g_c
+        if drop <= rtol * max(1.0, abs(f)):
+            calm += 1
+            if calm >= 3:
+                converged = True
                 break
-            it += 1
-            d = (c / np.sqrt(j)) * np.clip(ge, -1e100, 1e100)
-            dn = float(np.linalg.norm(d))
-            lim = 1e3 * (1.0 + float(np.linalg.norm(xe)))
-            if dn > lim:
-                d *= lim / dn
-            xe = project(xe - d)
-            fe, ge_new = fun(xe)
-            if np.isfinite(fe):
-                ge = ge_new
-                if fe < best_f:
-                    best_f, best_x, best_g = fe, xe.copy(), ge_new.copy()
-            else:
-                xe, ge = best_x.copy(), best_g.copy()
-                c *= _STEP_SHRINK
-        if best_f < mark - rtol * max(1.0, abs(mark)):
-            x, f, g = best_x.copy(), best_f, best_g.copy()
-            step = max(step, _STEP0) * _STEP_SHRINK ** 4
-            converged = False
-            continue
-        break  # nothing materially better nearby
+        else:
+            calm = 0
+        step *= _STEP_GROW
 
-    return OptResult(best_x, best_f, it, converged)
+    return OptResult(x, f, it, converged)
 
 
 def maximize_projected(fun, x0, project, rtol: float = 1e-8,

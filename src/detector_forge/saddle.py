@@ -7,13 +7,13 @@ average of the two one-sided moment bounds
     psi(h; mu1, mu2) = [phi1(-h; mu1) + phi2(h; mu2)] / 2.
 
 The solve runs once, with no restart.  The dual ascent maximizes
-D(mu) = min_h psi(h; mu) over the parameters, starting from the best
-response at h = 0; each evaluation is a frozen-parameter minimization over
-h, and the one at the ascent's end point gives the lower value and names
-the detector.  When both families are the same simple observation scheme
-(sub-Gaussian, Poisson or discrete) over the full space, that minimization
-has a closed form (Goldenshluger, Juditsky & Nemirovski, EJS 2015,
-section 2.3):
+D(mu) = min_h psi(h; mu) over the parameters, starting from the projection
+of the origin onto the parameter sets; each evaluation is a
+frozen-parameter minimization over h, and the one at the ascent's end
+point gives the lower value and names the detector.  When both families
+are the same simple observation scheme (sub-Gaussian, Poisson or discrete)
+over the full space, that minimization has a closed form (Goldenshluger,
+Juditsky & Nemirovski, EJS 2015, section 2.3):
 
     sub-Gaussian  h = (Theta1 + Theta2)^{-1} (theta1 - theta2),  D = psi(h)
     Poisson       h = log(mu1 / mu2) / 2,  D = -sum (sqrt mu1 - sqrt mu2)^2 / 2
@@ -213,15 +213,15 @@ def solve_saddle(problem: SaddleProblem,
     """Solve the pairwise game and certify the value.
 
     One pass, with no loop, over the h-domain capped at radius _RADIUS when
-    unbounded.  From the best response at the start point, the parameters
-    ascend the dual D(mu) = min_h psi(h; mu), each evaluation the closed
-    form of _frozen_argmin where it applies and a projected-gradient
-    minimization (400 steps) otherwise; a full-budget evaluation at the
-    ascent's end point gives the lower value.  The best response at that
-    frozen minimizer gives the upper value, unless the two are further
-    apart than the descent's own tolerance: then F(h) = max_mu psi(h; mu)
-    descends from there, and the best response at its end gives the upper
-    value.
+    unbounded.  From the projection of the origin onto the parameter sets,
+    the parameters ascend the dual D(mu) = min_h psi(h; mu), each
+    evaluation the closed form of _frozen_argmin where it applies and a
+    projected-gradient minimization (400 steps) otherwise; a full-budget
+    evaluation at the ascent's end point gives the lower value.  The best
+    response at that frozen minimizer gives the upper value, unless the two
+    are further apart than the descent's own tolerance: then
+    F(h) = max_mu psi(h; mu) descends from there, and the best response at
+    its end gives the upper value.
 
     Returns a solution whose sad_val equals psi at the returned point with
     best-response parameters (an upper value), whose gap is upper minus
@@ -272,9 +272,11 @@ def solve_saddle(problem: SaddleProblem,
                             0.5 * d2.grad_mu(res.x, mu[n1:])])
         return res.value, g
 
-    # the dual ascent from the best response at the start point
-    mu1, mu2, _, iters_used = best_response(problem, hmin["h"])
-    res_dual = maximize_projected(dual, np.concatenate([mu1, mu2]), proj_mu,
+    # the dual ascent from the projection of the origin onto the parameter
+    # sets.  On a simplex that point has a zero only where the bounds force
+    # one, while the best response at h = 0 can be a vertex with zeros,
+    # where the closed form declines and the ascent can stall
+    res_dual = maximize_projected(dual, np.zeros(n1 + d2.m_set.dim), proj_mu,
                                   rtol=dual_rtol, max_iter=300)
     m1, m2 = res_dual.x[:n1], res_dual.x[n1:]
     res_low = frozen_min(m1, m2, _DESCENT_MAX_ITER)
@@ -289,7 +291,7 @@ def solve_saddle(problem: SaddleProblem,
     # the upper value at the frozen minimizer
     h_star = hmin["h"]
     mu1, mu2, upper, used = best_response(problem, h_star)
-    iters_used += res_dual.iterations + res_low.iterations + used
+    iters_used = res_dual.iterations + res_low.iterations + used
 
     if upper - lower > rtol * max(1.0, abs(upper)):
         # the fallback: the max-form descent from the frozen minimizer

@@ -157,8 +157,9 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
 
     With bounds, the set is {lo <= x <= hi, sum x = 1}; feasibility
     (sum lo <= 1 <= sum hi) is checked at construction.  Projection is the
-    water-filling solution clip(y - tau, lo, hi) with tau found by bisection,
-    which is exact for this geometry.
+    water-filling solution clip(y - tau, lo, hi), with tau solved exactly on
+    the linear piece of tau -> sum clip(y - tau, lo, hi) where that sum
+    crosses 1 (a sort of the breakpoints; Condat, Math. Program. 2016).
     """
     lo = np.zeros(dim) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).copy()
     hi = np.full(dim, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).copy()
@@ -169,17 +170,28 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
 
     def proj(y):
         y = np.asarray(y, dtype=float)
-        t_hi = float(np.max(y - lo))              # all coordinates at lo
-        finite = np.where(np.isfinite(hi), hi, np.max(np.abs(y)) + 1.0)
-        t_lo = float(np.min(y - finite)) - 1.0    # all coordinates at hi
-        for _ in range(100):
-            t = 0.5 * (t_lo + t_hi)
-            s = np.clip(y - t, lo, hi).sum()
-            if s > 1.0:
-                t_lo = t
-            else:
-                t_hi = t
-        return np.clip(y - 0.5 * (t_lo + t_hi), lo, hi)
+        # s(t) = sum clip(y - t, lo, hi) falls piecewise linearly in t: a
+        # coordinate leaves hi at t = y - hi and reaches lo at t = y - lo
+        up, down = y - hi, y - lo
+        fin = np.isfinite(up)
+        knots = np.concatenate([up[fin], down])
+        order = np.argsort(knots)
+        knots = knots[order]
+        turn = np.concatenate([np.full(int(fin.sum()), -1.0),
+                               np.ones(dim)])[order]
+        # slope right of each knot: minus the number of free coordinates
+        slope = np.cumsum(turn) - float(np.count_nonzero(~fin))
+        s = np.clip(y - knots[0], lo, hi).sum() + np.concatenate(
+            ([0.0], np.cumsum(slope[:-1] * np.diff(knots))))
+        # s crosses 1 on the piece (knots[k - 1], knots[k]); solve it there
+        k = min(int(np.searchsorted(-s, -1.0)), knots.size - 1)
+        left = knots[k - 1] if k else -np.inf
+        free = (up <= left) & (down >= knots[k])
+        t = knots[k]
+        if free.any():
+            pinned = np.where(up >= knots[k], hi, lo)[~free].sum()
+            t = (y[free].sum() + pinned - 1.0) / np.count_nonzero(free)
+        return np.clip(y - t, lo, hi)
 
     def supp(g):
         # greedy: pour mass onto the largest coordinates of g first

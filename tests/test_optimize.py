@@ -3,6 +3,7 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,26 @@ def test_huge_gradient_takes_a_step_without_overflow():
         res = minimize_projected(fun, np.array([0.5]),
                                  lambda x: np.clip(x, 0.0, 1.0))
     assert res.value <= start
+
+
+@pytest.mark.parametrize("box", [True, False])
+def test_smooth_quadratic_stops_soon_after_it_settles(box):
+    # the descent stops a few steps after its decrease settles, at the
+    # minimizer: (1, -1) on the box [-1, 1]^2, c over the whole space
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([3.0, -2.0])
+
+    def fun(x):
+        return 0.5 * (x - c) @ A @ (x - c), A @ (x - c)
+
+    def project(x):
+        return np.clip(x, -1.0, 1.0) if box else np.asarray(x, dtype=float)
+
+    x_star = np.array([1.0, -1.0]) if box else c
+    res = minimize_projected(fun, np.zeros(2), project)
+    assert res.converged
+    assert res.iterations <= 20
+    assert np.linalg.norm(res.x - x_star) <= 1e-5
 
 
 def _curvature(kind, n, rng):

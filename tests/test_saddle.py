@@ -309,8 +309,9 @@ def test_descent_certifies_where_the_dual_side_falls_short():
 
 def test_overlapping_simplices_with_zero_entries_certify():
     # the best response at h = 0 is [0.6, 0.4, 0] vs [1, 0, 0], where the
-    # closed form declines the zeros; a dual ascent whose step only halved
-    # shrank it to 7e-21 there and left lower at log sqrt(0.6)
+    # closed form declines the zeros; a dual ascent started there stalls
+    # with lower near log sqrt(0.6).  The projected origin, [1/3, 1/3, 1/3]
+    # vs [0.5, 0.25, 0.25], has no zeros
     prob = SaddleProblem(
         families.discrete_family(sets.simplex(3, hi=[0.6, 0.6, 0.6])),
         families.discrete_family(sets.simplex(3, lo=[0.5, 0.0, 0.0])))
@@ -327,15 +328,15 @@ def _gaussian_sum(lo, p_lo, rate):
         families.poisson_family(sets.box([rate], [rate + 1.0]))])
 
 
-def test_descent_lowers_the_upper_value_of_an_uncertified_composite_pair():
-    # the dual side ends near the saddle value, about -0.134, but its frozen
-    # minimizer wanders along a nearly flat direction of the discrete block,
-    # where F is +0.954; the max-form descent brings F back down, so a
-    # forced detector keeps a risk below 1
+def test_composite_pair_certifies_at_its_saddle_value():
+    # the frozen minimizer has a nearly flat direction in the discrete
+    # block, where F reaches +0.954; a dual ascent started at the best
+    # response at h = 0 drifts along it and ends uncertified near -0.12
     prob = SaddleProblem(_gaussian_sum([0.0, 0.0], [0.5, 0.0, 0.0], 1.0),
                          _gaussian_sum([2.0, 0.5], [0.0, 0.5, 0.0], 3.0))
     sol = solve_saddle(prob)
-    assert sol.sad_val <= -0.1
+    assert sol.certified
+    assert abs(sol.sad_val + 0.133844) <= 1e-6
 
 
 _BOX_21 = ([-1.0, -1.0], [1.0, 2.0])
@@ -353,30 +354,34 @@ def _lifted_pair():
 
 # pairs whose iterative frozen minimization stalls: at a kink of the
 # bounded-support bound, or in the narrow valley of the lifted one.  h_other
-# is a point where F lies below the value the minimization stopped at
+# is a point where F lies below the value the minimization stopped at, and
+# reach is how far above F(h_other) the returned upper value may stay: the
+# bounded-support pairs end within 1e-4 of it, the lifted pair 0.028 above
 _STALLING_PAIRS = {
     "bounded_support": (
         lambda: (families.bounded_support_family(sets.box(*_BOX_21),
                                                  sets.ball([-0.5, 0.0], 0.2)),
                  families.bounded_support_family(sets.box(*_BOX_21),
                                                  sets.ball([0.7, 1.5], 0.2))),
-        [-0.223, -0.138]),                                # F = -0.0924
+        [-0.223, -0.138], 1e-3),                          # F = -0.0924
     "gaussian_vs_bounded_support": (
         lambda: (families.gaussian_point_family([-0.5, 0.0], 0.3 * np.eye(2)),
                  families.bounded_support_family(sets.box(*_BOX_21),
                                                  sets.ball([0.6, 1.0], 0.2))),
-        [-0.692, 0.0]),                                   # F = -0.1558
-    "lift_gaussian": (_lifted_pair, [-0.25, 0.0, 0.0, 0.0, 0.0, 0.0]),  # F = -0.03125
+        [-0.692, 0.0], 1e-3),                             # F = -0.1558
+    "lift_gaussian": (_lifted_pair, [-0.25, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      np.inf),                            # F = -0.03125
 }
 
 
 @pytest.mark.parametrize("name", sorted(_STALLING_PAIRS))
 def test_certified_lower_value_lies_below_every_upper_value(name):
-    make, h_other = _STALLING_PAIRS[name]
+    make, h_other, reach = _STALLING_PAIRS[name]
     prob = SaddleProblem(*make())
     sol = solve_saddle(prob)
     upper_other = best_response(prob, np.asarray(h_other))[2]
     assert not sol.certified or sol.sad_val - sol.gap <= upper_other
+    assert sol.sad_val <= upper_other + reach
 
 
 def test_readme_pair_skips_the_descent(monkeypatch):

@@ -68,6 +68,22 @@ def test_simplex_with_bounds_projection_is_optimal():
         assert abs(x.sum() - 1.0) < 1e-9
         assert np.all(x >= 0.05 - 1e-9) and np.all(x <= 0.6 + 1e-9)
         assert vi_holds(sx, y, x, 30, rng)
+    # finite and infinite upper bounds mixed: the KKT conditions hold to
+    # rounding.  Some t has y - x = t on the free coordinates, y - x <= t
+    # where x sits at lo and y - x >= t where it sits at hi
+    lo = np.array([0.0, 0.1, 0.0, 0.2, 0.05, 0.0])
+    hi = np.array([0.3, np.inf, 0.25, np.inf, 0.4, 0.15])
+    sx = sets.simplex(6, lo=lo, hi=hi)
+    for _ in range(200):
+        y = rng.normal(scale=rng.choice([0.1, 1.0, 5.0]), size=6)
+        x = sx.project(y)
+        assert abs(x.sum() - 1.0) <= 1e-12
+        assert np.all(x >= lo) and np.all(x <= hi)
+        r, at_lo, at_hi = y - x, x == lo, x == hi
+        free = ~(at_lo | at_hi)
+        t_least = np.max(r[at_lo | free], initial=-np.inf)
+        t_most = np.min(r[at_hi | free], initial=np.inf)
+        assert t_least <= t_most + 1e-12
 
 
 def test_simplex_infeasible_bounds_rejected():

@@ -8,7 +8,7 @@ The four constructors cover the standard observation schemes; the calculus
 functions combine existing triples into new ones, preserving the bound.
 
 Parameters mu are always flat vectors.  For the sub-Gaussian family mu is
-the mean stacked with the row-major flattened covariance bound.
+the mean alone: the covariance bound's top is folded in at construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sets
 from .optimize import minimize_projected
-from .sets import ConvexSet, full_space, product, scale, sym_flatten, sym_unflatten
+from .sets import ConvexSet, full_space, product, psd_top, scale, sym_flatten
 
 __all__ = [
     "RegularData",
@@ -80,38 +80,34 @@ def _safe_exp(x):
 # basic families
 
 def sub_gaussian_family(mean_set: ConvexSet, cov_set: ConvexSet) -> RegularData:
-    """Distributions with sub-Gaussian tails.
+    """Distributions with sub-Gaussian tails: phi(h; theta) = theta'h + h'Theta h / 2.
 
-    phi(h; theta, Theta) = theta'h + h'Theta h / 2.  The parameter vector is
-    [theta, vec(Theta)]; cov_set lives over flattened symmetric psd matrices
-    (see sets.psd_interval and sets.singleton of a flattened matrix).
+    cov_set, a sets.singleton of a flattened psd matrix or a psd_interval,
+    is read at its top (the point, or the interval's upper end): phi grows
+    with Theta in the psd order, so that is its supremum over cov_set for
+    every h.  The parameter vector is the mean theta alone.
     """
     d = mean_set.dim
-    if cov_set.dim != d * d:
-        raise ValueError("cov_set must have dimension d*d for flattened matrices")
-    m_set = product([mean_set, cov_set])
-
-    def split(mu):
-        return mu[:d], sym_unflatten(mu[d:])
+    Theta = psd_top(cov_set)
+    if Theta is None or Theta.shape != (d, d):
+        raise ValueError("cov_set must be a singleton or a psd_interval of d x d matrices")
 
     def phi(h, mu):
-        th, Th = split(mu)
-        return float(th @ h + 0.5 * h @ (Th @ h))
+        return float(mu @ h + 0.5 * h @ (Theta @ h))
 
     def grad_h(h, mu):
-        th, Th = split(mu)
-        return th + Th @ h
+        return mu + Theta @ h
 
     def grad_mu(h, mu):
-        return np.concatenate([h, 0.5 * sym_flatten(np.outer(h, h))])
+        return np.asarray(h, dtype=float).copy()
 
-    return RegularData(full_space(d), m_set, d, phi, grad_h, grad_mu,
+    return RegularData(full_space(d), mean_set, d, phi, grad_h, grad_mu,
                        kind="sub_gaussian", direction=lambda h: grad_mu(h, None),
-                       meta={"d": d, "mean_set": mean_set, "cov_set": cov_set})
+                       meta={"d": d, "cov": Theta})
 
 
 def gaussian_point_family(theta, Theta) -> RegularData:
-    """Sub-Gaussian family with a single parameter point (theta, Theta)."""
+    """Sub-Gaussian family with a single mean theta and covariance bound Theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     Theta = np.asarray(Theta, dtype=float)
     if np.linalg.eigvalsh(0.5 * (Theta + Theta.T)).min() < -1e-10:

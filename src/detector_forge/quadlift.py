@@ -33,7 +33,7 @@ from .families import RegularData, bounded_support_family
 from .optimize import (maximize_box_quadratic, maximize_projected,
                        minimize_projected)
 from .saddle import _DEGENERATE_FLOOR
-from .sets import ConvexSet, full_space, sym_flatten, sym_unflatten
+from .sets import ConvexSet, full_space, psd_top, sym_flatten, sym_unflatten
 
 __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
            "lift_gaussian", "lift_observation", "solve_quad_detector",
@@ -89,23 +89,13 @@ class QuadLiftSpec:
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
         self.root, self.iroot = _sqrt_pd(self.Theta_star)
-        self._check_cov_below()
+        top = psd_top(self.Ucov)
+        if top is not None and np.linalg.eigvalsh(self.Theta_star - top).min() < -1e-8:
+            raise ValueError("Theta_star must dominate every covariance in the set")
         if self.delta is None:
             self.delta = compute_delta(self.Ucov, self.Theta_star)
         if not (0.0 <= self.delta <= 2.0):
             raise ValueError("delta must lie in [0, 2]")
-
-    def _check_cov_below(self):
-        kind = self.Ucov.meta.get("kind")
-        tops = []
-        if kind == "singleton":
-            tops = [sym_unflatten(self.Ucov.meta["point"])]
-        elif kind == "psd_interval":
-            tops = [self.Ucov.meta["hi"]]
-        for T in tops:
-            if np.linalg.eigvalsh(self.Theta_star - T).min() < -1e-8:
-                raise ValueError("Theta_star must dominate every covariance "
-                                 "in the set")
 
     @property
     def dim(self) -> int:
@@ -317,18 +307,25 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """
     d = spec.dim
     n = d + d * d
+    cache: dict = {"key": None}
 
     def split(x):
         return x[:d], sym_unflatten(x[d:])
 
+    def bound(x, mu):
+        # phi and grad_h are asked at one point in turn: one _lifted_bound
+        x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
+        key = (x.tobytes(), mu.tobytes())
+        if cache["key"] != key:
+            cache["key"], cache["res"] = key, _lifted_bound(spec, *split(x),
+                                                            sym_unflatten(mu))
+        return cache["res"]
+
     def phi(x, mu):
-        h, H = split(x)
-        val, _, _ = _lifted_bound(spec, h, H, sym_unflatten(mu))
-        return val
+        return bound(x, mu)[0]
 
     def grad_h(x, mu):
-        h, H = split(x)
-        _, gh, gH = _lifted_bound(spec, h, H, sym_unflatten(mu))
+        _, gh, gH = bound(x, mu)
         return np.concatenate([gh, sym_flatten(gH)])
 
     def grad_mu(x, mu):

@@ -53,7 +53,7 @@ import numpy as np
 
 from .families import _INNER_MAX_ITER, _INNER_RTOL, RegularData
 from .optimize import OptResult, maximize_projected, minimize_projected
-from .sets import ConvexSet, ball, sym_unflatten
+from .sets import ConvexSet, ball
 
 __all__ = ["SaddleProblem", "SaddleOptions", "SaddleSolution",
            "best_response", "solve_saddle"]
@@ -139,24 +139,24 @@ def _frozen_argmin(data1: RegularData, data2: RegularData):
 
     For two families of the same simple observation scheme over the full
     space, returns (m1, m2) -> (h, value) with value = min_h psi, or None at
-    parameters where the formula does not apply: a singular Theta1 + Theta2,
-    or a zero rate or probability, where the infimum may lie at infinity.
-    Returns None for every other pair of families.
+    parameters where the formula does not apply: a zero rate or probability,
+    where the infimum may lie at infinity.  Returns None for a sub-Gaussian
+    pair whose Theta1 + Theta2, factored once here, is singular, and for
+    every other pair of families.
     """
     kind = data1.kind
     if kind != data2.kind or any(x.h_set.meta.get("kind") != "full_space"
                                  for x in (data1, data2)):
         return None
     if kind == "sub_gaussian":
-        d = data1.obs_dim
+        S = data1.meta["cov"] + data2.meta["cov"]
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(S))
+        except np.linalg.LinAlgError:
+            return None
 
         def argmin(m1, m2):
-            S = sym_unflatten(m1[d:]) + sym_unflatten(m2[d:])
-            try:
-                L = np.linalg.cholesky(S)
-            except np.linalg.LinAlgError:
-                return None
-            h = np.linalg.solve(L.T, np.linalg.solve(L, m1[:d] - m2[:d]))
+            h = L_inv.T @ (L_inv @ (m1 - m2))
             return h, 0.5 * (data1.phi(-h, m1) + data2.phi(h, m2))
 
     elif kind == "poisson":

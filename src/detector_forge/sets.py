@@ -30,6 +30,7 @@ __all__ = [
     "linear_image",
     "intersection",
     "psd_interval",
+    "psd_top",
     "sym_flatten",
     "sym_unflatten",
     "eig_clip",
@@ -483,3 +484,9 @@ def psd_interval(lo, hi) -> ConvexSet:
     radius = float(np.linalg.norm(lo) + np.trace(hi - lo))
     return ConvexSet(d * d, base.project, supp, radius, name="psd_interval",
                      meta={"kind": "psd_interval", "lo": lo, "hi": hi, "d": d})
+
+
+def psd_top(cov_set: ConvexSet) -> Optional[np.ndarray]:
+    """The psd-largest member of a singleton or a psd_interval, else None."""
+    key = {"singleton": "point", "psd_interval": "hi"}.get(cov_set.meta.get("kind"))
+    return None if key is None else sym_unflatten(cov_set.meta[key])

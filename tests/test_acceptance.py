@@ -352,7 +352,8 @@ def test_criterion_11_calculus_coherence():
     ident = 0.0
     for _ in range(20):
         h = rng.normal(size=3)
-        want = g1.phi(h[:1], mu_ds[:2]) + pois.phi(h[1:], mu_ds[2:])
+        n = g1.m_set.dim
+        want = g1.phi(h[:1], mu_ds[:n]) + pois.phi(h[1:], mu_ds[n:])
         ident = max(ident, abs(ds.phi(h, mu_ds) - want))
 
     lam = np.array([0.5, 1.5, 1.0])

@@ -20,10 +20,6 @@ def make_gaussian(theta, Theta):
     return gaussian_point_family(np.asarray(theta, float), np.asarray(Theta, float))
 
 
-def gaussian_mu(theta, Theta):
-    return np.concatenate([np.asarray(theta, float), sets.sym_flatten(np.asarray(Theta, float))])
-
-
 # ---------------------------------------------------------------------------
 # frozen values
 
@@ -47,7 +43,8 @@ def test_sub_gaussian_value():
     fam = make_gaussian(theta, Theta)
     h = np.array([0.3, 0.7])
     want = theta @ h + 0.5 * h @ Theta @ h
-    assert fam.phi(h, gaussian_mu(theta, Theta)) == pytest.approx(want, abs=1e-14)
+    assert fam.m_set.dim == 2
+    assert fam.phi(h, theta) == pytest.approx(want, abs=1e-14)
 
 
 def test_bounded_support_symmetric_interval():
@@ -83,7 +80,7 @@ def test_direct_sum_blockwise():
     Q2 = np.diag([1.0, 2.0, 3.0])
     fam = direct_sum([make_gaussian(t1, Q1), make_gaussian(t2, Q2)])
     h = rng.normal(size=5)
-    mu = np.concatenate([gaussian_mu(t1, Q1), gaussian_mu(t2, Q2)])
+    mu = np.concatenate([t1, t2])
     want = t1 @ h[:2] + 0.5 * h[:2] @ Q1 @ h[:2] + t2 @ h[2:] + 0.5 * h[2:] @ Q2 @ h[2:]
     assert fam.phi(h, mu) == pytest.approx(want, abs=1e-12)
 
@@ -95,7 +92,7 @@ def test_iid_scale_sub_gaussian():
     a, b = 0.7, 1.3
     fam = iid_scale(make_gaussian(theta, Theta), [a, b])
     h = rng.normal(size=3)
-    mu = gaussian_mu(theta, Theta)
+    mu = theta
     want = (a + b) * theta @ h + 0.5 * (a * a + b * b) * h @ Theta @ h
     assert fam.phi(h, mu) == pytest.approx(want, abs=1e-12)
 
@@ -108,7 +105,7 @@ def test_affine_image_gaussian():
     a = rng.normal(size=2)
     fam = affine_image(make_gaussian(theta, Theta), A, a)
     hb = rng.normal(size=2)
-    mu = gaussian_mu(theta, Theta)
+    mu = theta
     want = (A @ theta + a) @ hb + 0.5 * hb @ (A @ Theta @ A.T) @ hb
     assert fam.phi(hb, mu) == pytest.approx(want, abs=1e-12)
 
@@ -121,8 +118,7 @@ def test_semi_direct_sum_identical_parts():
     fam = semi_direct_sum([part, part], eps=1e-3)
     g = np.array([0.4, -0.3])
     h = np.concatenate([g, g])
-    mu0 = gaussian_mu([0.0, 0.0], Theta)
-    mu = np.concatenate([mu0, mu0])
+    mu = np.zeros(4)
     assert fam.phi(h, mu) == pytest.approx(2.0 * g @ Theta @ g, rel=1e-6)
 
 
@@ -134,13 +130,20 @@ def test_semi_direct_sum_matches_grid():
     eps = 1e-3
     fam = semi_direct_sum([part, part], eps=eps)
     th1, th2 = rng.normal(size=2) * 0.3, rng.normal(size=2) * 0.3
-    mu = np.concatenate([gaussian_mu(th1, Theta), gaussian_mu(th2, Theta)])
+    mu = np.concatenate([th1, th2])
     h = rng.normal(size=4)
 
     lams = np.linspace(eps, 1.0 - eps, 4001)
-    vals = [lam * part.phi(h[:2] / lam, mu[:6]) +
-            (1 - lam) * part.phi(h[2:] / (1 - lam), mu[6:]) for lam in lams]
+    vals = [lam * part.phi(h[:2] / lam, mu[:2]) +
+            (1 - lam) * part.phi(h[2:] / (1 - lam), mu[2:]) for lam in lams]
     assert fam.phi(h, mu) == pytest.approx(min(vals), abs=1e-4)
+
+
+def test_sub_gaussian_rejects_a_cov_set_without_a_top():
+    # only a point or a psd interval names the covariance the bound is read at
+    with pytest.raises(ValueError):
+        sub_gaussian_family(sets.box([0.0, 0.0], [1.0, 1.0]),
+                            sets.ball(sets.sym_flatten(np.eye(2)), 0.1))
 
 
 def test_semi_direct_sum_rejects_unbounded_parts():
@@ -248,7 +251,7 @@ def test_mgf_certificates_monte_carlo():
         h = rng.normal(scale=0.7, size=2)
         x = np.exp(draws @ h)
         est, se = x.mean(), x.std(ddof=1) / np.sqrt(n)
-        assert est <= np.exp(gs.phi(h, gaussian_mu(theta, Theta))) + 3.0 * se
+        assert est <= np.exp(gs.phi(h, theta)) + 3.0 * se
 
     lam = np.array([1.5, 0.7])
     po = poisson_family(sets.box([0.0, 0.0], [3.0, 3.0]))

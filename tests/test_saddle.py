@@ -185,8 +185,7 @@ def _random_pair(kind, d, rng):
         def point():
             A = rng.normal(size=(d, d))
             theta, Theta = rng.normal(size=d), A @ A.T + 0.1 * np.eye(d)
-            return (families.gaussian_point_family(theta, Theta),
-                    np.concatenate([theta, sets.sym_flatten(Theta)]))
+            return families.gaussian_point_family(theta, Theta), theta
     elif kind == "poisson":
         def point():
             mu = rng.uniform(0.05, 10.0, size=d)
@@ -248,7 +247,7 @@ _FALLBACK_PAIRS = {
         lambda: (families.discrete_family(sets.singleton([0.5, 0.5, 0.0])),
                  families.discrete_family(sets.singleton([0.0, 0.5, 0.5]))),
         np.log(0.5)),
-    # Theta1 + Theta2 = diag(2, 0): no Cholesky factor
+    # Theta1 + Theta2 = diag(2, 0): no Cholesky factor for the pair
     "singular_covariance": (
         lambda: (families.gaussian_point_family([1.0, 0.0], np.diag([1.0, 0.0])),
                  families.gaussian_point_family([0.0, 0.0], np.diag([1.0, 0.0]))),
@@ -261,7 +260,13 @@ def test_frozen_min_falls_back_where_the_closed_form_does_not_apply(name):
     make, want = _FALLBACK_PAIRS[name]
     fam1, fam2 = make()
     m1, m2 = (f.m_set.project(np.zeros(f.m_set.dim)) for f in (fam1, fam2))
-    assert saddle._frozen_argmin(fam1, fam2)(m1, m2) is None
+    argmin = saddle._frozen_argmin(fam1, fam2)
+    # a singular covariance sum declines for the whole pair, a zero rate or
+    # probability at that parameter
+    if name == "singular_covariance":
+        assert argmin is None
+    else:
+        assert argmin(m1, m2) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sol = solve_saddle(SaddleProblem(fam1, fam2))
@@ -287,6 +292,23 @@ _OVERLAPPING_BOXES = {
     "case_b": (([0.0, -3.0, -3.0], [3.0, -1.5, -3.0]),
                ([1.5, -3.0, -3.0], [1.5, 0.0, -3.0]), [1.01171875, 4.0, 0.25]),
 }
+
+
+def test_psd_interval_pair_solves_at_the_upper_covariances():
+    # the bound grows with Theta, so each side is read at its interval's top
+    # and the parameter is the mean alone; boxes apart along the first axis,
+    # so the closest means differ by Delta = (1.2, 0)
+    hi1, hi2 = np.diag([1.5, 2.0]), np.diag([0.8, 1.1])
+    fam1 = families.sub_gaussian_family(
+        sets.box([-2.0, -0.5], [-0.7, 0.5]), sets.psd_interval(0.5 * hi1, hi1))
+    fam2 = families.sub_gaussian_family(
+        sets.box([0.5, -0.3], [2.0, 0.8]), sets.psd_interval(0.2 * hi2, hi2))
+    sol = solve_saddle(SaddleProblem(fam1, fam2))
+    assert sol.certified
+    assert sol.mu1.shape == (2,) and sol.mu2.shape == (2,)
+    delta = np.array([-0.7 - 0.5, 0.0])
+    want = np.exp(-0.25 * delta @ np.linalg.solve(hi1 + hi2, delta))
+    assert np.exp(sol.sad_val) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(_OVERLAPPING_BOXES))
@@ -428,9 +450,7 @@ def test_disjoint_supports_degenerate():
 def test_best_response_singletons_immediate():
     prob = gaussian_pair([1.0], [0.0], np.eye(1))
     mu1, mu2, val, _ = best_response(prob, np.array([0.5]))
-    th1 = np.concatenate([[1.0], sets.sym_flatten(np.eye(1))])
-    th2 = np.concatenate([[0.0], sets.sym_flatten(np.eye(1))])
-    assert np.allclose(mu1, th1) and np.allclose(mu2, th2)
+    assert np.allclose(mu1, [1.0]) and np.allclose(mu2, [0.0])
     assert val == pytest.approx(0.5 * (-0.5 + 0.125 + 0.0 + 0.125))
 
 

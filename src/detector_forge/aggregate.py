@@ -16,9 +16,13 @@ Empty pieces are dropped before any detector is built.  When the image
 has a support function, a margin chunk (one half-space) is empty exactly
 when the image's least value along its row exceeds the offset, which one
 support call gives; a cell (L - 1 half-spaces) is empty when one of its
-rows fails that test.  Cells that pass it, and pieces of images without
-a support function, fall back to a residual check at the estimate and
-then at its Dykstra projection onto the piece.
+rows fails that test.  A cell that passes it on a finite box or a linear
+image of one is a polytope, decided by an exact projection of its
+estimate (optimize.minimize_polytope_quadratic).  Pieces of any other
+image fall back to a residual check at the estimate and then at its
+Dykstra projection onto the piece.  Level tests on polyhedral images take
+their closest pairs from the same exact oracle, so they run no Dykstra at
+all.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .detectors import GaussianPairSpec, gaussian_symmetric_detector
 from .errors import InfeasibleError
 from .multitest import (ClosenessRelation, PairwiseBattery, ShiftedBattery,
                         infer_color_block, run_multitest_block, shift_battery)
-from .sets import ConvexSet, halfspaces, linear_image
+from .optimize import minimize_polytope_quadratic
+from .sets import ConvexSet, halfspaces, linear_image, polyhedral_form
 
 __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
            "level_margins", "LevelSets", "purify", "LevelTest",
@@ -111,9 +116,13 @@ def voronoi_geometry(estimates) -> VoronoiGeometry:
 
 def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
               base: ConvexSet, seed: np.ndarray) -> bool:
-    """Is the piece {x in base : A x <= b} non-empty, up to a residual of
-    _EMPTY_RESIDUAL * (1 + |x|)?  The least value of a_i x over the base
-    is -supp(-a_i), taken at the support point, which decides one row."""
+    """Is the piece {x in base : A x <= b} non-empty?  The least value of
+    a_i x over the base is -supp(-a_i), taken at the support point, which
+    decides one row up to a residual of _EMPTY_RESIDUAL * (1 + |x|).  A
+    polyhedral piece {G z : lo <= z <= hi, C z <= d} of several rows is
+    decided by projecting the seed onto it exactly
+    (optimize.minimize_polytope_quadratic with Q = G'G), which finds a
+    point exactly when the piece is non-empty."""
     if base.support is not None:
         for a_i, b_i in zip(A, b):
             val, x = base.support(-a_i)
@@ -121,6 +130,13 @@ def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
                 return False
         if b.size == 1:
             return True
+    form = polyhedral_form(piece)
+    if form is not None:
+        G, lo, hi, C, d = form
+        best = minimize_polytope_quadratic(G.T @ G, -(G.T @ seed), lo, hi,
+                                           C, d)
+        if best is not None:
+            return best[0] is not None
 
     def meets(x):
         resid = max(float(np.max(A @ x - b)), base.distance(x))
@@ -151,8 +167,10 @@ def purify(problem: AggregationProblem, deltas) -> list:
 
     Emptiness is exact, by one support call, for one-row pieces of an
     image with a support function; a cell of several rows is dropped when
-    one row fails that test, and otherwise kept or dropped by the residual
-    of a point found by Dykstra's method (see ``_feasible``).
+    one row fails that test.  Otherwise a cell of a polyhedral image (a
+    finite box or its linear image) is kept exactly when the polytope
+    oracle finds a point in it, and a cell of any other image by the
+    residual of a point found by Dykstra's method (see ``_feasible``).
     """
     geo = voronoi_geometry(problem.estimates)
     L = problem.count

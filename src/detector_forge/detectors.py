@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .optimize import minimize_projected
+from .optimize import minimize_polytope_quadratic, minimize_projected
 from .saddle import _DEGENERATE_FLOOR, SaddleOptions, SaddleProblem, solve_saddle
-from .sets import ConvexSet
+from .sets import ConvexSet, polyhedral_form
 
 __all__ = ["AffineDetector", "TestVerdict", "build_detector", "apply_detector",
            "apply_repeated", "risk_after_K", "k_to_match_ideal",
@@ -131,13 +131,40 @@ class GaussianPairResult:
     risk_gaussian: float  # exact two-sided error when the noise is Gaussian
 
 
+def _closest_polyhedral_pair(s1: ConvexSet, s2: ConvexSet, P: np.ndarray):
+    """Exact closest pair of two polyhedral mean sets in the metric P, or
+    None when either set is not polyhedral (sets.polyhedral_form) or the
+    face enumeration declines.  With s_k = {G_k z_k : lo_k <= z_k <= hi_k,
+    C_k z_k <= d_k}, the squared distance is z'Qz/2 over z = (z1, z2), with
+    Q = 2 M'PM and M = [G1, -G2], minimized by one oracle call."""
+    f1, f2 = polyhedral_form(s1), polyhedral_form(s2)
+    if f1 is None or f2 is None:
+        return None
+    (G1, lo1, hi1, C1, d1), (G2, lo2, hi2, C2, d2) = f1, f2
+    n1, n2 = G1.shape[1], G2.shape[1]
+    M = np.hstack([G1, -G2])
+    C = np.zeros((C1.shape[0] + C2.shape[0], n1 + n2))
+    C[:C1.shape[0], :n1] = C1
+    C[C1.shape[0]:, n1:] = C2
+    best = minimize_polytope_quadratic(
+        2.0 * (M.T @ P @ M), np.zeros(n1 + n2), np.concatenate([lo1, lo2]),
+        np.concatenate([hi1, hi2]), C, np.concatenate([d1, d2]))
+    if best is None or best[0] is None:
+        return None
+    return G1 @ best[0][:n1], G2 @ best[0][n1:]
+
+
 def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     """Optimal affine detector for Gaussian-type pairs with common covariance.
 
     Finds the closest pair of means in the precision metric, then reads the
     detector off the geometry: h is the precision-weighted half-difference,
     the shift centers the statistic between the two means.  Overlapping mean
-    sets yield the zero detector with risk one.
+    sets yield the zero detector with risk one.  The closest pair is exact
+    when both mean sets are polyhedral (finite boxes, linear images of them
+    and halfspaces over those: one optimize.minimize_polytope_quadratic
+    call); any other pair is searched by projected gradient, whose stopping
+    point can only overstate the distance.
     """
     Theta = np.asarray(spec.Theta, dtype=float)
     d = spec.mean_set1.dim
@@ -150,8 +177,10 @@ def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
 
     s1, s2 = spec.mean_set1, spec.mean_set2
     if s1.meta.get("kind") == "singleton" and s2.meta.get("kind") == "singleton":
-        t1, t2 = s1.meta["point"], s2.meta["point"]
+        pair = s1.meta["point"], s2.meta["point"]
     else:
+        pair = _closest_polyhedral_pair(s1, s2, P)
+    if pair is None:
         def obj(z):
             u, v = z[:d], z[d:]
             r = P @ (u - v)
@@ -163,8 +192,8 @@ def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
         z0 = np.concatenate([s1.project(np.zeros(d)), s2.project(np.zeros(d))])
         res = minimize_projected(obj, z0, proj, rtol=_CLOSEST_RTOL,
                                  max_iter=_CLOSEST_MAX_ITER)
-        t1, t2 = res.x[:d], res.x[d:]
-
+        pair = res.x[:d], res.x[d:]
+    t1, t2 = pair
     diff = t1 - t2
     h = 0.5 * (P @ diff)
     delta = float(np.sqrt(max(h @ (Theta @ h), 0.0)))

@@ -17,11 +17,16 @@ value) rather than from where the descent stopped.  Problems here are
 small and dense, so robustness beats sophistication.
 
 Quadratics over a finite box have an exact answer instead:
-maximize_box_quadratic enumerates the faces on which the maximum can sit.
+maximize_box_quadratic enumerates the faces on which the maximum can sit,
+for any curvature.  Convex quadratics over a bounded polytope {lo <= z <=
+hi, C z <= d} have one too: minimize_polytope_quadratic enumerates the
+active sets of box bounds and cut rows and solves their KKT systems in
+batches.  Both share the enumeration of per-coordinate box states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -29,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = ["OptResult", "minimize_projected", "maximize_projected",
-           "maximize_box_quadratic"]
+           "maximize_box_quadratic", "minimize_polytope_quadratic"]
 
 _ARMIJO = 1e-4
 _STEP_GROW = 2.0
@@ -37,7 +42,9 @@ _STEP_SHRINK = 0.5
 _INTERP_MIN = 0.1     # least fraction of a step an interpolated backtrack keeps
 _MIN_STEP = 1e-20
 _STEP0 = 1.0          # first trial step
-_BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
+_BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of the enumerating oracles
+_FACE_CHUNK = 2048             # KKT systems built and solved at once
+_FEASIBLE_RTOL = 1e-9          # slack of a candidate, relative to its rows
 
 
 @dataclass
@@ -137,6 +144,18 @@ def maximize_projected(fun, x0, project, rtol: float = 1e-8,
     return OptResult(res.x, -res.value, res.iterations, res.converged)
 
 
+def _box_states(radix) -> np.ndarray:
+    """Every state vector of coordinates with radix[i] states each: 0 at lo,
+    1 at hi, 2 free.  The first coordinate varies slowest."""
+    radix = np.asarray(radix)
+    count = int(np.prod(radix))
+    states = np.empty((count, radix.size), dtype=np.int8)
+    rest = np.arange(count)
+    for i in range(radix.size - 1, -1, -1):
+        rest, states[:, i] = np.divmod(rest, radix[i])
+    return states
+
+
 def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     """Exact maximum of q(x) = x'Tx/2 + g'x over the finite box [lo, hi].
 
@@ -163,12 +182,8 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     count = 2 ** (n - k) * 3 ** k
     if count > _BOX_CANDIDATE_CAP:
         return None
-    # state per coordinate: 0 at lo, 1 at hi, 2 free; the first coordinate
-    # varies slowest, so convex T meets the corners in np.indices order
-    states = np.empty((count, n), dtype=np.int8)
-    rest = np.arange(count)
-    for i in range(n - 1, -1, -1):
-        rest, states[:, i] = np.divmod(rest, radix[i])
+    # convex T meets the corners in np.indices order
+    states = _box_states(radix)
     X = np.where(states == 1, hi, lo)
     if k:
         # subset r of the negative diagonal frees neg[j] when bit j of r is set
@@ -201,3 +216,103 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     vals = 0.5 * np.sum((X @ T) * X, axis=1) + X @ g
     best = int(np.argmax(vals))
     return X[best], float(vals[best])
+
+
+@functools.lru_cache(maxsize=32)
+def _polytope_faces(n: int, m: int):
+    """Candidate active sets of minimize_polytope_quadratic over n
+    coordinates and m cut rows, or None past _BOX_CANDIDATE_CAP.
+
+    Returns (states, cuts): every box state paired with every subset of the
+    cut rows (a boolean mask) that leaves at most n active rows.  The
+    arrays are read-only, since every caller of one shape shares them.
+    """
+    count = sum(math.comb(n, p) * 2 ** p
+                * sum(math.comb(m, s) for s in range(min(m, n - p) + 1))
+                for p in range(n + 1))
+    if count > _BOX_CANDIDATE_CAP:
+        return None
+    states = _box_states(np.full(n, 3))
+    cuts = _box_states(np.full(m, 2)) == 1
+    active = (np.count_nonzero(states != 2, axis=1)[:, None]
+              + np.count_nonzero(cuts, axis=1)[None, :])
+    i, j = np.nonzero(active <= n)
+    states, cuts = states[i], cuts[j]
+    states.setflags(write=False)
+    cuts.setflags(write=False)
+    return states, cuts
+
+
+def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
+    """Exact minimum of q(z) = z'Qz/2 + c'z over {lo <= z <= hi, C z <= d}.
+
+    Q is symmetric positive semidefinite and the box is finite.  The
+    minimizers form a polytope; at one of its vertices the active rows and
+    Q leave no common null direction (one would move along the optimal set
+    or, were c'w nonzero, lower q), and a linearly independent subset F of
+    those rows carries the KKT multipliers and spans the rest.  So that
+    vertex is the unique solution of the face system
+    [Q_ff C_Ff'; C_Ff 0] (z_f, lam) = (-c_f - Q z_pinned, d_F - C_F z_pinned)
+    of F, with the box rows of F pinning coordinates at lo or hi.  Every
+    candidate pins each coordinate at lo, at hi or not at all and takes a
+    subset of the cut rows, with at most n active rows in all.  Pinned
+    coordinates and inactive cut rows keep a diagonal entry alone, so all
+    systems share one size; those with an exactly zero determinant are
+    dropped and the rest are solved in batches.  A nearly singular system
+    can only yield a point that is rejected or that is a feasible point,
+    whose value is evaluated as is.  The best candidate that meets every
+    row to _FEASIBLE_RTOL of the row's scale wins, clipped into the box.
+
+    Returns (z, q(z)); (None, inf) when no candidate is feasible, that is
+    when the polytope is empty; and None when the candidates exceed
+    _BOX_CANDIDATE_CAP.
+    """
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    Q = 0.5 * (Q + Q.T)
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    n = c.size
+    C = np.zeros((0, n)) if C is None else np.atleast_2d(
+        np.asarray(C, dtype=float)).reshape(-1, n)
+    d = np.zeros(0) if d is None else np.atleast_1d(np.asarray(d, dtype=float))
+    m = d.size
+    faces = _polytope_faces(n, m)
+    if faces is None:
+        return None
+    # the lone diagonal entries, on the scale of the other entries
+    size = max(float(np.max(np.abs(Q), initial=0.0)),
+               float(np.max(np.abs(C), initial=0.0))) or 1.0
+    box_slack = _FEASIBLE_RTOL * (hi - lo)
+    cut_slack = _FEASIBLE_RTOL * (np.abs(d) + np.abs(C) @ np.maximum(
+        np.abs(lo), np.abs(hi)))
+    states, cuts = faces
+    best_z, best_v = None, math.inf
+    for start in range(0, len(states), _FACE_CHUNK):
+        st = states[start:start + _FACE_CHUNK]
+        cut = cuts[start:start + _FACE_CHUNK]
+        free = st == 2
+        X = np.where(st == 1, hi, lo)
+        pinned = np.where(free, 0.0, X)
+        Cf = np.where(cut[:, :, None] & free[:, None, :], C, 0.0)
+        K = np.empty((len(st), n + m, n + m))
+        K[:, :n, :n] = np.where(free[:, :, None] & free[:, None, :], Q,
+                                size * np.eye(n))
+        K[:, n:, :n] = Cf
+        K[:, :n, n:] = Cf.transpose(0, 2, 1)
+        K[:, n:, n:] = np.where(cut[:, :, None], 0.0, size * np.eye(m))
+        rhs = np.concatenate([np.where(free, -c - pinned @ Q, size * X),
+                              np.where(cut, d - pinned @ C.T, 0.0)], axis=1)
+        ok = np.linalg.slogdet(K)[0] != 0.0
+        sol = np.linalg.solve(K[ok], rhs[ok][:, :, None])[:, :n, 0]
+        Z = np.where(free[ok], sol, X[ok])
+        Z = Z[np.all((Z >= lo - box_slack) & (Z <= hi + box_slack), axis=1)]
+        Z = np.clip(Z, lo, hi)
+        Z = Z[np.all(Z @ C.T <= d + cut_slack, axis=1)]
+        if not len(Z):
+            continue
+        vals = 0.5 * np.sum((Z @ Q) * Z, axis=1) + Z @ c
+        i = int(np.argmin(vals))
+        if vals[i] < best_v:
+            best_z, best_v = Z[i], float(vals[i])
+    return best_z, best_v

@@ -28,6 +28,7 @@ __all__ = [
     "scale",
     "linear_preimage",
     "linear_image",
+    "polyhedral_form",
     "intersection",
     "psd_interval",
     "psd_top",
@@ -335,12 +336,14 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     """The image {M x : x in base} of a convex set under a linear map.
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
-    M z: exactly for a finite box base, as the box maximum of the concave
-    quadratic -||M z||^2 / 2 + <M'y, z> (optimize.maximize_box_quadratic),
-    and by projected gradient for any other base or a box too large to
-    enumerate.  The support function delegates to the base set through M'.
+    M z.  A finite box, or a simplex (its sum row taken as two cut rows over
+    the box that the simplex bounds imply), makes this a convex quadratic
+    over a polytope, solved exactly by optimize.minimize_polytope_quadratic;
+    any other base, or a polytope too large to enumerate, is projected by
+    projected gradient.  The support function delegates to the base set
+    through M'.
     """
-    from .optimize import maximize_box_quadratic, minimize_projected
+    from .optimize import minimize_polytope_quadratic, minimize_projected
 
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != base.dim:
@@ -348,15 +351,22 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     dim = M.shape[0]
     if M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(dim)):
         return base
-    exact = base.meta.get("kind") == "box" and base.bound_radius is not None
+    kind = base.meta.get("kind")
+    poly = None
+    if kind == "box" and base.bound_radius is not None:
+        poly = (base.meta["lo"], base.meta["hi"], None, None)
+    elif kind == "simplex":
+        lo = base.meta["lo"]
+        hi = np.minimum(base.meta["hi"], lo + max(1.0 - lo.sum(), 0.0))
+        ones = np.ones((1, base.dim))
+        poly = (lo, hi, np.vstack([ones, -ones]), np.array([1.0, -1.0]))
     gram = M.T @ M
 
     def proj(y):
         y = np.asarray(y, dtype=float)
-        if exact:
-            best = maximize_box_quadratic(-gram, M.T @ y, base.meta["lo"],
-                                          base.meta["hi"])
-            if best is not None:
+        if poly is not None:
+            best = minimize_polytope_quadratic(gram, -(M.T @ y), *poly)
+            if best is not None and best[0] is not None:
                 return M @ best[0]
 
         def obj(z):
@@ -379,6 +389,29 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
         radius = float(np.linalg.norm(M, 2) * base.bound_radius)
     return ConvexSet(dim, proj, supp, radius, name=f"image({base.name})",
                      meta={"kind": "image", "base": base, "map": M})
+
+
+def polyhedral_form(s: ConvexSet):
+    """(G, lo, hi, C, d) with s = {G z : lo <= z <= hi, C z <= d} and a
+    finite box, or None.  Covers a finite box, a linear_image of one, and
+    halfspaces over either (or over such halfspaces), whose rows A act on z
+    as A G."""
+    kind = s.meta.get("kind")
+    if kind == "box" and s.bound_radius is not None:
+        return (np.eye(s.dim), s.meta["lo"], s.meta["hi"],
+                np.zeros((0, s.dim)), np.zeros(0))
+    if kind == "image":
+        base = s.meta["base"]
+        if base.meta.get("kind") == "box" and base.bound_radius is not None:
+            return (s.meta["map"], base.meta["lo"], base.meta["hi"],
+                    np.zeros((0, base.dim)), np.zeros(0))
+    if kind == "halfspaces" and s.meta["base"] is not None:
+        inner = polyhedral_form(s.meta["base"])
+        if inner is not None:
+            G, lo, hi, C, d = inner
+            return (G, lo, hi, np.vstack([C, s.meta["A"] @ G]),
+                    np.concatenate([d, s.meta["b"]]))
+    return None
 
 
 def intersection(parts: Sequence[ConvexSet], max_iter: int = 2000) -> ConvexSet:

@@ -229,6 +229,30 @@ def test_empty_chunks_cost_no_projection():
     assert len(calls) <= reds
 
 
+def test_empty_multirow_cell_on_an_image_costs_no_projection():
+    # the first estimate's cell misses the parallelogram G [-1, 1]^2 by
+    # 0.35 along every direction, though each of its three rows alone meets it
+    prob = AggregationProblem(
+        estimates=[[1.0, 3.0], [-3.0, -2.0], [-1.0, 1.0], [2.0, 2.0]],
+        parameter_sets=[box([-1.0, -1.0], [1.0, 1.0])],
+        G=np.array([[1.0, 0.5], [0.0, 1.0]]), Theta=np.eye(2))
+    img = prob.images[0]
+    geo = voronoi_geometry(prob.estimates)
+    for lp in (1, 2, 3):
+        assert -img.support(-geo.u[0, lp])[0] < geo.v[0, lp]
+    calls = []
+    project = img.project
+
+    def counted(x):
+        calls.append(1)
+        return project(x)
+
+    img.project = counted
+    levels = purify(prob, 0.5)
+    assert [len(l.reds) for l in levels] == [0, 1, 1, 1]
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # purify against the Dykstra residual check alone
 
@@ -291,9 +315,7 @@ def test_purify_agrees_with_dykstra_reference(kind, seed, log_margin):
         comp = box(center - half, center + half)
     if kind == "image":
         G = G + rng.uniform(-1.0, 1.0, (d, d))
-    # two estimates keep every image piece single-row, where the new
-    # test needs no projection; image projections are iterative and slow
-    L = 2 if kind == "image" else int(rng.integers(2, 4))
+    L = int(rng.integers(2, 4))
     prob = AggregationProblem(rng.uniform(-4.0, 4.0, (L, d)), [comp], G,
                               np.eye(d))
     margin = float(np.exp(log_margin))

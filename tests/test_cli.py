@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,3 +333,17 @@ def test_monte_carlo_size_mismatch_names_the_field(tmp_path, capsys, task):
     err = capsys.readouterr().err
     assert f"config error at {path}:" in err
     assert "matmul" not in err
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize alone adds about 0.1 s to every CLI start
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, detector_forge.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

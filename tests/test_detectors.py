@@ -147,3 +147,42 @@ def test_uncertified_solve_refused_without_force(monkeypatch):
     assert not det.certified
     assert det.gap >= 1e-3
     assert det.risk >= np.exp(-0.125 * 9.0 / 2.0) - 1e-9  # valid upper value
+
+
+def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
+    from scipy.optimize import linprog
+
+    # two cells of a box's image under a non-identity map, as aggregation
+    # cuts them: a two-row red cell and a one-row blue chunk
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    G = np.array([[1.0, 0.5], [0.3, 1.2]])
+    img = sets.linear_image(sets.box(lo, hi), G)
+    A1, b1 = np.array([[1.0, 0.0], [0.6, 0.8]]), np.array([-0.2, 0.1])
+    A2, b2 = np.array([[-0.8, 0.6]]), np.array([-0.9])
+    cells = [sets.halfspaces(A1, b1, base=img), sets.halfspaces(A2, b2, base=img)]
+    Theta = np.array([[1.0, 0.4], [0.4, 0.7]])
+    # the same cells without their polyhedral description take the
+    # projected-gradient search
+    plain = [dataclasses.replace(c, meta={}) for c in cells]
+    slow = gaussian_symmetric_detector(GaussianPairSpec(*plain, Theta))
+
+    calls = []
+    for c in cells:
+        def counted(x, project=c.project):
+            calls.append(1)
+            return project(x)
+        c.project = counted
+    res = gaussian_symmetric_detector(GaussianPairSpec(*cells, Theta))
+    assert calls == []
+    assert slow.delta > 0.1
+    assert res.delta <= slow.delta + 1e-12
+    assert slow.delta - res.delta <= 1e-9
+    # h't1 and h't2 are the least value of h'u over the first cell and the
+    # largest over the second, so the shift a = -h'(t1 + t2)/2 is the same
+    # for every closest pair
+    h = res.detector.h
+    lows = [linprog(s * (G.T @ h), A_ub=A @ G, b_ub=b, bounds=list(zip(lo, hi)))
+            for s, A, b in ((1.0, A1, b1), (-1.0, A2, b2))]
+    assert all(r.status == 0 for r in lows)
+    assert h @ res.theta1 == pytest.approx(lows[0].fun, abs=1e-9)
+    assert h @ res.theta2 == pytest.approx(-lows[1].fun, abs=1e-9)

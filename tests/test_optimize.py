@@ -1,4 +1,4 @@
-"""The projected first-order workhorse and the exact box-quadratic oracle."""
+"""The projected first-order workhorse and the exact enumerating oracles."""
 
 import warnings
 
@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detector_forge.optimize import maximize_box_quadratic, minimize_projected
+from detector_forge.optimize import (maximize_box_quadratic,
+                                     minimize_polytope_quadratic,
+                                     minimize_projected)
+from detector_forge.sets import box, halfspaces
 
 
 def test_huge_gradient_takes_a_step_without_overflow():
@@ -87,3 +90,68 @@ def test_box_quadratic_declines_past_the_candidate_cap():
                                       -np.ones(2), np.ones(2))
     assert np.allclose(x, [0.5, 1.0], rtol=0.0, atol=1e-15)
     assert value == 0.125 + 2.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(0, 3), rank=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_polytope_quadratic_minimum_is_attained_and_dominated(n, m, rank,
+                                                               seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, min(rank, n)))
+    Q = B @ B.T            # positive semidefinite, singular when rank < n
+    c = 2.0 * rng.standard_normal(n)
+    lo = rng.uniform(-2.0, 0.0, n)
+    hi = lo + rng.uniform(0.1, 3.0, n)
+    C = rng.standard_normal((m, n))
+    d = C @ rng.uniform(lo, hi) + rng.uniform(0.0, 1.0, m)
+
+    def q(Z):
+        return 0.5 * np.einsum("...i,ij,...j->...", Z, Q, Z) + Z @ c
+
+    z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
+    tol = 1e-9 * (1.0 + np.abs(d) + np.abs(C) @ np.maximum(-lo, hi))
+    assert np.all(z >= lo) and np.all(z <= hi)
+    assert np.all(C @ z <= d + tol)
+    assert abs(value - q(z)) <= 1e-12 * max(1.0, abs(value))
+    inside = lo + (hi - lo) * rng.uniform(size=(400, n))
+    inside = inside[np.all(inside @ C.T <= d, axis=1)]
+    assert np.all(value <= q(inside) + 1e-9 * max(1.0, abs(value)))
+    # the projected-gradient search over the Dykstra projection agrees
+    # wherever it stops converged at a point of the polytope (Dykstra,
+    # capped at 2000 rounds, can return one outside)
+    poly = halfspaces(C, d, base=box(lo, hi)) if m else box(lo, hi)
+    res = minimize_projected(lambda x: (float(q(x)), Q @ x + c),
+                             np.zeros(n), poly.project, rtol=1e-14)
+    if res.converged and np.all(C @ res.x <= d + tol):
+        assert value <= res.value + 1e-9 * max(1.0, abs(value))
+        assert res.value - value <= 1e-6 * max(1.0, abs(value))
+
+
+def test_polytope_quadratic_finds_minimizers_inside_edges():
+    # nearest points of the unit square to (2, 0.5), and of its lower
+    # triangle z1 + z2 <= 1 to (1, 1): neither is a vertex, so an oracle
+    # that tries vertices alone misses both
+    z, value = minimize_polytope_quadratic(np.eye(2), [-2.0, -0.5],
+                                           np.zeros(2), np.ones(2))
+    assert np.allclose(z, [1.0, 0.5], rtol=0.0, atol=1e-15)
+    assert value == pytest.approx(0.625 - 2.25, abs=1e-15)
+    z, value = minimize_polytope_quadratic(np.eye(2), [-1.0, -1.0],
+                                           np.zeros(2), np.ones(2),
+                                           [[1.0, 1.0]], [1.0])
+    assert np.allclose(z, [0.5, 0.5], rtol=0.0, atol=1e-15)
+    assert value == pytest.approx(-0.75, abs=1e-15)
+
+
+def test_polytope_quadratic_reports_empty_polytopes_and_the_cap():
+    # the triangle z1 + z2 <= -1 misses the unit square
+    z, value = minimize_polytope_quadratic(np.eye(2), np.zeros(2),
+                                           np.zeros(2), np.ones(2),
+                                           [[1.0, 1.0]], [-1.0])
+    assert z is None and value == np.inf
+    # 3^11 box states exceed 2^16 candidates, and so do 3^10 with 2 cuts
+    assert minimize_polytope_quadratic(np.eye(11), np.ones(11),
+                                       -np.ones(11), np.ones(11)) is None
+    assert minimize_polytope_quadratic(np.eye(10), np.ones(10),
+                                       -np.ones(10), np.ones(10),
+                                       np.ones((2, 10)), np.ones(2)) is None

@@ -228,3 +228,52 @@ def test_linear_image_of_box_projects_exactly_without_a_solve(monkeypatch):
         assert wide.support(y2 - x2)[0] <= (y2 - x2) @ x2 + tol
         assert wide.project(x2) == pytest.approx(x2, abs=1e-12)
     assert calls == []
+
+
+def test_linear_image_of_simplex_projects_exactly_without_a_solve(monkeypatch):
+    from detector_forge import optimize
+
+    rng = np.random.default_rng(22)
+    cases = [sets.simplex(3),
+             sets.simplex(3, lo=[0.1, 0.0, 0.2], hi=[0.6, 0.7, 0.5])]
+    maps = [rng.normal(size=(3, 3)) for _ in range(3)]
+    # points near the image plane mostly project inside its faces and edges;
+    # the reference is the projected-gradient projection the exact one
+    # replaced
+    points, reference = {}, {}
+    for i, base in enumerate(cases):
+        for j, M in enumerate(maps):
+            for k in range(4):
+                w = base.project(rng.dirichlet(np.ones(3)))
+                y = points[i, j, k] = M @ w + 0.5 * rng.normal(size=3)
+
+                def obj(z, M=M, y=y):
+                    r = M @ z - y
+                    return 0.5 * float(r @ r), M.T @ r
+
+                res = optimize.minimize_projected(
+                    obj, base.project(np.zeros(3)), base.project, rtol=1e-14)
+                reference[i, j, k] = M @ res.x
+
+    calls = []
+    solve = optimize.minimize_projected
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize_projected", counted)
+    for i, base in enumerate(cases):
+        for j, M in enumerate(maps):
+            img = sets.linear_image(base, M)
+            for k in range(4):
+                y = points[i, j, k]
+                x = img.project(y)
+                z = np.linalg.solve(M, x)
+                assert abs(z.sum() - 1.0) <= 1e-9
+                assert np.all(z >= base.meta["lo"] - 1e-9)
+                assert np.all(z <= base.meta["hi"] + 1e-9)
+                dist = np.linalg.norm(x - y)
+                ref = np.linalg.norm(reference[i, j, k] - y)
+                assert dist <= ref + 1e-12 and ref - dist <= 1e-9
+    assert calls == []

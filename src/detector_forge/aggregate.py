@@ -16,13 +16,14 @@ Empty pieces are dropped before any detector is built.  When the image
 has a support function, a margin chunk (one half-space) is empty exactly
 when the image's least value along its row exceeds the offset, which one
 support call gives; a cell (L - 1 half-spaces) is empty when one of its
-rows fails that test.  A cell that passes it on a finite box or a linear
-image of one is a polytope, decided by an exact projection of its
-estimate (optimize.minimize_polytope_quadratic).  Pieces of any other
-image fall back to a residual check at the estimate and then at its
-Dykstra projection onto the piece.  Level tests on polyhedral images take
-their closest pairs from the same exact oracle, so they run no Dykstra at
-all.
+rows fails that test.  A cell that passes it on a polyhedral image (a
+finite box, a simplex, linear images of those and halfspaces over them:
+sets.polyhedral_form) is a polytope, decided by an exact projection of its
+estimate (optimize.minimize_polytope_quadratic); there every row, alone
+or in a cell, is held to that oracle's slack.  Pieces of any other image
+fall back to a residual check at the estimate and then at its Dykstra
+projection onto the piece.  Level tests on polyhedral images take their
+closest pairs from the same exact oracle, so they run no Dykstra at all.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .detectors import GaussianPairSpec, gaussian_symmetric_detector
 from .errors import InfeasibleError
 from .multitest import (ClosenessRelation, PairwiseBattery, ShiftedBattery,
                         infer_color_block, run_multitest_block, shift_battery)
-from .optimize import minimize_polytope_quadratic
+from .optimize import _row_slack, minimize_polytope_quadratic
 from .sets import ConvexSet, halfspaces, linear_image, polyhedral_form
 
 __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
@@ -117,22 +118,28 @@ def voronoi_geometry(estimates) -> VoronoiGeometry:
 def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
               base: ConvexSet, seed: np.ndarray) -> bool:
     """Is the piece {x in base : A x <= b} non-empty?  The least value of
-    a_i x over the base is -supp(-a_i), taken at the support point, which
-    decides one row up to a residual of _EMPTY_RESIDUAL * (1 + |x|).  A
-    polyhedral piece {G z : lo <= z <= hi, C z <= d} of several rows is
-    decided by projecting the seed onto it exactly
-    (optimize.minimize_polytope_quadratic with Q = G'G), which finds a
-    point exactly when the piece is non-empty."""
-    if base.support is not None:
-        for a_i, b_i in zip(A, b):
-            val, x = base.support(-a_i)
-            if -val - b_i > _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x))):
-                return False
-        if b.size == 1:
-            return True
+    a_i x over the base is -supp(-a_i), which decides one row.  A
+    polyhedral piece {G z : lo <= z <= hi, C z <= d} (its rows A G the last
+    rows of C) is held to the polytope oracle's slack on every row, and
+    several rows are decided together by projecting the seed onto it
+    exactly (optimize.minimize_polytope_quadratic with Q = G'G), which
+    finds a point exactly when the piece is non-empty to that slack.  Any
+    other piece allows each row, and the residual at the seed or its
+    Dykstra projection, up to _EMPTY_RESIDUAL * (1 + |x|)."""
     form = polyhedral_form(piece)
     if form is not None:
         G, lo, hi, C, d = form
+        slack = _row_slack(lo, hi, C, d)[-b.size:]
+    if base.support is not None:
+        for i, (a_i, b_i) in enumerate(zip(A, b)):
+            val, x = base.support(-a_i)
+            tol = (slack[i] if form is not None else
+                   _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x))))
+            if -val - b_i > tol:
+                return False
+        if b.size == 1:
+            return True
+    if form is not None:
         best = minimize_polytope_quadratic(G.T @ G, -(G.T @ seed), lo, hi,
                                            C, d)
         if best is not None:
@@ -167,10 +174,10 @@ def purify(problem: AggregationProblem, deltas) -> list:
 
     Emptiness is exact, by one support call, for one-row pieces of an
     image with a support function; a cell of several rows is dropped when
-    one row fails that test.  Otherwise a cell of a polyhedral image (a
-    finite box or its linear image) is kept exactly when the polytope
-    oracle finds a point in it, and a cell of any other image by the
-    residual of a point found by Dykstra's method (see ``_feasible``).
+    one row fails that test.  Otherwise a cell of a polyhedral image
+    (sets.polyhedral_form) is kept exactly when the polytope oracle finds
+    a point in it, and a cell of any other image by the residual of a
+    point found by Dykstra's method (see ``_feasible``).
     """
     geo = voronoi_geometry(problem.estimates)
     L = problem.count

@@ -161,10 +161,12 @@ def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     detector off the geometry: h is the precision-weighted half-difference,
     the shift centers the statistic between the two means.  Overlapping mean
     sets yield the zero detector with risk one.  The closest pair is exact
-    when both mean sets are polyhedral (finite boxes, linear images of them
-    and halfspaces over those: one optimize.minimize_polytope_quadratic
-    call); any other pair is searched by projected gradient, whose stopping
-    point can only overstate the distance.
+    when both mean sets are polyhedral (finite boxes, simplices, linear
+    images of them and halfspaces over those: sets.polyhedral_form) and
+    the face enumeration stays under its cap: one
+    optimize.minimize_polytope_quadratic call.  Any other pair is searched
+    by projected gradient, whose stopping point can only overstate the
+    distance.
     """
     Theta = np.asarray(spec.Theta, dtype=float)
     d = spec.mean_set1.dim

@@ -27,6 +27,7 @@ batches.  Both share the enumeration of per-coordinate box states.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -42,7 +43,14 @@ _STEP_SHRINK = 0.5
 _INTERP_MIN = 0.1     # least fraction of a step an interpolated backtrack keeps
 _MIN_STEP = 1e-20
 _STEP0 = 1.0          # first trial step
-_BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of the enumerating oracles
+_BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
+# Face candidates of minimize_polytope_quadratic.  Its KKT systems, of size
+# n + min(m, n), took 2-10 us each in batches on one core, so a call at the
+# cap stays under about 80 ms: near the least that the projected-gradient
+# closest-pair search over Dykstra projections took on aggregation pairs of
+# 2-d and 3-d box images (40 ms to 10 s).  Past it, the oracle lost to that
+# search on 3-d images.
+_POLYTOPE_CANDIDATE_CAP = 2 ** 13
 _FACE_CHUNK = 2048             # KKT systems built and solved at once
 _FEASIBLE_RTOL = 1e-9          # slack of a candidate, relative to its rows
 
@@ -221,26 +229,44 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
 @functools.lru_cache(maxsize=32)
 def _polytope_faces(n: int, m: int):
     """Candidate active sets of minimize_polytope_quadratic over n
-    coordinates and m cut rows, or None past _BOX_CANDIDATE_CAP.
+    coordinates and m cut rows, or None past _POLYTOPE_CANDIDATE_CAP.
 
-    Returns (states, cuts): every box state paired with every subset of the
-    cut rows (a boolean mask) that leaves at most n active rows.  The
-    arrays are read-only, since every caller of one shape shares them.
+    Returns (states, rows): every box state paired with every set of at
+    most n - (pinned coordinates) cut rows.  Each line of rows lists its
+    active cut rows in increasing order, padded with m to min(m, n)
+    entries.  The count is checked before anything is built, and nothing
+    built grows faster than it.  The arrays are read-only, since every
+    caller of one shape shares them.
     """
+    width = min(m, n)
     count = sum(math.comb(n, p) * 2 ** p
                 * sum(math.comb(m, s) for s in range(min(m, n - p) + 1))
                 for p in range(n + 1))
-    if count > _BOX_CANDIDATE_CAP:
+    if count > _POLYTOPE_CANDIDATE_CAP:
         return None
-    states = _box_states(np.full(n, 3))
-    cuts = _box_states(np.full(m, 2)) == 1
-    active = (np.count_nonzero(states != 2, axis=1)[:, None]
-              + np.count_nonzero(cuts, axis=1)[None, :])
-    i, j = np.nonzero(active <= n)
-    states, cuts = states[i], cuts[j]
+    # the 3^n box states are the count's share with no cut row active
+    box = _box_states(np.full(n, 3))
+    pins = np.count_nonzero(box != 2, axis=1)
+    states, rows = [], []
+    for s in range(width + 1):
+        subsets = np.full((math.comb(m, s), width), m, dtype=np.intp)
+        subsets[:, :s] = np.array(list(itertools.combinations(range(m), s)),
+                                  dtype=np.intp).reshape(len(subsets), s)
+        fit = box[pins <= n - s]
+        states.append(np.repeat(fit, len(subsets), axis=0))
+        rows.append(np.tile(subsets, (len(fit), 1)))
+    states, rows = np.concatenate(states), np.concatenate(rows)
     states.setflags(write=False)
-    cuts.setflags(write=False)
-    return states, cuts
+    rows.setflags(write=False)
+    return states, rows
+
+
+def _row_slack(lo, hi, C, d):
+    """How far a point of the box [lo, hi] may exceed each row of C z <= d
+    and still meet it in minimize_polytope_quadratic: _FEASIBLE_RTOL times
+    the row's scale |d| + |C| max(|lo|, |hi|)."""
+    return _FEASIBLE_RTOL * (np.abs(d) + np.abs(C) @ np.maximum(np.abs(lo),
+                                                                np.abs(hi)))
 
 
 def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
@@ -254,18 +280,19 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     vertex is the unique solution of the face system
     [Q_ff C_Ff'; C_Ff 0] (z_f, lam) = (-c_f - Q z_pinned, d_F - C_F z_pinned)
     of F, with the box rows of F pinning coordinates at lo or hi.  Every
-    candidate pins each coordinate at lo, at hi or not at all and takes a
-    subset of the cut rows, with at most n active rows in all.  Pinned
-    coordinates and inactive cut rows keep a diagonal entry alone, so all
-    systems share one size; those with an exactly zero determinant are
+    candidate pins each coordinate at lo, at hi or not at all and takes at
+    most n cut rows, with at most n active rows in all.  Pinned coordinates
+    and unused cut slots keep a diagonal entry alone, so all systems share
+    one size n + min(m, n); those with an exactly zero determinant are
     dropped and the rest are solved in batches.  A nearly singular system
     can only yield a point that is rejected or that is a feasible point,
     whose value is evaluated as is.  The best candidate that meets every
-    row to _FEASIBLE_RTOL of the row's scale wins, clipped into the box.
+    row to _FEASIBLE_RTOL of the row's scale (_row_slack; the box rows to
+    _FEASIBLE_RTOL of their width) wins, clipped into the box.
 
     Returns (z, q(z)); (None, inf) when no candidate is feasible, that is
-    when the polytope is empty; and None when the candidates exceed
-    _BOX_CANDIDATE_CAP.
+    when the polytope is empty to that slack; and None when the candidates
+    exceed _POLYTOPE_CANDIDATE_CAP.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     Q = 0.5 * (Q + Q.T)
@@ -280,29 +307,35 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     faces = _polytope_faces(n, m)
     if faces is None:
         return None
+    width = min(m, n)
     # the lone diagonal entries, on the scale of the other entries
     size = max(float(np.max(np.abs(Q), initial=0.0)),
                float(np.max(np.abs(C), initial=0.0))) or 1.0
     box_slack = _FEASIBLE_RTOL * (hi - lo)
-    cut_slack = _FEASIBLE_RTOL * (np.abs(d) + np.abs(C) @ np.maximum(
-        np.abs(lo), np.abs(hi)))
-    states, cuts = faces
+    cut_slack = _row_slack(lo, hi, C, d)
+    # the padding index m reads a zero row
+    C_pad = np.vstack([C, np.zeros((1, n))])
+    d_pad = np.append(d, 0.0)
+    states, rows = faces
     best_z, best_v = None, math.inf
     for start in range(0, len(states), _FACE_CHUNK):
         st = states[start:start + _FACE_CHUNK]
-        cut = cuts[start:start + _FACE_CHUNK]
+        idx = rows[start:start + _FACE_CHUNK]
         free = st == 2
+        used = idx < m
         X = np.where(st == 1, hi, lo)
         pinned = np.where(free, 0.0, X)
-        Cf = np.where(cut[:, :, None] & free[:, None, :], C, 0.0)
-        K = np.empty((len(st), n + m, n + m))
+        Cu = C_pad[idx]
+        Cf = np.where(free[:, None, :], Cu, 0.0)
+        K = np.empty((len(st), n + width, n + width))
         K[:, :n, :n] = np.where(free[:, :, None] & free[:, None, :], Q,
                                 size * np.eye(n))
         K[:, n:, :n] = Cf
         K[:, :n, n:] = Cf.transpose(0, 2, 1)
-        K[:, n:, n:] = np.where(cut[:, :, None], 0.0, size * np.eye(m))
+        K[:, n:, n:] = np.where(used[:, :, None], 0.0, size * np.eye(width))
         rhs = np.concatenate([np.where(free, -c - pinned @ Q, size * X),
-                              np.where(cut, d - pinned @ C.T, 0.0)], axis=1)
+                              d_pad[idx] - np.einsum("kjn,kn->kj", Cu,
+                                                     pinned)], axis=1)
         ok = np.linalg.slogdet(K)[0] != 0.0
         sol = np.linalg.solve(K[ok], rhs[ok][:, :, None])[:, :n, 0]
         Z = np.where(free[ok], sol, X[ok])

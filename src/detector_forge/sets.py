@@ -336,8 +336,7 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     """The image {M x : x in base} of a convex set under a linear map.
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
-    M z.  A finite box, or a simplex (its sum row taken as two cut rows over
-    the box that the simplex bounds imply), makes this a convex quadratic
+    M z.  A polyhedral base (polyhedral_form) makes this a convex quadratic
     over a polytope, solved exactly by optimize.minimize_polytope_quadratic;
     any other base, or a polytope too large to enumerate, is projected by
     projected gradient.  The support function delegates to the base set
@@ -351,23 +350,18 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     dim = M.shape[0]
     if M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(dim)):
         return base
-    kind = base.meta.get("kind")
-    poly = None
-    if kind == "box" and base.bound_radius is not None:
-        poly = (base.meta["lo"], base.meta["hi"], None, None)
-    elif kind == "simplex":
-        lo = base.meta["lo"]
-        hi = np.minimum(base.meta["hi"], lo + max(1.0 - lo.sum(), 0.0))
-        ones = np.ones((1, base.dim))
-        poly = (lo, hi, np.vstack([ones, -ones]), np.array([1.0, -1.0]))
-    gram = M.T @ M
+    form = polyhedral_form(base)
+    if form is not None:
+        G, lo, hi, C, d = form
+        MG = M @ G
+        gram = MG.T @ MG
 
     def proj(y):
         y = np.asarray(y, dtype=float)
-        if poly is not None:
-            best = minimize_polytope_quadratic(gram, -(M.T @ y), *poly)
+        if form is not None:
+            best = minimize_polytope_quadratic(gram, -(MG.T @ y), lo, hi, C, d)
             if best is not None and best[0] is not None:
-                return M @ best[0]
+                return MG @ best[0]
 
         def obj(z):
             r = M @ z - y
@@ -393,25 +387,30 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
 
 def polyhedral_form(s: ConvexSet):
     """(G, lo, hi, C, d) with s = {G z : lo <= z <= hi, C z <= d} and a
-    finite box, or None.  Covers a finite box, a linear_image of one, and
-    halfspaces over either (or over such halfspaces), whose rows A act on z
-    as A G."""
+    finite box, or None.  Covers a finite box, a simplex (its sum row taken
+    as two cut rows over the box that its bounds imply), a linear_image of
+    a polyhedral set (G taken through the map) and halfspaces over one
+    (rows A acting on z as A G)."""
     kind = s.meta.get("kind")
     if kind == "box" and s.bound_radius is not None:
         return (np.eye(s.dim), s.meta["lo"], s.meta["hi"],
                 np.zeros((0, s.dim)), np.zeros(0))
+    if kind == "simplex":
+        lo = s.meta["lo"]
+        hi = np.minimum(s.meta["hi"], lo + max(1.0 - lo.sum(), 0.0))
+        ones = np.ones((1, s.dim))
+        return (np.eye(s.dim), lo, hi, np.vstack([ones, -ones]),
+                np.array([1.0, -1.0]))
+    if kind not in ("image", "halfspaces") or s.meta["base"] is None:
+        return None
+    inner = polyhedral_form(s.meta["base"])
+    if inner is None:
+        return None
+    G, lo, hi, C, d = inner
     if kind == "image":
-        base = s.meta["base"]
-        if base.meta.get("kind") == "box" and base.bound_radius is not None:
-            return (s.meta["map"], base.meta["lo"], base.meta["hi"],
-                    np.zeros((0, base.dim)), np.zeros(0))
-    if kind == "halfspaces" and s.meta["base"] is not None:
-        inner = polyhedral_form(s.meta["base"])
-        if inner is not None:
-            G, lo, hi, C, d = inner
-            return (G, lo, hi, np.vstack([C, s.meta["A"] @ G]),
-                    np.concatenate([d, s.meta["b"]]))
-    return None
+        return s.meta["map"] @ G, lo, hi, C, d
+    return (G, lo, hi, np.vstack([C, s.meta["A"] @ G]),
+            np.concatenate([d, s.meta["b"]]))
 
 
 def intersection(parts: Sequence[ConvexSet], max_iter: int = 2000) -> ConvexSet:

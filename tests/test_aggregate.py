@@ -253,6 +253,22 @@ def test_empty_multirow_cell_on_an_image_costs_no_projection():
     assert calls == []
 
 
+def test_near_touching_cells_and_chunks_share_one_tolerance():
+    # on the unit square, x2 - x1 >= 1 holds at the corner (0, 1) alone;
+    # the cell adds x1 + x2 <= 1 - gap, which misses that corner by gap,
+    # and the chunk x2 - x1 >= 1 + gap misses the square by gap: each row
+    # alone is judged like a cell, to the polytope oracle's slack
+    sq = box([0.0, 0.0], [1.0, 1.0])
+    seed = np.array([0.5, 0.5])
+    for gap, kept in [(1e-12, True), (5e-8, False), (1e-4, False)]:
+        A, b = np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([-1.0, 1.0 - gap])
+        cell = halfspaces(A, b, base=sq)
+        assert agg._feasible(cell, A, b, sq, seed) is kept
+        A1, b1 = np.array([[1.0, -1.0]]), np.array([-1.0 - gap])
+        chunk = halfspaces(A1, b1, base=sq)
+        assert agg._feasible(chunk, A1, b1, sq, seed) is kept
+
+
 # ---------------------------------------------------------------------------
 # purify against the Dykstra residual check alone
 

@@ -149,6 +149,29 @@ def test_uncertified_solve_refused_without_force(monkeypatch):
     assert det.risk >= np.exp(-0.125 * 9.0 / 2.0) - 1e-9  # valid upper value
 
 
+def test_closest_pair_over_simplex_images_projects_nothing():
+    # a cell of a simplex's image in the plane against a box: polyhedral
+    # only through the simplex's sum row
+    M = np.array([[1.0, 0.5, -0.3], [0.2, 1.1, 0.4]])
+    img = sets.linear_image(sets.simplex(3), M)
+    cells = [sets.halfspaces([[1.0, 0.2]], [0.6], base=img),
+             sets.box([1.5, 1.0], [2.5, 3.0])]
+    Theta = np.array([[1.0, 0.3], [0.3, 0.8]])
+    plain = [dataclasses.replace(c, meta={}) for c in cells]
+    slow = gaussian_symmetric_detector(GaussianPairSpec(*plain, Theta))
+    calls = []
+    for c in cells:
+        def counted(x, project=c.project):
+            calls.append(1)
+            return project(x)
+        c.project = counted
+    res = gaussian_symmetric_detector(GaussianPairSpec(*cells, Theta))
+    assert calls == []
+    assert slow.delta > 0.1
+    assert res.delta <= slow.delta + 1e-12
+    assert slow.delta - res.delta <= 1e-9
+
+
 def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
     from scipy.optimize import linprog
 

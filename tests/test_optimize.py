@@ -1,5 +1,6 @@
 """The projected first-order workhorse and the exact enumerating oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -149,9 +150,50 @@ def test_polytope_quadratic_reports_empty_polytopes_and_the_cap():
                                            np.zeros(2), np.ones(2),
                                            [[1.0, 1.0]], [-1.0])
     assert z is None and value == np.inf
-    # 3^11 box states exceed 2^16 candidates, and so do 3^10 with 2 cuts
-    assert minimize_polytope_quadratic(np.eye(11), np.ones(11),
-                                       -np.ones(11), np.ones(11)) is None
-    assert minimize_polytope_quadratic(np.eye(10), np.ones(10),
-                                       -np.ones(10), np.ones(10),
-                                       np.ones((2, 10)), np.ones(2)) is None
+    # 3^8 = 6561 box states fit in 2^13 candidates; 3^9, or 3^8 with one
+    # cut row, do not
+    z, value = minimize_polytope_quadratic(np.eye(8), np.ones(8),
+                                           -np.ones(8), np.ones(8))
+    assert np.allclose(z, -np.ones(8)) and value == pytest.approx(-4.0)
+    assert minimize_polytope_quadratic(np.eye(9), np.ones(9),
+                                       -np.ones(9), np.ones(9)) is None
+    assert minimize_polytope_quadratic(np.eye(8), np.ones(8),
+                                       -np.ones(8), np.ones(8),
+                                       np.ones((1, 8)), np.ones(1)) is None
+
+
+def test_polytope_quadratic_builds_only_the_counted_candidates():
+    # a cell of 20 rows over a 2-d box, and 18 rows over a 3-d one: at
+    # most n of the m rows are active at once, so the candidates number
+    # 299 and 2256, and nothing of size 3^n 2^m (75 and 57 MB as int64) is
+    # built
+    rng = np.random.default_rng(3)
+    for n, m in [(2, 20), (3, 18)]:
+        C = rng.standard_normal((m, n))
+        d = C @ rng.uniform(-0.5, 0.5, n) + rng.uniform(0.0, 1.0, m)
+        c = 3.0 * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            z, value = minimize_polytope_quadratic(np.eye(n), c, -np.ones(n),
+                                                   np.ones(n), C, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
+        slack = 1e-9 * (np.abs(d) + np.abs(C).sum(axis=1))
+        assert np.all(np.abs(z) <= 1.0) and np.all(C @ z <= d + slack)
+        pts = rng.uniform(-1.0, 1.0, (4000, n))
+        pts = pts[np.all(pts @ C.T <= d, axis=1)]
+        assert np.all(value <= 0.5 * np.sum(pts * pts, axis=1) + pts @ c
+                      + 1e-12)
+    # past the cap (8271 candidates for 14 rows over a 4-d box) the oracle
+    # declines before it builds anything
+    tracemalloc.start()
+    try:
+        assert minimize_polytope_quadratic(np.eye(4), np.ones(4),
+                                           -np.ones(4), np.ones(4),
+                                           np.ones((14, 4)), np.ones(14)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

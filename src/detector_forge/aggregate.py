@@ -18,8 +18,10 @@ when the image's least value along its row exceeds the offset, which one
 support call gives; a cell (L - 1 half-spaces) is empty when one of its
 rows fails that test.  A cell that passes it on a polyhedral image (a
 finite box, a simplex, linear images of those and halfspaces over them:
-sets.polyhedral_form) is a polytope, decided by an exact projection of its
-estimate (optimize.minimize_polytope_quadratic); there every row, alone
+sets.polyhedral_form) is a polytope.  Where the image map is square, it is
+kept at once when the preimage of its estimate or of a row's support point
+meets every row; otherwise an exact projection of its estimate decides
+(optimize.minimize_polytope_quadratic).  There every row, alone
 or in a cell, is held to that oracle's slack.  Pieces of any other image
 fall back to a residual check at the estimate and then at its Dykstra
 projection onto the piece.  Level tests on polyhedral images take their
@@ -38,7 +40,8 @@ from .detectors import GaussianPairSpec, gaussian_symmetric_detector
 from .errors import InfeasibleError
 from .multitest import (ClosenessRelation, PairwiseBattery, ShiftedBattery,
                         infer_color_block, run_multitest_block, shift_battery)
-from .optimize import _row_slack, minimize_polytope_quadratic
+from .optimize import (_polytope_points, _row_slack,
+                       minimize_polytope_quadratic)
 from .sets import ConvexSet, halfspaces, linear_image, polyhedral_form
 
 __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
@@ -120,16 +123,18 @@ def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
     """Is the piece {x in base : A x <= b} non-empty?  The least value of
     a_i x over the base is -supp(-a_i), which decides one row.  A
     polyhedral piece {G z : lo <= z <= hi, C z <= d} (its rows A G the last
-    rows of C) is held to the polytope oracle's slack on every row, and
-    several rows are decided together by projecting the seed onto it
-    exactly (optimize.minimize_polytope_quadratic with Q = G'G), which
-    finds a point exactly when the piece is non-empty to that slack.  Any
+    rows of C) is held to the polytope oracle's slack on every row.  It
+    is kept when G is square and G^-1 x meets every row for x the seed or
+    a row's support point; otherwise projecting the seed onto it exactly
+    (optimize.minimize_polytope_quadratic with Q = G'G) finds a point
+    exactly when the piece is non-empty to that slack.  Any
     other piece allows each row, and the residual at the seed or its
     Dykstra projection, up to _EMPTY_RESIDUAL * (1 + |x|)."""
     form = polyhedral_form(piece)
     if form is not None:
         G, lo, hi, C, d = form
         slack = _row_slack(lo, hi, C, d)[-b.size:]
+    points = [seed]
     if base.support is not None:
         for i, (a_i, b_i) in enumerate(zip(A, b)):
             val, x = base.support(-a_i)
@@ -137,9 +142,12 @@ def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
                    _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x))))
             if -val - b_i > tol:
                 return False
+            points.append(x)
         if b.size == 1:
             return True
     if form is not None:
+        if G.shape[0] == G.shape[1] and _preimage_meets(form, points):
+            return True
         best = minimize_polytope_quadratic(G.T @ G, -(G.T @ seed), lo, hi,
                                            C, d)
         if best is not None:
@@ -150,6 +158,18 @@ def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
         return resid <= _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
 
     return meets(seed) or meets(piece.project(seed))
+
+
+def _preimage_meets(form, points: list) -> bool:
+    """Does G^-1 x meet lo <= z <= hi, C z <= d to the polytope oracle's
+    slack for one of the points x?  Any such z is a point of the polytope,
+    so the piece is non-empty without an oracle call."""
+    G, lo, hi, C, d = form
+    try:
+        Z = np.linalg.solve(G, np.stack(points, axis=1)).T
+    except np.linalg.LinAlgError:
+        return False
+    return len(_polytope_points(Z, lo, hi, C, d)) > 0
 
 
 def level_margins(deltas, count: int) -> np.ndarray:

@@ -9,11 +9,11 @@ observations raises the bound to risk**K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .optimize import minimize_polytope_quadratic, minimize_projected
 from .saddle import _DEGENERATE_FLOOR, SaddleOptions, SaddleProblem, solve_saddle
@@ -214,4 +214,4 @@ def erf_risk(delta: float) -> float:
     """Exact Gaussian upper-tail error of the symmetric detector at margin delta."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return float(0.5 * erfc(delta / np.sqrt(2.0)))
+    return 0.5 * math.erfc(delta / math.sqrt(2.0))

@@ -269,6 +269,16 @@ def _row_slack(lo, hi, C, d):
                                                                 np.abs(hi)))
 
 
+def _polytope_points(Z, lo, hi, C, d):
+    """The rows of Z that minimize_polytope_quadratic accepts, clipped into
+    the box: those within _FEASIBLE_RTOL of the box width of [lo, hi] that,
+    once clipped, meet C z <= d to _row_slack."""
+    box_slack = _FEASIBLE_RTOL * (hi - lo)
+    Z = Z[np.all((Z >= lo - box_slack) & (Z <= hi + box_slack), axis=1)]
+    Z = np.clip(Z, lo, hi)
+    return Z[np.all(Z @ C.T <= d + _row_slack(lo, hi, C, d), axis=1)]
+
+
 def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     """Exact minimum of q(z) = z'Qz/2 + c'z over {lo <= z <= hi, C z <= d}.
 
@@ -311,8 +321,6 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     # the lone diagonal entries, on the scale of the other entries
     size = max(float(np.max(np.abs(Q), initial=0.0)),
                float(np.max(np.abs(C), initial=0.0))) or 1.0
-    box_slack = _FEASIBLE_RTOL * (hi - lo)
-    cut_slack = _row_slack(lo, hi, C, d)
     # the padding index m reads a zero row
     C_pad = np.vstack([C, np.zeros((1, n))])
     d_pad = np.append(d, 0.0)
@@ -338,10 +346,7 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
                                                      pinned)], axis=1)
         ok = np.linalg.slogdet(K)[0] != 0.0
         sol = np.linalg.solve(K[ok], rhs[ok][:, :, None])[:, :n, 0]
-        Z = np.where(free[ok], sol, X[ok])
-        Z = Z[np.all((Z >= lo - box_slack) & (Z <= hi + box_slack), axis=1)]
-        Z = np.clip(Z, lo, hi)
-        Z = Z[np.all(Z @ C.T <= d + cut_slack, axis=1)]
+        Z = _polytope_points(np.where(free[ok], sol, X[ok]), lo, hi, C, d)
         if not len(Z):
             continue
         vals = 0.5 * np.sum((Z @ Q) * Z, axis=1) + Z @ c

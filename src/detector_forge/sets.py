@@ -16,6 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .optimize import minimize_polytope_quadratic
+
 __all__ = [
     "ConvexSet",
     "full_space",
@@ -216,8 +218,10 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
 def halfspaces(A, b, base: Optional[ConvexSet] = None, max_iter: int = 2000) -> ConvexSet:
     """Polyhedron {x : A x <= b}, optionally intersected with a base set.
 
-    Projection uses Dykstra's alternating scheme over the individual
-    half-spaces (and the base set when given).
+    Over a polyhedral base (polyhedral_form) the projection is exact
+    (_polytope_projection).  Otherwise, and past that oracle's cap, it uses
+    Dykstra's alternating scheme over the individual half-spaces (and the
+    base set when given).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -239,10 +243,11 @@ def halfspaces(A, b, base: Optional[ConvexSet] = None, max_iter: int = 2000) -> 
         pieces.append(ConvexSet(A.shape[1], proj_i, name="halfspace"))
     if base is not None:
         pieces.append(base)
-    out = intersection(pieces, max_iter=max_iter)
-    out.name = "halfspaces"
-    out.meta = {"kind": "halfspaces", "A": A, "b": b, "base": base}
-    out.bound_radius = base.bound_radius if base is not None else None
+    proj = _polytope_projection(lambda: polyhedral_form(out),
+                                _dykstra(pieces, max_iter))
+    radius = base.bound_radius if base is not None else None
+    out = ConvexSet(A.shape[1], proj, None, radius, name="halfspaces",
+                    meta={"kind": "halfspaces", "A": A, "b": b, "base": base})
     return out
 
 
@@ -337,12 +342,11 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
     M z.  A polyhedral base (polyhedral_form) makes this a convex quadratic
-    over a polytope, solved exactly by optimize.minimize_polytope_quadratic;
-    any other base, or a polytope too large to enumerate, is projected by
-    projected gradient.  The support function delegates to the base set
-    through M'.
+    over a polytope, solved exactly (_polytope_projection); any other base,
+    or a polytope too large to enumerate, is projected by projected
+    gradient.  The support function delegates to the base set through M'.
     """
-    from .optimize import minimize_polytope_quadratic, minimize_projected
+    from .optimize import minimize_projected
 
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != base.dim:
@@ -350,18 +354,9 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     dim = M.shape[0]
     if M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(dim)):
         return base
-    form = polyhedral_form(base)
-    if form is not None:
-        G, lo, hi, C, d = form
-        MG = M @ G
-        gram = MG.T @ MG
 
     def proj(y):
         y = np.asarray(y, dtype=float)
-        if form is not None:
-            best = minimize_polytope_quadratic(gram, -(MG.T @ y), lo, hi, C, d)
-            if best is not None and best[0] is not None:
-                return MG @ best[0]
 
         def obj(z):
             r = M @ z - y
@@ -381,8 +376,38 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     radius = None
     if base.bound_radius is not None:
         radius = float(np.linalg.norm(M, 2) * base.bound_radius)
-    return ConvexSet(dim, proj, supp, radius, name=f"image({base.name})",
-                     meta={"kind": "image", "base": base, "map": M})
+    out = ConvexSet(dim, _polytope_projection(lambda: polyhedral_form(out),
+                                              proj),
+                    supp, radius, name=f"image({base.name})",
+                    meta={"kind": "image", "base": base, "map": M})
+    return out
+
+
+def _polytope_projection(form_of: Callable, fallback: Callable) -> Callable:
+    """Euclidean projection onto a set {G z : lo <= z <= hi, C z <= d}:
+    G z for the exact minimizer z of ||G z - y||^2
+    (optimize.minimize_polytope_quadratic with Q = G'G).  ``form_of()``
+    gives (G, lo, hi, C, d), or None for a set that is not polyhedral
+    (polyhedral_form); it is read at the first call, since most cells and
+    chunks are built and never projected.  ``fallback`` projects where
+    there is no form, past the oracle's cap, and on a polytope it finds
+    empty."""
+    memo = []
+
+    def proj(y):
+        y = np.asarray(y, dtype=float)
+        if not memo:
+            form = form_of()
+            memo.append(None if form is None else (form, form[0].T @ form[0]))
+        if memo[0] is None:
+            return fallback(y)
+        (G, lo, hi, C, d), gram = memo[0]
+        best = minimize_polytope_quadratic(gram, -(G.T @ y), lo, hi, C, d)
+        if best is None or best[0] is None:
+            return fallback(y)
+        return G @ best[0]
+
+    return proj
 
 
 def polyhedral_form(s: ConvexSet):
@@ -420,6 +445,20 @@ def intersection(parts: Sequence[ConvexSet], max_iter: int = 2000) -> ConvexSet:
         raise ValueError("intersection of nothing")
     if len(parts) == 1:
         return parts[0]
+    radius = None
+    radii = [p.bound_radius for p in parts if p.bound_radius is not None]
+    if radii:
+        radius = float(min(radii))
+    return ConvexSet(parts[0].dim, _dykstra(parts, max_iter), None, radius,
+                     name="intersection",
+                     meta={"kind": "intersection", "parts": parts})
+
+
+def _dykstra(parts: list, max_iter: int) -> Callable:
+    """Dykstra's projection onto the intersection of ``parts``; one part
+    is projected directly."""
+    if len(parts) == 1:
+        return parts[0].project
     dim = parts[0].dim
     if any(p.dim != dim for p in parts):
         raise ValueError("intersection requires equal dimensions")
@@ -442,12 +481,7 @@ def intersection(parts: Sequence[ConvexSet], max_iter: int = 2000) -> ConvexSet:
                 break
         return x
 
-    radius = None
-    radii = [p.bound_radius for p in parts if p.bound_radius is not None]
-    if radii:
-        radius = float(min(radii))
-    return ConvexSet(dim, proj, None, radius, name="intersection",
-                     meta={"kind": "intersection", "parts": parts})
+    return proj
 
 
 # ---------------------------------------------------------------------------

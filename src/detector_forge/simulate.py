@@ -7,7 +7,10 @@ are reduced in index order, so estimates are bit-identical across reruns.
 Normal draws go through the inverse CDF, Poisson draws use table inversion
 for small rates and transformed rejection above, and one-hot draws use a
 cumulative table: the uniform-to-sample maps are pinned down exactly so
-another implementation of the same contract can replay a stream.
+another implementation of the same contract can replay a stream.  They are
+scipy's ``ndtri`` and ``gammaln``, imported when a Gaussian or Poisson
+sampler is built, so importing the package (and starting the CLI) loads no
+scipy.
 
 The multi-test, color and aggregation checks draw each trial's K
 observations with one ``draw`` call, in trial order on the block's stream
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .aggregate import (AggregationProblem, build_level_tests, first_red,
                         individual_inference_block, level_margins,
@@ -90,6 +92,7 @@ def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
 
 def gaussian_sampler(mean, cov, seed: int) -> Sampler:
     """N(mean, cov) rows via inverse-CDF normals and a Cholesky factor."""
+    from scipy.special import ndtri
     mu = np.asarray(mean, dtype=float).ravel()
     sigma = np.atleast_2d(np.asarray(cov, dtype=float))
     if sigma.shape != (mu.size, mu.size):
@@ -106,7 +109,7 @@ def gaussian_sampler(mean, cov, seed: int) -> Sampler:
     return Sampler("gaussian", mu.size, int(seed), draw)
 
 
-def _poisson_cdf_table(rate: float) -> np.ndarray:
+def _poisson_cdf_table(rate: float, gammaln) -> np.ndarray:
     top = int(rate + 40.0 * math.sqrt(rate) + 40.0)
     k = np.arange(top + 1, dtype=float)
     cdf = np.cumsum(np.exp(k * math.log(rate) - rate - gammaln(k + 1.0)))
@@ -114,8 +117,8 @@ def _poisson_cdf_table(rate: float) -> np.ndarray:
     return cdf
 
 
-def _poisson_ptrs(rate: float, rng: np.random.Generator,
-                  n: int) -> np.ndarray:
+def _poisson_ptrs(rate: float, rng: np.random.Generator, n: int,
+                  gammaln) -> np.ndarray:
     # transformed rejection; round-based so rejected slots retry together
     b = 0.931 + 2.53 * math.sqrt(rate)
     a = -0.059 + 0.02483 * b
@@ -150,10 +153,11 @@ def poisson_sampler(rates, seed: int) -> Sampler:
     smallest k with CDF(k) >= u); larger rates use transformed rejection.
     Coordinates are filled column by column.
     """
+    from scipy.special import gammaln
     lam = np.asarray(rates, dtype=float).ravel()
     if lam.size == 0 or not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
         raise ValueError("rates must be positive and finite")
-    tables = [_poisson_cdf_table(l) if l <= _INVERSION_CAP else None
+    tables = [_poisson_cdf_table(l, gammaln) if l <= _INVERSION_CAP else None
               for l in lam]
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -163,7 +167,7 @@ def poisson_sampler(rates, seed: int) -> Sampler:
                 u = _uniforms(rng, n)
                 out[:, j] = np.searchsorted(tables[j], u, side="left")
             else:
-                out[:, j] = _poisson_ptrs(float(lam[j]), rng, n)
+                out[:, j] = _poisson_ptrs(float(lam[j]), rng, n, gammaln)
         return out
 
     return Sampler("poisson", lam.size, int(seed), draw)

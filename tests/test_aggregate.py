@@ -14,7 +14,8 @@ from detector_forge.aggregate import (AggregationProblem, aggregate,
                                       subgaussian_fast_path_deltas,
                                       voronoi_geometry)
 from detector_forge.errors import InfeasibleError
-from detector_forge.sets import ball, box, halfspaces, linear_image
+from detector_forge.sets import (ball, box, halfspaces, intersection,
+                                  linear_image)
 
 # the package namespace re-exports the function ``aggregate``
 agg = importlib.import_module("detector_forge.aggregate")
@@ -253,6 +254,41 @@ def test_empty_multirow_cell_on_an_image_costs_no_projection():
     assert calls == []
 
 
+@pytest.mark.parametrize("prob", [
+    # every estimate lies in the parallelogram G [-1, 1]^2 and in its own
+    # cell, so its preimage already proves each three-row cell non-empty
+    AggregationProblem(
+        estimates=[[0.5, 0.5], [-0.8, -0.6], [-0.2, 0.7], [0.7, -0.4]],
+        parameter_sets=[box([-1.0, -1.0], [1.0, 1.0])],
+        G=np.array([[1.0, 0.5], [0.0, 1.0]]), Theta=np.eye(2)),
+    # most estimates lie outside both boxes; a row's support point (a box
+    # corner) lies in the cell instead
+    AggregationProblem(
+        estimates=[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]],
+        parameter_sets=[box([-1.0, -1.0], [2.0, 2.0]),
+                        box([1.0, 1.0], [4.0, 4.0])],
+        G=np.eye(2), Theta=np.eye(2)),
+])
+def test_cells_holding_a_known_point_need_no_polytope_oracle(prob):
+    calls = []
+    oracle = agg.minimize_polytope_quadratic
+
+    def counted(*args):
+        calls.append(1)
+        return oracle(*args)
+
+    cells = prob.count * len(prob.parameter_sets)
+    with mock.patch.object(agg, "minimize_polytope_quadratic", counted):
+        levels = purify(prob, 0.3)
+        assert calls == []
+        assert sum(len(l.reds) for l in levels) == cells
+        # the oracle, asked instead, keeps the same pieces
+        with mock.patch.object(agg, "_preimage_meets", lambda *a: False):
+            reference = purify(prob, 0.3)
+    assert len(calls) == cells
+    assert _kept(levels) == _kept(reference)
+
+
 def test_near_touching_cells_and_chunks_share_one_tolerance():
     # on the unit square, x2 - x1 >= 1 holds at the corner (0, 1) alone;
     # the cell adds x1 + x2 <= 1 - gap, which misses that corner by gap,
@@ -285,8 +321,11 @@ def _dykstra_feasible(piece, A, b, base, seed):
     support oracle.  Every round ends with a base projection, so on an
     empty piece the residual is at least the row gap whatever the number
     of rounds.  The cap shortens those runs; on a non-empty piece it can
-    stop short of the tolerance, which the test below allows for."""
-    x = halfspaces(A, b, base=base, max_iter=_REFERENCE_ROUNDS).project(seed)
+    stop short of the tolerance, which the test below allows for.  A plain
+    intersection keeps Dykstra where halfspaces over a polyhedral image
+    would project exactly."""
+    rows = [halfspaces(A[i:i + 1], b[i:i + 1]) for i in range(len(b))]
+    x = intersection(rows + [base], max_iter=_REFERENCE_ROUNDS).project(seed)
     return _meets(x, A, b, base)
 
 
@@ -349,8 +388,9 @@ def test_purify_agrees_with_dykstra_reference(kind, seed, log_margin):
     # no piece the reference finds a point in is dropped ...
     assert ref <= new
     # ... and a piece only the new test keeps holds a point that meets the
-    # residual check: a row's support point, the seed, or the full Dykstra
-    # projection, which the reference's cap may have cut short
+    # residual check: a row's support point, the seed, or the piece's own
+    # projection (exact on a polyhedral image, full Dykstra on a ball),
+    # where the reference's cap may have cut Dykstra short
     for color, key, A, b, img, seed_pt in pieces:
         if (color, key) in new - ref:
             candidates = [img.support(-a_i)[1] for a_i in A] + [seed_pt]

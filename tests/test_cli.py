@@ -335,15 +335,44 @@ def test_monte_carlo_size_mismatch_names_the_field(tmp_path, capsys, task):
     assert "matmul" not in err
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize alone adds about 0.1 s to every CLI start
+def _fresh_python(*args):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, detector_forge.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done
+
+
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_cli_import_leaves_scipy_optimize_out(tmp_path):
+    # scipy.special would add about 0.15 s to every CLI start (setup_s at
+    # the bench's reference speed), scipy.optimize 0.1 s more; only the
+    # samplers need scipy
+    done = _fresh_python(
+        "-c", f"import sys, detector_forge.cli; print({_SCIPY_LOADED})")
+    assert done.stdout.strip() == "[]"
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(pair_config()), encoding="utf-8")
+    done = _fresh_python("-X", "importtime", "-m", "detector_forge.cli",
+                         "--config", str(path), "--validate")
+    assert "config is valid" in done.stdout
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "detector_forge.detectors" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+    for build in ("gaussian_sampler([0.0], [[1.0]], 1)",
+                  "poisson_sampler([2.0, 40.0], 1)"):
+        done = _fresh_python(
+            "-c", "import sys; from detector_forge.simulate import *; "
+            f"print('scipy.special' in sys.modules); {build}; "
+            "print('scipy.special' in sys.modules)")
+        assert done.stdout.split() == ["False", "True"]

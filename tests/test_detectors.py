@@ -1,9 +1,13 @@
 """Detector construction and the closed-form Gaussian route."""
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detector_forge import detectors, families, saddle, sets
 from detector_forge.detectors import (AffineDetector, GaussianPairSpec,
@@ -119,6 +123,41 @@ def test_erf_risk_dominated_by_exponential_bound():
         assert erf_risk(s) <= np.exp(-0.5 * s ** 2) + 1e-12
 
 
+def _ulps(x: float, y: float) -> int:
+    return abs(int(np.float64(x).view(np.int64))
+               - int(np.float64(y).view(np.int64)))
+
+
+def _check_erf_risk(delta: float) -> None:
+    # The 4-ulp reference is 0.5 erfc at the same rounded argument, to 50
+    # digits.  scipy's erfc is itself up to about 490 ulp off in the tail
+    # (5.7e-14 relative at delta = 35) and flushes to 0 below the smallest
+    # normal double (delta > 37.5), so it gets a relative bound instead.
+    from scipy.special import erfc
+    mpmath = pytest.importorskip("mpmath")
+    got = erf_risk(delta)
+    z = delta / math.sqrt(2.0)
+    with mpmath.workdps(50):
+        exact = float(mpmath.erfc(mpmath.mpf(z)) / 2)
+    assert _ulps(got, exact) <= 4, (delta, got, exact)
+    ref = 0.5 * float(erfc(z))
+    if ref >= sys.float_info.min:
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert got > 0.0
+
+
+def test_erf_risk_matches_erfc_to_the_last_ulps():
+    for delta in np.linspace(0.0, 38.0, 761):
+        _check_erf_risk(float(delta))
+    assert erf_risk(38.0) < 1e-300
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=38.0))
+def test_erf_risk_matches_erfc_anywhere(delta):
+    _check_erf_risk(delta)
+
+
 def test_degenerate_pair_builds_zero_risk_detector():
     prob = SaddleProblem(families.discrete_family(sets.singleton([1.0, 0.0])),
                          families.discrete_family(sets.singleton([0.0, 1.0])))
@@ -184,9 +223,11 @@ def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
     A2, b2 = np.array([[-0.8, 0.6]]), np.array([-0.9])
     cells = [sets.halfspaces(A1, b1, base=img), sets.halfspaces(A2, b2, base=img)]
     Theta = np.array([[1.0, 0.4], [0.4, 0.7]])
-    # the same cells without their polyhedral description take the
-    # projected-gradient search
-    plain = [dataclasses.replace(c, meta={}) for c in cells]
+    # the same cells as plain intersections take the projected-gradient
+    # search over Dykstra projections
+    plain = [sets.intersection([sets.halfspaces(a[None], [b_i])
+                                for a, b_i in zip(A, b)] + [img])
+             for A, b in [(A1, b1), (A2, b2)]]
     slow = gaussian_symmetric_detector(GaussianPairSpec(*plain, Theta))
 
     calls = []

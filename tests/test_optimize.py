@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from detector_forge.optimize import (maximize_box_quadratic,
                                      minimize_polytope_quadratic,
                                      minimize_projected)
-from detector_forge.sets import box, halfspaces
+from detector_forge.sets import box, halfspaces, intersection
 
 
 def test_huge_gradient_takes_a_step_without_overflow():
@@ -120,8 +120,10 @@ def test_polytope_quadratic_minimum_is_attained_and_dominated(n, m, rank,
     assert np.all(value <= q(inside) + 1e-9 * max(1.0, abs(value)))
     # the projected-gradient search over the Dykstra projection agrees
     # wherever it stops converged at a point of the polytope (Dykstra,
-    # capped at 2000 rounds, can return one outside)
-    poly = halfspaces(C, d, base=box(lo, hi)) if m else box(lo, hi)
+    # capped at 2000 rounds, can return one outside); a plain intersection
+    # keeps Dykstra, which halfspaces over a box replaces by this oracle
+    poly = intersection([halfspaces(C[i:i + 1], d[i:i + 1])
+                         for i in range(m)] + [box(lo, hi)])
     res = minimize_projected(lambda x: (float(q(x)), Q @ x + c),
                              np.zeros(n), poly.project, rtol=1e-14)
     if res.converged and np.all(C @ res.x <= d + tol):

@@ -20,9 +20,9 @@ rows fails that test.  A cell that passes it on a polyhedral image (a
 finite box, a simplex, linear images of those and halfspaces over them:
 sets.polyhedral_form) is a polytope.  Where the image map is square, it is
 kept at once when the preimage of its estimate or of a row's support point
-meets every row; otherwise an exact projection of its estimate decides
-(optimize.minimize_polytope_quadratic).  There every row, alone
-or in a cell, is held to that oracle's slack.  Pieces of any other image
+meets every row; otherwise the polytope oracle's projection of its
+estimate decides (optimize.minimize_polytope_quadratic).  There every
+row, alone or in a cell, is held to that oracle's slack.  Pieces of any other image
 fall back to a residual check at the estimate and then at its Dykstra
 projection onto the piece.  Level tests on polyhedral images take their
 closest pairs from the same exact oracle, so they run no Dykstra at all.

@@ -165,8 +165,12 @@ def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     images of them and halfspaces over those: sets.polyhedral_form) and
     the face enumeration stays under its cap: one
     optimize.minimize_polytope_quadratic call.  Any other pair is searched
-    by projected gradient, whose stopping point can only overstate the
-    distance.
+    by projected gradient.  Its stopping point can only overstate the
+    distance where the sets' projections land in them.  The polytope
+    projections of linear images and halfspaces may exceed a row by the
+    oracle's slack, so there the distance may be understated by about 1e-9
+    of the rows' scale; Dykstra's projection, behind halfspaces over other
+    bases, may stop farther outside.
     """
     Theta = np.asarray(spec.Theta, dtype=float)
     d = spec.mean_set1.dim

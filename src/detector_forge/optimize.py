@@ -46,10 +46,10 @@ _STEP0 = 1.0          # first trial step
 _BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
 # Face candidates of minimize_polytope_quadratic.  Its KKT systems, of size
 # n + min(m, n), took 2-10 us each in batches on one core, so a call at the
-# cap stays under about 80 ms: near the least that the projected-gradient
-# closest-pair search over Dykstra projections took on aggregation pairs of
-# 2-d and 3-d box images (40 ms to 10 s).  Past it, the oracle lost to that
-# search on 3-d images.
+# cap stays under about 80 ms.  Past it, the projected-gradient closest-pair
+# search over the polytope projections of the two pieces took 6-85 ms on
+# aggregation pairs of 2-d and 3-d box images, where the enumeration took
+# 40-650 ms.
 _POLYTOPE_CANDIDATE_CAP = 2 ** 13
 _FACE_CHUNK = 2048             # KKT systems built and solved at once
 _FEASIBLE_RTOL = 1e-9          # slack of a candidate, relative to its rows

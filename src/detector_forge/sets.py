@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .optimize import minimize_polytope_quadratic
+from .optimize import minimize_polytope_quadratic, minimize_projected
 
 __all__ = [
     "ConvexSet",
@@ -218,10 +218,11 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
 def halfspaces(A, b, base: Optional[ConvexSet] = None, max_iter: int = 2000) -> ConvexSet:
     """Polyhedron {x : A x <= b}, optionally intersected with a base set.
 
-    Over a polyhedral base (polyhedral_form) the projection is exact
-    (_polytope_projection).  Otherwise, and past that oracle's cap, it uses
-    Dykstra's alternating scheme over the individual half-spaces (and the
-    base set when given).
+    Over a polyhedral base (polyhedral_form) the projection is the polytope
+    oracle's minimizer, which may exceed a row by the oracle's slack, about
+    1e-9 of the row's scale (_polytope_projection).  Otherwise, and past
+    that oracle's cap, it uses Dykstra's alternating scheme over the
+    individual half-spaces (and the base set when given).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -342,12 +343,11 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
     M z.  A polyhedral base (polyhedral_form) makes this a convex quadratic
-    over a polytope, solved exactly (_polytope_projection); any other base,
-    or a polytope too large to enumerate, is projected by projected
-    gradient.  The support function delegates to the base set through M'.
+    over a polytope, solved by the polytope oracle (_polytope_projection);
+    any other base, or a polytope too large to enumerate, is projected by
+    projected gradient.  The support function delegates to the base set
+    through M'.
     """
-    from .optimize import minimize_projected
-
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != base.dim:
         raise ValueError("map columns must match the base set dimension")
@@ -385,13 +385,19 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
 
 def _polytope_projection(form_of: Callable, fallback: Callable) -> Callable:
     """Euclidean projection onto a set {G z : lo <= z <= hi, C z <= d}:
-    G z for the exact minimizer z of ||G z - y||^2
-    (optimize.minimize_polytope_quadratic with Q = G'G).  ``form_of()``
+    G z for the minimizer z of ||G z - y||^2 that
+    optimize.minimize_polytope_quadratic finds with Q = G'G.  ``form_of()``
     gives (G, lo, hi, C, d), or None for a set that is not polyhedral
     (polyhedral_form); it is read at the first call, since most cells and
     chunks are built and never projected.  ``fallback`` projects where
     there is no form, past the oracle's cap, and on a polytope it finds
-    empty."""
+    empty.
+
+    The oracle meets each cut row to its slack (_row_slack), so a candidate
+    that leaves a row free and lands just outside it can beat the face
+    point on the row: the projection may exceed a cut row by that slack,
+    about 1e-9 of the row's scale, and a descent over it may end that far
+    below a minimum over the set."""
     memo = []
 
     def proj(y):

@@ -279,9 +279,12 @@ def test_linear_image_of_simplex_projects_exactly_without_a_solve(monkeypatch):
     assert calls == []
 
 
-def test_halfspaces_over_a_box_projects_exactly():
+def test_halfspaces_over_a_box_projects_to_the_oracles_slack():
     # two rows cutting a thin box: Dykstra, capped at 2000 rounds, left a
-    # row violated by up to 0.0137 on points drawn like these
+    # row violated by up to 0.0137 on points drawn like these.  The oracle
+    # meets each row only to its slack, so that a point on a row passes
+    # despite rounding; a candidate leaving the row free may pass too, so
+    # the projection is not held to the rows with no slack
     from detector_forge.optimize import _row_slack
 
     lo = np.array([-0.72352668, -1.50626434, -0.88130624])

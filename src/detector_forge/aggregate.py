@@ -12,20 +12,11 @@ The margin is either supplied, calibrated by shrinking from the problem
 diameter until the per-level risk budget breaks, or, for the pure
 sub-Gaussian case, written down directly from the fast-path formula.
 
-Empty pieces are dropped before any detector is built.  When the image
-has a support function, a margin chunk (one half-space) is empty exactly
-when the image's least value along its row exceeds the offset, which one
-support call gives; a cell (L - 1 half-spaces) is empty when one of its
-rows fails that test.  A cell that passes it on a polyhedral image (a
-finite box, a simplex, linear images of those and halfspaces over them:
-sets.polyhedral_form) is a polytope.  Where the image map is square, it is
-kept at once when the preimage of its estimate or of a row's support point
-meets every row; otherwise the polytope oracle's projection of its
-estimate decides (optimize.minimize_polytope_quadratic).  There every
-row, alone or in a cell, is held to that oracle's slack.  Pieces of any other image
-fall back to a residual check at the estimate and then at its Dykstra
-projection onto the piece.  Level tests on polyhedral images take their
-closest pairs from the same exact oracle, so they run no Dykstra at all.
+Empty pieces are dropped before any detector is built (purify).  One
+support call decides a margin chunk.  A cell of an image with a polytope
+(ConvexSet.polytope) is decided by the exact oracle that also gives its
+level tests their closest pairs (Polytope.nearest and .closest), so those
+run no Dykstra; pieces of other images take a residual check.
 """
 
 from __future__ import annotations
@@ -40,9 +31,7 @@ from .detectors import GaussianPairSpec, gaussian_symmetric_detector
 from .errors import InfeasibleError
 from .multitest import (ClosenessRelation, PairwiseBattery, ShiftedBattery,
                         infer_color_block, run_multitest_block, shift_battery)
-from .optimize import (_polytope_points, _row_slack,
-                       minimize_polytope_quadratic)
-from .sets import ConvexSet, halfspaces, linear_image, polyhedral_form
+from .sets import ConvexSet, halfspaces, linear_image
 
 __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
            "level_margins", "LevelSets", "purify", "LevelTest",
@@ -121,55 +110,39 @@ def voronoi_geometry(estimates) -> VoronoiGeometry:
 def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
               base: ConvexSet, seed: np.ndarray) -> bool:
     """Is the piece {x in base : A x <= b} non-empty?  The least value of
-    a_i x over the base is -supp(-a_i), which decides one row.  A
-    polyhedral piece {G z : lo <= z <= hi, C z <= d} (its rows A G the last
-    rows of C) is held to the polytope oracle's slack on every row.  It
-    is kept when G is square and G^-1 x meets every row for x the seed or
-    a row's support point; otherwise projecting the seed onto it exactly
-    (optimize.minimize_polytope_quadratic with Q = G'G) finds a point
-    exactly when the piece is non-empty to that slack.  Any
-    other piece allows each row, and the residual at the seed or its
+    a_i x over the base is -supp(-a_i), which decides one row.  A piece
+    with a polytope is held to the polytope oracle's slack on every row
+    (its rows are the last cut rows).  It is kept when Polytope.holds takes
+    the seed or a row's support point; otherwise Polytope.nearest of the
+    seed finds a point exactly when the piece is non-empty to that slack.
+    Any other piece allows each row, and the residual at the seed or its
     Dykstra projection, up to _EMPTY_RESIDUAL * (1 + |x|)."""
-    form = polyhedral_form(piece)
-    if form is not None:
-        G, lo, hi, C, d = form
-        slack = _row_slack(lo, hi, C, d)[-b.size:]
+    poly = piece.polytope
+    if poly is not None:
+        slack = poly.row_slack()[-b.size:]
     points = [seed]
     if base.support is not None:
         for i, (a_i, b_i) in enumerate(zip(A, b)):
             val, x = base.support(-a_i)
-            tol = (slack[i] if form is not None else
+            tol = (slack[i] if poly is not None else
                    _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x))))
             if -val - b_i > tol:
                 return False
             points.append(x)
         if b.size == 1:
             return True
-    if form is not None:
-        if G.shape[0] == G.shape[1] and _preimage_meets(form, points):
-            return True
-        best = minimize_polytope_quadratic(G.T @ G, -(G.T @ seed), lo, hi,
-                                           C, d)
-        if best is not None:
-            return best[0] is not None
+    if poly is not None:
+        try:
+            if poly.holds(np.stack(points)) or poly.nearest(seed) is not None:
+                return True
+        except InfeasibleError:
+            return False
 
     def meets(x):
         resid = max(float(np.max(A @ x - b)), base.distance(x))
         return resid <= _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
 
     return meets(seed) or meets(piece.project(seed))
-
-
-def _preimage_meets(form, points: list) -> bool:
-    """Does G^-1 x meet lo <= z <= hi, C z <= d to the polytope oracle's
-    slack for one of the points x?  Any such z is a point of the polytope,
-    so the piece is non-empty without an oracle call."""
-    G, lo, hi, C, d = form
-    try:
-        Z = np.linalg.solve(G, np.stack(points, axis=1)).T
-    except np.linalg.LinAlgError:
-        return False
-    return len(_polytope_points(Z, lo, hi, C, d)) > 0
 
 
 def level_margins(deltas, count: int) -> np.ndarray:
@@ -194,10 +167,10 @@ def purify(problem: AggregationProblem, deltas) -> list:
 
     Emptiness is exact, by one support call, for one-row pieces of an
     image with a support function; a cell of several rows is dropped when
-    one row fails that test.  Otherwise a cell of a polyhedral image
-    (sets.polyhedral_form) is kept exactly when the polytope oracle finds
-    a point in it, and a cell of any other image by the residual of a
-    point found by Dykstra's method (see ``_feasible``).
+    one row fails that test.  Otherwise a cell of an image with a polytope
+    (ConvexSet.polytope) is kept exactly when the polytope oracle finds a
+    point in it, and a cell of any other image by the residual of a point
+    found by Dykstra's method (see ``_feasible``).
     """
     geo = voronoi_geometry(problem.estimates)
     L = problem.count

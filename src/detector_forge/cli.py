@@ -108,13 +108,16 @@ def build_set(desc: dict, path: str) -> sets.ConvexSet:
         if kind == "halfspaces":
             base = (build_set(desc["base"], path + ".base")
                     if "base" in desc else None)
-            return sets.halfspaces(desc["A"], desc["b"], base=base)
+            out = sets.halfspaces(desc["A"], desc["b"], base=base)
+            if out.polytope is not None:
+                out.polytope.nearest(np.zeros(out.dim))  # raises when empty
+            return out
         if kind == "psd_interval":
             return sets.psd_interval(_sym_psd(desc["lo"], path + ".lo"),
                                      _sym_psd(desc["hi"], path + ".hi"))
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, InfeasibleError) as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(path, f"unknown set type {kind!r}")
 

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimize import minimize_polytope_quadratic, minimize_projected
+from .optimize import minimize_projected
 from .saddle import _DEGENERATE_FLOOR, SaddleOptions, SaddleProblem, solve_saddle
-from .sets import ConvexSet, polyhedral_form
+from .sets import ConvexSet
 
 __all__ = ["AffineDetector", "TestVerdict", "build_detector", "apply_detector",
            "apply_repeated", "risk_after_K", "k_to_match_ideal",
@@ -131,46 +131,20 @@ class GaussianPairResult:
     risk_gaussian: float  # exact two-sided error when the noise is Gaussian
 
 
-def _closest_polyhedral_pair(s1: ConvexSet, s2: ConvexSet, P: np.ndarray):
-    """Exact closest pair of two polyhedral mean sets in the metric P, or
-    None when either set is not polyhedral (sets.polyhedral_form) or the
-    face enumeration declines.  With s_k = {G_k z_k : lo_k <= z_k <= hi_k,
-    C_k z_k <= d_k}, the squared distance is z'Qz/2 over z = (z1, z2), with
-    Q = 2 M'PM and M = [G1, -G2], minimized by one oracle call."""
-    f1, f2 = polyhedral_form(s1), polyhedral_form(s2)
-    if f1 is None or f2 is None:
-        return None
-    (G1, lo1, hi1, C1, d1), (G2, lo2, hi2, C2, d2) = f1, f2
-    n1, n2 = G1.shape[1], G2.shape[1]
-    M = np.hstack([G1, -G2])
-    C = np.zeros((C1.shape[0] + C2.shape[0], n1 + n2))
-    C[:C1.shape[0], :n1] = C1
-    C[C1.shape[0]:, n1:] = C2
-    best = minimize_polytope_quadratic(
-        2.0 * (M.T @ P @ M), np.zeros(n1 + n2), np.concatenate([lo1, lo2]),
-        np.concatenate([hi1, hi2]), C, np.concatenate([d1, d2]))
-    if best is None or best[0] is None:
-        return None
-    return G1 @ best[0][:n1], G2 @ best[0][n1:]
-
-
 def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     """Optimal affine detector for Gaussian-type pairs with common covariance.
 
     Finds the closest pair of means in the precision metric, then reads the
     detector off the geometry: h is the precision-weighted half-difference,
     the shift centers the statistic between the two means.  Overlapping mean
-    sets yield the zero detector with risk one.  The closest pair is exact
-    when both mean sets are polyhedral (finite boxes, simplices, linear
-    images of them and halfspaces over those: sets.polyhedral_form) and
-    the face enumeration stays under its cap: one
-    optimize.minimize_polytope_quadratic call.  Any other pair is searched
-    by projected gradient.  Its stopping point can only overstate the
-    distance where the sets' projections land in them.  The polytope
-    projections of linear images and halfspaces may exceed a row by the
-    oracle's slack, so there the distance may be understated by about 1e-9
-    of the rows' scale; Dykstra's projection, behind halfspaces over other
-    bases, may stop farther outside.
+    sets yield the zero detector with risk one.  When both mean sets have a
+    polytope (ConvexSet.polytope), the closest pair is Polytope.closest, one
+    oracle call, unless the face enumeration declines; any other pair is
+    searched by projected gradient, whose stopping point can only overstate
+    the distance where the sets' projections land in them.  Polytope
+    projections may exceed a row by the oracle's slack (sets.Polytope), so
+    there the distance may be understated by about 1e-9 of the rows' scale,
+    and behind Dykstra's projection (halfspaces over other bases) by more.
     """
     Theta = np.asarray(spec.Theta, dtype=float)
     d = spec.mean_set1.dim
@@ -182,10 +156,8 @@ def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     P = np.linalg.inv(0.5 * (Theta + Theta.T))
 
     s1, s2 = spec.mean_set1, spec.mean_set2
-    if s1.meta.get("kind") == "singleton" and s2.meta.get("kind") == "singleton":
-        pair = s1.meta["point"], s2.meta["point"]
-    else:
-        pair = _closest_polyhedral_pair(s1, s2, P)
+    p1, p2 = s1.polytope, s2.polytope
+    pair = None if p1 is None or p2 is None else p1.closest(p2, P)
     if pair is None:
         def obj(z):
             u, v = z[:d], z[d:]

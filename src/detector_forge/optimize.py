@@ -298,7 +298,8 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     can only yield a point that is rejected or that is a feasible point,
     whose value is evaluated as is.  The best candidate that meets every
     row to _FEASIBLE_RTOL of the row's scale (_row_slack; the box rows to
-    _FEASIBLE_RTOL of their width) wins, clipped into the box.
+    _FEASIBLE_RTOL of their width) wins, clipped into the box.  Coordinates
+    with lo = hi are folded into c and d; candidates are checked whole.
 
     Returns (z, q(z)); (None, inf) when no candidate is feasible, that is
     when the polytope is empty to that slack; and None when the candidates
@@ -314,6 +315,11 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
         np.asarray(C, dtype=float)).reshape(-1, n)
     d = np.zeros(0) if d is None else np.atleast_1d(np.asarray(d, dtype=float))
     m = d.size
+    own, Q_w, c_w, whole = lo < hi, Q, c, (lo, hi, C, d)
+    if not own.all():
+        z_w = np.where(own, 0.0, lo)
+        Q, c, d = Q[np.ix_(own, own)], (c + Q @ z_w)[own], d - C @ z_w
+        lo, hi, C, n = lo[own], hi[own], C[:, own], int(own.sum())
     faces = _polytope_faces(n, m)
     if faces is None:
         return None
@@ -346,10 +352,14 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
                                                      pinned)], axis=1)
         ok = np.linalg.slogdet(K)[0] != 0.0
         sol = np.linalg.solve(K[ok], rhs[ok][:, :, None])[:, :n, 0]
-        Z = _polytope_points(np.where(free[ok], sol, X[ok]), lo, hi, C, d)
+        Z = np.where(free[ok], sol, X[ok])
+        if n < len(own):
+            Z_own, Z = Z, np.repeat(whole[0][None], len(Z), axis=0)
+            Z[:, own] = Z_own
+        Z = _polytope_points(Z, *whole)
         if not len(Z):
             continue
-        vals = 0.5 * np.sum((Z @ Q) * Z, axis=1) + Z @ c
+        vals = 0.5 * np.sum((Z @ Q_w) * Z, axis=1) + Z @ c_w
         i = int(np.argmin(vals))
         if vals[i] < best_v:
             best_z, best_v = Z[i], float(vals[i])

@@ -11,15 +11,19 @@ the optimizers never need to know about matrix shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .optimize import minimize_polytope_quadratic, minimize_projected
+from .errors import InfeasibleError
+from .optimize import (_polytope_points, _row_slack,
+                       minimize_polytope_quadratic, minimize_projected)
 
 __all__ = [
     "ConvexSet",
+    "Polytope",
     "full_space",
     "singleton",
     "box",
@@ -30,7 +34,6 @@ __all__ = [
     "scale",
     "linear_preimage",
     "linear_image",
-    "polyhedral_form",
     "intersection",
     "psd_interval",
     "psd_top",
@@ -40,6 +43,75 @@ __all__ = [
 ]
 
 _MEMBERSHIP_RTOL = 1e-9
+_DYKSTRA_MAX_ITER = 2000   # rounds of halfspaces' and intersection's Dykstra
+
+
+@dataclass(frozen=True, eq=False)
+class Polytope:
+    """The set {G z : lo <= z <= hi, C z <= d} over a finite box.
+
+    Its answers come from optimize.minimize_polytope_quadratic, which meets
+    each cut row to its slack (row_slack), about 1e-9 of the row's scale, so
+    nearest and closest may return points that exceed a row by that slack.
+    """
+
+    G: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
+
+    def image(self, M: np.ndarray) -> "Polytope":
+        """The polytope {M x : x in self}."""
+        return replace(self, G=M @ self.G)
+
+    def cut(self, A: np.ndarray, b: np.ndarray) -> "Polytope":
+        """The polytope {x in self : A x <= b}, its rows A G acting on z."""
+        return replace(self, C=np.vstack([self.C, A @ self.G]),
+                       d=np.concatenate([self.d, b]))
+
+    def row_slack(self) -> np.ndarray:
+        """How far the oracle lets a point exceed each cut row."""
+        return _row_slack(self.lo, self.hi, self.C, self.d)
+
+    def holds(self, X: np.ndarray) -> bool:
+        """Does some row x of X have a preimage z = G^-1 x in the box and
+        the cut rows to the oracle's slack?  Never unless G is invertible."""
+        try:
+            Z = np.linalg.solve(self.G, X.T).T
+        except np.linalg.LinAlgError:
+            return False
+        return len(_polytope_points(Z, self.lo, self.hi, self.C, self.d)) > 0
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return self.G.T @ self.G
+
+    def nearest(self, y: np.ndarray) -> Optional[np.ndarray]:
+        """The projection G z of y, z the oracle's minimizer of ||G z - y||^2;
+        None past the oracle's cap, InfeasibleError where it finds no z."""
+        best = minimize_polytope_quadratic(self._gram, -(self.G.T @ y),
+                                           self.lo, self.hi, self.C, self.d)
+        if best is not None and best[0] is None:
+            raise InfeasibleError("the polytope is empty")
+        return None if best is None else self.G @ best[0]
+
+    def closest(self, other: "Polytope", P: np.ndarray):
+        """(x1 in self, x2 in other) nearest in the metric P: one oracle call
+        over z = (z1, z2) on z'Qz/2, Q = 2 M'PM with M = [G1, -G2].  None
+        when the oracle declines or finds no point."""
+        n1, n2 = self.G.shape[1], other.G.shape[1]
+        M = np.hstack([self.G, -other.G])
+        C = np.block([[self.C, np.zeros((self.d.size, n2))],
+                      [np.zeros((other.d.size, n1)), other.C]])
+        best = minimize_polytope_quadratic(
+            2.0 * (M.T @ P @ M), np.zeros(n1 + n2),
+            np.concatenate([self.lo, other.lo]),
+            np.concatenate([self.hi, other.hi]), C,
+            np.concatenate([self.d, other.d]))
+        if best is None or best[0] is None:
+            return None
+        return self.G @ best[0][:n1], other.G @ best[0][n1:]
 
 
 @dataclass
@@ -67,6 +139,8 @@ class ConvexSet:
     bound_radius: Optional[float] = None
     name: str = "set"
     meta: dict = field(default_factory=dict)
+    # derived, never passed: set by the constructors that know a Polytope
+    polytope: Optional[Polytope] = field(default=None, init=False, repr=False)
 
     def contains(self, x: np.ndarray, tol: float = _MEMBERSHIP_RTOL) -> bool:
         x = np.asarray(x, dtype=float)
@@ -96,8 +170,11 @@ def singleton(point) -> ConvexSet:
     def supp(g):
         return float(g @ p), p.copy()
 
-    return ConvexSet(p.size, proj, supp, float(np.linalg.norm(p)),
-                     name="singleton", meta={"kind": "singleton", "point": p})
+    out = ConvexSet(p.size, proj, supp, float(np.linalg.norm(p)),
+                    name="singleton", meta={"kind": "singleton", "point": p})
+    out.polytope = Polytope(np.eye(p.size), p, p, np.zeros((0, p.size)),
+                            np.zeros(0))
+    return out
 
 
 def box(lo, hi) -> ConvexSet:
@@ -125,8 +202,12 @@ def box(lo, hi) -> ConvexSet:
         return float(np.sum(val)), arg
 
     radius = float(np.sqrt(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2))) if bounded else None
-    return ConvexSet(lo.size, proj, supp, radius, name="box",
-                     meta={"kind": "box", "lo": lo, "hi": hi})
+    out = ConvexSet(lo.size, proj, supp, radius, name="box",
+                    meta={"kind": "box", "lo": lo, "hi": hi})
+    if bounded:
+        out.polytope = Polytope(np.eye(lo.size), lo, hi,
+                                np.zeros((0, lo.size)), np.zeros(0))
+    return out
 
 
 def ball(center, radius: float) -> ConvexSet:
@@ -211,18 +292,22 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
                 break
         return float(g @ x), x
 
-    return ConvexSet(dim, proj, supp, 1.0, name="simplex",
-                     meta={"kind": "simplex", "lo": lo, "hi": hi})
+    out = ConvexSet(dim, proj, supp, 1.0, name="simplex",
+                    meta={"kind": "simplex", "lo": lo, "hi": hi})
+    # the sum row as two cut rows over the box that the bounds imply
+    ones = np.ones((1, dim))
+    out.polytope = Polytope(np.eye(dim), lo,
+                            np.minimum(hi, lo + max(1.0 - lo.sum(), 0.0)),
+                            np.vstack([ones, -ones]), np.array([1.0, -1.0]))
+    return out
 
 
-def halfspaces(A, b, base: Optional[ConvexSet] = None, max_iter: int = 2000) -> ConvexSet:
+def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     """Polyhedron {x : A x <= b}, optionally intersected with a base set.
 
-    Over a polyhedral base (polyhedral_form) the projection is the polytope
-    oracle's minimizer, which may exceed a row by the oracle's slack, about
-    1e-9 of the row's scale (_polytope_projection).  Otherwise, and past
-    that oracle's cap, it uses Dykstra's alternating scheme over the
-    individual half-spaces (and the base set when given).
+    Over a base with a polytope it projects by Polytope.nearest; otherwise,
+    past the oracle's cap and on a polytope it finds empty, by Dykstra's
+    alternating scheme over the half-spaces (and the base set when given).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -244,11 +329,12 @@ def halfspaces(A, b, base: Optional[ConvexSet] = None, max_iter: int = 2000) -> 
         pieces.append(ConvexSet(A.shape[1], proj_i, name="halfspace"))
     if base is not None:
         pieces.append(base)
-    proj = _polytope_projection(lambda: polyhedral_form(out),
-                                _dykstra(pieces, max_iter))
+    poly = base and base.polytope and base.polytope.cut(A, b)
     radius = base.bound_radius if base is not None else None
-    out = ConvexSet(A.shape[1], proj, None, radius, name="halfspaces",
-                    meta={"kind": "halfspaces", "A": A, "b": b, "base": base})
+    out = ConvexSet(A.shape[1],
+                    _nearest_or(poly, _dykstra(pieces, _DYKSTRA_MAX_ITER)),
+                    None, radius, name="halfspaces", meta={"kind": "halfspaces"})
+    out.polytope = poly
     return out
 
 
@@ -342,11 +428,10 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     """The image {M x : x in base} of a convex set under a linear map.
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
-    M z.  A polyhedral base (polyhedral_form) makes this a convex quadratic
-    over a polytope, solved by the polytope oracle (_polytope_projection);
-    any other base, or a polytope too large to enumerate, is projected by
-    projected gradient.  The support function delegates to the base set
-    through M'.
+    M z.  Over a base with a polytope this is Polytope.nearest of the
+    image polytope; any other base, or a polytope too large to enumerate,
+    is projected by projected gradient.  The support function delegates to
+    the base set through M'.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != base.dim:
@@ -376,75 +461,31 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     radius = None
     if base.bound_radius is not None:
         radius = float(np.linalg.norm(M, 2) * base.bound_radius)
-    out = ConvexSet(dim, _polytope_projection(lambda: polyhedral_form(out),
-                                              proj),
-                    supp, radius, name=f"image({base.name})",
-                    meta={"kind": "image", "base": base, "map": M})
+    poly = None if base.polytope is None else base.polytope.image(M)
+    out = ConvexSet(dim, _nearest_or(poly, proj), supp, radius,
+                    name=f"image({base.name})", meta={"kind": "image"})
+    out.polytope = poly
     return out
 
 
-def _polytope_projection(form_of: Callable, fallback: Callable) -> Callable:
-    """Euclidean projection onto a set {G z : lo <= z <= hi, C z <= d}:
-    G z for the minimizer z of ||G z - y||^2 that
-    optimize.minimize_polytope_quadratic finds with Q = G'G.  ``form_of()``
-    gives (G, lo, hi, C, d), or None for a set that is not polyhedral
-    (polyhedral_form); it is read at the first call, since most cells and
-    chunks are built and never projected.  ``fallback`` projects where
-    there is no form, past the oracle's cap, and on a polytope it finds
-    empty.
-
-    The oracle meets each cut row to its slack (_row_slack), so a candidate
-    that leaves a row free and lands just outside it can beat the face
-    point on the row: the projection may exceed a cut row by that slack,
-    about 1e-9 of the row's scale, and a descent over it may end that far
-    below a minimum over the set."""
-    memo = []
+def _nearest_or(poly: Optional[Polytope], fallback: Callable) -> Callable:
+    """Projection by poly.nearest, and by ``fallback`` without a polytope,
+    past the oracle's cap and on a polytope it finds empty."""
+    if poly is None:
+        return fallback
 
     def proj(y):
-        y = np.asarray(y, dtype=float)
-        if not memo:
-            form = form_of()
-            memo.append(None if form is None else (form, form[0].T @ form[0]))
-        if memo[0] is None:
-            return fallback(y)
-        (G, lo, hi, C, d), gram = memo[0]
-        best = minimize_polytope_quadratic(gram, -(G.T @ y), lo, hi, C, d)
-        if best is None or best[0] is None:
-            return fallback(y)
-        return G @ best[0]
+        try:
+            x = poly.nearest(np.asarray(y, dtype=float))
+        except InfeasibleError:
+            x = None
+        return fallback(y) if x is None else x
 
     return proj
 
 
-def polyhedral_form(s: ConvexSet):
-    """(G, lo, hi, C, d) with s = {G z : lo <= z <= hi, C z <= d} and a
-    finite box, or None.  Covers a finite box, a simplex (its sum row taken
-    as two cut rows over the box that its bounds imply), a linear_image of
-    a polyhedral set (G taken through the map) and halfspaces over one
-    (rows A acting on z as A G)."""
-    kind = s.meta.get("kind")
-    if kind == "box" and s.bound_radius is not None:
-        return (np.eye(s.dim), s.meta["lo"], s.meta["hi"],
-                np.zeros((0, s.dim)), np.zeros(0))
-    if kind == "simplex":
-        lo = s.meta["lo"]
-        hi = np.minimum(s.meta["hi"], lo + max(1.0 - lo.sum(), 0.0))
-        ones = np.ones((1, s.dim))
-        return (np.eye(s.dim), lo, hi, np.vstack([ones, -ones]),
-                np.array([1.0, -1.0]))
-    if kind not in ("image", "halfspaces") or s.meta["base"] is None:
-        return None
-    inner = polyhedral_form(s.meta["base"])
-    if inner is None:
-        return None
-    G, lo, hi, C, d = inner
-    if kind == "image":
-        return s.meta["map"] @ G, lo, hi, C, d
-    return (G, lo, hi, np.vstack([C, s.meta["A"] @ G]),
-            np.concatenate([d, s.meta["b"]]))
-
-
-def intersection(parts: Sequence[ConvexSet], max_iter: int = 2000) -> ConvexSet:
+def intersection(parts: Sequence[ConvexSet],
+                 max_iter: int = _DYKSTRA_MAX_ITER) -> ConvexSet:
     """Intersection of convex sets, projected by Dykstra's algorithm."""
     parts = list(parts)
     if not parts:

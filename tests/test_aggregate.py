@@ -19,6 +19,7 @@ from detector_forge.sets import (ball, box, halfspaces, intersection,
 
 # the package namespace re-exports the function ``aggregate``
 agg = importlib.import_module("detector_forge.aggregate")
+sets_module = importlib.import_module("detector_forge.sets")
 
 
 def line_problem():
@@ -271,19 +272,21 @@ def test_empty_multirow_cell_on_an_image_costs_no_projection():
 ])
 def test_cells_holding_a_known_point_need_no_polytope_oracle(prob):
     calls = []
-    oracle = agg.minimize_polytope_quadratic
+    oracle = sets_module.minimize_polytope_quadratic
 
     def counted(*args):
         calls.append(1)
         return oracle(*args)
 
     cells = prob.count * len(prob.parameter_sets)
-    with mock.patch.object(agg, "minimize_polytope_quadratic", counted):
+    with mock.patch.object(sets_module, "minimize_polytope_quadratic",
+                           counted):
         levels = purify(prob, 0.3)
         assert calls == []
         assert sum(len(l.reds) for l in levels) == cells
         # the oracle, asked instead, keeps the same pieces
-        with mock.patch.object(agg, "_preimage_meets", lambda *a: False):
+        with mock.patch.object(sets_module.Polytope, "holds",
+                               lambda *a: False):
             reference = purify(prob, 0.3)
     assert len(calls) == cells
     assert _kept(levels) == _kept(reference)

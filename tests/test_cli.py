@@ -84,6 +84,24 @@ def test_bad_covariance_names_the_field(tmp_path, capsys):
     assert "positive definite" in err
 
 
+def test_empty_halfspaces_mean_set_exits_2(tmp_path, capsys):
+    # no point of [-1, 1]^2 has x1 + x2 <= -5; Dykstra's point (-1, -1)
+    # once stood in for the empty set and the pair was certified
+    cfg = pair_config()
+    cfg["families"][0]["mean"] = {
+        "type": "halfspaces", "A": [[1.0, 1.0]], "b": [-5.0],
+        "base": {"type": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
+    cfg["families"][1]["mean"] = {"type": "box", "lo": [2.0, -1.0],
+                                  "hi": [3.0, 1.0]}
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 2
+    err = capsys.readouterr().err
+    assert "families[0].mean" in err and "empty" in err
+    assert not (tmp_path / "report.json").exists()
+    # a non-empty cut of the same box still runs
+    cfg["families"][0]["mean"]["b"] = [-1.5]
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
+
+
 def test_invalid_json_and_missing_file(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -62,6 +62,18 @@ def test_gaussian_singleton_geometry():
     assert res.risk_gaussian == pytest.approx(0.1586553, abs=1e-6)
 
 
+def test_gaussian_singleton_pair_is_exact_in_five_dimensions():
+    # two points: the closest-pair oracle has nothing to enumerate, where
+    # 3^10 box states of the joint box would pass its cap
+    a, b = np.arange(5.0), -np.ones(5)
+    spec = GaussianPairSpec(sets.singleton(a), sets.singleton(b),
+                            2.0 * np.eye(5))
+    res = gaussian_symmetric_detector(spec)
+    assert np.allclose(res.detector.h, (a - b) / 4.0, rtol=0.0, atol=1e-15)
+    assert res.delta == pytest.approx(np.linalg.norm(a - b) / np.sqrt(8.0),
+                                      rel=1e-15)
+
+
 def test_gaussian_box_means():
     spec = GaussianPairSpec(sets.box([1.0, -1.0], [3.0, 1.0]),
                             sets.box([-3.0, -1.0], [-1.0, 1.0]), np.eye(2))

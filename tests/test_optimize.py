@@ -164,6 +164,35 @@ def test_polytope_quadratic_reports_empty_polytopes_and_the_cap():
                                        np.ones((1, 8)), np.ones(1)) is None
 
 
+def test_polytope_quadratic_enumerates_only_coordinates_of_nonzero_width():
+    # a box of zero width in every coordinate is one point: 3^10 box
+    # states would pass the cap, one candidate does not
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal(10)
+    Q, c = np.eye(10), rng.standard_normal(10)
+    z, value = minimize_polytope_quadratic(Q, c, p, p)
+    assert np.array_equal(z, p) and value == 0.5 * p @ p + c @ p
+    C = np.ones((1, 10))
+    assert minimize_polytope_quadratic(Q, c, p, p, C, [p.sum() - 1.0]) \
+        == (None, np.inf)
+    # pinning 6 of 9 coordinates leaves the minimum over the other 3, with
+    # the pinned ones folded into c and d
+    B = rng.standard_normal((9, 9))
+    Q, c = B @ B.T, rng.standard_normal(9)
+    lo, hi = -np.ones(9), np.ones(9)
+    pin = np.arange(9) >= 3
+    lo[pin] = hi[pin] = rng.uniform(-1.0, 1.0, 6)
+    C = rng.standard_normal((2, 9))
+    d = C @ lo + 0.5
+    z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
+    zr, _ = minimize_polytope_quadratic(
+        Q[:3, :3], c[:3] + Q[:3, 3:] @ lo[3:], lo[:3], hi[:3],
+        C[:, :3], d - C[:, 3:] @ lo[3:])
+    assert np.array_equal(z[3:], lo[3:])
+    assert np.allclose(z[:3], zr, rtol=0.0, atol=1e-12)
+    assert value == pytest.approx(0.5 * z @ Q @ z + c @ z, rel=1e-12)
+
+
 def test_polytope_quadratic_builds_only_the_counted_candidates():
     # a cell of 20 rows over a 2-d box, and 18 rows over a 3-d one: at
     # most n of the m rows are active at once, so the candidates number

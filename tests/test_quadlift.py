@@ -3,6 +3,7 @@ import pytest
 
 from detector_forge import quadlift
 from detector_forge.families import sub_gaussian_family
+from detector_forge.optimize import maximize_box_quadratic
 from detector_forge.quadlift import (QuadLiftSpec, QuadSolveOptions,
                                      compute_delta, lift_bounded_support,
                                      lift_gaussian, lift_observation,
@@ -450,3 +451,61 @@ def test_proportional_references_project_with_one_clip():
         got = sym_unflatten(proj(np.concatenate([np.zeros(d),
                                                  sym_flatten(H)]))[d:])
         assert np.abs(got - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
+
+
+def test_distinct_references_alternate_between_the_two_bands():
+    # Theta2* is not a multiple of Theta1*, so the projector runs Dykstra
+    # between the two spectral bands; the solve through it is still a
+    # certificate, and no certificate beats the Hellinger affinity
+    T1 = np.array([[1.0, 0.3], [0.3, 0.5]])
+    T2 = np.array([[2.0, -0.4], [-0.4, 1.5]])
+    s1, s2 = (QuadLiftSpec(A=np.zeros((2, 2)), U=singleton([0.0]),
+                           Ucov=singleton(sym_flatten(T)), Theta_star=T)
+              for T in (T1, T2))
+    proj = quadlift._pair_projector(s1, s2, QuadSolveOptions())
+    rng = np.random.default_rng(5)
+    one_clip_leaves = False
+    for _ in range(50):
+        raw = rng.standard_normal((2, 2))
+        H = 3.0 * (raw + raw.T)
+        x = proj(np.concatenate([rng.standard_normal(2), sym_flatten(H)]))
+        got = sym_unflatten(x[2:])
+        for s in (s1, s2):
+            w = np.linalg.eigvalsh(s.root @ got @ s.root)
+            assert np.abs(w).max() <= s.gamma + 1e-12
+        assert np.abs(proj(x) - x).max() <= 1e-12
+        w = np.linalg.eigvalsh(s2.root @ s1.clip_matrix(H) @ s2.root)
+        one_clip_leaves |= np.abs(w).max() > s2.gamma + 1e-6
+    assert one_clip_leaves
+    det = solve_quad_detector(s1, s2)
+    affinity = ((np.linalg.det(T1) * np.linalg.det(T2)) ** 0.25
+                / np.sqrt(np.linalg.det(0.5 * (T1 + T2))))
+    assert affinity <= det.risk < 1.0
+
+
+def test_lifted_max_through_z_oracle_matches_the_box_route():
+    # a z_oracle that maximizes <W, v v'> over v = (u, 1), u in the box,
+    # with maximize_box_quadratic must give the box route's value and
+    # moments: the weight matrix of _oracle_matrix has v'Wv = 2 q(u)
+    rng = np.random.default_rng(8)
+    lo, hi = np.array([-1.0, -0.5]), np.array([1.0, 2.0])
+
+    def z_oracle(W):
+        u, q = maximize_box_quadratic(2.0 * W[:2, :2], 2.0 * W[:2, 2],
+                                      lo, hi)
+        v = np.append(u, 1.0)
+        return q + W[2, 2], np.outer(v, v)
+
+    kw = dict(A=rng.standard_normal((3, 3)), U=box(lo, hi),
+              Ucov=psd_interval(0.5 * np.eye(3), np.eye(3)),
+              Theta_star=np.eye(3))
+    plain, oracle = QuadLiftSpec(**kw), QuadLiftSpec(**kw, z_oracle=z_oracle)
+    for _ in range(200):
+        h = rng.standard_normal(3)
+        H, Qinv, _, _ = quadlift._phi_pieces(plain, h,
+                                             banded_H(rng, plain, 0.9))
+        want = quadlift._lifted_max(plain, h, H, Qinv)
+        got = quadlift._lifted_max(oracle, h, H, Qinv)
+        for a, b in zip(want, got):
+            a, b = np.asarray(a), np.asarray(b)
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())

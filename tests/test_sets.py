@@ -166,6 +166,41 @@ def test_linear_preimage_projection():
     assert sets.linear_preimage(sets.full_space(2), M).meta["kind"] == "full_space"
 
 
+def test_linear_image_of_a_ball_projects_by_projected_gradient():
+    # a ball has no polytope, so the image projection descends over it; the
+    # reference solves min ||M z - y|| over ||z - c|| <= r through its
+    # multiplier: z(lam) = (M'M + lam I)^-1 (M'y + lam c), with lam
+    # bisected until z(lam) meets the sphere
+    rng = np.random.default_rng(3)
+    c, r = np.array([0.4, -0.2, 0.1]), 1.3
+
+    def reference(M, y):
+        MtM, Mty = M.T @ M, M.T @ y
+
+        def z(lam):
+            return np.linalg.solve(MtM + lam * np.eye(3), Mty + lam * c)
+
+        if np.linalg.norm(z(0.0) - c) <= r:
+            return z(0.0)
+        lo, hi = 0.0, 1.0
+        while np.linalg.norm(z(hi) - c) > r:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.linalg.norm(z(mid) - c) > r else (lo, mid)
+        return z(hi)
+
+    for _ in range(10):
+        M = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
+        img = sets.linear_image(sets.ball(c, r), M)
+        assert img.polytope is None
+        y = 2.0 * M @ rng.normal(size=3)
+        x = img.project(y)
+        assert np.linalg.norm(np.linalg.solve(M, x) - c) <= r * (1.0 + 1e-12)
+        want = np.linalg.norm(M @ reference(M, y) - y)
+        assert abs(np.linalg.norm(x - y) - want) <= 1e-9
+
+
 def test_psd_interval_commuting_case():
     lo = 0.5 * np.eye(3)
     hi = 2.0 * np.eye(3)

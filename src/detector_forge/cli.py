@@ -34,8 +34,9 @@ from .aggregate import (AggregationProblem, aggregate, level_margins,
 from .detectors import AffineDetector, build_detector
 from .errors import InfeasibleError
 from .families import (discrete_family, poisson_family, sub_gaussian_family)
-from .multitest import (ClosenessRelation, build_battery, infer_color,
-                        min_k_for_risk, run_multitest, shift_battery)
+from .multitest import (ClosenessRelation, build_battery, e_matrix,
+                        infer_color, min_k_for_risk, run_multitest,
+                        shift_battery)
 from .quadlift import (QuadDetector, QuadLiftSpec, QuadSolveOptions,
                        solve_quad_detector, special_case_affine)
 from .saddle import SaddleOptions, SaddleProblem
@@ -175,17 +176,15 @@ def _checked_sampler(desc: dict, path: str, seed: int, dim: int):
 
 def _sampler_from_family(desc: dict, path: str, seed: int):
     """MC validation needs a concrete distribution, so the family's
-    parameter descriptor must be a singleton."""
+    parameter descriptor must be a singleton; its point stands in for the
+    descriptor in ``build_sampler``."""
     kind = desc["kind"]
-    if kind == "gaussian" and desc["mean"]["type"] == "singleton":
-        return gaussian_sampler(desc["mean"]["point"], desc["cov"], seed)
-    if kind == "poisson" and desc["rates"]["type"] == "singleton":
-        return poisson_sampler(desc["rates"]["point"], seed)
-    if kind == "discrete" and desc["probs"]["type"] == "singleton":
-        return discrete_sampler(desc["probs"]["point"], seed)
-    raise ConfigError(
-        path, "Monte Carlo validation needs singleton parameters for kind "
-              f"{kind!r}")
+    key = {"gaussian": "mean", "poisson": "rates", "discrete": "probs"}.get(kind)
+    if key is None or desc[key]["type"] != "singleton":
+        raise ConfigError(
+            path, "Monte Carlo validation needs singleton parameters for kind "
+                  f"{kind!r}")
+    return build_sampler({**desc, key: desc[key]["point"]}, path, seed)
 
 
 # --- report plumbing -----------------------------------------------------
@@ -364,7 +363,7 @@ def _battery_task(task: str, cfg: dict, runtime: dict,
     out.timings["solve"] = time.perf_counter() - t0
 
     K = shifted.repetitions
-    E = np.where(rel.matrix, 0.0, battery.risks ** K)
+    E = e_matrix(battery, K)
     rows = np.abs((E * np.exp(-shifted.alpha)).sum(axis=1) - shifted.eps_hat)
     results.update({
         "risks": battery.risks, "alpha": shifted.alpha,

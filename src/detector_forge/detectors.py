@@ -52,14 +52,16 @@ def build_detector(problem: SaddleProblem, options: Optional[SaddleOptions] = No
 
     The shift is chosen from the one-sided bound values at the solution, so
     the returned risk is a valid bound for any h the solver settled on.  An
-    uncertified solve (optimality gap above tolerance) raises unless force
-    is set; a degenerate solve (value below the exp underflow floor) is
-    returned as risk 0 without complaint, since the bound itself is valid.
+    uncertified solve (optimality gap above tolerance, or a stalled frozen
+    minimization) raises, naming the solve's warnings, unless force is set;
+    a degenerate solve (value below the exp underflow floor) is returned as
+    risk 0 without complaint, since the bound itself is valid.
     """
     sol = solve_saddle(problem, options)
     if not sol.certified and not sol.degenerate and not force:
         raise RuntimeError(
-            f"saddle solve left an optimality gap of {sol.gap:.3e}; "
+            f"saddle solve left an optimality gap of {sol.gap:.3e} "
+            f"({'; '.join(sol.warnings)}); "
             "pass force=True to accept the (still valid) certificate")
     v1 = problem.data1.phi(-sol.h, sol.mu1)
     v2 = problem.data2.phi(sol.h, sol.mu2)

@@ -29,10 +29,6 @@ __all__ = ["ClosenessRelation", "PairwiseBattery", "build_battery", "e_matrix",
            "run_multitest", "run_multitest_block", "infer_color",
            "infer_color_block", "min_k_for_risk"]
 
-_POWER_TOL = 1e-12
-_POWER_CAP = 100000
-
-
 @dataclass(frozen=True)
 class ClosenessRelation:
     """Symmetric reflexive relation marking pairs exempt from testing."""
@@ -128,12 +124,14 @@ def e_matrix(battery: PairwiseBattery, repetitions: int) -> np.ndarray:
 def perron_shifts(E: np.ndarray):
     """Balancing vector and risk level for a symmetric nonnegative matrix.
 
-    Returns (alpha, g, level): g approximates the dominant eigenvector
-    (computed on a copy with zero entries perturbed by a relative 1e-12 so
-    the iteration has a unique positive fixed point, and shifted to kill
-    even/odd oscillation), alpha[i, j] = log(g[i] / g[j]), and level is the
-    largest row ratio max_i (E g)_i / g_i of the original matrix: the
-    largest row of the shifted risk matrix for any positive g.
+    Returns (alpha, g, level).  Every entry of E is floored at a relative
+    eta = 1e-12 * (max E + 1), so the floored matrix A is positive and its
+    top eigenvector (one symmetric eigensolve) is its Perron vector up to
+    sign; g is one product of A with that vector's absolute value, which
+    makes every entry strictly positive, normalised.  alpha[i, j] =
+    log(g[i] / g[j]), and level is the largest row ratio
+    max_i (E g)_i / g_i of the original matrix: the largest row of the
+    shifted risk matrix, a valid risk bound for any positive g.
     """
     E = np.asarray(E, dtype=float)
     J = E.shape[0]
@@ -141,17 +139,9 @@ def perron_shifts(E: np.ndarray):
         raise ValueError("need a square symmetric nonnegative matrix")
     if J == 1:
         return np.zeros((1, 1)), np.ones(1), 0.0
-    eta = 1e-12 * (float(E.max()) + 1.0)
-    A = np.where(E == 0.0, eta, E)
-    A = A + float(np.max(A.sum(axis=1))) * np.eye(J)
-    g = np.full(J, 1.0 / np.sqrt(J))
-    for _ in range(_POWER_CAP):
-        nxt = A @ g
-        nxt /= np.linalg.norm(nxt)
-        if np.linalg.norm(nxt - g) <= _POWER_TOL:
-            g = nxt
-            break
-        g = nxt
+    A = np.maximum(E, 1e-12 * (float(E.max()) + 1.0))
+    g = A @ np.abs(np.linalg.eigh(A)[1][:, -1])
+    g /= np.linalg.norm(g)
     level = float(np.max((E @ g) / g))
     alpha = np.log(g)[:, None] - np.log(g)[None, :]
     return alpha, g, level

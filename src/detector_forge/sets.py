@@ -305,9 +305,10 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
 def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     """Polyhedron {x : A x <= b}, optionally intersected with a base set.
 
-    Over a base with a polytope it projects by Polytope.nearest; otherwise,
-    past the oracle's cap and on a polytope it finds empty, by Dykstra's
-    alternating scheme over the half-spaces (and the base set when given).
+    Over a base with a polytope it projects by Polytope.nearest, and raises
+    InfeasibleError when the oracle finds that polytope empty; otherwise,
+    and past the oracle's cap, by Dykstra's alternating scheme over the
+    half-spaces (and the base set when given).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -429,8 +430,9 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
     M z.  Over a base with a polytope this is Polytope.nearest of the
-    image polytope; any other base, or a polytope too large to enumerate,
-    is projected by projected gradient.  The support function delegates to
+    image polytope, which raises InfeasibleError when that polytope is
+    empty; any other base, or a polytope too large to enumerate, is
+    projected by projected gradient.  The support function delegates to
     the base set through M'.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -469,16 +471,14 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
 
 
 def _nearest_or(poly: Optional[Polytope], fallback: Callable) -> Callable:
-    """Projection by poly.nearest, and by ``fallback`` without a polytope,
-    past the oracle's cap and on a polytope it finds empty."""
+    """Projection by poly.nearest, and by ``fallback`` without a polytope
+    and past the oracle's cap.  A polytope the oracle finds empty raises
+    InfeasibleError: an empty set has no projection."""
     if poly is None:
         return fallback
 
     def proj(y):
-        try:
-            x = poly.nearest(np.asarray(y, dtype=float))
-        except InfeasibleError:
-            x = None
+        x = poly.nearest(np.asarray(y, dtype=float))
         return fallback(y) if x is None else x
 
     return proj

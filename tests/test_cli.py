@@ -102,6 +102,32 @@ def test_empty_halfspaces_mean_set_exits_2(tmp_path, capsys):
     assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
 
 
+def test_uncertified_pair_names_the_stalled_minimization(tmp_path, capsys):
+    # the gap closes here (0.000e+00); what refuses the certificate is the
+    # stall test, and the message must say so
+    cfg = {"schema_version": "1", "task": "pair", "families": [
+        {"kind": "poisson", "rates": {"type": "singleton", "point": [0.0, 2.0]}},
+        {"kind": "poisson", "rates": {"type": "singleton", "point": [3.0, 1.0]}}]}
+    assert run_cli(tmp_path, cfg) == 3
+    err = capsys.readouterr().err
+    assert "optimality gap" in err and "stalled" in err
+
+
+def test_pair_mc_sampler_error_names_the_family(tmp_path, capsys):
+    # the Monte Carlo sampler is built from the family's singleton point,
+    # so a bad point is reported at the family's JSON path
+    cfg = {"schema_version": "1", "task": "pair", "pair": {"mc": {"n": 1000}},
+           "families": [
+               {"kind": "discrete", "probs": {"type": "singleton",
+                                              "point": [0.5, 0.4]}},
+               {"kind": "discrete", "probs": {"type": "singleton",
+                                              "point": [0.2, 0.8]}}]}
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.families[0]:" in err
+    assert "sum to one" in err
+
+
 def test_invalid_json_and_missing_file(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

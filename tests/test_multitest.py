@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detector_forge import families, sets
 from detector_forge.errors import InfeasibleError
@@ -79,6 +81,46 @@ def test_perron_level_bounds_every_row_ratio():
             _, g, level = perron_shifts(E)
             assert np.all(g > 0.0)
             assert level >= ((E @ g) / g).max()
+
+
+def test_perron_floors_every_tiny_coupling():
+    # a 0.5 pair and a 1e-4 pair, coupled at 1e-40 to 1e-117: flooring only
+    # the zeros left the eigenvector's small block to rounding noise and
+    # the level at 0.55
+    E = np.zeros((4, 4))
+    for (i, j), v in {(0, 1): 0.5, (2, 3): 1e-4, (0, 2): 1e-71,
+                      (0, 3): 1e-40, (1, 2): 1e-117, (1, 3): 1e-41}.items():
+        E[i, j] = E[j, i] = v
+    alpha, g, level = perron_shifts(E)
+    assert np.all(g > 0.0)
+    assert np.all(np.isfinite(alpha))
+    assert level <= 0.5 * (1.0 + 1e-9)
+
+
+@st.composite
+def risk_matrices(draw):
+    """Symmetric, zero diagonal, off-diagonal entries 0 or in [1e-12, 1]
+    (no subnormals: eigvalsh misreads the top eigenvalue of those)."""
+    J = draw(st.integers(min_value=2, max_value=12))
+    entry = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0))
+    upper = draw(st.lists(entry, min_size=J * (J - 1) // 2,
+                          max_size=J * (J - 1) // 2))
+    E = np.zeros((J, J))
+    E[np.triu_indices(J, 1)] = upper
+    return E + E.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(risk_matrices())
+def test_perron_level_meets_the_spectral_norm(E):
+    alpha, g, level = perron_shifts(E)
+    lam = float(np.linalg.eigvalsh(E)[-1])
+    assert np.all(g > 0.0)
+    assert np.all(np.isfinite(alpha))
+    # no positive g gives a level below the spectral radius
+    assert level >= lam * (1.0 - 1e-12)
+    if lam >= 1e-4:
+        assert level <= lam * (1.0 + 1e-6)
 
 
 def test_shift_battery_and_noiseless_acceptance():

@@ -338,3 +338,19 @@ def test_halfspaces_over_a_box_projects_to_the_oracles_slack():
         assert np.all(p >= lo) and np.all(p <= hi)
         assert np.all(C @ p <= d + slack)
         assert np.all((inside - p) @ (y - p) <= 1e-9)
+
+
+def test_empty_halfspaces_over_a_box_raises_instead_of_projecting():
+    # x + y <= -5 misses the unit box; a Dykstra fallback ran all its
+    # rounds and returned the corner (-1, -1), which contains() accepted
+    from detector_forge.errors import InfeasibleError
+
+    empty = sets.halfspaces([[1.0, 1.0]], [-5.0],
+                            base=sets.box([-1.0, -1.0], [1.0, 1.0]))
+    with pytest.raises(InfeasibleError):
+        empty.project(np.array([0.3, 0.2]))
+    with pytest.raises(InfeasibleError):
+        empty.contains(np.array([-1.0, -1.0]))
+    with pytest.raises(InfeasibleError):
+        sets.linear_image(empty, np.array([[2.0, 0.0], [1.0, 1.0]])).project(
+            np.zeros(2))

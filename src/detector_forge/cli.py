@@ -30,7 +30,8 @@ import jsonschema
 import numpy as np
 
 from .aggregate import (AggregationProblem, aggregate, level_margins,
-                        subgaussian_fast_path, subgaussian_fast_path_deltas)
+                        subgaussian_fast_path_block,
+                        subgaussian_fast_path_plan)
 from .detectors import AffineDetector, build_detector
 from .errors import InfeasibleError
 from .families import (discrete_family, poisson_family, sub_gaussian_family)
@@ -427,10 +428,12 @@ def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
             deltas = level_margins(deltas, problem.count)
         except ValueError as exc:
             raise ConfigError("$.aggregate.deltas", str(exc)) from exc
+    plan = None
     if eps is not None:
-        fast = subgaussian_fast_path_deltas(problem.estimates, problem.Theta,
-                                            float(eps), K)
-        out.report["results"]["fast_deltas"] = fast
+        # the fast path's closed form, built once for its margins and pick
+        plan = subgaussian_fast_path_plan(problem.estimates, problem.Theta,
+                                          float(eps), K)
+        out.report["results"]["fast_deltas"] = plan.deltas
     if "observations" in block:
         obs = _matrix(block["observations"], "$.aggregate.observations")
         if obs.shape[0] != K:
@@ -446,10 +449,9 @@ def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
             "index": res.index, "red": list(res.red),
             "deltas": res.delta, "risk": res.risk,
         })
-        if eps is not None:
-            fp = subgaussian_fast_path(problem.estimates, problem.Theta,
-                                       float(eps), obs)
-            out.report["results"]["fast_index"] = fp.index
+        if plan is not None:
+            _, _, index = subgaussian_fast_path_block(plan, obs[None])
+            out.report["results"]["fast_index"] = int(index[0])
     mc_cfg = block.get("mc")
     if mc_cfg is not None:
         sampler = _checked_sampler(mc_cfg["sampler"], "$.aggregate.mc.sampler",

@@ -76,6 +76,25 @@ def _safe_exp(x):
     return np.exp(np.minimum(x, _EXP_CAP))
 
 
+def _last_call(fn):
+    """Memo of fn(x, mu) at its last point, keyed on the bytes of (x, mu).
+
+    phi, grad_h and grad_mu are asked at one point in turn; built on one
+    memoized solve, they share it.  fn receives float arrays.
+    """
+    key = value = None
+
+    def memo(x, mu):
+        nonlocal key, value
+        x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
+        at = (x.tobytes(), mu.tobytes())
+        if at != key:
+            key, value = at, fn(x, mu)
+        return value
+
+    return memo
+
+
 # ---------------------------------------------------------------------------
 # basic families
 
@@ -307,7 +326,6 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
     m_off = np.cumsum([0] + [x.m_set.dim for x in datas])
     weight_set = sets.simplex(L, lo=np.full(L, eps))
     w_start = np.full(L, 1.0 / L)
-    cache: dict = {"key": None}
 
     def hblk(h, i):
         return h[h_off[i]:h_off[i + 1]]
@@ -315,11 +333,8 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
     def mblk(mu, i):
         return mu[m_off[i]:m_off[i + 1]]
 
+    @_last_call
     def solve_inner(h, mu):
-        key = (h.tobytes(), mu.tobytes())
-        if cache["key"] == key:
-            return cache["res"]
-
         def obj(w):
             val = 0.0
             g = np.empty(L)
@@ -330,13 +345,11 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
                 g[i] = f_i - float(z @ x.grad_h(z, mblk(mu, i)))
             return val, g
 
-        res = minimize_projected(obj, w_start, weight_set.project,
-                                 rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
-        cache["key"], cache["res"] = key, res
-        return res
+        return minimize_projected(obj, w_start, weight_set.project,
+                                  rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
 
     def phi(h, mu):
-        return solve_inner(np.asarray(h, float), np.asarray(mu, float)).value
+        return solve_inner(h, mu).value
 
     def grad_h(h, mu):
         h = np.asarray(h, float)
@@ -405,24 +418,18 @@ def refine_with_support(data: RegularData, support_set: ConvexSet,
     if shift_set.bound_radius is None:
         raise ValueError("shift_set must be bounded")
     g_start = shift_set.project(np.zeros(shift_set.dim))
-    cache: dict = {"key": None}
 
+    @_last_call
     def solve_inner(h, mu):
-        key = (h.tobytes(), mu.tobytes())
-        if cache["key"] == key:
-            return cache["res"]
-
         def obj(g):
             sv, sx = support_set.support(g)
             return data.phi(h - g, mu) + sv, -data.grad_h(h - g, mu) + sx
 
-        res = minimize_projected(obj, g_start, shift_set.project,
-                                 rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
-        cache["key"], cache["res"] = key, res
-        return res
+        return minimize_projected(obj, g_start, shift_set.project,
+                                  rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
 
     def phi(h, mu):
-        return solve_inner(np.asarray(h, float), np.asarray(mu, float)).value
+        return solve_inner(h, mu).value
 
     def grad_h(h, mu):
         h = np.asarray(h, float)

@@ -244,10 +244,10 @@ def min_k_for_risk(battery: PairwiseBattery, target: float) -> ShiftedBattery:
     """Smallest repetition count whose balanced risk meets the target."""
     if not (0.0 < target < 1.0):
         raise ValueError("target risk must lie in (0, 1)")
-    off = battery.risks[~battery.closeness.matrix]
-    if off.size == 0:
+    # no pair to test, or only pairs of zero risk: one observation does
+    worst = float(battery.risks[~battery.closeness.matrix].max(initial=0.0))
+    if worst == 0.0:
         return shift_battery(battery, 1)
-    worst = float(off.max())
     if worst >= 1.0:
         raise InfeasibleError(
             "a non-close pair has unit risk; no repetition count helps")

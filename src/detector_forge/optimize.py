@@ -13,8 +13,11 @@ steps only lower f, so the current point is always the best one seen.  At
 a kink of a nonsmooth objective (support functions put kinks exactly where
 minimizers like to sit) the search can pause above the minimum; callers
 that need a bound there read one from elsewhere (a Frank-Wolfe gap, a dual
-value) rather than from where the descent stopped.  Problems here are
-small and dense, so robustness beats sophistication.
+value) rather than from where the descent stopped.  maximize_bounded is
+the ascent that reads its own bound: a concave maximization over a set
+with a support function adds the Frank-Wolfe gap supp(g) - <g, x> at the
+point where it stopped, so an early stop still bounds the maximum.
+Problems here are small and dense, so robustness beats sophistication.
 
 Quadratics over a finite box have an exact answer instead:
 maximize_box_quadratic enumerates the faces on which the maximum can sit,
@@ -35,7 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = ["OptResult", "minimize_projected", "maximize_projected",
-           "maximize_box_quadratic", "minimize_polytope_quadratic"]
+           "maximize_bounded", "maximize_box_quadratic",
+           "minimize_polytope_quadratic"]
 
 _ARMIJO = 1e-4
 _STEP_GROW = 2.0
@@ -152,6 +156,25 @@ def maximize_projected(fun, x0, project, rtol: float = 1e-8,
     return OptResult(res.x, -res.value, res.iterations, res.converged)
 
 
+def maximize_bounded(fun, x0, project, support: Optional[Callable],
+                     rtol: float, max_iter: int) -> OptResult:
+    """maximize_projected, with a value that bounds the maximum.
+
+    For concave fun and a support function g -> (supp(g), argmax) of the
+    set, max f <= f(x) + supp(g) - <g, x> with g the supergradient at the
+    returned x, so that Frank-Wolfe gap, floored at 0, is added to the
+    value: an early stop only loosens the bound.  Without a support
+    function the value is the ascent's own, a lower value of the maximum.
+    """
+    res = maximize_projected(fun, x0, project, rtol=rtol, max_iter=max_iter)
+    if support is None:
+        return res
+    _, g = fun(res.x)
+    gap = support(g)[0] - float(g @ res.x)
+    return OptResult(res.x, res.value + max(gap, 0.0), res.iterations,
+                     res.converged)
+
+
 def _box_states(radix) -> np.ndarray:
     """Every state vector of coordinates with radix[i] states each: 0 at lo,
     1 at hi, 2 free.  The first coordinate varies slowest."""
@@ -226,6 +249,15 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     return X[best], float(vals[best])
 
 
+def _polytope_count(n: int, m: int) -> int:
+    """How many candidate active sets minimize_polytope_quadratic takes
+    over n coordinates with lo < hi and m cut rows: p pinned coordinates,
+    each at lo or at hi, with at most n - p cut rows."""
+    return sum(math.comb(n, p) * 2 ** p
+               * sum(math.comb(m, s) for s in range(min(m, n - p) + 1))
+               for p in range(n + 1))
+
+
 @functools.lru_cache(maxsize=32)
 def _polytope_faces(n: int, m: int):
     """Candidate active sets of minimize_polytope_quadratic over n
@@ -239,10 +271,7 @@ def _polytope_faces(n: int, m: int):
     caller of one shape shares them.
     """
     width = min(m, n)
-    count = sum(math.comb(n, p) * 2 ** p
-                * sum(math.comb(m, s) for s in range(min(m, n - p) + 1))
-                for p in range(n + 1))
-    if count > _POLYTOPE_CANDIDATE_CAP:
+    if _polytope_count(n, m) > _POLYTOPE_CANDIDATE_CAP:
         return None
     # the 3^n box states are the count's share with no cut row active
     box = _box_states(np.full(n, 3))

@@ -15,25 +15,29 @@ by eigenvalue clipping of Theta_star^{1/2} H Theta_star^{1/2}.
 Everything here works with exact oracles; there is no semidefinite
 programming inside.  The inner lifted maximization over a box of means is
 exact for any curvature (optimize.maximize_box_quadratic); concave
-curvature over any other set is climbed by projected ascent whose value
-carries its Frank-Wolfe gap.  Where neither applies (curvature not concave
-over a non-box set), construction demands a caller-supplied support oracle
-instead of silently degrading.
+curvature over any other set is climbed by optimize.maximize_bounded,
+whose value carries its Frank-Wolfe gap.  Where neither applies (curvature
+not concave over a non-box set), construction demands a caller-supplied
+support oracle instead of silently degrading.
+
+The pair solve restricts detectors by projection alone: the affine slice,
+fix_h and fix_H are projectors of _pair_projector, and the gradient is
+never masked.  Two bands that are not nested meet in sets.intersection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .detectors import AffineDetector
-from .families import RegularData, bounded_support_family
-from .optimize import (maximize_box_quadratic, maximize_projected,
+from .families import RegularData, _last_call, bounded_support_family
+from .optimize import (maximize_bounded, maximize_box_quadratic,
                        minimize_projected)
 from .saddle import _DEGENERATE_FLOOR
-from .sets import ConvexSet, full_space, psd_top, sym_flatten, sym_unflatten
+from .sets import ConvexSet, intersection, psd_top, sym_flatten, sym_unflatten
 
 __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
            "lift_gaussian", "lift_observation", "solve_quad_detector",
@@ -42,7 +46,7 @@ __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
 _EIG_TOL = 1e-8
 _AFFINE_RTOL = 1e-11       # special_case_affine's descent
 _AFFINE_MAX_ITER = 20000
-_DYKSTRA_ITER = 200       # cap on alternations between two spectral bands
+_QUAD_MAX_ITER = 6000      # each stage of solve_quad_detector's descent
 
 
 def _sqrt_pd(M: np.ndarray):
@@ -239,15 +243,12 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
             g = g + 0.5 * rho * (lo + hi - 2.0 * u)
         return v, g
 
-    res = maximize_projected(climb, spec.U.project(np.zeros(spec.U.dim)),
-                             spec.U.project, rtol=1e-11, max_iter=2000)
-    value = res.value
-    if spec.U.support is not None:
-        # the climbed function is concave, so its maximum over U is at most
-        # its value at u plus supp_U(g) - <g, u>
-        _, g = climb(res.x)
-        value += max(spec.U.support(g)[0] - float(g @ res.x), 0.0)
-    return at(res.x, value)
+    # the climbed function is concave: with a support function for U, the
+    # value carries its Frank-Wolfe gap
+    res = maximize_bounded(climb, spec.U.project(np.zeros(spec.U.dim)),
+                           spec.U.project, spec.U.support, rtol=1e-11,
+                           max_iter=2000)
+    return at(res.x, res.value)
 
 
 def _oracle_matrix(spec: QuadLiftSpec, h, H, Qinv) -> np.ndarray:
@@ -307,19 +308,13 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """
     d = spec.dim
     n = d + d * d
-    cache: dict = {"key": None}
 
     def split(x):
         return x[:d], sym_unflatten(x[d:])
 
+    @_last_call
     def bound(x, mu):
-        # phi and grad_h are asked at one point in turn: one _lifted_bound
-        x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
-        key = (x.tobytes(), mu.tobytes())
-        if cache["key"] != key:
-            cache["key"], cache["res"] = key, _lifted_bound(spec, *split(x),
-                                                            sym_unflatten(mu))
-        return cache["res"]
+        return _lifted_bound(spec, *split(x), sym_unflatten(mu))
 
     def phi(x, mu):
         return bound(x, mu)[0]
@@ -350,7 +345,6 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
 @dataclass
 class QuadSolveOptions:
     tol: float = 1e-10
-    max_iter: int = 6000
     fix_h: bool = False            # restrict to purely quadratic detectors
     fix_H: bool = False            # restrict to affine detectors
 
@@ -365,43 +359,42 @@ def _phibar(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
 
 def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
                     opts: QuadSolveOptions):
+    """Projection of (h, flattened H) onto the detectors the solve admits.
+
+    H goes into both spectral bands, each a ConvexSet over flattened H
+    projected by its eigenvalue clip.  With Theta2* = c Theta1* both bands
+    are |eig(root1 H root1)| <= const and both clips project in the same
+    scaled metric, so the bands are nested and one clip of the tighter band
+    projects onto both; otherwise sets.intersection runs Dykstra between
+    the two clips.  fix_h pins h and fix_H pins H at zero.
+    """
     d = spec1.dim
-    # with Theta2* = c Theta1*, both bands are |eig(root1 H root1)| <= const
-    # and both clips project in the same scaled metric, so the bands are
-    # nested and one clip of the tighter band projects onto both
     c = np.trace(spec2.Theta_star) / np.trace(spec1.Theta_star)
     nested = np.linalg.norm(spec2.Theta_star - c * spec1.Theta_star) \
         <= 1e-12 * np.linalg.norm(spec2.Theta_star)
-    tighter = spec1 if spec1.gamma <= spec2.gamma / c else spec2
-
-    def clip_joint(H):
-        if nested:
-            return tighter.clip_matrix(H)
-        # Dykstra between the two spectral bands; each clip is exact in its
-        # own scaled metric, so the alternation is run to a tight residual
-        x = H.copy()
-        p1 = np.zeros_like(H)
-        p2 = np.zeros_like(H)
-        for _ in range(_DYKSTRA_ITER):
-            y = spec1.clip_matrix(x + p1)
-            p1 = x + p1 - y
-            x2 = spec2.clip_matrix(y + p2)
-            p2 = y + p2 - x2
-            if np.linalg.norm(x2 - x) <= 1e-13 * (1.0 + np.linalg.norm(x2)):
-                x = x2
-                break
-            x = x2
-        return x
+    bands = [ConvexSet(d * d, lambda x, s=s: sym_flatten(
+                 s.clip_matrix(sym_unflatten(x))), name="spectral_band")
+             for s in (spec1, spec2)]
+    if nested:
+        band = bands[0] if spec1.gamma <= spec2.gamma / c else bands[1]
+    else:
+        band = intersection(bands)
 
     def proj(xfull):
         h = np.zeros(d) if opts.fix_h else np.asarray(xfull[:d], dtype=float).copy()
-        if opts.fix_H:
-            Hc = np.zeros((d, d))
-        else:
-            Hc = clip_joint(sym_unflatten(xfull[d:]))
-        return np.concatenate([h, sym_flatten(Hc)])
+        H = np.zeros(d * d) if opts.fix_H else band.project(xfull[d:])
+        return np.concatenate([h, H])
 
     return proj
+
+
+def _certificate(v1: float, v2: float):
+    """(value, a, risk) of a detector whose two folded bounds are v1 and
+    v2: their average, the shift a = (v1 - v2) / 2 that balances them, and
+    exp(value), read as 0 where exp underflows."""
+    value = float(0.5 * (v1 + v2))
+    risk = float(np.exp(value)) if value > _DEGENERATE_FLOOR else 0.0
+    return value, float(0.5 * (v1 - v2)), risk
 
 
 def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
@@ -427,36 +420,26 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
         h, H = split(x)
         v1, gh1, gH1 = _phibar(spec1, -h, -H)
         v2, gh2, gH2 = _phibar(spec2, h, H)
-        g_h = 0.5 * (gh2 - gh1)
-        g_H = 0.5 * (gH2 - gH1)
-        if opts.fix_h:
-            g_h = np.zeros_like(g_h)
-        if opts.fix_H:
-            g_H = np.zeros_like(g_H)
-        return 0.5 * (v1 + v2), np.concatenate([g_h, sym_flatten(g_H)])
+        g = np.concatenate([0.5 * (gh2 - gh1), sym_flatten(0.5 * (gH2 - gH1))])
+        return 0.5 * (v1 + v2), g
 
     x0 = proj(np.zeros(d + d * d))
     warm_iters = 0
     if not (opts.fix_h or opts.fix_H):
         # stage one: settle the affine slice (H pinned to zero, always
         # inside both bands) so the joint descent can only improve on it
-        def slice_proj(x):
-            out = proj(x).copy()
-            out[d:] = 0.0
-            return out
-
-        warm = minimize_projected(F, x0, slice_proj, rtol=opts.tol,
-                                  max_iter=opts.max_iter)
+        warm = minimize_projected(
+            F, x0, _pair_projector(spec1, spec2, replace(opts, fix_H=True)),
+            rtol=opts.tol, max_iter=_QUAD_MAX_ITER)
         x0, warm_iters = warm.x, warm.iterations
-    res = minimize_projected(F, x0, proj, rtol=opts.tol, max_iter=opts.max_iter)
+    res = minimize_projected(F, x0, proj, rtol=opts.tol,
+                             max_iter=_QUAD_MAX_ITER)
     h, H = split(res.x)
     v1, *_ = _phibar(spec1, -h, -H)
     v2, *_ = _phibar(spec2, h, H)
-    sad = 0.5 * (v1 + v2)
-    a = 0.5 * (v1 - v2)
-    risk = float(np.exp(sad)) if sad > _DEGENERATE_FLOOR else 0.0
-    return QuadDetector(h, H, float(a), risk,
-                        meta={"value": float(sad),
+    value, a, risk = _certificate(v1, v2)
+    return QuadDetector(h, H, a, risk,
+                        meta={"value": value,
                               "iterations": warm_iters + res.iterations,
                               "converged": res.converged,
                               "side_values": (float(v1), float(v2))})
@@ -497,11 +480,9 @@ def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> AffineDetec
     h = res.x
     v1, _ = side(spec1, A1u, a1, -h)
     v2, _ = side(spec2, A2u, a2, h)
-    sad = 0.5 * (v1 + v2)
-    a = 0.5 * (v1 - v2)
-    risk = float(np.exp(sad)) if sad > _DEGENERATE_FLOOR else 0.0
-    return AffineDetector(h=h, a=float(a), risk=risk, gap=0.0, certified=True,
-                          meta={"route": "support_oracle", "value": float(sad),
+    value, a, risk = _certificate(v1, v2)
+    return AffineDetector(h=h, a=a, risk=risk, gap=0.0, certified=True,
+                          meta={"route": "support_oracle", "value": value,
                                 "iterations": res.iterations})
 
 

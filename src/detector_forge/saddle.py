@@ -26,14 +26,15 @@ minimization over the h-domain, capped at radius 1e6 when unbounded, with
 a full budget at the ascent's end point.  The upper value is
 F(h) = max_mu psi(h; mu) at that frozen minimizer, a pair of independent
 concave maximizations: one support call when the family has an exact
-best-response direction, an iterative solve otherwise.  The iterative
-value carries its Frank-Wolfe gap supp_M(g) - <g, mu> at g = grad_mu(h, mu)
-when the parameter set has a support oracle, so it bounds the maximum even
-when the inner solve stops early.  Only when upper and lower stay further
-apart than the descent's own tolerance does a max-form descent of F start
-from there.  The returned certificate is the upper value F at the returned
-h, so an early stop can only make the certified risk conservative, never
-invalid.
+best-response direction, an iterative solve (optimize.maximize_bounded)
+otherwise.  The iterative value carries its Frank-Wolfe gap
+supp_M(g) - <g, mu> at g = grad_mu(h, mu) when the parameter set has a
+support oracle, so it bounds the maximum even when the inner solve stops
+early; without one it is where the ascent stopped, not a bound.  Only when
+upper and lower stay further apart than the descent's own tolerance does a
+max-form descent of F start from there.  The returned certificate is the
+upper value F at the returned h, so an early stop can only make the
+certified risk conservative, never invalid.
 
 The lower value is exact only on the closed form.  An iterative frozen
 minimization reports the value where it stopped, which is not a proven
@@ -52,7 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .families import _INNER_MAX_ITER, _INNER_RTOL, RegularData
-from .optimize import OptResult, maximize_projected, minimize_projected
+from .optimize import (OptResult, maximize_bounded, maximize_projected,
+                       minimize_projected)
 from .sets import ConvexSet, ball
 
 __all__ = ["SaddleProblem", "SaddleOptions", "SaddleSolution",
@@ -122,16 +124,9 @@ def _side_max(data: RegularData, h_signed: np.ndarray,
         return data.phi(h_signed, mu), data.grad_mu(h_signed, mu)
 
     x0 = start if start is not None else np.zeros(data.m_set.dim)
-    res = maximize_projected(obj, x0, data.m_set.project,
-                             rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
-    if data.m_set.support is None:
-        return res.x, res.value, res.iterations
-    # phi is concave in mu, so max_M phi <= phi(mu) + supp_M(g) - <g, mu>
-    # with g = grad_mu(h, mu): the Frank-Wolfe gap keeps an early stop an
-    # upper bound
-    g = data.grad_mu(h_signed, res.x)
-    gap = data.m_set.support(g)[0] - float(g @ res.x)
-    return res.x, res.value + max(gap, 0.0), res.iterations
+    res = maximize_bounded(obj, x0, data.m_set.project, data.m_set.support,
+                           rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
+    return res.x, res.value, res.iterations
 
 
 def _frozen_argmin(data1: RegularData, data2: RegularData):

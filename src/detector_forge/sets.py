@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleError
-from .optimize import (_polytope_points, _row_slack,
+from .optimize import (_POLYTOPE_CANDIDATE_CAP, _polytope_count,
+                       _polytope_points, _row_slack,
                        minimize_polytope_quadratic, minimize_projected)
 
 __all__ = [
@@ -95,6 +96,20 @@ class Polytope:
         if best is not None and best[0] is None:
             raise InfeasibleError("the polytope is empty")
         return None if best is None else self.G @ best[0]
+
+    def support(self, g: np.ndarray) -> tuple[float, np.ndarray]:
+        """(max of <g, x> over the polytope, a maximizer x): one oracle call
+        with Q = 0 and c = -G'g, a linear program the oracle solves at a
+        vertex.  InfeasibleError where it finds no z; for a polytope within
+        the oracle's cap only, since past it there is no answer."""
+        g = np.asarray(g, dtype=float)
+        n = self.lo.size
+        z, _ = minimize_polytope_quadratic(np.zeros((n, n)), -(self.G.T @ g),
+                                           self.lo, self.hi, self.C, self.d)
+        if z is None:
+            raise InfeasibleError("the polytope is empty")
+        x = self.G @ z
+        return float(g @ x), x
 
     def closest(self, other: "Polytope", P: np.ndarray):
         """(x1 in self, x2 in other) nearest in the metric P: one oracle call
@@ -308,7 +323,10 @@ def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     Over a base with a polytope it projects by Polytope.nearest, and raises
     InfeasibleError when the oracle finds that polytope empty; otherwise,
     and past the oracle's cap, by Dykstra's alternating scheme over the
-    half-spaces (and the base set when given).
+    half-spaces (and the base set when given).  Its support function is
+    Polytope.support where the polytope's candidate count is within the
+    oracle's cap (counted, not built: most cells that aggregation cuts are
+    never asked); no other halfspaces set has one.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -331,10 +349,15 @@ def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     if base is not None:
         pieces.append(base)
     poly = base and base.polytope and base.polytope.cut(A, b)
+    supp = None
+    if poly is not None:
+        free = int(np.count_nonzero(poly.lo < poly.hi))
+        if _polytope_count(free, poly.d.size) <= _POLYTOPE_CANDIDATE_CAP:
+            supp = poly.support
     radius = base.bound_radius if base is not None else None
     out = ConvexSet(A.shape[1],
                     _nearest_or(poly, _dykstra(pieces, _DYKSTRA_MAX_ITER)),
-                    None, radius, name="halfspaces", meta={"kind": "halfspaces"})
+                    supp, radius, name="halfspaces", meta={"kind": "halfspaces"})
     out.polytope = poly
     return out
 

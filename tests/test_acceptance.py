@@ -285,7 +285,7 @@ def test_criterion_09_variance_separation_qualitative():
     U2 = box(np.full(m, -rho - 10.0), np.full(m, -rho))
     T1 = np.eye(d)
     T2 = 16.0 * np.eye(d)
-    opts = QuadSolveOptions(tol=1e-9, max_iter=2500)
+    opts = QuadSolveOptions(tol=1e-9)
 
     spec1 = QuadLiftSpec(A, U1, singleton(T1.ravel()), T1)
     spec2v = QuadLiftSpec(A, U2, singleton(T2.ravel()), T2)
@@ -296,8 +296,7 @@ def test_criterion_09_variance_separation_qualitative():
     affine_e = special_case_affine(spec1, spec2e).risk
     quad_e = solve_quad_detector(spec1, spec2e, opts).risk
     pure_quad = solve_quad_detector(spec1, spec2e,
-                                    QuadSolveOptions(tol=1e-9, max_iter=2500,
-                                                     fix_h=True)).risk
+                                    QuadSolveOptions(tol=1e-9, fix_h=True)).risk
     ok = (affine_v >= 0.99 and quad_v <= 0.9
           and abs(quad_e - affine_e) <= 1e-3 and pure_quad >= 0.99)
     verdict(9, "variance gap is quadratic-only territory",

@@ -178,6 +178,37 @@ def test_multitest_infeasible_target_exits_4(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_multitest_target_with_zero_pair_risks_takes_one_observation(tmp_path):
+    # three disjoint discrete points: every pair risk is 0, so one
+    # observation meets any target, with no log of a zero risk on the way
+    cfg = {
+        "schema_version": "1",
+        "task": "multitest",
+        "families": [{"kind": "discrete",
+                      "probs": {"type": "singleton", "point": p}}
+                     for p in np.eye(3).tolist()],
+        "multitest": {"target_risk": 0.1},
+    }
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
+    res = read_report(tmp_path)["results"]
+    assert res["repetitions"] == 1
+    assert res["eps_hat"] == 0.0
+
+
+def test_readme_configs_run_and_certify(tmp_path, capsys):
+    # every fenced json block of the README is a config that validates,
+    # runs and certifies
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
+    assert blocks
+    for k, block in enumerate(blocks):
+        cfg = json.loads(block)
+        assert run_cli(tmp_path, cfg, "--validate") == 0
+        assert run_cli(tmp_path, cfg, "--out", str(tmp_path / f"r{k}")) == 0
+        assert read_report(tmp_path, f"r{k}")["results"]["certified"] is True
+
+
 def test_color_task_inference(tmp_path):
     cfg = {
         "schema_version": "1",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detector_forge import sets
+from detector_forge import families, sets
 from detector_forge.families import (
     affine_image,
     bounded_support_family,
@@ -137,6 +137,25 @@ def test_semi_direct_sum_matches_grid():
     vals = [lam * part.phi(h[:2] / lam, mu[:2]) +
             (1 - lam) * part.phi(h[2:] / (1 - lam), mu[2:]) for lam in lams]
     assert fam.phi(h, mu) == pytest.approx(min(vals), abs=1e-4)
+
+
+def test_semi_direct_sum_solves_once_per_point(monkeypatch):
+    # phi, grad_h and grad_mu at one (h, mu) share one inner solve; a new
+    # point solves again
+    solves = []
+    inner = families.minimize_projected
+    monkeypatch.setattr(families, "minimize_projected",
+                        lambda *a, **k: solves.append(1) or inner(*a, **k))
+    part = sub_gaussian_family(sets.ball([0.0, 0.0], 1.0),
+                               sets.singleton(sets.sym_flatten(np.eye(2))))
+    fam = semi_direct_sum([part, part])
+    h, mu = np.array([0.4, -0.3, 1.0, 0.2]), np.array([0.1, 0.0, -0.2, 0.3])
+    fam.phi(h, mu)
+    fam.grad_h(list(h), mu)
+    fam.grad_mu(h, list(mu))
+    assert len(solves) == 1
+    fam.phi(2.0 * h, mu)
+    assert len(solves) == 2
 
 
 def test_sub_gaussian_rejects_a_cov_set_without_a_top():

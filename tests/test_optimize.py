@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detector_forge.optimize import (maximize_box_quadratic,
+from detector_forge.optimize import (maximize_bounded,
+                                     maximize_box_quadratic,
+                                     maximize_projected,
                                      minimize_polytope_quadratic,
                                      minimize_projected)
-from detector_forge.sets import box, halfspaces, intersection
+from detector_forge.sets import ball, box, halfspaces, intersection
 
 
 def test_huge_gradient_takes_a_step_without_overflow():
@@ -25,6 +27,33 @@ def test_huge_gradient_takes_a_step_without_overflow():
         res = minimize_projected(fun, np.array([0.5]),
                                  lambda x: np.clip(x, 0.0, 1.0))
     assert res.value <= start
+
+
+def test_bounded_ascent_carries_its_frank_wolfe_gap():
+    # curvatures 20 and 0.01 along the axes: cut to two steps, the ascent
+    # over the unit ball ends short of the maximum, and only the gap keeps
+    # the value above it
+    D, c = np.array([20.0, 0.01]), np.array([0.3, 4.0])
+
+    def f(x):
+        r = x - c
+        return -0.5 * float(r @ (D * r)), -D * r
+
+    disk = ball([0.0, 0.0], 1.0)
+    res = maximize_bounded(f, np.array([0.0, -1.0]), disk.project,
+                           disk.support, rtol=1e-12, max_iter=2)
+    r, t = np.meshgrid(np.linspace(0.0, 1.0, 101),
+                       np.linspace(0.0, 2.0 * np.pi, 3601))
+    pts = np.column_stack([(r * np.cos(t)).ravel(), (r * np.sin(t)).ravel()])
+    top = max(-0.5 * np.sum((pts - c) ** 2 * D, axis=1))
+    assert res.value >= top
+    # without a support function: the ascent's own value, short of the top
+    plain = maximize_bounded(f, np.array([0.0, -1.0]), disk.project, None,
+                             rtol=1e-12, max_iter=2)
+    ascent = maximize_projected(f, np.array([0.0, -1.0]), disk.project,
+                                rtol=1e-12, max_iter=2)
+    assert plain.value == ascent.value < top
+    assert np.array_equal(plain.x, ascent.x) and np.array_equal(res.x, plain.x)
 
 
 @pytest.mark.parametrize("box", [True, False])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detector_forge import quadlift
+from detector_forge import optimize, quadlift
 from detector_forge.families import sub_gaussian_family
 from detector_forge.optimize import maximize_box_quadratic
 from detector_forge.quadlift import (QuadLiftSpec, QuadSolveOptions,
@@ -376,8 +376,8 @@ def test_lifted_max_over_a_box_is_exact_for_indefinite_curvature():
 def test_lifted_ascent_over_a_ball_carries_its_frank_wolfe_gap(monkeypatch):
     # concave curvature over a ball still climbs; cut to two steps, the
     # ascent ends far from the maximum and only its gap keeps the bound
-    ascent = quadlift.maximize_projected
-    monkeypatch.setattr(quadlift, "maximize_projected",
+    ascent = optimize.maximize_projected
+    monkeypatch.setattr(optimize, "maximize_projected",
                         lambda *a, **k: ascent(*a, **{**k, "max_iter": 2}))
     # curvatures -21 and -0.013 along the axes: two steps cannot settle
     spec = QuadLiftSpec(A=np.array([[8.0, 0.0, 0.5], [0.0, 0.2, -0.3]]),

@@ -502,6 +502,11 @@ EXACT_FAMILIES = {
         families.discrete_family(sets.simplex(3, hi=[0.6, 0.6, 0.6])),
         [0.7, 0.7, 0.7]),
     "lift_gaussian": _lifted_family,
+    # the mean set's support is Polytope.support, at a vertex of the cell
+    "halfspaces": lambda: families.sub_gaussian_family(
+        sets.halfspaces([[1.0, 1.0], [-1.0, 2.0]], [1.5, 2.0],
+                        base=sets.box([-1.0, -1.0], [2.0, 1.5])),
+        sets.singleton(sets.sym_flatten(np.array([[1.0, 0.3], [0.3, 0.6]])))),
 }
 
 

@@ -12,12 +12,18 @@ scipy's ``ndtri`` and ``gammaln``, imported when a Gaussian or Poisson
 sampler is built, so importing the package (and starting the CLI) loads no
 scipy.
 
-The multi-test, color and aggregation checks draw each trial's K
-observations with one ``draw`` call, in trial order on the block's stream
-(one call for all of a block's rows would not replay it: Poisson samplers
-fill column by column and scenario histories restart on every call), then
-stack the block and decide all its trials with one batched call, whose
-arithmetic is that of the single-trial decision.
+Each Monte Carlo call owns one generator and re-keys it at the start of
+every block to the state a fresh ``Philox(key=(seed, block))`` starts in,
+which is cheaper than building one.  The multi-test, color and aggregation
+checks draw all of a block's trials with one ``draw_trials`` call, which
+gives the rows that one ``draw`` call per trial, in trial order, would give
+on the block's stream.  Gaussian, discrete and all-inversion Poisson
+samplers do that in one kernel call, since they use a fixed number of
+uniforms per trial in that order; Poisson samplers with a rate above the
+inversion cap (rejection uses a data-dependent number of uniforms), custom
+kernels and scenario streams (their history restarts on every call) loop
+over the trials.  All of a block's trials are then decided with one
+batched call, whose arithmetic is that of the single-trial decision.
 
 A Monte Carlo report passes when the estimate does not exceed the certified
 bound by more than ``sigmas`` standard errors (three by default).
@@ -43,6 +49,9 @@ _MASK64 = (1 << 64) - 1
 # smallest positive double; keeps ndtri off the u=0 singularity
 _U_FLOOR = 5e-324
 _EXP_CAP = 700.0
+# a block sum of e^x below this keeps its sum of squares (at most the
+# sum squared) finite
+_SQUARE_SAFE = 1e150
 _INVERSION_CAP = 30.0
 
 
@@ -63,27 +72,67 @@ class McReport:
 
 @dataclass(frozen=True)
 class Sampler:
-    """Observation stream: a draw kernel plus its seed.
+    """Observation stream: draw kernels plus their seed.
 
     ``draw(rng, n)`` returns an (n, dim) array and may consume any number
-    of variates from ``rng``; the per-block generator comes from
-    ``block_rng``.  Reusing one sampler for several estimates shares its
-    randomness, which is statistically fine but correlates the reports;
-    give each hypothesis its own seed when independence matters.
+    of variates from ``rng``.  ``draw_trials(rng, count, n)`` returns the
+    (count, n, dim) array of ``count`` successive ``draw(rng, n)`` calls on
+    the same generator, bit for bit, and leaves ``rng`` where they would.
+    The per-block generator comes from ``block_rng``.  Reusing one sampler
+    for several estimates shares its randomness, which is statistically
+    fine but correlates the reports; give each hypothesis its own seed when
+    independence matters.
     """
 
     kind: str
     dim: int
     seed: int
     draw: Callable[[np.random.Generator, int], np.ndarray]
+    draw_trials: Callable[[np.random.Generator, int, int], np.ndarray]
 
     def block_rng(self, block: int) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, block & _MASK64],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return _rekey(_philox(), self.seed, block)
 
     def sample(self, n: int, block: int = 0) -> np.ndarray:
         return self.draw(self.block_rng(block), int(n))
+
+
+def _philox() -> np.random.Generator:
+    # a fixed seed, so building it reads no OS entropy; _rekey replaces it
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _rekey(rng: np.random.Generator, seed: int,
+           block: int) -> np.random.Generator:
+    """Put ``rng``'s Philox in the state ``Philox(key=(seed, block))``
+    starts in: zero counter, empty buffer, no spare 32-bit half.  Building
+    that generator would also seed an unused ``SeedSequence`` from OS
+    entropy.  Nothing else may draw from ``rng`` until the block is done;
+    Monte Carlo blocks run in order on the calling thread."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & _MASK64, block & _MASK64],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _batched(kind: str, dim: int, seed: int, draw_trials) -> Sampler:
+    """Sampler whose ``draw`` is one trial of its batched kernel."""
+    return Sampler(kind, int(dim), int(seed),
+                   lambda rng, n: draw_trials(rng, 1, n)[0], draw_trials)
+
+
+def _per_trial(kind: str, dim: int, seed: int, draw) -> Sampler:
+    """Sampler whose trials are successive ``draw`` calls."""
+
+    def draw_trials(rng: np.random.Generator, count: int,
+                    n: int) -> np.ndarray:
+        return np.stack([draw(rng, n) for _ in range(count)])
+
+    return Sampler(kind, int(dim), int(seed), draw, draw_trials)
 
 
 def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
@@ -102,11 +151,13 @@ def gaussian_sampler(mean, cov, seed: int) -> Sampler:
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance must be positive definite") from exc
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        z = ndtri(_uniforms(rng, (n, mu.size)))
+    def draw_trials(rng: np.random.Generator, count: int,
+                    n: int) -> np.ndarray:
+        # the stacked matmul runs each trial's (n, d) @ (d, d) product
+        z = ndtri(_uniforms(rng, (count, n, mu.size)))
         return mu + z @ chol.T
 
-    return Sampler("gaussian", mu.size, int(seed), draw)
+    return _batched("gaussian", mu.size, seed, draw_trials)
 
 
 def _poisson_cdf_table(rate: float, gammaln) -> np.ndarray:
@@ -151,7 +202,7 @@ def poisson_sampler(rates, seed: int) -> Sampler:
 
     Rates at or below 30 invert a cumulative table (one uniform per draw,
     smallest k with CDF(k) >= u); larger rates use transformed rejection.
-    Coordinates are filled column by column.
+    Each draw fills its coordinates column by column.
     """
     from scipy.special import gammaln
     lam = np.asarray(rates, dtype=float).ravel()
@@ -170,7 +221,19 @@ def poisson_sampler(rates, seed: int) -> Sampler:
                 out[:, j] = _poisson_ptrs(float(lam[j]), rng, n, gammaln)
         return out
 
-    return Sampler("poisson", lam.size, int(seed), draw)
+    if any(t is None for t in tables):
+        return _per_trial("poisson", lam.size, seed, draw)
+
+    def draw_trials(rng: np.random.Generator, count: int,
+                    n: int) -> np.ndarray:
+        # (count, dim, n): each trial's uniforms, column after column
+        u = _uniforms(rng, (count, lam.size, n))
+        out = np.empty((count, n, lam.size))
+        for j, table in enumerate(tables):
+            out[:, :, j] = np.searchsorted(table, u[:, j], side="left")
+        return out
+
+    return _batched("poisson", lam.size, seed, draw_trials)
 
 
 def discrete_sampler(probs, seed: int) -> Sampler:
@@ -182,15 +245,15 @@ def discrete_sampler(probs, seed: int) -> Sampler:
     if abs(p.sum() - 1.0) > 1e-8:
         raise ValueError("probabilities must sum to one")
     cdf = np.cumsum(p)
+    one_hot = np.eye(p.size)
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = _uniforms(rng, n)
+    def draw_trials(rng: np.random.Generator, count: int,
+                    n: int) -> np.ndarray:
+        u = _uniforms(rng, (count, n))
         idx = np.minimum(np.searchsorted(cdf, u, side="right"), p.size - 1)
-        out = np.zeros((n, p.size))
-        out[np.arange(n), idx] = 1.0
-        return out
+        return np.take(one_hot, idx, axis=0)
 
-    return Sampler("discrete", p.size, int(seed), draw)
+    return _batched("discrete", p.size, seed, draw_trials)
 
 
 def custom_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
@@ -203,7 +266,7 @@ def custom_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
                              f"expected {(n, dim)}")
         return arr
 
-    return Sampler("custom", int(dim), int(seed), draw)
+    return _per_trial("custom", dim, seed, draw)
 
 
 def scenario_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
@@ -221,7 +284,7 @@ def scenario_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
             out[t] = row
         return out
 
-    return Sampler("scenario", int(dim), int(seed), draw)
+    return _per_trial("scenario", dim, seed, draw)
 
 
 def _detector_stat(det, obs: np.ndarray) -> np.ndarray:
@@ -245,21 +308,29 @@ def _map_blocks(total: int, job, threads: int) -> list:
             for b, lo in enumerate(range(0, total, _BLOCK))]
 
 
-def _draw_trials(sampler: Sampler, block: int, count: int,
-                 repetitions: int) -> np.ndarray:
-    """(count, repetitions, dim) observations of one block's trials: one
-    ``draw`` call per trial, in trial order, on the block's stream."""
-    rng = sampler.block_rng(block)
-    return np.stack([sampler.draw(rng, repetitions) for _ in range(count)])
+def _draw_trials(sampler: Sampler, rng: np.random.Generator, block: int,
+                 count: int, repetitions: int) -> np.ndarray:
+    """(count, repetitions, dim) observations of one block's trials: ``rng``
+    re-keyed to the block's stream, then one ``draw_trials`` call, which by
+    the ``Sampler`` contract gives the rows of one ``draw`` call per trial,
+    in trial order."""
+    return sampler.draw_trials(_rekey(rng, sampler.seed, block), count,
+                               repetitions)
 
 
 def _moment_report(moments: list, n: int, bound: Optional[float],
                    sigmas: float) -> McReport:
-    total = sum(m[0] for m in moments)
-    total_sq = sum(m[1] for m in moments)
+    """Mean and standard error from per-block ``(shift, sum, sum of
+    squares)`` of ``e^(x - shift)``, each block rescaled to the largest
+    shift (log-sum-exp style); with every shift zero, the plain sums."""
+    top = max(m[0] for m in moments)
+    total = sum(s * math.exp(shift - top) for shift, s, _ in moments)
+    total_sq = sum(q * math.exp(2.0 * (shift - top))
+                   for shift, _, q in moments)
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
+    scale = math.exp(top)
+    mean, se = scale * mean, scale * math.sqrt(var / n)
     passed = None if bound is None else bool(mean <= bound + sigmas * se)
     return McReport(float(mean), float(se), int(n),
                     None if bound is None else float(bound), passed)
@@ -269,8 +340,11 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
                      threads: int = 1, sigmas: float = 3.0) -> McReport:
     """Estimate E e^{-phi} (side 1) or E e^{+phi} (side 2) and compare to
     the certified risk.  Works for affine detectors and for quadratic ones
-    fed with raw (unlifted) observations.  ``threads`` is accepted and
-    ignored; every block runs on the calling thread."""
+    fed with raw (unlifted) observations.  Exponents are capped at 700; a
+    block whose sum of squares could overflow is summed relative to its
+    largest term, so the estimate and its standard error stay finite.
+    ``threads`` is accepted and ignored; every block runs on the calling
+    thread."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     n = int(n)
@@ -281,12 +355,19 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
             f"detector dimension {_detector_dim(det)} does not match "
             f"sampler dimension {sampler.dim}")
     sign = -1.0 if side == 1 else 1.0
+    rng = _philox()
 
     def job(block: int, lo: int, hi: int):
-        rng = sampler.block_rng(block)
-        obs = sampler.draw(rng, hi - lo)
-        vals = np.exp(np.minimum(sign * _detector_stat(det, obs), _EXP_CAP))
-        return float(vals.sum()), float(vals @ vals)
+        obs = sampler.draw(_rekey(rng, sampler.seed, block), hi - lo)
+        expo = np.minimum(sign * _detector_stat(det, obs), _EXP_CAP)
+        vals = np.exp(expo)
+        shift, total = 0.0, float(vals.sum())
+        if total > _SQUARE_SAFE:
+            # vals @ vals could overflow: scale by the block's largest term
+            shift = float(expo.max())
+            vals = np.exp(expo - shift)
+            total = float(vals.sum())
+        return shift, total, float(vals @ vals)
 
     moments = _map_blocks(n, job, threads)
     return _moment_report(moments, n, float(det.risk), sigmas)
@@ -340,10 +421,11 @@ def mc_test_error(battery, samplers: Sequence[Sampler],
         raise ValueError("one color per hypothesis required")
     K = shifted.repetitions
     tested = ~bat.closeness.matrix
+    rng = _philox()
 
     def errs(i: int, sampler: Sampler):
         def job(block: int, lo: int, hi: int):
-            obs = _draw_trials(sampler, block, hi - lo, K)
+            obs = _draw_trials(sampler, rng, block, hi - lo, K)
             _, accepted = run_multitest_block(shifted, obs)
             if colors is None:
                 bad = ~accepted[:, i] | np.any(accepted & tested[i], axis=1)
@@ -410,9 +492,10 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
             return subgaussian_fast_path_block(plan, obs)[2]
 
     radius = float(np.max(used))
+    rng = _philox()
 
     def job(block: int, lo: int, hi: int):
-        idx = picks(_draw_trials(sampler, block, hi - lo, K))
+        idx = picks(_draw_trials(sampler, rng, block, hi - lo, K))
         return int(np.count_nonzero(gaps[idx] > closest + 2.0 * radius + 1e-9))
 
     return _indicator_report(_map_blocks(trials, job, 1), trials,

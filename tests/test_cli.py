@@ -351,6 +351,28 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
     assert a["estimate"] == b["estimate"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+def test_simulate_overflowing_second_moment_stays_finite(tmp_path):
+    # e^{100 x} for x ~ N(0, 1) reaches the exponent cap, where the plain
+    # sum of squares of a block overflows
+    cfg = simulate_config()
+    cfg["simulate"].update(
+        detector={"h": [100.0], "a": 0.0, "risk": 0.5},
+        sampler={"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]},
+        side=2, n=100000)
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "r")) == 0
+    text = (tmp_path / "r.json").read_text(encoding="utf-8")
+    row = json.loads(text, parse_constant=_reject_constant)["results"]["mc"][0]
+    assert row["estimate"] > 1e150 and row["std_error"] > 0.0
+    assert row["passed"] is (
+        row["estimate"] <= row["bound"] + 3.0 * row["std_error"])
+    cells = (tmp_path / "r.csv").read_text(encoding="utf-8").lower()
+    assert "nan" not in cells and "inf" not in cells
+
+
 def test_text_summary_to_stdout_without_out(tmp_path, capsys):
     assert run_cli(tmp_path, simulate_config()) == 0
     out = capsys.readouterr().out

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from detector_forge import simulate
 from detector_forge.aggregate import (AggregationProblem, build_level_tests,
                                       subgaussian_fast_path_deltas,
                                       voronoi_geometry)
 from detector_forge.detectors import AffineDetector
-from detector_forge.families import gaussian_point_family, sub_gaussian_family
+from detector_forge.families import (discrete_family, gaussian_point_family,
+                                     poisson_family, sub_gaussian_family)
 from detector_forge.multitest import (ClosenessRelation, build_battery,
                                       run_multitest_block, shift_battery)
 from detector_forge.sets import ball, box, singleton
@@ -73,6 +75,19 @@ def test_poisson_inversion_matches_sequential_loop():
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("rates", [[0.7, 4.0, 30.0], [3.0, 36.0]])
+def test_poisson_trials_fill_columns_in_turn(rates):
+    # each trial draws its columns one after another, as one-rate samplers
+    # would on the same stream
+    s = poisson_sampler(rates, seed=13)
+    columns = [poisson_sampler([lam], seed=0) for lam in rates]
+    got = s.draw_trials(s.block_rng(2), 4, 5)
+    rng = s.block_rng(2)
+    want = np.stack([np.column_stack([c.draw(rng, 5)[:, 0] for c in columns])
+                     for _ in range(4)])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_poisson_moments_both_regimes():
     for lam in (3.0, 80.0):
         s = poisson_sampler([lam], seed=5)
@@ -120,6 +135,65 @@ def test_scenario_sampler_sees_history():
     path = w.sample(100)[:, 0]
     assert np.all(np.diff(path) > 0.0)
     assert np.array_equal(path, w.sample(100)[:, 0])
+
+
+def _contract_samplers():
+    """One sampler per kernel: Gaussian d = 1, 2, 5; Poisson inversion with
+    1 and 3 rates; Poisson rejection; discrete, custom and scenario."""
+    a = np.array([[2.0, 0.3, 0.0, 0.1, 0.0], [0.3, 1.0, 0.2, 0.0, 0.0],
+                  [0.0, 0.2, 1.5, 0.4, 0.1], [0.1, 0.0, 0.4, 0.8, 0.0],
+                  [0.0, 0.0, 0.1, 0.0, 1.2]])
+
+    def walk(hist, rng):
+        prev = hist[-1] if hist.shape[0] else np.zeros(2)
+        return prev + rng.random(2)
+
+    return [gaussian_sampler([0.5], [[2.0]], seed=1),
+            gaussian_sampler([1.0, -2.0], a[:2, :2], seed=2),
+            gaussian_sampler(np.arange(5.0), a, seed=3),
+            poisson_sampler([2.5], seed=4),
+            poisson_sampler([0.7, 4.0, 30.0], seed=5),
+            poisson_sampler([36.0], seed=6),
+            discrete_sampler([0.2, 0.3, 0.5], seed=7),
+            custom_sampler(2, lambda rng, n: rng.random((n, 2)), seed=8),
+            scenario_sampler(2, walk, seed=9)]
+
+
+@pytest.mark.parametrize("count", [1, 7, 1024])
+def test_draw_trials_equals_successive_draws(count):
+    for sampler in _contract_samplers():
+        batched, looped = sampler.block_rng(5), sampler.block_rng(5)
+        got = sampler.draw_trials(batched, count, 3)
+        want = np.stack([sampler.draw(looped, 3) for _ in range(count)])
+        assert got.shape == (count, 3, sampler.dim), sampler.kind
+        assert got.tobytes() == want.tobytes(), sampler.kind
+        # both leave the generator at the same point of the stream
+        assert batched.random(5).tobytes() == looped.random(5).tobytes()
+
+
+def _philox_state(rng):
+    st = rng.bit_generator.state
+    return (st["state"]["counter"].tobytes(), st["state"]["key"].tobytes(),
+            st["buffer"].tobytes(), st["buffer_pos"], st["has_uint32"],
+            st["uinteger"])
+
+
+@pytest.mark.parametrize("seed", [7, 2**63 + 5, 2**64 - 1])
+def test_rekeyed_generator_replays_fresh_block_streams(seed):
+    s = gaussian_sampler([0.0], [[1.0]], seed)
+    rng = simulate._philox()
+    for block in range(51):
+        simulate._rekey(rng, seed, block)
+        fresh = np.random.Generator(np.random.Philox(
+            key=np.array([seed, block], dtype=np.uint64)))
+        assert _philox_state(rng) == _philox_state(fresh)
+        assert _philox_state(s.block_rng(block)) == _philox_state(fresh)
+        # an odd number of doubles leaves the Philox buffer partly used,
+        # and one 32-bit draw leaves a spare half for the next re-key
+        assert rng.random(2 * block + 1).tobytes() == \
+            fresh.random(2 * block + 1).tobytes()
+        assert rng.integers(0, 2**32, dtype=np.uint32) == \
+            fresh.integers(0, 2**32, dtype=np.uint32)
 
 
 def test_custom_sampler_shape_check():
@@ -392,6 +466,44 @@ def test_mc_test_error_matches_per_trial_loop(close_pair_battery, colors):
         assert got[i] == _frequency_report(count, trials, shifted.eps_hat)
         estimates.append(got[i].estimate)
     assert all(0.0 < e < 1.0 for e in estimates)
+
+
+_BATCHED_CASES = {
+    "discrete": (lambda p: discrete_family(singleton(p)), discrete_sampler,
+                 ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.4, 0.35, 0.25])),
+    "poisson": (lambda p: poisson_family(singleton(p)), poisson_sampler,
+                ([3.0, 20.0], [5.0, 26.0], [3.5, 22.0])),
+    "gaussian": (lambda p: gaussian_point_family(p, [[1.0]]),
+                 lambda p, seed: gaussian_sampler(p, [[1.0]], seed),
+                 ([0.0], [1.5], [0.5])),
+}
+
+
+@pytest.mark.parametrize("colors", [None, (0, 1, 0)])
+@pytest.mark.parametrize("case", sorted(_BATCHED_CASES))
+def test_mc_test_error_batched_kernels_match_per_trial_loop(case, colors):
+    # one-kernel samplers only: discrete, Poisson at or below the inversion
+    # cap and 1-d Gaussian
+    family, make_sampler, points = _BATCHED_CASES[case]
+    hyps = [family(p) for p in points]
+    shifted = shift_battery(
+        build_battery(hyps, ClosenessRelation.from_pairs(3, [(0, 2)])), 3)
+    bat = shifted.battery
+    samplers = [make_sampler(p, 60 + i) for i, p in enumerate(points)]
+    trials = 1500
+    got = mc_test_error(shifted, samplers, trials=trials, colors=colors)
+    for i, sampler in enumerate(samplers):
+        def bad(obs):
+            _, acc = _reference_margins(shifted, obs)
+            if colors is None:
+                return i not in acc or any(not bat.closeness.close(i, j)
+                                           for j in acc)
+            guess = _reference_color(acc, colors)
+            return guess is not None and guess != colors[i]
+
+        count = _reference_counts(sampler, trials, 3, bad)
+        assert got[i] == _frequency_report(count, trials, shifted.eps_hat)
+        assert 0.0 < got[i].estimate < 1.0
 
 
 @pytest.fixture(scope="module")

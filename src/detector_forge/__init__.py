@@ -30,9 +30,8 @@ from .multitest import (ClosenessRelation, MultiTestResult, PairwiseBattery,
                         min_k_for_risk, perron_shifts, run_multitest,
                         shift_battery)
 from .quadlift import (QuadDetector, QuadLiftSpec, QuadSolveOptions,
-                       compute_delta, lift_bounded_support, lift_gaussian,
-                       lift_observation, solve_quad_detector,
-                       special_case_affine)
+                       lift_bounded_support, lift_gaussian, lift_observation,
+                       solve_quad_detector, special_case_affine)
 from .saddle import (SaddleOptions, SaddleProblem, SaddleSolution,
                      best_response, solve_saddle)
 from .sets import (ConvexSet, ball, box, eig_clip, full_space, halfspaces,

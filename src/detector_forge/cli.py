@@ -483,7 +483,6 @@ def cmd_quadlift(cfg: dict, runtime: dict) -> Emitter:
             Theta_star=_sym_psd(block[f"Theta{tail}"],
                                 f"$.quadlift.Theta{tail}", definite=True),
             gamma=float(block.get("gamma", 0.99)),
-            delta=block.get(f"delta{tail}"),
         )
 
     try:

@@ -3,14 +3,48 @@
 An observation z ~ N(A [u; 1], Theta) with u ranging over a bounded convex
 set and Theta over a set of covariances is augmented to (z, z z'/2), so an
 affine functional of the lifted observation is quadratic in z.  The moment
-bound for the lifted family has four pieces: a log-determinant in the
-scaled matrix part, a trace correction for covariances below the reference,
-a Frobenius penalty sized by how far the covariance set strays from the
+bound for the lifted family has three pieces: a log-determinant in the
+scaled matrix part, a trace correction for covariances below the
 reference, and a support term over the lifted mean set.
 
 The matrix part of a detector lives in the spectral band
 -gamma Theta_star^{-1} <= H <= gamma Theta_star^{-1}, gamma < 1, enforced
 by eigenvalue clipping of Theta_star^{1/2} H Theta_star^{1/2}.
+
+Why the bound holds for every covariance Theta <= Theta_star.  With
+b = h + H w, the exact log-MGF of h'z + z'Hz/2 under z ~ N(w, Theta) is
+
+    -1/2 ln Det(I - H Theta) + h'w + w'Hw/2 + b' Q(Theta) b / 2,
+    Q(Theta) = Theta^{1/2} (I - Theta^{1/2} H Theta^{1/2})^{-1} Theta^{1/2}.
+
+The bound replaces Q(Theta) by Q(Theta_star) = (Theta_star^{-1} - H)^{-1}
+and -1/2 ln Det(I - H Theta) by
+-1/2 ln Det(I - H Theta_star) + Tr(H (Theta - Theta_star)) / 2.  Both
+replacements only raise the value:
+
+* Along Theta_t = Theta + t (Theta_star - Theta), t in [0, 1], every
+  Theta_t <= Theta_star, so for any y = Theta_t^{1/2} v,
+  y'Hy <= gamma y' Theta_star^{-1} y <= gamma v'v: the eigenvalues of
+  Theta_t^{1/2} H Theta_t^{1/2} stay at or below gamma < 1.
+* Mean term: for Theta positive definite, Q(Theta) = (Theta^{-1} - H)^{-1}
+  and Theta^{-1} - H >= Theta_star^{-1} - H > 0, so inverting reverses the
+  order and Q(Theta) <= Q(Theta_star).  A singular Theta follows by
+  continuity.
+* Log-determinant: psi(Theta) = -1/2 ln Det(I - H Theta) - Tr(H Theta) / 2
+  has derivative Tr(((I - H Theta)^{-1} - I) H X) / 2 in direction X.
+  With S = Theta^{1/2}, ((I - H S S)^{-1} - I) H = (I - H S S)^{-1} H S S H
+  and (I - H S S)^{-1} H S = H S (I - S H S)^{-1}, so that derivative is
+  Tr(M X) / 2 with M = H S (I - S H S)^{-1} S H >= 0 by the first point
+  (applied at Theta_t, so it holds along the whole segment).  The direction
+  X = Theta_star - Theta is >= 0, so psi rises along the segment and
+  psi(Theta) <= psi(Theta_star), which is the replacement.
+
+So the bound dominates the exact log-MGF of every N(A [u; 1], Theta) with
+u in U and Theta <= Theta_star, and it is affine in Theta: its supremum
+over a covariance set is its value at the set's support point for H / 2.
+QuadLiftSpec accepts only covariance sets with a proven psd-largest
+member (a singleton or a psd_interval) below Theta_star, so every folded
+bound is a certificate by construction.
 
 Everything here works with exact oracles; there is no semidefinite
 programming inside.  The inner lifted maximization over a box of means is
@@ -39,11 +73,12 @@ from .optimize import (maximize_bounded, maximize_box_quadratic,
 from .saddle import _DEGENERATE_FLOOR
 from .sets import ConvexSet, intersection, psd_top, sym_flatten, sym_unflatten
 
-__all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "compute_delta",
-           "lift_gaussian", "lift_observation", "solve_quad_detector",
-           "special_case_affine", "lift_bounded_support"]
+__all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "lift_gaussian",
+           "lift_observation", "solve_quad_detector", "special_case_affine",
+           "lift_bounded_support"]
 
 _EIG_TOL = 1e-8
+_DOMINANCE_TOL = 1e-12     # rounding allowance of the whitened dominance test
 _AFFINE_RTOL = 1e-11       # special_case_affine's descent
 _AFFINE_MAX_ITER = 20000
 _QUAD_MAX_ITER = 6000      # each stage of solve_quad_detector's descent
@@ -62,10 +97,12 @@ class QuadLiftSpec:
     """One hypothesis side: mean map, mean-parameter set, covariance set.
 
     A is d x (m+1); the observation mean is A [u; 1] with u in U.  Ucov is
-    a set of flattened d x d covariance matrices, all below Theta_star in
-    the psd order.  gamma bounds the spectral band of admissible matrix
-    parts; delta bounds || Theta^{1/2} Theta_star^{-1/2} - I || over Ucov
-    and is computed from Ucov when not given.
+    a set of flattened d x d covariance matrices: a singleton or a
+    psd_interval (the sets whose psd-largest member sets.psd_top knows),
+    with that member at or below Theta_star in the psd order.  Any other
+    set is refused, since the lifted bound certifies nothing for a
+    covariance above Theta_star.  gamma bounds the spectral band of
+    admissible matrix parts.
     """
 
     A: np.ndarray
@@ -73,7 +110,6 @@ class QuadLiftSpec:
     Ucov: ConvexSet
     Theta_star: np.ndarray
     gamma: float = 0.99
-    delta: Optional[float] = None
     z_oracle: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
 
@@ -94,12 +130,13 @@ class QuadLiftSpec:
             raise ValueError("gamma must lie in (0, 1)")
         self.root, self.iroot = _sqrt_pd(self.Theta_star)
         top = psd_top(self.Ucov)
-        if top is not None and np.linalg.eigvalsh(self.Theta_star - top).min() < -1e-8:
+        if top is None:
+            raise ValueError("covariance set must be a singleton or a "
+                             "psd_interval, so that its top is known")
+        # whitened, so the test is scale-free and exact when top = Theta_star
+        excess = self.iroot @ (top - self.Theta_star) @ self.iroot
+        if np.linalg.eigvalsh(excess).max() > _DOMINANCE_TOL:
             raise ValueError("Theta_star must dominate every covariance in the set")
-        if self.delta is None:
-            self.delta = compute_delta(self.Ucov, self.Theta_star)
-        if not (0.0 <= self.delta <= 2.0):
-            raise ValueError("delta must lie in [0, 2]")
 
     @property
     def dim(self) -> int:
@@ -110,9 +147,6 @@ class QuadLiftSpec:
         w, V = np.linalg.eigh(self.root @ (0.5 * (H + H.T)) @ self.root)
         Ht = (V * np.clip(w, -self.gamma, self.gamma)) @ V.T
         return self.iroot @ Ht @ self.iroot
-
-    def frob_coeff(self) -> float:
-        return self.delta * (2.0 - self.delta) / (2.0 * (1.0 - self.gamma))
 
 
 @dataclass(frozen=True)
@@ -139,30 +173,6 @@ def lift_observation(obs) -> np.ndarray:
     if z.ndim == 1:
         return np.concatenate([z, 0.5 * np.outer(z, z).reshape(-1)])
     return np.hstack([z, 0.5 * np.einsum("ni,nj->nij", z, z).reshape(z.shape[0], -1)])
-
-
-def compute_delta(Ucov: ConvexSet, Theta_star) -> float:
-    """Spectral deviation of the covariance set from the reference root.
-
-    Exact for a singleton; for a psd interval the endpoints and midpoint
-    are sampled; any other description falls back to the universal cap 2.
-    """
-    Theta_star = np.atleast_2d(np.asarray(Theta_star, dtype=float))
-    _, iroot = _sqrt_pd(Theta_star)
-    d = Theta_star.shape[0]
-
-    def dev(Theta):
-        w, V = np.linalg.eigh(0.5 * (Theta + Theta.T))
-        root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-        return float(np.linalg.norm(root @ iroot - np.eye(d), 2))
-
-    kind = Ucov.meta.get("kind")
-    if kind == "singleton":
-        return min(dev(sym_unflatten(Ucov.meta["point"])), 2.0)
-    if kind == "psd_interval":
-        lo, hi = Ucov.meta["lo"], Ucov.meta["hi"]
-        return min(max(dev(lo), dev(hi), dev(0.5 * (lo + hi))), 2.0)
-    return 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +274,7 @@ def _oracle_matrix(spec: QuadLiftSpec, h, H, Qinv) -> np.ndarray:
 
 
 def _phi_pieces(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
-    """Shared evaluation: eigenstructure, Qinv, log-det and Frobenius terms."""
+    """Shared evaluation: symmetrized H, Qinv and the log-det term."""
     H = 0.5 * (H + H.T)
     Ht = spec.root @ H @ spec.root
     w, V = np.linalg.eigh(Ht)
@@ -272,8 +282,7 @@ def _phi_pieces(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
         raise ValueError("matrix part outside the admissible spectral band")
     Qinv = (spec.root @ V / (1.0 - w)) @ V.T @ spec.root
     logdet = -0.5 * float(np.sum(np.log1p(-w)))
-    frob = spec.frob_coeff() * float(np.sum(w ** 2))
-    return H, Qinv, logdet, frob
+    return H, Qinv, logdet
 
 
 def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
@@ -285,7 +294,7 @@ def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     set's support point for H / 2.
     """
     d = spec.dim
-    H, Qinv, logdet, frob = _phi_pieces(spec, h, H)
+    H, Qinv, logdet = _phi_pieces(spec, h, H)
     tr_term = 0.5 * float(sym_flatten(Theta - spec.Theta_star) @ sym_flatten(H))
     val, Y, y, tau = _lifted_max(spec, h, H, Qinv)
     M1 = np.eye(d) + Qinv @ H
@@ -295,8 +304,7 @@ def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
                 + np.outer(qh, M1 @ y) + tau * np.outer(qh, qh))
     gH += 0.5 * Qinv
     gH += 0.5 * (Theta - spec.Theta_star)
-    gH += 2.0 * spec.frob_coeff() * spec.Theta_star @ H @ spec.Theta_star
-    return logdet + tr_term + frob + val, gh, 0.5 * (gH + gH.T)
+    return logdet + tr_term + val, gh, 0.5 * (gH + gH.T)
 
 
 def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
@@ -351,8 +359,6 @@ class QuadSolveOptions:
 
 def _phibar(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
     """Bound with the covariance supremum folded in, plus its gradient."""
-    if spec.Ucov.support is None:
-        raise ValueError("covariance set needs a support-function oracle")
     _, arg = spec.Ucov.support(0.5 * sym_flatten(H))
     return _lifted_bound(spec, h, H, sym_unflatten(arg))
 

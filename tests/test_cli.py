@@ -314,6 +314,52 @@ def test_quadlift_task_and_roundtrip(tmp_path):
     assert again["results"]["risk"] == risk
 
 
+def quadlift_config(**extra):
+    block = {
+        "A1": [[0.0, 1.0]],
+        "U1": {"type": "singleton", "point": [0.0]},
+        "cov1": {"type": "psd_interval", "lo": [[0.5]], "hi": [[1.0]]},
+        "Theta1": [[1.0]],
+        "A2": [[0.0, -1.0]],
+        "U2": {"type": "singleton", "point": [0.0]},
+        "cov2": [[2.0]],
+        "Theta2": [[2.0]],
+    }
+    block.update(extra)
+    return {"schema_version": "1", "task": "quadlift", "quadlift": block}
+
+
+def test_quadlift_delta_keys_are_accepted_and_ignored(tmp_path):
+    # delta1/delta2 still validate but change nothing: the report differs
+    # from the one without them only in its echo of the config
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    with_keys = quadlift_config(delta1=0.3, delta2=1.7)
+    validate_config(with_keys)
+    assert run_cli(tmp_path / "a", with_keys,
+                   "--out", str(tmp_path / "a" / "report")) == 0
+    assert run_cli(tmp_path / "b", quadlift_config(),
+                   "--out", str(tmp_path / "b" / "report")) == 0
+    got = read_report(tmp_path / "a")
+    assert got["config"]["quadlift"].pop("delta1") == 0.3
+    assert got["config"]["quadlift"].pop("delta2") == 1.7
+    text = json.dumps(got, sort_keys=True, indent=2) + "\n"
+    assert text == (tmp_path / "b" / "report.json").read_text(encoding="utf-8")
+
+
+def test_quadlift_refuses_a_covariance_above_the_reference_at_tiny_scale(
+        tmp_path, capsys):
+    # cov 5e-9 is 50 times Theta 1e-10 but within 1e-8 of it; an absolute
+    # tolerance once accepted this and certified risk 1.4e-49 for a
+    # detector that errs about 98 % of the time on each side
+    cfg = quadlift_config(
+        A1=[[0.0, 0.0]], cov1=[[5e-9]], Theta1=[[1e-10]],
+        A2=[[0.0, 3e-4]], cov2=[[5e-9]], Theta2=[[1e-10]])
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.quadlift:" in err and "dominate" in err
+
+
 def simulate_config(seed=9):
     return {
         "schema_version": "1",

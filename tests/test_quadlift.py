@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detector_forge import optimize, quadlift
 from detector_forge.families import sub_gaussian_family
 from detector_forge.optimize import maximize_box_quadratic
 from detector_forge.quadlift import (QuadLiftSpec, QuadSolveOptions,
-                                     compute_delta, lift_bounded_support,
-                                     lift_gaussian, lift_observation,
-                                     solve_quad_detector, special_case_affine)
+                                     lift_bounded_support, lift_gaussian,
+                                     lift_observation, solve_quad_detector,
+                                     special_case_affine)
 from detector_forge.sets import (ball, box, full_space, psd_interval,
                                  singleton, sym_flatten, sym_unflatten)
 
@@ -181,13 +183,65 @@ def test_phi_rejects_out_of_band_matrix():
         data.phi(x, sym_flatten(np.eye(2)))
 
 
-def test_compute_delta_cases():
-    I2 = np.eye(2)
-    assert compute_delta(singleton(sym_flatten(I2)), I2) == pytest.approx(0.0)
-    assert compute_delta(singleton(sym_flatten(0.25 * I2)), I2) == \
-        pytest.approx(0.5)
-    assert compute_delta(psd_interval(0.25 * I2, I2), I2) == pytest.approx(0.5)
-    assert compute_delta(ball(sym_flatten(I2), 0.1), I2) == 2.0
+def _rotation(rng, d):
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return Q
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), m=st.integers(1, 3), edge=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_lifted_bound_dominates_exact_mgf_below_the_reference(d, m, edge,
+                                                              seed):
+    # Theta = root C root with 0 < C <= I in a random eigenbasis, so Theta
+    # <= Theta_star without commuting with it; H anywhere in the gamma band
+    # and the means A [u; 1] anywhere in the box.  edge puts eigenvalues of
+    # C at 1 and of the scaled H at the band's ends
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((d, d))
+    Theta_star = B @ B.T + 0.2 * np.eye(d)
+    A = rng.standard_normal((d, m + 1))
+    lo = rng.uniform(-1.5, 0.0, m)
+    hi = lo + rng.uniform(0.1, 2.0, m)
+    gamma = float(rng.uniform(0.3, 0.99))
+    root, iroot = quadlift._sqrt_pd(Theta_star)
+    c = rng.uniform(0.05, 1.0, d)
+    g = rng.uniform(-gamma, gamma, d)
+    if edge:
+        c[rng.random(d) < 0.5] = 1.0
+        g = np.where(rng.random(d) < 0.5, gamma * np.sign(g), g)
+    V, W = _rotation(rng, d), _rotation(rng, d)
+    Theta = root @ (V * c) @ V.T @ root
+    Theta = 0.5 * (Theta + Theta.T)
+    H = iroot @ (W * g) @ W.T @ iroot
+    H = 0.5 * (H + H.T)
+    h = 2.0 * rng.standard_normal(d)
+    spec = QuadLiftSpec(A=A, U=box(lo, hi),
+                        Ucov=psd_interval(Theta, Theta_star),
+                        Theta_star=Theta_star, gamma=gamma)
+    bound = quadlift._lifted_bound(spec, h, H, Theta)[0]
+    corners = np.where(np.indices((2,) * m).reshape(m, -1).T == 1, hi, lo)
+    us = np.vstack([corners, rng.uniform(lo, hi, size=(20, m))])
+    for u in us:
+        exact = exact_quad_mgf(h, H, A @ np.append(u, 1.0), Theta)
+        assert exact <= bound + 1e-9 * max(1.0, abs(bound))
+
+
+def test_undominated_covariance_set_is_refused():
+    # a box of covariances has no known top: accepted before, its folded
+    # bound at H = 0.2 read 0.41 against a true log-MGF of 0.80
+    with pytest.raises(ValueError, match="singleton or a psd_interval"):
+        QuadLiftSpec(A=np.zeros((1, 2)), U=singleton([0.0]),
+                     Ucov=box([4.0], [4.0]), Theta_star=np.eye(1))
+    # a top 4 or 50 times the reference is refused at any scale, also where
+    # it exceeds the reference by only 5e-9; the reference itself passes
+    for T in (1.0, 1e-10):
+        for top in (4.0 * T, 50.0 * T):
+            with pytest.raises(ValueError, match="dominate"):
+                QuadLiftSpec(A=np.zeros((1, 2)), U=singleton([0.0]),
+                             Ucov=singleton([top]), Theta_star=[[T]])
+        QuadLiftSpec(A=np.zeros((1, 2)), U=singleton([0.0]),
+                     Ucov=psd_interval([[0.5 * T]], [[T]]), Theta_star=[[T]])
 
 
 def test_statistic_matches_lifted_inner_product():
@@ -364,7 +418,7 @@ def test_lifted_max_over_a_box_is_exact_for_indefinite_curvature():
     spec = QuadLiftSpec(A=A, U=box(-np.ones(3), np.ones(3)),
                         Ucov=psd_interval(0.5 * np.eye(3), np.eye(3)),
                         Theta_star=np.eye(3))
-    H, Qinv, _, _ = quadlift._phi_pieces(spec, h, H)
+    H, Qinv, _ = quadlift._phi_pieces(spec, h, H)
     value = quadlift._lifted_max(spec, h, H, Qinv)[0]
     axis = np.linspace(-1.0, 1.0, 81)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
@@ -385,7 +439,7 @@ def test_lifted_ascent_over_a_ball_carries_its_frank_wolfe_gap(monkeypatch):
                         Ucov=singleton(sym_flatten(np.eye(2))),
                         Theta_star=np.eye(2))
     h = np.array([1.0, 2.0])
-    H, Qinv, _, _ = quadlift._phi_pieces(spec, h, -0.5 * np.eye(2))
+    H, Qinv, _ = quadlift._phi_pieces(spec, h, -0.5 * np.eye(2))
     value = quadlift._lifted_max(spec, h, H, Qinv)[0]
     r, t = np.meshgrid(np.linspace(0.0, 1.5, 151),
                        np.linspace(0.0, 2.0 * np.pi, 721))
@@ -406,7 +460,7 @@ def test_lifted_max_over_a_box_past_the_face_cap_still_bounds():
                         Ucov=singleton(sym_flatten(np.eye(2))),
                         Theta_star=np.eye(2))
     h = np.array([0.4, -0.7])
-    H, Qinv, _, _ = quadlift._phi_pieces(spec, h, np.diag([0.5, -0.5]))
+    H, Qinv, _ = quadlift._phi_pieces(spec, h, np.diag([0.5, -0.5]))
     value = quadlift._lifted_max(spec, h, H, Qinv)[0]
     corners = np.where(np.indices((2,) * 12).reshape(12, -1).T == 1, 1.0, -1.0)
     inside = rng.uniform(-1.0, 1.0, size=(4000, 12))
@@ -419,8 +473,8 @@ def test_non_concave_curvature_over_a_ball_demands_an_oracle():
                         U=ball(np.zeros(2), 1.0),
                         Ucov=singleton(sym_flatten(np.eye(2))),
                         Theta_star=np.eye(2))
-    H, Qinv, _, _ = quadlift._phi_pieces(spec, np.zeros(2),
-                                         np.diag([0.5, -0.5]))
+    H, Qinv, _ = quadlift._phi_pieces(spec, np.zeros(2),
+                                      np.diag([0.5, -0.5]))
     with pytest.raises(RuntimeError, match="z_oracle"):
         quadlift._lifted_max(spec, np.ones(2), H, Qinv)
 
@@ -502,8 +556,8 @@ def test_lifted_max_through_z_oracle_matches_the_box_route():
     plain, oracle = QuadLiftSpec(**kw), QuadLiftSpec(**kw, z_oracle=z_oracle)
     for _ in range(200):
         h = rng.standard_normal(3)
-        H, Qinv, _, _ = quadlift._phi_pieces(plain, h,
-                                             banded_H(rng, plain, 0.9))
+        H, Qinv, _ = quadlift._phi_pieces(plain, h,
+                                          banded_H(rng, plain, 0.9))
         want = quadlift._lifted_max(plain, h, H, Qinv)
         got = quadlift._lifted_max(oracle, h, H, Qinv)
         for a, b in zip(want, got):

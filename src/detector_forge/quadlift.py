@@ -85,9 +85,12 @@ _QUAD_MAX_ITER = 6000      # each stage of solve_quad_detector's descent
 
 
 def _sqrt_pd(M: np.ndarray):
-    """Symmetric square root and inverse root of a positive definite matrix."""
+    """Symmetric square root and inverse root of a positive definite matrix.
+
+    The floor on the least eigenvalue is rounding level relative to the
+    largest, since the lifted bound is scale-free."""
     w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w.min() <= 1e-12:
+    if w.min() <= len(w) * np.finfo(float).eps * w.max():
         raise ValueError("matrix must be positive definite")
     return (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
 

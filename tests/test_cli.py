@@ -84,6 +84,31 @@ def test_bad_covariance_names_the_field(tmp_path, capsys):
     assert "positive definite" in err
 
 
+def test_asymmetric_covariance_at_small_scale_exits_2(tmp_path, capsys):
+    # lower triangle 1e-10 twice, so eigvalsh alone reads a positive
+    # definite matrix; the symmetric part is indefinite, and an absolute
+    # symmetry tolerance of 1e-8 once let this certify risk 0
+    cov = [[1e-10, 5e-9], [0.0, 1e-10]]
+    cfg = pair_config(m1=(1e-5, 0.0), m2=(-1e-5, 0.0))
+    for fam in cfg["families"]:
+        fam["cov"] = cov
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.families[0].cov:" in err
+    assert "not symmetric" in err
+
+
+def test_solver_block_is_refused_at_the_root(tmp_path, capsys):
+    # the solver tolerance is set by --tol only; a "solver" block once
+    # named a schema definition that did not exist and died in a traceback
+    cfg = pair_config()
+    cfg["solver"] = {"tol": 1e-6}
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error at $:" in err
+    assert "('solver' was unexpected)" in err
+
+
 def test_empty_halfspaces_mean_set_exits_2(tmp_path, capsys):
     # no point of [-1, 1]^2 has x1 + x2 <= -5; Dykstra's point (-1, -1)
     # once stood in for the empty set and the pair was certified
@@ -493,13 +518,19 @@ _SCIPY_LOADED = ("sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.'))")
 
 
+_JSONSCHEMA_LOADED = ("sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'jsonschema')")
+
+
 def test_cli_import_leaves_scipy_optimize_out(tmp_path):
     # scipy.special would add about 0.15 s to every CLI start (setup_s at
     # the bench's reference speed), scipy.optimize 0.1 s more; only the
-    # samplers need scipy
+    # samplers need scipy.  The config check is in-package: jsonschema
+    # would add about 60 ms more
     done = _fresh_python(
-        "-c", f"import sys, detector_forge.cli; print({_SCIPY_LOADED})")
-    assert done.stdout.strip() == "[]"
+        "-c", f"import sys, detector_forge.cli; print({_SCIPY_LOADED}, "
+              f"{_JSONSCHEMA_LOADED})")
+    assert done.stdout.strip() == "[] []"
 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(pair_config()), encoding="utf-8")
@@ -510,7 +541,8 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path):
                 for line in done.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "detector_forge.detectors" in imported
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert not [m for m in imported
+                if m.split(".")[0] in ("scipy", "jsonschema")]
 
     for build in ("gaussian_sampler([0.0], [[1.0]], 1)",
                   "poisson_sampler([2.0, 40.0], 1)"):
@@ -519,3 +551,16 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path):
             f"print('scipy.special' in sys.modules); {build}; "
             "print('scipy.special' in sys.modules)")
         assert done.stdout.split() == ["False", "True"]
+
+
+def test_pair_runs_where_jsonschema_cannot_be_imported(tmp_path):
+    # None in sys.modules makes every import of jsonschema fail
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(pair_config()), encoding="utf-8")
+    done = _fresh_python(
+        "-c", "import sys; sys.modules['jsonschema'] = None; "
+              "from detector_forge.cli import main; "
+              f"sys.exit(main(['--config', {str(path)!r}, '--out', "
+              f"{str(tmp_path / 'report')!r}]))")
+    assert "wrote" in done.stdout
+    assert read_report(tmp_path)["results"]["certified"] is True

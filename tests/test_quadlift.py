@@ -317,6 +317,41 @@ def test_solver_side_values_are_lifted_bound_at_support_point():
             assert value >= phi(x, sym_flatten(lo + root @ S @ root)) - 1e-12
 
 
+def test_reference_floor_is_relative_so_a_rescaled_pair_is_accepted():
+    # N(0, t) vs N(0.5, 16 t): its lifted bound is scale-free, so the
+    # detector solved at t = 1, carried to t = 1e-10 and to t = 1e-13 (a
+    # least eigenvalue the absolute floor of 1e-12 refused), certifies the
+    # same risk
+    def pair(t):
+        return [QuadLiftSpec(A=np.array([[0.0, m * np.sqrt(t)]]),
+                             U=singleton([0.0]), Ucov=singleton([v * t]),
+                             Theta_star=np.array([[v * t]]))
+                for v, m in ((1.0, 0.0), (16.0, 0.5))]
+
+    det = solve_quad_detector(*pair(1.0))
+    assert det.risk < 0.9
+    for t in (1e-10, 1e-13):
+        s1, s2 = pair(t)
+        h, H = det.h / np.sqrt(t), det.H / t
+        v1 = quadlift._phibar(s1, -h, -H)[0]
+        v2 = quadlift._phibar(s2, h, H)[0]
+        assert quadlift._certificate(v1, v2)[2] == pytest.approx(det.risk,
+                                                                 rel=1e-9)
+
+
+def test_ill_conditioned_reference_at_unit_scale_is_accepted():
+    # condition number 1e13: only a least eigenvalue at rounding level
+    # relative to the largest is refused
+    theta = np.diag([1e6, 1e-7])
+    spec = QuadLiftSpec(A=np.zeros((2, 2)), U=singleton([0.0]),
+                        Ucov=singleton(sym_flatten(theta)), Theta_star=theta)
+    assert np.allclose(spec.root @ spec.root, theta)
+    with pytest.raises(ValueError, match="positive definite"):
+        QuadLiftSpec(A=np.zeros((2, 2)), U=singleton([0.0]),
+                     Ucov=singleton(sym_flatten(np.diag([1e6, 1e-12]))),
+                     Theta_star=np.diag([1e6, 1e-12]))
+
+
 def test_affine_cannot_separate_equal_means():
     s1 = singleton_spec(d=2, Theta=np.eye(2))
     s2 = singleton_spec(d=2, Theta=16.0 * np.eye(2))

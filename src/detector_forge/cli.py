@@ -4,7 +4,10 @@ One process runs one task.  A JSON config names the task and its inputs.
 The in-package checker ``schema.Checker`` checks it against the published
 schema in ``config_schema.json``: the schema is compiled once per process,
 and a bad config is refused at the JSON path, and with the message, that
-jsonschema would report (only the tests need jsonschema).  Results come
+jsonschema would report (only the tests need jsonschema).  Python's JSON
+parser also reads ``NaN``, ``Infinity`` and ``-Infinity``, which are not
+JSON; a config holding one (or a number too large for a double) is
+refused at its path before the schema check.  Results come
 back as a machine-readable JSON report with sorted keys and no timing
 data, so reruns with the same seed are byte-identical, plus an aligned
 text summary (where timings do appear) and a CSV file for Monte Carlo
@@ -23,6 +26,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -43,7 +47,7 @@ from .multitest import (ClosenessRelation, build_battery, e_matrix,
 from .quadlift import (QuadDetector, QuadLiftSpec, QuadSolveOptions,
                        solve_quad_detector, special_case_affine)
 from .saddle import SaddleOptions, SaddleProblem
-from .schema import Checker
+from .schema import Checker, _json_path
 from .simulate import (discrete_sampler, gaussian_sampler, mc_aggregation,
                        mc_detector_risk, mc_test_error, poisson_sampler)
 from . import sets
@@ -72,7 +76,30 @@ def _config_checker() -> Checker:
     return Checker(load_schema())
 
 
+def _non_finite(x, path: list) -> Optional[tuple]:
+    """``(path, value)`` of the first NaN or infinite number in ``x``, in
+    document order, or None."""
+    if isinstance(x, float):
+        return None if math.isfinite(x) else (path, x)
+    if isinstance(x, dict):
+        steps = x.items()
+    elif isinstance(x, list):
+        steps = enumerate(x)
+    else:
+        return None
+    for step, value in steps:
+        found = _non_finite(value, path + [step])
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(cfg) -> None:
+    bad = _non_finite(cfg, [])
+    if bad is not None:
+        path, value = bad
+        raise ConfigError(_json_path(path),
+                          f"{json.dumps(value)} is not a finite number")
     problem = _config_checker().check(cfg)
     if problem is not None:
         raise ConfigError(*problem)

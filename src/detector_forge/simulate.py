@@ -12,18 +12,31 @@ scipy's ``ndtri`` and ``gammaln``, imported when a Gaussian or Poisson
 sampler is built, so importing the package (and starting the CLI) loads no
 scipy.
 
-Each Monte Carlo call owns one generator and re-keys it at the start of
+Each Monte Carlo call owns its generators and re-keys one at the start of
 every block to the state a fresh ``Philox(key=(seed, block))`` starts in,
-which is cheaper than building one.  The multi-test, color and aggregation
-checks draw all of a block's trials with one ``draw_trials`` call, which
-gives the rows that one ``draw`` call per trial, in trial order, would give
-on the block's stream.  Gaussian, discrete and all-inversion Poisson
-samplers do that in one kernel call, since they use a fixed number of
-uniforms per trial in that order; Poisson samplers with a rate above the
-inversion cap (rejection uses a data-dependent number of uniforms), custom
-kernels and scenario streams (their history restarts on every call) loop
-over the trials.  All of a block's trials are then decided with one
-batched call, whose arithmetic is that of the single-trial decision.
+which is cheaper than building one.  A block's stream depends only on
+its key, not on when it is drawn, so ``mc_detector_risk`` draws a group
+of ``_GROUP`` blocks with one ``draw_streams`` call, which gives the rows
+of one ``draw`` call on each block's stream, and computes the group's
+detector statistic and ``exp`` at once; each block's moments are then
+summed alone, with the calls of a one-block loop, so the estimate is the
+one that loop gives, bit for bit.  That rests on the elementwise maps
+(``ndtri``, ``log``, ``gammaln``, ``exp``) giving the same bits whatever
+the length of the array, and on the Gaussian matmul running one
+(n, d) @ (d, d) product per block.  Gaussian, discrete and Poisson
+samplers map each stream's uniforms with one call for the group, Poisson
+transformed rejection runs its rounds across the group's streams, and
+custom kernels and scenario streams loop over the streams.  The
+multi-test, color and aggregation checks draw all of a block's trials
+with one ``draw_trials`` call, which gives the rows that one ``draw``
+call per trial, in trial order, would give on the block's stream.
+Gaussian, discrete and all-inversion Poisson samplers do that in one
+kernel call, since they use a fixed number of uniforms per trial in that
+order; Poisson samplers with a rate above the inversion cap (rejection
+uses a data-dependent number of uniforms), custom kernels and scenario
+streams (their history restarts on every call) loop over the trials.
+All of a block's trials are then decided with one batched call, whose
+arithmetic is that of the single-trial decision.
 
 A Monte Carlo report passes when the estimate does not exceed the certified
 bound by more than ``sigmas`` standard errors (three by default).
@@ -45,6 +58,9 @@ from .multitest import (PairwiseBattery, ShiftedBattery, infer_color_block,
                         run_multitest_block, shift_battery)
 
 _BLOCK = 1024
+# blocks that mc_detector_risk draws with one kernel call: a group's
+# uniforms take 64 KB per coordinate
+_GROUP = 8
 _MASK64 = (1 << 64) - 1
 # smallest positive double; keeps ndtri off the u=0 singularity
 _U_FLOOR = 5e-324
@@ -74,14 +90,16 @@ class McReport:
 class Sampler:
     """Observation stream: draw kernels plus their seed.
 
-    ``draw(rng, n)`` returns an (n, dim) array and may consume any number
-    of variates from ``rng``.  ``draw_trials(rng, count, n)`` returns the
-    (count, n, dim) array of ``count`` successive ``draw(rng, n)`` calls on
-    the same generator, bit for bit, and leaves ``rng`` where they would.
-    The per-block generator comes from ``block_rng``.  Reusing one sampler
-    for several estimates shares its randomness, which is statistically
-    fine but correlates the reports; give each hypothesis its own seed when
-    independence matters.
+    ``draw_streams(rngs, n)`` returns the (len(rngs), n, dim) array of one
+    ``draw(rng, n)`` on each generator of ``rngs``, bit for bit, and leaves
+    each generator where that draw would; ``draw`` is that kernel on one
+    stream and may consume any number of variates from it.
+    ``draw_trials(rng, count, n)`` returns the (count, n, dim) array of
+    ``count`` successive ``draw(rng, n)`` calls on the same generator, bit
+    for bit, and leaves ``rng`` where they would.  The per-block generator
+    comes from ``block_rng``.  Reusing one sampler for several estimates
+    shares its randomness, which is statistically fine but correlates the
+    reports; give each hypothesis its own seed when independence matters.
     """
 
     kind: str
@@ -89,6 +107,7 @@ class Sampler:
     seed: int
     draw: Callable[[np.random.Generator, int], np.ndarray]
     draw_trials: Callable[[np.random.Generator, int, int], np.ndarray]
+    draw_streams: Callable[[Sequence[np.random.Generator], int], np.ndarray]
 
     def block_rng(self, block: int) -> np.random.Generator:
         return _rekey(_philox(), self.seed, block)
@@ -119,24 +138,60 @@ def _rekey(rng: np.random.Generator, seed: int,
     return rng
 
 
-def _batched(kind: str, dim: int, seed: int, draw_trials) -> Sampler:
-    """Sampler whose ``draw`` is one trial of its batched kernel."""
-    return Sampler(kind, int(dim), int(seed),
-                   lambda rng, n: draw_trials(rng, 1, n)[0], draw_trials)
+def _sampler(kind: str, dim: int, seed: int, draw_streams,
+             draw_trials=None) -> Sampler:
+    """Sampler whose ``draw`` is ``draw_streams`` on one stream; without a
+    batched ``draw_trials``, trials are successive ``draw`` calls."""
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        return draw_streams([rng], n)[0]
+
+    if draw_trials is None:
+        def draw_trials(rng: np.random.Generator, count: int,
+                        n: int) -> np.ndarray:
+            return np.stack([draw(rng, n) for _ in range(count)])
+
+    return Sampler(kind, int(dim), int(seed), draw, draw_trials, draw_streams)
 
 
-def _per_trial(kind: str, dim: int, seed: int, draw) -> Sampler:
-    """Sampler whose trials are successive ``draw`` calls."""
+def _from_uniforms(kind: str, dim: int, seed: int, shape,
+                   transform) -> Sampler:
+    """Sampler that maps a fixed number of uniforms per draw, ``shape(n)``
+    of them in stream order, to rows: ``transform`` takes a stack of
+    uniform arrays, one per draw, to the stack of their (n, dim) rows."""
+
+    def draw_streams(rngs: Sequence[np.random.Generator],
+                     n: int) -> np.ndarray:
+        return transform(_stream_uniforms(rngs, shape(n)))
 
     def draw_trials(rng: np.random.Generator, count: int,
                     n: int) -> np.ndarray:
-        return np.stack([draw(rng, n) for _ in range(count)])
+        return transform(_uniforms(rng, (count, *shape(n))))
 
-    return Sampler(kind, int(dim), int(seed), draw, draw_trials)
+    return _sampler(kind, dim, seed, draw_streams, draw_trials)
+
+
+def _per_stream(kind: str, dim: int, seed: int, draw) -> Sampler:
+    """Sampler whose kernel runs ``draw`` on each stream in turn."""
+
+    def draw_streams(rngs: Sequence[np.random.Generator],
+                     n: int) -> np.ndarray:
+        return np.stack([draw(rng, n) for rng in rngs])
+
+    return _sampler(kind, dim, seed, draw_streams)
 
 
 def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
     return np.maximum(rng.random(shape), _U_FLOOR)
+
+
+def _stream_uniforms(rngs: Sequence[np.random.Generator],
+                     shape) -> np.ndarray:
+    """(len(rngs), *shape) uniforms; row i is ``_uniforms(rngs[i], shape)``."""
+    u = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    return np.maximum(u, _U_FLOOR, out=u)
 
 
 def gaussian_sampler(mean, cov, seed: int) -> Sampler:
@@ -151,13 +206,12 @@ def gaussian_sampler(mean, cov, seed: int) -> Sampler:
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance must be positive definite") from exc
 
-    def draw_trials(rng: np.random.Generator, count: int,
-                    n: int) -> np.ndarray:
-        # the stacked matmul runs each trial's (n, d) @ (d, d) product
-        z = ndtri(_uniforms(rng, (count, n, mu.size)))
-        return mu + z @ chol.T
+    def transform(u: np.ndarray) -> np.ndarray:
+        # the stacked matmul runs each draw's (n, d) @ (d, d) product
+        return mu + ndtri(u) @ chol.T
 
-    return _batched("gaussian", mu.size, seed, draw_trials)
+    return _from_uniforms("gaussian", mu.size, seed,
+                          lambda n: (n, mu.size), transform)
 
 
 def _poisson_cdf_table(rate: float, gammaln) -> np.ndarray:
@@ -168,19 +222,33 @@ def _poisson_cdf_table(rate: float, gammaln) -> np.ndarray:
     return cdf
 
 
-def _poisson_ptrs(rate: float, rng: np.random.Generator, n: int,
-                  gammaln) -> np.ndarray:
-    # transformed rejection; round-based so rejected slots retry together
+def _poisson_ptrs_streams(rate: float,
+                          rngs: Sequence[np.random.Generator], n: int,
+                          gammaln) -> np.ndarray:
+    """(len(rngs), n) transformed-rejection draws (Hoermann 1993), row i
+    from ``rngs[i]``.  Each round draws ``u`` and then ``v`` for every
+    pending slot of a stream, from that stream, and then accepts or
+    rejects the slots of all streams at once, so rejected slots retry
+    together and each stream reads the uniforms that rounds over its own
+    slots alone would read."""
     b = 0.931 + 2.53 * math.sqrt(rate)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     log_rate = math.log(rate)
-    out = np.empty(n)
-    pending = np.arange(n)
+    out = np.empty((len(rngs), n))
+    flat = out.reshape(-1)
+    pending = np.arange(flat.size)
+    edges = np.arange(len(rngs) + 1) * n
     while pending.size:
-        u = _uniforms(rng, pending.size) - 0.5
-        v = _uniforms(rng, pending.size)
+        u, v = np.empty(pending.size), np.empty(pending.size)
+        cuts = np.searchsorted(pending, edges)
+        for rng, lo, hi in zip(rngs, cuts[:-1], cuts[1:]):
+            if hi > lo:
+                rng.random(out=u[lo:hi])
+                rng.random(out=v[lo:hi])
+        u = np.maximum(u, _U_FLOOR) - 0.5
+        v = np.maximum(v, _U_FLOOR, out=v)
         us = 0.5 - np.abs(u)
         k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
         accept = (us >= 0.07) & (v <= v_r)
@@ -192,7 +260,7 @@ def _poisson_ptrs(rate: float, rng: np.random.Generator, n: int,
             extra = np.zeros(pending.size, dtype=bool)
             extra[rest] = lhs <= rhs
             accept |= extra
-        out[pending[accept]] = k[accept]
+        flat[pending[accept]] = k[accept]
         pending = pending[~accept]
     return out
 
@@ -211,29 +279,30 @@ def poisson_sampler(rates, seed: int) -> Sampler:
     tables = [_poisson_cdf_table(l, gammaln) if l <= _INVERSION_CAP else None
               for l in lam]
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.empty((n, lam.size))
-        for j in range(lam.size):
-            if tables[j] is not None:
-                u = _uniforms(rng, n)
-                out[:, j] = np.searchsorted(tables[j], u, side="left")
-            else:
-                out[:, j] = _poisson_ptrs(float(lam[j]), rng, n, gammaln)
-        return out
-
     if any(t is None for t in tables):
-        return _per_trial("poisson", lam.size, seed, draw)
+        def draw_streams(rngs: Sequence[np.random.Generator],
+                         n: int) -> np.ndarray:
+            out = np.empty((len(rngs), n, lam.size))
+            for j, table in enumerate(tables):
+                if table is None:
+                    out[:, :, j] = _poisson_ptrs_streams(
+                        float(lam[j]), rngs, n, gammaln)
+                else:
+                    out[:, :, j] = np.searchsorted(
+                        table, _stream_uniforms(rngs, (n,)), side="left")
+            return out
 
-    def draw_trials(rng: np.random.Generator, count: int,
-                    n: int) -> np.ndarray:
-        # (count, dim, n): each trial's uniforms, column after column
-        u = _uniforms(rng, (count, lam.size, n))
-        out = np.empty((count, n, lam.size))
+        return _sampler("poisson", lam.size, seed, draw_streams)
+
+    def transform(u: np.ndarray) -> np.ndarray:
+        # u is (draws, dim, n): each draw's uniforms, column after column
+        out = np.empty((u.shape[0], u.shape[2], lam.size))
         for j, table in enumerate(tables):
             out[:, :, j] = np.searchsorted(table, u[:, j], side="left")
         return out
 
-    return _batched("poisson", lam.size, seed, draw_trials)
+    return _from_uniforms("poisson", lam.size, seed,
+                          lambda n: (lam.size, n), transform)
 
 
 def discrete_sampler(probs, seed: int) -> Sampler:
@@ -247,13 +316,12 @@ def discrete_sampler(probs, seed: int) -> Sampler:
     cdf = np.cumsum(p)
     one_hot = np.eye(p.size)
 
-    def draw_trials(rng: np.random.Generator, count: int,
-                    n: int) -> np.ndarray:
-        u = _uniforms(rng, (count, n))
+    def transform(u: np.ndarray) -> np.ndarray:
         idx = np.minimum(np.searchsorted(cdf, u, side="right"), p.size - 1)
         return np.take(one_hot, idx, axis=0)
 
-    return _batched("discrete", p.size, seed, draw_trials)
+    return _from_uniforms("discrete", p.size, seed, lambda n: (n,),
+                          transform)
 
 
 def custom_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
@@ -266,7 +334,7 @@ def custom_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
                              f"expected {(n, dim)}")
         return arr
 
-    return _per_trial("custom", dim, seed, draw)
+    return _per_stream("custom", dim, seed, draw)
 
 
 def scenario_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
@@ -284,7 +352,7 @@ def scenario_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
             out[t] = row
         return out
 
-    return _per_trial("scenario", dim, seed, draw)
+    return _per_stream("scenario", dim, seed, draw)
 
 
 def _detector_stat(det, obs: np.ndarray) -> np.ndarray:
@@ -343,8 +411,9 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
     fed with raw (unlifted) observations.  Exponents are capped at 700; a
     block whose sum of squares could overflow is summed relative to its
     largest term, so the estimate and its standard error stay finite.
-    ``threads`` is accepted and ignored; every block runs on the calling
-    thread."""
+    Blocks are drawn in groups, and each block's moments are those a
+    one-block loop would sum.  ``threads`` is accepted and ignored; every
+    block runs on the calling thread."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     n = int(n)
@@ -355,21 +424,29 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
             f"detector dimension {_detector_dim(det)} does not match "
             f"sampler dimension {sampler.dim}")
     sign = -1.0 if side == 1 else 1.0
-    rng = _philox()
-
-    def job(block: int, lo: int, hi: int):
-        obs = sampler.draw(_rekey(rng, sampler.seed, block), hi - lo)
+    rngs = [_philox() for _ in range(_GROUP)]
+    full, short = divmod(n, _BLOCK)
+    # (first block, end block, rows per block): full blocks in groups, and
+    # the short last block alone
+    groups = [(lo, min(lo + _GROUP, full), _BLOCK)
+              for lo in range(0, full, _GROUP)]
+    if short:
+        groups.append((full, full + 1, short))
+    moments = []
+    for first, stop, rows in groups:
+        streams = [_rekey(rng, sampler.seed, block)
+                   for rng, block in zip(rngs, range(first, stop))]
+        obs = sampler.draw_streams(streams, rows).reshape(-1, sampler.dim)
         expo = np.minimum(sign * _detector_stat(det, obs), _EXP_CAP)
-        vals = np.exp(expo)
-        shift, total = 0.0, float(vals.sum())
-        if total > _SQUARE_SAFE:
-            # vals @ vals could overflow: scale by the block's largest term
-            shift = float(expo.max())
-            vals = np.exp(expo - shift)
-            total = float(vals.sum())
-        return shift, total, float(vals @ vals)
-
-    moments = _map_blocks(n, job, threads)
+        expo = expo.reshape(len(streams), rows)
+        for block_expo, vals in zip(expo, np.exp(expo)):
+            shift, total = 0.0, float(vals.sum())
+            if total > _SQUARE_SAFE:
+                # vals @ vals could overflow: scale by the block's largest term
+                shift = float(block_expo.max())
+                vals = np.exp(block_expo - shift)
+                total = float(vals.sum())
+            moments.append((shift, total, float(vals @ vals)))
     return _moment_report(moments, n, float(det.risk), sigmas)
 
 

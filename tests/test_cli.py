@@ -444,6 +444,24 @@ def test_simulate_overflowing_second_moment_stays_finite(tmp_path):
     assert "nan" not in cells and "inf" not in cells
 
 
+@pytest.mark.parametrize("block, key, value, path", [
+    ("detector", "h", [math.nan, 0.0], "$.simulate.detector.h[0]"),
+    ("detector", "a", math.inf, "$.simulate.detector.a"),
+    ("sampler", "mean", [math.nan, 0.0], "$.simulate.sampler.mean[0]"),
+])
+def test_non_finite_number_exits_2(tmp_path, capsys, block, key, value,
+                                   path):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    cfg = simulate_config()
+    cfg["simulate"][block][key] = value
+    for flags in (("--validate",), ("--out", str(tmp_path / "r"))):
+        assert run_cli(tmp_path, cfg, *flags) == 2
+        err = capsys.readouterr().err
+        assert f"config error at {path}: " in err
+        assert "is not a finite number" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_text_summary_to_stdout_without_out(tmp_path, capsys):
     assert run_cli(tmp_path, simulate_config()) == 0
     out = capsys.readouterr().out

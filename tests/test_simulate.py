@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri
 
 from detector_forge import simulate
 from detector_forge.aggregate import (AggregationProblem, build_level_tests,
@@ -13,6 +13,7 @@ from detector_forge.families import (discrete_family, gaussian_point_family,
                                      poisson_family, sub_gaussian_family)
 from detector_forge.multitest import (ClosenessRelation, build_battery,
                                       run_multitest_block, shift_battery)
+from detector_forge.quadlift import QuadDetector
 from detector_forge.sets import ball, box, singleton
 from detector_forge.simulate import (
     McReport,
@@ -86,6 +87,39 @@ def test_poisson_trials_fill_columns_in_turn(rates):
     want = np.stack([np.column_stack([c.draw(rng, 5)[:, 0] for c in columns])
                      for _ in range(4)])
     assert got.tobytes() == want.tobytes()
+
+
+def _ptrs_one_stream(rate, rng, n):
+    # transformed rejection on one stream: each round draws u, then v, for
+    # the pending slots
+    b = 0.931 + 2.53 * math.sqrt(rate)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    out = np.empty(n)
+    pending = np.arange(n)
+    while pending.size:
+        u = np.maximum(rng.random(pending.size), 5e-324) - 0.5
+        v = np.maximum(rng.random(pending.size), 5e-324)
+        us = 0.5 - np.abs(u)
+        k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
+        accept = (us >= 0.07) & (v <= v_r)
+        for i in np.flatnonzero((k >= 0.0) & ~((us < 0.013) & (v > us))
+                                & ~accept):
+            lhs = np.log(v[i] * inv_alpha / (a / us[i] ** 2 + b))
+            rhs = k[i] * math.log(rate) - rate - gammaln(k[i] + 1.0)
+            accept[i] = lhs <= rhs
+        out[pending[accept]] = k[accept]
+        pending = pending[~accept]
+    return out
+
+
+@pytest.mark.parametrize("rate", [30.5, 36.0, 400.0])
+def test_poisson_rejection_matches_one_stream_rounds(rate):
+    s = poisson_sampler([rate], seed=17)
+    for block in range(3):
+        want = _ptrs_one_stream(rate, s.block_rng(block), 500)
+        assert s.sample(500, block)[:, 0].tobytes() == want.tobytes()
 
 
 def test_poisson_moments_both_regimes():
@@ -170,6 +204,16 @@ def test_draw_trials_equals_successive_draws(count):
         # both leave the generator at the same point of the stream
         assert batched.random(5).tobytes() == looped.random(5).tobytes()
 
+        # the multi-stream kernel: one draw on each of count block streams
+        grouped = [sampler.block_rng(b) for b in range(count)]
+        alone = [sampler.block_rng(b) for b in range(count)]
+        got = sampler.draw_streams(grouped, 3)
+        want = np.stack([sampler.draw(rng, 3) for rng in alone])
+        assert got.shape == (count, 3, sampler.dim), sampler.kind
+        assert got.tobytes() == want.tobytes(), sampler.kind
+        assert [_philox_state(r) for r in grouped] == \
+            [_philox_state(r) for r in alone], sampler.kind
+
 
 def _philox_state(rng):
     st = rng.bit_generator.state
@@ -220,6 +264,69 @@ def test_gaussian_mgf_identity_within_three_se():
     assert rep.passed
     other = mc_detector_risk(det, s, 2, 100000)
     assert other.bound == pytest.approx(math.exp(-0.5))
+
+
+def _per_block_risk(det, sampler, side, n):
+    """mc_detector_risk one block at a time: re-key, draw, statistic,
+    moments."""
+    sign = -1.0 if side == 1 else 1.0
+    rng = simulate._philox()
+    moments = []
+    for block, lo in enumerate(range(0, n, simulate._BLOCK)):
+        obs = sampler.draw(simulate._rekey(rng, sampler.seed, block),
+                           min(simulate._BLOCK, n - lo))
+        expo = np.minimum(sign * simulate._detector_stat(det, obs),
+                          simulate._EXP_CAP)
+        vals = np.exp(expo)
+        shift, total = 0.0, float(vals.sum())
+        if total > simulate._SQUARE_SAFE:
+            shift = float(expo.max())
+            vals = np.exp(expo - shift)
+            total = float(vals.sum())
+        moments.append((shift, total, float(vals @ vals)))
+    return simulate._moment_report(moments, n, float(det.risk), 3.0)
+
+
+def _walk(hist, rng):
+    prev = hist[-1] if hist.shape[0] else np.zeros(2)
+    return 0.9 * prev + rng.random(2) - 0.5
+
+
+_GROUP_ROWS = simulate._GROUP * simulate._BLOCK
+
+
+@pytest.mark.parametrize("n", [1000, 1024, _GROUP_ROWS,
+                               _GROUP_ROWS + simulate._BLOCK,
+                               _GROUP_ROWS + simulate._BLOCK + 37])
+def test_grouped_risk_equals_per_block_loop(n):
+    samplers = [gaussian_sampler([0.3, -0.2], [[1.0, 0.3], [0.3, 0.5]], 1),
+                discrete_sampler([0.2, 0.3, 0.5], 2),
+                poisson_sampler([0.7, 4.0, 30.0], 3),
+                poisson_sampler([3.0, 36.0], 4),
+                custom_sampler(2, lambda rng, m: rng.random((m, 2)), 5),
+                scenario_sampler(2, _walk, 6)]
+    for sampler in samplers:
+        d = sampler.dim
+        h = np.linspace(-0.4, 0.3, d) / (10.0 if sampler.kind == "poisson"
+                                         else 1.0)
+        H = 0.05 * (np.eye(d) + 0.5 * np.ones((d, d)))
+        for det in (AffineDetector(h=h, a=0.1, risk=1.5, gap=0.0),
+                    QuadDetector(h=h, H=H, a=0.1, risk=1.5)):
+            for side in (1, 2):
+                assert mc_detector_risk(det, sampler, side, n) == \
+                    _per_block_risk(det, sampler, side, n), \
+                    (sampler.kind, type(det).__name__, side)
+
+
+def test_grouped_risk_rescales_an_overflowing_block():
+    # e^{100 x} reaches the exponent cap, so blocks take the rescale
+    det = AffineDetector(h=np.array([100.0]), a=0.0, risk=0.5, gap=0.0)
+    s = gaussian_sampler([0.0], [[1.0]], seed=3)
+    n = 2 * _GROUP_ROWS + 5
+    got = mc_detector_risk(det, s, 2, n)
+    assert got == _per_block_risk(det, s, 2, n)
+    assert got.estimate > simulate._SQUARE_SAFE / simulate._BLOCK
+    assert math.isfinite(got.std_error)
 
 
 def test_mc_detector_risk_thread_count_invariant():

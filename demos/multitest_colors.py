@@ -43,8 +43,7 @@ def main():
 
     samplers = [gaussian_sampler([m], [[4.0]], seed=100 + i)
                 for i, m in enumerate(means)]
-    reports = mc_test_error(battery, samplers, shifted.repetitions,
-                            trials=4000, colors=colors)
+    reports = mc_test_error(shifted, samplers, trials=4000, colors=colors)
     print("\nwrong-color frequency per truth (bound = attained level):")
     for i, rep in enumerate(reports):
         print(f"  truth {i}: {rep.estimate:.4f} +- {rep.std_error:.4f}, "

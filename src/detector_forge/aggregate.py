@@ -350,40 +350,6 @@ def cell_violation(geometry: VoronoiGeometry, chosen: int, point, delta) -> bool
 # ---------------------------------------------------------------------------
 # pure sub-Gaussian fast path: margins and statistics in closed form
 
-def _fast_path_pairs(estimates, Theta):
-    """The (L, m) estimates, their Voronoi geometry and the noise variance
-    q[l, lp] = u' Theta u along each direction u = u[l, lp] (one on the
-    diagonal, which no statistic uses)."""
-    g = np.atleast_2d(np.asarray(estimates, dtype=float))
-    Theta = np.asarray(Theta, dtype=float)
-    L = g.shape[0]
-    if L < 2:
-        raise ValueError("need at least two candidate estimates")
-    geo = voronoi_geometry(g)
-    q = np.ones((L, L))
-    for l in range(L):
-        for lp in range(L):
-            if lp != l:
-                u = geo.u[l, lp]
-                q[l, lp] = float(u @ (Theta @ u))
-    return g, geo, q
-
-
-def _fast_path_deltas(q: np.ndarray, eps: float, repetitions: int):
-    L = q.shape[0]
-    if not eps * repetitions < L * np.sqrt(L - 1.0):
-        raise ValueError("eps * repetitions must stay below L * sqrt(L - 1)")
-    log_term = np.log(L * np.sqrt(L - 1.0) / (eps * repetitions))
-    spread = np.sqrt(log_term * q)
-    np.fill_diagonal(spread, 0.0)
-    return spread.max(axis=1)
-
-
-def subgaussian_fast_path_deltas(estimates, Theta, eps: float, repetitions: int):
-    return _fast_path_deltas(_fast_path_pairs(estimates, Theta)[2], eps,
-                             repetitions)
-
-
 @dataclass(frozen=True)
 class FastPathPlan:
     """Everything the fast-path pick needs that does not depend on the
@@ -400,14 +366,37 @@ class FastPathPlan:
 
 def subgaussian_fast_path_plan(estimates, Theta, eps: float,
                                repetitions: int) -> FastPathPlan:
-    """Set up the fast path once for K = ``repetitions`` observations."""
-    g, geo, q = _fast_path_pairs(estimates, Theta)
-    K = int(repetitions)
-    deltas = _fast_path_deltas(q, eps, K)
+    """Set up the fast path once for K = ``repetitions`` observations: the
+    Voronoi geometry of the (L, m) estimates, the noise variance
+    q[l, lp] = u' Theta u along each direction u = u[l, lp] (one on the
+    diagonal, which no statistic uses) and the margins."""
+    g = np.atleast_2d(np.asarray(estimates, dtype=float))
+    Theta = np.asarray(Theta, dtype=float)
     L = g.shape[0]
+    if L < 2:
+        raise ValueError("need at least two candidate estimates")
+    geo = voronoi_geometry(g)
+    q = np.ones((L, L))
+    for l in range(L):
+        for lp in range(L):
+            if lp != l:
+                u = geo.u[l, lp]
+                q[l, lp] = float(u @ (Theta @ u))
+    K = int(repetitions)
+    if not eps * K < L * np.sqrt(L - 1.0):
+        raise ValueError("eps * repetitions must stay below L * sqrt(L - 1)")
+    log_term = np.log(L * np.sqrt(L - 1.0) / (eps * K))
+    spread = np.sqrt(log_term * q)
+    np.fill_diagonal(spread, 0.0)
+    deltas = spread.max(axis=1)
     w = 0.5 * (g[:, None, :] + g[None, :, :] + deltas[:, None, None] * geo.u)
     return FastPathPlan(deltas, geo.u, K * w, deltas[:, None] / (2.0 * q),
                         0.5 * np.log(L - 1.0), K)
+
+
+def subgaussian_fast_path_deltas(estimates, Theta, eps: float, repetitions: int):
+    return subgaussian_fast_path_plan(estimates, Theta, eps,
+                                      repetitions).deltas
 
 
 def subgaussian_fast_path_block(plan: FastPathPlan, observations):

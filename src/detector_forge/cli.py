@@ -14,7 +14,8 @@ text summary (where timings do appear) and a CSV file for Monte Carlo
 tables.
 
 Exit codes: 0 success, 2 bad config (message carries the JSON path of the
-offending field), 3 solver failure, 4 infeasible certificate request.
+offending field) or bad flag, 3 solver failure, 4 infeasible certificate
+request.
 Set DETECTOR_FORGE_LOG to debug/info/warning/error for diagnostics.
 """
 
@@ -290,8 +291,6 @@ class Emitter:
 
 
 def _csv_cell(v):
-    if v is None:
-        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -600,6 +599,18 @@ def _emit(out: Emitter, out_path: Optional[str]) -> None:
     sys.stdout.write("wrote " + ", ".join(written) + "\n")
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a positive finite number, or argparse refuses it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="detector-forge",
@@ -610,12 +621,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output base path; writes .json, "
                         ".txt, and (for MC tables) .csv")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--tol", type=float,
-                        help="override the solver tolerance")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored, kept for compatibility; "
-                             "every solve and Monte Carlo block runs on one "
-                             "thread")
+    parser.add_argument("--tol", type=_tolerance,
+                        help="override the solver tolerance (positive, "
+                             "finite)")
     parser.add_argument("--validate", action="store_true",
                         help="schema-check the config and exit")
     args = parser.parse_args(argv)

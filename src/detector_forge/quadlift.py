@@ -114,7 +114,6 @@ class QuadLiftSpec:
     Theta_star: np.ndarray
     gamma: float = 0.99
     z_oracle: Optional[Callable] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -496,13 +495,11 @@ def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> AffineDetec
 
 
 def lift_bounded_support(support_oracle: Callable, obs_dim: int,
-                         mean_set: ConvexSet, radius: float,
-                         constraints=()) -> RegularData:
+                         mean_set: ConvexSet, radius: float) -> RegularData:
     """Bounded-support family on a lifted set known only through its oracle.
 
     The oracle maps a direction to (support value, maximizing point) over
-    the lifted observation set; constraint matrices describing that set are
-    carried as metadata only.  Projection onto the lifted set is
+    the lifted observation set.  Projection onto the lifted set is
     deliberately unavailable: nothing here solves semidefinite programs.
     """
     if support_oracle is None:
@@ -515,6 +512,5 @@ def lift_bounded_support(support_oracle: Callable, obs_dim: int,
 
     lifted = ConvexSet(int(obs_dim), no_proj, support_oracle, float(radius),
                        name="lifted_support",
-                       meta={"kind": "lifted_support",
-                             "constraints": tuple(constraints)})
+                       meta={"kind": "lifted_support"})
     return bounded_support_family(lifted, mean_set)

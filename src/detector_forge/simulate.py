@@ -39,7 +39,7 @@ All of a block's trials are then decided with one batched call, whose
 arithmetic is that of the single-trial decision.
 
 A Monte Carlo report passes when the estimate does not exceed the certified
-bound by more than ``sigmas`` standard errors (three by default).
+bound by more than three standard errors (``_SIGMAS``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from .aggregate import (AggregationProblem, build_level_tests, first_red,
                         individual_inference_block, level_margins,
                         subgaussian_fast_path_block,
                         subgaussian_fast_path_plan)
-from .multitest import (PairwiseBattery, ShiftedBattery, infer_color_block,
-                        run_multitest_block, shift_battery)
+from .multitest import ShiftedBattery, infer_color_block, run_multitest_block
 
 _BLOCK = 1024
 # blocks that mc_detector_risk draws with one kernel call: a group's
@@ -69,21 +68,23 @@ _EXP_CAP = 700.0
 # sum squared) finite
 _SQUARE_SAFE = 1e150
 _INVERSION_CAP = 30.0
+# a report passes when its estimate is within this many standard errors
+# above the certified bound
+_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
 class McReport:
     """Monte Carlo estimate with its acceptance verdict.
 
-    ``passed`` is true when ``estimate <= bound + sigmas * std_error``
-    (and always true when there is no bound to test against).
+    ``passed`` is true when ``estimate <= bound + _SIGMAS * std_error``.
     """
 
     estimate: float
     std_error: float
     n: int
-    bound: Optional[float] = None
-    passed: Optional[bool] = None
+    bound: float
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -376,18 +377,7 @@ def _map_blocks(total: int, job, threads: int) -> list:
             for b, lo in enumerate(range(0, total, _BLOCK))]
 
 
-def _draw_trials(sampler: Sampler, rng: np.random.Generator, block: int,
-                 count: int, repetitions: int) -> np.ndarray:
-    """(count, repetitions, dim) observations of one block's trials: ``rng``
-    re-keyed to the block's stream, then one ``draw_trials`` call, which by
-    the ``Sampler`` contract gives the rows of one ``draw`` call per trial,
-    in trial order."""
-    return sampler.draw_trials(_rekey(rng, sampler.seed, block), count,
-                               repetitions)
-
-
-def _moment_report(moments: list, n: int, bound: Optional[float],
-                   sigmas: float) -> McReport:
+def _moment_report(moments: list, n: int, bound: float) -> McReport:
     """Mean and standard error from per-block ``(shift, sum, sum of
     squares)`` of ``e^(x - shift)``, each block rescaled to the largest
     shift (log-sum-exp style); with every shift zero, the plain sums."""
@@ -399,13 +389,12 @@ def _moment_report(moments: list, n: int, bound: Optional[float],
     var = max(total_sq / n - mean * mean, 0.0)
     scale = math.exp(top)
     mean, se = scale * mean, scale * math.sqrt(var / n)
-    passed = None if bound is None else bool(mean <= bound + sigmas * se)
-    return McReport(float(mean), float(se), int(n),
-                    None if bound is None else float(bound), passed)
+    return McReport(float(mean), float(se), int(n), float(bound),
+                    bool(mean <= bound + _SIGMAS * se))
 
 
 def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
-                     threads: int = 1, sigmas: float = 3.0) -> McReport:
+                     threads: int = 1) -> McReport:
     """Estimate E e^{-phi} (side 1) or E e^{+phi} (side 2) and compare to
     the certified risk.  Works for affine detectors and for quadratic ones
     fed with raw (unlifted) observations.  Exponents are capped at 700; a
@@ -447,45 +436,46 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
                 vals = np.exp(block_expo - shift)
                 total = float(vals.sum())
             moments.append((shift, total, float(vals @ vals)))
-    return _moment_report(moments, n, float(det.risk), sigmas)
+    return _moment_report(moments, n, float(det.risk))
 
 
-def _indicator_report(counts: list, n: int, bound: float,
-                      sigmas: float) -> McReport:
-    hits = sum(counts)
-    freq = hits / n
-    se = math.sqrt(max(freq * (1.0 - freq), 0.0) / n)
-    return McReport(float(freq), float(se), int(n), float(bound),
-                    bool(freq <= bound + sigmas * se))
+def _trial_frequency(sampler: Sampler, trials: int, repetitions: int,
+                     failed, bound: float) -> McReport:
+    """Frequency of failed trials against ``bound``.  Each block of trials
+    re-keys one generator to the block's stream and draws the block's
+    (count, repetitions, dim) observations with one ``draw_trials`` call,
+    which by the ``Sampler`` contract gives the rows of one ``draw`` call
+    per trial, in trial order; ``failed`` maps them to a mask of the
+    trials that fail."""
+    trials = int(trials)
+    if trials < 1000:
+        raise ValueError("need at least 1000 trials for a stable estimate")
+    rng = _philox()
+
+    def job(block: int, lo: int, hi: int):
+        obs = sampler.draw_trials(_rekey(rng, sampler.seed, block), hi - lo,
+                                  repetitions)
+        return int(np.count_nonzero(failed(obs)))
+
+    freq = sum(_map_blocks(trials, job, 1)) / trials
+    se = math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
+    return McReport(float(freq), float(se), trials, float(bound),
+                    bool(freq <= bound + _SIGMAS * se))
 
 
-def mc_test_error(battery, samplers: Sequence[Sampler],
-                  repetitions: Optional[int] = None, trials: int = 1000, *,
-                  colors: Optional[Sequence[int]] = None,
-                  sigmas: float = 3.0) -> tuple:
+def mc_test_error(battery: ShiftedBattery, samplers: Sequence[Sampler], *,
+                  trials: int = 1000,
+                  colors: Optional[Sequence[int]] = None) -> tuple:
     """Per-hypothesis error frequency of the repeated multi-test.
 
     Under sampler i the error event is "hypothesis i rejected, or some
     non-close hypothesis accepted"; with ``colors`` it is "a color other
     than i's was inferred".  Both frequencies are compared to the balanced
-    risk level of the shifted battery.
+    risk level of the shifted battery (``shift_battery`` makes one).
     """
-    if isinstance(battery, ShiftedBattery):
-        shifted = battery
-        if repetitions is not None and int(repetitions) != shifted.repetitions:
-            raise ValueError("repetition count disagrees with the battery")
-    elif isinstance(battery, PairwiseBattery):
-        if repetitions is None:
-            raise ValueError("a plain battery needs a repetition count")
-        if int(repetitions) < 1:
-            raise ValueError("repetition count must be positive")
-        shifted = shift_battery(battery, int(repetitions))
-    else:
-        raise TypeError("expected a pairwise or shifted battery")
-    trials = int(trials)
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a stable estimate")
-
+    if not isinstance(battery, ShiftedBattery):
+        raise TypeError("expected a shifted battery (see shift_battery)")
+    shifted = battery
     bat = shifted.battery
     J = bat.count
     if len(samplers) != J:
@@ -496,31 +486,26 @@ def mc_test_error(battery, samplers: Sequence[Sampler],
             raise ValueError("sampler dimension does not match observations")
     if colors is not None and len(colors) != J:
         raise ValueError("one color per hypothesis required")
-    K = shifted.repetitions
     tested = ~bat.closeness.matrix
-    rng = _philox()
 
     def errs(i: int, sampler: Sampler):
-        def job(block: int, lo: int, hi: int):
-            obs = _draw_trials(sampler, rng, block, hi - lo, K)
+        def failed(obs: np.ndarray) -> np.ndarray:
             _, accepted = run_multitest_block(shifted, obs)
             if colors is None:
-                bad = ~accepted[:, i] | np.any(accepted & tested[i], axis=1)
-            else:
-                decided, color = infer_color_block(accepted, colors)
-                bad = decided & (color != colors[i])
-            return int(np.count_nonzero(bad))
+                return ~accepted[:, i] | np.any(accepted & tested[i], axis=1)
+            decided, color = infer_color_block(accepted, colors)
+            return decided & (color != colors[i])
 
-        return _indicator_report(_map_blocks(trials, job, 1), trials,
-                                 shifted.eps_hat, sigmas)
+        return _trial_frequency(sampler, trials, shifted.repetitions, failed,
+                                shifted.eps_hat)
 
     return tuple(errs(i, samplers[i]) for i in range(J))
 
 
 def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
                    trials: int = 1000, *, repetitions: int,
-                   eps: Optional[float] = None, deltas=None, tests=None,
-                   sigmas: float = 3.0) -> McReport:
+                   eps: Optional[float] = None, deltas=None,
+                   tests=None) -> McReport:
     """Frequency with which the aggregated pick lands outside the certified
     neighborhood of the best estimate.
 
@@ -530,9 +515,6 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
     (``deltas``, optionally with prebuilt ``tests``) switch to the generic
     detector route.
     """
-    trials = int(trials)
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a stable estimate")
     K = int(repetitions)
     if K < 1:
         raise ValueError("repetition count must be positive")
@@ -569,11 +551,8 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
             return subgaussian_fast_path_block(plan, obs)[2]
 
     radius = float(np.max(used))
-    rng = _philox()
 
-    def job(block: int, lo: int, hi: int):
-        idx = picks(_draw_trials(sampler, rng, block, hi - lo, K))
-        return int(np.count_nonzero(gaps[idx] > closest + 2.0 * radius + 1e-9))
+    def failed(obs: np.ndarray) -> np.ndarray:
+        return gaps[picks(obs)] > closest + 2.0 * radius + 1e-9
 
-    return _indicator_report(_map_blocks(trials, job, 1), trials,
-                             float(bound), sigmas)
+    return _trial_frequency(sampler, trials, K, failed, bound)

@@ -354,22 +354,75 @@ def quadlift_config(**extra):
     return {"schema_version": "1", "task": "quadlift", "quadlift": block}
 
 
-def test_quadlift_delta_keys_are_accepted_and_ignored(tmp_path):
-    # delta1/delta2 still validate but change nothing: the report differs
-    # from the one without them only in its echo of the config
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    with_keys = quadlift_config(delta1=0.3, delta2=1.7)
-    validate_config(with_keys)
-    assert run_cli(tmp_path / "a", with_keys,
-                   "--out", str(tmp_path / "a" / "report")) == 0
-    assert run_cli(tmp_path / "b", quadlift_config(),
-                   "--out", str(tmp_path / "b" / "report")) == 0
-    got = read_report(tmp_path / "a")
-    assert got["config"]["quadlift"].pop("delta1") == 0.3
-    assert got["config"]["quadlift"].pop("delta2") == 1.7
-    text = json.dumps(got, sort_keys=True, indent=2) + "\n"
-    assert text == (tmp_path / "b" / "report.json").read_text(encoding="utf-8")
+def test_quadlift_delta_keys_are_refused(tmp_path, capsys):
+    # the lifted bound has no covariance-deviation term, so delta1/delta2
+    # would change nothing; a config that sets one is refused
+    for extra, unexpected in (({"delta1": 0.3}, "('delta1' was unexpected)"),
+                              ({"delta1": 0.3, "delta2": 1.7},
+                               "('delta1', 'delta2' were unexpected)")):
+        for flags in ((), ("--validate",)):
+            assert run_cli(tmp_path, quadlift_config(**extra), *flags) == 2
+            err = capsys.readouterr().err
+            assert err == ("config error at $.quadlift: Additional properties "
+                           f"are not allowed {unexpected}\n")
+
+
+def test_threads_flag_is_refused(tmp_path, capsys):
+    # every solve and Monte Carlo block runs on the calling thread, so a
+    # thread count would change nothing
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, simulate_config(), "--threads", "4")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["pair", "quadlift"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, task, tol):
+    # a NaN or non-positive tolerance once failed the solve (exit 3), and an
+    # infinite one certified any gap; both tasks read the runtime tol
+    cfg = pair_config() if task == "pair" else quadlift_config()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, cfg, "--tol", tol)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: must be a positive finite number" in err
+
+
+def test_tol_flag_accepts_a_positive_tolerance(tmp_path):
+    for cfg in (pair_config(), quadlift_config()):
+        assert run_cli(tmp_path, cfg, "--tol", "1e-4") == 0
+
+
+def _schema_properties(node):
+    """Every property name declared anywhere in a schema node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "properties":
+                yield from value
+            yield from _schema_properties(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _schema_properties(value)
+
+
+def test_every_schema_key_is_read_by_the_cli():
+    # a key the schema accepts but the CLI never reads would be an input
+    # that changes no result; the paired quadlift keys (A1 ... Theta2) are
+    # read as f"A{tail}" and so on
+    root = Path(__file__).resolve().parents[1] / "src" / "detector_forge"
+    source = (root / "cli.py").read_text(encoding="utf-8")
+    schema = json.loads((root / "config_schema.json").read_text(
+        encoding="utf-8"))
+    names = set(_schema_properties(schema))
+    assert {"A1", "Theta2", "gamma", "trials", "seed"} <= names
+
+    def read(name):
+        if name[-1] in "12" and f'"{name[:-1]}{{tail}}"' in source:
+            return True
+        return f'"{name}"' in source
+
+    assert sorted(n for n in names if not read(n)) == []
 
 
 def test_quadlift_refuses_a_covariance_above_the_reference_at_tiny_scale(
@@ -402,9 +455,9 @@ def simulate_config(seed=9):
 
 
 def test_simulate_reports_are_byte_identical(tmp_path):
-    for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+    for name in ("a", "b", "c"):
         assert run_cli(tmp_path, simulate_config(), "--out",
-                       str(tmp_path / name), "--threads", threads) == 0
+                       str(tmp_path / name)) == 0
     a = (tmp_path / "a.json").read_bytes()
     assert a == (tmp_path / "b.json").read_bytes()
     assert a == (tmp_path / "c.json").read_bytes()

@@ -62,6 +62,7 @@ def _readme_configs():
 CORPUS = (
     _literal_configs(test_cli) + _literal_configs(test_acceptance)
     + [test_cli.pair_config(), test_cli.quadlift_config(),
+       # refused: the quadlift block has no delta1/delta2 keys
        test_cli.quadlift_config(delta1=0.3, delta2=1.7),
        test_cli.simulate_config()]
     + [test_cli._mc_mismatch(task)[0]

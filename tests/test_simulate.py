@@ -284,7 +284,7 @@ def _per_block_risk(det, sampler, side, n):
             vals = np.exp(expo - shift)
             total = float(vals.sum())
         moments.append((shift, total, float(vals @ vals)))
-    return simulate._moment_report(moments, n, float(det.risk), 3.0)
+    return simulate._moment_report(moments, n, float(det.risk))
 
 
 def _walk(hist, rng):
@@ -380,26 +380,31 @@ def test_mc_test_error_color_mode(gaussian_three_battery):
         gaussian_sampler([t, 0.0], np.eye(2), seed=200 + i)
         for i, t in enumerate((-3.0, 0.0, 3.0))
     ]
-    reports = mc_test_error(battery, samplers, 2, 1500, colors=colors)
+    reports = mc_test_error(shift_battery(battery, 2), samplers, trials=1500,
+                            colors=colors)
     for rep in reports:
         assert rep.passed
 
 
 def test_mc_test_error_validation(gaussian_three_battery):
     samplers = [gaussian_sampler([0.0, 0.0], np.eye(2), i) for i in range(3)]
+    shifted = shift_battery(gaussian_three_battery, 2)
     with pytest.raises(ValueError):
-        mc_test_error(gaussian_three_battery, samplers, None, 2000)
+        mc_test_error(shifted, samplers[:2], trials=2000)
     with pytest.raises(ValueError):
-        mc_test_error(gaussian_three_battery, samplers, 0, 2000)
+        mc_test_error(shifted, samplers, trials=50)
     with pytest.raises(ValueError):
-        mc_test_error(gaussian_three_battery, samplers[:2], 2, 2000)
-    with pytest.raises(ValueError):
-        mc_test_error(gaussian_three_battery, samplers, 2, 50)
-    shifted = shift_battery(gaussian_three_battery, 3)
-    with pytest.raises(ValueError):
-        mc_test_error(shifted, samplers, 2, 2000)
+        mc_test_error(shifted, samplers, trials=2000, colors=(0, 1))
+    # only a shifted battery carries its repetition count: a plain battery,
+    # a separate count (by keyword or position) and a non-battery all fail
     with pytest.raises(TypeError):
-        mc_test_error("not a battery", samplers, 2, 2000)
+        mc_test_error(gaussian_three_battery, samplers, trials=2000)
+    with pytest.raises(TypeError):
+        mc_test_error(shifted, samplers, repetitions=2, trials=2000)
+    with pytest.raises(TypeError):
+        mc_test_error(shifted, samplers, 2000)
+    with pytest.raises(TypeError):
+        mc_test_error("not a battery", samplers, trials=2000)
 
 
 def test_scenario_stream_keeps_certified_bound():
@@ -473,6 +478,9 @@ def test_mc_report_fields():
     rep = McReport(estimate=0.5, std_error=0.01, n=1000, bound=0.6, passed=True)
     assert rep.bound == 0.6
     assert rep.passed is True
+    # every report has a bound to test against
+    with pytest.raises(TypeError):
+        McReport(estimate=0.5, std_error=0.01, n=1000)
 
 
 # --- batched decisions against the per-trial loops they replaced ------------

@@ -10,7 +10,13 @@ cumulative table: the uniform-to-sample maps are pinned down exactly so
 another implementation of the same contract can replay a stream.  They are
 scipy's ``ndtri`` and ``gammaln``, imported when a Gaussian or Poisson
 sampler is built, so importing the package (and starting the CLI) loads no
-scipy.
+scipy.  Cumulative tables are read through a guide table of 4096 buckets
+built with the sampler (``_guide_lookup``): a uniform's bucket is exact,
+and one exact comparison with the one table entry a bucket may hold gives
+the index a binary search gives; uniforms in the rare buckets holding
+several entries are searched.  Transformed rejection reads log k! from a
+table of ``gammaln(k + 1.0)`` built with the sampler, ``gammaln``'s own
+values for the same arguments, and calls ``gammaln`` only above it.
 
 Each Monte Carlo call owns its generators and re-keys one at the start of
 every block to the state a fresh ``Philox(key=(seed, block))`` starts in,
@@ -68,6 +74,11 @@ _EXP_CAP = 700.0
 # sum squared) finite
 _SQUARE_SAFE = 1e150
 _INVERSION_CAP = 30.0
+# buckets of a guide table (see _guide_lookup); a power of two, so the
+# bucket int(u * _GUIDE_BUCKETS) of a uniform u is exact
+_GUIDE_BUCKETS = 4096
+# a rejection sampler's log-factorial table stops at k = _LOG_FACT_CAP
+_LOG_FACT_CAP = 1 << 16
 # a report passes when its estimate is within this many standard errors
 # above the certified bound
 _SIGMAS = 3.0
@@ -195,11 +206,45 @@ def _stream_uniforms(rngs: Sequence[np.random.Generator],
     return np.maximum(u, _U_FLOOR, out=u)
 
 
+def _guide_lookup(table: np.ndarray, side: str):
+    """``u -> np.searchsorted(table, u, side)`` for uniforms in [0, 1),
+    through a guide table of ``_GUIDE_BUCKETS`` buckets (Chen and Asau
+    1974); ``table`` is nondecreasing.  Bucket ``b = int(u * 4096)`` holds
+    the uniforms of [b/4096, (b+1)/4096), and ``first[b]`` is the search's
+    index at its left edge.  Where a bucket holds at most one table entry,
+    the index at u is ``first[b]`` plus one comparison of u with the entry
+    ``table[first[b]]``; both are exact, so the result is the search's.
+    Uniforms in buckets that hold two or more entries (ties, or a Poisson
+    table's far tail) are searched.  The table is padded with +inf, so a
+    cumulative table may end below 1."""
+    table = np.asarray(table, dtype=float)
+    size = table.size
+    first = np.searchsorted(
+        table, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side)
+    # a bucket with two or more entries points past the table, so its
+    # uniforms come out above ``size`` and take the search
+    guide = np.where(np.diff(first) <= 1, first[:-1], size + 1)
+    entry = np.append(table, [np.inf, np.inf])[guide]
+    beyond = np.less if side == "left" else np.less_equal
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        bucket = (u * _GUIDE_BUCKETS).astype(np.intp)
+        idx = guide[bucket] + beyond(entry[bucket], u)
+        wide = idx > size
+        if wide.any():
+            idx[wide] = np.searchsorted(table, u[wide], side)
+        return idx
+
+    return lookup
+
+
 def gaussian_sampler(mean, cov, seed: int) -> Sampler:
     """N(mean, cov) rows via inverse-CDF normals and a Cholesky factor."""
     from scipy.special import ndtri
     mu = np.asarray(mean, dtype=float).ravel()
     sigma = np.atleast_2d(np.asarray(cov, dtype=float))
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        raise ValueError("mean and covariance must be finite")
     if sigma.shape != (mu.size, mu.size):
         raise ValueError("covariance shape does not match the mean")
     try:
@@ -208,89 +253,124 @@ def gaussian_sampler(mean, cov, seed: int) -> Sampler:
         raise ValueError("covariance must be positive definite") from exc
 
     def transform(u: np.ndarray) -> np.ndarray:
-        # the stacked matmul runs each draw's (n, d) @ (d, d) product
-        return mu + ndtri(u) @ chol.T
+        # the stacked matmul runs each draw's (n, d) @ (d, d) product; the
+        # mean goes in column by column (x + mu_j is mu_j + x, bit for bit),
+        # as a broadcast add would step through rows of d entries
+        rows = ndtri(u) @ chol.T
+        for j, m in enumerate(mu):
+            rows[..., j] += m
+        return rows
 
     return _from_uniforms("gaussian", mu.size, seed,
                           lambda n: (n, mu.size), transform)
 
 
+def _poisson_top(rate: float) -> int:
+    """Largest k of a rate's tables: the Poisson mass beyond 40 standard
+    deviations and 40 above the rate is below double resolution."""
+    return int(rate + 40.0 * math.sqrt(rate) + 40.0)
+
+
 def _poisson_cdf_table(rate: float, gammaln) -> np.ndarray:
-    top = int(rate + 40.0 * math.sqrt(rate) + 40.0)
-    k = np.arange(top + 1, dtype=float)
+    k = np.arange(_poisson_top(rate) + 1, dtype=float)
     cdf = np.cumsum(np.exp(k * math.log(rate) - rate - gammaln(k + 1.0)))
     cdf[-1] = 1.0   # mass beyond 40 sigma is below double resolution
     return cdf
 
 
-def _poisson_ptrs_streams(rate: float,
-                          rngs: Sequence[np.random.Generator], n: int,
-                          gammaln) -> np.ndarray:
-    """(len(rngs), n) transformed-rejection draws (Hoermann 1993), row i
-    from ``rngs[i]``.  Each round draws ``u`` and then ``v`` for every
-    pending slot of a stream, from that stream, and then accepts or
-    rejects the slots of all streams at once, so rejected slots retry
-    together and each stream reads the uniforms that rounds over its own
-    slots alone would read."""
+def _poisson_ptrs(rate: float, gammaln):
+    """Transformed-rejection kernel (Hoermann 1993) for one rate: ``draw
+    (rngs, n)`` gives (len(rngs), n) draws, row i from ``rngs[i]``.  Each
+    round draws ``u`` and then ``v`` for every pending slot of a stream,
+    from that stream, and then accepts or rejects the slots of all streams
+    at once, so rejected slots retry together and each stream reads the
+    uniforms that rounds over its own slots alone would read.  The test of
+    a round runs on all of its slots and is kept where it decides; log k!
+    comes from a table of ``gammaln(k + 1.0)`` for k up to the rate's
+    ``_poisson_top`` (at most ``_LOG_FACT_CAP``), the same ufunc on the
+    same arguments, so the same bits, and from ``gammaln`` above it."""
     b = 0.931 + 2.53 * math.sqrt(rate)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     log_rate = math.log(rate)
-    out = np.empty((len(rngs), n))
-    flat = out.reshape(-1)
-    pending = np.arange(flat.size)
-    edges = np.arange(len(rngs) + 1) * n
-    while pending.size:
-        u, v = np.empty(pending.size), np.empty(pending.size)
-        cuts = np.searchsorted(pending, edges)
+    top = min(_poisson_top(rate), _LOG_FACT_CAP)
+    log_fact = gammaln(np.arange(top + 1, dtype=float) + 1.0)
+
+    def round_(rngs: Sequence[np.random.Generator], cuts: np.ndarray):
+        """Draws ``k`` and the accept mask of one round; stream i fills
+        the slots ``cuts[i]:cuts[i + 1]``."""
+        u, v = np.empty(cuts[-1]), np.empty(cuts[-1])
         for rng, lo, hi in zip(rngs, cuts[:-1], cuts[1:]):
             if hi > lo:
                 rng.random(out=u[lo:hi])
                 rng.random(out=v[lo:hi])
-        u = np.maximum(u, _U_FLOOR) - 0.5
-        v = np.maximum(v, _U_FLOOR, out=v)
+        np.maximum(u, _U_FLOOR, out=u)
+        u -= 0.5
+        np.maximum(v, _U_FLOOR, out=v)
         us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
-        accept = (us >= 0.07) & (v <= v_r)
-        plausible = (k >= 0.0) & ~((us < 0.013) & (v > us))
-        rest = plausible & ~accept
-        if np.any(rest):
-            lhs = np.log(v[rest] * inv_alpha / (a / us[rest] ** 2 + b))
-            rhs = k[rest] * log_rate - rate - gammaln(k[rest] + 1.0)
-            extra = np.zeros(pending.size, dtype=bool)
-            extra[rest] = lhs <= rhs
-            accept |= extra
-        flat[pending[accept]] = k[accept]
-        pending = pending[~accept]
-    return out
+        # us = 0 (u below 2**-54) divides by zero and gives k = -inf, which
+        # is rejected; a v near the floor can take the log's argument to 0,
+        # and log 0 = -inf accepts, as the scalar test does
+        with np.errstate(divide="ignore"):
+            k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
+            accept = (us >= 0.07) & (v <= v_r)
+            rest = (k >= 0.0) & ~((us < 0.013) & (v > us)) & ~accept
+            lhs = np.log(v * inv_alpha / (a / us ** 2 + b))
+        kept = np.clip(k, 0.0, top)
+        log_k_fact = log_fact[kept.astype(np.intp)]
+        # a tested slot has k >= 0, so a clipped one has k above the table
+        far = rest & (kept != k)
+        if far.any():
+            log_k_fact[far] = gammaln(k[far] + 1.0)
+        rhs = k * log_rate - rate - log_k_fact
+        accept |= rest & (lhs <= rhs)
+        return k, accept
+
+    def draw(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+        out = np.empty((len(rngs), n))
+        flat = out.reshape(-1)
+        edges = np.arange(len(rngs) + 1) * n
+        k, accept = round_(rngs, edges)
+        flat[:] = k
+        pending = np.flatnonzero(~accept)
+        while pending.size:
+            k, accept = round_(rngs, np.searchsorted(pending, edges))
+            flat[pending[accept]] = k[accept]
+            pending = pending[~accept]
+        return out
+
+    return draw
 
 
 def poisson_sampler(rates, seed: int) -> Sampler:
     """Independent Poisson coordinates.
 
     Rates at or below 30 invert a cumulative table (one uniform per draw,
-    smallest k with CDF(k) >= u); larger rates use transformed rejection.
-    Each draw fills its coordinates column by column.
+    smallest k with CDF(k) >= u) through a guide table (``_guide_lookup``),
+    whose exact comparisons give the index a binary search gives; larger
+    rates use transformed rejection, with log k! read from a table of
+    ``gammaln``'s own values (``_poisson_ptrs``).  Each draw fills its
+    coordinates column by column.
     """
     from scipy.special import gammaln
     lam = np.asarray(rates, dtype=float).ravel()
     if lam.size == 0 or not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
         raise ValueError("rates must be positive and finite")
-    tables = [_poisson_cdf_table(l, gammaln) if l <= _INVERSION_CAP else None
-              for l in lam]
+    # per coordinate: a guide lookup into the CDF table (inverted) or a
+    # rejection kernel
+    inverted = lam <= _INVERSION_CAP
+    kernels = [_guide_lookup(_poisson_cdf_table(l, gammaln), "left") if inv
+               else _poisson_ptrs(l, gammaln)
+               for l, inv in zip(lam, inverted)]
 
-    if any(t is None for t in tables):
+    if not inverted.all():
         def draw_streams(rngs: Sequence[np.random.Generator],
                          n: int) -> np.ndarray:
             out = np.empty((len(rngs), n, lam.size))
-            for j, table in enumerate(tables):
-                if table is None:
-                    out[:, :, j] = _poisson_ptrs_streams(
-                        float(lam[j]), rngs, n, gammaln)
-                else:
-                    out[:, :, j] = np.searchsorted(
-                        table, _stream_uniforms(rngs, (n,)), side="left")
+            for j, (kernel, inv) in enumerate(zip(kernels, inverted)):
+                out[:, :, j] = (kernel(_stream_uniforms(rngs, (n,))) if inv
+                                else kernel(rngs, n))
             return out
 
         return _sampler("poisson", lam.size, seed, draw_streams)
@@ -298,8 +378,8 @@ def poisson_sampler(rates, seed: int) -> Sampler:
     def transform(u: np.ndarray) -> np.ndarray:
         # u is (draws, dim, n): each draw's uniforms, column after column
         out = np.empty((u.shape[0], u.shape[2], lam.size))
-        for j, table in enumerate(tables):
-            out[:, :, j] = np.searchsorted(table, u[:, j], side="left")
+        for j, lookup in enumerate(kernels):
+            out[:, :, j] = lookup(u[:, j])
         return out
 
     return _from_uniforms("poisson", lam.size, seed,
@@ -308,17 +388,19 @@ def poisson_sampler(rates, seed: int) -> Sampler:
 
 def discrete_sampler(probs, seed: int) -> Sampler:
     """One-hot rows: exactly one coordinate is 1, chosen by a cumulative
-    table lookup (smallest k with u < CDF(k))."""
+    table lookup (smallest k with u < CDF(k)) through a guide table
+    (``_guide_lookup``), whose exact comparisons give the index a binary
+    search gives."""
     p = np.asarray(probs, dtype=float).ravel()
-    if p.size == 0 or np.any(p < 0.0):
-        raise ValueError("probabilities must be nonnegative")
+    if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        raise ValueError("probabilities must be nonnegative and finite")
     if abs(p.sum() - 1.0) > 1e-8:
         raise ValueError("probabilities must sum to one")
-    cdf = np.cumsum(p)
+    lookup = _guide_lookup(np.cumsum(p), "right")
     one_hot = np.eye(p.size)
 
     def transform(u: np.ndarray) -> np.ndarray:
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), p.size - 1)
+        idx = np.minimum(lookup(u), p.size - 1)
         return np.take(one_hot, idx, axis=0)
 
     return _from_uniforms("discrete", p.size, seed, lambda n: (n,),

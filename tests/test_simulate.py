@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, ndtri
 
 from detector_forge import simulate
@@ -57,14 +59,36 @@ def test_gaussian_sampler_validation():
         gaussian_sampler([0.0], [[-1.0]], seed=0)
 
 
-def test_poisson_inversion_matches_sequential_loop():
-    lam = 2.5
-    s = poisson_sampler([lam], seed=11)
-    got = s.sample(200, block=0)[:, 0]
+def _table_builders_fail(monkeypatch):
+    # a refusal must come before any CDF, guide table or Cholesky factor
+    def built(*args, **kwargs):
+        raise AssertionError("a table was built for refused parameters")
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
-    u = np.maximum(rng.random(200), 5e-324)
-    expected = np.empty(200)
+    monkeypatch.setattr(simulate, "_guide_lookup", built)
+    monkeypatch.setattr(simulate, "_poisson_cdf_table", built)
+    monkeypatch.setattr(np.linalg, "cholesky", built)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_samplers_refuse_non_finite_parameters(monkeypatch, bad):
+    _table_builders_fail(monkeypatch)
+    with pytest.raises(ValueError, match="finite"):
+        discrete_sampler([bad, 1.0], seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        discrete_sampler([0.5, 0.5, bad], seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_sampler([bad, 0.0], np.eye(2), seed=1)
+    # Cholesky raises nothing on a NaN off-diagonal entry
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_sampler([0.0, 0.0], [[1.0, bad], [bad, 1.0]], seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_sampler([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]], seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        poisson_sampler([2.0, bad], seed=1)
+
+
+def _sequential_inversion(lam, u):
+    expected = np.empty(u.size)
     for i, ui in enumerate(u):
         k, term = 0, math.exp(-lam)
         total = term
@@ -73,7 +97,32 @@ def test_poisson_inversion_matches_sequential_loop():
             term *= lam / k
             total += term
         expected[i] = k
-    assert np.array_equal(got, expected)
+    return expected
+
+
+def _in_wide_buckets(table, u, side):
+    """Mask of the uniforms whose guide bucket holds two or more entries
+    of ``table``, so that the lookup searches them."""
+    buckets = simulate._GUIDE_BUCKETS
+    first = np.searchsorted(table, np.arange(buckets + 1) / buckets, side)
+    return (np.diff(first) >= 2)[(u * buckets).astype(np.intp)]
+
+
+def test_poisson_inversion_matches_sequential_loop():
+    # up to the inversion cap, and over enough rows that some uniforms
+    # fall in the table's far tail, where a guide bucket holds several
+    # entries and the lookup searches
+    searched = 0
+    for lam, rows in [(2.5, 200), (4.2, 8192), (25.0, 8192), (30.0, 8192)]:
+        s = poisson_sampler([lam], seed=11)
+        got = s.sample(rows, block=0)[:, 0]
+
+        rng = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
+        u = np.maximum(rng.random(rows), 5e-324)
+        assert np.array_equal(got, _sequential_inversion(lam, u)), lam
+        table = simulate._poisson_cdf_table(lam, gammaln)
+        searched += np.count_nonzero(_in_wide_buckets(table, u, "left"))
+    assert searched > 0
 
 
 @pytest.mark.parametrize("rates", [[0.7, 4.0, 30.0], [3.0, 36.0]])
@@ -114,12 +163,135 @@ def _ptrs_one_stream(rate, rng, n):
     return out
 
 
-@pytest.mark.parametrize("rate", [30.5, 36.0, 400.0])
+# 1e9 lies above the log-factorial table's cap: its log k! come from gammaln
+@pytest.mark.parametrize("rate", [30.5, 36.0, 400.0, 1e9])
 def test_poisson_rejection_matches_one_stream_rounds(rate):
     s = poisson_sampler([rate], seed=17)
     for block in range(3):
         want = _ptrs_one_stream(rate, s.block_rng(block), 500)
         assert s.sample(500, block)[:, 0].tobytes() == want.tobytes()
+
+
+class _StubUniforms:
+    """Generator stand-in: ``random`` hands out the given uniforms, in
+    order, then those of a Philox stream."""
+
+    def __init__(self, head, seed):
+        tail = np.random.Generator(np.random.Philox(seed)).random(1 << 14)
+        self.values = np.concatenate([np.asarray(head, dtype=float), tail])
+        self.pos = 0
+
+    def random(self, size=None, out=None):
+        count = out.size if out is not None else int(size)
+        vals = self.values[self.pos:self.pos + count]
+        self.pos += count
+        if out is None:
+            return vals.copy()
+        out[...] = vals
+        return out
+
+
+_TINY = 2.0 ** -53   # smallest positive Philox double
+
+
+@pytest.mark.parametrize("rate", [36.0, 400.0])
+def test_poisson_rejection_edge_rounds_match_one_stream_rounds(rate):
+    # each case is the (u, v) of slot 0 of the first round: u just below 1
+    # with v <= us puts k far above the log-factorial table (v = 0 is
+    # floored and accepts such a k), and u below 2**-54 makes us = 0 and
+    # k = -inf
+    n = 6
+    cases = [(1.0 - _TINY, 0.0), (1.0 - _TINY, _TINY), (1.0 - 2.0 ** -30, 0.0),
+             (0.0, 0.3), (0.0, 0.0), (2.0 ** -55, 0.9)]
+    top = simulate._poisson_top(rate)
+    for u0, v0 in cases:
+        head_u = np.full(n, 0.5)
+        head_v = np.full(n, 0.5)
+        head_u[0], head_v[0] = u0, v0
+        head = np.concatenate([head_u, head_v])
+        stub = _StubUniforms(head, seed=3)
+        # no RuntimeWarning may leave the sampler: the suite makes it an error
+        got = poisson_sampler([rate], seed=0).draw_streams([stub], n)[0, :, 0]
+        with np.errstate(divide="ignore"):
+            want = _ptrs_one_stream(rate, _StubUniforms(head, seed=3), n)
+        assert got.tobytes() == want.tobytes(), (u0, v0)
+        if (u0, v0) == (1.0 - _TINY, 0.0):
+            assert got[0] > top
+    # several streams in one call: each reads its own uniforms
+    heads = [np.array([1.0 - _TINY, 0.5, 0.0, 0.5]),
+             np.array([0.0, 0.4, 0.3, 0.6])]
+    got = poisson_sampler([rate], seed=0).draw_streams(
+        [_StubUniforms(h, seed=i) for i, h in enumerate(heads)], 2)[:, :, 0]
+    with np.errstate(divide="ignore"):
+        want = np.stack([_ptrs_one_stream(rate, _StubUniforms(h, seed=i), 2)
+                         for i, h in enumerate(heads)])
+    assert got.tobytes() == want.tobytes()
+
+
+def _probe_uniforms(table):
+    """Uniforms in [0, 1) at every guide bucket edge and table entry, their
+    neighbours, the floor of the samplers' uniforms and 1 - 2**-53."""
+    edges = np.arange(simulate._GUIDE_BUCKETS + 1) / simulate._GUIDE_BUCKETS
+    points = np.concatenate([edges, table])
+    u = np.concatenate([points, np.nextafter(points, -np.inf),
+                        np.nextafter(points, np.inf),
+                        [simulate._U_FLOOR, 1.0 - _TINY]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@st.composite
+def _nondecreasing_tables(draw):
+    kind = draw(st.sampled_from(["sorted", "cumsum", "long"]))
+    if kind == "sorted":
+        table = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                      max_size=40)))
+    elif kind == "cumsum":
+        # a discrete CDF: zero-probability categories make ties, and the
+        # last entry lands a few ulps either side of 1
+        p = np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1,
+            max_size=40)))
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        table = np.cumsum(p / p.sum())
+    else:
+        size = draw(st.integers(simulate._GUIDE_BUCKETS + 1, 3 * 4096))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        table = np.sort(rng.random(size))
+    # ties, then a chosen last entry slightly below, at or above 1
+    repeats = draw(st.lists(st.integers(0, table.size - 1), max_size=6))
+    table = np.sort(np.concatenate([table, table[repeats]]))
+    end = draw(st.sampled_from([None, 1.0, 1.0 - _TINY, 1.0 - 2.0 ** -40,
+                                1.0 + 2.0 ** -52, 1.0 + 1e-9]))
+    if end is not None:
+        table = np.append(np.minimum(table, end), end)
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_nondecreasing_tables(), side=st.sampled_from(["left", "right"]))
+def test_guide_lookup_equals_searchsorted(table, side):
+    lookup = simulate._guide_lookup(table, side)
+    u = _probe_uniforms(table)
+    want = np.searchsorted(table, u, side)
+    assert np.array_equal(lookup(u), want)
+    # a strided two-dimensional stack, as the Poisson transform passes
+    stack = np.stack([u, u[::-1]], axis=1).T[:, ::2]
+    assert np.array_equal(lookup(stack), np.searchsorted(table, stack, side))
+
+
+def test_discrete_sample_is_one_hot_table_lookup():
+    # the block's own Philox uniforms through the cumulative table; the
+    # tenths sum to 0.9999999999999999, and the zero and 1e-4 categories
+    # share a guide bucket
+    for probs in ([0.2, 0.3, 0.5], [0.1] * 10, [0.5, 0.0, 1e-4, 0.4999],
+                  [0.4, 0.3, 0.2, 0.1]):
+        cdf = np.cumsum(probs)
+        got = discrete_sampler(probs, seed=19).sample(8192, block=4)
+        rng = np.random.Generator(np.random.Philox(key=np.array([19, 4], dtype=np.uint64)))
+        u = np.maximum(rng.random(8192), 5e-324)
+        idx = np.minimum(np.searchsorted(cdf, u, "right"), len(probs) - 1)
+        assert got.tobytes() == np.eye(len(probs))[idx].tobytes(), probs
 
 
 def test_poisson_moments_both_regimes():

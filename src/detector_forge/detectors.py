@@ -15,17 +15,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimize import minimize_projected
+from .families import sub_gaussian_family
 from .saddle import _DEGENERATE_FLOOR, SaddleOptions, SaddleProblem, solve_saddle
-from .sets import ConvexSet
+from .sets import ConvexSet, singleton, sym_flatten
 
 __all__ = ["AffineDetector", "TestVerdict", "build_detector", "apply_detector",
            "apply_repeated", "risk_after_K", "k_to_match_ideal",
            "GaussianPairSpec", "GaussianPairResult", "gaussian_symmetric_detector",
            "erf_risk"]
-
-_CLOSEST_RTOL = 1e-12         # the closest-pair search of the Gaussian closed form
-_CLOSEST_MAX_ITER = 50000
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,9 @@ class GaussianPairSpec:
 @dataclass
 class GaussianPairResult:
     detector: AffineDetector
-    theta1: np.ndarray    # closest means in the precision metric
+    # closest means in the precision metric on the oracle route; on the
+    # saddle route the best-response means, on the same supporting faces
+    theta1: np.ndarray
     theta2: np.ndarray
     center: np.ndarray
     delta: float          # half the precision-metric distance
@@ -136,43 +135,41 @@ class GaussianPairResult:
 def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     """Optimal affine detector for Gaussian-type pairs with common covariance.
 
-    Finds the closest pair of means in the precision metric, then reads the
-    detector off the geometry: h is the precision-weighted half-difference,
-    the shift centers the statistic between the two means.  Overlapping mean
-    sets yield the zero detector with risk one.  When both mean sets have a
-    polytope (ConvexSet.polytope), the closest pair is Polytope.closest, one
-    oracle call, unless the face enumeration declines; any other pair is
-    searched by projected gradient, whose stopping point can only overstate
-    the distance where the sets' projections land in them.  Polytope
-    projections may exceed a row by the oracle's slack (sets.Polytope), so
-    there the distance may be understated by about 1e-9 of the rows' scale,
-    and behind Dykstra's projection (halfspaces over other bases) by more.
+    When both mean sets have a polytope (ConvexSet.polytope), the closest
+    pair of means in the precision metric is Polytope.closest, one oracle
+    call, and the detector is read off the geometry: h is the
+    precision-weighted half-difference, the shift centers the statistic
+    between the two means, and overlapping mean sets yield the zero
+    detector with risk one.  Polytope projections may exceed a row by the
+    oracle's slack (sets.Polytope), so there the distance may be understated
+    by about 1e-9 of the rows' scale.  Any other pair, and a pair whose
+    face enumeration the oracle declines, is the saddle solve
+    (build_detector) of the two sub-Gaussian families: its detector carries
+    a computed gap, theta1 and theta2 are its best-response parameters
+    (mu1, mu2), and delta = sqrt(-2 log risk) is read from its certified
+    value, so that risk_gaussian follows from the certificate.
     """
     Theta = np.asarray(spec.Theta, dtype=float)
     d = spec.mean_set1.dim
     if spec.mean_set2.dim != d or Theta.shape != (d, d):
         raise ValueError("mean sets and covariance must share one dimension")
-    evals = np.linalg.eigvalsh(0.5 * (Theta + Theta.T))
-    if evals.min() <= 1e-12:
+    sym = 0.5 * (Theta + Theta.T)
+    if np.linalg.eigvalsh(sym).min() <= 1e-12:
         raise ValueError("covariance bound must be positive definite")
-    P = np.linalg.inv(0.5 * (Theta + Theta.T))
+    P = np.linalg.inv(sym)
 
     s1, s2 = spec.mean_set1, spec.mean_set2
     p1, p2 = s1.polytope, s2.polytope
     pair = None if p1 is None or p2 is None else p1.closest(p2, P)
     if pair is None:
-        def obj(z):
-            u, v = z[:d], z[d:]
-            r = P @ (u - v)
-            return float((u - v) @ r), np.concatenate([2.0 * r, -2.0 * r])
-
-        def proj(z):
-            return np.concatenate([s1.project(z[:d]), s2.project(z[d:])])
-
-        z0 = np.concatenate([s1.project(np.zeros(d)), s2.project(np.zeros(d))])
-        res = minimize_projected(obj, z0, proj, rtol=_CLOSEST_RTOL,
-                                 max_iter=_CLOSEST_MAX_ITER)
-        pair = res.x[:d], res.x[d:]
+        cov = singleton(sym_flatten(sym))
+        det = build_detector(SaddleProblem(sub_gaussian_family(s1, cov),
+                                           sub_gaussian_family(s2, cov)))
+        sol = det.meta["solution"]
+        delta = math.sqrt(max(-2.0 * sol.sad_val, 0.0))
+        return GaussianPairResult(det, sol.mu1, sol.mu2,
+                                  0.5 * (sol.mu1 + sol.mu2), delta,
+                                  erf_risk(delta))
     t1, t2 = pair
     diff = t1 - t2
     h = 0.5 * (P @ diff)

@@ -54,24 +54,28 @@ whose value carries its Frank-Wolfe gap.  Where neither applies (curvature
 not concave over a non-box set), construction demands a caller-supplied
 support oracle instead of silently degrading.
 
-The pair solve restricts detectors by projection alone: the affine slice,
-fix_h and fix_H are projectors of _pair_projector, and the gradient is
-never masked.  Two bands that are not nested meet in sets.intersection.
+The pair solve restricts detectors by projection alone: fix_h and fix_H
+are projectors of _pair_projector, and the gradient is never masked.  Two
+bands that are not nested meet in sets.intersection.  The affine detector
+of a pair is the saddle solve of the H = 0 slice (_affine_problem), and
+that detector is where the pair solve starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .detectors import AffineDetector
-from .families import RegularData, _last_call, bounded_support_family
+from .detectors import AffineDetector, build_detector
+from .families import (RegularData, _last_call, bounded_support_family,
+                       sub_gaussian_family)
 from .optimize import (maximize_bounded, maximize_box_quadratic,
                        minimize_projected)
-from .saddle import _DEGENERATE_FLOOR
-from .sets import ConvexSet, intersection, psd_top, sym_flatten, sym_unflatten
+from .saddle import _DEGENERATE_FLOOR, SaddleProblem
+from .sets import (ConvexSet, intersection, linear_image, product, psd_top,
+                   singleton, sym_flatten, sym_unflatten)
 
 __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "lift_gaussian",
            "lift_observation", "solve_quad_detector", "special_case_affine",
@@ -79,9 +83,7 @@ __all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "lift_gaussian",
 
 _EIG_TOL = 1e-8
 _DOMINANCE_TOL = 1e-12     # rounding allowance of the whitened dominance test
-_AFFINE_RTOL = 1e-11       # special_case_affine's descent
-_AFFINE_MAX_ITER = 20000
-_QUAD_MAX_ITER = 6000      # each stage of solve_quad_detector's descent
+_QUAD_MAX_ITER = 6000      # solve_quad_detector's descent
 
 
 def _sqrt_pd(M: np.ndarray):
@@ -405,15 +407,35 @@ def _certificate(v1: float, v2: float):
     return value, float(0.5 * (v1 - v2)), risk
 
 
+def _affine_problem(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> SaddleProblem:
+    """The H = 0 slice of a lifted pair as a saddle problem.
+
+    At H = 0 the lifted bound is h'w + h' Theta_star h / 2 at the mean
+    w = A [u; 1], so each side is the sub-Gaussian family over the image of
+    U x {1} under A, with covariance Theta_star: the saddle solver's closed
+    form applies.
+    """
+
+    def side(spec: QuadLiftSpec):
+        means = linear_image(product([spec.U, singleton([1.0])]), spec.A)
+        return sub_gaussian_family(means, singleton(sym_flatten(spec.Theta_star)))
+
+    return SaddleProblem(side(spec1), side(spec2))
+
+
 def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
                         options: Optional[QuadSolveOptions] = None) -> QuadDetector:
     """Best certified quadratic detector between two lifted hypotheses.
 
     Minimizes the average of the two folded bounds at (-h, -H) and (h, H)
-    over the intersection of both spectral bands.  The exponential of any
-    feasible objective value certifies the two-sided risk, so the returned
-    certificate is valid regardless of how close the minimizer is to
-    optimal.
+    over the intersection of both spectral bands, by one projected-gradient
+    descent.  Unless fix_h pins h at zero, the descent starts at the affine
+    detector (h_aff, 0) of the saddle solve on the H = 0 slice, where the
+    objective is that solve's upper value; the descent only lowers it, so
+    the quadratic risk never exceeds the affine one.  The exponential of
+    any feasible objective value certifies the two-sided risk, so the
+    returned certificate is valid regardless of how close the minimizer is
+    to optimal.
     """
     opts = options or QuadSolveOptions()
     if spec1.dim != spec2.dim:
@@ -431,15 +453,10 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
         g = np.concatenate([0.5 * (gh2 - gh1), sym_flatten(0.5 * (gH2 - gH1))])
         return 0.5 * (v1 + v2), g
 
-    x0 = proj(np.zeros(d + d * d))
-    warm_iters = 0
-    if not (opts.fix_h or opts.fix_H):
-        # stage one: settle the affine slice (H pinned to zero, always
-        # inside both bands) so the joint descent can only improve on it
-        warm = minimize_projected(
-            F, x0, _pair_projector(spec1, spec2, replace(opts, fix_H=True)),
-            rtol=opts.tol, max_iter=_QUAD_MAX_ITER)
-        x0, warm_iters = warm.x, warm.iterations
+    x0 = np.zeros(d + d * d)
+    if not opts.fix_h:
+        aff = build_detector(_affine_problem(spec1, spec2), force=True)
+        x0[:d] = aff.h
     res = minimize_projected(F, x0, proj, rtol=opts.tol,
                              max_iter=_QUAD_MAX_ITER)
     h, H = split(res.x)
@@ -447,51 +464,25 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
     v2, *_ = _phibar(spec2, h, H)
     value, a, risk = _certificate(v1, v2)
     return QuadDetector(h, H, a, risk,
-                        meta={"value": value,
-                              "iterations": warm_iters + res.iterations,
+                        meta={"value": value, "iterations": res.iterations,
                               "converged": res.converged,
                               "side_values": (float(v1), float(v2))})
 
 
 def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> AffineDetector:
-    """Affine detector for the same pair, solved through support oracles.
+    """Best affine detector between two lifted hypotheses: the saddle solve
+    of the H = 0 slice (_affine_problem).
 
-    With the matrix part pinned to zero the bound collapses to the
-    sub-Gaussian form over the image of the mean-parameter sets, which this
-    routine minimizes directly.  Serves as the independent route against
-    which the quadratic solver's fix_H mode is checked.
+    Both sides are sub-Gaussian, so the frozen minimum is in closed form
+    and the detector carries the solve's gap and certified flag; an
+    uncertified solve raises, as in build_detector.  Mean-parameter sets
+    without a support function are refused.
     """
     if spec1.dim != spec2.dim:
         raise ValueError("hypotheses must share the observation dimension")
     if spec1.U.support is None or spec2.U.support is None:
         raise ValueError("mean-parameter sets need support-function oracles")
-    d = spec1.dim
-    A1u, a1 = spec1.A[:, :-1], spec1.A[:, -1]
-    A2u, a2 = spec2.A[:, :-1], spec2.A[:, -1]
-
-    def side(spec, Au, a0, h):
-        val, arg = spec.U.support(Au.T @ h)
-        v = val + float(h @ a0) + 0.5 * float(h @ (spec.Theta_star @ h))
-        g = Au @ arg + a0 + spec.Theta_star @ h
-        return v, g
-
-    def F(h):
-        v1, g1 = side(spec1, A1u, a1, -h)
-        v2, g2 = side(spec2, A2u, a2, h)
-        return 0.5 * (v1 + v2), 0.5 * (g2 - g1)
-
-    def free(x):
-        return np.asarray(x, dtype=float).copy()
-
-    res = minimize_projected(F, np.zeros(d), free, rtol=_AFFINE_RTOL,
-                             max_iter=_AFFINE_MAX_ITER)
-    h = res.x
-    v1, _ = side(spec1, A1u, a1, -h)
-    v2, _ = side(spec2, A2u, a2, h)
-    value, a, risk = _certificate(v1, v2)
-    return AffineDetector(h=h, a=a, risk=risk, gap=0.0, certified=True,
-                          meta={"route": "support_oracle", "value": value,
-                                "iterations": res.iterations})
+    return build_detector(_affine_problem(spec1, spec2))
 
 
 def lift_bounded_support(support_oracle: Callable, obs_dim: int,

@@ -239,7 +239,9 @@ def _guide_lookup(table: np.ndarray, side: str):
 
 
 def gaussian_sampler(mean, cov, seed: int) -> Sampler:
-    """N(mean, cov) rows via inverse-CDF normals and a Cholesky factor."""
+    """N(mean, cov) rows via inverse-CDF normals and a Cholesky factor.
+
+    cov must be symmetric to within 1e-8 of its largest entry."""
     from scipy.special import ndtri
     mu = np.asarray(mean, dtype=float).ravel()
     sigma = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -247,6 +249,9 @@ def gaussian_sampler(mean, cov, seed: int) -> Sampler:
         raise ValueError("mean and covariance must be finite")
     if sigma.shape != (mu.size, mu.size):
         raise ValueError("covariance shape does not match the mean")
+    # Cholesky reads only the lower triangle
+    if np.max(np.abs(sigma - sigma.T)) > 1e-8 * np.max(np.abs(sigma)):
+        raise ValueError("covariance is not symmetric")
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:

@@ -247,11 +247,10 @@ def test_criterion_07_aggregation_oracle_inequality(aggregation_instance):
             f"routes agree {agree}")
 
 
-def test_criterion_08_quadratic_never_worse_and_affine_slice():
+def _criterion_08_pairs():
+    """The ten lifted box pairs of criterion 08, as (s1, s2)."""
     rng = np.random.default_rng(808)
-    gap_worst = -np.inf
-    slice_worst = 0.0
-    for k in range(10):
+    for _ in range(10):
         d, m = 2, 2
         root = rng.normal(size=(d, d))
         Theta = root @ root.T + 0.4 * np.eye(d)
@@ -264,16 +263,35 @@ def test_criterion_08_quadratic_never_worse_and_affine_slice():
         lo2 = rng.normal(size=m)
         U2 = box(lo2, lo2 + 1.0)
         cov = singleton(Theta.ravel())
-        s1 = QuadLiftSpec(A1, U1, cov, Theta)
-        s2 = QuadLiftSpec(A2, U2, cov, Theta)
+        yield QuadLiftSpec(A1, U1, cov, Theta), QuadLiftSpec(A2, U2, cov, Theta)
+
+
+def test_criterion_08_quadratic_never_worse_and_affine_slice():
+    # the quadratic descent starts at the affine detector and only lowers
+    # the bound, so quad - affine is rounding only
+    gap_worst = -np.inf
+    slice_worst = 0.0
+    for s1, s2 in _criterion_08_pairs():
         quad = solve_quad_detector(s1, s2).risk
         sliced = solve_quad_detector(s1, s2, QuadSolveOptions(fix_H=True)).risk
         affine = special_case_affine(s1, s2).risk
         gap_worst = max(gap_worst, quad - affine)
         slice_worst = max(slice_worst, abs(sliced - affine))
     verdict(8, "quadratic beats affine; zero matrix part recovers it",
-            gap_worst <= 1e-5 and slice_worst <= 1e-5,
+            gap_worst <= 1e-12 and slice_worst <= 1e-5,
             f"max quad-affine gap {gap_worst:.2e}, slice err {slice_worst:.2e}")
+
+
+def test_affine_slice_is_certified_past_the_kink_at_zero():
+    # pair k = 6 of criterion 08: a descent from h = 0 stalls at the kink
+    # there and reports risk 1; the saddle certifies 0.997437
+    s1, s2 = list(_criterion_08_pairs())[6]
+    aff = special_case_affine(s1, s2)
+    assert aff.risk < 0.9975
+    assert aff.certified
+    assert aff.meta["solution"].gap == aff.gap
+    assert 0.0 <= aff.gap <= 1e-6
+    assert solve_quad_detector(s1, s2).risk <= aff.risk + 1e-12
 
 
 def test_criterion_09_variance_separation_qualitative():

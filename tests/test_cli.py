@@ -515,6 +515,16 @@ def test_non_finite_number_exits_2(tmp_path, capsys, block, key, value,
     assert not (tmp_path / "r.json").exists()
 
 
+def test_asymmetric_sampler_covariance_exits_2(tmp_path, capsys):
+    cfg = simulate_config()
+    cfg["simulate"]["sampler"]["cov"] = [[1.0, 0.9], [0.0, 1.0]]
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.simulate.sampler: " in err
+    assert "not symmetric" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_text_summary_to_stdout_without_out(tmp_path, capsys):
     assert run_cli(tmp_path, simulate_config()) == 0
     out = capsys.readouterr().out

@@ -114,6 +114,24 @@ def test_gaussian_closest_pair_optimality():
         assert res.detector.a == pytest.approx(-res.detector.h @ res.center)
 
 
+def test_balls_take_the_saddle_and_never_beat_the_exact_risk():
+    # two balls have no polytope: the saddle solve gives the detector, with
+    # a computed gap, and its risk is at or above exp(-delta^2 / 2) of the
+    # exact closest pair
+    c1, c2 = np.array([3.0, 1.0]), np.array([-2.0, 0.5])
+    res = gaussian_symmetric_detector(GaussianPairSpec(
+        sets.ball(c1, 1.0), sets.ball(c2, 1.5), np.eye(2)))
+    delta = 0.5 * (np.linalg.norm(c1 - c2) - 2.5)
+    exact = math.exp(-0.5 * delta ** 2)
+    det = res.detector
+    assert det.risk >= exact * (1.0 - 1e-13)
+    assert det.risk <= exact * (1.0 + 1e-8)
+    assert det.certified
+    assert det.gap == det.meta["solution"].gap
+    assert res.delta == pytest.approx(delta, rel=1e-8)
+    assert res.risk_gaussian == erf_risk(res.delta)
+
+
 def test_gaussian_route_agrees_with_generic_solver():
     U1 = sets.box([1.0, 0.0], [2.0, 1.0])
     U2 = sets.box([-2.0, 0.0], [-1.0, 1.0])
@@ -219,8 +237,10 @@ def test_closest_pair_over_simplex_images_projects_nothing():
     res = gaussian_symmetric_detector(GaussianPairSpec(*cells, Theta))
     assert calls == []
     assert slow.delta > 0.1
-    assert res.delta <= slow.delta + 1e-12
-    assert slow.delta - res.delta <= 1e-9
+    # the slow route is the saddle, whose certified risk sits at or above
+    # the exact one: its delta is at most the oracle's
+    assert res.delta >= slow.delta - 1e-12
+    assert res.delta - slow.delta <= 1e-9
 
 
 def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
@@ -235,8 +255,8 @@ def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
     A2, b2 = np.array([[-0.8, 0.6]]), np.array([-0.9])
     cells = [sets.halfspaces(A1, b1, base=img), sets.halfspaces(A2, b2, base=img)]
     Theta = np.array([[1.0, 0.4], [0.4, 0.7]])
-    # the same cells as plain intersections take the projected-gradient
-    # search over Dykstra projections
+    # the same cells as plain intersections take the saddle solve over
+    # Dykstra projections
     plain = [sets.intersection([sets.halfspaces(a[None], [b_i])
                                 for a, b_i in zip(A, b)] + [img])
              for A, b in [(A1, b1), (A2, b2)]]
@@ -251,8 +271,10 @@ def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
     res = gaussian_symmetric_detector(GaussianPairSpec(*cells, Theta))
     assert calls == []
     assert slow.delta > 0.1
-    assert res.delta <= slow.delta + 1e-12
-    assert slow.delta - res.delta <= 1e-9
+    # the slow route is the saddle, whose certified risk sits at or above
+    # the exact one: its delta is at most the oracle's
+    assert res.delta >= slow.delta - 1e-12
+    assert res.delta - slow.delta <= 1e-9
     # h't1 and h't2 are the least value of h'u over the first cell and the
     # largest over the second, so the shift a = -h'(t1 + t2)/2 is the same
     # for every closest pair

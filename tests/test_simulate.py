@@ -59,6 +59,17 @@ def test_gaussian_sampler_validation():
         gaussian_sampler([0.0], [[-1.0]], seed=0)
 
 
+def test_gaussian_sampler_refuses_asymmetric_covariance():
+    # Cholesky reads only the lower triangle, so each of these would
+    # simulate another law than the one written
+    for cov in ([[1.0, 0.9], [0.0, 1.0]], [[1.0, 5.0], [0.5, 1.0]]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            gaussian_sampler([0.0, 0.0], cov, seed=0)
+    # asymmetry at rounding level, relative to the largest entry, passes
+    big = 1e6 * np.array([[2.0, 0.5], [0.5 + 1e-9, 1.0]])
+    gaussian_sampler([0.0, 0.0], big, seed=0)
+
+
 def _table_builders_fail(monkeypatch):
     # a refusal must come before any CDF, guide table or Cholesky factor
     def built(*args, **kwargs):

@@ -52,7 +52,10 @@ def build_detector(problem: SaddleProblem, options: Optional[SaddleOptions] = No
     uncertified solve (optimality gap above tolerance, or a stalled frozen
     minimization) raises, naming the solve's warnings, unless force is set;
     a degenerate solve (value below the exp underflow floor) is returned as
-    risk 0 without complaint, since the bound itself is valid.
+    risk 0 without complaint, since the bound itself is valid.  An upper
+    value above 0 bounds nothing below 1, and the zero detector (h = 0,
+    a = 0) has risk exactly 1 for any pair, since E e^0 = 1; it is returned
+    instead, with the solve's gap, certified flag and meta.
     """
     sol = solve_saddle(problem, options)
     if not sol.certified and not sol.degenerate and not force:
@@ -60,12 +63,16 @@ def build_detector(problem: SaddleProblem, options: Optional[SaddleOptions] = No
             f"saddle solve left an optimality gap of {sol.gap:.3e} "
             f"({'; '.join(sol.warnings)}); "
             "pass force=True to accept the (still valid) certificate")
+    meta = {"sad_val": sol.sad_val, "solution": sol}
+    if sol.sad_val > 0.0:
+        return AffineDetector(np.zeros_like(sol.h), 0.0, 1.0, sol.gap,
+                              certified=sol.certified, meta=meta)
     v1 = problem.data1.phi(-sol.h, sol.mu1)
     v2 = problem.data2.phi(sol.h, sol.mu2)
     a = 0.5 * (v1 - v2)
     risk = float(np.exp(sol.sad_val)) if sol.sad_val > _DEGENERATE_FLOOR else 0.0
     return AffineDetector(sol.h, a, risk, sol.gap, certified=sol.certified,
-                          meta={"sad_val": sol.sad_val, "solution": sol})
+                          meta=meta)
 
 
 def apply_detector(det: AffineDetector, obs) -> TestVerdict:

@@ -23,8 +23,12 @@ Quadratics over a finite box have an exact answer instead:
 maximize_box_quadratic enumerates the faces on which the maximum can sit,
 for any curvature.  Convex quadratics over a bounded polytope {lo <= z <=
 hi, C z <= d} have one too: minimize_polytope_quadratic enumerates the
-active sets of box bounds and cut rows and solves their KKT systems in
-batches.  Both share the enumeration of per-coordinate box states.
+active sets of box bounds and cut rows and solves their KKT systems.  Both
+share the enumeration of per-coordinate box states, and both factor each
+distinct linear system once: the side (lo or hi) of a pinned coordinate
+moves only the right-hand side, so the candidates that differ in their
+sides alone are the columns of one solve.  Their tables depend on the
+shape alone and are built on a shape's first call.
 """
 
 from __future__ import annotations
@@ -48,14 +52,18 @@ _INTERP_MIN = 0.1     # least fraction of a step an interpolated backtrack keeps
 _MIN_STEP = 1e-20
 _STEP0 = 1.0          # first trial step
 _BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
-# Face candidates of minimize_polytope_quadratic.  Its KKT systems, of size
-# n + min(m, n), took 2-10 us each in batches on one core, so a call at the
-# cap stays under about 80 ms.  Past it, the projected-gradient closest-pair
-# search over the polytope projections of the two pieces took 6-85 ms on
-# aggregation pairs of 2-d and 3-d box images, where the enumeration took
-# 40-650 ms.
+# least eigenvalue of -T on the negative diagonal, relative to |T|max, past
+# which maximize_box_quadratic keeps every free set untested
+_INTERLACE_MARGIN = 1e-8
+# Face candidates of minimize_polytope_quadratic.  Near the cap a call took
+# 3-15 ms on one core of a shared 2-CPU host, 0.4-2 us per candidate: its
+# KKT systems, of size n + min(m, n), serve 1.3 (n = 3, m = 30) to 26
+# (n = 8, m = 0) candidates each.  Past it, the projected-gradient
+# closest-pair search over the polytope projections of the two pieces took
+# 6-85 ms on aggregation pairs of 2-d and 3-d box images, where the
+# enumeration took 40-650 ms.
 _POLYTOPE_CANDIDATE_CAP = 2 ** 13
-_FACE_CHUNK = 2048             # KKT systems built and solved at once
+_FACE_CHUNK = 2048             # candidates whose systems are built at once
 _FEASIBLE_RTOL = 1e-9          # slack of a candidate, relative to its rows
 
 
@@ -187,6 +195,45 @@ def _box_states(radix) -> np.ndarray:
     return states
 
 
+@functools.lru_cache(maxsize=64)
+def _box_faces(radix: tuple):
+    """The candidates of maximize_box_quadratic for one radix (3 where
+    T_ii < 0, else 2), built once per radix.
+
+    Returns (high, block, pair, groups, code): high marks the coordinates
+    each candidate pins at hi; block indexes the negative diagonal's block
+    of T; subset r of the negative diagonal frees neg[j] when bit j of r is
+    set, and pair[r] marks the entries of its free block; groups holds, for
+    f = 1 .. k, the subsets (S,) that free f coordinates, their free
+    coordinates (S, 1, n) and their candidates (S, 2^(n - f)) in state
+    order, which share the subset's matrix and differ in the right-hand
+    side; code is each candidate's subset.  The arrays are read-only, since
+    every caller of one radix shares them.
+    """
+    radix = np.array(radix)
+    states = _box_states(radix)
+    neg = np.flatnonzero(radix == 3)
+    k = neg.size
+    subsets = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1 == 1
+    mask = np.zeros((2 ** k, radix.size), dtype=bool)
+    mask[:, neg] = subsets
+    code = (states[:, neg] == 2) @ (1 << np.arange(k))
+    # the candidates of subset r are by_code[ends[r - 1]:ends[r]]
+    by_code = np.argsort(code, kind="stable")
+    ends = np.cumsum(np.bincount(code, minlength=2 ** k))
+    sizes = subsets.sum(axis=1)
+    groups = []
+    for f in range(1, k + 1):
+        ids = np.flatnonzero(sizes == f)
+        cand = np.array([by_code[ends[r - 1]:ends[r]] for r in ids])
+        groups.append((ids, mask[ids, None, :], cand))
+    high, block = states == 1, np.ix_(neg, neg)
+    pair = mask[:, :, None] & mask[:, None, :]
+    for a in (high, *block, pair, code, *(a for grp in groups for a in grp)):
+        a.setflags(write=False)
+    return high, block, pair, groups, code
+
+
 def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     """Exact maximum of q(x) = x'Tx/2 + g'x over the finite box [lo, hi].
 
@@ -195,11 +242,14 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     singular, q would stay constant along a null direction up to a smaller
     face), and there it is the face's unique stationary point.  So every
     candidate frees a set F of coordinates with T_ii < 0 and pins the rest
-    at a corner; free sets whose -T_FF is numerically singular or
-    indefinite are dropped, the others get one batched solve, and the best
-    candidate inside the box wins.  Convex T frees nothing: plain vertex
-    enumeration.  Returns (x, q(x)) with x in the box, or None when the
-    2^(n-k) 3^k candidates (k negative diagonal entries) exceed 2^16.
+    at a corner.  Free sets whose -T_FF is numerically singular or
+    indefinite are dropped; when -T is positive definite by a margin on the
+    whole negative diagonal, every -T_FF is too (Cauchy interlacing), so
+    none is tested.  Each kept free set gets one solve, its corners the
+    columns of the right-hand side, and the best candidate inside the box
+    wins.  Convex T frees nothing: plain vertex enumeration.  Returns
+    (x, q(x)) with x in the box, or None when the 2^(n-k) 3^k candidates
+    (k negative diagonal entries) exceed 2^16.
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     T = 0.5 * (T + T.T)
@@ -207,43 +257,39 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     n = g.size
-    radix = np.where(np.diag(T) < 0.0, 3, 2)
-    neg = np.flatnonzero(radix == 3)
-    k = neg.size
-    count = 2 ** (n - k) * 3 ** k
-    if count > _BOX_CANDIDATE_CAP:
+    radix = tuple(3 if t < 0.0 else 2 for t in np.diag(T).tolist())
+    k = radix.count(3)
+    if 2 ** (n - k) * 3 ** k > _BOX_CANDIDATE_CAP:
         return None
     # convex T meets the corners in np.indices order
-    states = _box_states(radix)
-    X = np.where(states == 1, hi, lo)
+    high, block, pair, groups, code = _box_faces(radix)
+    X = np.where(high, hi, lo)
     if k:
-        # subset r of the negative diagonal frees neg[j] when bit j of r is set
-        subsets = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1 == 1
-        mask = np.zeros((2 ** k, n), dtype=bool)
-        mask[:, neg] = subsets
         # -T_FF on the free block, |T|max times the identity on the pinned
         # one, which passes the test below and leaves the free solve alone
         size = float(np.max(np.abs(T)))
-        C = np.where(mask[:, :, None] & mask[:, None, :], -T,
-                     size * np.eye(n))
-        pd = np.linalg.eigvalsh(C)[:, 0] > n * np.finfo(float).eps * size
-        free = states == 2
-        code = free[:, neg] @ (1 << np.arange(k))
-        keep = pd[code]
-        X, free, code = X[keep], free[keep], code[keep]
-        solve = free.any(axis=1)
-        if solve.any():
-            fr, Xs = free[solve], X[solve]
+        C = np.where(pair, -T, size * np.eye(n))
+        # computed eigenvalues err by a few n eps |T|max, far below the
+        # margin, so past it every free set passes the test below
+        keep = None
+        if np.linalg.eigvalsh(-T[block])[0] <= _INTERLACE_MARGIN * size:
+            keep = np.linalg.eigvalsh(C)[:, 0] > n * np.finfo(float).eps * size
+        for ids, fr, cand in groups:
+            if keep is not None:
+                sel = keep[ids]
+                ids, fr, cand = ids[sel], fr[sel], cand[sel]
+            Xs = X[cand]
             pinned = np.where(fr, 0.0, Xs)
             rhs = np.where(fr, g + pinned @ T, Xs)
-            Xs = np.where(fr, np.linalg.solve(C[code[solve]],
-                                              rhs[..., None])[..., 0], Xs)
-            # rounding may push a stationary point on its face's edge just
-            # outside; clipped below, it is still a point of the box
-            slack = 1e-9 * (hi - lo)
-            inside = np.all((Xs >= lo - slack) & (Xs <= hi + slack), axis=1)
-            X = np.concatenate([X[~solve], Xs[inside]])
-    X = np.clip(X, lo, hi)
+            sol = np.linalg.solve(C[ids], rhs.transpose(0, 2, 1))
+            X[cand] = np.where(fr, sol.transpose(0, 2, 1), Xs)
+        # the corners, then the kept stationary points in state order;
+        # rounding may push a stationary point on its face's edge just
+        # outside, and clipped it is still a point of the box
+        Xs = X[code != 0] if keep is None else X[keep[code] & (code != 0)]
+        slack = 1e-9 * (hi - lo)
+        inside = np.all((Xs >= lo - slack) & (Xs <= hi + slack), axis=1)
+        X = np.concatenate([X[code == 0], np.clip(Xs[inside], lo, hi)])
     vals = 0.5 * np.sum((X @ T) * X, axis=1) + X @ g
     best = int(np.argmax(vals))
     return X[best], float(vals[best])
@@ -258,17 +304,16 @@ def _polytope_count(n: int, m: int) -> int:
                for p in range(n + 1))
 
 
-@functools.lru_cache(maxsize=32)
 def _polytope_faces(n: int, m: int):
     """Candidate active sets of minimize_polytope_quadratic over n
-    coordinates and m cut rows, or None past _POLYTOPE_CANDIDATE_CAP.
+    coordinates and m cut rows, in candidate order, or None past
+    _POLYTOPE_CANDIDATE_CAP.
 
     Returns (states, rows): every box state paired with every set of at
     most n - (pinned coordinates) cut rows.  Each line of rows lists its
     active cut rows in increasing order, padded with m to min(m, n)
     entries.  The count is checked before anything is built, and nothing
-    built grows faster than it.  The arrays are read-only, since every
-    caller of one shape shares them.
+    built grows faster than it.  _polytope_systems keeps them, regrouped.
     """
     width = min(m, n)
     if _polytope_count(n, m) > _POLYTOPE_CANDIDATE_CAP:
@@ -284,10 +329,82 @@ def _polytope_faces(n: int, m: int):
         fit = box[pins <= n - s]
         states.append(np.repeat(fit, len(subsets), axis=0))
         rows.append(np.tile(subsets, (len(fit), 1)))
-    states, rows = np.concatenate(states), np.concatenate(rows)
-    states.setflags(write=False)
-    rows.setflags(write=False)
-    return states, rows
+    return np.concatenate(states), np.concatenate(rows)
+
+
+@functools.lru_cache(maxsize=32)
+def _polytope_systems(n: int, m: int):
+    """The candidates of _polytope_faces(n, m) grouped by KKT matrix, or
+    None past _POLYTOPE_CANDIDATE_CAP.
+
+    A candidate's matrix depends only on its free coordinates and its
+    active cut rows; the sides (lo or hi) of its p pinned coordinates move
+    only the right-hand side, so one matrix serves 2^p candidates.  Returns
+    (index, spans, states, rows, order, chunks):
+    - index (D, N, N), N = n + min(m, n): every entry of each distinct
+      matrix as a position in the concatenation [Q.ravel(), C.ravel(), 0,
+      size], so that one gather builds them all;
+    - spans: each matrix's 2^p;
+    - states, rows: the candidates, each matrix's 2^p of them consecutive
+      and in candidate order, the matrices in increasing p;
+    - order: each of those candidates' position in candidate order;
+    - chunks: (a, b, start, stop, runs) for matrices a:b and their
+      candidates start:stop, at most _FACE_CHUNK of them, with runs
+      (u, v, 2^p) of matrices u:v within the chunk that pin p coordinates.
+    Nothing grows faster than the candidates, and the arrays are
+    read-only, since every caller of one shape shares them.
+    """
+    faces = _polytope_faces(n, m)
+    if faces is None:
+        return None
+    states, rows = faces
+    width = min(m, n)
+    free = states == 2
+    # one integer per (free set, active rows): the free set's bits, then
+    # the rows as digits in base m + 1
+    key = free @ (1 << np.arange(n))
+    for i in range(width):
+        key = key * (m + 1) + rows[:, i]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    pins = n - np.count_nonzero(free[first], axis=1)
+    mats = np.lexsort((first, pins))
+    rank = np.empty_like(mats)
+    rank[mats] = np.arange(len(mats))
+    order = np.argsort(rank[inverse], kind="stable")
+    pins, F, R = pins[mats], free[first[mats]], rows[first[mats]]
+    used = R < m
+    zero, diag = n * n + m * n, n * n + m * n + 1
+    index = np.empty((len(mats), n + width, n + width), dtype=np.intp)
+    index[:, :n, :n] = np.where(F[:, :, None] & F[:, None, :],
+                                np.arange(n * n).reshape(n, n),
+                                np.where(np.eye(n, dtype=bool), diag, zero))
+    cut = np.where(used[:, :, None] & F[:, None, :],
+                   n * n + n * R[:, :, None] + np.arange(n), zero)
+    index[:, n:, :n] = cut
+    index[:, :n, n:] = cut.transpose(0, 2, 1)
+    index[:, n:, n:] = np.where(~used[:, :, None] & np.eye(width, dtype=bool),
+                                diag, zero)
+    # greedy chunks of at most _FACE_CHUNK candidates, split into runs of
+    # one pinned count
+    spans = 2 ** pins
+    ends = np.cumsum(spans)
+    starts, total = [0], 0
+    for j, span in enumerate(spans.tolist()):
+        if total + span > _FACE_CHUNK:
+            starts.append(j)
+            total = 0
+        total += span
+    starts.append(len(pins))
+    chunks = []
+    for a, b in zip(starts[:-1], starts[1:]):
+        edges = [0, *(np.flatnonzero(np.diff(pins[a:b])) + 1).tolist(), b - a]
+        chunks.append((a, b, int(ends[a] - spans[a]), int(ends[b - 1]),
+                       [(u, v, int(spans[a + u]))
+                        for u, v in zip(edges[:-1], edges[1:])]))
+    out = (index, spans, states[order], rows[order], order)
+    for arr in out:
+        arr.setflags(write=False)
+    return (*out, chunks)
 
 
 def _row_slack(lo, hi, C, d):
@@ -298,14 +415,16 @@ def _row_slack(lo, hi, C, d):
                                                                 np.abs(hi)))
 
 
-def _polytope_points(Z, lo, hi, C, d):
-    """The rows of Z that minimize_polytope_quadratic accepts, clipped into
-    the box: those within _FEASIBLE_RTOL of the box width of [lo, hi] that,
-    once clipped, meet C z <= d to _row_slack."""
+def _polytope_accept(Z, lo, hi, C, d):
+    """(positions, points): the rows of Z that minimize_polytope_quadratic
+    accepts, clipped into the box: those within _FEASIBLE_RTOL of the box
+    width of [lo, hi] that, once clipped, meet C z <= d to _row_slack."""
     box_slack = _FEASIBLE_RTOL * (hi - lo)
-    Z = Z[np.all((Z >= lo - box_slack) & (Z <= hi + box_slack), axis=1)]
-    Z = np.clip(Z, lo, hi)
-    return Z[np.all(Z @ C.T <= d + _row_slack(lo, hi, C, d), axis=1)]
+    keep = np.flatnonzero(np.all((Z >= lo - box_slack) & (Z <= hi + box_slack),
+                                 axis=1))
+    Z = np.clip(Z[keep], lo, hi)
+    ok = np.all(Z @ C.T <= d + _row_slack(lo, hi, C, d), axis=1)
+    return keep[ok], Z[ok]
 
 
 def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
@@ -322,13 +441,18 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     candidate pins each coordinate at lo, at hi or not at all and takes at
     most n cut rows, with at most n active rows in all.  Pinned coordinates
     and unused cut slots keep a diagonal entry alone, so all systems share
-    one size n + min(m, n); those with an exactly zero determinant are
-    dropped and the rest are solved in batches.  A nearly singular system
-    can only yield a point that is rejected or that is a feasible point,
-    whose value is evaluated as is.  The best candidate that meets every
+    one size n + min(m, n), and a system depends only on its free
+    coordinates and its active cut rows (_polytope_systems): the distinct
+    ones are built by one gather, those with an exactly zero determinant
+    are dropped, and each other one is solved once, the sides of its p
+    pinned coordinates the 2^p columns of its right-hand side; the box
+    corners, which pin every coordinate, need no solve.  A nearly singular
+    system can only yield a point that is rejected or that is a feasible
+    point, whose value is evaluated as is.  The best candidate that meets every
     row to _FEASIBLE_RTOL of the row's scale (_row_slack; the box rows to
-    _FEASIBLE_RTOL of their width) wins, clipped into the box.  Coordinates
-    with lo = hi are folded into c and d; candidates are checked whole.
+    _FEASIBLE_RTOL of their width) wins, clipped into the box, the first in
+    candidate order among equal values.  Coordinates with lo = hi are
+    folded into c and d; candidates are checked whole.
 
     Returns (z, q(z)); (None, inf) when no candidate is feasible, that is
     when the polytope is empty to that slack; and None when the candidates
@@ -349,47 +473,56 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
         z_w = np.where(own, 0.0, lo)
         Q, c, d = Q[np.ix_(own, own)], (c + Q @ z_w)[own], d - C @ z_w
         lo, hi, C, n = lo[own], hi[own], C[:, own], int(own.sum())
-    faces = _polytope_faces(n, m)
-    if faces is None:
+    systems = _polytope_systems(n, m)
+    if systems is None:
         return None
-    width = min(m, n)
+    index, spans, states, rows, order, chunks = systems
     # the lone diagonal entries, on the scale of the other entries
     size = max(float(np.max(np.abs(Q), initial=0.0)),
                float(np.max(np.abs(C), initial=0.0))) or 1.0
+    entries = np.concatenate([Q.ravel(), C.ravel(), [0.0, size]])
     # the padding index m reads a zero row
     C_pad = np.vstack([C, np.zeros((1, n))])
     d_pad = np.append(d, 0.0)
-    states, rows = faces
-    best_z, best_v = None, math.inf
-    for start in range(0, len(states), _FACE_CHUNK):
-        st = states[start:start + _FACE_CHUNK]
-        idx = rows[start:start + _FACE_CHUNK]
+    best_z, best_v, best_i = None, math.inf, -1
+    for a, b, start, stop, runs in chunks:
+        K = entries[index[a:b]]
+        ok = np.linalg.slogdet(K)[0] != 0.0
+        # the candidates of the nonsingular matrices
+        solved = np.repeat(ok, spans[a:b])
+        st, idx = states[start:stop][solved], rows[start:stop][solved]
         free = st == 2
-        used = idx < m
         X = np.where(st == 1, hi, lo)
         pinned = np.where(free, 0.0, X)
         Cu = C_pad[idx]
-        Cf = np.where(free[:, None, :], Cu, 0.0)
-        K = np.empty((len(st), n + width, n + width))
-        K[:, :n, :n] = np.where(free[:, :, None] & free[:, None, :], Q,
-                                size * np.eye(n))
-        K[:, n:, :n] = Cf
-        K[:, :n, n:] = Cf.transpose(0, 2, 1)
-        K[:, n:, n:] = np.where(used[:, :, None], 0.0, size * np.eye(width))
         rhs = np.concatenate([np.where(free, -c - pinned @ Q, size * X),
                               d_pad[idx] - np.einsum("kjn,kn->kj", Cu,
                                                      pinned)], axis=1)
-        ok = np.linalg.slogdet(K)[0] != 0.0
-        sol = np.linalg.solve(K[ok], rhs[ok][:, :, None])[:, :n, 0]
-        Z = np.where(free[ok], sol, X[ok])
+        # a run's matrices pin the same number of coordinates: one solve
+        # per matrix, its pinned sides the columns of the right-hand side
+        sols, at, dim = [], 0, rhs.shape[1]
+        for u, v, sides in runs:
+            live = ok[u:v]
+            kept = int(np.count_nonzero(live))
+            B = rhs[at:at + kept * sides]
+            at += kept * sides
+            if sides == 2 ** n:
+                # the corners pin every coordinate: nothing to solve for
+                sols.append(B)
+                continue
+            B = B.reshape(kept, sides, dim).transpose(0, 2, 1)
+            sol = np.linalg.solve(K[u:v][live], B).transpose(0, 2, 1)
+            sols.append(sol.reshape(kept * sides, dim))
+        Z = np.where(free, np.concatenate(sols)[:, :n], X)
         if n < len(own):
             Z_own, Z = Z, np.repeat(whole[0][None], len(Z), axis=0)
             Z[:, own] = Z_own
-        Z = _polytope_points(Z, *whole)
-        if not len(Z):
-            continue
-        vals = 0.5 * np.sum((Z @ Q_w) * Z, axis=1) + Z @ c_w
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_z, best_v = Z[i], float(vals[i])
+        keep, Z = _polytope_accept(Z, *whole)
+        if len(Z):
+            vals = 0.5 * np.sum((Z @ Q_w) * Z, axis=1) + Z @ c_w
+            pos = order[start:stop][solved][keep]
+            # the first minimum in candidate order
+            i = np.lexsort((pos, vals))[0]
+            if vals[i] < best_v or (vals[i] == best_v and pos[i] < best_i):
+                best_z, best_v, best_i = Z[i], float(vals[i]), pos[i]
     return best_z, best_v

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .optimize import (_POLYTOPE_CANDIDATE_CAP, _polytope_count,
-                       _polytope_points, _row_slack,
+                       _polytope_accept, _row_slack,
                        minimize_polytope_quadratic, minimize_projected)
 
 __all__ = [
@@ -82,7 +82,8 @@ class Polytope:
             Z = np.linalg.solve(self.G, X.T).T
         except np.linalg.LinAlgError:
             return False
-        return len(_polytope_points(Z, self.lo, self.hi, self.C, self.d)) > 0
+        accepted, _ = _polytope_accept(Z, self.lo, self.hi, self.C, self.d)
+        return len(accepted) > 0
 
     @cached_property
     def _gram(self) -> np.ndarray:

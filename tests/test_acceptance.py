@@ -17,7 +17,7 @@ from detector_forge.aggregate import (AggregationProblem, aggregate,
                                       build_level_tests, subgaussian_fast_path,
                                       subgaussian_fast_path_deltas)
 from detector_forge.cli import main as cli_main
-from detector_forge.detectors import build_detector
+from detector_forge.detectors import build_detector, risk_after_K
 from detector_forge.families import (affine_image, bounded_support_family,
                                      direct_sum, discrete_family,
                                      gaussian_point_family, iid_scale,
@@ -292,6 +292,18 @@ def test_affine_slice_is_certified_past_the_kink_at_zero():
     assert aff.meta["solution"].gap == aff.gap
     assert 0.0 <= aff.gap <= 1e-6
     assert solve_quad_detector(s1, s2).risk <= aff.risk + 1e-12
+
+
+def test_overlapping_affine_slice_reports_the_zero_detector():
+    # pair k = 2 of criterion 08 overlaps: the saddle's upper value sits a
+    # gap above 0, exp of which is no risk, so the zero detector with risk
+    # exactly 1 is returned, still carrying the solve's gap
+    s1, s2 = list(_criterion_08_pairs())[2]
+    aff = special_case_affine(s1, s2)
+    assert aff.meta["solution"].sad_val > 0.0
+    assert aff.risk == 1.0 and risk_after_K(aff.risk, 2) == 1.0
+    assert aff.a == 0.0 and not np.any(aff.h)
+    assert aff.certified and aff.gap == aff.meta["solution"].gap
 
 
 def test_criterion_09_variance_separation_qualitative():

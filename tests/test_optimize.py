@@ -1,5 +1,6 @@
 """The projected first-order workhorse and the exact enumerating oracles."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detector_forge.optimize import (maximize_bounded,
+from detector_forge.optimize import (_polytope_accept, _polytope_faces,
+                                     _row_slack, maximize_bounded,
                                      maximize_box_quadratic,
                                      maximize_projected,
                                      minimize_polytope_quadratic,
@@ -122,6 +124,47 @@ def test_box_quadratic_declines_past_the_candidate_cap():
     assert value == 0.125 + 2.5
 
 
+def _box_brute_force(T, g, lo, hi):
+    """max of x'Tx/2 + g'x over the corners and over the stationary point of
+    every face whose block T_FF is nonsingular, where it lies in the box."""
+    n = g.size
+    best = -np.inf
+    for state in itertools.product((0, 1, 2), repeat=n):
+        state = np.array(state)
+        F, x = state == 2, np.where(state == 1, hi, lo)
+        if F.any():
+            T_FF = T[np.ix_(F, F)]
+            if abs(np.linalg.det(T_FF)) < 1e-12:
+                continue
+            x[F] = np.linalg.solve(T_FF, -(g[F] + T[np.ix_(F, ~F)] @ x[~F]))
+            if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+                continue
+        best = max(best, 0.5 * x @ T @ x + g @ x)
+    return best
+
+
+@pytest.mark.parametrize("T", [
+    # concave of rank one: -T is singular on the negative diagonal, so the
+    # free pair must be tested and dropped, not kept by interlacing
+    -np.ones((2, 2)),
+    # indefinite, with the singular principal block [[-1, 1], [1, -1]]
+    np.array([[-1.0, 1.0, 0.5], [1.0, -1.0, 0.0], [0.5, 0.0, 1.0]]),
+])
+def test_box_quadratic_matches_brute_force_on_singular_blocks(T):
+    rng = np.random.default_rng(11)
+    n = T.shape[0]
+    for _ in range(40):
+        g = 2.0 * rng.standard_normal(n)
+        lo = rng.uniform(-2.0, 0.0, n)
+        hi = lo + rng.uniform(0.1, 3.0, n)
+        x, value = maximize_box_quadratic(T, g, lo, hi)
+        assert np.all(x >= lo) and np.all(x <= hi)
+        assert value == pytest.approx(0.5 * x @ T @ x + g @ x, rel=1e-12,
+                                      abs=1e-12)
+        assert value == pytest.approx(_box_brute_force(T, g, lo, hi),
+                                      rel=1e-12, abs=1e-12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(0, 3), rank=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1))
@@ -158,6 +201,98 @@ def test_polytope_quadratic_minimum_is_attained_and_dominated(n, m, rank,
     if res.converged and np.all(C @ res.x <= d + tol):
         assert value <= res.value + 1e-9 * max(1.0, abs(value))
         assert res.value - value <= 1e-6 * max(1.0, abs(value))
+
+
+def _polytope_reference(Q, c, lo, hi, C, d):
+    """The enumeration with one KKT matrix per candidate: every candidate
+    of _polytope_faces gets its own system, those with a zero determinant
+    are dropped, and the first minimum in candidate order wins."""
+    Q = 0.5 * (Q + Q.T)
+    n, m = c.size, d.size
+    width = min(m, n)
+    states, rows = _polytope_faces(n, m)
+    size = max(np.max(np.abs(Q), initial=0.0),
+               np.max(np.abs(C), initial=0.0)) or 1.0
+    C_pad, d_pad = np.vstack([C, np.zeros((1, n))]), np.append(d, 0.0)
+    Z = []
+    for st_, idx in zip(states, rows):
+        free, used = st_ == 2, idx < m
+        x = np.where(st_ == 1, hi, lo)
+        pinned = np.where(free, 0.0, x)
+        Cf = np.where(free, C_pad[idx], 0.0)
+        K = np.zeros((n + width, n + width))
+        K[:n, :n] = np.where(free[:, None] & free[None, :], Q,
+                             size * np.eye(n))
+        K[n:, :n], K[:n, n:] = Cf, Cf.T
+        K[n:, n:] = np.where(used[:, None], 0.0, size * np.eye(width))
+        rhs = np.concatenate([np.where(free, -c - Q @ pinned, size * x),
+                              d_pad[idx] - C_pad[idx] @ pinned])
+        if np.linalg.slogdet(K)[0] != 0.0:
+            Z.append(np.where(free, np.linalg.solve(K, rhs)[:n], x))
+    _, Z = _polytope_accept(np.array(Z).reshape(-1, n), lo, hi, C, d)
+    if not len(Z):
+        return None, np.inf
+    vals = 0.5 * np.sum((Z @ Q) * Z, axis=1) + Z @ c
+    return Z[np.argmin(vals)], float(vals.min())
+
+
+@st.composite
+def _closest_pair_problems(draw):
+    """The closest-pair problem of two pieces {G z : lo <= z <= hi,
+    C z <= d} of 1-2 coordinates and 0-3 cut rows each, some of them along
+    an axis, in the metric I or a random positive definite P."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 2))
+    G, lo, hi, C, d = [], [], [], [], []
+    for _ in range(2):
+        k, rows = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+        G.append(rng.standard_normal((dim, k)))
+        lo.append(rng.uniform(-2.0, 0.0, k))
+        hi.append(lo[-1] + rng.uniform(0.1, 3.0, k))
+        Ci = rng.standard_normal((rows, k))
+        for i in range(rows):
+            if draw(st.booleans()):
+                Ci[i] = np.where(np.arange(k) == rng.integers(k),
+                                 rng.choice([-1.0, 1.0]), 0.0)
+        C.append(Ci)
+        slack = rng.uniform(0.0, 1.0, rows) * draw(st.booleans())
+        d.append(Ci @ rng.uniform(lo[-1], hi[-1]) + slack)
+    M = np.hstack([G[0], -G[1]])
+    P = np.eye(dim)
+    if draw(st.booleans()):
+        B = rng.standard_normal((dim, dim))
+        P = B @ B.T + 0.1 * np.eye(dim)
+    Cw = np.block([[C[0], np.zeros((len(d[0]), len(lo[1])))],
+                   [np.zeros((len(d[1]), len(lo[0]))), C[1]]])
+    return (2.0 * (M.T @ P @ M), np.zeros(M.shape[1]), np.concatenate(lo),
+            np.concatenate(hi), Cw, np.concatenate(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_closest_pair_problems())
+def test_polytope_quadratic_matches_one_system_per_candidate(problem):
+    # one factored matrix per free set and active rows, its pinned sides
+    # the columns of one right-hand side, finds the same minimum as a
+    # system per candidate
+    Q, c, lo, hi, C, d = problem
+    z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
+    z_ref, value_ref = _polytope_reference(Q, c, lo, hi, C, d)
+    assert (z is None) == (z_ref is None)
+    if z is None:
+        return
+    assert abs(value - value_ref) <= 1e-12 * max(1.0, abs(value_ref))
+    assert np.all(z >= lo) and np.all(z <= hi)
+    assert np.all(C @ z <= d + _row_slack(lo, hi, C, d))
+
+
+def test_polytope_quadratic_breaks_ties_in_candidate_order():
+    # with q = 0 every feasible candidate ties, and the first in candidate
+    # order wins: the box states come first, their first coordinate varies
+    # slowest, and the cut row drops the corner (0, 0), so (0, 1) wins
+    z, value = minimize_polytope_quadratic(np.zeros((2, 2)), np.zeros(2),
+                                           np.zeros(2), np.ones(2),
+                                           [[-1.0, -1.0]], [-0.5])
+    assert value == 0.0 and np.array_equal(z, [0.0, 1.0])
 
 
 def test_polytope_quadratic_finds_minimizers_inside_edges():

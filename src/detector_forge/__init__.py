@@ -16,10 +16,10 @@ from .aggregate import (AggregateResult, AggregationProblem,
                         cell_violation, individual_inference, purify,
                         subgaussian_fast_path, subgaussian_fast_path_deltas,
                         voronoi_geometry)
-from .detectors import (AffineDetector, GaussianPairResult, GaussianPairSpec,
-                        TestVerdict, apply_detector, apply_repeated,
-                        build_detector, erf_risk, gaussian_symmetric_detector,
-                        k_to_match_ideal, risk_after_K)
+from .detectors import (AffineDetector, TestVerdict, apply_detector,
+                        apply_repeated, build_detector, erf_risk,
+                        gaussian_symmetric_detector, k_to_match_ideal,
+                        risk_after_K)
 from .errors import InfeasibleError
 from .families import (RegularData, affine_image, bounded_support_family,
                        direct_sum, discrete_family, gaussian_point_family,

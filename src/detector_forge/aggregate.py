@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detectors import GaussianPairSpec, gaussian_symmetric_detector
+from .detectors import gaussian_symmetric_detector
 from .errors import InfeasibleError
 from .multitest import (ClosenessRelation, PairwiseBattery, ShiftedBattery,
                         infer_color_block, run_multitest_block, shift_battery)
@@ -230,10 +230,10 @@ def build_level_tests(problem: AggregationProblem, deltas, repetitions: int):
             for j in range(i + 1, J):
                 if rel.close(i, j):
                     continue
-                res = gaussian_symmetric_detector(
-                    GaussianPairSpec(mean_sets[i], mean_sets[j], problem.Theta))
-                detectors[(i, j)] = res.detector
-                risks[i, j] = risks[j, i] = res.detector.risk
+                det = gaussian_symmetric_detector(mean_sets[i], mean_sets[j],
+                                                  problem.Theta)
+                detectors[(i, j)] = det
+                risks[i, j] = risks[j, i] = det.risk
         battery = PairwiseBattery(mean_sets, rel, detectors, risks)
         tests.append(LevelTest(level_sets.level, True,
                                shift_battery(battery, repetitions), colors))
@@ -311,24 +311,21 @@ class AggregateResult:
 
 
 def aggregate(problem: AggregationProblem, observations, *,
-              eps: Optional[float] = None, deltas=None,
-              tests: Optional[list] = None) -> AggregateResult:
+              eps: Optional[float] = None, deltas=None) -> AggregateResult:
     """Pick the lowest surviving estimate index, or 0 when none survives.
 
-    Margins come from (in order of precedence) prebuilt level tests, an
-    explicit deltas array, or calibration against the risk budget eps.
+    Margins come from an explicit deltas array, or else from calibration
+    against the risk budget eps.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     K = obs.shape[0]
     L = problem.count
-    if tests is not None:
-        used = np.full(L, np.nan)
-    elif deltas is not None:
+    if deltas is not None:
         used = level_margins(deltas, L)
         tests = build_level_tests(problem, used, K)
     else:
         if eps is None:
-            raise ValueError("need tests, deltas, or eps")
+            raise ValueError("need deltas or eps")
         cal = calibrate_delta(problem, eps, K)
         used = np.full(L, cal.delta)
         tests = cal.tests

@@ -39,14 +39,14 @@ import numpy as np
 from .aggregate import (AggregationProblem, aggregate, level_margins,
                         subgaussian_fast_path_block,
                         subgaussian_fast_path_plan)
-from .detectors import AffineDetector, build_detector
+from .detectors import AffineDetector, _refuse_uncertified, build_detector
 from .errors import InfeasibleError
 from .families import (discrete_family, poisson_family, sub_gaussian_family)
 from .multitest import (ClosenessRelation, build_battery, e_matrix,
                         infer_color, min_k_for_risk, run_multitest,
                         shift_battery)
 from .quadlift import (QuadDetector, QuadLiftSpec, QuadSolveOptions,
-                       solve_quad_detector, special_case_affine)
+                       solve_quad_detector)
 from .saddle import SaddleOptions, SaddleProblem
 from .schema import Checker, _json_path
 from .simulate import (discrete_sampler, gaussian_sampler, mc_aggregation,
@@ -536,9 +536,8 @@ def cmd_quadlift(cfg: dict, runtime: dict) -> Emitter:
     if det.risk >= 1.0 - 1e-9:
         out.warn(_INDISTINGUISHABLE)
     if block.get("compare_affine"):
-        t0 = time.perf_counter()
-        aff = special_case_affine(spec1, spec2)
-        out.timings["affine"] = time.perf_counter() - t0
+        aff = det.meta["affine"]
+        _refuse_uncertified(aff.meta["solution"])
         out.report["results"]["affine_risk"] = aff.risk
     return out
 

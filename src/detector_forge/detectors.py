@@ -16,13 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import sub_gaussian_family
-from .saddle import _DEGENERATE_FLOOR, SaddleOptions, SaddleProblem, solve_saddle
+from .saddle import (_DEGENERATE_FLOOR, SaddleOptions, SaddleProblem,
+                     SaddleSolution, solve_saddle)
 from .sets import ConvexSet, singleton, sym_flatten
 
 __all__ = ["AffineDetector", "TestVerdict", "build_detector", "apply_detector",
            "apply_repeated", "risk_after_K", "k_to_match_ideal",
-           "GaussianPairSpec", "GaussianPairResult", "gaussian_symmetric_detector",
-           "erf_risk"]
+           "gaussian_symmetric_detector", "erf_risk"]
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,8 @@ def build_detector(problem: SaddleProblem, options: Optional[SaddleOptions] = No
     instead, with the solve's gap, certified flag and meta.
     """
     sol = solve_saddle(problem, options)
-    if not sol.certified and not sol.degenerate and not force:
-        raise RuntimeError(
-            f"saddle solve left an optimality gap of {sol.gap:.3e} "
-            f"({'; '.join(sol.warnings)}); "
-            "pass force=True to accept the (still valid) certificate")
+    if not force:
+        _refuse_uncertified(sol)
     meta = {"sad_val": sol.sad_val, "solution": sol}
     if sol.sad_val > 0.0:
         return AffineDetector(np.zeros_like(sol.h), 0.0, 1.0, sol.gap,
@@ -73,6 +70,16 @@ def build_detector(problem: SaddleProblem, options: Optional[SaddleOptions] = No
     risk = float(np.exp(sol.sad_val)) if sol.sad_val > _DEGENERATE_FLOOR else 0.0
     return AffineDetector(sol.h, a, risk, sol.gap, certified=sol.certified,
                           meta=meta)
+
+
+def _refuse_uncertified(sol: SaddleSolution) -> None:
+    """Raise, naming the solve's warnings, unless the solve is certified or
+    degenerate."""
+    if not sol.certified and not sol.degenerate:
+        raise RuntimeError(
+            f"saddle solve left an optimality gap of {sol.gap:.3e} "
+            f"({'; '.join(sol.warnings)}); "
+            "pass force=True to accept the (still valid) certificate")
 
 
 def apply_detector(det: AffineDetector, obs) -> TestVerdict:
@@ -118,28 +125,8 @@ def k_to_match_ideal(delta: float) -> float:
 # ---------------------------------------------------------------------------
 # shared-covariance Gaussian pairs have a closed-form optimal detector
 
-@dataclass
-class GaussianPairSpec:
-    """Two convex mean sets under one covariance bound."""
-
-    mean_set1: ConvexSet
-    mean_set2: ConvexSet
-    Theta: np.ndarray
-
-
-@dataclass
-class GaussianPairResult:
-    detector: AffineDetector
-    # closest means in the precision metric on the oracle route; on the
-    # saddle route the best-response means, on the same supporting faces
-    theta1: np.ndarray
-    theta2: np.ndarray
-    center: np.ndarray
-    delta: float          # half the precision-metric distance
-    risk_gaussian: float  # exact two-sided error when the noise is Gaussian
-
-
-def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
+def gaussian_symmetric_detector(mean_set1: ConvexSet, mean_set2: ConvexSet,
+                                Theta) -> AffineDetector:
     """Optimal affine detector for Gaussian-type pairs with common covariance.
 
     When both mean sets have a polytope (ConvexSet.polytope), the closest
@@ -147,49 +134,37 @@ def gaussian_symmetric_detector(spec: GaussianPairSpec) -> GaussianPairResult:
     call, and the detector is read off the geometry: h is the
     precision-weighted half-difference, the shift centers the statistic
     between the two means, and overlapping mean sets yield the zero
-    detector with risk one.  Polytope projections may exceed a row by the
-    oracle's slack (sets.Polytope), so there the distance may be understated
-    by about 1e-9 of the rows' scale.  Any other pair, and a pair whose
-    face enumeration the oracle declines, is the saddle solve
-    (build_detector) of the two sub-Gaussian families: its detector carries
-    a computed gap, theta1 and theta2 are its best-response parameters
-    (mu1, mu2), and delta = sqrt(-2 log risk) is read from its certified
-    value, so that risk_gaussian follows from the certificate.
+    detector with risk one.  The risk is exp(-delta^2 / 2), delta half the
+    precision-metric distance.  Polytope projections may exceed a row by
+    the oracle's slack (sets.Polytope), so there the distance may be
+    understated by about 1e-9 of the rows' scale.  Any other pair, and a
+    pair whose face enumeration the oracle declines, is the saddle solve
+    (build_detector) of the two sub-Gaussian families, whose detector
+    carries a computed gap.
     """
-    Theta = np.asarray(spec.Theta, dtype=float)
-    d = spec.mean_set1.dim
-    if spec.mean_set2.dim != d or Theta.shape != (d, d):
+    Theta = np.asarray(Theta, dtype=float)
+    d = mean_set1.dim
+    if mean_set2.dim != d or Theta.shape != (d, d):
         raise ValueError("mean sets and covariance must share one dimension")
     sym = 0.5 * (Theta + Theta.T)
     if np.linalg.eigvalsh(sym).min() <= 1e-12:
         raise ValueError("covariance bound must be positive definite")
     P = np.linalg.inv(sym)
 
-    s1, s2 = spec.mean_set1, spec.mean_set2
-    p1, p2 = s1.polytope, s2.polytope
+    p1, p2 = mean_set1.polytope, mean_set2.polytope
     pair = None if p1 is None or p2 is None else p1.closest(p2, P)
     if pair is None:
         cov = singleton(sym_flatten(sym))
-        det = build_detector(SaddleProblem(sub_gaussian_family(s1, cov),
-                                           sub_gaussian_family(s2, cov)))
-        sol = det.meta["solution"]
-        delta = math.sqrt(max(-2.0 * sol.sad_val, 0.0))
-        return GaussianPairResult(det, sol.mu1, sol.mu2,
-                                  0.5 * (sol.mu1 + sol.mu2), delta,
-                                  erf_risk(delta))
+        return build_detector(SaddleProblem(sub_gaussian_family(mean_set1, cov),
+                                            sub_gaussian_family(mean_set2, cov)))
     t1, t2 = pair
-    diff = t1 - t2
-    h = 0.5 * (P @ diff)
+    h = 0.5 * (P @ (t1 - t2))
     delta = float(np.sqrt(max(h @ (Theta @ h), 0.0)))
     if delta <= 1e-9:
         h = np.zeros(d)
         delta = 0.0
-    center = 0.5 * (t1 + t2)
-    a = -float(h @ center)
-    det = AffineDetector(h, a, float(np.exp(-0.5 * delta ** 2)), 0.0,
-                         meta={"delta": delta})
-    return GaussianPairResult(det, np.asarray(t1, float), np.asarray(t2, float),
-                              center, delta, erf_risk(delta))
+    a = -float(h @ (0.5 * (t1 + t2)))
+    return AffineDetector(h, a, float(np.exp(-0.5 * delta ** 2)), 0.0)
 
 
 def erf_risk(delta: float) -> float:

@@ -50,15 +50,17 @@ Everything here works with exact oracles; there is no semidefinite
 programming inside.  The inner lifted maximization over a box of means is
 exact for any curvature (optimize.maximize_box_quadratic); concave
 curvature over any other set is climbed by optimize.maximize_bounded,
-whose value carries its Frank-Wolfe gap.  Where neither applies (curvature
-not concave over a non-box set), construction demands a caller-supplied
-support oracle instead of silently degrading.
+whose value carries its Frank-Wolfe gap, so QuadLiftSpec refuses a
+mean-parameter set without a support function.  Where neither applies
+(curvature not concave over a non-box set), the maximization demands a
+caller-supplied z_oracle instead of silently degrading.
 
-The pair solve restricts detectors by projection alone: fix_h and fix_H
-are projectors of _pair_projector, and the gradient is never masked.  Two
-bands that are not nested meet in sets.intersection.  The affine detector
-of a pair is the saddle solve of the H = 0 slice (_affine_problem), and
-that detector is where the pair solve starts.
+The affine detector of a pair is the saddle solve of the H = 0 slice
+(_affine_problem), solved once per pair: it is where the pair solve
+starts, and it is the pair solve's result when fix_H pins H at zero.  The
+descent restricts detectors by projection alone: fix_h is a projector of
+_pair_projector, and the gradient is never masked.  Two bands that are not
+nested meet in sets.intersection.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ class QuadLiftSpec:
     psd_interval (the sets whose psd-largest member sets.psd_top knows),
     with that member at or below Theta_star in the psd order.  Any other
     set is refused, since the lifted bound certifies nothing for a
-    covariance above Theta_star.  gamma bounds the spectral band of
-    admissible matrix parts.
+    covariance above Theta_star.  U must be bounded and have a support
+    function, which bounds the lifted maximization's ascent.  gamma bounds
+    the spectral band of admissible matrix parts.
     """
 
     A: np.ndarray
@@ -128,6 +131,8 @@ class QuadLiftSpec:
                              "dimensions (the constant term)")
         if self.U.bound_radius is None:
             raise ValueError("the mean-parameter set must be bounded")
+        if self.U.support is None:
+            raise ValueError("the mean-parameter set needs a support function")
         if self.Ucov.dim != d * d:
             raise ValueError("covariance set must hold flattened d x d matrices")
         if not (0.0 < self.gamma < 1.0):
@@ -230,8 +235,7 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(curv))))
     concave = curv.max() <= _EIG_TOL * scale
     _, g0 = q_grad(np.zeros(spec.U.dim))
-    if concave and curv.min() >= -_EIG_TOL * scale \
-            and spec.U.support is not None:
+    if concave and curv.min() >= -_EIG_TOL * scale:
         # zero curvature: the gradient is constant, one support call is exact
         _, u = spec.U.support(g0)
         return at(u, q_of(u))
@@ -257,7 +261,7 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
             g = g + 0.5 * rho * (lo + hi - 2.0 * u)
         return v, g
 
-    # the climbed function is concave: with a support function for U, the
+    # the climbed function is concave, so with U's support function the
     # value carries its Frank-Wolfe gap
     res = maximize_bounded(climb, spec.U.project(np.zeros(spec.U.dim)),
                            spec.U.project, spec.U.support, rtol=1e-11,
@@ -358,7 +362,7 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
 class QuadSolveOptions:
     tol: float = 1e-10
     fix_h: bool = False            # restrict to purely quadratic detectors
-    fix_H: bool = False            # restrict to affine detectors
+    fix_H: bool = False            # return the affine detector
 
 
 def _phibar(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
@@ -376,7 +380,7 @@ def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
     are |eig(root1 H root1)| <= const and both clips project in the same
     scaled metric, so the bands are nested and one clip of the tighter band
     projects onto both; otherwise sets.intersection runs Dykstra between
-    the two clips.  fix_h pins h and fix_H pins H at zero.
+    the two clips.  fix_h pins h at zero.
     """
     d = spec1.dim
     c = np.trace(spec2.Theta_star) / np.trace(spec1.Theta_star)
@@ -392,8 +396,7 @@ def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
 
     def proj(xfull):
         h = np.zeros(d) if opts.fix_h else np.asarray(xfull[:d], dtype=float).copy()
-        H = np.zeros(d * d) if opts.fix_H else band.project(xfull[d:])
-        return np.concatenate([h, H])
+        return np.concatenate([h, band.project(xfull[d:])])
 
     return proj
 
@@ -427,20 +430,25 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
                         options: Optional[QuadSolveOptions] = None) -> QuadDetector:
     """Best certified quadratic detector between two lifted hypotheses.
 
-    Minimizes the average of the two folded bounds at (-h, -H) and (h, H)
-    over the intersection of both spectral bands, by one projected-gradient
-    descent.  Unless fix_h pins h at zero, the descent starts at the affine
-    detector (h_aff, 0) of the saddle solve on the H = 0 slice, where the
-    objective is that solve's upper value; the descent only lowers it, so
-    the quadratic risk never exceeds the affine one.  The exponential of
-    any feasible objective value certifies the two-sided risk, so the
-    returned certificate is valid regardless of how close the minimizer is
-    to optimal.
+    First solves the H = 0 slice once (special_case_affine) and keeps that
+    affine detector in meta["affine"]; with fix_H it is the result, as
+    (h, 0, a, risk), and no descent runs.  Otherwise minimizes the average
+    of the two folded bounds at (-h, -H) and (h, H) over the intersection
+    of both spectral bands, by one projected-gradient descent.  Unless
+    fix_h pins h at zero, the descent starts at the affine detector
+    (h_aff, 0), where the objective is the saddle's upper value; the
+    descent only lowers it, so the quadratic risk never exceeds the affine
+    one.  The exponential of any feasible objective value certifies the
+    two-sided risk, so the returned certificate is valid regardless of how
+    close the minimizer is to optimal.
     """
     opts = options or QuadSolveOptions()
-    if spec1.dim != spec2.dim:
-        raise ValueError("hypotheses must share the observation dimension")
     d = spec1.dim
+    aff = special_case_affine(spec1, spec2)
+    if opts.fix_H:
+        return QuadDetector(aff.h, np.zeros((d, d)), aff.a, aff.risk,
+                            meta={"affine": aff, "iterations": 0,
+                                  "converged": aff.certified})
     proj = _pair_projector(spec1, spec2, opts)
 
     def split(x):
@@ -455,7 +463,6 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
 
     x0 = np.zeros(d + d * d)
     if not opts.fix_h:
-        aff = build_detector(_affine_problem(spec1, spec2), force=True)
         x0[:d] = aff.h
     res = minimize_projected(F, x0, proj, rtol=opts.tol,
                              max_iter=_QUAD_MAX_ITER)
@@ -464,7 +471,8 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
     v2, *_ = _phibar(spec2, h, H)
     value, a, risk = _certificate(v1, v2)
     return QuadDetector(h, H, a, risk,
-                        meta={"value": value, "iterations": res.iterations,
+                        meta={"affine": aff, "value": value,
+                              "iterations": res.iterations,
                               "converged": res.converged,
                               "side_values": (float(v1), float(v2))})
 
@@ -473,16 +481,14 @@ def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> AffineDetec
     """Best affine detector between two lifted hypotheses: the saddle solve
     of the H = 0 slice (_affine_problem).
 
-    Both sides are sub-Gaussian, so the frozen minimum is in closed form
-    and the detector carries the solve's gap and certified flag; an
-    uncertified solve raises, as in build_detector.  Mean-parameter sets
-    without a support function are refused.
+    Both sides are sub-Gaussian, so the frozen minimum is in closed form.
+    The detector carries the solve's gap and certified flag, as
+    build_detector(force=True) returns it: an uncertified solve does not
+    raise, and its certificate is still valid.
     """
     if spec1.dim != spec2.dim:
         raise ValueError("hypotheses must share the observation dimension")
-    if spec1.U.support is None or spec2.U.support is None:
-        raise ValueError("mean-parameter sets need support-function oracles")
-    return build_detector(_affine_problem(spec1, spec2))
+    return build_detector(_affine_problem(spec1, spec2), force=True)
 
 
 def lift_bounded_support(support_oracle: Callable, obs_dim: int,

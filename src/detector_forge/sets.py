@@ -89,9 +89,17 @@ class Polytope:
     def _gram(self) -> np.ndarray:
         return self.G.T @ self.G
 
+    @cached_property
+    def enumerable(self) -> bool:
+        """Is the oracle's candidate count within its cap?  Exactly then
+        nearest and support answer."""
+        free = int(np.count_nonzero(self.lo < self.hi))
+        return _polytope_count(free, self.d.size) <= _POLYTOPE_CANDIDATE_CAP
+
     def nearest(self, y: np.ndarray) -> Optional[np.ndarray]:
         """The projection G z of y, z the oracle's minimizer of ||G z - y||^2;
         None past the oracle's cap, InfeasibleError where it finds no z."""
+        y = np.asarray(y, dtype=float)
         best = minimize_polytope_quadratic(self._gram, -(self.G.T @ y),
                                            self.lo, self.hi, self.C, self.d)
         if best is not None and best[0] is None:
@@ -321,13 +329,13 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
 def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     """Polyhedron {x : A x <= b}, optionally intersected with a base set.
 
-    Over a base with a polytope it projects by Polytope.nearest, and raises
-    InfeasibleError when the oracle finds that polytope empty; otherwise,
-    and past the oracle's cap, by Dykstra's alternating scheme over the
-    half-spaces (and the base set when given).  Its support function is
-    Polytope.support where the polytope's candidate count is within the
-    oracle's cap (counted, not built: most cells that aggregation cuts are
-    never asked); no other halfspaces set has one.
+    Over a base with a polytope whose candidate count is within the
+    oracle's cap (Polytope.enumerable: counted, not built, since most cells
+    that aggregation cuts are never asked), it projects by Polytope.nearest,
+    which raises InfeasibleError when the oracle finds that polytope empty,
+    and its support function is Polytope.support.  Any other halfspaces set
+    projects by Dykstra's alternating scheme over the half-spaces (and the
+    base set when given) and has no support function.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -336,29 +344,27 @@ def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     rown = np.einsum("ij,ij->i", A, A)
     if np.any(rown == 0.0):
         raise ValueError("halfspaces rows must be nonzero")
-    pieces = []
-    for i in range(A.shape[0]):
-        a_i, b_i, n_i = A[i], b[i], rown[i]
-
-        def proj_i(x, a_i=a_i, b_i=b_i, n_i=n_i):
-            viol = a_i @ x - b_i
-            if viol <= 0:
-                return np.asarray(x, dtype=float).copy()
-            return x - (viol / n_i) * a_i
-
-        pieces.append(ConvexSet(A.shape[1], proj_i, name="halfspace"))
-    if base is not None:
-        pieces.append(base)
     poly = base and base.polytope and base.polytope.cut(A, b)
-    supp = None
-    if poly is not None:
-        free = int(np.count_nonzero(poly.lo < poly.hi))
-        if _polytope_count(free, poly.d.size) <= _POLYTOPE_CANDIDATE_CAP:
-            supp = poly.support
+    if poly is not None and poly.enumerable:
+        proj, supp = poly.nearest, poly.support
+    else:
+        pieces = []
+        for i in range(A.shape[0]):
+            a_i, b_i, n_i = A[i], b[i], rown[i]
+
+            def proj_i(x, a_i=a_i, b_i=b_i, n_i=n_i):
+                viol = a_i @ x - b_i
+                if viol <= 0:
+                    return np.asarray(x, dtype=float).copy()
+                return x - (viol / n_i) * a_i
+
+            pieces.append(ConvexSet(A.shape[1], proj_i, name="halfspace"))
+        if base is not None:
+            pieces.append(base)
+        proj, supp = _dykstra(pieces, _DYKSTRA_MAX_ITER), None
     radius = base.bound_radius if base is not None else None
-    out = ConvexSet(A.shape[1],
-                    _nearest_or(poly, _dykstra(pieces, _DYKSTRA_MAX_ITER)),
-                    supp, radius, name="halfspaces", meta={"kind": "halfspaces"})
+    out = ConvexSet(A.shape[1], proj, supp, radius, name="halfspaces",
+                    meta={"kind": "halfspaces"})
     out.polytope = poly
     return out
 
@@ -453,11 +459,11 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     """The image {M x : x in base} of a convex set under a linear map.
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
-    M z.  Over a base with a polytope this is Polytope.nearest of the
-    image polytope, which raises InfeasibleError when that polytope is
-    empty; any other base, or a polytope too large to enumerate, is
-    projected by projected gradient.  The support function delegates to
-    the base set through M'.
+    M z.  Over a base with a polytope within the oracle's cap
+    (Polytope.enumerable) this is Polytope.nearest of the image polytope,
+    which raises InfeasibleError when that polytope is empty; any other
+    base is projected by projected gradient.  The support function
+    delegates to the base set through M'.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != base.dim:
@@ -488,24 +494,12 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     if base.bound_radius is not None:
         radius = float(np.linalg.norm(M, 2) * base.bound_radius)
     poly = None if base.polytope is None else base.polytope.image(M)
-    out = ConvexSet(dim, _nearest_or(poly, proj), supp, radius,
-                    name=f"image({base.name})", meta={"kind": "image"})
+    if poly is not None and poly.enumerable:
+        proj = poly.nearest
+    out = ConvexSet(dim, proj, supp, radius, name=f"image({base.name})",
+                    meta={"kind": "image"})
     out.polytope = poly
     return out
-
-
-def _nearest_or(poly: Optional[Polytope], fallback: Callable) -> Callable:
-    """Projection by poly.nearest, and by ``fallback`` without a polytope
-    and past the oracle's cap.  A polytope the oracle finds empty raises
-    InfeasibleError: an empty set has no projection."""
-    if poly is None:
-        return fallback
-
-    def proj(y):
-        x = poly.nearest(np.asarray(y, dtype=float))
-        return fallback(y) if x is None else x
-
-    return proj
 
 
 def intersection(parts: Sequence[ConvexSet],

@@ -591,16 +591,14 @@ def mc_test_error(battery: ShiftedBattery, samplers: Sequence[Sampler], *,
 
 def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
                    trials: int = 1000, *, repetitions: int,
-                   eps: Optional[float] = None, deltas=None,
-                   tests=None) -> McReport:
+                   eps: Optional[float] = None, deltas=None) -> McReport:
     """Frequency with which the aggregated pick lands outside the certified
     neighborhood of the best estimate.
 
     A trial fails when the chosen anchor g is farther from G truth than
     the closest anchor plus twice the largest margin.  With ``eps`` alone
     the closed-form sub-Gaussian margins drive the pick; explicit margins
-    (``deltas``, optionally with prebuilt ``tests``) switch to the generic
-    detector route.
+    (``deltas``) switch to the generic detector route.
     """
     K = int(repetitions)
     if K < 1:
@@ -615,12 +613,9 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
     gaps = np.linalg.norm(g_true - problem.estimates, axis=1)
     closest = float(gaps.min())
 
-    if tests is not None or deltas is not None:
-        if deltas is None:
-            raise ValueError("prebuilt tests need their margin radii too")
+    if deltas is not None:
         used = level_margins(deltas, problem.count)
-        if tests is None:
-            tests = build_level_tests(problem, used, K)
+        tests = build_level_tests(problem, used, K)
         bound = eps if eps is not None else sum(t.eps_hat for t in tests)
 
         def picks(obs: np.ndarray) -> np.ndarray:
@@ -628,7 +623,7 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
                 [individual_inference_block(t, obs) for t in tests], axis=1))
     else:
         if eps is None:
-            raise ValueError("need eps, deltas, or tests")
+            raise ValueError("need eps or deltas")
         plan = subgaussian_fast_path_plan(problem.estimates, problem.Theta,
                                           float(eps), K)
         used = plan.deltas

@@ -157,7 +157,7 @@ def test_aggregate_with_calibration():
 
 def test_aggregate_requires_some_margin_source():
     prob = line_problem()
-    with pytest.raises(ValueError, match="tests, deltas, or eps"):
+    with pytest.raises(ValueError, match="deltas or eps"):
         aggregate(prob, np.zeros((3, 1)))
 
 

@@ -354,6 +354,65 @@ def quadlift_config(**extra):
     return {"schema_version": "1", "task": "quadlift", "quadlift": block}
 
 
+def _count_saddle_solves(monkeypatch):
+    from detector_forge import detectors
+    solves, solve = [], detectors.solve_saddle
+
+    def counted(problem, options=None):
+        solves.append(1)
+        return solve(problem, options)
+
+    monkeypatch.setattr(detectors, "solve_saddle", counted)
+    return solves
+
+
+@pytest.mark.parametrize("fix_h", [False, True])
+def test_quadlift_compare_affine_solves_the_affine_slice_once(
+        tmp_path, monkeypatch, fix_h):
+    # the descent's start and affine_risk come from one saddle solve, with
+    # fix_h too (there the descent starts at h = 0 and still reports it)
+    solves = _count_saddle_solves(monkeypatch)
+    cfg = quadlift_config(compare_affine=True, fix_h=fix_h)
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
+    assert len(solves) == 1
+    results = read_report(tmp_path)["results"]
+    assert 0.0 < results["affine_risk"] < 1.0
+    if not fix_h:
+        assert results["risk"] <= results["affine_risk"] + 1e-12
+
+
+def test_quadlift_uncertified_affine_slice_exits_3(tmp_path, monkeypatch,
+                                                   capsys):
+    # compare_affine refuses an uncertified affine solve with the message
+    # that build_detector gives; without compare_affine the (still valid)
+    # quadratic certificate is reported
+    import dataclasses
+    from detector_forge import detectors
+    solve = detectors.solve_saddle
+
+    def uncertified(problem, options=None):
+        sol = solve(problem, options)
+        return dataclasses.replace(sol, gap=max(sol.gap, 1e-3),
+                                   certified=False)
+
+    monkeypatch.setattr(detectors, "solve_saddle", uncertified)
+    assert run_cli(tmp_path, quadlift_config(compare_affine=True)) == 3
+    assert "optimality gap of 1.000e-03" in capsys.readouterr().err
+    assert run_cli(tmp_path, quadlift_config()) == 0
+
+
+def test_quadlift_mean_set_without_support_function_exits_2(tmp_path,
+                                                            capsys):
+    # a halfspaces cut of a ball has no support function, which the lifted
+    # maximization needs to bound its ascent
+    cut = {"type": "halfspaces", "A": [[1.0]], "b": [0.5],
+           "base": {"type": "ball", "center": [0.0], "radius": 1.0}}
+    assert run_cli(tmp_path, quadlift_config(U1=cut)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.quadlift: ")
+    assert "support function" in err
+
+
 def test_quadlift_delta_keys_are_refused(tmp_path, capsys):
     # the lifted bound has no covariance-deviation term, so delta1/delta2
     # would change nothing; a config that sets one is refused

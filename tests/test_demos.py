@@ -16,6 +16,9 @@ def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # pytest's filterwarnings does not reach a subprocess: a RuntimeWarning
+    # (overflow, invalid value) fails a demo as it fails the tests
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detector_forge import detectors, families, saddle, sets
-from detector_forge.detectors import (AffineDetector, GaussianPairSpec,
+from detector_forge.detectors import (AffineDetector,
                                       apply_detector, apply_repeated,
                                       build_detector, erf_risk,
                                       gaussian_symmetric_detector,
@@ -51,45 +51,50 @@ def test_k_to_match_ideal_frozen():
             k_to_match_ideal(bad)
 
 
+def _delta(det: AffineDetector) -> float:
+    """Half the precision-metric distance between the closest means, read
+    from the Gaussian risk exp(-delta^2 / 2)."""
+    return math.sqrt(max(-2.0 * math.log(det.risk), 0.0))
+
+
 def test_gaussian_singleton_geometry():
-    spec = GaussianPairSpec(sets.singleton([2.0, 0.0]), sets.singleton([0.0, 0.0]),
-                            np.eye(2))
-    res = gaussian_symmetric_detector(spec)
-    assert np.allclose(res.detector.h, [1.0, 0.0])
-    assert res.detector.a == pytest.approx(-1.0)
-    assert res.delta == pytest.approx(1.0)
-    assert res.detector.risk == pytest.approx(np.exp(-0.5), rel=1e-12)
-    assert res.risk_gaussian == pytest.approx(0.1586553, abs=1e-6)
+    det = gaussian_symmetric_detector(sets.singleton([2.0, 0.0]),
+                                      sets.singleton([0.0, 0.0]), np.eye(2))
+    assert isinstance(det, AffineDetector)
+    assert np.allclose(det.h, [1.0, 0.0])
+    assert det.a == pytest.approx(-1.0)
+    assert _delta(det) == pytest.approx(1.0)
+    assert det.risk == pytest.approx(np.exp(-0.5), rel=1e-12)
+    assert erf_risk(_delta(det)) == pytest.approx(0.1586553, abs=1e-6)
 
 
 def test_gaussian_singleton_pair_is_exact_in_five_dimensions():
     # two points: the closest-pair oracle has nothing to enumerate, where
     # 3^10 box states of the joint box would pass its cap
     a, b = np.arange(5.0), -np.ones(5)
-    spec = GaussianPairSpec(sets.singleton(a), sets.singleton(b),
-                            2.0 * np.eye(5))
-    res = gaussian_symmetric_detector(spec)
-    assert np.allclose(res.detector.h, (a - b) / 4.0, rtol=0.0, atol=1e-15)
-    assert res.delta == pytest.approx(np.linalg.norm(a - b) / np.sqrt(8.0),
-                                      rel=1e-15)
+    det = gaussian_symmetric_detector(sets.singleton(a), sets.singleton(b),
+                                      2.0 * np.eye(5))
+    assert np.allclose(det.h, (a - b) / 4.0, rtol=0.0, atol=1e-15)
+    assert _delta(det) == pytest.approx(np.linalg.norm(a - b) / np.sqrt(8.0),
+                                        rel=1e-15)
 
 
 def test_gaussian_box_means():
-    spec = GaussianPairSpec(sets.box([1.0, -1.0], [3.0, 1.0]),
-                            sets.box([-3.0, -1.0], [-1.0, 1.0]), np.eye(2))
-    res = gaussian_symmetric_detector(spec)
-    assert res.delta == pytest.approx(1.0, abs=1e-6)
-    assert np.allclose(res.detector.h, [1.0, 0.0], atol=1e-5)
-    assert res.detector.a == pytest.approx(0.0, abs=1e-5)
+    det = gaussian_symmetric_detector(sets.box([1.0, -1.0], [3.0, 1.0]),
+                                      sets.box([-3.0, -1.0], [-1.0, 1.0]),
+                                      np.eye(2))
+    assert _delta(det) == pytest.approx(1.0, abs=1e-6)
+    assert np.allclose(det.h, [1.0, 0.0], atol=1e-5)
+    assert det.a == pytest.approx(0.0, abs=1e-5)
 
 
 def test_gaussian_overlap_gives_trivial_detector():
-    spec = GaussianPairSpec(sets.box([-1.0, -1.0], [1.0, 1.0]),
-                            sets.box([0.0, -1.0], [2.0, 1.0]), np.eye(2))
-    res = gaussian_symmetric_detector(spec)
-    assert res.delta == 0.0
-    assert np.allclose(res.detector.h, 0.0)
-    assert res.detector.risk == 1.0
+    det = gaussian_symmetric_detector(sets.box([-1.0, -1.0], [1.0, 1.0]),
+                                      sets.box([0.0, -1.0], [2.0, 1.0]),
+                                      np.eye(2))
+    assert _delta(det) == 0.0
+    assert np.allclose(det.h, 0.0)
+    assert det.risk == 1.0
 
 
 def test_gaussian_closest_pair_optimality():
@@ -102,16 +107,17 @@ def test_gaussian_closest_pair_optimality():
         c2 = rng.normal(size=3) - np.array([4.0, 0.0, 0.0])
         U1 = sets.box(c1 - 1.0, c1 + 1.0)
         U2 = sets.box(c2 - 1.0, c2 + 1.0)
-        res = gaussian_symmetric_detector(GaussianPairSpec(U1, U2, Theta))
-        dstar = (res.theta1 - res.theta2) @ P @ (res.theta1 - res.theta2)
+        det = gaussian_symmetric_detector(U1, U2, Theta)
+        t1, t2 = U1.polytope.closest(U2.polytope, P)
+        dstar = (t1 - t2) @ P @ (t1 - t2)
+        assert _delta(det) == pytest.approx(0.5 * math.sqrt(dstar), rel=1e-9)
         for _ in range(30):
             u1 = U1.project(rng.normal(size=3, scale=4.0) + c1)
             u2 = U2.project(rng.normal(size=3, scale=4.0) + c2)
             assert (u1 - u2) @ P @ (u1 - u2) >= dstar - 1e-6
         # detector geometry ties the pieces together
-        assert np.allclose(res.detector.h, 0.5 * P @ (res.theta1 - res.theta2),
-                           atol=1e-9)
-        assert res.detector.a == pytest.approx(-res.detector.h @ res.center)
+        assert np.allclose(det.h, 0.5 * P @ (t1 - t2), atol=1e-9)
+        assert det.a == pytest.approx(-det.h @ (0.5 * (t1 + t2)))
 
 
 def test_balls_take_the_saddle_and_never_beat_the_exact_risk():
@@ -119,31 +125,29 @@ def test_balls_take_the_saddle_and_never_beat_the_exact_risk():
     # a computed gap, and its risk is at or above exp(-delta^2 / 2) of the
     # exact closest pair
     c1, c2 = np.array([3.0, 1.0]), np.array([-2.0, 0.5])
-    res = gaussian_symmetric_detector(GaussianPairSpec(
-        sets.ball(c1, 1.0), sets.ball(c2, 1.5), np.eye(2)))
+    det = gaussian_symmetric_detector(sets.ball(c1, 1.0), sets.ball(c2, 1.5),
+                                      np.eye(2))
     delta = 0.5 * (np.linalg.norm(c1 - c2) - 2.5)
     exact = math.exp(-0.5 * delta ** 2)
-    det = res.detector
     assert det.risk >= exact * (1.0 - 1e-13)
     assert det.risk <= exact * (1.0 + 1e-8)
     assert det.certified
     assert det.gap == det.meta["solution"].gap
-    assert res.delta == pytest.approx(delta, rel=1e-8)
-    assert res.risk_gaussian == erf_risk(res.delta)
+    assert _delta(det) == pytest.approx(delta, rel=1e-8)
 
 
 def test_gaussian_route_agrees_with_generic_solver():
     U1 = sets.box([1.0, 0.0], [2.0, 1.0])
     U2 = sets.box([-2.0, 0.0], [-1.0, 1.0])
     Theta = np.array([[1.0, 0.3], [0.3, 2.0]])
-    res = gaussian_symmetric_detector(GaussianPairSpec(U1, U2, Theta))
+    res = gaussian_symmetric_detector(U1, U2, Theta)
     cov = sets.singleton(sets.sym_flatten(Theta))
     prob = SaddleProblem(families.sub_gaussian_family(U1, cov),
                          families.sub_gaussian_family(U2, cov))
     det = build_detector(prob)
-    assert det.risk == pytest.approx(res.detector.risk, rel=1e-6)
-    assert np.allclose(det.h, res.detector.h, atol=1e-3)
-    assert det.a == pytest.approx(res.detector.a, abs=1e-3)
+    assert det.risk == pytest.approx(res.risk, rel=1e-6)
+    assert np.allclose(det.h, res.h, atol=1e-3)
+    assert det.a == pytest.approx(res.a, abs=1e-3)
 
 
 def test_erf_risk_dominated_by_exponential_bound():
@@ -227,20 +231,20 @@ def test_closest_pair_over_simplex_images_projects_nothing():
              sets.box([1.5, 1.0], [2.5, 3.0])]
     Theta = np.array([[1.0, 0.3], [0.3, 0.8]])
     plain = [dataclasses.replace(c, meta={}) for c in cells]
-    slow = gaussian_symmetric_detector(GaussianPairSpec(*plain, Theta))
+    slow = gaussian_symmetric_detector(*plain, Theta)
     calls = []
     for c in cells:
         def counted(x, project=c.project):
             calls.append(1)
             return project(x)
         c.project = counted
-    res = gaussian_symmetric_detector(GaussianPairSpec(*cells, Theta))
+    res = gaussian_symmetric_detector(*cells, Theta)
     assert calls == []
-    assert slow.delta > 0.1
+    assert _delta(slow) > 0.1
     # the slow route is the saddle, whose certified risk sits at or above
     # the exact one: its delta is at most the oracle's
-    assert res.delta >= slow.delta - 1e-12
-    assert res.delta - slow.delta <= 1e-9
+    assert _delta(res) >= _delta(slow) - 1e-12
+    assert _delta(res) - _delta(slow) <= 1e-9
 
 
 def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
@@ -260,7 +264,7 @@ def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
     plain = [sets.intersection([sets.halfspaces(a[None], [b_i])
                                 for a, b_i in zip(A, b)] + [img])
              for A, b in [(A1, b1), (A2, b2)]]
-    slow = gaussian_symmetric_detector(GaussianPairSpec(*plain, Theta))
+    slow = gaussian_symmetric_detector(*plain, Theta)
 
     calls = []
     for c in cells:
@@ -268,19 +272,21 @@ def test_polyhedral_closest_pair_is_exact_and_projects_nothing():
             calls.append(1)
             return project(x)
         c.project = counted
-    res = gaussian_symmetric_detector(GaussianPairSpec(*cells, Theta))
+    res = gaussian_symmetric_detector(*cells, Theta)
     assert calls == []
-    assert slow.delta > 0.1
+    assert _delta(slow) > 0.1
     # the slow route is the saddle, whose certified risk sits at or above
     # the exact one: its delta is at most the oracle's
-    assert res.delta >= slow.delta - 1e-12
-    assert res.delta - slow.delta <= 1e-9
+    assert _delta(res) >= _delta(slow) - 1e-12
+    assert _delta(res) - _delta(slow) <= 1e-9
     # h't1 and h't2 are the least value of h'u over the first cell and the
     # largest over the second, so the shift a = -h'(t1 + t2)/2 is the same
     # for every closest pair
-    h = res.detector.h
+    h = res.h
+    t1, t2 = cells[0].polytope.closest(cells[1].polytope, np.linalg.inv(Theta))
     lows = [linprog(s * (G.T @ h), A_ub=A @ G, b_ub=b, bounds=list(zip(lo, hi)))
             for s, A, b in ((1.0, A1, b1), (-1.0, A2, b2))]
     assert all(r.status == 0 for r in lows)
-    assert h @ res.theta1 == pytest.approx(lows[0].fun, abs=1e-9)
-    assert h @ res.theta2 == pytest.approx(-lows[1].fun, abs=1e-9)
+    assert h @ t1 == pytest.approx(lows[0].fun, abs=1e-9)
+    assert h @ t2 == pytest.approx(-lows[1].fun, abs=1e-9)
+    assert res.a == pytest.approx(-0.5 * h @ (t1 + t2), abs=1e-12)

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detector_forge import optimize, quadlift
+from detector_forge import detectors, optimize, quadlift
 from detector_forge.families import sub_gaussian_family
 from detector_forge.optimize import maximize_box_quadratic
 from detector_forge.quadlift import (QuadLiftSpec, QuadSolveOptions,
                                      lift_bounded_support, lift_gaussian,
                                      lift_observation, solve_quad_detector,
                                      special_case_affine)
-from detector_forge.sets import (ball, box, full_space, psd_interval,
-                                 singleton, sym_flatten, sym_unflatten)
+from detector_forge.sets import (ball, box, full_space, halfspaces,
+                                 psd_interval, singleton, sym_flatten,
+                                 sym_unflatten)
 
 
 def exact_quad_mgf(h, H, w, Theta):
@@ -374,9 +375,67 @@ def test_fix_flags_restrict_the_search():
     assert np.linalg.norm(det_H.h) > 1e-3
 
 
+def _box_pair():
+    """Two lifted hypotheses over 2-d boxes of means, one covariance."""
+    Theta = np.array([[1.0, 0.2], [0.2, 0.6]])
+    return [QuadLiftSpec(A=np.column_stack([np.eye(2), [shift, 0.3]]),
+                         U=box([-0.5, -0.5], [0.5, 0.5]),
+                         Ucov=psd_interval(0.5 * Theta, Theta),
+                         Theta_star=Theta)
+            for shift in (0.0, 2.0)]
+
+
+def test_fix_H_returns_the_affine_solve_without_a_descent():
+    s1, s2 = _box_pair()
+    aff = special_case_affine(s1, s2)
+    det = solve_quad_detector(s1, s2, QuadSolveOptions(fix_H=True))
+    assert det.meta["iterations"] == 0
+    assert det.h.tobytes() == aff.h.tobytes()
+    assert (det.a, det.risk) == (aff.a, aff.risk)
+    assert det.H.shape == (2, 2) and not np.any(det.H)
+    assert det.meta["converged"] == aff.certified
+    assert det.meta["affine"].risk == aff.risk
+
+
+@pytest.mark.parametrize("flags", [{}, {"fix_h": True}, {"fix_H": True}])
+def test_a_pair_solve_runs_one_saddle_solve(monkeypatch, flags):
+    # the H = 0 slice is solved once, kept in meta["affine"], and is where
+    # the descent starts unless fix_h pins h at zero
+    solves = []
+
+    def counted(problem, options=None):
+        solves.append(1)
+        return solve_saddle(problem, options)
+
+    solve_saddle = detectors.solve_saddle
+    monkeypatch.setattr(detectors, "solve_saddle", counted)
+    s1, s2 = _box_pair()
+    det = solve_quad_detector(s1, s2, QuadSolveOptions(**flags))
+    assert len(solves) == 1
+    aff = det.meta["affine"]
+    assert aff.certified
+    if flags.get("fix_h"):
+        assert not np.any(det.h)
+    else:
+        assert det.risk <= aff.risk + 1e-12
+
+
+def test_mean_set_without_a_support_function_is_refused():
+    # a halfspaces cut of a ball has none; climbing concave curvature over
+    # it without one would return the ascent's own value, which lies below
+    # the maximum, as if it bounded it
+    U = halfspaces([[1.0, 0.0]], [0.5], base=ball(np.zeros(2), 1.0))
+    assert U.support is None
+    with pytest.raises(ValueError, match="support function"):
+        QuadLiftSpec(A=np.column_stack([np.eye(2), np.zeros(2)]), U=U,
+                     Ucov=singleton(sym_flatten(np.eye(2))),
+                     Theta_star=np.eye(2))
+
+
 def test_affine_slice_agrees_with_support_route():
     # separated boxes, shared covariance: the quadratic solver pinned to
-    # H = 0 and the direct support-oracle route optimize the same function
+    # H = 0 returns the affine slice's solve, and the descent from it ends
+    # no worse
     rng = np.random.default_rng(31)
     d, m = 2, 2
     for _ in range(3):

@@ -354,3 +354,27 @@ def test_empty_halfspaces_over_a_box_raises_instead_of_projecting():
     with pytest.raises(InfeasibleError):
         sets.linear_image(empty, np.array([[2.0, 0.0], [1.0, 1.0]])).project(
             np.zeros(2))
+
+
+@pytest.mark.parametrize("n, m", [(7, 2), (7, 3), (8, 1)])
+def test_projection_is_chosen_at_construction_by_the_oracles_cap(n, m):
+    # halfspaces and linear_image take Polytope.nearest as their projection
+    # exactly where Polytope.enumerable holds, which must be exactly where
+    # nearest answers; past the cap they keep their iterative fallbacks
+    from detector_forge.optimize import (_POLYTOPE_CANDIDATE_CAP,
+                                         _polytope_count)
+
+    rng = np.random.default_rng(10 * n + m)
+    within = _polytope_count(n, m) <= _POLYTOPE_CANDIDATE_CAP
+    A = rng.normal(size=(m, n))
+    cell = sets.halfspaces(A, np.ones(m), base=sets.box(-np.ones(n),
+                                                        np.ones(n)))
+    img = sets.linear_image(cell, np.eye(n) + 0.1 * rng.normal(size=(n, n)))
+    y = 3.0 * rng.normal(size=n)
+    for s in (cell, img):
+        assert s.polytope.enumerable == within
+        assert (s.project == s.polytope.nearest) == within
+        assert (s.polytope.nearest(y) is None) == (not within)
+    assert (cell.support is not None) == within
+    x = cell.project(y)
+    assert np.all(np.abs(x) <= 1.0 + 1e-9) and np.all(A @ x <= 1.0 + 1e-6)

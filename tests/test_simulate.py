@@ -858,7 +858,7 @@ def test_mc_aggregation_matches_per_trial_loop(rate_problem, route):
             return _reference_fast_pick(rate_problem, 0.2, obs)
     else:
         tests = build_level_tests(rate_problem, 1.0, K)
-        kwargs = {"deltas": 1.0, "tests": tests}
+        kwargs = {"deltas": 1.0}
         radius = 1.0
         bound = sum(t.eps_hat for t in tests)
 

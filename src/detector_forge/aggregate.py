@@ -11,6 +11,8 @@ a mean set under one shared covariance bound.
 The margin is either supplied, calibrated by shrinking from the problem
 diameter until the per-level risk budget breaks, or, for the pure
 sub-Gaussian case, written down directly from the fast-path formula.
+Calibration purifies the cells once per call, since they do not depend on
+the margin, and ends each round at its first level over the budget.
 
 Empty pieces are dropped before any detector is built (purify).  One
 support call decides a margin chunk.  A cell of an image with a polytope
@@ -173,28 +175,42 @@ def purify(problem: AggregationProblem, deltas) -> list:
     found by Dykstra's method (see ``_feasible``).
     """
     geo = voronoi_geometry(problem.estimates)
-    L = problem.count
-    deltas = level_margins(deltas, L)
-    out = []
-    for l in range(L):
-        others = [lp for lp in range(L) if lp != l]
-        A_cell = np.stack([geo.u[l, lp] for lp in others])
-        b_cell = np.array([geo.v[l, lp] for lp in others])
-        reds = []
+    deltas = level_margins(deltas, problem.count)
+    return [LevelSets(l, _level_reds(problem, geo, l),
+                      _level_blues(problem, geo, l, delta))
+            for l, delta in enumerate(deltas)]
+
+
+def _level_reds(problem: AggregationProblem, geo: VoronoiGeometry,
+                l: int) -> list:
+    """Level l's non-empty cells: (component index, cell).  They do not
+    depend on the margin."""
+    others = [lp for lp in range(problem.count) if lp != l]
+    A_cell = np.stack([geo.u[l, lp] for lp in others])
+    b_cell = np.array([geo.v[l, lp] for lp in others])
+    reds = []
+    for i, img in enumerate(problem.images):
+        cell = halfspaces(A_cell, b_cell, base=img)
+        if _feasible(cell, A_cell, b_cell, img, problem.estimates[l]):
+            reds.append((i, cell))
+    return reds
+
+
+def _level_blues(problem: AggregationProblem, geo: VoronoiGeometry, l: int,
+                 delta) -> list:
+    """Level l's non-empty margin chunks at margin delta: (rival level,
+    component index, chunk)."""
+    blues = []
+    for lp in range(problem.count):
+        if lp == l:
+            continue
+        A_ch = -geo.u[l, lp][None, :]
+        b_ch = np.array([-(geo.v[l, lp] + delta)])
         for i, img in enumerate(problem.images):
-            cell = halfspaces(A_cell, b_cell, base=img)
-            if _feasible(cell, A_cell, b_cell, img, problem.estimates[l]):
-                reds.append((i, cell))
-        blues = []
-        for lp in others:
-            A_ch = -geo.u[l, lp][None, :]
-            b_ch = np.array([-(geo.v[l, lp] + deltas[l])])
-            for i, img in enumerate(problem.images):
-                chunk = halfspaces(A_ch, b_ch, base=img)
-                if _feasible(chunk, A_ch, b_ch, img, problem.estimates[lp]):
-                    blues.append((lp, i, chunk))
-        out.append(LevelSets(l, reds, blues))
-    return out
+            chunk = halfspaces(A_ch, b_ch, base=img)
+            if _feasible(chunk, A_ch, b_ch, img, problem.estimates[lp]):
+                blues.append((lp, i, chunk))
+    return blues
 
 
 @dataclass
@@ -211,33 +227,36 @@ class LevelTest:
 
 def build_level_tests(problem: AggregationProblem, deltas, repetitions: int):
     """One red-versus-blues battery per level, with balanced shifts."""
-    tests = []
-    for level_sets in purify(problem, deltas):
-        if not level_sets.reds:
-            tests.append(LevelTest(level_sets.level, alive=False))
-            continue
-        mean_sets = [s for _, s in level_sets.reds] + [s for *_, s in level_sets.blues]
-        colors = tuple([_RED] * len(level_sets.reds) + [_BLUE] * len(level_sets.blues))
-        J = len(mean_sets)
-        close = np.ones((J, J), dtype=bool)
-        for i in range(J):
-            for j in range(J):
-                if colors[i] != colors[j]:
-                    close[i, j] = False
-        rel = ClosenessRelation(close)
-        detectors, risks = {}, np.zeros((J, J))
-        for i in range(J):
-            for j in range(i + 1, J):
-                if rel.close(i, j):
-                    continue
-                det = gaussian_symmetric_detector(mean_sets[i], mean_sets[j],
-                                                  problem.Theta)
-                detectors[(i, j)] = det
-                risks[i, j] = risks[j, i] = det.risk
-        battery = PairwiseBattery(mean_sets, rel, detectors, risks)
-        tests.append(LevelTest(level_sets.level, True,
-                               shift_battery(battery, repetitions), colors))
-    return tests
+    return [_level_test(problem, level_sets, repetitions)
+            for level_sets in purify(problem, deltas)]
+
+
+def _level_test(problem: AggregationProblem, level_sets: LevelSets,
+                repetitions: int) -> LevelTest:
+    """One level's battery; a level without a cell is dead."""
+    if not level_sets.reds:
+        return LevelTest(level_sets.level, alive=False)
+    mean_sets = [s for _, s in level_sets.reds] + [s for *_, s in level_sets.blues]
+    colors = tuple([_RED] * len(level_sets.reds) + [_BLUE] * len(level_sets.blues))
+    J = len(mean_sets)
+    close = np.ones((J, J), dtype=bool)
+    for i in range(J):
+        for j in range(J):
+            if colors[i] != colors[j]:
+                close[i, j] = False
+    rel = ClosenessRelation(close)
+    detectors, risks = {}, np.zeros((J, J))
+    for i in range(J):
+        for j in range(i + 1, J):
+            if rel.close(i, j):
+                continue
+            det = gaussian_symmetric_detector(mean_sets[i], mean_sets[j],
+                                              problem.Theta)
+            detectors[(i, j)] = det
+            risks[i, j] = risks[j, i] = det.risk
+    battery = PairwiseBattery(mean_sets, rel, detectors, risks)
+    return LevelTest(level_sets.level, True,
+                     shift_battery(battery, repetitions), colors)
 
 
 def individual_inference_block(test: LevelTest, observations) -> np.ndarray:
@@ -278,16 +297,27 @@ def calibrate_delta(problem: AggregationProblem, eps: float,
 
     Returns the last margin whose worst per-level risk stayed within
     eps / L.  If the margin falls below the floor without ever violating
-    the budget, that margin is returned with a warning.
+    the budget, that margin is returned with a warning.  The cells do not
+    depend on the margin, so they are purified once per call.  Each round
+    builds the levels in order and ends at the first one over the budget,
+    since that level alone already breaks the round.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     L = problem.count
     target = eps / L
+    geo = voronoi_geometry(problem.estimates)
+    reds = [_level_reds(problem, geo, l) for l in range(L)]
     delta = 2.0 * max(img.bound_radius for img in problem.images)
     last = None
     while True:
-        tests = build_level_tests(problem, delta, repetitions)
+        tests = []
+        for l, level_reds in enumerate(reds):
+            blues = _level_blues(problem, geo, l, delta) if level_reds else []
+            tests.append(_level_test(problem, LevelSets(l, level_reds, blues),
+                                     repetitions))
+            if tests[-1].eps_hat > target:
+                break
         risk = max(t.eps_hat for t in tests)
         if risk > target:
             if last is None:

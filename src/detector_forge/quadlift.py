@@ -454,10 +454,15 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
     def split(x):
         return x[:d], sym_unflatten(x[d:])
 
+    # (x, v1, v2) for every array F evaluated; the descent returns one of
+    # them, found by identity, so its certificate needs no new evaluation
+    evaluated = []
+
     def F(x):
         h, H = split(x)
         v1, gh1, gH1 = _phibar(spec1, -h, -H)
         v2, gh2, gH2 = _phibar(spec2, h, H)
+        evaluated.append((x, v1, v2))
         g = np.concatenate([0.5 * (gh2 - gh1), sym_flatten(0.5 * (gH2 - gH1))])
         return 0.5 * (v1 + v2), g
 
@@ -467,8 +472,7 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
     res = minimize_projected(F, x0, proj, rtol=opts.tol,
                              max_iter=_QUAD_MAX_ITER)
     h, H = split(res.x)
-    v1, *_ = _phibar(spec1, -h, -H)
-    v2, *_ = _phibar(spec2, h, H)
+    v1, v2 = next((s1, s2) for y, s1, s2 in evaluated if y is res.x)
     value, a, risk = _certificate(v1, v2)
     return QuadDetector(h, H, a, risk,
                         meta={"affine": aff, "value": value,

@@ -142,10 +142,9 @@ def _rekey(rng: np.random.Generator, seed: int,
     Monte Carlo blocks run in order on the calling thread."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & _MASK64, block & _MASK64],
-                                  dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (seed & _MASK64, block & _MASK64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
     return rng
 

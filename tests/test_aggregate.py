@@ -141,8 +141,131 @@ def test_calibrate_delta_infeasible():
         G=np.eye(1),
         Theta=np.eye(1),
     )
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError) as new:
         calibrate_delta(prob, eps=0.5, repetitions=1)
+    with pytest.raises(InfeasibleError) as ref:
+        _full_rounds(prob, 0.5, 1)
+    assert str(new.value) == str(ref.value)
+
+
+def _eps_problem():
+    # four estimates at the corners of [0, 3]^2 over two overlapping boxes
+    est = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]])
+    return AggregationProblem(
+        estimates=est,
+        parameter_sets=[box([-1.0, -1.0], [2.0, 2.0]),
+                        box([1.0, 1.0], [4.0, 4.0])],
+        G=np.eye(2), Theta=np.eye(2))
+
+
+def _full_rounds(problem, eps, repetitions):
+    """Calibration as a loop of whole rounds: every round purifies every
+    cell and builds every level.  Returns the result and each round's
+    tests."""
+    target = eps / problem.count
+    delta = 2.0 * max(img.bound_radius for img in problem.images)
+    last, rounds = None, []
+    while True:
+        tests = build_level_tests(problem, delta, repetitions)
+        rounds.append(tests)
+        risk = max(t.eps_hat for t in tests)
+        if risk > target:
+            if last is None:
+                raise InfeasibleError(
+                    f"even margin {delta:g} exceeds the per-level risk budget")
+            return agg.CalibrationResult(last[0], last[1], target,
+                                         last[2]), rounds
+        last = (delta, risk, tests)
+        if delta < agg._MARGIN_FLOOR:
+            warnings.warn("margin shrank below the floor without ever "
+                          "violating the risk budget")
+            return agg.CalibrationResult(delta, risk, target, tests,
+                                         floored=True), rounds
+        delta *= agg._MARGIN_SHRINK
+
+
+def _assert_same_calibration(cal, ref):
+    assert (cal.delta, cal.risk, cal.target, cal.floored) == \
+        (ref.delta, ref.risk, ref.target, ref.floored)
+    assert len(cal.tests) == len(ref.tests)
+    for t, r in zip(cal.tests, ref.tests):
+        assert (t.level, t.alive, t.eps_hat, t.colors) == \
+            (r.level, r.alive, r.eps_hat, r.colors)
+        if not t.alive:
+            continue
+        assert np.array_equal(t.shifted.alpha, r.shifted.alpha)
+        dets, refs = t.shifted.battery.detectors, r.shifted.battery.detectors
+        assert dets.keys() == refs.keys()
+        for key, ref_det in refs.items():
+            assert np.array_equal(dets[key].h, ref_det.h)
+            assert (dets[key].a, dets[key].risk) == (ref_det.a, ref_det.risk)
+
+
+@pytest.mark.parametrize("problem, eps, repetitions", [
+    (line_problem(), 0.2, 6),
+    (_eps_problem(), 0.1, 8),
+    # images without a polytope: the closest pairs are saddle solves
+    (AggregationProblem(estimates=[[-1.0], [1.0]],
+                        parameter_sets=[ball([0.0], 4.0)],
+                        G=np.eye(1), Theta=np.eye(1)), 0.2, 6),
+    (AggregationProblem(estimates=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                        parameter_sets=[ball([0.5, 0.5], 2.0)],
+                        G=np.eye(2), Theta=np.eye(2)), 0.1, 8),
+], ids=["line", "eps-corners", "ball-1d", "ball-2d"])
+def test_calibration_matches_whole_rounds_bit_for_bit(problem, eps,
+                                                      repetitions):
+    ref, _ = _full_rounds(problem, eps, repetitions)
+    _assert_same_calibration(calibrate_delta(problem, eps, repetitions), ref)
+
+
+def test_floored_calibration_matches_whole_rounds():
+    # each component lies deep in one estimate's cell, so the risk does not
+    # grow as the margin shrinks
+    prob = AggregationProblem(
+        estimates=[[-1.0], [1.0]],
+        parameter_sets=[box([-3.0], [-2.0]), box([2.0], [3.0])],
+        G=np.eye(1), Theta=np.eye(1))
+    with pytest.warns(UserWarning, match="below the floor") as ref_warns:
+        ref, _ = _full_rounds(prob, 0.2, 8)
+    with pytest.warns(UserWarning, match="below the floor") as new_warns:
+        cal = calibrate_delta(prob, 0.2, 8)
+    assert len(new_warns) == len(ref_warns) == 1
+    assert cal.floored
+    _assert_same_calibration(cal, ref)
+
+
+def test_calibration_checks_each_cell_once_and_stops_at_the_first_risky_level():
+    prob = _eps_problem()
+    L, eps, K = prob.count, 0.1, 8
+    ref, rounds = _full_rounds(prob, eps, K)
+    closest, feasible = agg.gaussian_symmetric_detector, agg._feasible
+    pairs, cells = [], []
+
+    def counted_closest(*args):
+        pairs.append(1)
+        return closest(*args)
+
+    def counted_feasible(piece, A, b, base, seed):
+        if A.shape[0] == L - 1:   # a cell; a margin chunk has one row
+            cells.append((A.tobytes(), b.tobytes(), id(base)))
+        return feasible(piece, A, b, base, seed)
+
+    with mock.patch.object(agg, "gaussian_symmetric_detector",
+                           counted_closest), \
+            mock.patch.object(agg, "_feasible", counted_feasible):
+        cal = calibrate_delta(prob, eps, K)
+    _assert_same_calibration(cal, ref)
+    assert len(cells) == len(set(cells)) == L * len(prob.images)
+
+    def closest_pairs(tests):
+        return sum(t.colors.count(0) * t.colors.count(1) for t in tests)
+
+    passed, failed = rounds[:-1], rounds[-1]
+    first = next(l for l, t in enumerate(failed) if t.eps_hat > cal.target)
+    assert first < L - 1
+    assert len(pairs) == (sum(map(closest_pairs, passed))
+                          + closest_pairs(failed[:first + 1]))
+    assert closest_pairs(failed[first + 1:]) > 0
 
 
 def test_aggregate_with_calibration():

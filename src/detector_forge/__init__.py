@@ -29,11 +29,10 @@ from .multitest import (ClosenessRelation, MultiTestResult, PairwiseBattery,
                         ShiftedBattery, build_battery, e_matrix, infer_color,
                         min_k_for_risk, perron_shifts, run_multitest,
                         shift_battery)
-from .quadlift import (QuadDetector, QuadLiftSpec, QuadSolveOptions,
-                       lift_bounded_support, lift_gaussian, lift_observation,
-                       solve_quad_detector, special_case_affine)
-from .saddle import (SaddleOptions, SaddleProblem, SaddleSolution,
-                     best_response, solve_saddle)
+from .quadlift import (QuadDetector, QuadLiftSpec, lift_bounded_support,
+                       lift_gaussian, lift_observation, solve_quad_detector,
+                       special_case_affine)
+from .saddle import SaddleProblem, SaddleSolution, best_response, solve_saddle
 from .sets import (ConvexSet, ball, box, eig_clip, full_space, halfspaces,
                    intersection, linear_image, linear_preimage, product,
                    psd_interval, scale, simplex, singleton, sym_flatten,

@@ -59,7 +59,7 @@ class AggregationProblem:
     parameter_sets: list             # admissible parameter components in R^d
     G: np.ndarray                    # (m, d)
     Theta: np.ndarray                # (m, m) sub-Gaussian matrix per observation
-    images: list = field(default_factory=list)  # G(M_i), filled on init
+    images: list = field(init=False)  # G(M_i), one per parameter set
 
     def __post_init__(self):
         self.estimates = np.atleast_2d(np.asarray(self.estimates, dtype=float))
@@ -77,8 +77,7 @@ class AggregationProblem:
                 raise ValueError("parameter sets must match the map's domain")
             if s.bound_radius is None:
                 raise ValueError("parameter components must be bounded")
-        if not self.images:
-            self.images = [linear_image(s, self.G) for s in self.parameter_sets]
+        self.images = [linear_image(s, self.G) for s in self.parameter_sets]
 
     @property
     def count(self) -> int:
@@ -245,16 +244,11 @@ def _level_test(problem: AggregationProblem, level_sets: LevelSets,
             if colors[i] != colors[j]:
                 close[i, j] = False
     rel = ClosenessRelation(close)
-    detectors, risks = {}, np.zeros((J, J))
-    for i in range(J):
-        for j in range(i + 1, J):
-            if rel.close(i, j):
-                continue
-            det = gaussian_symmetric_detector(mean_sets[i], mean_sets[j],
-                                              problem.Theta)
-            detectors[(i, j)] = det
-            risks[i, j] = risks[j, i] = det.risk
-    battery = PairwiseBattery(mean_sets, rel, detectors, risks)
+    detectors = {(i, j): gaussian_symmetric_detector(mean_sets[i], mean_sets[j],
+                                                     problem.Theta)
+                 for i in range(J) for j in range(i + 1, J)
+                 if not rel.close(i, j)}
+    battery = PairwiseBattery(mean_sets, rel, detectors)
     return LevelTest(level_sets.level, True,
                      shift_battery(battery, repetitions), colors)
 

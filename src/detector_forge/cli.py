@@ -45,9 +45,8 @@ from .families import (discrete_family, poisson_family, sub_gaussian_family)
 from .multitest import (ClosenessRelation, build_battery, e_matrix,
                         infer_color, min_k_for_risk, run_multitest,
                         shift_battery)
-from .quadlift import (QuadDetector, QuadLiftSpec, QuadSolveOptions,
-                       solve_quad_detector)
-from .saddle import SaddleOptions, SaddleProblem
+from .quadlift import QuadDetector, QuadLiftSpec, solve_quad_detector
+from .saddle import SaddleProblem
 from .schema import Checker, _json_path
 from .simulate import (discrete_sampler, gaussian_sampler, mc_aggregation,
                        mc_detector_risk, mc_test_error, poisson_sampler)
@@ -328,19 +327,12 @@ def _render_value(v) -> str:
 
 # --- task runners --------------------------------------------------------
 
-def _saddle_options(runtime: dict) -> SaddleOptions:
-    if runtime.get("tol") is not None:
-        return SaddleOptions(tol=float(runtime["tol"]))
-    return SaddleOptions()
-
-
 def cmd_pair(cfg: dict, runtime: dict) -> Emitter:
     out = Emitter("pair", cfg)
     fams = [build_family(f, f"$.families[{i}]")
             for i, f in enumerate(cfg["families"])]
     t0 = time.perf_counter()
-    det = build_detector(SaddleProblem(fams[0], fams[1]),
-                         _saddle_options(runtime))
+    det = build_detector(SaddleProblem(fams[0], fams[1]), **runtime["solver"])
     out.timings["solve"] = time.perf_counter() - t0
     out.report["results"].update({
         "h": det.h, "a": det.a, "risk": det.risk, "gap": det.gap,
@@ -387,7 +379,7 @@ def _battery_task(task: str, cfg: dict, runtime: dict,
                                   "hypothesis index out of range")
         rel = ClosenessRelation.from_pairs(J, [tuple(p) for p in pairs])
     t0 = time.perf_counter()
-    battery = build_battery(fams, rel, _saddle_options(runtime))
+    battery = build_battery(fams, rel, **runtime["solver"])
     if "target_risk" in block:
         shifted = min_k_for_risk(battery, float(block["target_risk"]))
     else:
@@ -522,12 +514,11 @@ def cmd_quadlift(cfg: dict, runtime: dict) -> Emitter:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("$.quadlift", str(exc)) from exc
-    opts = QuadSolveOptions(fix_h=bool(block.get("fix_h", False)),
-                            fix_H=bool(block.get("fix_H", False)))
-    if runtime.get("tol") is not None:
-        opts.tol = float(runtime["tol"])
     t0 = time.perf_counter()
-    det = solve_quad_detector(spec1, spec2, opts)
+    det = solve_quad_detector(spec1, spec2,
+                              fix_h=bool(block.get("fix_h", False)),
+                              fix_H=bool(block.get("fix_H", False)),
+                              **runtime["solver"])
     out.timings["solve"] = time.perf_counter() - t0
     out.report["results"].update({
         "h": det.h, "H": det.H, "a": det.a, "risk": det.risk,
@@ -646,7 +637,9 @@ def main(argv=None) -> int:
         runtime = {
             "seed": args.seed if args.seed is not None
             else int(cfg.get("seed", 0)),
-            "tol": args.tol,
+            # keyword arguments of every solver: --tol when given, so
+            # that otherwise each solver keeps its own default tolerance
+            "solver": {} if args.tol is None else {"tol": args.tol},
         }
         log.info("task %s from %s", cfg["task"], args.config)
         out = _COMMANDS[cfg["task"]](cfg, runtime)

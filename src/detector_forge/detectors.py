@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .families import sub_gaussian_family
-from .saddle import (_DEGENERATE_FLOOR, SaddleOptions, SaddleProblem,
-                     SaddleSolution, solve_saddle)
+from .saddle import (_DEGENERATE_FLOOR, _TOL, SaddleProblem, SaddleSolution,
+                     solve_saddle)
 from .sets import ConvexSet, singleton, sym_flatten
 
 __all__ = ["AffineDetector", "TestVerdict", "build_detector", "apply_detector",
@@ -43,31 +43,39 @@ class TestVerdict:
     statistic: float
 
 
-def build_detector(problem: SaddleProblem, options: Optional[SaddleOptions] = None,
+def _certificate(v1: float, v2: float):
+    """(value, a, risk) of a detector whose two one-sided upper values are
+    v1 and v2: their average, the shift a = (v1 - v2) / 2 that balances
+    them, so that each side's bound is exactly value, and exp(value), read
+    as 0 where exp underflows."""
+    value = float(0.5 * (v1 + v2))
+    risk = float(np.exp(value)) if value > _DEGENERATE_FLOOR else 0.0
+    return value, float(0.5 * (v1 - v2)), risk
+
+
+def build_detector(problem: SaddleProblem, tol: float = _TOL,
                    force: bool = False) -> AffineDetector:
     """Construct the balanced detector for a pair of families.
 
-    The shift is chosen from the one-sided bound values at the solution, so
-    the returned risk is a valid bound for any h the solver settled on.  An
-    uncertified solve (optimality gap above tolerance, or a stalled frozen
-    minimization) raises, naming the solve's warnings, unless force is set;
-    a degenerate solve (value below the exp underflow floor) is returned as
-    risk 0 without complaint, since the bound itself is valid.  An upper
-    value above 0 bounds nothing below 1, and the zero detector (h = 0,
-    a = 0) has risk exactly 1 for any pair, since E e^0 = 1; it is returned
-    instead, with the solve's gap, certified flag and meta.
+    The shift a balances the two one-sided upper values the solve proved
+    at its h (_certificate), so each side's bound is exactly log risk for
+    any h the solver settled on.  An uncertified solve (optimality gap
+    above tolerance, or a stalled frozen minimization) raises, naming the
+    solve's warnings, unless force is set; a degenerate solve (value below
+    the exp underflow floor) is returned as risk 0 without complaint, since
+    the bound itself is valid.  An upper value above 0 bounds nothing below
+    1, and the zero detector (h = 0, a = 0) has risk exactly 1 for any
+    pair, since E e^0 = 1; it is returned instead, with the solve's gap,
+    certified flag and meta.
     """
-    sol = solve_saddle(problem, options)
+    sol = solve_saddle(problem, tol)
     if not force:
         _refuse_uncertified(sol)
-    meta = {"sad_val": sol.sad_val, "solution": sol}
+    meta = {"solution": sol}
     if sol.sad_val > 0.0:
         return AffineDetector(np.zeros_like(sol.h), 0.0, 1.0, sol.gap,
                               certified=sol.certified, meta=meta)
-    v1 = problem.data1.phi(-sol.h, sol.mu1)
-    v2 = problem.data2.phi(sol.h, sol.mu2)
-    a = 0.5 * (v1 - v2)
-    risk = float(np.exp(sol.sad_val)) if sol.sad_val > _DEGENERATE_FLOOR else 0.0
+    _, a, risk = _certificate(*sol.side_values)
     return AffineDetector(sol.h, a, risk, sol.gap, certified=sol.certified,
                           meta=meta)
 

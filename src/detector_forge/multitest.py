@@ -22,7 +22,7 @@ import numpy as np
 from .detectors import _repeated_statistic, build_detector
 from .errors import InfeasibleError
 from .families import RegularData
-from .saddle import SaddleOptions, SaddleProblem
+from .saddle import _TOL, SaddleProblem
 
 __all__ = ["ClosenessRelation", "PairwiseBattery", "build_battery", "e_matrix",
            "perron_shifts", "ShiftedBattery", "shift_battery", "MultiTestResult",
@@ -67,7 +67,12 @@ class PairwiseBattery:
     hypotheses: list
     closeness: ClosenessRelation
     detectors: dict          # (i, j) with i < j -> AffineDetector
-    risks: np.ndarray        # symmetric, zero on close pairs
+    risks: np.ndarray = field(init=False)  # theirs; symmetric, 0 if close
+
+    def __post_init__(self):
+        self.risks = np.zeros((self.count, self.count))
+        for (i, j), det in self.detectors.items():
+            self.risks[i, j] = self.risks[j, i] = det.risk
 
     @property
     def count(self) -> int:
@@ -84,7 +89,7 @@ class PairwiseBattery:
 
 def build_battery(hypotheses: Sequence[RegularData],
                   closeness: Optional[ClosenessRelation] = None,
-                  options: Optional[SaddleOptions] = None) -> PairwiseBattery:
+                  tol: float = _TOL) -> PairwiseBattery:
     """Solve every non-close pair in index order; failures are aggregated,
     not swallowed."""
     hyps = list(hypotheses)
@@ -100,16 +105,12 @@ def build_battery(hypotheses: Sequence[RegularData],
     for i, j in pairs:
         try:
             results[(i, j)] = build_detector(SaddleProblem(hyps[i], hyps[j]),
-                                             options)
+                                             tol)
         except Exception as exc:
             failures.append(f"({i}, {j}): {exc}")
     if failures:
         raise RuntimeError("battery solves failed for pairs " + "; ".join(failures))
-
-    risks = np.zeros((J, J))
-    for (i, j), det in results.items():
-        risks[i, j] = risks[j, i] = det.risk
-    return PairwiseBattery(hyps, rel, results, risks)
+    return PairwiseBattery(hyps, rel, results)
 
 
 def e_matrix(battery: PairwiseBattery, repetitions: int) -> np.ndarray:

@@ -44,7 +44,8 @@ u in U and Theta <= Theta_star, and it is affine in Theta: its supremum
 over a covariance set is its value at the set's support point for H / 2.
 QuadLiftSpec accepts only covariance sets with a proven psd-largest
 member (a singleton or a psd_interval) below Theta_star, so every folded
-bound is a certificate by construction.
+bound is a certificate by construction.  detectors._certificate turns the
+two folded bounds at (h, H) into the shift that balances them and the risk.
 
 Everything here works with exact oracles; there is no semidefinite
 programming inside.  The inner lifted maximization over a box of means is
@@ -70,16 +71,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .detectors import AffineDetector, build_detector
+from .detectors import AffineDetector, _certificate, build_detector
 from .families import (RegularData, _last_call, bounded_support_family,
                        sub_gaussian_family)
 from .optimize import (maximize_bounded, maximize_box_quadratic,
                        minimize_projected)
-from .saddle import _DEGENERATE_FLOOR, SaddleProblem
+from .saddle import SaddleProblem
 from .sets import (ConvexSet, intersection, linear_image, product, psd_top,
                    singleton, sym_flatten, sym_unflatten)
 
-__all__ = ["QuadLiftSpec", "QuadDetector", "QuadSolveOptions", "lift_gaussian",
+__all__ = ["QuadLiftSpec", "QuadDetector", "lift_gaussian",
            "lift_observation", "solve_quad_detector", "special_case_affine",
            "lift_bounded_support"]
 
@@ -358,21 +359,13 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
 # ---------------------------------------------------------------------------
 # pairwise quadratic detector
 
-@dataclass
-class QuadSolveOptions:
-    tol: float = 1e-10
-    fix_h: bool = False            # restrict to purely quadratic detectors
-    fix_H: bool = False            # return the affine detector
-
-
 def _phibar(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
     """Bound with the covariance supremum folded in, plus its gradient."""
     _, arg = spec.Ucov.support(0.5 * sym_flatten(H))
     return _lifted_bound(spec, h, H, sym_unflatten(arg))
 
 
-def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
-                    opts: QuadSolveOptions):
+def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec, fix_h: bool):
     """Projection of (h, flattened H) onto the detectors the solve admits.
 
     H goes into both spectral bands, each a ConvexSet over flattened H
@@ -395,19 +388,10 @@ def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
         band = intersection(bands)
 
     def proj(xfull):
-        h = np.zeros(d) if opts.fix_h else np.asarray(xfull[:d], dtype=float).copy()
+        h = np.zeros(d) if fix_h else np.asarray(xfull[:d], dtype=float).copy()
         return np.concatenate([h, band.project(xfull[d:])])
 
     return proj
-
-
-def _certificate(v1: float, v2: float):
-    """(value, a, risk) of a detector whose two folded bounds are v1 and
-    v2: their average, the shift a = (v1 - v2) / 2 that balances them, and
-    exp(value), read as 0 where exp underflows."""
-    value = float(0.5 * (v1 + v2))
-    risk = float(np.exp(value)) if value > _DEGENERATE_FLOOR else 0.0
-    return value, float(0.5 * (v1 - v2)), risk
 
 
 def _affine_problem(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> SaddleProblem:
@@ -427,7 +411,8 @@ def _affine_problem(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> SaddleProblem:
 
 
 def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
-                        options: Optional[QuadSolveOptions] = None) -> QuadDetector:
+                        tol: float = 1e-10, fix_h: bool = False,
+                        fix_H: bool = False) -> QuadDetector:
     """Best certified quadratic detector between two lifted hypotheses.
 
     First solves the H = 0 slice once (special_case_affine) and keeps that
@@ -442,14 +427,13 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
     two-sided risk, so the returned certificate is valid regardless of how
     close the minimizer is to optimal.
     """
-    opts = options or QuadSolveOptions()
     d = spec1.dim
     aff = special_case_affine(spec1, spec2)
-    if opts.fix_H:
+    if fix_H:
         return QuadDetector(aff.h, np.zeros((d, d)), aff.a, aff.risk,
                             meta={"affine": aff, "iterations": 0,
                                   "converged": aff.certified})
-    proj = _pair_projector(spec1, spec2, opts)
+    proj = _pair_projector(spec1, spec2, fix_h)
 
     def split(x):
         return x[:d], sym_unflatten(x[d:])
@@ -467,9 +451,9 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
         return 0.5 * (v1 + v2), g
 
     x0 = np.zeros(d + d * d)
-    if not opts.fix_h:
+    if not fix_h:
         x0[:d] = aff.h
-    res = minimize_projected(F, x0, proj, rtol=opts.tol,
+    res = minimize_projected(F, x0, proj, rtol=tol,
                              max_iter=_QUAD_MAX_ITER)
     h, H = split(res.x)
     v1, v2 = next((s1, s2) for y, s1, s2 in evaluated if y is res.x)

@@ -33,8 +33,9 @@ support oracle, so it bounds the maximum even when the inner solve stops
 early; without one it is where the ascent stopped, not a bound.  Only when
 upper and lower stay further apart than the descent's own tolerance does a
 max-form descent of F start from there.  The returned certificate is the
-upper value F at the returned h, so an early stop can only make the
-certified risk conservative, never invalid.
+upper value F at the returned h, kept as the two side values its best
+response bounded, so an early stop can only make the certified risk
+conservative, never invalid.
 
 The lower value is exact only on the closed form.  An iterative frozen
 minimization reports the value where it stopped, which is not a proven
@@ -57,8 +58,8 @@ from .optimize import (OptResult, maximize_bounded, maximize_projected,
                        minimize_projected)
 from .sets import ConvexSet, ball
 
-__all__ = ["SaddleProblem", "SaddleOptions", "SaddleSolution",
-           "best_response", "solve_saddle"]
+__all__ = ["SaddleProblem", "SaddleSolution", "best_response",
+           "solve_saddle"]
 
 
 @dataclass
@@ -86,24 +87,25 @@ class SaddleProblem:
 
 
 @dataclass
-class SaddleOptions:
-    tol: float = 1e-6
-
-
-@dataclass
 class SaddleSolution:
     h: np.ndarray
     mu1: np.ndarray
     mu2: np.ndarray
-    sad_val: float
+    side_values: tuple  # sup phi1(-h; .), sup phi2(h; .) as bounded at h
     gap: float
     iterations: int
     certified: bool
     degenerate: bool = False
     warnings: list = field(default_factory=list)
 
+    @property
+    def sad_val(self) -> float:
+        """The upper value: the mean of the two side values."""
+        return 0.5 * (self.side_values[0] + self.side_values[1])
+
 
 _DEGENERATE_FLOOR = -745.0  # exp underflows below this; risk is numerically zero
+_TOL = 1e-6            # solve_saddle's default tolerance
 _RADIUS = 1e6          # search radius for an unbounded h-domain
 # budget of the final frozen solve, and of the max-form descent where it runs
 _DESCENT_MAX_ITER = 3000
@@ -179,12 +181,13 @@ def best_response(problem: SaddleProblem, h: np.ndarray,
     """Maximize psi(h; mu1, mu2) over the parameter sets.
 
     The two sides are independent concave problems.  Returns
-    (mu1, mu2, value, iterations).
+    (mu1, mu2, v1, v2, iterations): psi's maximum is the mean of the side
+    values v1 and v2, each bounded by _side_max.
     """
     h = np.asarray(h, dtype=float)
     mu1, v1, i1 = _side_max(problem.data1, -h, mu1_start)
     mu2, v2, i2 = _side_max(problem.data2, h, mu2_start)
-    return mu1, mu2, 0.5 * (v1 + v2), i1 + i2
+    return mu1, mu2, v1, v2, i1 + i2
 
 
 def _domain(problem: SaddleProblem) -> ConvexSet:
@@ -203,8 +206,7 @@ def _domain(problem: SaddleProblem) -> ConvexSet:
     return ConvexSet(problem.dim, proj, name="capped")
 
 
-def solve_saddle(problem: SaddleProblem,
-                 options: Optional[SaddleOptions] = None) -> SaddleSolution:
+def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
     """Solve the pairwise game and certify the value.
 
     One pass, with no loop, over the h-domain capped at radius _RADIUS when
@@ -218,14 +220,14 @@ def solve_saddle(problem: SaddleProblem,
     F(h) = max_mu psi(h; mu) descends from there, and the best response at
     its end gives the upper value.
 
-    Returns a solution whose sad_val equals psi at the returned point with
-    best-response parameters (an upper value), whose gap is upper minus
-    lower, and whose certified flag records whether gap and, after an
-    iterative final frozen minimization, its projected-gradient step are
-    both <= tol * max(1, |sad_val|).
+    Returns a solution whose side_values are the two side values of the
+    final best response at the returned point and whose sad_val is their
+    mean (an upper value), whose gap is upper minus lower, and whose
+    certified flag records whether gap and, after an iterative final
+    frozen minimization, its projected-gradient step are both
+    <= tol * max(1, |sad_val|).
     """
-    opts = options or SaddleOptions()
-    rtol = max(opts.tol * 1e-2, 1e-12)
+    rtol = max(tol * 1e-2, 1e-12)
     # the upper value is read at the frozen minimizer, and the descent starts
     # there.  Where F has a kink at h*, that point sits only about the square
     # root of the dual's value error away from h*, and the descent cannot
@@ -285,7 +287,8 @@ def solve_saddle(problem: SaddleProblem,
 
     # the upper value at the frozen minimizer
     h_star = hmin["h"]
-    mu1, mu2, upper, used = best_response(problem, h_star)
+    mu1, mu2, v1, v2, used = best_response(problem, h_star)
+    upper = 0.5 * (v1 + v2)
     iters_used = res_dual.iterations + res_low.iterations + used
 
     if upper - lower > rtol * max(1.0, abs(upper)):
@@ -293,21 +296,23 @@ def solve_saddle(problem: SaddleProblem,
         state = {"mu1": None, "mu2": None, "evals": 0}
 
         def F(h):
-            mu1, mu2, val, used = best_response(problem, h, state["mu1"], state["mu2"])
+            mu1, mu2, v1, v2, used = best_response(problem, h, state["mu1"],
+                                                   state["mu2"])
             state["mu1"], state["mu2"] = mu1, mu2
             state["evals"] += used
             g = problem.psi_grad_h(h, mu1, mu2)
-            return val, g
+            return 0.5 * (v1 + v2), g
 
         res = minimize_projected(F, h_star, dom.project, rtol=rtol,
                                  max_iter=_DESCENT_MAX_ITER)
         h_star = res.x
-        mu1, mu2, upper, used = best_response(problem, h_star,
-                                              state["mu1"], state["mu2"])
+        mu1, mu2, v1, v2, used = best_response(problem, h_star,
+                                               state["mu1"], state["mu2"])
+        upper = 0.5 * (v1 + v2)
         iters_used += res.iterations + state["evals"] + used
 
     if upper < _DEGENERATE_FLOOR:
-        return SaddleSolution(h_star, mu1, mu2, upper, np.inf, iters_used,
+        return SaddleSolution(h_star, mu1, mu2, (v1, v2), np.inf, iters_used,
                               certified=False, degenerate=True,
                               warnings=["value diverges; risk is numerically zero"])
 
@@ -318,12 +323,12 @@ def solve_saddle(problem: SaddleProblem,
             f"minimizer sits on the search-radius cap {_RADIUS:g}; "
             "the game may have no finite saddle point")
     gap = max(upper - lower, 0.0)
-    bound = opts.tol * max(1.0, abs(upper))
+    bound = tol * max(1.0, abs(upper))
     certified = bool(gap <= bound and stall <= bound)
     if gap > bound:
         warnings.append(f"gap {gap:.3e} exceeds tolerance")
     if stall > bound:
         warnings.append(f"frozen minimization stalled with projected-gradient "
                         f"step {stall:.3e}; the lower value is not a bound")
-    return SaddleSolution(h_star, mu1, mu2, upper, gap, iters_used,
+    return SaddleSolution(h_star, mu1, mu2, (v1, v2), gap, iters_used,
                           certified=certified, warnings=warnings)

@@ -596,8 +596,10 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
 
     A trial fails when the chosen anchor g is farther from G truth than
     the closest anchor plus twice the largest margin.  With ``eps`` alone
-    the closed-form sub-Gaussian margins drive the pick; explicit margins
-    (``deltas``) switch to the generic detector route.
+    the closed-form sub-Gaussian margins drive the pick and ``eps`` is the
+    bound.  Explicit margins (``deltas``) switch to the generic detector
+    route, whose certified risk, and so the bound, is the sum of their
+    level tests' ``eps_hat``; ``eps`` is then not read.
     """
     K = int(repetitions)
     if K < 1:
@@ -615,7 +617,7 @@ def mc_aggregation(problem: AggregationProblem, truth, sampler: Sampler,
     if deltas is not None:
         used = level_margins(deltas, problem.count)
         tests = build_level_tests(problem, used, K)
-        bound = eps if eps is not None else sum(t.eps_hat for t in tests)
+        bound = sum(t.eps_hat for t in tests)
 
         def picks(obs: np.ndarray) -> np.ndarray:
             return first_red(np.stack(

@@ -25,17 +25,16 @@ from detector_forge.families import (affine_image, bounded_support_family,
                                      poisson_family, refine_with_support,
                                      semi_direct_sum, sub_gaussian_family)
 from detector_forge.multitest import build_battery, perron_shifts, shift_battery
-from detector_forge.quadlift import (QuadDetector, QuadLiftSpec,
-                                     QuadSolveOptions, lift_gaussian,
+from detector_forge.quadlift import (QuadDetector, QuadLiftSpec, lift_gaussian,
                                      solve_quad_detector, special_case_affine)
-from detector_forge.saddle import SaddleOptions, SaddleProblem
+from detector_forge.saddle import SaddleProblem
 from detector_forge.sets import ball, box, singleton
 from detector_forge.simulate import (custom_sampler, discrete_sampler,
                                      gaussian_sampler, mc_aggregation,
                                      mc_detector_risk, mc_test_error,
                                      poisson_sampler)
 
-TIGHT = SaddleOptions(tol=1e-8)
+TIGHT = 1e-8
 
 
 def verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -183,7 +182,7 @@ def test_criterion_05_perron_shift_optimality():
 def test_criterion_06_three_color_mc_risk():
     means = (-3.0, 0.0, 3.0)
     hyps = [gaussian_point_family([m], [[1.0]]) for m in means]
-    shifted = shift_battery(build_battery(hyps, options=TIGHT), 4)
+    shifted = shift_battery(build_battery(hyps, tol=TIGHT), 4)
     assert shifted.eps_hat < 0.1
     samplers = [gaussian_sampler([m], [[1.0]], 600 + i)
                 for i, m in enumerate(means)]
@@ -275,7 +274,7 @@ def test_criterion_08_quadratic_never_worse_and_affine_slice():
     slice_worst = 0.0
     for s1, s2 in _criterion_08_pairs():
         quad = solve_quad_detector(s1, s2).risk
-        sliced = solve_quad_detector(s1, s2, QuadSolveOptions(fix_H=True)).risk
+        sliced = solve_quad_detector(s1, s2, fix_H=True).risk
         affine = special_case_affine(s1, s2).risk
         gap_worst = max(gap_worst, quad - affine)
         slice_worst = max(slice_worst, abs(sliced - affine))
@@ -317,18 +316,16 @@ def test_criterion_09_variance_separation_qualitative():
     U2 = box(np.full(m, -rho - 10.0), np.full(m, -rho))
     T1 = np.eye(d)
     T2 = 16.0 * np.eye(d)
-    opts = QuadSolveOptions(tol=1e-9)
 
     spec1 = QuadLiftSpec(A, U1, singleton(T1.ravel()), T1)
     spec2v = QuadLiftSpec(A, U2, singleton(T2.ravel()), T2)
     affine_v = special_case_affine(spec1, spec2v).risk
-    quad_v = solve_quad_detector(spec1, spec2v, opts).risk
+    quad_v = solve_quad_detector(spec1, spec2v, tol=1e-9).risk
 
     spec2e = QuadLiftSpec(A, U2, singleton(T1.ravel()), T1)
     affine_e = special_case_affine(spec1, spec2e).risk
-    quad_e = solve_quad_detector(spec1, spec2e, opts).risk
-    pure_quad = solve_quad_detector(spec1, spec2e,
-                                    QuadSolveOptions(tol=1e-9, fix_h=True)).risk
+    quad_e = solve_quad_detector(spec1, spec2e, tol=1e-9).risk
+    pure_quad = solve_quad_detector(spec1, spec2e, tol=1e-9, fix_h=True).risk
     ok = (affine_v >= 0.99 and quad_v <= 0.9
           and abs(quad_e - affine_e) <= 1e-3 and pure_quad >= 0.99)
     verdict(9, "variance gap is quadratic-only territory",

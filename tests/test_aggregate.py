@@ -33,6 +33,18 @@ def line_problem():
     )
 
 
+def test_images_are_derived_never_passed():
+    # the images are G applied to the parameter sets; an input there could
+    # contradict both
+    prob = line_problem()
+    assert len(prob.images) == 1
+    assert prob.images[0].bound_radius == pytest.approx(4.0)
+    with pytest.raises(TypeError):
+        AggregationProblem(estimates=[[-1.0], [1.0]],
+                           parameter_sets=[box([-4.0], [4.0])], G=np.eye(1),
+                           Theta=np.eye(1), images=[box([9.0], [10.0])])
+
+
 def test_voronoi_geometry_line():
     geo = voronoi_geometry([[0.0], [2.0]])
     assert geo.u[0, 1] == pytest.approx([1.0])

@@ -288,6 +288,32 @@ def test_aggregate_needs_margin_source(tmp_path, capsys):
     assert "eps or deltas" in capsys.readouterr().err
 
 
+def test_aggregate_mc_checks_explicit_margins_against_their_risk(tmp_path):
+    # with deltas the certified risk is the level tests' summed eps_hat,
+    # the report's risk; eps, given too, bounds only the fast path's margins
+    cfg = {
+        "schema_version": "1",
+        "task": "aggregate",
+        "aggregate": {
+            "estimates": [[-1.0], [0.0], [1.0]],
+            "parameter_sets": [{"type": "box", "lo": [-3.0], "hi": [3.0]}],
+            "G": [[1.0]],
+            "Theta": [[1.0]],
+            "repetitions": 4,
+            "eps": 0.05,
+            "deltas": 0.5,
+            "observations": [[0.1], [0.2], [-0.1], [0.0]],
+            "mc": {"trials": 1000, "truth": [0.1],
+                   "sampler": {"kind": "gaussian", "mean": [0.1],
+                               "cov": [[1.0]]}},
+        },
+    }
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
+    results = read_report(tmp_path)["results"]
+    assert results["risk"] > 0.05
+    assert results["mc"][0]["bound"] == results["risk"]
+
+
 def test_aggregate_deltas_length_names_the_field(tmp_path, capsys):
     cfg = {
         "schema_version": "1",
@@ -358,9 +384,9 @@ def _count_saddle_solves(monkeypatch):
     from detector_forge import detectors
     solves, solve = [], detectors.solve_saddle
 
-    def counted(problem, options=None):
+    def counted(problem, tol):
         solves.append(1)
-        return solve(problem, options)
+        return solve(problem, tol)
 
     monkeypatch.setattr(detectors, "solve_saddle", counted)
     return solves
@@ -390,8 +416,8 @@ def test_quadlift_uncertified_affine_slice_exits_3(tmp_path, monkeypatch,
     from detector_forge import detectors
     solve = detectors.solve_saddle
 
-    def uncertified(problem, options=None):
-        sol = solve(problem, options)
+    def uncertified(problem, tol):
+        sol = solve(problem, tol)
         return dataclasses.replace(sol, gap=max(sol.gap, 1e-3),
                                    certified=False)
 

@@ -201,6 +201,57 @@ def test_degenerate_pair_builds_zero_risk_detector():
     assert np.isfinite(det.a)
 
 
+def _probe_side(c):
+    """A Poisson box around exp(c) tied to a sub-Gaussian box: a family
+    with no exact best response, so each side value is an inner ascent's
+    bound with its own Frank-Wolfe gap."""
+    c = np.asarray(c)
+    G = families.sub_gaussian_family(sets.box([-1.0, -1.0], [1.0, 1.0]),
+                                     sets.singleton(np.eye(2).ravel()))
+    return families.semi_direct_sum([families.poisson_family(
+        sets.box(np.exp(c - 0.3), np.exp(c + 0.3))), G])
+
+
+def _probe_pair() -> SaddleProblem:
+    return SaddleProblem(_probe_side([0.30163487, -0.18489624]),
+                         _probe_side([1.85738041, 0.29168137]))
+
+
+def test_each_side_bound_is_the_reported_risk_on_an_iterative_pair():
+    # the two sides' ascents stop with different Frank-Wolfe gaps; a shift
+    # balancing raw phi values left side 1's proven bound 2.2e-9 above
+    # log risk
+    prob = _probe_pair()
+    assert prob.data1.direction is None
+    det = build_detector(prob)
+    sol = det.meta["solution"]
+    assert det.certified and 0.0 < det.risk < 1.0
+    u1 = saddle._side_max(prob.data1, -sol.h, sol.mu1)[1]
+    u2 = saddle._side_max(prob.data2, sol.h, sol.mu2)[1]
+    assert max(u1 - det.a, u2 + det.a) <= np.log(det.risk) + 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SaddleProblem(
+        families.gaussian_point_family([1.0, 0.5], np.eye(2)),
+        families.sub_gaussian_family(sets.box([-2.0, -1.0], [-1.0, 0.0]),
+                                     sets.singleton(np.eye(2).ravel()))),
+    lambda: SaddleProblem(
+        families.poisson_family(sets.box([0.5, 0.5], [1.0, 1.0])),
+        families.poisson_family(sets.box([3.0, 3.0], [5.0, 5.0]))),
+    lambda: SaddleProblem(
+        families.discrete_family(sets.simplex(3, [0.5, 0.1, 0.1],
+                                              [0.8, 0.4, 0.4])),
+        families.discrete_family(sets.singleton([0.1, 0.3, 0.6]))),
+    _probe_pair,
+], ids=["sub_gaussian", "poisson", "discrete", "iterative"])
+def test_shift_and_risk_come_from_the_solve_side_values(make):
+    det = build_detector(make())
+    v1, v2 = det.meta["solution"].side_values
+    assert det.a == 0.5 * (v1 - v2)
+    assert det.risk == np.exp(0.5 * (v1 + v2))
+
+
 def test_uncertified_solve_refused_without_force(monkeypatch):
     # the solver certifies this pair, so the refusal path is reached through
     # a solve that returns the real solution flagged uncertified
@@ -209,8 +260,8 @@ def test_uncertified_solve_refused_without_force(monkeypatch):
         families.sub_gaussian_family(sets.singleton([3.0, 0.0]), cov),
         families.sub_gaussian_family(sets.singleton([0.0, 0.0]), cov))
 
-    def uncertified(problem, options=None):
-        sol = saddle.solve_saddle(problem, options)
+    def uncertified(problem, tol):
+        sol = saddle.solve_saddle(problem, tol)
         return dataclasses.replace(sol, gap=max(sol.gap, 1e-3), certified=False)
 
     monkeypatch.setattr(detectors, "solve_saddle", uncertified)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detector_forge import families, sets
+from detector_forge.detectors import AffineDetector
 from detector_forge.errors import InfeasibleError
 from detector_forge.multitest import (ClosenessRelation, MultiTestResult,
                                       PairwiseBattery, build_battery, e_matrix,
@@ -35,6 +36,13 @@ def test_close_pairs_not_solved():
     bat = build_battery(line_hypotheses(), rel)
     assert set(bat.detectors) == {(0, 2), (1, 2)}
     assert bat.risks[0, 1] == 0.0
+    # the risk matrix is read off the detectors, never passed in
+    for (i, j), det in bat.detectors.items():
+        assert bat.risks[i, j] == bat.risks[j, i] == det.risk
+    assert np.array_equal(bat.risks, bat.risks.T)
+    assert not np.any(bat.risks[rel.matrix])
+    with pytest.raises(TypeError):
+        PairwiseBattery(bat.hypotheses, rel, bat.detectors, bat.risks)
     assert bat.statistic(0, 1, [[5.0, 0.0]]) == 0.0
     assert e_matrix(bat, 3)[0, 1] == 0.0
 
@@ -140,9 +148,16 @@ def test_run_multitest_validates_count():
         run_multitest(shifted, np.zeros((3, 2)))
 
 
+def risk_battery(count: int, risk: float) -> PairwiseBattery:
+    """A battery whose every pair detector carries the given risk."""
+    dets = {(i, j): AffineDetector(np.zeros(1), 0.0, risk, 0.0)
+            for i in range(count) for j in range(i + 1, count)}
+    return PairwiseBattery([None] * count, ClosenessRelation.trivial(count),
+                           dets)
+
+
 def test_vacuous_flag():
-    risks = 0.5 * (np.ones((3, 3)) - np.eye(3))
-    bat = PairwiseBattery([None] * 3, ClosenessRelation.trivial(3), {}, risks)
+    bat = risk_battery(3, 0.5)
     assert shift_battery(bat, 1).vacuous
     assert not shift_battery(bat, 2).vacuous
 
@@ -169,8 +184,7 @@ def test_min_k_for_risk_frozen():
 
 
 def test_min_k_simple_half():
-    risks = np.array([[0.0, 0.5], [0.5, 0.0]])
-    bat = PairwiseBattery([None] * 2, ClosenessRelation.trivial(2), {}, risks)
+    bat = risk_battery(2, 0.5)
     shifted = min_k_for_risk(bat, 0.1)
     assert shifted.repetitions == 4
     assert shifted.eps_hat == pytest.approx(0.0625, abs=1e-10)

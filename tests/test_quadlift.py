@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from detector_forge import detectors, optimize, quadlift
 from detector_forge.families import sub_gaussian_family
 from detector_forge.optimize import maximize_box_quadratic
-from detector_forge.quadlift import (QuadLiftSpec, QuadSolveOptions,
-                                     lift_bounded_support, lift_gaussian,
-                                     lift_observation, solve_quad_detector,
-                                     special_case_affine)
+from detector_forge.quadlift import (QuadLiftSpec, lift_bounded_support,
+                                     lift_gaussian, lift_observation,
+                                     solve_quad_detector, special_case_affine)
 from detector_forge.sets import (ball, box, full_space, halfspaces,
                                  psd_interval, singleton, sym_flatten,
                                  sym_unflatten)
@@ -336,8 +335,8 @@ def test_reference_floor_is_relative_so_a_rescaled_pair_is_accepted():
         h, H = det.h / np.sqrt(t), det.H / t
         v1 = quadlift._phibar(s1, -h, -H)[0]
         v2 = quadlift._phibar(s2, h, H)[0]
-        assert quadlift._certificate(v1, v2)[2] == pytest.approx(det.risk,
-                                                                 rel=1e-9)
+        assert detectors._certificate(v1, v2)[2] == pytest.approx(det.risk,
+                                                                  rel=1e-9)
 
 
 def test_ill_conditioned_reference_at_unit_scale_is_accepted():
@@ -368,9 +367,9 @@ def test_fix_flags_restrict_the_search():
                       U=singleton(np.zeros(1)),
                       Ucov=singleton(sym_flatten(np.eye(2))),
                       Theta_star=np.eye(2))
-    det_h = solve_quad_detector(s1, s2, QuadSolveOptions(fix_h=True))
+    det_h = solve_quad_detector(s1, s2, fix_h=True)
     assert np.linalg.norm(det_h.h) == 0.0
-    det_H = solve_quad_detector(s1, s2, QuadSolveOptions(fix_H=True))
+    det_H = solve_quad_detector(s1, s2, fix_H=True)
     assert np.linalg.norm(det_H.H) == 0.0
     assert np.linalg.norm(det_H.h) > 1e-3
 
@@ -388,7 +387,7 @@ def _box_pair():
 def test_fix_H_returns_the_affine_solve_without_a_descent():
     s1, s2 = _box_pair()
     aff = special_case_affine(s1, s2)
-    det = solve_quad_detector(s1, s2, QuadSolveOptions(fix_H=True))
+    det = solve_quad_detector(s1, s2, fix_H=True)
     assert det.meta["iterations"] == 0
     assert det.h.tobytes() == aff.h.tobytes()
     assert (det.a, det.risk) == (aff.a, aff.risk)
@@ -403,14 +402,14 @@ def test_a_pair_solve_runs_one_saddle_solve(monkeypatch, flags):
     # the descent starts unless fix_h pins h at zero
     solves = []
 
-    def counted(problem, options=None):
+    def counted(problem, tol):
         solves.append(1)
-        return solve_saddle(problem, options)
+        return solve_saddle(problem, tol)
 
     solve_saddle = detectors.solve_saddle
     monkeypatch.setattr(detectors, "solve_saddle", counted)
     s1, s2 = _box_pair()
-    det = solve_quad_detector(s1, s2, QuadSolveOptions(**flags))
+    det = solve_quad_detector(s1, s2, **flags)
     assert len(solves) == 1
     aff = det.meta["affine"]
     assert aff.certified
@@ -447,7 +446,7 @@ def test_affine_slice_agrees_with_support_route():
                                     Theta_star=Theta)
         s1, s2 = mk(A1), mk(A2)
         aff = special_case_affine(s1, s2)
-        det = solve_quad_detector(s1, s2, QuadSolveOptions(fix_H=True))
+        det = solve_quad_detector(s1, s2, fix_H=True)
         assert det.risk == pytest.approx(aff.risk, rel=1e-5, abs=1e-7)
         quad = solve_quad_detector(s1, s2)
         assert quad.risk <= aff.risk + 1e-5
@@ -595,7 +594,7 @@ def test_proportional_references_project_with_one_clip():
             p1 = x + p1 - y
             x = s2.clip_matrix(y + p2)
             p2 = y + p2 - x
-        proj = quadlift._pair_projector(s1, s2, QuadSolveOptions())
+        proj = quadlift._pair_projector(s1, s2, False)
         got = sym_unflatten(proj(np.concatenate([np.zeros(d),
                                                  sym_flatten(H)]))[d:])
         assert np.abs(got - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
@@ -610,7 +609,7 @@ def test_distinct_references_alternate_between_the_two_bands():
     s1, s2 = (QuadLiftSpec(A=np.zeros((2, 2)), U=singleton([0.0]),
                            Ucov=singleton(sym_flatten(T)), Theta_star=T)
               for T in (T1, T2))
-    proj = quadlift._pair_projector(s1, s2, QuadSolveOptions())
+    proj = quadlift._pair_projector(s1, s2, False)
     rng = np.random.default_rng(5)
     one_clip_leaves = False
     for _ in range(50):

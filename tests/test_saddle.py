@@ -172,8 +172,8 @@ def test_every_h_certifies_an_upper_value():
     rng = np.random.default_rng(7)
     for _ in range(10):
         h = rng.normal(size=2)
-        _, _, val, _ = best_response(prob, h)
-        assert val >= sol.sad_val - sol.gap - 1e-9
+        _, _, v1, v2, _ = best_response(prob, h)
+        assert 0.5 * (v1 + v2) >= sol.sad_val - sol.gap - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,8 @@ def test_certified_lower_value_lies_below_every_upper_value(name):
     make, h_other, reach = _STALLING_PAIRS[name]
     prob = SaddleProblem(*make())
     sol = solve_saddle(prob)
-    upper_other = best_response(prob, np.asarray(h_other))[2]
+    _, _, v1, v2, _ = best_response(prob, np.asarray(h_other))
+    upper_other = 0.5 * (v1 + v2)
     assert not sol.certified or sol.sad_val - sol.gap <= upper_other
     assert sol.sad_val <= upper_other + reach
 
@@ -449,9 +450,9 @@ def test_disjoint_supports_degenerate():
 
 def test_best_response_singletons_immediate():
     prob = gaussian_pair([1.0], [0.0], np.eye(1))
-    mu1, mu2, val, _ = best_response(prob, np.array([0.5]))
+    mu1, mu2, v1, v2, _ = best_response(prob, np.array([0.5]))
     assert np.allclose(mu1, [1.0]) and np.allclose(mu2, [0.0])
-    assert val == pytest.approx(0.5 * (-0.5 + 0.125 + 0.0 + 0.125))
+    assert v1 == pytest.approx(-0.5 + 0.125) and v2 == pytest.approx(0.125)
 
 
 def test_dimension_mismatch_rejected():
@@ -518,9 +519,9 @@ def test_exact_route_attains_the_inner_maximum(name, seed, scale):
     assert fam.direction is not None
     rng = np.random.default_rng(seed)
     h = fam.h_set.project(scale * rng.normal(size=fam.h_set.dim))
-    mu1, mu2, val, calls = best_response(SaddleProblem(fam, fam), h)
+    mu1, mu2, v1, v2, calls = best_response(SaddleProblem(fam, fam), h)
     assert calls == 2  # one support call per side
-    assert val == 0.5 * (fam.phi(-h, mu1) + fam.phi(h, mu2))
+    assert (v1, v2) == (fam.phi(-h, mu1), fam.phi(h, mu2))
     for hs, mu in ((-h, mu1), (h, mu2)):
         assert fam.m_set.contains(mu)
         top = fam.phi(hs, mu)
@@ -536,10 +537,11 @@ def test_discrete_exact_route_is_log_support_of_exp():
     rng = np.random.default_rng(5)
     for _ in range(20):
         h = 3.0 * rng.normal(size=5)
-        _, _, val, _ = best_response(SaddleProblem(fam, fam), h)
-        want = 0.5 * (np.log(m_set.support(np.exp(-h))[0])
-                      + np.log(m_set.support(np.exp(h))[0]))
-        assert val == pytest.approx(want, abs=1e-12)
+        _, _, v1, v2, _ = best_response(SaddleProblem(fam, fam), h)
+        assert v1 == pytest.approx(np.log(m_set.support(np.exp(-h))[0]),
+                                   abs=1e-12)
+        assert v2 == pytest.approx(np.log(m_set.support(np.exp(h))[0]),
+                                   abs=1e-12)
 
 
 def test_families_without_exact_direction():

@@ -13,7 +13,7 @@ every certified number it can reach.
 from .aggregate import (AggregateResult, AggregationProblem,
                         CalibrationResult, FastPathResult, LevelTest,
                         aggregate, build_level_tests, calibrate_delta,
-                        cell_violation, individual_inference, purify,
+                        individual_inference, purify,
                         subgaussian_fast_path, subgaussian_fast_path_deltas,
                         voronoi_geometry)
 from .detectors import (AffineDetector, TestVerdict, apply_detector,

@@ -40,7 +40,7 @@ __all__ = ["AggregationProblem", "VoronoiGeometry", "voronoi_geometry",
            "build_level_tests", "individual_inference",
            "individual_inference_block", "first_red",
            "CalibrationResult", "calibrate_delta", "AggregateResult",
-           "aggregate", "cell_violation", "subgaussian_fast_path_deltas",
+           "aggregate", "subgaussian_fast_path_deltas",
            "FastPathPlan", "subgaussian_fast_path_plan",
            "subgaussian_fast_path_block", "subgaussian_fast_path",
            "FastPathResult"]
@@ -356,16 +356,6 @@ def aggregate(problem: AggregationProblem, observations, *,
     red = tuple(individual_inference(t, obs) for t in tests)
     return AggregateResult(int(first_red([red])[0]), red, used,
                            float(sum(t.eps_hat for t in tests)))
-
-
-def cell_violation(geometry: VoronoiGeometry, chosen: int, point, delta) -> bool:
-    """Did the chosen estimate's inflated cell miss the true quantity?"""
-    x = np.asarray(point, dtype=float)
-    L = geometry.v.shape[0]
-    for lp in range(L):
-        if lp != chosen and geometry.u[chosen, lp] @ x > geometry.v[chosen, lp] + delta:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

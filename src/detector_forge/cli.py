@@ -472,6 +472,9 @@ def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
             "index": res.index, "red": list(res.red),
             "deltas": res.delta, "risk": res.risk,
         })
+        if res.risk >= 1.0:
+            out.warn("risk level is vacuous (>= 1); the chosen estimate is "
+                     "not certified")
         if plan is not None:
             _, _, index = subgaussian_fast_path_block(plan, obs[None])
             out.report["results"]["fast_index"] = int(index[0])

@@ -9,11 +9,18 @@ Optimization, 2nd ed., section 3.5), or 0.5 where f(x_s) is not finite or
 that quadratic is not convex.  Halving alone keeps the step on a
 power-of-two grid, which on a quadratic of curvature just below 2/s cycles
 between an accepted s that barely contracts and a rejected 2s.  Accepted
-steps only lower f, so the current point is always the best one seen.  At
-a kink of a nonsmooth objective (support functions put kinks exactly where
-minimizers like to sit) the search can pause above the minimum; callers
-that need a bound there read one from elsewhere (a Frank-Wolfe gap, a dual
-value) rather than from where the descent stopped.  maximize_bounded is
+steps only lower f, so the current point is always the best one seen.  A
+backtrack ends once its trial move is at most eps |x|, eps the machine
+epsilon: a smaller move changes x only in its last bits, so it could lower f
+only by rounding.  Without that test the trial moves shrink to _MIN_STEP
+wherever x has zero coordinates, such as the H = 0 start of quadlift.
+_MIN_STEP remains the loop's last bound: an approximate projection
+(Dykstra's, linear_image's descent) need not return x as the step goes to 0,
+so on those sets the move can stay above eps |x|.  At a kink of a
+nonsmooth objective (support functions put kinks exactly where minimizers
+like to sit) the search can pause above the minimum; callers that need a
+bound there read one from elsewhere (a Frank-Wolfe gap, a dual value)
+rather than from where the descent stopped.  maximize_bounded is
 the ascent that reads its own bound: a concave maximization over a set
 with a support function adds the Frank-Wolfe gap supp(g) - <g, x> at the
 point where it stopped, so an early stop still bounds the maximum.
@@ -50,6 +57,7 @@ _STEP_GROW = 2.0
 _STEP_SHRINK = 0.5
 _INTERP_MIN = 0.1     # least fraction of a step an interpolated backtrack keeps
 _MIN_STEP = 1e-20
+_EPS = float(np.finfo(float).eps)
 _STEP0 = 1.0          # first trial step
 _BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
 # least eigenvalue of -T on the negative diagonal, relative to |T|max, past
@@ -98,6 +106,11 @@ def minimize_projected(
         after the decrease stays below rtol * max(1, |f|) on three
         consecutive accepted steps, or when no step is accepted at all.
         Either stop sets converged; running out of max_iter does not.
+
+    A backtrack, and with it the descent, ends once the trial move
+    |P(x - s g) - x| is at most eps |x| (eps the machine epsilon) or the
+    step s falls below _MIN_STEP, which bounds the loop where an
+    approximate projection keeps the move above eps |x|.
     """
     x = project(np.asarray(x0, dtype=float))
     f, g = fun(x)
@@ -112,13 +125,16 @@ def minimize_projected(
         accepted = False
         # keep trial points out of overflow territory
         g_n = math.hypot(*g)  # np.linalg.norm overflows past ~1e154
-        cap = 1e9 * (1.0 + float(np.linalg.norm(x)))
+        x_n = float(np.linalg.norm(x))
+        cap = 1e9 * (1.0 + x_n)
         while step * g_n > cap:
             step *= _STEP_SHRINK
         while step >= _MIN_STEP:
             cand = project(x - step * g)
             move = cand - x
-            if float(move @ move) == 0.0:
+            # a move at or below the resolution of x, zero included,
+            # changes only its last bits: nothing is left to try
+            if math.sqrt(float(move @ move)) <= _EPS * x_n:
                 break
             f_c, g_c = fun(cand)
             slope = float(g @ move)

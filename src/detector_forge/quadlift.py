@@ -53,8 +53,8 @@ exact for any curvature (optimize.maximize_box_quadratic); concave
 curvature over any other set is climbed by optimize.maximize_bounded,
 whose value carries its Frank-Wolfe gap, so QuadLiftSpec refuses a
 mean-parameter set without a support function.  Where neither applies
-(curvature not concave over a non-box set), the maximization demands a
-caller-supplied z_oracle instead of silently degrading.
+(curvature not concave over a non-box set), the maximization raises
+instead of silently degrading.
 
 The affine detector of a pair is the saddle solve of the H = 0 slice
 (_affine_problem), solved once per pair: it is where the pair solve
@@ -67,7 +67,7 @@ nested meet in sets.intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class QuadLiftSpec:
     Ucov: ConvexSet
     Theta_star: np.ndarray
     gamma: float = 0.99
-    z_oracle: Optional[Callable] = None
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -199,53 +198,48 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     set is climbed by projected ascent, and so is a concave overestimator
     over a box with too many faces to enumerate; the value carries the
     ascent's Frank-Wolfe gap, so an early stop still bounds the maximum.
-    Non-concave curvature over anything but a box demands z_oracle.
+    Non-concave curvature over anything but a box raises RuntimeError.
+    H must be symmetric.
     """
-    d = spec.dim
     Au, a0 = spec.A[:, :-1], spec.A[:, -1]
 
-    if spec.z_oracle is not None:
-        W = _oracle_matrix(spec, h, H, Qinv)
-        val, Z = spec.z_oracle(W)
-        B = np.vstack([spec.A, np.zeros((1, spec.A.shape[1]))])
-        B[-1, -1] = 1.0
-        Zh = B @ Z @ B.T
-        return 0.5 * float(val), Zh[:d, :d], Zh[:d, -1], float(Zh[-1, -1])
-
-    def q_of(u):
+    # q(u) and its gradient share w = A [u; 1], H w and r = Qinv (H w + h)
+    def parts(u):
         w = Au @ u + a0
-        r = Qinv @ (H @ w + h)
-        return 0.5 * float(2.0 * h @ w + w @ (H @ w) + (H @ w + h) @ r)
+        Hw = H @ w
+        return w, Hw, Qinv @ (Hw + h)
 
-    def q_grad(u):
-        w = Au @ u + a0
-        s = w + Qinv @ (H @ w + h)
-        return q_of(u), Au.T @ (h + H @ s)
+    def q_value(w, Hw, r):
+        return 0.5 * float(2.0 * h @ w + w @ Hw + (Hw + h) @ r)
 
-    def at(u, value):
-        w = Au @ u + a0
+    def q_grad(w, r):
+        return Au.T @ (h + H @ (w + r))
+
+    def at(u, value=None):
+        w, Hw, r = parts(u)
+        if value is None:
+            value = q_value(w, Hw, r)
         return value, np.outer(w, w), w, 1.0
 
     if spec.U.meta.get("kind") == "singleton":
-        u0 = spec.U.meta["point"]
-        return at(u0, q_of(u0))
+        return at(spec.U.meta["point"])
 
     # q(u) = u'Tu u / 2 + <g0, u> + q(0), with g0 the gradient at u = 0
     Tu = Au.T @ (H + H @ Qinv @ H) @ Au
     curv = np.linalg.eigvalsh(Tu) if Au.size else np.zeros(1)
     scale = max(1.0, float(np.max(np.abs(curv))))
     concave = curv.max() <= _EIG_TOL * scale
-    _, g0 = q_grad(np.zeros(spec.U.dim))
+    w0, _, r0 = parts(np.zeros(spec.U.dim))
+    g0 = q_grad(w0, r0)
     if concave and curv.min() >= -_EIG_TOL * scale:
         # zero curvature: the gradient is constant, one support call is exact
-        _, u = spec.U.support(g0)
-        return at(u, q_of(u))
+        return at(spec.U.support(g0)[1])
     rho = 0.0
     if spec.U.meta.get("kind") == "box":
         lo, hi = spec.U.meta["lo"], spec.U.meta["hi"]
         best = maximize_box_quadratic(Tu, g0, lo, hi)
         if best is not None:
-            return at(best[0], q_of(best[0]))
+            return at(best[0])
         # too many faces: q + rho/2 sum (u - lo)(hi - u), rho the top
         # curvature, is concave, bounds q on the box and equals it at the
         # corners (the alpha-BB overestimator)
@@ -253,10 +247,11 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     elif not concave:
         raise RuntimeError(
             "the inner lifted maximization has non-concave curvature and the "
-            "mean-parameter set is not a box; supply z_oracle")
+            "mean-parameter set is not a box")
 
     def climb(u):
-        v, g = q_grad(u)
+        w, Hw, r = parts(u)
+        v, g = q_value(w, Hw, r), q_grad(w, r)
         if rho:
             v += 0.5 * rho * float((u - lo) @ (hi - u))
             g = g + 0.5 * rho * (lo + hi - 2.0 * u)
@@ -270,49 +265,39 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     return at(res.x, res.value)
 
 
-def _oracle_matrix(spec: QuadLiftSpec, h, H, Qinv) -> np.ndarray:
-    """(m+1) x (m+1) weight matrix whose lifted support value is 2 Gamma."""
-    A = spec.A
-    T = H + H @ Qinv @ H
-    ell = A.T @ (h + H @ (Qinv @ h))
-    W = A.T @ T @ A
-    W[-1, :] += ell
-    W[:, -1] += ell
-    W[-1, -1] += float(h @ (Qinv @ h))
-    return W
-
-
-def _phi_pieces(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
-    """Shared evaluation: symmetrized H, Qinv and the log-det term."""
-    H = 0.5 * (H + H.T)
+def _phi_pieces(spec: QuadLiftSpec, H: np.ndarray):
+    """Shared evaluation of a symmetric H: Qinv and the log-det term."""
     Ht = spec.root @ H @ spec.root
     w, V = np.linalg.eigh(Ht)
     if np.max(np.abs(w)) > spec.gamma + _EIG_TOL:
         raise ValueError("matrix part outside the admissible spectral band")
     Qinv = (spec.root @ V / (1.0 - w)) @ V.T @ spec.root
     logdet = -0.5 * float(np.sum(np.log1p(-w)))
-    return H, Qinv, logdet
+    return Qinv, logdet
 
 
 def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
                   Theta: np.ndarray):
     """The lifted moment bound at covariance Theta and its gradient.
 
-    Returns (value, grad_h, grad_H) with grad_H symmetric; the bound is
-    linear in Theta, so its supremum over a covariance set is this at the
-    set's support point for H / 2.
+    H must be symmetric, as sym_unflatten returns it.  Returns (value,
+    grad_h, grad_H) with grad_H symmetric; the bound is linear in Theta, so
+    its supremum over a covariance set is this at the set's support point
+    for H / 2.
     """
-    d = spec.dim
-    H, Qinv, logdet = _phi_pieces(spec, h, H)
-    tr_term = 0.5 * float(sym_flatten(Theta - spec.Theta_star) @ sym_flatten(H))
+    Qinv, logdet = _phi_pieces(spec, H)
+    excess = Theta - spec.Theta_star
+    tr_term = 0.5 * float(sym_flatten(excess) @ sym_flatten(H))
     val, Y, y, tau = _lifted_max(spec, h, H, Qinv)
-    M1 = np.eye(d) + Qinv @ H
+    M1 = np.eye(spec.dim) + Qinv @ H
     qh = Qinv @ h
-    gh = M1 @ y + tau * qh
-    gH = 0.5 * (M1 @ Y @ M1.T + np.outer(M1 @ y, qh)
-                + np.outer(qh, M1 @ y) + tau * np.outer(qh, qh))
+    My = M1 @ y
+    gh = My + tau * qh
+    # outer(qh, My) is the transpose of outer(My, qh), entry for entry
+    P = np.outer(My, qh)
+    gH = 0.5 * (M1 @ Y @ M1.T + P + P.T + tau * np.outer(qh, qh))
     gH += 0.5 * Qinv
-    gH += 0.5 * (Theta - spec.Theta_star)
+    gH += 0.5 * excess
     return logdet + tr_term + val, gh, 0.5 * (gH + gH.T)
 
 
@@ -341,8 +326,7 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
         return np.concatenate([gh, sym_flatten(gH)])
 
     def grad_mu(x, mu):
-        _, H = split(x)
-        return 0.5 * sym_flatten(0.5 * (H + H.T))
+        return 0.5 * sym_flatten(split(x)[1])
 
     def proj(x):
         h, H = split(x)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from detector_forge.aggregate import (AggregationProblem, aggregate,
                                       build_level_tests, calibrate_delta,
-                                      cell_violation, purify,
+                                      purify,
                                       subgaussian_fast_path,
                                       subgaussian_fast_path_deltas,
                                       voronoi_geometry)
@@ -294,13 +294,6 @@ def test_aggregate_requires_some_margin_source():
     prob = line_problem()
     with pytest.raises(ValueError, match="deltas or eps"):
         aggregate(prob, np.zeros((3, 1)))
-
-
-def test_cell_violation_flags_deep_misses_only():
-    geo = voronoi_geometry([[0.0, 0.0], [4.0, 0.0]])
-    assert cell_violation(geo, 0, [3.0, 0.0], 0.5)
-    assert not cell_violation(geo, 0, [2.2, 0.0], 0.5)
-    assert not cell_violation(geo, 1, [3.0, 0.0], 0.5)
 
 
 def test_generic_route_matches_fast_path():

@@ -314,6 +314,28 @@ def test_aggregate_mc_checks_explicit_margins_against_their_risk(tmp_path):
     assert results["mc"][0]["bound"] == results["risk"]
 
 
+def test_aggregate_vacuous_risk_warns(tmp_path):
+    # three estimates one apart with margins 0.5 over four observations:
+    # the level tests' summed eps_hat is about 3.4
+    cfg = {
+        "schema_version": "1",
+        "task": "aggregate",
+        "aggregate": {
+            "estimates": [[-1.0], [0.0], [1.0]],
+            "parameter_sets": [{"type": "box", "lo": [-3.0], "hi": [3.0]}],
+            "G": [[1.0]],
+            "Theta": [[1.0]],
+            "repetitions": 4,
+            "deltas": 0.5,
+            "observations": [[0.1], [0.2], [-0.1], [0.0]],
+        },
+    }
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
+    rep = read_report(tmp_path)
+    assert rep["results"]["risk"] >= 1.0
+    assert any("vacuous" in w for w in rep["warnings"])
+
+
 def test_aggregate_deltas_length_names_the_field(tmp_path, capsys):
     cfg = {
         "schema_version": "1",

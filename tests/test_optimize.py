@@ -78,6 +78,26 @@ def test_smooth_quadratic_stops_soon_after_it_settles(box):
     assert np.linalg.norm(res.x - x_star) <= 1e-5
 
 
+def test_backtrack_at_a_kink_ends_at_the_resolution_of_x():
+    # f = max(y, -2y), y = x1 + x2 - 1, is minimal at x0 = (1, 0), whose
+    # zero coordinate resolves any move: the backtrack ends once the trial
+    # move falls to eps |x0|, not at the least step (35 evaluations)
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        y = x[0] + x[1] - 1.0
+        if y >= 0.0:
+            return y, np.array([1.0, 1.0])
+        return -2.0 * y, np.array([-2.0, -2.0])
+
+    x0 = np.array([1.0, 0.0])
+    res = minimize_projected(fun, x0, lambda x: x)
+    assert np.array_equal(res.x, x0) and res.value == 0.0
+    assert res.converged
+    assert len(calls) <= 22
+
+
 def _curvature(kind, n, rng):
     B = rng.standard_normal((n, n))
     if kind == "convex":

@@ -511,7 +511,7 @@ def test_lifted_max_over_a_box_is_exact_for_indefinite_curvature():
     spec = QuadLiftSpec(A=A, U=box(-np.ones(3), np.ones(3)),
                         Ucov=psd_interval(0.5 * np.eye(3), np.eye(3)),
                         Theta_star=np.eye(3))
-    H, Qinv, _ = quadlift._phi_pieces(spec, h, H)
+    Qinv, _ = quadlift._phi_pieces(spec, H)
     value = quadlift._lifted_max(spec, h, H, Qinv)[0]
     axis = np.linspace(-1.0, 1.0, 81)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
@@ -532,7 +532,8 @@ def test_lifted_ascent_over_a_ball_carries_its_frank_wolfe_gap(monkeypatch):
                         Ucov=singleton(sym_flatten(np.eye(2))),
                         Theta_star=np.eye(2))
     h = np.array([1.0, 2.0])
-    H, Qinv, _ = quadlift._phi_pieces(spec, h, -0.5 * np.eye(2))
+    H = -0.5 * np.eye(2)
+    Qinv, _ = quadlift._phi_pieces(spec, H)
     value = quadlift._lifted_max(spec, h, H, Qinv)[0]
     r, t = np.meshgrid(np.linspace(0.0, 1.5, 151),
                        np.linspace(0.0, 2.0 * np.pi, 721))
@@ -553,7 +554,8 @@ def test_lifted_max_over_a_box_past_the_face_cap_still_bounds():
                         Ucov=singleton(sym_flatten(np.eye(2))),
                         Theta_star=np.eye(2))
     h = np.array([0.4, -0.7])
-    H, Qinv, _ = quadlift._phi_pieces(spec, h, np.diag([0.5, -0.5]))
+    H = np.diag([0.5, -0.5])
+    Qinv, _ = quadlift._phi_pieces(spec, H)
     value = quadlift._lifted_max(spec, h, H, Qinv)[0]
     corners = np.where(np.indices((2,) * 12).reshape(12, -1).T == 1, 1.0, -1.0)
     inside = rng.uniform(-1.0, 1.0, size=(4000, 12))
@@ -561,14 +563,14 @@ def test_lifted_max_over_a_box_past_the_face_cap_still_bounds():
                              np.vstack([corners, inside])).max()
 
 
-def test_non_concave_curvature_over_a_ball_demands_an_oracle():
+def test_non_concave_curvature_over_a_ball_is_refused():
     spec = QuadLiftSpec(A=np.column_stack([np.eye(2), np.zeros(2)]),
                         U=ball(np.zeros(2), 1.0),
                         Ucov=singleton(sym_flatten(np.eye(2))),
                         Theta_star=np.eye(2))
-    H, Qinv, _ = quadlift._phi_pieces(spec, np.zeros(2),
-                                      np.diag([0.5, -0.5]))
-    with pytest.raises(RuntimeError, match="z_oracle"):
+    H = np.diag([0.5, -0.5])
+    Qinv, _ = quadlift._phi_pieces(spec, H)
+    with pytest.raises(RuntimeError, match="not a box"):
         quadlift._lifted_max(spec, np.ones(2), H, Qinv)
 
 
@@ -630,29 +632,87 @@ def test_distinct_references_alternate_between_the_two_bands():
     assert affinity <= det.risk < 1.0
 
 
-def test_lifted_max_through_z_oracle_matches_the_box_route():
-    # a z_oracle that maximizes <W, v v'> over v = (u, 1), u in the box,
-    # with maximize_box_quadratic must give the box route's value and
-    # moments: the weight matrix of _oracle_matrix has v'Wv = 2 q(u)
-    rng = np.random.default_rng(8)
-    lo, hi = np.array([-1.0, -0.5]), np.array([1.0, 2.0])
+def _reference_lifted_bound(spec, h, H, Theta):
+    """_lifted_bound as first written, each small product formed where it
+    is used, over a box or a singleton of means: the reference that the
+    shared-piece evaluation must match bit for bit."""
+    d = spec.dim
+    H = 0.5 * (H + H.T)
+    w, V = np.linalg.eigh(spec.root @ H @ spec.root)
+    Qinv = (spec.root @ V / (1.0 - w)) @ V.T @ spec.root
+    logdet = -0.5 * float(np.sum(np.log1p(-w)))
+    tr_term = 0.5 * float(sym_flatten(Theta - spec.Theta_star) @ sym_flatten(H))
+    Au, a0 = spec.A[:, :-1], spec.A[:, -1]
 
-    def z_oracle(W):
-        u, q = maximize_box_quadratic(2.0 * W[:2, :2], 2.0 * W[:2, 2],
-                                      lo, hi)
-        v = np.append(u, 1.0)
-        return q + W[2, 2], np.outer(v, v)
+    def q_of(u):
+        w = Au @ u + a0
+        r = Qinv @ (H @ w + h)
+        return 0.5 * float(2.0 * h @ w + w @ (H @ w) + (H @ w + h) @ r)
 
-    kw = dict(A=rng.standard_normal((3, 3)), U=box(lo, hi),
-              Ucov=psd_interval(0.5 * np.eye(3), np.eye(3)),
-              Theta_star=np.eye(3))
-    plain, oracle = QuadLiftSpec(**kw), QuadLiftSpec(**kw, z_oracle=z_oracle)
-    for _ in range(200):
-        h = rng.standard_normal(3)
-        H, Qinv, _ = quadlift._phi_pieces(plain, h,
-                                          banded_H(rng, plain, 0.9))
-        want = quadlift._lifted_max(plain, h, H, Qinv)
-        got = quadlift._lifted_max(oracle, h, H, Qinv)
-        for a, b in zip(want, got):
-            a, b = np.asarray(a), np.asarray(b)
-            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+    if spec.U.meta.get("kind") == "singleton":
+        u = spec.U.meta["point"]
+    else:
+        w0 = Au @ np.zeros(spec.U.dim) + a0
+        s0 = w0 + Qinv @ (H @ w0 + h)
+        g0 = Au.T @ (h + H @ s0)
+        Tu = Au.T @ (H + H @ Qinv @ H) @ Au
+        u = maximize_box_quadratic(Tu, g0, spec.U.meta["lo"],
+                                   spec.U.meta["hi"])[0]
+    y = Au @ u + a0
+    val, Y, tau = q_of(u), np.outer(y, y), 1.0
+    M1 = np.eye(d) + Qinv @ H
+    qh = Qinv @ h
+    gh = M1 @ y + tau * qh
+    gH = 0.5 * (M1 @ Y @ M1.T + np.outer(M1 @ y, qh)
+                + np.outer(qh, M1 @ y) + tau * np.outer(qh, qh))
+    gH += 0.5 * Qinv
+    gH += 0.5 * (Theta - spec.Theta_star)
+    return logdet + tr_term + val, gh, 0.5 * (gH + gH.T)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lifted_bound_matches_its_reference_bit_for_bit(seed):
+    # H as the descent passes it, symmetrized by sym_unflatten, and its
+    # negation, over boxes and singletons of means
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        B = rng.standard_normal((d, d))
+        Theta_star = B @ B.T + 0.3 * np.eye(d)
+        lo = rng.uniform(-1.5, 0.0, m)
+        U = (box(lo, lo + rng.uniform(0.1, 2.0, m)) if rng.random() < 0.7
+             else singleton(rng.standard_normal(m)))
+        spec = QuadLiftSpec(A=rng.standard_normal((d, m + 1)), U=U,
+                            Ucov=psd_interval(0.5 * Theta_star, Theta_star),
+                            Theta_star=Theta_star,
+                            gamma=float(rng.uniform(0.3, 0.99)))
+        H = sym_unflatten(sym_flatten(banded_H(rng, spec, 0.95)))
+        h = rng.standard_normal(d)
+        Theta = float(rng.uniform(0.5, 1.0)) * Theta_star
+        for sign in (1.0, -1.0):
+            got = quadlift._lifted_bound(spec, sign * h, sign * H, Theta)
+            want = _reference_lifted_bound(spec, sign * h, sign * H, Theta)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+
+
+def test_variance_pair_evaluates_the_folded_bound_at_most_the_pinned_count(
+        monkeypatch):
+    # the benchmark's 1-d pair, variance 1 against 4 with means in
+    # [-0.1, 0.1], unreflected: each descent evaluation folds both sides
+    calls = []
+    phibar = quadlift._phibar
+
+    def counted(*args):
+        calls.append(args)
+        return phibar(*args)
+
+    monkeypatch.setattr(quadlift, "_phibar", counted)
+    s1, s2 = (QuadLiftSpec(A=np.array([[1.0, 0.0]]), U=box([-0.1], [0.1]),
+                           Ucov=singleton([v]), Theta_star=np.array([[v]]))
+              for v in (1.0, 4.0))
+    det = solve_quad_detector(s1, s2)
+    assert det.risk < det.meta["affine"].risk
+    # 88 before a backtrack ended at the resolution of x
+    assert len(calls) <= 56

@@ -58,6 +58,18 @@ def main():
     print(f"dependent pair  phi matches the closed form      "
           f"err {abs(lhs - rhs):.2e}")
 
+    # every calculus result keeps the full detector space, so a dependent
+    # tuple may hold a direct sum; its phi is the least over the weights
+    tup = semi_direct_sum([both, g2])
+    h3 = np.array([0.4, -0.2, 0.6])
+    lhs = probe(tup, h3)
+    mu = tup.m_set.project(np.zeros(3))
+    rhs = min(w * both.phi(h3[:2] / w, mu[:2])
+              + (1.0 - w) * g2.phi(h3[2:] / (1.0 - w), mu[2:])
+              for w in np.linspace(1e-3, 1.0 - 1e-3, 2001))
+    print(f"dependent sum   phi matches the weight grid      "
+          f"err {abs(lhs - rhs):.2e}")
+
     base = sub_gaussian_family(box([-0.2], [0.2]), singleton([1.0]))
     tight = refine_with_support(base, box([-1.0], [1.0]),
                                 shift_set=box([-2.0], [2.0]))

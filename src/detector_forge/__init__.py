@@ -29,14 +29,13 @@ from .multitest import (ClosenessRelation, MultiTestResult, PairwiseBattery,
                         ShiftedBattery, build_battery, e_matrix, infer_color,
                         min_k_for_risk, perron_shifts, run_multitest,
                         shift_battery)
-from .quadlift import (QuadDetector, QuadLiftSpec, lift_bounded_support,
-                       lift_gaussian, lift_observation, solve_quad_detector,
+from .quadlift import (QuadDetector, QuadLiftSpec, lift_gaussian,
+                       lift_observation, solve_quad_detector,
                        special_case_affine)
 from .saddle import SaddleProblem, SaddleSolution, best_response, solve_saddle
 from .sets import (ConvexSet, ball, box, eig_clip, full_space, halfspaces,
-                   intersection, linear_image, linear_preimage, product,
-                   psd_interval, scale, simplex, singleton, sym_flatten,
-                   sym_unflatten)
+                   intersection, linear_image, product, psd_interval,
+                   simplex, singleton, sym_flatten, sym_unflatten)
 from .simulate import (McReport, Sampler, custom_sampler, discrete_sampler,
                        gaussian_sampler, mc_aggregation, mc_detector_risk,
                        mc_test_error, poisson_sampler, scenario_sampler)

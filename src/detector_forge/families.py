@@ -6,6 +6,9 @@ in h and concave in mu, such that every distribution attached to parameter
 mu satisfies  log E exp(h' omega) <= phi(h; mu)  for all admissible h.
 The four constructors cover the standard observation schemes; the calculus
 functions combine existing triples into new ones, preserving the bound.
+As in the simple observation schemes the calculus rests on, every part's
+detector set is the full space, and so is every result's; a lifted family,
+whose detectors keep to a spectral band, is solved directly, not composed.
 
 Parameters mu are always flat vectors.  For the sub-Gaussian family mu is
 the mean alone: the covariance bound's top is folded in at construction.
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import sets
 from .optimize import minimize_projected
-from .sets import ConvexSet, full_space, product, psd_top, scale, sym_flatten
+from .sets import ConvexSet, full_space, product, psd_top, sym_flatten
 
 __all__ = [
     "RegularData",
@@ -50,6 +53,7 @@ class RegularData:
     ----------
     h_set : ConvexSet
         Admissible detector coefficient vectors; symmetric about the origin.
+        The full space, except for a lifted family's spectral band.
     m_set : ConvexSet
         Parameter vectors.
     obs_dim : int
@@ -228,6 +232,14 @@ def bounded_support_family(support_set: ConvexSet, mean_set: ConvexSet) -> Regul
 # ---------------------------------------------------------------------------
 # calculus
 
+def _full_space(datas: Sequence[RegularData], dim: int) -> ConvexSet:
+    """full_space(dim), once every part's detector set is the full space."""
+    if any(x.h_set.meta.get("kind") != "full_space" for x in datas):
+        raise ValueError("the family calculus needs full-space detector sets; "
+                         "solve a lifted family directly")
+    return full_space(dim)
+
+
 def direct_sum(datas: Sequence[RegularData]) -> RegularData:
     """Independent tuple of observations; bounds add blockwise."""
     datas = list(datas)
@@ -255,7 +267,7 @@ def direct_sum(datas: Sequence[RegularData]) -> RegularData:
                                for i, x in enumerate(datas)])
 
     exact = all(x.direction is not None for x in datas)
-    return RegularData(product([x.h_set for x in datas]),
+    return RegularData(_full_space(datas, int(h_off[-1])),
                        product([x.m_set for x in datas]),
                        int(sum(x.obs_dim for x in datas)),
                        phi, grad_h, grad_mu, kind="direct_sum",
@@ -267,15 +279,12 @@ def iid_scale(data: RegularData, lam) -> RegularData:
     """Repeated observations with per-copy scale factors.
 
     Models the statistic sum_k lam_k omega_k over independent draws from one
-    distribution of the family: phi_lam(h; mu) = sum_k phi(lam_k h; mu) with
-    the detector set shrunk by max |lam_k|.
+    distribution of the family: phi_lam(h; mu) = sum_k phi(lam_k h; mu).
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.size == 0 or np.any(lam <= 0):
         raise ValueError("scale factors must be positive")
-    c = float(np.max(lam))
-    h_set = data.h_set if data.h_set.meta.get("kind") == "full_space" \
-        else scale(data.h_set, 1.0 / c)
+    h_set = _full_space([data], data.h_set.dim)
 
     def phi(h, mu):
         return float(sum(data.phi(lk * h, mu) for lk in lam))
@@ -299,8 +308,8 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
     """Dependent tuple of observations, worst-case over the dependence.
 
     phi(h; mu) = min over weights w in the eps-truncated simplex of
-    sum_l w_l phi_l(h_l / w_l; mu_l).  Requires every component detector set
-    to be the full space and every parameter set to be bounded.
+    sum_l w_l phi_l(h_l / w_l; mu_l).  Requires every parameter set to be
+    bounded.
 
     The inner minimization is a projected-gradient solve started from the
     uniform weights on every call, which keeps phi a pure function of its
@@ -310,19 +319,17 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
     L = len(datas)
     if L < 2:
         raise ValueError("semi_direct_sum needs at least two components")
-    for x in datas:
-        if x.h_set.meta.get("kind") != "full_space":
-            raise ValueError("semi_direct_sum requires full-space detector sets")
-        if x.m_set.bound_radius is None:
-            raise ValueError("semi_direct_sum requires bounded parameter sets "
-                             "(bound_radius set on every m_set)")
+    h_off = np.cumsum([0] + [x.h_set.dim for x in datas])
+    h_set = _full_space(datas, int(h_off[-1]))
+    if any(x.m_set.bound_radius is None for x in datas):
+        raise ValueError("semi_direct_sum requires bounded parameter sets "
+                         "(bound_radius set on every m_set)")
     if eps is None:
         eps = min(1e-3, 1.0 / (2.0 * L))
     eps = float(eps)
     if not (0.0 < eps and L * eps < 1.0):
         raise ValueError("need 0 < eps and L*eps < 1")
 
-    h_off = np.cumsum([0] + [x.h_set.dim for x in datas])
     m_off = np.cumsum([0] + [x.m_set.dim for x in datas])
     weight_set = sets.simplex(L, lo=np.full(L, eps))
     w_start = np.full(L, 1.0 / L)
@@ -365,18 +372,21 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
         return np.concatenate([w[i] * datas[i].grad_mu(hblk(h, i) / w[i], mblk(mu, i))
                                for i in range(L)])
 
-    return RegularData(full_space(int(h_off[-1])), product([x.m_set for x in datas]),
+    return RegularData(h_set, product([x.m_set for x in datas]),
                        int(sum(x.obs_dim for x in datas)), phi, grad_h, grad_mu,
                        kind="semi_direct_sum", meta={"parts": datas, "eps": eps})
 
 
 def affine_image(data: RegularData, A, a) -> RegularData:
-    """The family of images A omega + a of observations from data."""
+    """The family of images A omega + a of observations from data.
+
+    phi(h; mu) = phi_data(A'h; mu) + a'h over all h in R^n, n = rows of A.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if A.shape[1] != data.obs_dim or a.size != A.shape[0]:
         raise ValueError("map shape must be (new_dim, obs_dim) with matching offset")
-    h_set = sets.linear_preimage(data.h_set, A.T)
+    h_set = _full_space([data], A.shape[0])
 
     def phi(hb, mu):
         return data.phi(A.T @ hb, mu) + float(a @ hb)
@@ -409,6 +419,7 @@ def refine_with_support(data: RegularData, support_set: ConvexSet,
     since every shift g gives one, but possibly loose where the solve
     pauses at a kink of the support function.
     """
+    h_set = _full_space([data], data.h_set.dim)
     if support_set.support is None:
         raise ValueError("support_set needs a support-function oracle")
     if support_set.dim != data.h_set.dim:
@@ -443,6 +454,6 @@ def refine_with_support(data: RegularData, support_set: ConvexSet,
         g = solve_inner(h, mu).x
         return data.grad_mu(h - g, mu)
 
-    return RegularData(data.h_set, data.m_set, data.obs_dim, phi, grad_h, grad_mu,
+    return RegularData(h_set, data.m_set, data.obs_dim, phi, grad_h, grad_mu,
                        kind="refined", meta={"base": data, "support_set": support_set,
                                              "shift_set": shift_set})

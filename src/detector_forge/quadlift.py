@@ -67,13 +67,11 @@ nested meet in sets.intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .detectors import AffineDetector, _certificate, build_detector
-from .families import (RegularData, _last_call, bounded_support_family,
-                       sub_gaussian_family)
+from .families import RegularData, _last_call, sub_gaussian_family
 from .optimize import (maximize_bounded, maximize_box_quadratic,
                        minimize_projected)
 from .saddle import SaddleProblem
@@ -81,8 +79,7 @@ from .sets import (ConvexSet, intersection, linear_image, product, psd_top,
                    singleton, sym_flatten, sym_unflatten)
 
 __all__ = ["QuadLiftSpec", "QuadDetector", "lift_gaussian",
-           "lift_observation", "solve_quad_detector", "special_case_affine",
-           "lift_bounded_support"]
+           "lift_observation", "solve_quad_detector", "special_case_affine"]
 
 _EIG_TOL = 1e-8
 _DOMINANCE_TOL = 1e-12     # rounding allowance of the whitened dominance test
@@ -461,25 +458,3 @@ def special_case_affine(spec1: QuadLiftSpec, spec2: QuadLiftSpec) -> AffineDetec
     if spec1.dim != spec2.dim:
         raise ValueError("hypotheses must share the observation dimension")
     return build_detector(_affine_problem(spec1, spec2), force=True)
-
-
-def lift_bounded_support(support_oracle: Callable, obs_dim: int,
-                         mean_set: ConvexSet, radius: float) -> RegularData:
-    """Bounded-support family on a lifted set known only through its oracle.
-
-    The oracle maps a direction to (support value, maximizing point) over
-    the lifted observation set.  Projection onto the lifted set is
-    deliberately unavailable: nothing here solves semidefinite programs.
-    """
-    if support_oracle is None:
-        raise ValueError("a support-function oracle for the lifted set is "
-                         "required")
-
-    def no_proj(_x):
-        raise RuntimeError("projection onto the lifted support set is not "
-                           "available; only support-oracle operations work")
-
-    lifted = ConvexSet(int(obs_dim), no_proj, support_oracle, float(radius),
-                       name="lifted_support",
-                       meta={"kind": "lifted_support"})
-    return bounded_support_family(lifted, mean_set)

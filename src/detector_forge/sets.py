@@ -32,8 +32,6 @@ __all__ = [
     "simplex",
     "halfspaces",
     "product",
-    "scale",
-    "linear_preimage",
     "linear_image",
     "intersection",
     "psd_interval",
@@ -396,63 +394,6 @@ def product(parts: Sequence[ConvexSet]) -> ConvexSet:
         radius = float(np.sqrt(sum(p.bound_radius ** 2 for p in parts)))
     return ConvexSet(dim, proj, supp, radius, name="product",
                      meta={"kind": "product", "parts": parts})
-
-
-def scale(base: ConvexSet, factor: float) -> ConvexSet:
-    """The set factor * base (elementwise scaling), factor > 0."""
-    c = float(factor)
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-
-    def proj(x):
-        return base.project(np.asarray(x, dtype=float) / c) * c
-
-    supp = None
-    if base.support is not None:
-        def supp(g):
-            v, a = base.support(np.asarray(g, dtype=float))
-            return c * v, c * a
-
-    radius = None if base.bound_radius is None else c * base.bound_radius
-    return ConvexSet(base.dim, proj, supp, radius, name=f"scaled({base.name})",
-                     meta={"kind": "scale", "base": base, "factor": c})
-
-
-def linear_preimage(base: ConvexSet, M) -> ConvexSet:
-    """The preimage {x : M x in base} under a linear map M.
-
-    Projection solves min ||x - x0||^2 s.t. Mx in base by ADMM with the
-    linear system prefactored once; exact up to the iteration tolerance.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != base.dim:
-        raise ValueError("map rows must match the base set dimension")
-    dim = M.shape[1]
-    if base.meta.get("kind") == "full_space":
-        return full_space(dim)
-    rho = 1.0
-    from scipy.linalg import cho_factor, cho_solve
-    system = cho_factor(np.eye(dim) + rho * (M.T @ M))
-
-    def proj(x0):
-        x0 = np.asarray(x0, dtype=float)
-        x = x0.copy()
-        y = base.project(M @ x)
-        u = np.zeros(base.dim)
-        for _ in range(400):
-            x = cho_solve(system, x0 + rho * M.T @ (y - u))
-            Mx = M @ x
-            y_new = base.project(Mx + u)
-            r_primal = np.linalg.norm(Mx - y_new)
-            u = u + Mx - y_new
-            step = np.linalg.norm(y_new - y)
-            y = y_new
-            if r_primal <= 1e-11 * (1.0 + np.linalg.norm(Mx)) and step <= 1e-11:
-                break
-        return x
-
-    return ConvexSet(dim, proj, None, None, name=f"preimage({base.name})",
-                     meta={"kind": "preimage", "base": base, "map": M})
 
 
 def linear_image(base: ConvexSet, M) -> ConvexSet:

@@ -566,9 +566,10 @@ def mc_test_error(battery: ShiftedBattery, samplers: Sequence[Sampler], *,
     J = bat.count
     if len(samplers) != J:
         raise ValueError("one sampler per hypothesis required")
-    obs_dim = bat.hypotheses[0].obs_dim
+    # the detectors' h is what run_multitest_block applies to an observation;
+    # a hypothesis may be a family or, in a level test, a mean set
     for s in samplers:
-        if s.dim != obs_dim:
+        if any(s.dim != det.h.size for det in bat.detectors.values()):
             raise ValueError("sampler dimension does not match observations")
     if colors is not None and len(colors) != J:
         raise ValueError("one color per hypothesis required")

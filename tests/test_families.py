@@ -14,6 +14,7 @@ from detector_forge.families import (
     semi_direct_sum,
     sub_gaussian_family,
 )
+from detector_forge.quadlift import QuadLiftSpec, lift_gaussian
 
 
 def make_gaussian(theta, Theta):
@@ -123,20 +124,25 @@ def test_semi_direct_sum_identical_parts():
 
 
 def test_semi_direct_sum_matches_grid():
+    # the first part is a basic family, a direct sum or a rescaled one
     rng = np.random.default_rng(24)
     Theta = np.eye(2)
     part = sub_gaussian_family(sets.ball([0.0, 0.0], 1.0),
                                sets.singleton(sets.sym_flatten(Theta)))
+    blocks = direct_sum([sub_gaussian_family(sets.box([-0.5], [0.5]),
+                                             sets.singleton([1.5])),
+                         poisson_family(sets.box([0.5], [2.0]))])
     eps = 1e-3
-    fam = semi_direct_sum([part, part], eps=eps)
-    th1, th2 = rng.normal(size=2) * 0.3, rng.normal(size=2) * 0.3
-    mu = np.concatenate([th1, th2])
-    h = rng.normal(size=4)
-
     lams = np.linspace(eps, 1.0 - eps, 4001)
-    vals = [lam * part.phi(h[:2] / lam, mu[:2]) +
-            (1 - lam) * part.phi(h[2:] / (1 - lam), mu[2:]) for lam in lams]
-    assert fam.phi(h, mu) == pytest.approx(min(vals), abs=1e-4)
+    for first in (part, blocks, iid_scale(blocks, [0.6, 0.6])):
+        fam = semi_direct_sum([first, part], eps=eps)
+        th1 = first.m_set.project(rng.normal(size=2))
+        th2 = rng.normal(size=2) * 0.3
+        mu = np.concatenate([th1, th2])
+        h = rng.normal(size=4)
+        vals = [lam * first.phi(h[:2] / lam, mu[:2]) +
+                (1 - lam) * part.phi(h[2:] / (1 - lam), mu[2:]) for lam in lams]
+        assert fam.phi(h, mu) == pytest.approx(min(vals), abs=1e-4)
 
 
 def test_semi_direct_sum_solves_once_per_point(monkeypatch):
@@ -170,6 +176,28 @@ def test_semi_direct_sum_rejects_unbounded_parts():
     part_unbounded = sub_gaussian_family(sets.full_space(1), sets.singleton(np.array([1.0])))
     with pytest.raises(ValueError):
         semi_direct_sum([part, part_unbounded])
+
+
+@pytest.mark.parametrize("compose", [
+    lambda x: direct_sum([x, make_gaussian([0.0], [[1.0]])]),
+    lambda x: iid_scale(x, [1.0, 0.5]),
+    lambda x: affine_image(x, np.eye(2), np.zeros(2)),
+    lambda x: semi_direct_sum([x, x]),
+    lambda x: refine_with_support(x, sets.box([-3.0, -5.0], [3.0, 5.0]),
+                                  sets.ball([0.0, 0.0], 2.0)),
+], ids=["direct_sum", "iid_scale", "affine_image", "semi_direct_sum",
+        "refine_with_support"])
+def test_calculus_refuses_a_lifted_part(compose):
+    # a lifted family's detectors keep to a spectral band; the calculus
+    # composes full-space parts only and returns the full space
+    lifted = lift_gaussian(QuadLiftSpec(A=[[1.0, 0.0]], U=sets.box([-0.1], [0.1]),
+                                        Ucov=sets.singleton([1.0]),
+                                        Theta_star=[[1.0]]))
+    assert lifted.h_set.meta["kind"] != "full_space"
+    with pytest.raises(ValueError, match="the family calculus needs full-space"):
+        compose(lifted)
+    gauss = make_gaussian([0.0, 0.0], np.eye(2))
+    assert compose(gauss).h_set.meta["kind"] == "full_space"
 
 
 def test_refine_soft_threshold_closed_form():

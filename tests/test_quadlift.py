@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from detector_forge import detectors, optimize, quadlift
 from detector_forge.families import sub_gaussian_family
 from detector_forge.optimize import maximize_box_quadratic
-from detector_forge.quadlift import (QuadLiftSpec, lift_bounded_support,
-                                     lift_gaussian, lift_observation,
-                                     solve_quad_detector, special_case_affine)
+from detector_forge.quadlift import (QuadLiftSpec, lift_gaussian,
+                                     lift_observation, solve_quad_detector,
+                                     special_case_affine)
 from detector_forge.sets import (ball, box, full_space, halfspaces,
                                  psd_interval, singleton, sym_flatten,
                                  sym_unflatten)
@@ -450,32 +450,6 @@ def test_affine_slice_agrees_with_support_route():
         assert det.risk == pytest.approx(aff.risk, rel=1e-5, abs=1e-7)
         quad = solve_quad_detector(s1, s2)
         assert quad.risk <= aff.risk + 1e-5
-
-
-def test_lift_bounded_support_spectahedron_oracle():
-    # 2x2 matrices with eigenvalues in [0, 1]: the support function is the
-    # positive part of the spectrum, computable by eigen-decomposition
-    def oracle(g):
-        G = sym_unflatten(g)
-        w, V = np.linalg.eigh(G)
-        keep = V[:, w > 0]
-        return float(np.sum(w[w > 0])), sym_flatten(keep @ keep.T)
-
-    mean = singleton(sym_flatten(0.25 * np.eye(2)))
-    data = lift_bounded_support(oracle, 4, mean, radius=2.0)
-    mu = sym_flatten(0.25 * np.eye(2))
-    rng = np.random.default_rng(6)
-    vals = []
-    for _ in range(8):
-        h = rng.standard_normal(4)
-        vals.append(data.phi(h, mu))
-        assert np.isfinite(vals[-1])
-    x, y = rng.standard_normal(4), rng.standard_normal(4)
-    mid = data.phi(0.5 * (x + y), mu)
-    assert mid <= 0.5 * (data.phi(x, mu) + data.phi(y, mu)) + 1e-12
-    assert data.phi(np.zeros(4), mu) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError, match="oracle"):
-        lift_bounded_support(None, 4, mean, radius=2.0)
 
 
 def test_lifted_subgaussian_cover_construction():

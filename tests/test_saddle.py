@@ -361,6 +361,26 @@ def test_composite_pair_certifies_at_its_saddle_value():
     assert abs(sol.sad_val + 0.133844) <= 1e-6
 
 
+def test_affine_images_of_direct_sums_solve_over_the_full_space():
+    # the calculus keeps R^n as the detector set, so the solve caps R^4 at
+    # its radius and projects by scaling alone
+    M = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.2, 0.0, 1.0],
+                  [0.0, 0.1, 0.4]])
+
+    def side(c, lo, hi):
+        g = families.sub_gaussian_family(
+            sets.box([c - 0.2, -0.2], [c + 0.2, 0.2]),
+            sets.singleton(sets.sym_flatten(np.eye(2))))
+        return families.affine_image(families.direct_sum(
+            [g, families.poisson_family(sets.box([lo], [hi]))]), M, np.zeros(4))
+
+    prob = SaddleProblem(side(-1.0, 1.0, 2.0), side(1.0, 3.0, 4.0))
+    assert prob.data1.h_set.meta["kind"] == "full_space"
+    sol = solve_saddle(prob)
+    assert sol.certified
+    assert abs(sol.sad_val + 0.37051025660417664) <= 1e-6
+
+
 _BOX_21 = ([-1.0, -1.0], [1.0, 2.0])
 
 

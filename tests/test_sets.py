@@ -133,37 +133,12 @@ def test_intersection_box_ball():
         assert vi_holds(cs, y, x, 20, rng)
 
 
-def test_product_and_scale():
+def test_product_projection():
     p = sets.product([sets.box([0.0], [1.0]), sets.ball([0.0, 0.0], 1.0)])
     x = p.project(np.array([2.0, 3.0, 4.0]))
     assert np.allclose(x[0], 1.0)
     assert np.linalg.norm(x[1:]) <= 1.0 + 1e-12
     assert p.bound_radius == pytest.approx(np.sqrt(2.0))
-
-    s = sets.scale(sets.ball([0.0, 0.0], 1.0), 3.0)
-    assert np.allclose(s.project(np.array([6.0, 0.0])), [3.0, 0.0])
-    v, a = s.support(np.array([1.0, 0.0]))
-    assert v == pytest.approx(3.0)
-    assert np.allclose(a, [3.0, 0.0])
-
-
-def test_linear_preimage_projection():
-    rng = np.random.default_rng(16)
-    base = sets.ball([0.0, 0.0], 1.0)
-    M = rng.normal(size=(2, 3))
-    pre = sets.linear_preimage(base, M)
-    for _ in range(20):
-        y = rng.normal(scale=2.0, size=3)
-        x = pre.project(y)
-        assert np.linalg.norm(M @ x) <= 1.0 + 1e-7
-        for _ in range(20):
-            z = rng.normal(scale=2.0, size=3)
-            z = z - M.T @ np.linalg.lstsq(M @ M.T, M @ z, rcond=None)[0]  # in ker M
-            zc = x + 0.1 * z
-            if np.linalg.norm(M @ zc) <= 1.0:
-                assert (x - y) @ (zc - x) >= -1e-6
-
-    assert sets.linear_preimage(sets.full_space(2), M).meta["kind"] == "full_space"
 
 
 def test_linear_image_of_a_ball_projects_by_projected_gradient():

@@ -590,6 +590,23 @@ def test_mc_test_error_validation(gaussian_three_battery):
         mc_test_error("not a battery", samplers, trials=2000)
 
 
+def test_mc_test_error_on_an_aggregation_level_test():
+    # a level test's hypotheses are mean sets, not families: the samplers
+    # are checked against the detectors' dimension
+    problem = AggregationProblem(estimates=[[0.0, 0.0], [3.0, 0.0]],
+                                 parameter_sets=[box([-4.0, -4.0], [4.0, 4.0])],
+                                 G=np.eye(2), Theta=np.eye(2))
+    shifted = build_level_tests(problem, 2.0, 8)[0].shifted
+    samplers = [gaussian_sampler([t, 0.0], np.eye(2), seed=300 + i)
+                for i, t in enumerate((1.5, 3.5))]
+    for rep in mc_test_error(shifted, samplers, trials=2000):
+        assert rep.bound == pytest.approx(shifted.eps_hat)
+        assert rep.passed
+    with pytest.raises(ValueError, match="sampler dimension"):
+        mc_test_error(shifted, [gaussian_sampler([0.0], [[1.0]], 1)] * 2,
+                      trials=2000)
+
+
 def test_scenario_stream_keeps_certified_bound():
     # conditional means wander inside the first mean set, so the certified
     # risk must still dominate the moment of the detector statistic

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -59,9 +59,12 @@ instead of silently degrading.
 The affine detector of a pair is the saddle solve of the H = 0 slice
 (_affine_problem), solved once per pair: it is where the pair solve
 starts, and it is the pair solve's result when fix_H pins H at zero.  The
-descent restricts detectors by projection alone: fix_h is a projector of
-_pair_projector, and the gradient is never masked.  Two bands that are not
-nested meet in sets.intersection.
+pair solve is the saddle's max-form descent (saddle._descend) over the two
+lifted families (lift_gaussian), so the covariance fold, the band clip and
+the gradient are written once.  It restricts detectors by projection
+alone: _pair_projector builds on the families' h_set projections, fix_h
+pins h at zero there, and the gradient is never masked.  Two bands that
+are not nested meet in sets.intersection.
 """
 
 from __future__ import annotations
@@ -72,9 +75,8 @@ import numpy as np
 
 from .detectors import AffineDetector, _certificate, build_detector
 from .families import RegularData, _last_call, sub_gaussian_family
-from .optimize import (maximize_bounded, maximize_box_quadratic,
-                       minimize_projected)
-from .saddle import SaddleProblem
+from .optimize import maximize_bounded, maximize_box_quadratic
+from .saddle import SaddleProblem, _descend
 from .sets import (ConvexSet, intersection, linear_image, product, psd_top,
                    singleton, sym_flatten, sym_unflatten)
 
@@ -216,7 +218,7 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
         w, Hw, r = parts(u)
         if value is None:
             value = q_value(w, Hw, r)
-        return value, np.outer(w, w), w, 1.0
+        return value, w[:, None] * w, w, 1.0
 
     if spec.U.meta.get("kind") == "singleton":
         return at(spec.U.meta["point"])
@@ -224,7 +226,7 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     # q(u) = u'Tu u / 2 + <g0, u> + q(0), with g0 the gradient at u = 0
     Tu = Au.T @ (H + H @ Qinv @ H) @ Au
     curv = np.linalg.eigvalsh(Tu) if Au.size else np.zeros(1)
-    scale = max(1.0, float(np.max(np.abs(curv))))
+    scale = max(1.0, float(np.abs(curv).max()))
     concave = curv.max() <= _EIG_TOL * scale
     w0, _, r0 = parts(np.zeros(spec.U.dim))
     g0 = q_grad(w0, r0)
@@ -266,10 +268,10 @@ def _phi_pieces(spec: QuadLiftSpec, H: np.ndarray):
     """Shared evaluation of a symmetric H: Qinv and the log-det term."""
     Ht = spec.root @ H @ spec.root
     w, V = np.linalg.eigh(Ht)
-    if np.max(np.abs(w)) > spec.gamma + _EIG_TOL:
+    if np.abs(w).max() > spec.gamma + _EIG_TOL:
         raise ValueError("matrix part outside the admissible spectral band")
     Qinv = (spec.root @ V / (1.0 - w)) @ V.T @ spec.root
-    logdet = -0.5 * float(np.sum(np.log1p(-w)))
+    logdet = -0.5 * float(np.log1p(-w).sum())
     return Qinv, logdet
 
 
@@ -290,9 +292,10 @@ def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     qh = Qinv @ h
     My = M1 @ y
     gh = My + tau * qh
-    # outer(qh, My) is the transpose of outer(My, qh), entry for entry
-    P = np.outer(My, qh)
-    gH = 0.5 * (M1 @ Y @ M1.T + P + P.T + tau * np.outer(qh, qh))
+    # outer(qh, My) is the transpose of P = outer(My, qh), entry for entry;
+    # the outer products are broadcast products, which np.outer also forms
+    P = My[:, None] * qh
+    gH = 0.5 * (M1 @ Y @ M1.T + P + P.T + tau * (qh[:, None] * qh))
     gH += 0.5 * Qinv
     gH += 0.5 * excess
     return logdet + tr_term + val, gh, 0.5 * (gH + gH.T)
@@ -307,9 +310,15 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """
     d = spec.dim
     n = d + d * d
+    key = parts = None
 
-    def split(x):
-        return x[:d], sym_unflatten(x[d:])
+    def split(x):  # kept for the last x: direction, phi, grad_h ask in turn
+        nonlocal key, parts
+        x = np.asarray(x, dtype=float)
+        at = x.tobytes()
+        if at != key:
+            key, parts = at, (x[:d].copy(), sym_unflatten(x[d:]))
+        return parts
 
     @_last_call
     def bound(x, mu):
@@ -327,8 +336,7 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
 
     def proj(x):
         h, H = split(x)
-        return np.concatenate([np.asarray(h, dtype=float).copy(),
-                               sym_flatten(spec.clip_matrix(H))])
+        return np.concatenate([h, sym_flatten(spec.clip_matrix(H))])
 
     h_set = ConvexSet(n, proj, name="quad_band",
                       meta={"kind": "quad_band", "spec": spec})
@@ -340,37 +348,32 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
 # ---------------------------------------------------------------------------
 # pairwise quadratic detector
 
-def _phibar(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray):
-    """Bound with the covariance supremum folded in, plus its gradient."""
-    _, arg = spec.Ucov.support(0.5 * sym_flatten(H))
-    return _lifted_bound(spec, h, H, sym_unflatten(arg))
-
-
-def _pair_projector(spec1: QuadLiftSpec, spec2: QuadLiftSpec, fix_h: bool):
+def _pair_projector(problem: SaddleProblem, fix_h: bool):
     """Projection of (h, flattened H) onto the detectors the solve admits.
 
-    H goes into both spectral bands, each a ConvexSet over flattened H
-    projected by its eigenvalue clip.  With Theta2* = c Theta1* both bands
-    are |eig(root1 H root1)| <= const and both clips project in the same
-    scaled metric, so the bands are nested and one clip of the tighter band
-    projects onto both; otherwise sets.intersection runs Dykstra between
-    the two clips.  fix_h pins h at zero.
+    H goes into both spectral bands: each lifted family's h_set keeps h and
+    clips the eigenvalues of H into its band.  With Theta2* = c Theta1*
+    both bands are |eig(root1 H root1)| <= const and both clips project in
+    the same scaled metric, so the bands are nested and one clip of the
+    tighter band projects onto both; otherwise sets.intersection runs
+    Dykstra between the two clips.  fix_h pins h at zero.
     """
-    d = spec1.dim
+    spec1, spec2 = problem.data1.meta["spec"], problem.data2.meta["spec"]
     c = np.trace(spec2.Theta_star) / np.trace(spec1.Theta_star)
     nested = np.linalg.norm(spec2.Theta_star - c * spec1.Theta_star) \
         <= 1e-12 * np.linalg.norm(spec2.Theta_star)
-    bands = [ConvexSet(d * d, lambda x, s=s: sym_flatten(
-                 s.clip_matrix(sym_unflatten(x))), name="spectral_band")
-             for s in (spec1, spec2)]
+    bands = [problem.data1.h_set, problem.data2.h_set]
     if nested:
         band = bands[0] if spec1.gamma <= spec2.gamma / c else bands[1]
     else:
         band = intersection(bands)
+    if not fix_h:
+        return band.project
 
-    def proj(xfull):
-        h = np.zeros(d) if fix_h else np.asarray(xfull[:d], dtype=float).copy()
-        return np.concatenate([h, band.project(xfull[d:])])
+    def proj(x):
+        y = band.project(x)
+        y[:spec1.dim] = 0.0
+        return y
 
     return proj
 
@@ -398,15 +401,16 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
 
     First solves the H = 0 slice once (special_case_affine) and keeps that
     affine detector in meta["affine"]; with fix_H it is the result, as
-    (h, 0, a, risk), and no descent runs.  Otherwise minimizes the average
-    of the two folded bounds at (-h, -H) and (h, H) over the intersection
-    of both spectral bands, by one projected-gradient descent.  Unless
-    fix_h pins h at zero, the descent starts at the affine detector
-    (h_aff, 0), where the objective is the saddle's upper value; the
-    descent only lowers it, so the quadratic risk never exceeds the affine
-    one.  The exponential of any feasible objective value certifies the
-    two-sided risk, so the returned certificate is valid regardless of how
-    close the minimizer is to optimal.
+    (h, 0, a, risk), and no descent runs.  Otherwise the saddle's max-form
+    descent (saddle._descend) over the two lifted families minimizes the
+    average of the two folded bounds at (-h, -H) and (h, H) over both
+    spectral bands; meta["side_values"] are those its evaluation at the
+    returned point bounded.  Unless fix_h pins h at zero, the descent starts
+    at the affine detector (h_aff, 0), where the objective is the saddle's
+    upper value; the descent only lowers it, so the quadratic risk never
+    exceeds the affine one.  The exponential of any feasible objective
+    value certifies the two-sided risk, so the returned certificate is
+    valid regardless of how close the minimizer is to optimal.
     """
     d = spec1.dim
     aff = special_case_affine(spec1, spec2)
@@ -414,32 +418,14 @@ def solve_quad_detector(spec1: QuadLiftSpec, spec2: QuadLiftSpec,
         return QuadDetector(aff.h, np.zeros((d, d)), aff.a, aff.risk,
                             meta={"affine": aff, "iterations": 0,
                                   "converged": aff.certified})
-    proj = _pair_projector(spec1, spec2, fix_h)
-
-    def split(x):
-        return x[:d], sym_unflatten(x[d:])
-
-    # (x, v1, v2) for every array F evaluated; the descent returns one of
-    # them, found by identity, so its certificate needs no new evaluation
-    evaluated = []
-
-    def F(x):
-        h, H = split(x)
-        v1, gh1, gH1 = _phibar(spec1, -h, -H)
-        v2, gh2, gH2 = _phibar(spec2, h, H)
-        evaluated.append((x, v1, v2))
-        g = np.concatenate([0.5 * (gh2 - gh1), sym_flatten(0.5 * (gH2 - gH1))])
-        return 0.5 * (v1 + v2), g
-
+    problem = SaddleProblem(lift_gaussian(spec1), lift_gaussian(spec2))
     x0 = np.zeros(d + d * d)
     if not fix_h:
         x0[:d] = aff.h
-    res = minimize_projected(F, x0, proj, rtol=tol,
-                             max_iter=_QUAD_MAX_ITER)
-    h, H = split(res.x)
-    v1, v2 = next((s1, s2) for y, s1, s2 in evaluated if y is res.x)
+    res, _, _, v1, v2, _ = _descend(problem, x0, _pair_projector(problem, fix_h),
+                                    tol, _QUAD_MAX_ITER)
     value, a, risk = _certificate(v1, v2)
-    return QuadDetector(h, H, a, risk,
+    return QuadDetector(res.x[:d], sym_unflatten(res.x[d:]), a, risk,
                         meta={"affine": aff, "value": value,
                               "iterations": res.iterations,
                               "converged": res.converged,

@@ -21,20 +21,21 @@ Juditsky & Nemirovski, EJS 2015, section 2.3):
 
 and the lower value is the exact infimum over all of R^d.  A singular
 Theta1 + Theta2, a zero rate or probability (an infimum at infinity), mixed
-kinds and composite families fall back to a projected-gradient
-minimization over the h-domain, capped at radius 1e6 when unbounded, with
-a full budget at the ascent's end point.  The upper value is
-F(h) = max_mu psi(h; mu) at that frozen minimizer, a pair of independent
+kinds and composite families fall back to a projected-gradient minimization
+over the detectors both families admit, capped at radius 1e6 when
+unbounded, with a full budget at the ascent's end point.  The upper value
+is F(h) = max_mu psi(h; mu) at that frozen minimizer, a pair of independent
 concave maximizations: one support call when the family has an exact
 best-response direction, an iterative solve (optimize.maximize_bounded)
 otherwise.  The iterative value carries its Frank-Wolfe gap
 supp_M(g) - <g, mu> at g = grad_mu(h, mu) when the parameter set has a
 support oracle, so it bounds the maximum even when the inner solve stops
 early; without one it is where the ascent stopped, not a bound.  Only when
-upper and lower stay further apart than the descent's own tolerance does a
-max-form descent of F start from there.  The returned certificate is the
-upper value F at the returned h, kept as the two side values its best
-response bounded, so an early stop can only make the certified risk
+upper and lower stay further apart than the descent's own tolerance does
+the max-form descent of F (_descend, which quadlift's pair solve runs too)
+start from there.  The returned certificate is the upper value F at the
+returned h, kept as the two side values of the best response that
+evaluated F there, so an early stop can only make the certified risk
 conservative, never invalid.
 
 The lower value is exact only on the closed form.  An iterative frozen
@@ -48,6 +49,7 @@ requires that step to be within tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,7 +58,7 @@ import numpy as np
 from .families import _INNER_MAX_ITER, _INNER_RTOL, RegularData
 from .optimize import (OptResult, maximize_bounded, maximize_projected,
                        minimize_projected)
-from .sets import ConvexSet, ball
+from .sets import ConvexSet, ball, intersection
 
 __all__ = ["SaddleProblem", "SaddleSolution", "best_response",
            "solve_saddle"]
@@ -116,7 +118,7 @@ def _side_max(data: RegularData, h_signed: np.ndarray,
     """max over mu of phi(h_signed; mu); one support call when exact."""
     if data.direction is not None and data.m_set.support is not None:
         s_val, mu = data.m_set.support(data.direction(h_signed))
-        if not np.isfinite(s_val):
+        if not math.isfinite(s_val):
             if start is None:
                 start = data.m_set.project(np.zeros(data.m_set.dim))
             return start, np.inf, 1
@@ -191,40 +193,60 @@ def best_response(problem: SaddleProblem, h: np.ndarray,
 
 
 def _domain(problem: SaddleProblem) -> ConvexSet:
-    """Effective h-domain: the declared set, capped at _RADIUS when unbounded."""
-    h_set = problem.data1.h_set
+    """Effective h-domain: the detectors both families admit (the distinct
+    detector sets other than the full space, intersected), capped at
+    _RADIUS when unbounded."""
+    parts = {id(x.h_set): x.h_set for x in (problem.data1, problem.data2)
+             if x.h_set.meta.get("kind") != "full_space"}
+    cap = ball(np.zeros(problem.dim), _RADIUS)
+    if not parts:
+        return cap
+    h_set = intersection(parts.values())
     if h_set.bound_radius is not None:
         return h_set
-    cap = ball(np.zeros(problem.dim), _RADIUS)
-    if h_set.meta.get("kind") == "full_space":
-        return cap
-    project = h_set.project
+    return ConvexSet(problem.dim, lambda x: cap.project(h_set.project(x)),
+                     name="capped")
 
-    def proj(x):
-        return cap.project(project(x))
 
-    return ConvexSet(problem.dim, proj, name="capped")
+def _descend(problem: SaddleProblem, h0: np.ndarray, project, rtol: float,
+             max_iter: int):
+    """Minimize F(h) = max_mu psi(h; mu) from h0, each evaluation a best
+    response warm-started at the one before.  Returns (res, mu1, mu2, v1,
+    v2, iterations): the best response that evaluated res.x (found by
+    identity, so the point is not evaluated again) and the iterations of
+    all best responses."""
+    evaluated = []  # (h, mu1, mu2, v1, v2, iterations) per evaluation
+
+    def F(h):
+        start = evaluated[-1][1:3] if evaluated else (None, None)
+        mu1, mu2, v1, v2, used = best_response(problem, h, *start)
+        evaluated.append((h, mu1, mu2, v1, v2, used))
+        return 0.5 * (v1 + v2), problem.psi_grad_h(h, mu1, mu2)
+
+    res = minimize_projected(F, h0, project, rtol=rtol, max_iter=max_iter)
+    _, mu1, mu2, v1, v2, _ = next(e for e in evaluated if e[0] is res.x)
+    return res, mu1, mu2, v1, v2, sum(e[5] for e in evaluated)
 
 
 def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
     """Solve the pairwise game and certify the value.
 
-    One pass, with no loop, over the h-domain capped at radius _RADIUS when
-    unbounded.  From the projection of the origin onto the parameter sets,
-    the parameters ascend the dual D(mu) = min_h psi(h; mu), each
-    evaluation the closed form of _frozen_argmin where it applies and a
-    projected-gradient minimization (400 steps) otherwise; a full-budget
-    evaluation at the ascent's end point gives the lower value.  The best
-    response at that frozen minimizer gives the upper value, unless the two
-    are further apart than the descent's own tolerance: then
-    F(h) = max_mu psi(h; mu) descends from there, and the best response at
-    its end gives the upper value.
+    One pass, with no loop, over the h-domain (_domain).  From the
+    projection of the origin onto the parameter sets, the parameters ascend
+    the dual D(mu) = min_h psi(h; mu), each evaluation the closed form of
+    _frozen_argmin where it applies and a projected-gradient minimization
+    (400 steps) otherwise; a full-budget evaluation at the ascent's end
+    point gives the lower value.  The best response at that frozen
+    minimizer gives the upper value, unless the two are further apart than
+    the descent's own tolerance: then F(h) = max_mu psi(h; mu) descends
+    from there (_descend), and the best response that evaluated F at its
+    end gives the upper value.
 
     Returns a solution whose side_values are the two side values of the
-    final best response at the returned point and whose sad_val is their
-    mean (an upper value), whose gap is upper minus lower, and whose
-    certified flag records whether gap and, after an iterative final
-    frozen minimization, its projected-gradient step are both
+    best response at the returned point and whose sad_val is their mean
+    (an upper value), whose gap is upper minus lower, and whose certified
+    flag records whether gap and, after an iterative final frozen
+    minimization, its projected-gradient step are both
     <= tol * max(1, |sad_val|).
     """
     rtol = max(tol * 1e-2, 1e-12)
@@ -293,23 +315,11 @@ def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
 
     if upper - lower > rtol * max(1.0, abs(upper)):
         # the fallback: the max-form descent from the frozen minimizer
-        state = {"mu1": None, "mu2": None, "evals": 0}
-
-        def F(h):
-            mu1, mu2, v1, v2, used = best_response(problem, h, state["mu1"],
-                                                   state["mu2"])
-            state["mu1"], state["mu2"] = mu1, mu2
-            state["evals"] += used
-            g = problem.psi_grad_h(h, mu1, mu2)
-            return 0.5 * (v1 + v2), g
-
-        res = minimize_projected(F, h_star, dom.project, rtol=rtol,
-                                 max_iter=_DESCENT_MAX_ITER)
+        res, mu1, mu2, v1, v2, used = _descend(problem, h_star, dom.project,
+                                               rtol, _DESCENT_MAX_ITER)
         h_star = res.x
-        mu1, mu2, v1, v2, used = best_response(problem, h_star,
-                                               state["mu1"], state["mu2"])
         upper = 0.5 * (v1 + v2)
-        iters_used += res.iterations + state["evals"] + used
+        iters_used += res.iterations + used
 
     if upper < _DEGENERATE_FLOOR:
         return SaddleSolution(h_star, mu1, mu2, (v1, v2), np.inf, iters_used,
@@ -317,7 +327,7 @@ def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
                               warnings=["value diverges; risk is numerically zero"])
 
     warnings: list = []
-    if (problem.data1.h_set.bound_radius is None
+    if (all(x.h_set.bound_radius is None for x in (d1, d2))
             and np.linalg.norm(h_star) >= 0.98 * _RADIUS):
         warnings.append(
             f"minimizer sits on the search-radius cap {_RADIUS:g}; "

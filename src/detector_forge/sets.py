@@ -443,8 +443,7 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     return out
 
 
-def intersection(parts: Sequence[ConvexSet],
-                 max_iter: int = _DYKSTRA_MAX_ITER) -> ConvexSet:
+def intersection(parts: Sequence[ConvexSet]) -> ConvexSet:
     """Intersection of convex sets, projected by Dykstra's algorithm."""
     parts = list(parts)
     if not parts:
@@ -455,8 +454,8 @@ def intersection(parts: Sequence[ConvexSet],
     radii = [p.bound_radius for p in parts if p.bound_radius is not None]
     if radii:
         radius = float(min(radii))
-    return ConvexSet(parts[0].dim, _dykstra(parts, max_iter), None, radius,
-                     name="intersection",
+    return ConvexSet(parts[0].dim, _dykstra(parts, _DYKSTRA_MAX_ITER), None,
+                     radius, name="intersection",
                      meta={"kind": "intersection", "parts": parts})
 
 
@@ -499,7 +498,7 @@ def sym_flatten(M: np.ndarray) -> np.ndarray:
 
 def sym_unflatten(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    d = int(round(np.sqrt(x.size)))
+    d = math.isqrt(x.size)
     if d * d != x.size:
         raise ValueError("flattened symmetric matrix must have square length")
     M = x.reshape(d, d)

@@ -14,8 +14,7 @@ from detector_forge.aggregate import (AggregationProblem, aggregate,
                                       subgaussian_fast_path_deltas,
                                       voronoi_geometry)
 from detector_forge.errors import InfeasibleError
-from detector_forge.sets import (ball, box, halfspaces, intersection,
-                                  linear_image)
+from detector_forge.sets import ball, box, halfspaces, linear_image
 
 # the package namespace re-exports the function ``aggregate``
 agg = importlib.import_module("detector_forge.aggregate")
@@ -453,10 +452,10 @@ def _dykstra_feasible(piece, A, b, base, seed):
     empty piece the residual is at least the row gap whatever the number
     of rounds.  The cap shortens those runs; on a non-empty piece it can
     stop short of the tolerance, which the test below allows for.  A plain
-    intersection keeps Dykstra where halfspaces over a polyhedral image
-    would project exactly."""
+    Dykstra between the rows and the base keeps it where halfspaces over a
+    polyhedral image would project exactly."""
     rows = [halfspaces(A[i:i + 1], b[i:i + 1]) for i in range(len(b))]
-    x = intersection(rows + [base], max_iter=_REFERENCE_ROUNDS).project(seed)
+    x = sets_module._dykstra(rows + [base], _REFERENCE_ROUNDS)(seed)
     return _meets(x, A, b, base)
 
 

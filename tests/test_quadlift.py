@@ -9,6 +9,7 @@ from detector_forge.optimize import maximize_box_quadratic
 from detector_forge.quadlift import (QuadLiftSpec, lift_gaussian,
                                      lift_observation, solve_quad_detector,
                                      special_case_affine)
+from detector_forge.saddle import SaddleProblem, best_response
 from detector_forge.sets import (ball, box, full_space, halfspaces,
                                  psd_interval, singleton, sym_flatten,
                                  sym_unflatten)
@@ -32,6 +33,10 @@ def banded_H(rng, spec, scale=0.5):
     w, V = np.linalg.eigh(spec.root @ raw @ spec.root)
     Ht = (V * np.clip(w, -scale * spec.gamma, scale * spec.gamma)) @ V.T
     return spec.iroot @ Ht @ spec.iroot
+
+
+def lifted(s1, s2):
+    return SaddleProblem(lift_gaussian(s1), lift_gaussian(s2))
 
 
 def singleton_spec(d=2, u0=None, Theta=None, gamma=0.99):
@@ -301,6 +306,11 @@ def test_solver_side_values_are_lifted_bound_at_support_point():
                       U=singleton(np.zeros(1)), Ucov=psd_interval(lo2, hi2),
                       Theta_star=hi2)
     det = solve_quad_detector(s1, s2)
+    # the pair solve is the saddle's descent over the two lifted families,
+    # and its side values are those its own evaluation bounded at the
+    # returned (h, H): a fresh best response there repeats them bit for bit
+    x = np.concatenate([det.h, sym_flatten(det.H)])
+    assert det.meta["side_values"] == best_response(lifted(s1, s2), x)[2:4]
     for spec, sign, value in ((s1, -1.0, det.meta["side_values"][0]),
                               (s2, 1.0, det.meta["side_values"][1])):
         h, H = sign * det.h, sign * det.H
@@ -331,10 +341,8 @@ def test_reference_floor_is_relative_so_a_rescaled_pair_is_accepted():
     det = solve_quad_detector(*pair(1.0))
     assert det.risk < 0.9
     for t in (1e-10, 1e-13):
-        s1, s2 = pair(t)
-        h, H = det.h / np.sqrt(t), det.H / t
-        v1 = quadlift._phibar(s1, -h, -H)[0]
-        v2 = quadlift._phibar(s2, h, H)[0]
+        x = np.concatenate([det.h / np.sqrt(t), sym_flatten(det.H / t)])
+        _, _, v1, v2, _ = best_response(lifted(*pair(t)), x)
         assert detectors._certificate(v1, v2)[2] == pytest.approx(det.risk,
                                                                   rel=1e-9)
 
@@ -570,7 +578,7 @@ def test_proportional_references_project_with_one_clip():
             p1 = x + p1 - y
             x = s2.clip_matrix(y + p2)
             p2 = y + p2 - x
-        proj = quadlift._pair_projector(s1, s2, False)
+        proj = quadlift._pair_projector(lifted(s1, s2), False)
         got = sym_unflatten(proj(np.concatenate([np.zeros(d),
                                                  sym_flatten(H)]))[d:])
         assert np.abs(got - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
@@ -585,7 +593,7 @@ def test_distinct_references_alternate_between_the_two_bands():
     s1, s2 = (QuadLiftSpec(A=np.zeros((2, 2)), U=singleton([0.0]),
                            Ucov=singleton(sym_flatten(T)), Theta_star=T)
               for T in (T1, T2))
-    proj = quadlift._pair_projector(s1, s2, False)
+    proj = quadlift._pair_projector(lifted(s1, s2), False)
     rng = np.random.default_rng(5)
     one_clip_leaves = False
     for _ in range(50):
@@ -674,15 +682,15 @@ def test_lifted_bound_matches_its_reference_bit_for_bit(seed):
 def test_variance_pair_evaluates_the_folded_bound_at_most_the_pinned_count(
         monkeypatch):
     # the benchmark's 1-d pair, variance 1 against 4 with means in
-    # [-0.1, 0.1], unreflected: each descent evaluation folds both sides
+    # [-0.1, 0.1], unreflected: each descent evaluation bounds both sides
     calls = []
-    phibar = quadlift._phibar
+    lifted_bound = quadlift._lifted_bound
 
     def counted(*args):
         calls.append(args)
-        return phibar(*args)
+        return lifted_bound(*args)
 
-    monkeypatch.setattr(quadlift, "_phibar", counted)
+    monkeypatch.setattr(quadlift, "_lifted_bound", counted)
     s1, s2 = (QuadLiftSpec(A=np.array([[1.0, 0.0]]), U=box([-0.1], [0.1]),
                            Ucov=singleton([v]), Theta_star=np.array([[v]]))
               for v in (1.0, 4.0))
@@ -690,3 +698,4 @@ def test_variance_pair_evaluates_the_folded_bound_at_most_the_pinned_count(
     assert det.risk < det.meta["affine"].risk
     # 88 before a backtrack ended at the resolution of x
     assert len(calls) <= 56
+

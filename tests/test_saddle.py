@@ -427,6 +427,45 @@ def test_certified_lower_value_lies_below_every_upper_value(name):
     assert sol.sad_val <= upper_other + reach
 
 
+def test_descent_certifies_from_its_own_last_evaluation(monkeypatch):
+    # the bounded-support pair stalls, so the max-form descent runs; the
+    # side values come from the best response that evaluated F at the
+    # returned point, and no best response follows the descent
+    events = []
+    descend, respond = saddle._descend, saddle.best_response
+
+    def traced_descend(*args):
+        out = descend(*args)
+        events.append("descended")
+        return out
+
+    def traced_response(*args):
+        events.append("response")
+        return respond(*args)
+
+    monkeypatch.setattr(saddle, "_descend", traced_descend)
+    monkeypatch.setattr(saddle, "best_response", traced_response)
+    prob = SaddleProblem(*_STALLING_PAIRS["bounded_support"][0]())
+    sol = solve_saddle(prob)
+    assert events.count("descended") == 1 and events[-1] == "descended"
+    _, _, v1, v2, _ = best_response(prob, sol.h)
+    assert sol.side_values == (v1, v2)
+
+
+@pytest.mark.parametrize("variances", [(1.0, 4.0), (4.0, 1.0)])
+def test_lifted_pair_solves_over_both_spectral_bands(variances):
+    # the two lifted families clip H into different bands, so the h-domain
+    # is the detectors both admit, in either order; the value is quadlift's
+    # pair solve of the same pair
+    specs = [QuadLiftSpec(A=np.array([[1.0, 0.0]]), U=sets.box([-0.1], [0.1]),
+                          Ucov=sets.singleton([v]), Theta_star=np.array([[v]]))
+             for v in variances]
+    sol = solve_saddle(SaddleProblem(*map(lift_gaussian, specs)))
+    for spec in specs:
+        assert abs(sol.h[1]) * spec.Theta_star[0, 0] <= spec.gamma + 1e-12
+    assert np.exp(sol.sad_val) == pytest.approx(0.9047262837192563, abs=1e-9)
+
+
 def test_readme_pair_skips_the_descent(monkeypatch):
     calls = []
     descent = saddle.minimize_projected

@@ -222,20 +222,18 @@ def _sampler_from_family(desc: dict, path: str, seed: int):
 
 # --- report plumbing -----------------------------------------------------
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+def _json_default(x):
+    """The plain value of a numpy value in a report, for json.dumps, which
+    writes Python scalars, lists, tuples and string-keyed dicts itself."""
     if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.bool_, bool)):
+        return x.tolist()
+    if isinstance(x, np.bool_):
         return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
+    if isinstance(x, np.integer):
         return int(x)
-    return x
+    if isinstance(x, np.floating):
+        return float(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _mc_row(label: str, rep) -> dict:
@@ -263,8 +261,8 @@ class Emitter:
         self.report["results"].setdefault("mc", []).append(row)
 
     def json_text(self) -> str:
-        return json.dumps(_jsonable(self.report), sort_keys=True,
-                          indent=2) + "\n"
+        return json.dumps(self.report, sort_keys=True, indent=2,
+                          default=_json_default) + "\n"
 
     def csv_text(self) -> Optional[str]:
         if not self.mc_rows:

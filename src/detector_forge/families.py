@@ -343,14 +343,18 @@ def semi_direct_sum(datas: Sequence[RegularData], eps: Optional[float] = None) -
     @_last_call
     def solve_inner(h, mu):
         def obj(w):
-            val = 0.0
-            g = np.empty(L)
+            val, parts = 0.0, []
             for i, x in enumerate(datas):
                 z = hblk(h, i) / w[i]
                 f_i = x.phi(z, mblk(mu, i))
                 val += w[i] * f_i
-                g[i] = f_i - float(z @ x.grad_h(z, mblk(mu, i)))
-            return val, g
+                parts.append((i, x, z, f_i))
+
+            def grad():
+                return np.array([f_i - float(z @ x.grad_h(z, mblk(mu, i)))
+                                 for i, x, z, f_i in parts])
+
+            return val, grad
 
         return minimize_projected(obj, w_start, weight_set.project,
                                   rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)
@@ -434,7 +438,8 @@ def refine_with_support(data: RegularData, support_set: ConvexSet,
     def solve_inner(h, mu):
         def obj(g):
             sv, sx = support_set.support(g)
-            return data.phi(h - g, mu) + sv, -data.grad_h(h - g, mu) + sx
+            r = h - g
+            return data.phi(r, mu) + sv, lambda: -data.grad_h(r, mu) + sx
 
         return minimize_projected(obj, g_start, shift_set.project,
                                   rtol=_INNER_RTOL, max_iter=_INNER_MAX_ITER)

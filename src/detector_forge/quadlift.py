@@ -190,8 +190,8 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
                 Qinv: np.ndarray):
     """max over the lifted mean set of the tilted quadratic form.
 
-    Returns (value, Y, y, tau): the moments A Z A', A Z e, e' Z e of the
-    maximizing lifted point Z, which drive the gradient.  Zero curvature
+    Returns (value, y): y = A [u; 1] at the maximizing u, whose lifted
+    point [y; 1][y; 1]' drives the gradient.  Zero curvature
     takes one support call.  Over a box the maximum is exact for any
     curvature (maximize_box_quadratic).  Concave curvature over any other
     set is climbed by projected ascent, and so is a concave overestimator
@@ -218,7 +218,7 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
         w, Hw, r = parts(u)
         if value is None:
             value = q_value(w, Hw, r)
-        return value, w[:, None] * w, w, 1.0
+        return value, w
 
     if spec.U.meta.get("kind") == "singleton":
         return at(spec.U.meta["point"])
@@ -250,11 +250,17 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
 
     def climb(u):
         w, Hw, r = parts(u)
-        v, g = q_value(w, Hw, r), q_grad(w, r)
+        v = q_value(w, Hw, r)
         if rho:
             v += 0.5 * rho * float((u - lo) @ (hi - u))
-            g = g + 0.5 * rho * (lo + hi - 2.0 * u)
-        return v, g
+
+        def grad():
+            g = q_grad(w, r)
+            if rho:
+                g = g + 0.5 * rho * (lo + hi - 2.0 * u)
+            return g
+
+        return v, grad
 
     # the climbed function is concave, so with U's support function the
     # value carries its Frank-Wolfe gap
@@ -275,30 +281,46 @@ def _phi_pieces(spec: QuadLiftSpec, H: np.ndarray):
     return Qinv, logdet
 
 
-def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
+def _lifted_value(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
                   Theta: np.ndarray):
-    """The lifted moment bound at covariance Theta and its gradient.
+    """The lifted moment bound at covariance Theta, and its gradient as a
+    function of no arguments.
 
     H must be symmetric, as sym_unflatten returns it.  Returns (value,
-    grad_h, grad_H) with grad_H symmetric; the bound is linear in Theta, so
-    its supremum over a covariance set is this at the set's support point
-    for H / 2.
+    grad), grad() -> (grad_h, grad_H) with grad_H symmetric: the value
+    needs only the log-det pieces and the lifted maximum, so a caller that
+    reads no gradient skips its products.  The bound is linear in Theta,
+    so its supremum over a covariance set is this at the set's support
+    point for H / 2.
     """
     Qinv, logdet = _phi_pieces(spec, H)
     excess = Theta - spec.Theta_star
     tr_term = 0.5 * float(sym_flatten(excess) @ sym_flatten(H))
-    val, Y, y, tau = _lifted_max(spec, h, H, Qinv)
-    M1 = np.eye(spec.dim) + Qinv @ H
-    qh = Qinv @ h
-    My = M1 @ y
-    gh = My + tau * qh
-    # outer(qh, My) is the transpose of P = outer(My, qh), entry for entry;
-    # the outer products are broadcast products, which np.outer also forms
-    P = My[:, None] * qh
-    gH = 0.5 * (M1 @ Y @ M1.T + P + P.T + tau * (qh[:, None] * qh))
-    gH += 0.5 * Qinv
-    gH += 0.5 * excess
-    return logdet + tr_term + val, gh, 0.5 * (gH + gH.T)
+    val, y = _lifted_max(spec, h, H, Qinv)
+
+    def grad():
+        M1 = np.eye(spec.dim) + Qinv @ H
+        qh = Qinv @ h
+        My = M1 @ y
+        gh = My + qh
+        # outer(qh, My) is the transpose of P = outer(My, qh), entry for
+        # entry; the outer products are broadcast products, which np.outer
+        # also forms
+        P = My[:, None] * qh
+        gH = 0.5 * (M1 @ (y[:, None] * y) @ M1.T + P + P.T + qh[:, None] * qh)
+        gH += 0.5 * Qinv
+        gH += 0.5 * excess
+        return gh, 0.5 * (gH + gH.T)
+
+    return logdet + tr_term + val, grad
+
+
+def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
+                  Theta: np.ndarray):
+    """(value, grad_h, grad_H) of _lifted_value, the gradient formed at
+    once."""
+    value, grad = _lifted_value(spec, h, H, Theta)
+    return (value, *grad())
 
 
 def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
@@ -310,7 +332,7 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """
     d = spec.dim
     n = d + d * d
-    key = parts = None
+    key = parts = cov_key = cov = None
 
     def split(x):  # kept for the last x: direction, phi, grad_h ask in turn
         nonlocal key, parts
@@ -322,13 +344,19 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
 
     @_last_call
     def bound(x, mu):
-        return _lifted_bound(spec, *split(x), sym_unflatten(mu))
+        # kept for the last covariance: the set's support point for H / 2
+        # often stays from one descent step to the next
+        nonlocal cov_key, cov
+        at = mu.tobytes()
+        if at != cov_key:
+            cov_key, cov = at, sym_unflatten(mu)
+        return _lifted_value(spec, *split(x), cov)
 
     def phi(x, mu):
         return bound(x, mu)[0]
 
     def grad_h(x, mu):
-        _, gh, gH = bound(x, mu)
+        gh, gH = bound(x, mu)[1]()
         return np.concatenate([gh, sym_flatten(gH)])
 
     def grad_mu(x, mu):

@@ -125,7 +125,7 @@ def _side_max(data: RegularData, h_signed: np.ndarray,
         return mu, data.phi(h_signed, mu), 1
 
     def obj(mu):
-        return data.phi(h_signed, mu), data.grad_mu(h_signed, mu)
+        return data.phi(h_signed, mu), lambda: data.grad_mu(h_signed, mu)
 
     x0 = start if start is not None else np.zeros(data.m_set.dim)
     res = maximize_bounded(obj, x0, data.m_set.project, data.m_set.support,
@@ -221,7 +221,7 @@ def _descend(problem: SaddleProblem, h0: np.ndarray, project, rtol: float,
         start = evaluated[-1][1:3] if evaluated else (None, None)
         mu1, mu2, v1, v2, used = best_response(problem, h, *start)
         evaluated.append((h, mu1, mu2, v1, v2, used))
-        return 0.5 * (v1 + v2), problem.psi_grad_h(h, mu1, mu2)
+        return 0.5 * (v1 + v2), lambda: problem.psi_grad_h(h, mu1, mu2)
 
     res = minimize_projected(F, h0, project, rtol=rtol, max_iter=max_iter)
     _, mu1, mu2, v1, v2, _ = next(e for e in evaluated if e[0] is res.x)
@@ -278,7 +278,8 @@ def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
             return OptResult(sol[0], sol[1], 0, True)
 
         def G(h):
-            return problem.psi(h, m1, m2), problem.psi_grad_h(h, m1, m2)
+            return (problem.psi(h, m1, m2),
+                    lambda: problem.psi_grad_h(h, m1, m2))
 
         res = minimize_projected(G, hmin["h"], dom.project,
                                  rtol=dual_rtol, max_iter=budget)
@@ -287,9 +288,9 @@ def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
 
     def dual(mu):
         res = frozen_min(mu[:n1], mu[n1:], 400)
-        g = np.concatenate([0.5 * d1.grad_mu(-res.x, mu[:n1]),
-                            0.5 * d2.grad_mu(res.x, mu[n1:])])
-        return res.value, g
+        return res.value, lambda: np.concatenate([
+            0.5 * d1.grad_mu(-res.x, mu[:n1]),
+            0.5 * d2.grad_mu(res.x, mu[n1:])])
 
     # the dual ascent from the projection of the origin onto the parameter
     # sets.  On a simplex that point has a zero only where the bounds force

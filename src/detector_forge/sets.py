@@ -418,7 +418,7 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
 
         def obj(z):
             r = M @ z - y
-            return 0.5 * float(r @ r), M.T @ r
+            return 0.5 * float(r @ r), lambda: M.T @ r
 
         z0, *_ = np.linalg.lstsq(M, y, rcond=None)
         res = minimize_projected(obj, base.project(z0), base.project,

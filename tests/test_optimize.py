@@ -3,12 +3,14 @@
 import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detector_forge import optimize
 from detector_forge.optimize import (_polytope_accept, _polytope_faces,
                                      _row_slack, maximize_bounded,
                                      maximize_box_quadratic,
@@ -21,7 +23,7 @@ from detector_forge.sets import ball, box, halfspaces, intersection
 def test_huge_gradient_takes_a_step_without_overflow():
     # the squared norm of a 1e200 gradient overflows; the step size must not
     def fun(x):
-        return 1e200 * float(x[0]), np.array([1e200])
+        return 1e200 * float(x[0]), lambda: np.array([1e200])
 
     start = fun(np.array([0.5]))[0]
     with warnings.catch_warnings():
@@ -39,7 +41,7 @@ def test_bounded_ascent_carries_its_frank_wolfe_gap():
 
     def f(x):
         r = x - c
-        return -0.5 * float(r @ (D * r)), -D * r
+        return -0.5 * float(r @ (D * r)), lambda: -D * r
 
     disk = ball([0.0, 0.0], 1.0)
     res = maximize_bounded(f, np.array([0.0, -1.0]), disk.project,
@@ -66,7 +68,7 @@ def test_smooth_quadratic_stops_soon_after_it_settles(box):
     c = np.array([3.0, -2.0])
 
     def fun(x):
-        return 0.5 * (x - c) @ A @ (x - c), A @ (x - c)
+        return 0.5 * (x - c) @ A @ (x - c), lambda: A @ (x - c)
 
     def project(x):
         return np.clip(x, -1.0, 1.0) if box else np.asarray(x, dtype=float)
@@ -78,24 +80,54 @@ def test_smooth_quadratic_stops_soon_after_it_settles(box):
     assert np.linalg.norm(res.x - x_star) <= 1e-5
 
 
+def _kink(x, events):
+    """f = max(y, -2y), y = x1 + x2 - 1, logging ("f", x) per evaluation
+    and ("g", x) per subgradient asked for."""
+    y = x[0] + x[1] - 1.0
+    events.append(("f", x))
+    slope = 1.0 if y >= 0.0 else -2.0
+
+    def grad():
+        events.append(("g", x))
+        return np.array([slope, slope])
+
+    return max(y, -2.0 * y), grad
+
+
 def test_backtrack_at_a_kink_ends_at_the_resolution_of_x():
-    # f = max(y, -2y), y = x1 + x2 - 1, is minimal at x0 = (1, 0), whose
-    # zero coordinate resolves any move: the backtrack ends once the trial
-    # move falls to eps |x0|, not at the least step (35 evaluations)
-    calls = []
-
-    def fun(x):
-        calls.append(x)
-        y = x[0] + x[1] - 1.0
-        if y >= 0.0:
-            return y, np.array([1.0, 1.0])
-        return -2.0 * y, np.array([-2.0, -2.0])
-
+    # f is minimal at x0 = (1, 0), whose zero coordinate resolves any move:
+    # the backtrack ends once the trial move falls to eps |x0|, not at the
+    # least step (35 evaluations)
+    events = []
     x0 = np.array([1.0, 0.0])
-    res = minimize_projected(fun, x0, lambda x: x)
+    res = minimize_projected(lambda x: _kink(x, events), x0, lambda x: x)
     assert np.array_equal(res.x, x0) and res.value == 0.0
     assert res.converged
-    assert len(calls) <= 22
+    kinds = [e for e, _ in events]
+    assert kinds.count("f") <= 22
+    # no step is accepted: the subgradient is asked for at the start alone
+    assert kinds.count("g") == 1
+
+
+def test_subgradient_is_asked_at_the_start_and_at_accepted_steps_only():
+    # from (3, 1) the descent accepts steps and rejects trials past the kink
+    events = []
+    res = minimize_projected(lambda x: _kink(x, events), np.array([3.0, 1.0]),
+                             lambda x: x)
+    kinds = [e for e, _ in events]
+    asked = [i for i, e in enumerate(kinds) if e == "g"]
+    # each subgradient is that of the evaluation just before it, at once
+    assert asked[0] == 1 and all(kinds[i - 1] == "f" and
+                                 events[i - 1][1] is events[i][1]
+                                 for i in asked)
+    # the points asked are the start and then strictly lower points, the
+    # last of them where the descent stopped: the accepted steps
+    values = [_kink(events[i][1], [])[0] for i in asked]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    assert events[asked[-1]][1] is res.x and values[-1] == res.value
+    assert res.iterations - 1 <= len(asked) - 1 <= res.iterations
+    # and some trials were rejected, with no subgradient asked there
+    assert kinds.count("f") > len(asked) > 1
 
 
 def _curvature(kind, n, rng):
@@ -130,6 +162,50 @@ def test_box_quadratic_maximum_is_attained_and_dominates(n, kind, seed):
     corners = np.where(np.indices((2,) * n).reshape(n, -1).T == 1, hi, lo)
     inside = lo + (hi - lo) * rng.uniform(size=(400, n))
     assert value >= q(np.vstack([corners, inside])).max() - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3),
+       where=st.sampled_from(["inside", "random", "near_face", "in_slack"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_box_interior_exit_returns_the_enumerations_point(n, where, seed):
+    # strictly concave T; the box holds the stationary point well inside,
+    # anywhere, a rounding-level distance inside a face, or just outside
+    # a face within the enumeration's 1e-9 slack
+    rng = np.random.default_rng(seed)
+    T = _curvature("concave", n, rng) - 0.05 * np.eye(n)
+    g = 2.0 * rng.standard_normal(n)
+    stationary = np.linalg.solve(-T, g)
+    width = rng.uniform(0.1, 3.0, n)
+    lo = stationary - rng.uniform(0.05, 0.95, n) * width
+    hi = lo + width
+    i = int(rng.integers(n))
+    if where == "random":
+        lo = rng.uniform(-2.0, 0.0, n)
+        hi = lo + width
+    elif where == "near_face":
+        hi[i] = stationary[i] + rng.choice([1e-15, 1e-12, 1e-9]) * width[i]
+    elif where == "in_slack":
+        hi[i] = stationary[i] - rng.choice([1e-15, 1e-12, 5e-10]) * width[i]
+    fired = []
+    exit_ = optimize._box_interior
+
+    def spy(*args):
+        out = exit_(*args)
+        fired.append(out is not None)
+        return out
+
+    with mock.patch.object(optimize, "_box_interior", spy):
+        x, value = maximize_box_quadratic(T, g, lo, hi)
+    with mock.patch.object(optimize, "_box_interior", lambda *a: None):
+        x_ref, value_ref = maximize_box_quadratic(T, g, lo, hi)
+    assert x.tobytes() == x_ref.tobytes()
+    # the value is the same expression on one row instead of a stack, so
+    # it agrees to the rounding of its terms
+    terms = 0.5 * np.abs(x) @ np.abs(T) @ np.abs(x) + np.abs(g) @ np.abs(x)
+    assert abs(value - value_ref) <= 8 * np.finfo(float).eps * terms
+    # the exit is tried once, and taken wherever the point sits well inside
+    assert len(fired) == 1 and (fired[0] or where != "inside")
 
 
 def test_box_quadratic_declines_past_the_candidate_cap():
@@ -216,7 +292,7 @@ def test_polytope_quadratic_minimum_is_attained_and_dominated(n, m, rank,
     # keeps Dykstra, which halfspaces over a box replaces by this oracle
     poly = intersection([halfspaces(C[i:i + 1], d[i:i + 1])
                          for i in range(m)] + [box(lo, hi)])
-    res = minimize_projected(lambda x: (float(q(x)), Q @ x + c),
+    res = minimize_projected(lambda x: (float(q(x)), lambda: Q @ x + c),
                              np.zeros(n), poly.project, rtol=1e-14)
     if res.converged and np.all(C @ res.x <= d + tol):
         assert value <= res.value + 1e-9 * max(1.0, abs(value))

@@ -684,13 +684,13 @@ def test_variance_pair_evaluates_the_folded_bound_at_most_the_pinned_count(
     # the benchmark's 1-d pair, variance 1 against 4 with means in
     # [-0.1, 0.1], unreflected: each descent evaluation bounds both sides
     calls = []
-    lifted_bound = quadlift._lifted_bound
+    lifted_value = quadlift._lifted_value
 
     def counted(*args):
         calls.append(args)
-        return lifted_bound(*args)
+        return lifted_value(*args)
 
-    monkeypatch.setattr(quadlift, "_lifted_bound", counted)
+    monkeypatch.setattr(quadlift, "_lifted_value", counted)
     s1, s2 = (QuadLiftSpec(A=np.array([[1.0, 0.0]]), U=box([-0.1], [0.1]),
                            Ucov=singleton([v]), Theta_star=np.array([[v]]))
               for v in (1.0, 4.0))

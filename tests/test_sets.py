@@ -259,7 +259,7 @@ def test_linear_image_of_simplex_projects_exactly_without_a_solve(monkeypatch):
 
                 def obj(z, M=M, y=y):
                     r = M @ z - y
-                    return 0.5 * float(r @ r), M.T @ r
+                    return 0.5 * float(r @ r), lambda: M.T @ r
 
                 res = optimize.minimize_projected(
                     obj, base.project(np.zeros(3)), base.project, rtol=1e-14)

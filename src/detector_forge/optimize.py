@@ -31,15 +31,14 @@ rejected trial point pays for the value alone.
 
 Quadratics over a finite box have an exact answer instead:
 maximize_box_quadratic enumerates the faces on which the maximum can sit,
-for any curvature, unless a strictly concave quadratic's stationary point
-lies well inside the box.  Convex quadratics over a bounded polytope
-{lo <= z <= hi, C z <= d} have one too: minimize_polytope_quadratic
-enumerates the active sets of box bounds and cut rows and solves their
-KKT systems.  Both share the enumeration of per-coordinate box states,
-and both factor each distinct linear system once: the side (lo or hi) of
-a pinned coordinate moves only the right-hand side, so the candidates
-that differ in their sides alone are the columns of one solve.  Their
-tables depend on the shape alone and are built on a shape's first call.
+for any curvature.  Convex quadratics over a bounded polytope {lo <= z <=
+hi, C z <= d} have one too: minimize_polytope_quadratic enumerates the
+active sets of box bounds and cut rows and solves their KKT systems.  Both
+share the enumeration of per-coordinate box states, and both factor each
+distinct linear system once: the side (lo or hi) of a pinned coordinate
+moves only the right-hand side, so the candidates that differ in their
+sides alone are the columns of one solve.  Their tables depend on the
+shape alone and are built on a shape's first call.
 """
 
 from __future__ import annotations
@@ -265,49 +264,6 @@ def _box_faces(radix: tuple):
     return high, block, pair, groups, code
 
 
-def _face_points(T, g, C, X, ids, fr, cand):
-    """The stationary points of maximize_box_quadratic's free sets ids
-    (free coordinates fr, candidates cand): one solve per free set, the
-    pinned corners X[cand] the columns of its right-hand side."""
-    Xs = X[cand]
-    pinned = np.where(fr, 0.0, Xs)
-    rhs = np.where(fr, g + pinned @ T, Xs)
-    sol = np.linalg.solve(C[ids], rhs.transpose(0, 2, 1))
-    return np.where(fr, sol.transpose(0, 2, 1), Xs)
-
-
-def _box_interior(T, g, lo, hi, x, least):
-    """maximize_box_quadratic's point, bit for bit, when the enumeration
-    would surely pick x, the stationary point of the whole box as the
-    enumeration solves it; else None.  The value is the enumeration's
-    expression at x alone, which may round apart from it in the last bits.
-
-    -T is positive definite, with least eigenvalue least.  Every other
-    candidate y has a coordinate pinned or clipped at a bound, so
-    t = |y - x| is at least delta, the least distance of x to a bound.
-    With lam = least / 2, below the true least eigenvalue since least is
-    past the interlacing margin, and r >= |Tx + g| (the computed gradient
-    norm plus its rounding), q(x) - q(y) >= t (lam t / 2 - r), which rises
-    with t from t = r / lam on.  So once delta (lam delta / 2 - r) exceeds
-    twice the rounding of a computed q anywhere in the box, x's computed
-    value beats every other and the enumeration returns x.
-    """
-    delta = float(np.minimum(x - lo, hi - x).min())
-    if not delta > 0.0:
-        return None
-    n = g.size
-    absT, absg = np.abs(T), np.abs(g)
-    r = (math.hypot(*(T @ x + g))
-         + (n + 1) * _EPS * math.hypot(*(absT @ np.abs(x) + absg)))
-    # a computed q at a point of the box errs by at most (n + 2) eps times
-    # the sum of its terms' magnitudes; doubled, for a margin
-    R = np.maximum(np.abs(lo), np.abs(hi))
-    rounding = 2.0 * (n + 2) * _EPS * float(0.5 * R @ absT @ R + absg @ R)
-    if delta * (0.25 * least * delta - r) <= 2.0 * rounding:
-        return None
-    return x, float(0.5 * np.sum((x @ T) * x) + x @ g)
-
-
 def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     """Exact maximum of q(x) = x'Tx/2 + g'x over the finite box [lo, hi].
 
@@ -321,12 +277,7 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     whole negative diagonal, every -T_FF is too (Cauchy interlacing), so
     none is tested.  Each kept free set gets one solve, its corners the
     columns of the right-hand side, and the best candidate inside the box
-    wins.  Convex T frees nothing: plain vertex enumeration.  When -T is
-    positive definite past that margin with T_ii < 0 on the whole
-    diagonal, the all-free system is solved first, as the enumeration
-    solves it; if its point lies so far inside the box that every other
-    candidate's value rounds below its own (_box_interior), it is returned
-    with no enumeration, the enumeration's own answer.  Returns
+    wins.  Convex T frees nothing: plain vertex enumeration.  Returns
     (x, q(x)) with x in the box, or None when the 2^(n-k) 3^k candidates
     (k negative diagonal entries) exceed 2^16.
     """
@@ -351,23 +302,17 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
         # computed eigenvalues err by a few n eps |T|max, far below the
         # margin, so past it every free set passes the test below
         keep = None
-        least = float(np.linalg.eigvalsh(-T[block])[0])
-        if least <= _INTERLACE_MARGIN * size:
+        if np.linalg.eigvalsh(-T[block])[0] <= _INTERLACE_MARGIN * size:
             keep = np.linalg.eigvalsh(C)[:, 0] > n * np.finfo(float).eps * size
-        elif k == n:
-            # the whole box's stationary point first; should the
-            # enumeration run, it keeps this as its last free set's point
-            ids, fr, cand = groups[-1]
-            X[cand] = _face_points(T, g, C, X, ids, fr, cand)
-            top = _box_interior(T, g, lo, hi, X[cand[0, 0]], least)
-            if top is not None:
-                return top
-            groups = groups[:-1]
         for ids, fr, cand in groups:
             if keep is not None:
                 sel = keep[ids]
                 ids, fr, cand = ids[sel], fr[sel], cand[sel]
-            X[cand] = _face_points(T, g, C, X, ids, fr, cand)
+            Xs = X[cand]
+            pinned = np.where(fr, 0.0, Xs)
+            rhs = np.where(fr, g + pinned @ T, Xs)
+            sol = np.linalg.solve(C[ids], rhs.transpose(0, 2, 1))
+            X[cand] = np.where(fr, sol.transpose(0, 2, 1), Xs)
         # the corners, then the kept stationary points in state order;
         # rounding may push a stationary point on its face's edge just
         # outside, and clipped it is still a point of the box

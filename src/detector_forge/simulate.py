@@ -288,12 +288,11 @@ def _poisson_ptrs(rate: float, gammaln):
     round draws ``u`` and then ``v`` for every pending slot of a stream,
     from that stream, and then accepts or rejects the slots of all streams
     at once, so rejected slots retry together and each stream reads the
-    uniforms that rounds over its own slots alone would read.  The log
-    test of a round runs only on the slots its cheap tests leave
-    undecided; log k! comes from a table of ``gammaln(k + 1.0)`` for k up
-    to the rate's ``_poisson_top`` (at most ``_LOG_FACT_CAP``), the same
-    ufunc on the same arguments, so the same bits, and from ``gammaln``
-    above it."""
+    uniforms that rounds over its own slots alone would read.  The test of
+    a round runs on all of its slots and is kept where it decides; log k!
+    comes from a table of ``gammaln(k + 1.0)`` for k up to the rate's
+    ``_poisson_top`` (at most ``_LOG_FACT_CAP``), the same ufunc on the
+    same arguments, so the same bits, and from ``gammaln`` above it."""
     b = 0.931 + 2.53 * math.sqrt(rate)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
@@ -319,21 +318,17 @@ def _poisson_ptrs(rate: float, gammaln):
         # and log 0 = -inf accepts, as the scalar test does
         with np.errstate(divide="ignore"):
             k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
-        accept = (us >= 0.07) & (v <= v_r)
-        # the slots that the cheap tests leave undecided take the log test
-        rest = np.flatnonzero((k >= 0.0) & ~((us < 0.013) & (v > us))
-                              & ~accept)
-        if rest.size:
-            k_r, us_r = k[rest], us[rest]
-            with np.errstate(divide="ignore"):
-                lhs = np.log(v[rest] * inv_alpha / (a / us_r ** 2 + b))
-            kept = np.clip(k_r, 0.0, top)
-            log_k_fact = log_fact[kept.astype(np.intp)]
-            # a tested slot has k >= 0, so a clipped one has k above the table
-            far = kept != k_r
-            if far.any():
-                log_k_fact[far] = gammaln(k_r[far] + 1.0)
-            accept[rest] = lhs <= k_r * log_rate - rate - log_k_fact
+            accept = (us >= 0.07) & (v <= v_r)
+            rest = (k >= 0.0) & ~((us < 0.013) & (v > us)) & ~accept
+            lhs = np.log(v * inv_alpha / (a / us ** 2 + b))
+        kept = np.clip(k, 0.0, top)
+        log_k_fact = log_fact[kept.astype(np.intp)]
+        # a tested slot has k >= 0, so a clipped one has k above the table
+        far = rest & (kept != k)
+        if far.any():
+            log_k_fact[far] = gammaln(k[far] + 1.0)
+        rhs = k * log_rate - rate - log_k_fact
+        accept |= rest & (lhs <= rhs)
         return k, accept
 
     def draw(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
@@ -491,10 +486,9 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
     fed with raw (unlifted) observations.  Exponents are capped at 700; a
     block whose sum of squares could overflow is summed relative to its
     largest term, so the estimate and its standard error stay finite.
-    Blocks are drawn in groups, whose sums and dot products are taken at
-    once, and each block's moments are those a one-block loop would sum.
-    ``threads`` is accepted and ignored; every block runs on the calling
-    thread."""
+    Blocks are drawn in groups, and each block's moments are those a
+    one-block loop would sum.  ``threads`` is accepted and ignored; every
+    block runs on the calling thread."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     n = int(n)
@@ -520,21 +514,14 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
         obs = sampler.draw_streams(streams, rows).reshape(-1, sampler.dim)
         expo = np.minimum(sign * _detector_stat(det, obs), _EXP_CAP)
         expo = expo.reshape(len(streams), rows)
-        vals = np.exp(expo)
-        # each block's own sum and dot, all at once; a block past
-        # _SQUARE_SAFE may overflow its dot and is summed again below
-        totals = vals.sum(axis=1).tolist()
-        with np.errstate(over="ignore"):
-            squares = (vals[:, None, :] @ vals[:, :, None]).ravel().tolist()
-        for block_expo, total, square in zip(expo, totals, squares):
-            shift = 0.0
+        for block_expo, vals in zip(expo, np.exp(expo)):
+            shift, total = 0.0, float(vals.sum())
             if total > _SQUARE_SAFE:
                 # vals @ vals could overflow: scale by the block's largest term
                 shift = float(block_expo.max())
-                block_vals = np.exp(block_expo - shift)
-                total = float(block_vals.sum())
-                square = float(block_vals @ block_vals)
-            moments.append((shift, total, square))
+                vals = np.exp(block_expo - shift)
+                total = float(vals.sum())
+            moments.append((shift, total, float(vals @ vals)))
     return _moment_report(moments, n, float(det.risk))
 
 

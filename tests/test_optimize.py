@@ -3,14 +3,12 @@
 import itertools
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detector_forge import optimize
 from detector_forge.optimize import (_polytope_accept, _polytope_faces,
                                      _row_slack, maximize_bounded,
                                      maximize_box_quadratic,
@@ -162,50 +160,6 @@ def test_box_quadratic_maximum_is_attained_and_dominates(n, kind, seed):
     corners = np.where(np.indices((2,) * n).reshape(n, -1).T == 1, hi, lo)
     inside = lo + (hi - lo) * rng.uniform(size=(400, n))
     assert value >= q(np.vstack([corners, inside])).max() - 1e-12
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 3),
-       where=st.sampled_from(["inside", "random", "near_face", "in_slack"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_box_interior_exit_returns_the_enumerations_point(n, where, seed):
-    # strictly concave T; the box holds the stationary point well inside,
-    # anywhere, a rounding-level distance inside a face, or just outside
-    # a face within the enumeration's 1e-9 slack
-    rng = np.random.default_rng(seed)
-    T = _curvature("concave", n, rng) - 0.05 * np.eye(n)
-    g = 2.0 * rng.standard_normal(n)
-    stationary = np.linalg.solve(-T, g)
-    width = rng.uniform(0.1, 3.0, n)
-    lo = stationary - rng.uniform(0.05, 0.95, n) * width
-    hi = lo + width
-    i = int(rng.integers(n))
-    if where == "random":
-        lo = rng.uniform(-2.0, 0.0, n)
-        hi = lo + width
-    elif where == "near_face":
-        hi[i] = stationary[i] + rng.choice([1e-15, 1e-12, 1e-9]) * width[i]
-    elif where == "in_slack":
-        hi[i] = stationary[i] - rng.choice([1e-15, 1e-12, 5e-10]) * width[i]
-    fired = []
-    exit_ = optimize._box_interior
-
-    def spy(*args):
-        out = exit_(*args)
-        fired.append(out is not None)
-        return out
-
-    with mock.patch.object(optimize, "_box_interior", spy):
-        x, value = maximize_box_quadratic(T, g, lo, hi)
-    with mock.patch.object(optimize, "_box_interior", lambda *a: None):
-        x_ref, value_ref = maximize_box_quadratic(T, g, lo, hi)
-    assert x.tobytes() == x_ref.tobytes()
-    # the value is the same expression on one row instead of a stack, so
-    # it agrees to the rounding of its terms
-    terms = 0.5 * np.abs(x) @ np.abs(T) @ np.abs(x) + np.abs(g) @ np.abs(x)
-    assert abs(value - value_ref) <= 8 * np.finfo(float).eps * terms
-    # the exit is tried once, and taken wherever the point sits well inside
-    assert len(fired) == 1 and (fired[0] or where != "inside")
 
 
 def test_box_quadratic_declines_past_the_candidate_cap():

@@ -238,12 +238,7 @@ def _level_test(problem: AggregationProblem, level_sets: LevelSets,
     mean_sets = [s for _, s in level_sets.reds] + [s for *_, s in level_sets.blues]
     colors = tuple([_RED] * len(level_sets.reds) + [_BLUE] * len(level_sets.blues))
     J = len(mean_sets)
-    close = np.ones((J, J), dtype=bool)
-    for i in range(J):
-        for j in range(J):
-            if colors[i] != colors[j]:
-                close[i, j] = False
-    rel = ClosenessRelation(close)
+    rel = ClosenessRelation.from_colors(colors)
     detectors = {(i, j): gaussian_symmetric_detector(mean_sets[i], mean_sets[j],
                                                      problem.Theta)
                  for i in range(J) for j in range(i + 1, J)

@@ -366,9 +366,7 @@ def _battery_task(task: str, cfg: dict, runtime: dict,
         if len(colors) != J:
             raise ConfigError("$.color.partition",
                               "one color per family required")
-        rel = ClosenessRelation.from_pairs(
-            J, [(i, j) for i in range(J) for j in range(i + 1, J)
-                if colors[i] == colors[j]])
+        rel = ClosenessRelation.from_colors(colors)
     else:
         pairs = block.get("closeness", [])
         for p, (i, j) in enumerate(pairs):

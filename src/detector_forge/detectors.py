@@ -63,21 +63,14 @@ def build_detector(problem: SaddleProblem, tol: float = _TOL,
     above tolerance, or a stalled frozen minimization) raises, naming the
     solve's warnings, unless force is set; a degenerate solve (value below
     the exp underflow floor) is returned as risk 0 without complaint, since
-    the bound itself is valid.  An upper value above 0 bounds nothing below
-    1, and the zero detector (h = 0, a = 0) has risk exactly 1 for any
-    pair, since E e^0 = 1; it is returned instead, with the solve's gap,
-    certified flag and meta.
+    the bound itself is valid.
     """
     sol = solve_saddle(problem, tol)
     if not force:
         _refuse_uncertified(sol)
-    meta = {"solution": sol}
-    if sol.sad_val > 0.0:
-        return AffineDetector(np.zeros_like(sol.h), 0.0, 1.0, sol.gap,
-                              certified=sol.certified, meta=meta)
     _, a, risk = _certificate(*sol.side_values)
     return AffineDetector(sol.h, a, risk, sol.gap, certified=sol.certified,
-                          meta=meta)
+                          meta={"solution": sol})
 
 
 def _refuse_uncertified(sol: SaddleSolution) -> None:

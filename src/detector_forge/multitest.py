@@ -56,6 +56,12 @@ class ClosenessRelation:
             m[i, j] = m[j, i] = True
         return ClosenessRelation(m)
 
+    @staticmethod
+    def from_colors(colors: Sequence) -> "ClosenessRelation":
+        """Hypotheses of one color are close, of two colors are not."""
+        c = np.asarray(colors)
+        return ClosenessRelation(c[:, None] == c[None, :])
+
     def close(self, i: int, j: int) -> bool:
         return bool(self.matrix[i, j])
 

@@ -74,7 +74,6 @@ _INTERLACE_MARGIN = 1e-8
 # 6-85 ms on aggregation pairs of 2-d and 3-d box images, where the
 # enumeration took 40-650 ms.
 _POLYTOPE_CANDIDATE_CAP = 2 ** 13
-_FACE_CHUNK = 2048             # candidates whose systems are built at once
 _FEASIBLE_RTOL = 1e-9          # slack of a candidate, relative to its rows
 
 
@@ -370,7 +369,7 @@ def _polytope_systems(n: int, m: int):
     A candidate's matrix depends only on its free coordinates and its
     active cut rows; the sides (lo or hi) of its p pinned coordinates move
     only the right-hand side, so one matrix serves 2^p candidates.  Returns
-    (index, spans, states, rows, order, chunks):
+    (index, spans, states, rows, order, runs):
     - index (D, N, N), N = n + min(m, n): every entry of each distinct
       matrix as a position in the concatenation [Q.ravel(), C.ravel(), 0,
       size], so that one gather builds them all;
@@ -378,11 +377,12 @@ def _polytope_systems(n: int, m: int):
     - states, rows: the candidates, each matrix's 2^p of them consecutive
       and in candidate order, the matrices in increasing p;
     - order: each of those candidates' position in candidate order;
-    - chunks: (a, b, start, stop, runs) for matrices a:b and their
-      candidates start:stop, at most _FACE_CHUNK of them, with runs
-      (u, v, 2^p) of matrices u:v within the chunk that pin p coordinates.
-    Nothing grows faster than the candidates, and the arrays are
-    read-only, since every caller of one shape shares them.
+    - runs: (u, v, 2^p) for the matrices u:v that pin p coordinates.
+    Nothing grows faster than the candidates, whose cap bounds everything
+    one call builds: within it, n = 5 with m = 7 has the most systems of
+    the largest size (1586 of 10 x 10) and n = 3 with m = 30 the most
+    systems (6018 of 6 x 6), 1.3 and 1.7 MB of matrices per call.  The
+    arrays are read-only, since every caller of one shape shares them.
     """
     faces = _polytope_faces(n, m)
     if faces is None:
@@ -414,27 +414,14 @@ def _polytope_systems(n: int, m: int):
     index[:, :n, n:] = cut.transpose(0, 2, 1)
     index[:, n:, n:] = np.where(~used[:, :, None] & np.eye(width, dtype=bool),
                                 diag, zero)
-    # greedy chunks of at most _FACE_CHUNK candidates, split into runs of
-    # one pinned count
+    # runs (u, v, 2^p) of the matrices u:v that pin p coordinates
     spans = 2 ** pins
-    ends = np.cumsum(spans)
-    starts, total = [0], 0
-    for j, span in enumerate(spans.tolist()):
-        if total + span > _FACE_CHUNK:
-            starts.append(j)
-            total = 0
-        total += span
-    starts.append(len(pins))
-    chunks = []
-    for a, b in zip(starts[:-1], starts[1:]):
-        edges = [0, *(np.flatnonzero(np.diff(pins[a:b])) + 1).tolist(), b - a]
-        chunks.append((a, b, int(ends[a] - spans[a]), int(ends[b - 1]),
-                       [(u, v, int(spans[a + u]))
-                        for u, v in zip(edges[:-1], edges[1:])]))
+    edges = [0, *(np.flatnonzero(np.diff(pins)) + 1).tolist(), len(pins)]
+    runs = [(u, v, int(spans[u])) for u, v in zip(edges[:-1], edges[1:])]
     out = (index, spans, states[order], rows[order], order)
     for arr in out:
         arr.setflags(write=False)
-    return (*out, chunks)
+    return (*out, runs)
 
 
 def _row_slack(lo, hi, C, d):
@@ -472,14 +459,15 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     most n cut rows, with at most n active rows in all.  Pinned coordinates
     and unused cut slots keep a diagonal entry alone, so all systems share
     one size n + min(m, n), and a system depends only on its free
-    coordinates and its active cut rows (_polytope_systems): the distinct
-    ones are built by one gather, those with an exactly zero determinant
-    are dropped, and each other one is solved once, the sides of its p
-    pinned coordinates the 2^p columns of its right-hand side; the box
-    corners, which pin every coordinate, need no solve.  A nearly singular
-    system can only yield a point that is rejected or that is a feasible
-    point, whose value is evaluated as is.  The best candidate that meets every
-    row to _FEASIBLE_RTOL of the row's scale (_row_slack; the box rows to
+    coordinates and its active cut rows (_polytope_systems).  One pass
+    takes every candidate of the shape: one gather builds the distinct
+    systems, those with an exactly zero determinant are dropped, and each
+    other one is solved once, the sides of its p pinned coordinates the
+    2^p columns of its right-hand side; the box corners, which pin every
+    coordinate, need no solve.  A nearly singular system can only yield a
+    point that is rejected or that is a feasible point, whose value is
+    evaluated as is.  The best candidate that meets every row to
+    _FEASIBLE_RTOL of the row's scale (_row_slack; the box rows to
     _FEASIBLE_RTOL of their width) wins, clipped into the box, the first in
     candidate order among equal values.  Coordinates with lo = hi are
     folded into c and d; candidates are checked whole.
@@ -506,53 +494,46 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     systems = _polytope_systems(n, m)
     if systems is None:
         return None
-    index, spans, states, rows, order, chunks = systems
+    index, spans, states, rows, order, runs = systems
     # the lone diagonal entries, on the scale of the other entries
     size = max(float(np.max(np.abs(Q), initial=0.0)),
                float(np.max(np.abs(C), initial=0.0))) or 1.0
-    entries = np.concatenate([Q.ravel(), C.ravel(), [0.0, size]])
+    K = np.concatenate([Q.ravel(), C.ravel(), [0.0, size]])[index]
+    ok = np.linalg.slogdet(K)[0] != 0.0
+    # the candidates of the nonsingular matrices
+    solved = np.repeat(ok, spans)
+    st, idx = states[solved], rows[solved]
+    free = st == 2
+    X = np.where(st == 1, hi, lo)
+    pinned = np.where(free, 0.0, X)
     # the padding index m reads a zero row
-    C_pad = np.vstack([C, np.zeros((1, n))])
-    d_pad = np.append(d, 0.0)
-    best_z, best_v, best_i = None, math.inf, -1
-    for a, b, start, stop, runs in chunks:
-        K = entries[index[a:b]]
-        ok = np.linalg.slogdet(K)[0] != 0.0
-        # the candidates of the nonsingular matrices
-        solved = np.repeat(ok, spans[a:b])
-        st, idx = states[start:stop][solved], rows[start:stop][solved]
-        free = st == 2
-        X = np.where(st == 1, hi, lo)
-        pinned = np.where(free, 0.0, X)
-        Cu = C_pad[idx]
-        rhs = np.concatenate([np.where(free, -c - pinned @ Q, size * X),
-                              d_pad[idx] - np.einsum("kjn,kn->kj", Cu,
-                                                     pinned)], axis=1)
-        # a run's matrices pin the same number of coordinates: one solve
-        # per matrix, its pinned sides the columns of the right-hand side
-        sols, at, dim = [], 0, rhs.shape[1]
-        for u, v, sides in runs:
-            live = ok[u:v]
-            kept = int(np.count_nonzero(live))
-            B = rhs[at:at + kept * sides]
-            at += kept * sides
-            if sides == 2 ** n:
-                # the corners pin every coordinate: nothing to solve for
-                sols.append(B)
-                continue
-            B = B.reshape(kept, sides, dim).transpose(0, 2, 1)
-            sol = np.linalg.solve(K[u:v][live], B).transpose(0, 2, 1)
-            sols.append(sol.reshape(kept * sides, dim))
-        Z = np.where(free, np.concatenate(sols)[:, :n], X)
-        if n < len(own):
-            Z_own, Z = Z, np.repeat(whole[0][None], len(Z), axis=0)
-            Z[:, own] = Z_own
-        keep, Z = _polytope_accept(Z, *whole)
-        if len(Z):
-            vals = 0.5 * np.sum((Z @ Q_w) * Z, axis=1) + Z @ c_w
-            pos = order[start:stop][solved][keep]
-            # the first minimum in candidate order
-            i = np.lexsort((pos, vals))[0]
-            if vals[i] < best_v or (vals[i] == best_v and pos[i] < best_i):
-                best_z, best_v, best_i = Z[i], float(vals[i]), pos[i]
-    return best_z, best_v
+    Cu = np.vstack([C, np.zeros((1, n))])[idx]
+    rhs = np.concatenate([np.where(free, -c - pinned @ Q, size * X),
+                          np.append(d, 0.0)[idx]
+                          - np.einsum("kjn,kn->kj", Cu, pinned)], axis=1)
+    # a run's matrices pin the same number of coordinates: one solve per
+    # matrix, its pinned sides the columns of the right-hand side
+    sols, at, dim = [], 0, rhs.shape[1]
+    for u, v, sides in runs:
+        live = ok[u:v]
+        kept = int(np.count_nonzero(live))
+        B = rhs[at:at + kept * sides]
+        at += kept * sides
+        if sides == 2 ** n:
+            # the corners pin every coordinate: nothing to solve for
+            sols.append(B)
+            continue
+        B = B.reshape(kept, sides, dim).transpose(0, 2, 1)
+        sol = np.linalg.solve(K[u:v][live], B).transpose(0, 2, 1)
+        sols.append(sol.reshape(kept * sides, dim))
+    Z = np.where(free, np.concatenate(sols)[:, :n], X)
+    if n < len(own):
+        Z_own, Z = Z, np.repeat(whole[0][None], len(Z), axis=0)
+        Z[:, own] = Z_own
+    keep, Z = _polytope_accept(Z, *whole)
+    if not len(Z):
+        return None, math.inf
+    vals = 0.5 * np.sum((Z @ Q_w) * Z, axis=1) + Z @ c_w
+    # the first minimum in candidate order
+    i = np.lexsort((order[solved][keep], vals))[0]
+    return Z[i], float(vals[i])

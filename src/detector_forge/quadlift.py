@@ -315,14 +315,6 @@ def _lifted_value(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     return logdet + tr_term + val, grad
 
 
-def _lifted_bound(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
-                  Theta: np.ndarray):
-    """(value, grad_h, grad_H) of _lifted_value, the gradient formed at
-    once."""
-    value, grad = _lifted_value(spec, h, H, Theta)
-    return (value, *grad())
-
-
 def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """Moment-bound family over detector pairs (h, H); parameter is Theta.
 

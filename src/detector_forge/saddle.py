@@ -237,24 +237,26 @@ def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
     _frozen_argmin where it applies and a projected-gradient minimization
     (400 steps) otherwise; a full-budget evaluation at the ascent's end
     point gives the lower value.  The best response at that frozen
-    minimizer gives the upper value, unless the two are further apart than
-    the descent's own tolerance: then F(h) = max_mu psi(h; mu) descends
-    from there (_descend), and the best response that evaluated F at its
-    end gives the upper value.
+    minimizer gives the upper value; where that is not at most 0 (above 0,
+    inf or nan), the zero detector takes its place, with side values
+    exactly (0, 0).  Unless upper and lower are further apart than the
+    descent's own tolerance, that point is returned; otherwise F(h) =
+    max_mu psi(h; mu) descends from it (_descend), and the best response
+    that evaluated F at its end gives the upper value.
 
     Returns a solution whose side_values are the two side values of the
-    best response at the returned point and whose sad_val is their mean
-    (an upper value), whose gap is upper minus lower, and whose certified
-    flag records whether gap and, after an iterative final frozen
-    minimization, its projected-gradient step are both
-    <= tol * max(1, |sad_val|).
+    best response at the returned point, or (0, 0) at the zero detector,
+    and whose sad_val is their mean (an upper value), whose gap is upper
+    minus lower, and whose certified flag records whether gap and, after
+    an iterative final frozen minimization, its projected-gradient step
+    are both <= tol * max(1, |sad_val|).
     """
     rtol = max(tol * 1e-2, 1e-12)
     # the upper value is read at the frozen minimizer, and the descent starts
-    # there.  Where F has a kink at h*, that point sits only about the square
-    # root of the dual's value error away from h*, and the descent cannot
-    # always close that distance; so the dual phase runs to the squared
-    # tolerance
+    # there unless the zero detector takes its place.  Where F has a kink
+    # at h*, that point sits only about the square root of the dual's value
+    # error away from h*, and the descent cannot always close that
+    # distance; so the dual phase runs to the squared tolerance
     dual_rtol = max(rtol ** 2, 1e-15)
     d1, d2 = problem.data1, problem.data2
     n1 = d1.m_set.dim
@@ -308,9 +310,13 @@ def solve_saddle(problem: SaddleProblem, tol: float = _TOL) -> SaddleSolution:
         g = problem.psi_grad_h(res_low.x, m1, m2)
         stall = float(np.linalg.norm(res_low.x - dom.project(res_low.x - g)))
 
-    # the upper value at the frozen minimizer
+    # the upper value at the frozen minimizer.  One above 0 (inf and nan
+    # included) bounds nothing below the zero detector, whose side values
+    # are exactly 0 for any pair, since E e^0 = 1
     h_star = hmin["h"]
     mu1, mu2, v1, v2, used = best_response(problem, h_star)
+    if not 0.5 * (v1 + v2) <= 0.0:
+        h_star, v1, v2 = np.zeros(problem.dim), 0.0, 0.0
     upper = 0.5 * (v1 + v2)
     iters_used = res_dual.iterations + res_low.iterations + used
 

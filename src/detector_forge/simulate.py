@@ -18,31 +18,31 @@ several entries are searched.  Transformed rejection reads log k! from a
 table of ``gammaln(k + 1.0)`` built with the sampler, ``gammaln``'s own
 values for the same arguments, and calls ``gammaln`` only above it.
 
-Each Monte Carlo call owns its generators and re-keys one at the start of
-every block to the state a fresh ``Philox(key=(seed, block))`` starts in,
-which is cheaper than building one.  A block's stream depends only on
-its key, not on when it is drawn, so ``mc_detector_risk`` draws a group
-of ``_GROUP`` blocks with one ``draw_streams`` call, which gives the rows
-of one ``draw`` call on each block's stream, and computes the group's
-detector statistic and ``exp`` at once; each block's moments are then
-summed alone, with the calls of a one-block loop, so the estimate is the
-one that loop gives, bit for bit.  That rests on the elementwise maps
-(``ndtri``, ``log``, ``gammaln``, ``exp``) giving the same bits whatever
-the length of the array, and on the Gaussian matmul running one
-(n, d) @ (d, d) product per block.  Gaussian, discrete and Poisson
-samplers map each stream's uniforms with one call for the group, Poisson
-transformed rejection runs its rounds across the group's streams, and
-custom kernels and scenario streams loop over the streams.  The
+Each sampler has one kernel, which gives ``count`` successive draws on
+each of several generators (``Sampler``); ``draw``, ``draw_trials`` and
+``draw_streams`` are views of it.  Each Monte Carlo call owns its
+generators and re-keys one at the start of every block to the state a
+fresh ``Philox(key=(seed, block))`` starts in, which is cheaper than
+building one.  A block's stream depends only on its key, not on when it is
+drawn, so ``mc_detector_risk`` draws a group of ``_GROUP`` blocks with one
+``draw_streams`` call, which gives the rows of one ``draw`` call on each
+block's stream, and computes the group's detector statistic and ``exp``
+at once; each block's moments are then summed alone, with the calls of a
+one-block loop, so the estimate is the one that loop gives, bit for bit.
+That rests on the elementwise maps (``ndtri``, ``log``, ``gammaln``,
+``exp``) giving the same bits whatever the length of the array, and on the
+Gaussian matmul running one (n, d) @ (d, d) product per draw.  The
 multi-test, color and aggregation checks draw all of a block's trials
 with one ``draw_trials`` call, which gives the rows that one ``draw``
 call per trial, in trial order, would give on the block's stream.
-Gaussian, discrete and all-inversion Poisson samplers do that in one
-kernel call, since they use a fixed number of uniforms per trial in that
-order; Poisson samplers with a rate above the inversion cap (rejection
-uses a data-dependent number of uniforms), custom kernels and scenario
-streams (their history restarts on every call) loop over the trials.
-All of a block's trials are then decided with one batched call, whose
-arithmetic is that of the single-trial decision.
+Gaussian, discrete and all-inversion Poisson samplers use a fixed number
+of uniforms per draw, so their kernel maps all of its uniforms with one
+call.  Poisson samplers with a rate above the inversion cap (rejection
+uses a data-dependent number of uniforms, and runs its rounds across the
+streams of one draw), custom kernels and scenario streams (their history
+restarts on every draw) make one call per draw.  All of a block's trials
+are then decided with one batched call, whose arithmetic is that of the
+single-trial decision.
 
 A Monte Carlo report passes when the estimate does not exceed the certified
 bound by more than three standard errors (``_SIGMAS``).
@@ -100,26 +100,36 @@ class McReport:
 
 @dataclass(frozen=True)
 class Sampler:
-    """Observation stream: draw kernels plus their seed.
+    """Observation stream: one draw kernel plus its seed.
 
-    ``draw_streams(rngs, n)`` returns the (len(rngs), n, dim) array of one
-    ``draw(rng, n)`` on each generator of ``rngs``, bit for bit, and leaves
-    each generator where that draw would; ``draw`` is that kernel on one
-    stream and may consume any number of variates from it.
-    ``draw_trials(rng, count, n)`` returns the (count, n, dim) array of
-    ``count`` successive ``draw(rng, n)`` calls on the same generator, bit
-    for bit, and leaves ``rng`` where they would.  The per-block generator
-    comes from ``block_rng``.  Reusing one sampler for several estimates
-    shares its randomness, which is statistically fine but correlates the
-    reports; give each hypothesis its own seed when independence matters.
+    ``kernel(rngs, count, n)`` returns the (len(rngs), count, n, dim)
+    array of ``count`` successive n-row draws on each generator of
+    ``rngs``, and leaves each generator where those draws would; a draw
+    may consume any number of variates.  ``draw(rng, n)`` is one draw on
+    one generator, ``draw_trials(rng, count, n)`` the (count, n, dim)
+    draws on one, and ``draw_streams(rngs, n)`` the (len(rngs), n, dim)
+    array of one draw on each; all three are views of the kernel, so they
+    agree bit for bit.  The per-block generator comes from ``block_rng``.
+    Reusing one sampler for several estimates shares its randomness, which
+    is statistically fine but correlates the reports; give each hypothesis
+    its own seed when independence matters.
     """
 
     kind: str
     dim: int
     seed: int
-    draw: Callable[[np.random.Generator, int], np.ndarray]
-    draw_trials: Callable[[np.random.Generator, int, int], np.ndarray]
-    draw_streams: Callable[[Sequence[np.random.Generator], int], np.ndarray]
+    kernel: Callable[[Sequence[np.random.Generator], int, int], np.ndarray]
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.kernel([rng], 1, n)[0, 0]
+
+    def draw_trials(self, rng: np.random.Generator, count: int,
+                    n: int) -> np.ndarray:
+        return self.kernel([rng], count, n)[0]
+
+    def draw_streams(self, rngs: Sequence[np.random.Generator],
+                     n: int) -> np.ndarray:
+        return self.kernel(rngs, 1, n)[:, 0]
 
     def block_rng(self, block: int) -> np.random.Generator:
         return _rekey(_philox(), self.seed, block)
@@ -149,56 +159,39 @@ def _rekey(rng: np.random.Generator, seed: int,
     return rng
 
 
-def _sampler(kind: str, dim: int, seed: int, draw_streams,
-             draw_trials=None) -> Sampler:
-    """Sampler whose ``draw`` is ``draw_streams`` on one stream; without a
-    batched ``draw_trials``, trials are successive ``draw`` calls."""
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return draw_streams([rng], n)[0]
-
-    if draw_trials is None:
-        def draw_trials(rng: np.random.Generator, count: int,
-                        n: int) -> np.ndarray:
-            return np.stack([draw(rng, n) for _ in range(count)])
-
-    return Sampler(kind, int(dim), int(seed), draw, draw_trials, draw_streams)
-
-
 def _from_uniforms(kind: str, dim: int, seed: int, shape,
                    transform) -> Sampler:
     """Sampler that maps a fixed number of uniforms per draw, ``shape(n)``
-    of them in stream order, to rows: ``transform`` takes a stack of
-    uniform arrays, one per draw, to the stack of their (n, dim) rows."""
+    of them in stream order, to rows: ``transform`` takes the
+    (streams, count, *shape(n)) uniforms to the (streams, count, n, dim)
+    rows of their draws."""
 
-    def draw_streams(rngs: Sequence[np.random.Generator],
-                     n: int) -> np.ndarray:
-        return transform(_stream_uniforms(rngs, shape(n)))
+    def kernel(rngs: Sequence[np.random.Generator], count: int,
+               n: int) -> np.ndarray:
+        return transform(_stream_uniforms(rngs, (count, *shape(n))))
 
-    def draw_trials(rng: np.random.Generator, count: int,
-                    n: int) -> np.ndarray:
-        return transform(_uniforms(rng, (count, *shape(n))))
-
-    return _sampler(kind, dim, seed, draw_streams, draw_trials)
+    return Sampler(kind, int(dim), int(seed), kernel)
 
 
-def _per_stream(kind: str, dim: int, seed: int, draw) -> Sampler:
-    """Sampler whose kernel runs ``draw`` on each stream in turn."""
+def _stacked(kind: str, dim: int, seed: int, fill) -> Sampler:
+    """Sampler whose kernel makes ``count`` successive one-draw calls:
+    ``fill(rngs, out)`` writes one draw on each generator into ``out``,
+    the (len(rngs), n, dim) slice of the kernel's array for that call."""
 
-    def draw_streams(rngs: Sequence[np.random.Generator],
-                     n: int) -> np.ndarray:
-        return np.stack([draw(rng, n) for rng in rngs])
+    def kernel(rngs: Sequence[np.random.Generator], count: int,
+               n: int) -> np.ndarray:
+        out = np.empty((len(rngs), count, n, dim))
+        for t in range(count):
+            fill(rngs, out[:, t])
+        return out
 
-    return _sampler(kind, dim, seed, draw_streams)
-
-
-def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    return np.maximum(rng.random(shape), _U_FLOOR)
+    return Sampler(kind, int(dim), int(seed), kernel)
 
 
 def _stream_uniforms(rngs: Sequence[np.random.Generator],
                      shape) -> np.ndarray:
-    """(len(rngs), *shape) uniforms; row i is ``_uniforms(rngs[i], shape)``."""
+    """(len(rngs), *shape) uniforms, floored at ``_U_FLOOR``; row i comes
+    from ``rngs[i]``."""
     u = np.empty((len(rngs), *shape))
     for rng, row in zip(rngs, u):
         rng.random(out=row)
@@ -369,21 +362,19 @@ def poisson_sampler(rates, seed: int) -> Sampler:
                for l, inv in zip(lam, inverted)]
 
     if not inverted.all():
-        def draw_streams(rngs: Sequence[np.random.Generator],
-                         n: int) -> np.ndarray:
-            out = np.empty((len(rngs), n, lam.size))
+        def fill(rngs: Sequence[np.random.Generator], out: np.ndarray):
+            n = out.shape[1]
             for j, (kernel, inv) in enumerate(zip(kernels, inverted)):
                 out[:, :, j] = (kernel(_stream_uniforms(rngs, (n,))) if inv
                                 else kernel(rngs, n))
-            return out
 
-        return _sampler("poisson", lam.size, seed, draw_streams)
+        return _stacked("poisson", lam.size, seed, fill)
 
     def transform(u: np.ndarray) -> np.ndarray:
-        # u is (draws, dim, n): each draw's uniforms, column after column
-        out = np.empty((u.shape[0], u.shape[2], lam.size))
+        # u is (..., dim, n): each draw's uniforms, column after column
+        out = np.empty((*u.shape[:-2], u.shape[-1], lam.size))
         for j, lookup in enumerate(kernels):
-            out[:, :, j] = lookup(u[:, j])
+            out[..., j] = lookup(u[..., j, :])
         return out
 
     return _from_uniforms("poisson", lam.size, seed,
@@ -414,14 +405,16 @@ def discrete_sampler(probs, seed: int) -> Sampler:
 def custom_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
     """Arbitrary kernel ``fn(rng, n) -> (n, dim)``."""
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        arr = np.asarray(fn(rng, n), dtype=float)
-        if arr.shape != (n, dim):
-            raise ValueError(f"custom kernel returned shape {arr.shape}, "
-                             f"expected {(n, dim)}")
-        return arr
+    def fill(rngs: Sequence[np.random.Generator], out: np.ndarray):
+        n = out.shape[1]
+        for rng, rows in zip(rngs, out):
+            arr = np.asarray(fn(rng, n), dtype=float)
+            if arr.shape != (n, dim):
+                raise ValueError(f"custom kernel returned shape {arr.shape}, "
+                                 f"expected {(n, dim)}")
+            rows[...] = arr
 
-    return _per_stream("custom", dim, seed, draw)
+    return _stacked("custom", dim, seed, fill)
 
 
 def scenario_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
@@ -429,17 +422,16 @@ def scenario_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
     drawn so far within the current call, so conditional distributions may
     depend on the trajectory.  History resets on each draw call."""
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.zeros((n, dim))
-        for t in range(n):
-            row = np.asarray(fn(out[:t], rng), dtype=float).ravel()
-            if row.size != dim:
-                raise ValueError("scenario kernel returned a row of size "
-                                 f"{row.size}, expected {dim}")
-            out[t] = row
-        return out
+    def fill(rngs: Sequence[np.random.Generator], out: np.ndarray):
+        for rng, rows in zip(rngs, out):
+            for t in range(len(rows)):
+                row = np.asarray(fn(rows[:t], rng), dtype=float).ravel()
+                if row.size != dim:
+                    raise ValueError("scenario kernel returned a row of size "
+                                     f"{row.size}, expected {dim}")
+                rows[t] = row
 
-    return _per_stream("scenario", dim, seed, draw)
+    return _stacked("scenario", dim, seed, fill)
 
 
 def _detector_stat(det, obs: np.ndarray) -> np.ndarray:

@@ -296,15 +296,17 @@ def test_affine_slice_is_certified_past_the_kink_at_zero():
 
 
 def test_overlapping_affine_slice_reports_the_zero_detector():
-    # pair k = 2 of criterion 08 overlaps: the saddle's upper value sits a
-    # gap above 0, exp of which is no risk, so the zero detector with risk
-    # exactly 1 is returned, still carrying the solve's gap
+    # pair k = 2 of criterion 08 overlaps: the upper value at the frozen
+    # minimizer sits above 0, exp of which is no risk, so the solve itself
+    # returns the zero detector with side values exactly 0, and the
+    # detector, with risk exactly 1, carries that solve's own gap
     s1, s2 = list(_criterion_08_pairs())[2]
     aff = special_case_affine(s1, s2)
-    assert aff.meta["solution"].sad_val > 0.0
+    sol = aff.meta["solution"]
+    assert not np.any(sol.h) and sol.side_values == (0.0, 0.0)
     assert aff.risk == 1.0 and risk_after_K(aff.risk, 2) == 1.0
     assert aff.a == 0.0 and not np.any(aff.h)
-    assert aff.certified and aff.gap == aff.meta["solution"].gap
+    assert aff.certified and aff.gap == sol.gap <= 1e-6
 
 
 def test_criterion_09_variance_separation_qualitative():

@@ -335,6 +335,28 @@ def test_polytope_quadratic_matches_one_system_per_candidate(problem):
     assert np.all(C @ z <= d + _row_slack(lo, hi, C, d))
 
 
+@pytest.mark.parametrize("n, m", [(5, 7), (3, 30)])
+def test_polytope_quadratic_matches_one_system_per_candidate_on_the_largest_shapes(
+        n, m):
+    # within the cap, (5, 7) has the most systems of the largest size (1586
+    # of 10 x 10, 6662 candidates) and (3, 30) the most systems (6018 of
+    # 6 x 6, 7702 candidates), each solved in one pass; with q = 0 every
+    # feasible candidate ties, and the first in candidate order wins
+    rng = np.random.default_rng(10 * n + m)
+    lo, hi = -np.ones(n), np.ones(n)
+    for tied in (False, True):
+        C = rng.standard_normal((m, n))
+        d = C @ rng.uniform(-0.5, 0.5, n) + rng.uniform(0.0, 1.0, m)
+        B = rng.standard_normal((n, n))
+        Q, c = (np.zeros((n, n)), np.zeros(n)) if tied else \
+            (B @ B.T, 3.0 * rng.standard_normal(n))
+        z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
+        z_ref, value_ref = _polytope_reference(Q, c, lo, hi, C, d)
+        assert abs(value - value_ref) <= 1e-12 * max(1.0, abs(value_ref))
+        if tied:
+            assert value == 0.0 and np.array_equal(z, z_ref)
+
+
 def test_polytope_quadratic_breaks_ties_in_candidate_order():
     # with q = 0 every feasible candidate ties, and the first in candidate
     # order wins: the box states come first, their first coordinate varies

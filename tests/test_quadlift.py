@@ -224,7 +224,7 @@ def test_lifted_bound_dominates_exact_mgf_below_the_reference(d, m, edge,
     spec = QuadLiftSpec(A=A, U=box(lo, hi),
                         Ucov=psd_interval(Theta, Theta_star),
                         Theta_star=Theta_star, gamma=gamma)
-    bound = quadlift._lifted_bound(spec, h, H, Theta)[0]
+    bound = quadlift._lifted_value(spec, h, H, Theta)[0]
     corners = np.where(np.indices((2,) * m).reshape(m, -1).T == 1, hi, lo)
     us = np.vstack([corners, rng.uniform(lo, hi, size=(20, m))])
     for u in us:
@@ -615,9 +615,10 @@ def test_distinct_references_alternate_between_the_two_bands():
 
 
 def _reference_lifted_bound(spec, h, H, Theta):
-    """_lifted_bound as first written, each small product formed where it
-    is used, over a box or a singleton of means: the reference that the
-    shared-piece evaluation must match bit for bit."""
+    """The lifted bound's (value, grad_h, grad_H) as first written, each
+    small product formed where it is used, over a box or a singleton of
+    means: the reference that _lifted_value and its gradient must match
+    bit for bit."""
     d = spec.dim
     H = 0.5 * (H + H.T)
     w, V = np.linalg.eigh(spec.root @ H @ spec.root)
@@ -672,11 +673,13 @@ def test_lifted_bound_matches_its_reference_bit_for_bit(seed):
         h = rng.standard_normal(d)
         Theta = float(rng.uniform(0.5, 1.0)) * Theta_star
         for sign in (1.0, -1.0):
-            got = quadlift._lifted_bound(spec, sign * h, sign * H, Theta)
+            value, grad = quadlift._lifted_value(spec, sign * h, sign * H,
+                                                 Theta)
             want = _reference_lifted_bound(spec, sign * h, sign * H, Theta)
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
-            assert np.array_equal(got[2], want[2])
+            grad_h, grad_H = grad()
+            assert value == want[0]
+            assert np.array_equal(grad_h, want[1])
+            assert np.array_equal(grad_H, want[2])
 
 
 def test_variance_pair_evaluates_the_folded_bound_at_most_the_pinned_count(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detector_forge import families, saddle, sets
+from detector_forge.detectors import build_detector
 from detector_forge.quadlift import QuadLiftSpec, lift_gaussian
 from detector_forge.saddle import SaddleProblem, best_response, solve_saddle
 
@@ -92,6 +93,24 @@ def test_separated_halfline_means():
     sol = solve_saddle(prob)
     assert sol.sad_val == pytest.approx(-0.5, abs=1e-6)
     assert np.allclose(sol.h, [1.0, 0.0], atol=1e-3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_unbounded_overlap_returns_the_zero_detector_with_its_own_gap(d):
+    # the half-line [-1, inf) meets [1, 2]: the frozen minimizer sits at
+    # h = -5.6e-17, where the unbounded side's best response is +inf.  An
+    # upper value of inf certifies nothing; the zero detector, whose side
+    # values are exactly 0, takes its place with its own finite gap
+    mk = lambda lo, hi: families.sub_gaussian_family(
+        sets.box(lo, hi), sets.singleton(sets.sym_flatten(np.eye(d))))
+    prob = SaddleProblem(mk([-1.0] * d, [np.inf] * d), mk([1.0] * d, [2.0] * d))
+    sol = solve_saddle(prob)
+    assert not np.any(sol.h) and sol.side_values == (0.0, 0.0)
+    assert sol.certified and 0.0 <= sol.gap <= saddle._TOL
+    # the unbounded side's support is +inf away from h = 0
+    assert best_response(prob, np.full(d, -1e-3))[2] == np.inf
+    det = build_detector(prob)
+    assert det.risk == 1.0 and det.a == 0.0 and det.gap == sol.gap
 
 
 def test_covariance_interval_picks_worst_spread():

@@ -114,9 +114,10 @@ def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
     a_i x over the base is -supp(-a_i), which decides one row.  A piece
     with a polytope is held to the polytope oracle's slack on every row
     (its rows are the last cut rows).  It is kept when Polytope.holds takes
-    the seed or a row's support point; otherwise Polytope.nearest of the
-    seed finds a point exactly when the piece is non-empty to that slack.
-    Any other piece allows each row, and the residual at the seed or its
+    the seed or a row's support point; otherwise it is kept unless
+    Polytope.nearest of the seed raises InfeasibleError, which the oracle's
+    Lemke solve does exactly when the piece is empty to that slack.  Any
+    other piece allows each row, and the residual at the seed or its
     Dykstra projection, up to _EMPTY_RESIDUAL * (1 + |x|)."""
     poly = piece.polytope
     if poly is not None:
@@ -133,11 +134,13 @@ def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
         if b.size == 1:
             return True
     if poly is not None:
+        if poly.holds(np.stack(points)):
+            return True
         try:
-            if poly.holds(np.stack(points)) or poly.nearest(seed) is not None:
-                return True
+            poly.nearest(seed)
         except InfeasibleError:
             return False
+        return True
 
     def meets(x):
         resid = max(float(np.max(A @ x - b)), base.distance(x))
@@ -169,9 +172,10 @@ def purify(problem: AggregationProblem, deltas) -> list:
     Emptiness is exact, by one support call, for one-row pieces of an
     image with a support function; a cell of several rows is dropped when
     one row fails that test.  Otherwise a cell of an image with a polytope
-    (ConvexSet.polytope) is kept exactly when the polytope oracle finds a
-    point in it, and a cell of any other image by the residual of a point
-    found by Dykstra's method (see ``_feasible``).
+    (ConvexSet.polytope), of any number of rows, is kept exactly when the
+    polytope oracle finds a point in it to its slack, and a cell of any
+    other image by the residual of a point found by Dykstra's method (see
+    ``_feasible``).
     """
     geo = voronoi_geometry(problem.estimates)
     deltas = level_margins(deltas, problem.count)

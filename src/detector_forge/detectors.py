@@ -138,8 +138,9 @@ def gaussian_symmetric_detector(mean_set1: ConvexSet, mean_set2: ConvexSet,
     detector with risk one.  The risk is exp(-delta^2 / 2), delta half the
     precision-metric distance.  Polytope projections may exceed a row by
     the oracle's slack (sets.Polytope), so there the distance may be
-    understated by about 1e-9 of the rows' scale.  Any other pair, and a
-    pair whose face enumeration the oracle declines, is the saddle solve
+    understated by about 1e-9 of the rows' scale; a mean set whose polytope
+    the oracle finds empty raises InfeasibleError.  A pair in which either
+    mean set has no polytope (a ball, say) is the saddle solve
     (build_detector) of the two sub-Gaussian families, whose detector
     carries a computed gap.
     """
@@ -153,12 +154,11 @@ def gaussian_symmetric_detector(mean_set1: ConvexSet, mean_set2: ConvexSet,
     P = np.linalg.inv(sym)
 
     p1, p2 = mean_set1.polytope, mean_set2.polytope
-    pair = None if p1 is None or p2 is None else p1.closest(p2, P)
-    if pair is None:
+    if p1 is None or p2 is None:
         cov = singleton(sym_flatten(sym))
         return build_detector(SaddleProblem(sub_gaussian_family(mean_set1, cov),
                                             sub_gaussian_family(mean_set2, cov)))
-    t1, t2 = pair
+    t1, t2 = p1.closest(p2, P)
     h = 0.5 * (P @ (t1 - t2))
     delta = float(np.sqrt(max(h @ (Theta @ h), 0.0)))
     if delta <= 1e-9:

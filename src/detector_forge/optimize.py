@@ -31,20 +31,17 @@ rejected trial point pays for the value alone.
 
 Quadratics over a finite box have an exact answer instead:
 maximize_box_quadratic enumerates the faces on which the maximum can sit,
-for any curvature.  Convex quadratics over a bounded polytope {lo <= z <=
-hi, C z <= d} have one too: minimize_polytope_quadratic enumerates the
-active sets of box bounds and cut rows and solves their KKT systems.  Both
-share the enumeration of per-coordinate box states, and both factor each
-distinct linear system once: the side (lo or hi) of a pinned coordinate
-moves only the right-hand side, so the candidates that differ in their
-sides alone are the columns of one solve.  Their tables depend on the
-shape alone and are built on a shape's first call.
+for any curvature, each distinct linear system factored once (the side, lo
+or hi, of a pinned coordinate moves only the right-hand side), its tables
+built on a radix's first call.  Convex quadratics over a bounded polytope
+{lo <= z <= hi, C z <= d} have one too: minimize_polytope_quadratic solves
+their KKT conditions, a linear complementarity problem, by one Lemke
+pivoting solve, whose secondary ray proves the polytope empty.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -66,15 +63,14 @@ _BOX_CANDIDATE_CAP = 2 ** 16   # face candidates of maximize_box_quadratic
 # least eigenvalue of -T on the negative diagonal, relative to |T|max, past
 # which maximize_box_quadratic keeps every free set untested
 _INTERLACE_MARGIN = 1e-8
-# Face candidates of minimize_polytope_quadratic.  Near the cap a call took
-# 3-15 ms on one core of a shared 2-CPU host, 0.4-2 us per candidate: its
-# KKT systems, of size n + min(m, n), serve 1.3 (n = 3, m = 30) to 26
-# (n = 8, m = 0) candidates each.  Past it, the projected-gradient
-# closest-pair search over the polytope projections of the two pieces took
-# 6-85 ms on aggregation pairs of 2-d and 3-d box images, where the
-# enumeration took 40-650 ms.
-_POLYTOPE_CANDIDATE_CAP = 2 ** 13
-_FEASIBLE_RTOL = 1e-9          # slack of a candidate, relative to its rows
+_FEASIBLE_RTOL = 1e-9          # slack of a cut row, relative to its scale
+# tableau entries within this fraction of their scale count as zero in
+# Lemke's pivoting
+_PIVOT_RTOL = 1e-11
+# a bound on Lemke's path, which the lexicographic rule keeps from cycling:
+# the closest pairs of the benchmark's aggregation tasks (12 rows) take 4-7
+# pivots
+_MAX_PIVOTS_PER_ROW = 100
 
 
 @dataclass
@@ -324,118 +320,19 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     return X[best], float(vals[best])
 
 
-def _polytope_count(n: int, m: int) -> int:
-    """How many candidate active sets minimize_polytope_quadratic takes
-    over n coordinates with lo < hi and m cut rows: p pinned coordinates,
-    each at lo or at hi, with at most n - p cut rows."""
-    return sum(math.comb(n, p) * 2 ** p
-               * sum(math.comb(m, s) for s in range(min(m, n - p) + 1))
-               for p in range(n + 1))
-
-
-def _polytope_faces(n: int, m: int):
-    """Candidate active sets of minimize_polytope_quadratic over n
-    coordinates and m cut rows, in candidate order, or None past
-    _POLYTOPE_CANDIDATE_CAP.
-
-    Returns (states, rows): every box state paired with every set of at
-    most n - (pinned coordinates) cut rows.  Each line of rows lists its
-    active cut rows in increasing order, padded with m to min(m, n)
-    entries.  The count is checked before anything is built, and nothing
-    built grows faster than it.  _polytope_systems keeps them, regrouped.
-    """
-    width = min(m, n)
-    if _polytope_count(n, m) > _POLYTOPE_CANDIDATE_CAP:
-        return None
-    # the 3^n box states are the count's share with no cut row active
-    box = _box_states(np.full(n, 3))
-    pins = np.count_nonzero(box != 2, axis=1)
-    states, rows = [], []
-    for s in range(width + 1):
-        subsets = np.full((math.comb(m, s), width), m, dtype=np.intp)
-        subsets[:, :s] = np.array(list(itertools.combinations(range(m), s)),
-                                  dtype=np.intp).reshape(len(subsets), s)
-        fit = box[pins <= n - s]
-        states.append(np.repeat(fit, len(subsets), axis=0))
-        rows.append(np.tile(subsets, (len(fit), 1)))
-    return np.concatenate(states), np.concatenate(rows)
-
-
-@functools.lru_cache(maxsize=32)
-def _polytope_systems(n: int, m: int):
-    """The candidates of _polytope_faces(n, m) grouped by KKT matrix, or
-    None past _POLYTOPE_CANDIDATE_CAP.
-
-    A candidate's matrix depends only on its free coordinates and its
-    active cut rows; the sides (lo or hi) of its p pinned coordinates move
-    only the right-hand side, so one matrix serves 2^p candidates.  Returns
-    (index, spans, states, rows, order, runs):
-    - index (D, N, N), N = n + min(m, n): every entry of each distinct
-      matrix as a position in the concatenation [Q.ravel(), C.ravel(), 0,
-      size], so that one gather builds them all;
-    - spans: each matrix's 2^p;
-    - states, rows: the candidates, each matrix's 2^p of them consecutive
-      and in candidate order, the matrices in increasing p;
-    - order: each of those candidates' position in candidate order;
-    - runs: (u, v, 2^p) for the matrices u:v that pin p coordinates.
-    Nothing grows faster than the candidates, whose cap bounds everything
-    one call builds: within it, n = 5 with m = 7 has the most systems of
-    the largest size (1586 of 10 x 10) and n = 3 with m = 30 the most
-    systems (6018 of 6 x 6), 1.3 and 1.7 MB of matrices per call.  The
-    arrays are read-only, since every caller of one shape shares them.
-    """
-    faces = _polytope_faces(n, m)
-    if faces is None:
-        return None
-    states, rows = faces
-    width = min(m, n)
-    free = states == 2
-    # one integer per (free set, active rows): the free set's bits, then
-    # the rows as digits in base m + 1
-    key = free @ (1 << np.arange(n))
-    for i in range(width):
-        key = key * (m + 1) + rows[:, i]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    pins = n - np.count_nonzero(free[first], axis=1)
-    mats = np.lexsort((first, pins))
-    rank = np.empty_like(mats)
-    rank[mats] = np.arange(len(mats))
-    order = np.argsort(rank[inverse], kind="stable")
-    pins, F, R = pins[mats], free[first[mats]], rows[first[mats]]
-    used = R < m
-    zero, diag = n * n + m * n, n * n + m * n + 1
-    index = np.empty((len(mats), n + width, n + width), dtype=np.intp)
-    index[:, :n, :n] = np.where(F[:, :, None] & F[:, None, :],
-                                np.arange(n * n).reshape(n, n),
-                                np.where(np.eye(n, dtype=bool), diag, zero))
-    cut = np.where(used[:, :, None] & F[:, None, :],
-                   n * n + n * R[:, :, None] + np.arange(n), zero)
-    index[:, n:, :n] = cut
-    index[:, :n, n:] = cut.transpose(0, 2, 1)
-    index[:, n:, n:] = np.where(~used[:, :, None] & np.eye(width, dtype=bool),
-                                diag, zero)
-    # runs (u, v, 2^p) of the matrices u:v that pin p coordinates
-    spans = 2 ** pins
-    edges = [0, *(np.flatnonzero(np.diff(pins)) + 1).tolist(), len(pins)]
-    runs = [(u, v, int(spans[u])) for u, v in zip(edges[:-1], edges[1:])]
-    out = (index, spans, states[order], rows[order], order)
-    for arr in out:
-        arr.setflags(write=False)
-    return (*out, runs)
-
-
 def _row_slack(lo, hi, C, d):
     """How far a point of the box [lo, hi] may exceed each row of C z <= d
-    and still meet it in minimize_polytope_quadratic: _FEASIBLE_RTOL times
-    the row's scale |d| + |C| max(|lo|, |hi|)."""
+    and still meet it, for minimize_polytope_quadratic's emptiness test:
+    _FEASIBLE_RTOL times the row's scale |d| + |C| max(|lo|, |hi|)."""
     return _FEASIBLE_RTOL * (np.abs(d) + np.abs(C) @ np.maximum(np.abs(lo),
                                                                 np.abs(hi)))
 
 
 def _polytope_accept(Z, lo, hi, C, d):
-    """(positions, points): the rows of Z that minimize_polytope_quadratic
-    accepts, clipped into the box: those within _FEASIBLE_RTOL of the box
-    width of [lo, hi] that, once clipped, meet C z <= d to _row_slack."""
+    """(positions, points): the rows of Z that are points of the polytope to
+    the oracle's slack, clipped into the box: those within _FEASIBLE_RTOL of
+    the box width of [lo, hi] that, once clipped, meet C z <= d to
+    _row_slack."""
     box_slack = _FEASIBLE_RTOL * (hi - lo)
     keep = np.flatnonzero(np.all((Z >= lo - box_slack) & (Z <= hi + box_slack),
                                  axis=1))
@@ -444,37 +341,89 @@ def _polytope_accept(Z, lo, hi, C, d):
     return keep[ok], Z[ok]
 
 
+def _lemke(M, q) -> Optional[np.ndarray]:
+    """A solution x >= 0 of the linear complementarity problem w = M x + q
+    >= 0, x'w = 0, or None where Lemke's method ends on a secondary ray.
+
+    Lemke's scheme with the covering vector e (Lemke, Management Science
+    11, 1965; Cottle, Pang & Stone, The Linear Complementarity Problem,
+    1992, sections 4.4 and 4.9): the artificial variable z0 enters at the
+    least q_i, and each pivot brings in the complement of the variable that
+    just left, until z0 leaves.  For copositive-plus M, a secondary ray
+    (an entering column with no positive entry) proves that no x >= 0 has
+    M x + q >= 0.  Degenerate steps are common (the two rows of an equality,
+    such as a simplex's sum row, tie), and two rules resolve their ties:
+    z0 leaves first, which ends the path, and otherwise the ratio test is
+    lexicographic, the tied rows comparing their rows of the basis inverse
+    (the tableau's w columns) divided by the pivot entry, which rules out
+    cycling.  With neither rule, 198 of 500 projections onto linear images
+    of simplices ended on a false ray.  An entry counts as zero within
+    _PIVOT_RTOL of its column's scale, and a step ties within _PIVOT_RTOL of
+    the right-hand side's.  At the end the basic values are solved from the
+    original columns of the final basis, which carries none of the pivots'
+    rounding.  RuntimeError past _MAX_PIVOTS_PER_ROW pivots per row.
+    """
+    N = q.size
+    if np.all(q >= 0.0):
+        return np.zeros(N)
+    # the tableau of w - M x - e z0 = q: columns w, x and z0, then q
+    T = np.hstack([np.eye(N), -M, -np.ones((N, 1)), q[:, None]])
+    basis = np.arange(N)
+    art = 2 * N
+    # z0 enters at the least q_i; on a tie the last such row is the
+    # lexicographic minimum of (q_i, e_i)
+    row, entering = N - 1 - int(np.argmin(q[::-1])), art
+    for _ in range(_MAX_PIVOTS_PER_ROW * N):
+        T[row] /= T[row, entering]
+        col = T[:, entering].copy()
+        col[row] = 0.0
+        T -= np.outer(col, T[row])
+        leaving, basis[row] = basis[row], entering
+        if leaving == art:
+            x = np.zeros(2 * N)
+            columns = np.hstack([np.eye(N), -M])[:, basis]
+            x[basis] = np.linalg.solve(columns, q)
+            return x[N:]
+        entering = leaving + N if leaving < N else leaving - N
+        a = T[:, entering]
+        rows = np.flatnonzero(a > _PIVOT_RTOL * max(1.0, np.max(np.abs(a))))
+        if not rows.size:
+            return None
+        rhs, a = T[rows, -1], a[rows]
+        step = float(np.min(rhs / a))
+        tied = rhs - a * step <= _PIVOT_RTOL * np.max(np.abs(T[:, -1]))
+        rows, a = rows[tied], a[tied]
+        if np.any(basis[rows] == art):
+            rows = rows[basis[rows] == art]
+        for j in range(N):
+            if rows.size == 1:
+                break
+            v = T[rows, j] / a
+            keep = v <= v.min() + _PIVOT_RTOL * max(1.0, np.max(np.abs(v)))
+            rows, a = rows[keep], a[keep]
+        row = int(rows[0])
+    raise RuntimeError("Lemke pivoting did not end")
+
+
 def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     """Exact minimum of q(z) = z'Qz/2 + c'z over {lo <= z <= hi, C z <= d}.
 
-    Q is symmetric positive semidefinite and the box is finite.  The
-    minimizers form a polytope; at one of its vertices the active rows and
-    Q leave no common null direction (one would move along the optimal set
-    or, were c'w nonzero, lower q), and a linearly independent subset F of
-    those rows carries the KKT multipliers and spans the rest.  So that
-    vertex is the unique solution of the face system
-    [Q_ff C_Ff'; C_Ff 0] (z_f, lam) = (-c_f - Q z_pinned, d_F - C_F z_pinned)
-    of F, with the box rows of F pinning coordinates at lo or hi.  Every
-    candidate pins each coordinate at lo, at hi or not at all and takes at
-    most n cut rows, with at most n active rows in all.  Pinned coordinates
-    and unused cut slots keep a diagonal entry alone, so all systems share
-    one size n + min(m, n), and a system depends only on its free
-    coordinates and its active cut rows (_polytope_systems).  One pass
-    takes every candidate of the shape: one gather builds the distinct
-    systems, those with an exactly zero determinant are dropped, and each
-    other one is solved once, the sides of its p pinned coordinates the
-    2^p columns of its right-hand side; the box corners, which pin every
-    coordinate, need no solve.  A nearly singular system can only yield a
-    point that is rejected or that is a feasible point, whose value is
-    evaluated as is.  The best candidate that meets every row to
-    _FEASIBLE_RTOL of the row's scale (_row_slack; the box rows to
-    _FEASIBLE_RTOL of their width) wins, clipped into the box, the first in
-    candidate order among equal values.  Coordinates with lo = hi are
-    folded into c and d; candidates are checked whole.
+    Q is symmetric positive semidefinite and the box is finite.  With x =
+    z - lo the constraints are x >= 0 and A x <= b, A = [I; C] and b = (hi -
+    lo, d - C lo), and the problem's KKT conditions are the linear
+    complementarity problem of M = [[Q, A'], [-A, 0]] and q = (c + Q lo, b)
+    over x and the multipliers of A's rows, which one Lemke solve answers
+    (_lemke).  M is copositive-plus for every positive semidefinite Q, so
+    the one solve serves projections, linear programs (Q = 0) and the
+    singular Q of a closest pair, and it ends on a secondary ray exactly
+    when the polytope is empty.  A polytope is empty only to the oracle's
+    slack, though: on a ray the solve runs once more with each cut row
+    moved out by _row_slack, _FEASIBLE_RTOL of the row's scale, the slack
+    that Polytope.holds and Polytope.row_slack also read.  Coordinates with
+    lo = hi are folded into c and d.  The minimizer is clipped into the box.
 
-    Returns (z, q(z)); (None, inf) when no candidate is feasible, that is
-    when the polytope is empty to that slack; and None when the candidates
-    exceed _POLYTOPE_CANDIDATE_CAP.
+    Returns (z, q(z)), or (None, inf) when no point of the box meets the
+    rows to that slack.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     Q = 0.5 * (Q + Q.T)
@@ -485,55 +434,19 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     C = np.zeros((0, n)) if C is None else np.atleast_2d(
         np.asarray(C, dtype=float)).reshape(-1, n)
     d = np.zeros(0) if d is None else np.atleast_1d(np.asarray(d, dtype=float))
-    m = d.size
-    own, Q_w, c_w, whole = lo < hi, Q, c, (lo, hi, C, d)
-    if not own.all():
-        z_w = np.where(own, 0.0, lo)
-        Q, c, d = Q[np.ix_(own, own)], (c + Q @ z_w)[own], d - C @ z_w
-        lo, hi, C, n = lo[own], hi[own], C[:, own], int(own.sum())
-    systems = _polytope_systems(n, m)
-    if systems is None:
-        return None
-    index, spans, states, rows, order, runs = systems
-    # the lone diagonal entries, on the scale of the other entries
-    size = max(float(np.max(np.abs(Q), initial=0.0)),
-               float(np.max(np.abs(C), initial=0.0))) or 1.0
-    K = np.concatenate([Q.ravel(), C.ravel(), [0.0, size]])[index]
-    ok = np.linalg.slogdet(K)[0] != 0.0
-    # the candidates of the nonsingular matrices
-    solved = np.repeat(ok, spans)
-    st, idx = states[solved], rows[solved]
-    free = st == 2
-    X = np.where(st == 1, hi, lo)
-    pinned = np.where(free, 0.0, X)
-    # the padding index m reads a zero row
-    Cu = np.vstack([C, np.zeros((1, n))])[idx]
-    rhs = np.concatenate([np.where(free, -c - pinned @ Q, size * X),
-                          np.append(d, 0.0)[idx]
-                          - np.einsum("kjn,kn->kj", Cu, pinned)], axis=1)
-    # a run's matrices pin the same number of coordinates: one solve per
-    # matrix, its pinned sides the columns of the right-hand side
-    sols, at, dim = [], 0, rhs.shape[1]
-    for u, v, sides in runs:
-        live = ok[u:v]
-        kept = int(np.count_nonzero(live))
-        B = rhs[at:at + kept * sides]
-        at += kept * sides
-        if sides == 2 ** n:
-            # the corners pin every coordinate: nothing to solve for
-            sols.append(B)
-            continue
-        B = B.reshape(kept, sides, dim).transpose(0, 2, 1)
-        sol = np.linalg.solve(K[u:v][live], B).transpose(0, 2, 1)
-        sols.append(sol.reshape(kept * sides, dim))
-    Z = np.where(free, np.concatenate(sols)[:, :n], X)
-    if n < len(own):
-        Z_own, Z = Z, np.repeat(whole[0][None], len(Z), axis=0)
-        Z[:, own] = Z_own
-    keep, Z = _polytope_accept(Z, *whole)
-    if not len(Z):
-        return None, math.inf
-    vals = 0.5 * np.sum((Z @ Q_w) * Z, axis=1) + Z @ c_w
-    # the first minimum in candidate order
-    i = np.lexsort((order[solved][keep], vals))[0]
-    return Z[i], float(vals[i])
+    # x = z - lo, over the coordinates with lo < hi alone
+    own = lo < hi
+    k = int(np.count_nonzero(own))
+    A = np.vstack([np.eye(k), C[:, own]])
+    M = np.block([[Q[np.ix_(own, own)], A.T],
+                  [-A, np.zeros((len(A), len(A)))]])
+    q = np.concatenate([(c + Q @ lo)[own], (hi - lo)[own], d - C @ lo])
+    x = _lemke(M, q)
+    if x is None:
+        q[2 * k:] += _row_slack(lo, hi, C, d)
+        x = _lemke(M, q)
+        if x is None:
+            return None, math.inf
+    z = lo.copy()
+    z[own] = np.clip(lo[own] + x[:k], lo[own], hi[own])
+    return z, float(0.5 * z @ Q @ z + c @ z)

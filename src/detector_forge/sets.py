@@ -6,6 +6,13 @@ derived from it, an optional support function (value and maximizer), and an
 optional bound on the Euclidean norm of the set's elements.  Sets over
 symmetric matrices are represented by their row-major flattened vectors so
 the optimizers never need to know about matrix shapes.
+
+Finite boxes, singletons and simplices, their linear images and halfspaces
+over them also carry a Polytope, whose projection, support function and
+closest pairs come from one exact oracle (optimize.minimize_polytope_quadratic,
+a Lemke pivoting solve).  That oracle finds a polytope empty only when no
+point of its box meets the cut rows to a slack of about 1e-9 of each row's
+scale, and then every Polytope query raises InfeasibleError.
 """
 
 from __future__ import annotations
@@ -18,8 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleError
-from .optimize import (_POLYTOPE_CANDIDATE_CAP, _polytope_count,
-                       _polytope_accept, _row_slack,
+from .optimize import (_polytope_accept, _row_slack,
                        minimize_polytope_quadratic, minimize_projected)
 
 __all__ = [
@@ -49,9 +55,13 @@ _DYKSTRA_MAX_ITER = 2000   # rounds of halfspaces' and intersection's Dykstra
 class Polytope:
     """The set {G z : lo <= z <= hi, C z <= d} over a finite box.
 
-    Its answers come from optimize.minimize_polytope_quadratic, which meets
-    each cut row to its slack (row_slack), about 1e-9 of the row's scale, so
-    nearest and closest may return points that exceed a row by that slack.
+    Its answers come from optimize.minimize_polytope_quadratic, one Lemke
+    pivoting solve per query with no limit on the shape.  The oracle calls
+    the polytope empty only when no point of the box meets the cut rows to
+    their slack (row_slack), about 1e-9 of each row's scale; each query
+    then raises InfeasibleError.  On a polytope that is empty by less than
+    that slack, nearest and closest return points that exceed a row by at
+    most the slack.
     """
 
     G: np.ndarray
@@ -87,28 +97,20 @@ class Polytope:
     def _gram(self) -> np.ndarray:
         return self.G.T @ self.G
 
-    @cached_property
-    def enumerable(self) -> bool:
-        """Is the oracle's candidate count within its cap?  Exactly then
-        nearest and support answer."""
-        free = int(np.count_nonzero(self.lo < self.hi))
-        return _polytope_count(free, self.d.size) <= _POLYTOPE_CANDIDATE_CAP
-
-    def nearest(self, y: np.ndarray) -> Optional[np.ndarray]:
+    def nearest(self, y: np.ndarray) -> np.ndarray:
         """The projection G z of y, z the oracle's minimizer of ||G z - y||^2;
-        None past the oracle's cap, InfeasibleError where it finds no z."""
+        InfeasibleError where it finds no z."""
         y = np.asarray(y, dtype=float)
-        best = minimize_polytope_quadratic(self._gram, -(self.G.T @ y),
+        z, _ = minimize_polytope_quadratic(self._gram, -(self.G.T @ y),
                                            self.lo, self.hi, self.C, self.d)
-        if best is not None and best[0] is None:
+        if z is None:
             raise InfeasibleError("the polytope is empty")
-        return None if best is None else self.G @ best[0]
+        return self.G @ z
 
     def support(self, g: np.ndarray) -> tuple[float, np.ndarray]:
         """(max of <g, x> over the polytope, a maximizer x): one oracle call
         with Q = 0 and c = -G'g, a linear program the oracle solves at a
-        vertex.  InfeasibleError where it finds no z; for a polytope within
-        the oracle's cap only, since past it there is no answer."""
+        vertex.  InfeasibleError where it finds no z."""
         g = np.asarray(g, dtype=float)
         n = self.lo.size
         z, _ = minimize_polytope_quadratic(np.zeros((n, n)), -(self.G.T @ g),
@@ -120,20 +122,21 @@ class Polytope:
 
     def closest(self, other: "Polytope", P: np.ndarray):
         """(x1 in self, x2 in other) nearest in the metric P: one oracle call
-        over z = (z1, z2) on z'Qz/2, Q = 2 M'PM with M = [G1, -G2].  None
-        when the oracle declines or finds no point."""
+        over z = (z1, z2) on z'Qz/2, Q = 2 M'PM with M = [G1, -G2].
+        InfeasibleError where it finds no z, that is where either polytope
+        is empty."""
         n1, n2 = self.G.shape[1], other.G.shape[1]
         M = np.hstack([self.G, -other.G])
         C = np.block([[self.C, np.zeros((self.d.size, n2))],
                       [np.zeros((other.d.size, n1)), other.C]])
-        best = minimize_polytope_quadratic(
+        z, _ = minimize_polytope_quadratic(
             2.0 * (M.T @ P @ M), np.zeros(n1 + n2),
             np.concatenate([self.lo, other.lo]),
             np.concatenate([self.hi, other.hi]), C,
             np.concatenate([self.d, other.d]))
-        if best is None or best[0] is None:
-            return None
-        return self.G @ best[0][:n1], other.G @ best[0][n1:]
+        if z is None:
+            raise InfeasibleError("the polytope is empty")
+        return self.G @ z[:n1], other.G @ z[n1:]
 
 
 @dataclass
@@ -327,13 +330,13 @@ def simplex(dim: int, lo=None, hi=None) -> ConvexSet:
 def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     """Polyhedron {x : A x <= b}, optionally intersected with a base set.
 
-    Over a base with a polytope whose candidate count is within the
-    oracle's cap (Polytope.enumerable: counted, not built, since most cells
-    that aggregation cuts are never asked), it projects by Polytope.nearest,
-    which raises InfeasibleError when the oracle finds that polytope empty,
-    and its support function is Polytope.support.  Any other halfspaces set
-    projects by Dykstra's alternating scheme over the half-spaces (and the
-    base set when given) and has no support function.
+    Over a base with a polytope (ConvexSet.polytope) the set has one too,
+    the base's cut by the rows: it projects by Polytope.nearest, which
+    raises InfeasibleError when the oracle finds that polytope empty, and
+    its support function is Polytope.support.  Over a base without one (a
+    ball, say) or over no base, it projects by Dykstra's alternating scheme
+    over the half-spaces (and the base set when given) and has no support
+    function.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -343,7 +346,7 @@ def halfspaces(A, b, base: Optional[ConvexSet] = None) -> ConvexSet:
     if np.any(rown == 0.0):
         raise ValueError("halfspaces rows must be nonzero")
     poly = base and base.polytope and base.polytope.cut(A, b)
-    if poly is not None and poly.enumerable:
+    if poly is not None:
         proj, supp = poly.nearest, poly.support
     else:
         pieces = []
@@ -400,11 +403,10 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     """The image {M x : x in base} of a convex set under a linear map.
 
     Projection of y solves min ||M z - y||^2 over the base set and returns
-    M z.  Over a base with a polytope within the oracle's cap
-    (Polytope.enumerable) this is Polytope.nearest of the image polytope,
-    which raises InfeasibleError when that polytope is empty; any other
-    base is projected by projected gradient.  The support function
-    delegates to the base set through M'.
+    M z.  Over a base with a polytope this is Polytope.nearest of the image
+    polytope, which raises InfeasibleError when that polytope is empty; a
+    base without one (a ball) is projected by projected gradient.  The
+    support function delegates to the base set through M'.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != base.dim:
@@ -413,17 +415,21 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     if M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(dim)):
         return base
 
-    def proj(y):
-        y = np.asarray(y, dtype=float)
+    poly = None if base.polytope is None else base.polytope.image(M)
+    if poly is not None:
+        proj = poly.nearest
+    else:
+        def proj(y):
+            y = np.asarray(y, dtype=float)
 
-        def obj(z):
-            r = M @ z - y
-            return 0.5 * float(r @ r), lambda: M.T @ r
+            def obj(z):
+                r = M @ z - y
+                return 0.5 * float(r @ r), lambda: M.T @ r
 
-        z0, *_ = np.linalg.lstsq(M, y, rcond=None)
-        res = minimize_projected(obj, base.project(z0), base.project,
-                                 rtol=1e-14, max_iter=2000)
-        return M @ res.x
+            z0, *_ = np.linalg.lstsq(M, y, rcond=None)
+            res = minimize_projected(obj, base.project(z0), base.project,
+                                     rtol=1e-14, max_iter=2000)
+            return M @ res.x
 
     supp = None
     if base.support is not None:
@@ -434,9 +440,6 @@ def linear_image(base: ConvexSet, M) -> ConvexSet:
     radius = None
     if base.bound_radius is not None:
         radius = float(np.linalg.norm(M, 2) * base.bound_radius)
-    poly = None if base.polytope is None else base.polytope.image(M)
-    if poly is not None and poly.enumerable:
-        proj = poly.nearest
     out = ConvexSet(dim, proj, supp, radius, name=f"image({base.name})",
                     meta={"kind": "image"})
     out.polytope = poly

@@ -419,6 +419,51 @@ def test_cells_holding_a_known_point_need_no_polytope_oracle(prob):
     assert _kept(levels) == _kept(reference)
 
 
+def test_sixteen_estimates_take_the_closest_pair_oracle_not_the_saddle():
+    # 2-d aggregation with 16 estimates over a box image: a cell has 15
+    # rows and a margin chunk one, so each closest pair of a level test has
+    # 4 coordinates and 16 cut rows, 11941 active sets.  An enumeration of
+    # them once declined the pair to the saddle solve; now Polytope.closest
+    # gives every pair, and its exact risk lies within the saddle route's
+    # gap below that route's risk
+    from detector_forge import detectors as detectors_module
+    from detector_forge.detectors import build_detector
+    from detector_forge.families import sub_gaussian_family
+    from detector_forge.saddle import SaddleProblem
+    from detector_forge.sets import singleton, sym_flatten
+
+    rng = np.random.default_rng(16)
+    prob = AggregationProblem(
+        estimates=rng.uniform(-1.2, 1.2, (16, 2)),
+        parameter_sets=[box([-1.0, -1.0], [1.0, 1.0])],
+        G=np.eye(2) + 0.3 * rng.standard_normal((2, 2)), Theta=np.eye(2))
+    level_sets = next(ls for ls in purify(prob, 0.1)
+                      if ls.reds and ls.blues)
+    shapes = []
+    closest = sets_module.Polytope.closest
+
+    def spied(self, other, P):
+        shapes.append((self.lo.size + other.lo.size,
+                       self.d.size + other.d.size))
+        return closest(self, other, P)
+
+    with mock.patch.object(sets_module.Polytope, "closest", spied), \
+            mock.patch.object(detectors_module, "solve_saddle",
+                              side_effect=AssertionError("saddle solve")):
+        test = agg._level_test(prob, level_sets, 8)
+    detectors = test.shifted.battery.detectors
+    assert len(shapes) == len(detectors) and set(shapes) == {(4, 16)}
+    mean_sets = test.shifted.battery.hypotheses
+    cov = singleton(sym_flatten(np.eye(2)))
+    for i, j in list(detectors)[:3]:
+        saddle = build_detector(SaddleProblem(
+            sub_gaussian_family(mean_sets[i], cov),
+            sub_gaussian_family(mean_sets[j], cov)))
+        exact = np.log(detectors[i, j].risk)
+        assert np.log(saddle.risk) - saddle.gap - 1e-9 <= exact
+        assert exact <= np.log(saddle.risk) + 1e-9
+
+
 def test_near_touching_cells_and_chunks_share_one_tolerance():
     # on the unit square, x2 - x1 >= 1 holds at the corner (0, 1) alone;
     # the cell adds x1 + x2 <= 1 - gap, which misses that corner by gap,

@@ -127,6 +127,21 @@ def test_empty_halfspaces_mean_set_exits_2(tmp_path, capsys):
     assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
 
 
+def test_empty_halfspaces_mean_set_in_nine_dimensions_exits_2(tmp_path,
+                                                                capsys):
+    # the sum of nine coordinates in [-1, 1] is at least -9, never -20; a
+    # polytope of this many coordinates once got no emptiness verdict, and
+    # the pair ran to a certified report
+    cfg = pair_config(m1=[1.0] * 9, m2=[-1.0] * 9)
+    cfg["families"][0]["mean"] = {
+        "type": "halfspaces", "A": [[1.0] * 9], "b": [-20.0],
+        "base": {"type": "box", "lo": [-1.0] * 9, "hi": [1.0] * 9}}
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 2
+    err = capsys.readouterr().err
+    assert "families[0].mean" in err and "the polytope is empty" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_uncertified_pair_names_the_stalled_minimization(tmp_path, capsys):
     # the gap closes here (0.000e+00); what refuses the certificate is the
     # stall test, and the message must say so

@@ -69,8 +69,9 @@ def test_gaussian_singleton_geometry():
 
 
 def test_gaussian_singleton_pair_is_exact_in_five_dimensions():
-    # two points: the closest-pair oracle has nothing to enumerate, where
-    # 3^10 box states of the joint box would pass its cap
+    # two points: the joint box has zero width in all 10 coordinates, so
+    # the closest-pair oracle folds every one into its data and pivots on
+    # nothing
     a, b = np.arange(5.0), -np.ones(5)
     det = gaussian_symmetric_detector(sets.singleton(a), sets.singleton(b),
                                       2.0 * np.eye(5))

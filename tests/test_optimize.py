@@ -1,4 +1,4 @@
-"""The projected first-order workhorse and the exact enumerating oracles."""
+"""The projected first-order workhorse and the exact quadratic oracles."""
 
 import itertools
 import tracemalloc
@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detector_forge.optimize import (_polytope_accept, _polytope_faces,
-                                     _row_slack, maximize_bounded,
+from detector_forge.optimize import (_polytope_accept, _row_slack,
+                                     maximize_bounded,
                                      maximize_box_quadratic,
                                      maximize_projected,
                                      minimize_polytope_quadratic,
                                      minimize_projected)
-from detector_forge.sets import ball, box, halfspaces, intersection
+from detector_forge.sets import (ball, box, halfspaces, intersection,
+                                 linear_image, simplex)
 
 
 def test_huge_gradient_takes_a_step_without_overflow():
@@ -254,36 +255,61 @@ def test_polytope_quadratic_minimum_is_attained_and_dominated(n, m, rank,
 
 
 def _polytope_reference(Q, c, lo, hi, C, d):
-    """The enumeration with one KKT matrix per candidate: every candidate
-    of _polytope_faces gets its own system, those with a zero determinant
-    are dropped, and the first minimum in candidate order wins."""
+    """Every active set solved on its own system.  A candidate pins each
+    coordinate at lo, at hi or not at all and makes at most (free
+    coordinates) cut rows R active; its KKT system
+    [Q_ff C_Rf'; C_Rf 0] (z_f, lam) = (-c_f - Q_fp z_p, d_R - C_Rp z_p) is
+    dropped when its determinant is exactly zero.  At a vertex of the set
+    of minimizers, the active rows and Q leave no common null direction, so
+    some candidate's system yields that vertex.  The least value among the
+    solutions that _polytope_accept takes wins: (z, q(z)), or (None, inf)
+    when it takes none."""
     Q = 0.5 * (Q + Q.T)
     n, m = c.size, d.size
-    width = min(m, n)
-    states, rows = _polytope_faces(n, m)
-    size = max(np.max(np.abs(Q), initial=0.0),
-               np.max(np.abs(C), initial=0.0)) or 1.0
-    C_pad, d_pad = np.vstack([C, np.zeros((1, n))]), np.append(d, 0.0)
     Z = []
-    for st_, idx in zip(states, rows):
-        free, used = st_ == 2, idx < m
-        x = np.where(st_ == 1, hi, lo)
-        pinned = np.where(free, 0.0, x)
-        Cf = np.where(free, C_pad[idx], 0.0)
-        K = np.zeros((n + width, n + width))
-        K[:n, :n] = np.where(free[:, None] & free[None, :], Q,
-                             size * np.eye(n))
-        K[n:, :n], K[:n, n:] = Cf, Cf.T
-        K[n:, n:] = np.where(used[:, None], 0.0, size * np.eye(width))
-        rhs = np.concatenate([np.where(free, -c - Q @ pinned, size * x),
-                              d_pad[idx] - C_pad[idx] @ pinned])
-        if np.linalg.slogdet(K)[0] != 0.0:
-            Z.append(np.where(free, np.linalg.solve(K, rhs)[:n], x))
+    for state in itertools.product((0, 1, 2), repeat=n):
+        state = np.array(state)
+        f, p = np.flatnonzero(state == 2), np.flatnonzero(state != 2)
+        x = np.where(state == 1, hi, lo)
+        for s in range(min(m, f.size) + 1):
+            for R in map(list, itertools.combinations(range(m), s)):
+                C_Rf = C[np.ix_(R, f)]
+                K = np.block([[Q[np.ix_(f, f)], C_Rf.T],
+                              [C_Rf, np.zeros((s, s))]])
+                rhs = np.concatenate([-c[f] - Q[np.ix_(f, p)] @ x[p],
+                                      d[R] - C[np.ix_(R, p)] @ x[p]])
+                z = x.copy()
+                if f.size:
+                    if np.linalg.slogdet(K)[0] == 0.0:
+                        continue
+                    z[f] = np.linalg.solve(K, rhs)[:f.size]
+                Z.append(z)
     _, Z = _polytope_accept(np.array(Z).reshape(-1, n), lo, hi, C, d)
     if not len(Z):
         return None, np.inf
     vals = 0.5 * np.sum((Z @ Q) * Z, axis=1) + Z @ c
     return Z[np.argmin(vals)], float(vals.min())
+
+
+def _assert_matches_reference(Q, c, lo, hi, C, d):
+    """The oracle and the reference agree on emptiness; the oracle's point
+    lies in the box and meets the rows to their slack; and its value is the
+    reference's to 1e-12.  The reference takes points that exceed a row by
+    up to the slack, about 1e-9 of the row's scale, so where its point uses
+    more than rounding of that slack, its value may lie below the exact
+    minimum by up to 1e-9, never above it."""
+    z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
+    z_ref, value_ref = _polytope_reference(Q, c, lo, hi, C, d)
+    assert (z is None) == (z_ref is None)
+    if z is None:
+        assert value == np.inf
+        return
+    scale = max(1.0, abs(value_ref))
+    slack_used = np.any(C @ z_ref - d > 1e-6 * _row_slack(lo, hi, C, d))
+    assert value_ref - value <= 1e-12 * scale
+    assert value - value_ref <= (1e-9 if slack_used else 1e-12) * scale
+    assert np.all(z >= lo) and np.all(z <= hi)
+    assert np.all(C @ z <= d + _row_slack(lo, hi, C, d))
 
 
 @st.composite
@@ -318,53 +344,91 @@ def _closest_pair_problems(draw):
             np.concatenate(hi), Cw, np.concatenate(d))
 
 
+@st.composite
+def _simplex_projections(draw):
+    """The projection of a point onto linear_image(simplex(k), M), k = 2-4,
+    as its polytope states it: the sum row as a pair of opposite rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    poly = linear_image(simplex(k), rng.standard_normal((dim, k))).polytope
+    y = 2.0 * rng.standard_normal(dim)
+    return (poly.G.T @ poly.G, -(poly.G.T @ y), poly.lo, poly.hi, poly.C,
+            poly.d)
+
+
+@st.composite
+def _degenerate_problems(draw):
+    """A closest-pair problem or a simplex projection, with some of: Q = 0
+    (a linear program), a pair of opposite rows (an equality row), a
+    duplicated row, a row through a vertex of the box, and coordinates with
+    lo = hi."""
+    Q, c, lo, hi, C, d = draw(st.one_of(_closest_pair_problems(),
+                                        _simplex_projections()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, lo, hi = c.size, lo.copy(), hi.copy()
+    if draw(st.booleans()):
+        Q, c = np.zeros((n, n)), rng.standard_normal(n)
+    if len(d) and draw(st.booleans()):
+        i = rng.integers(len(d))
+        C, d = np.vstack([C, -C[i]]), np.append(d, -d[i])
+    if len(d) and draw(st.booleans()):
+        i = rng.integers(len(d))
+        C, d = np.vstack([C, C[i]]), np.append(d, d[i])
+    if len(d) and draw(st.booleans()):
+        d = d.copy()
+        d[rng.integers(len(d))] = C[0] @ np.where(rng.random(n) < 0.5, lo, hi)
+    if draw(st.booleans()):
+        pin = rng.random(n) < 0.5
+        lo[pin] = hi[pin] = rng.uniform(lo, hi)[pin]
+    return Q, c, lo, hi, C, d
+
+
 @settings(max_examples=150, deadline=None)
 @given(problem=_closest_pair_problems())
 def test_polytope_quadratic_matches_one_system_per_candidate(problem):
-    # one factored matrix per free set and active rows, its pinned sides
-    # the columns of one right-hand side, finds the same minimum as a
-    # system per candidate
-    Q, c, lo, hi, C, d = problem
-    z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
-    z_ref, value_ref = _polytope_reference(Q, c, lo, hi, C, d)
-    assert (z is None) == (z_ref is None)
-    if z is None:
-        return
-    assert abs(value - value_ref) <= 1e-12 * max(1.0, abs(value_ref))
-    assert np.all(z >= lo) and np.all(z <= hi)
-    assert np.all(C @ z <= d + _row_slack(lo, hi, C, d))
+    # one pivoting solve finds the minimum of a system per candidate
+    _assert_matches_reference(*problem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_degenerate_problems())
+def test_polytope_quadratic_matches_one_system_per_candidate_when_degenerate(
+        problem):
+    # ties in the ratio test, singular KKT systems and polytopes that are
+    # single points or empty by a hair: the verdict on emptiness and the
+    # value still agree with the reference
+    _assert_matches_reference(*problem)
 
 
 @pytest.mark.parametrize("n, m", [(5, 7), (3, 30)])
 def test_polytope_quadratic_matches_one_system_per_candidate_on_the_largest_shapes(
         n, m):
-    # within the cap, (5, 7) has the most systems of the largest size (1586
-    # of 10 x 10, 6662 candidates) and (3, 30) the most systems (6018 of
-    # 6 x 6, 7702 candidates), each solved in one pass; with q = 0 every
-    # feasible candidate ties, and the first in candidate order wins
+    # (5, 7) has 6662 candidates with systems of 10 x 10 and (3, 30) has
+    # 7702 candidates; with q = 0 every feasible point is a minimizer
     rng = np.random.default_rng(10 * n + m)
     lo, hi = -np.ones(n), np.ones(n)
-    for tied in (False, True):
-        C = rng.standard_normal((m, n))
-        d = C @ rng.uniform(-0.5, 0.5, n) + rng.uniform(0.0, 1.0, m)
-        B = rng.standard_normal((n, n))
-        Q, c = (np.zeros((n, n)), np.zeros(n)) if tied else \
-            (B @ B.T, 3.0 * rng.standard_normal(n))
-        z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
-        z_ref, value_ref = _polytope_reference(Q, c, lo, hi, C, d)
-        assert abs(value - value_ref) <= 1e-12 * max(1.0, abs(value_ref))
-        if tied:
-            assert value == 0.0 and np.array_equal(z, z_ref)
+    C = rng.standard_normal((m, n))
+    d = C @ rng.uniform(-0.5, 0.5, n) + rng.uniform(0.0, 1.0, m)
+    B = rng.standard_normal((n, n))
+    _assert_matches_reference(B @ B.T, 3.0 * rng.standard_normal(n), lo, hi,
+                              C, d)
+    C = rng.standard_normal((m, n))
+    d = C @ rng.uniform(-0.5, 0.5, n) + rng.uniform(0.0, 1.0, m)
+    z, value = minimize_polytope_quadratic(np.zeros((n, n)), np.zeros(n), lo,
+                                           hi, C, d)
+    assert value == 0.0 and np.all(np.abs(z) <= 1.0)
+    assert np.all(C @ z <= d + _row_slack(lo, hi, C, d))
 
 
-def test_polytope_quadratic_breaks_ties_in_candidate_order():
-    # with q = 0 every feasible candidate ties, and the first in candidate
-    # order wins: the box states come first, their first coordinate varies
-    # slowest, and the cut row drops the corner (0, 0), so (0, 1) wins
+def test_polytope_quadratic_tied_minimum_is_a_feasible_point():
+    # with q = 0 every point of the polytope is a minimizer; the cut row
+    # drops the start corner (0, 0), so the pivots must find another point
+    C, d = np.array([[-1.0, -1.0]]), np.array([-0.5])
     z, value = minimize_polytope_quadratic(np.zeros((2, 2)), np.zeros(2),
-                                           np.zeros(2), np.ones(2),
-                                           [[-1.0, -1.0]], [-0.5])
-    assert value == 0.0 and np.array_equal(z, [0.0, 1.0])
+                                           np.zeros(2), np.ones(2), C, d)
+    assert value == 0.0
+    assert np.all(z >= 0.0) and np.all(z <= 1.0)
+    assert np.all(C @ z <= d + _row_slack(np.zeros(2), np.ones(2), C, d))
 
 
 def test_polytope_quadratic_finds_minimizers_inside_edges():
@@ -382,27 +446,42 @@ def test_polytope_quadratic_finds_minimizers_inside_edges():
     assert value == pytest.approx(-0.75, abs=1e-15)
 
 
-def test_polytope_quadratic_reports_empty_polytopes_and_the_cap():
+def test_polytope_quadratic_reports_empty_polytopes_and_solves_any_shape():
     # the triangle z1 + z2 <= -1 misses the unit square
     z, value = minimize_polytope_quadratic(np.eye(2), np.zeros(2),
                                            np.zeros(2), np.ones(2),
                                            [[1.0, 1.0]], [-1.0])
     assert z is None and value == np.inf
-    # 3^8 = 6561 box states fit in 2^13 candidates; 3^9, or 3^8 with one
-    # cut row, do not
-    z, value = minimize_polytope_quadratic(np.eye(8), np.ones(8),
-                                           -np.ones(8), np.ones(8))
-    assert np.allclose(z, -np.ones(8)) and value == pytest.approx(-4.0)
-    assert minimize_polytope_quadratic(np.eye(9), np.ones(9),
-                                       -np.ones(9), np.ones(9)) is None
-    assert minimize_polytope_quadratic(np.eye(8), np.ones(8),
-                                       -np.ones(8), np.ones(8),
-                                       np.ones((1, 8)), np.ones(1)) is None
+    # z'z/2 + 1'z over [-2, 1]^n with the sum at most -1.5 n, the row
+    # repeated m times: z = -1.5 everywhere when m > 0, z = -1 otherwise.
+    # An enumeration of active sets took 3^8 = 6561 candidates at most;
+    # these shapes have 19683, 8019 and 8271
+    for n, m in [(9, 0), (8, 1), (4, 14)]:
+        z, value = minimize_polytope_quadratic(
+            np.eye(n), np.ones(n), np.full(n, -2.0), np.ones(n),
+            np.ones((m, n)), np.full(m, -1.5 * n))
+        t = -1.5 if m else -1.0
+        assert np.allclose(z, t, rtol=0.0, atol=1e-12)
+        assert value == pytest.approx(n * (0.5 * t * t + t), rel=1e-12)
+
+
+def test_polytope_quadratic_is_empty_only_past_the_row_slack():
+    # z1 + z2 <= -gap misses the unit square by gap, and the row's slack is
+    # 1e-9 (gap + 2): with gap 1e-9 the corner (0, 0) meets the row to
+    # that slack, with gap 4e-9 no point does.  Both exact problems are
+    # infeasible, so only the solve with the row moved out finds the corner
+    lo, hi, C = np.zeros(2), np.ones(2), np.array([[1.0, 1.0]])
+    for gap, kept in [(1e-9, True), (4e-9, False)]:
+        d = np.array([-gap])
+        z, _ = minimize_polytope_quadratic(np.eye(2), np.ones(2), lo, hi, C,
+                                           d)
+        assert (z is not None) == kept
+        _assert_matches_reference(np.eye(2), np.ones(2), lo, hi, C, d)
 
 
 def test_polytope_quadratic_enumerates_only_coordinates_of_nonzero_width():
-    # a box of zero width in every coordinate is one point: 3^10 box
-    # states would pass the cap, one candidate does not
+    # a box of zero width in every coordinate is one point, and a row that
+    # misses it leaves the polytope empty
     rng = np.random.default_rng(5)
     p = rng.standard_normal(10)
     Q, c = np.eye(10), rng.standard_normal(10)
@@ -429,13 +508,13 @@ def test_polytope_quadratic_enumerates_only_coordinates_of_nonzero_width():
     assert value == pytest.approx(0.5 * z @ Q @ z + c @ z, rel=1e-12)
 
 
-def test_polytope_quadratic_builds_only_the_counted_candidates():
-    # a cell of 20 rows over a 2-d box, and 18 rows over a 3-d one: at
-    # most n of the m rows are active at once, so the candidates number
-    # 299 and 2256, and nothing of size 3^n 2^m (75 and 57 MB as int64) is
-    # built
+def test_polytope_quadratic_memory_stays_small_on_many_rows():
+    # a cell of 20 rows over a 2-d box, 18 rows over a 3-d one and 14 over
+    # a 4-d one: nothing of the size of the active sets (299, 2256 and 8271
+    # of them) is built, and nothing of size 3^n 2^m (75 and 57 MB as
+    # int64 for the first two)
     rng = np.random.default_rng(3)
-    for n, m in [(2, 20), (3, 18)]:
+    for n, m in [(2, 20), (3, 18), (4, 14)]:
         C = rng.standard_normal((m, n))
         d = C @ rng.uniform(-0.5, 0.5, n) + rng.uniform(0.0, 1.0, m)
         c = 3.0 * rng.standard_normal(n)
@@ -446,21 +525,43 @@ def test_polytope_quadratic_builds_only_the_counted_candidates():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 24
+        assert peak < 2 ** 20
         slack = 1e-9 * (np.abs(d) + np.abs(C).sum(axis=1))
         assert np.all(np.abs(z) <= 1.0) and np.all(C @ z <= d + slack)
         pts = rng.uniform(-1.0, 1.0, (4000, n))
         pts = pts[np.all(pts @ C.T <= d, axis=1)]
         assert np.all(value <= 0.5 * np.sum(pts * pts, axis=1) + pts @ c
                       + 1e-12)
-    # past the cap (8271 candidates for 14 rows over a 4-d box) the oracle
-    # declines before it builds anything
-    tracemalloc.start()
-    try:
-        assert minimize_polytope_quadratic(np.eye(4), np.ones(4),
-                                           -np.ones(4), np.ones(4),
-                                           np.ones((14, 4)), np.ones(14)) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+
+
+def test_polytope_quadratic_solves_a_shape_of_16_rows_to_its_kkt_residual():
+    # 4 coordinates and 16 cut rows, as in the joint closest pair of a 2-d
+    # aggregation with 16 estimates: 11941 active sets, more than an
+    # enumeration could afford.  The minimizer meets the box and the rows,
+    # and minus its gradient is a nonnegative combination of the normals
+    # active there (nonnegative least squares), to rounding
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(16)
+    n, m = 4, 16
+    lo, hi = -np.ones(n), np.ones(n)
+    C = rng.standard_normal((m, n))
+    d = C @ rng.uniform(-0.3, 0.3, n) + rng.uniform(0.5, 1.5, m)
+    B = rng.standard_normal((n, n))
+    Q, c = B @ B.T, 4.0 * rng.standard_normal(n)
+    z, value = minimize_polytope_quadratic(Q, c, lo, hi, C, d)
+    assert value == pytest.approx(0.5 * z @ Q @ z + c @ z, rel=1e-14)
+    assert np.all(z >= lo) and np.all(z <= hi)
+    tol = 1e-12 * (np.abs(d) + np.abs(C).sum(axis=1))
+    assert np.all(C @ z <= d + tol)
+    eye = np.eye(n)
+    normals = np.vstack([eye[z >= hi], -eye[z <= lo], C[C @ z >= d - tol]])
+    assert len(normals) >= 2 and np.any(C @ z >= d - tol)
+    g = Q @ z + c
+    _, residual = nnls(normals.T, -g)
+    assert residual <= 1e-12 * max(1.0, float(np.linalg.norm(g)))
+    inside = rng.uniform(-1.0, 1.0, (20000, n))
+    inside = inside[np.all(inside @ C.T <= d, axis=1)]
+    assert len(inside) >= 20
+    assert np.all(value <= 0.5 * np.einsum("ki,ij,kj->k", inside, Q, inside)
+                  + inside @ c + 1e-12)

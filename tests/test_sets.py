@@ -332,24 +332,33 @@ def test_empty_halfspaces_over_a_box_raises_instead_of_projecting():
 
 
 @pytest.mark.parametrize("n, m", [(7, 2), (7, 3), (8, 1)])
-def test_projection_is_chosen_at_construction_by_the_oracles_cap(n, m):
-    # halfspaces and linear_image take Polytope.nearest as their projection
-    # exactly where Polytope.enumerable holds, which must be exactly where
-    # nearest answers; past the cap they keep their iterative fallbacks
-    from detector_forge.optimize import (_POLYTOPE_CANDIDATE_CAP,
-                                         _polytope_count)
+def test_every_polytope_base_projects_by_the_oracle(n, m):
+    # halfspaces and linear_image over a base with a polytope project by
+    # Polytope.nearest and have a support function, whatever the shape;
+    # these shapes have more active sets than an enumeration of them could
+    # afford, and once fell back to Dykstra and to projected gradient
+    from detector_forge.optimize import _row_slack
 
     rng = np.random.default_rng(10 * n + m)
-    within = _polytope_count(n, m) <= _POLYTOPE_CANDIDATE_CAP
     A = rng.normal(size=(m, n))
     cell = sets.halfspaces(A, np.ones(m), base=sets.box(-np.ones(n),
                                                         np.ones(n)))
     img = sets.linear_image(cell, np.eye(n) + 0.1 * rng.normal(size=(n, n)))
-    y = 3.0 * rng.normal(size=n)
     for s in (cell, img):
-        assert s.polytope.enumerable == within
-        assert (s.project == s.polytope.nearest) == within
-        assert (s.polytope.nearest(y) is None) == (not within)
-    assert (cell.support is not None) == within
+        assert s.project == s.polytope.nearest
+        assert s.support is not None
+    y = 3.0 * rng.normal(size=n)
     x = cell.project(y)
-    assert np.all(np.abs(x) <= 1.0 + 1e-9) and np.all(A @ x <= 1.0 + 1e-6)
+    assert np.all(np.abs(x) <= 1.0)
+    assert np.all(A @ x <= 1.0 + _row_slack(-np.ones(n), np.ones(n), A,
+                                            np.ones(m)))
+    inside = rng.uniform(-1.0, 1.0, size=(4000, n))
+    inside = inside[np.all(inside @ A.T <= 1.0, axis=1)]
+    assert len(inside) >= 20
+    assert np.all((inside - x) @ (y - x) <= 1e-9)
+    for s in (cell, img):
+        g = rng.normal(size=n)
+        val, arg = s.support(g)
+        assert val == pytest.approx(g @ arg, rel=1e-12, abs=1e-12)
+        pts = inside if s is cell else inside @ img.polytope.G.T
+        assert np.all(pts @ g <= val + 1e-9)

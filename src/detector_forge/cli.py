@@ -10,8 +10,12 @@ JSON; a config holding one (or a number too large for a double) is
 refused at its path before the schema check.  Results come
 back as a machine-readable JSON report with sorted keys and no timing
 data, so reruns with the same seed are byte-identical, plus an aligned
-text summary (where timings do appear) and a CSV file for Monte Carlo
-tables.
+text summary (where timings do appear; every array entry to 6 digits, a
+matrix one row per line) and a CSV file for Monte Carlo tables.  With
+``--out base`` they are ``base.json``, ``base.txt`` and ``base.csv``
+(a trailing ``.json`` of ``base`` names the report itself); a run removes
+all three and makes the ones it writes anew, so a rerun leaves no stale
+file and replaces a linked file instead of writing through the link.
 
 Exit codes: 0 success, 2 bad config (message carries the JSON path of the
 offending field) or bad flag, 3 solver failure, 4 infeasible certificate
@@ -310,16 +314,24 @@ def _render_block(obj, indent: int) -> list:
                     lines.extend(_render_block(item, indent + 2))
                     lines.append("")
             else:
-                lines.append(f"{pad}{str(k):<{width}}{_render_value(v)}")
+                lines.append(f"{pad}{str(k):<{width}}"
+                             f"{_render_value(v, indent + width)}")
     return lines
 
 
-def _render_value(v) -> str:
+def _render_value(v, column: int) -> str:
+    """``v`` as text that starts at ``column``: a float to 9 digits, and an
+    array with every entry to 6, a matrix one row per line."""
     if isinstance(v, float):
         return f"{v:.9g}"
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return np.array2string(np.asarray(v), precision=6,
-                               suppress_small=True, max_line_width=100)
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        if v and isinstance(v[0], (list, tuple)):
+            rows = [_render_value(row, column + 1) for row in v]
+            return "[" + ("\n" + " " * (column + 1)).join(rows) + "]"
+        return "[" + " ".join(f"{x:.6g}" if isinstance(x, float) else str(x)
+                              for x in v) + "]"
     return str(v)
 
 
@@ -575,16 +587,21 @@ def _emit(out: Emitter, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(out.text_summary())
         return
-    p = Path(out_path)
-    json_path = p if p.suffix == ".json" else p.with_suffix(".json")
-    json_path.write_text(out.json_text(), encoding="utf-8")
-    json_path.with_suffix(".txt").write_text(out.text_summary(),
-                                             encoding="utf-8")
-    written = [str(json_path), str(json_path.with_suffix('.txt'))]
-    csv_text = out.csv_text()
-    if csv_text is not None:
-        json_path.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
-        written.append(str(json_path.with_suffix('.csv')))
+    # the report set of base b is b.json, b.txt and b.csv; every file of
+    # the set is removed and this run's files are made anew, which leaves
+    # no stale .csv behind and costs less than rewriting a file in place
+    base = Path(out_path)
+    if base.suffix == ".json":
+        base = base.with_suffix("")
+    written = []
+    for suffix, text in ((".json", out.json_text()),
+                         (".txt", out.text_summary()),
+                         (".csv", out.csv_text())):
+        path = base.with_name(base.name + suffix)
+        path.unlink(missing_ok=True)
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+            written.append(str(path))
     sys.stdout.write("wrote " + ", ".join(written) + "\n")
 
 
@@ -600,7 +617,8 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detector-forge",
         description="Certified detectors, multi-tests, aggregation, and "
@@ -615,7 +633,11 @@ def main(argv=None) -> int:
                              "finite)")
     parser.add_argument("--validate", action="store_true",
                         help="schema-check the config and exit")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     _setup_logging()
 
     try:

@@ -361,7 +361,13 @@ def _lemke(M, q) -> Optional[np.ndarray]:
     _PIVOT_RTOL of its column's scale, and a step ties within _PIVOT_RTOL of
     the right-hand side's.  At the end the basic values are solved from the
     original columns of the final basis, which carries none of the pivots'
-    rounding.  RuntimeError past _MAX_PIVOTS_PER_ROW pivots per row.
+    rounding.  A basic value within _PIVOT_RTOL of q's scale marks a
+    degenerate vertex, one that more rows meet than the basis holds active;
+    where the basis is also too ill-conditioned for its solve to keep
+    rounding below _PIVOT_RTOL (two nearly opposite rows, say), those
+    values are held at zero and the others solved by least squares, so the
+    vertex comes from every row that meets it.  RuntimeError past
+    _MAX_PIVOTS_PER_ROW pivots per row.
     """
     N = q.size
     if np.all(q >= 0.0):
@@ -383,6 +389,13 @@ def _lemke(M, q) -> Optional[np.ndarray]:
             x = np.zeros(2 * N)
             columns = np.hstack([np.eye(N), -M])[:, basis]
             x[basis] = np.linalg.solve(columns, q)
+            zero = np.abs(x[basis]) <= _PIVOT_RTOL * np.max(np.abs(q))
+            if np.any(zero):
+                sv = np.linalg.svd(columns, compute_uv=False)
+                if sv[0] * _EPS > _PIVOT_RTOL * sv[-1]:
+                    x[basis[zero]] = 0.0
+                    x[basis[~zero]] = np.linalg.lstsq(columns[:, ~zero], q,
+                                                      rcond=None)[0]
             return x[N:]
         entering = leaving + N if leaving < N else leaving - N
         a = T[:, entering]

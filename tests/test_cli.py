@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from detector_forge.aggregate import subgaussian_fast_path_deltas
-from detector_forge.cli import ConfigError, main, validate_config
+from detector_forge.cli import (ConfigError, _render_value, main,
+                                validate_config)
 
 
 def _gaussian(mean, cov=None):
@@ -189,6 +190,67 @@ def test_pair_mc_csv_format(tmp_path):
     assert len(rep["results"]["mc"]) == 2
     for row in rep["results"]["mc"]:
         assert row["passed"] is True
+
+
+def test_rerun_without_mc_removes_the_stale_csv(tmp_path):
+    out = str(tmp_path / "res")
+    assert run_cli(tmp_path, pair_config(pair={"mc": {"n": 2000}}),
+                   "--out", out) == 0
+    assert (tmp_path / "res.csv").exists()
+    assert run_cli(tmp_path, pair_config(), "--out", out) == 0
+    assert "mc" not in read_report(tmp_path, "res")["results"]
+    assert not (tmp_path / "res.csv").exists()
+
+
+def test_dotted_out_base_keeps_every_part(tmp_path, capsys):
+    # only a trailing .json names the report itself
+    assert run_cli(tmp_path, pair_config(), "--out",
+                   str(tmp_path / "run.a")) == 0
+    assert run_cli(tmp_path, pair_config(m1=(2.0, 0.0)), "--out",
+                   str(tmp_path / "run.b")) == 0
+    assert run_cli(tmp_path, pair_config(), "--out",
+                   str(tmp_path / "x.json")) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["config.json", "run.a.json", "run.a.txt", "run.b.json",
+                     "run.b.txt", "x.json", "x.txt"]
+    a, b = read_report(tmp_path, "run.a"), read_report(tmp_path, "run.b")
+    assert a["results"]["risk"] != b["results"]["risk"]
+    assert f"wrote {tmp_path / 'x.json'}, {tmp_path / 'x.txt'}" in \
+        capsys.readouterr().out
+
+
+def test_rerun_replaces_report_files_instead_of_rewriting_them(tmp_path):
+    # a hard link to the old summary keeps the old bytes
+    out = str(tmp_path / "report")
+    assert run_cli(tmp_path, pair_config(), "--out", out) == 0
+    os.link(tmp_path / "report.txt", tmp_path / "old.txt")
+    before = (tmp_path / "old.txt").read_bytes()
+    assert run_cli(tmp_path, pair_config(m1=(2.0, 0.0)), "--out", out) == 0
+    assert (tmp_path / "old.txt").read_bytes() == before
+    assert (tmp_path / "report.txt").read_bytes() != before
+
+
+def test_text_summary_prints_every_entry_one_matrix_row_per_line(tmp_path):
+    cfg = {
+        "schema_version": "1",
+        "task": "multitest",
+        "families": [_gaussian((t, 0.0)) for t in (-2.0, 0.0, 2.0)],
+        "multitest": {"repetitions": 3},
+    }
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "report")) == 0
+    risks = read_report(tmp_path)["results"]["risks"]
+    lines = (tmp_path / "report.txt").read_text(encoding="utf-8").split("\n")
+    start = next(k for k, line in enumerate(lines)
+                 if line.startswith("risks "))
+    column = lines[start].index("[[")
+    rows = lines[start:start + 3]
+    assert all(line[:column + 1].isspace() for line in rows[1:])
+    for row, line in zip(risks, rows):
+        assert line[column:].strip(" []").split() == [f"{x:.6g}" for x in row]
+    assert "..." not in "\n".join(lines)
+    # numpy's printer elides the middle of arrays past 1000 entries
+    long = _render_value(np.arange(2000.0), 0)
+    assert "..." not in long and len(long.split()) == 2000
 
 
 def test_multitest_row_residual(tmp_path):

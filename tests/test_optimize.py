@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detector_forge.optimize import (_polytope_accept, _row_slack,
@@ -392,6 +392,29 @@ def test_polytope_quadratic_matches_one_system_per_candidate(problem):
 
 @settings(max_examples=200, deadline=None)
 @given(problem=_degenerate_problems())
+# cut rows 1 and 3 are nearly opposite (cosine -0.9999938) and row 2 meets
+# them at the minimizer: the final basis holds rows 1 and 3 active, with
+# condition number 2.4e8, and its solve alone slid 2e-12 along their slab
+# to a value 1.2e-11 below the minimum
+@example((np.array([[6.020384065327854, -1.9362175247845137,
+                     3.1358101650423835, -10.136945522467869],
+                    [-1.9362175247845137, 2.632989605874081,
+                     -1.8063574998088154, 1.8265169364330167],
+                    [3.1358101650423835, -1.8063574998088154,
+                     1.949988534172846, -4.711000511148555],
+                    [-10.136945522467869, 1.8265169364330167,
+                     -4.711000511148555, 18.090680674699488]]),
+          np.array([0.0, 0.0, 0.0, 0.0]),
+          np.array([-1.9144337228871313, -1.3246815603812303,
+                    -1.015413833036638, -1.4791129702689345]),
+          np.array([-1.3683942989469897, -0.6953245764224202,
+                    1.3434258079963057, -0.6437522149014002]),
+          np.array([[0.0, -1.0, 0.0, 0.0],
+                    [0.0, 0.0, -0.44892808576052357, -0.3851269264870553],
+                    [0.0, 0.0, 0.0, -1.0],
+                    [0.0, 0.0, 0.3197970233519559, 0.27630784761900035]]),
+          np.array([0.9231905189181482, 0.5644918861567059,
+                    1.2995835597305854, -0.40466690582265674])))
 def test_polytope_quadratic_matches_one_system_per_candidate_when_degenerate(
         problem):
     # ties in the ratio test, singular KKT systems and polytopes that are

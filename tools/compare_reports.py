@@ -12,9 +12,11 @@ task of a tree runs in one child interpreter per tree, as in-process
 benchmark's passes.
 
 Prints every JSON path whose value differs between the two reports of a
-task, and every task whose exit code or report presence differs.  Exits 1
-only on the latter: a moved value may be the point of a change, a task
-that stops running is not.
+task, every task whose exit code or report presence differs, and every
+report whose values agree but whose bytes do not.  Exits 1 on the latter
+two: a moved value may be the point of a change, but a task that stops
+running is not, and neither is formatting drift, since reports are pinned
+byte for byte.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def main(argv=None) -> int:
         old = run_tree(old_root, tasks, work / "old")
         new = run_tree(new_root, tasks, work / "new")
 
-    identical = moved = broken = 0
+    identical = moved = broken = drifted = 0
     for (label, *_), (old_code, old_body), (new_code, new_body) in \
             zip(tasks, old, new):
         if old_code != new_code or (old_body is None) != (new_body is None):
@@ -152,14 +154,15 @@ def main(argv=None) -> int:
         moved += 1
         diffs = diff_paths(json.loads(old_body), json.loads(new_body))
         if not diffs:
+            drifted += 1
             print(f"{label}: same values, different bytes")
         for path, before, after in diffs:
             print(f"{label}: {path}: {json.dumps(before)} -> "
                   f"{json.dumps(after)}")
     print(f"{len(tasks)} tasks: {identical} reports byte-identical, "
-          f"{moved} differ, {broken} with a changed exit code or report "
-          f"presence")
-    return 1 if broken else 0
+          f"{moved} differ ({drifted} in bytes alone), {broken} with a "
+          f"changed exit code or report presence")
+    return 1 if broken or drifted else 0
 
 
 if __name__ == "__main__":

@@ -17,9 +17,17 @@ matrix one row per line) and a CSV file for Monte Carlo tables.  With
 all three and makes the ones it writes anew, so a rerun leaves no stale
 file and replaces a linked file instead of writing through the link.
 
+Reading and checking a config loads only this module, ``schema`` and
+``errors``: ``--validate`` runs without numpy.  The first task run in a
+process imports numpy and the solver modules and binds what the task
+runners use as globals of this module (a global that a caller set first,
+such as a wrapped ``mc_detector_risk``, is kept); reading one of those
+names from outside before then loads them too.
+
 Exit codes: 0 success, 2 bad config (message carries the JSON path of the
-offending field) or bad flag, 3 solver failure, 4 infeasible certificate
-request.
+offending field; a config nested too deeply to parse or check is refused
+at ``$``) or bad flag, 3 solver failure (numpy's ``LinAlgError``
+included), 4 infeasible certificate request.
 Set DETECTOR_FORGE_LOG to debug/info/warning/error for diagnostics.
 """
 
@@ -38,23 +46,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .aggregate import (AggregationProblem, aggregate, level_margins,
-                        subgaussian_fast_path_block,
-                        subgaussian_fast_path_plan)
-from .detectors import AffineDetector, _refuse_uncertified, build_detector
 from .errors import InfeasibleError
-from .families import (discrete_family, poisson_family, sub_gaussian_family)
-from .multitest import (ClosenessRelation, build_battery, e_matrix,
-                        infer_color, min_k_for_risk, run_multitest,
-                        shift_battery)
-from .quadlift import QuadDetector, QuadLiftSpec, solve_quad_detector
-from .saddle import SaddleProblem
 from .schema import Checker, _json_path
-from .simulate import (discrete_sampler, gaussian_sampler, mc_aggregation,
-                       mc_detector_risk, mc_test_error, poisson_sampler)
-from . import sets
 
 log = logging.getLogger("detector_forge")
 
@@ -98,15 +91,66 @@ def _non_finite(x, path: list) -> Optional[tuple]:
     return None
 
 
+def _too_deep(exc: RecursionError) -> ConfigError:
+    return ConfigError("$", f"config is nested too deeply: {exc}")
+
+
 def validate_config(cfg) -> None:
-    bad = _non_finite(cfg, [])
-    if bad is not None:
-        path, value = bad
-        raise ConfigError(_json_path(path),
-                          f"{json.dumps(value)} is not a finite number")
-    problem = _config_checker().check(cfg)
+    try:
+        bad = _non_finite(cfg, [])
+        if bad is not None:
+            path, value = bad
+            raise ConfigError(_json_path(path),
+                              f"{json.dumps(value)} is not a finite number")
+        problem = _config_checker().check(cfg)
+    except RecursionError as exc:
+        raise _too_deep(exc) from exc
     if problem is not None:
         raise ConfigError(*problem)
+
+
+# --- the solver layer ----------------------------------------------------
+
+_solvers_loaded = False
+# what a solver raises when it fails; numpy's LinAlgError (a ValueError)
+# joins when the solver layer loads, as no solver can fail before
+_SOLVER_FAILURES: tuple = (RuntimeError, ArithmeticError)
+
+
+def _load_solvers() -> None:
+    """Import numpy and the solver modules, and make what the task runners
+    use of them globals of this module.  A global that is set already (a
+    stand-in that a caller put there) is kept."""
+    global _solvers_loaded, _SOLVER_FAILURES
+    import numpy as np
+    from . import sets
+    from .aggregate import (AggregationProblem, aggregate, level_margins,
+                            subgaussian_fast_path_block,
+                            subgaussian_fast_path_plan)
+    from .detectors import AffineDetector, _refuse_uncertified, build_detector
+    from .families import discrete_family, poisson_family, sub_gaussian_family
+    from .multitest import (ClosenessRelation, build_battery, e_matrix,
+                            infer_color, min_k_for_risk, run_multitest,
+                            shift_battery)
+    from .quadlift import QuadDetector, QuadLiftSpec, solve_quad_detector
+    from .saddle import SaddleProblem
+    from .simulate import (discrete_sampler, gaussian_sampler,
+                           mc_aggregation, mc_detector_risk, mc_test_error,
+                           poisson_sampler)
+    for name, value in locals().items():
+        globals().setdefault(name, value)
+    _SOLVER_FAILURES += (np.linalg.LinAlgError,)
+    _solvers_loaded = True
+
+
+def __getattr__(name: str):
+    # a name of the solver layer read before the first task run (as a
+    # caller that wraps ``mc_detector_risk`` does) loads that layer
+    if not _solvers_loaded and not name.startswith("__"):
+        _load_solvers()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- descriptor builders -------------------------------------------------
@@ -649,6 +693,8 @@ def main(argv=None) -> int:
             cfg = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise _too_deep(exc) from exc
         validate_config(cfg)
         if args.validate:
             sys.stdout.write("config is valid\n")
@@ -663,6 +709,8 @@ def main(argv=None) -> int:
             "solver": {} if args.tol is None else {"tol": args.tol},
         }
         log.info("task %s from %s", cfg["task"], args.config)
+        if not _solvers_loaded:
+            _load_solvers()
         out = _COMMANDS[cfg["task"]](cfg, runtime)
     except ConfigError as exc:
         sys.stderr.write(f"{exc}\n")
@@ -670,12 +718,12 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 4
+    except _SOLVER_FAILURES as exc:
+        sys.stderr.write(f"solver failure: {exc}\n")
+        return 3
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return 3
 
     _emit(out, args.out)
     return 0

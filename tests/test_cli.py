@@ -768,14 +768,14 @@ def test_monte_carlo_size_mismatch_names_the_field(tmp_path, capsys, task):
     assert "matmul" not in err
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, returncode=0):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == returncode, done.stderr
     return done
 
 
@@ -785,6 +785,11 @@ _SCIPY_LOADED = ("sorted(m for m in sys.modules "
 
 _JSONSCHEMA_LOADED = ("sorted(m for m in sys.modules "
                       "if m.split('.')[0] == 'jsonschema')")
+
+
+_SOLVER_MODULES = {f"detector_forge.{name}" for name in (
+    "aggregate", "detectors", "families", "multitest", "optimize",
+    "quadlift", "saddle", "sets", "simulate")}
 
 
 def test_cli_import_leaves_scipy_optimize_out(tmp_path):
@@ -805,9 +810,12 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path):
     imported = [line.rsplit("|", 1)[1].strip()
                 for line in done.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "detector_forge.detectors" in imported
     assert not [m for m in imported
                 if m.split(".")[0] in ("scipy", "jsonschema")]
+    # nor numpy and the solver modules: a config check loads only the
+    # package front, errors, schema and the CLI
+    assert not [m for m in imported
+                if m.split(".")[0] == "numpy" or m in _SOLVER_MODULES]
 
     for build in ("gaussian_sampler([0.0], [[1.0]], 1)",
                   "poisson_sampler([2.0, 40.0], 1)"):
@@ -829,3 +837,75 @@ def test_pair_runs_where_jsonschema_cannot_be_imported(tmp_path):
               f"{str(tmp_path / 'report')!r}]))")
     assert "wrote" in done.stdout
     assert read_report(tmp_path)["results"]["certified"] is True
+
+
+def test_non_utf8_config_exits_2_before_the_solvers_load(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    done = _fresh_python("-m", "detector_forge.cli", "--config", str(path),
+                         "--validate", returncode=2)
+    assert done.stderr.startswith("config error: 'utf-8' codec can't decode")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("--validate",)])
+def test_deeply_nested_config_exits_2(tmp_path, capsys, flags):
+    # the JSON parser gives up on it with a RecursionError, once reported
+    # as a solver failure (exit 3)
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $: config is nested too deeply: ")
+
+
+def test_validate_config_refuses_a_config_too_deep_to_check():
+    cfg = pair_config()
+    nested = []
+    for _ in range(100000):
+        nested = [nested]
+    cfg["families"][0]["cov"] = nested
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.path == "$"
+
+
+def test_linear_algebra_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, once reported as a bad config (exit 2)
+    from detector_forge import cli
+
+    def singular(cfg, runtime):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(cli._COMMANDS, "pair", singular)
+    assert run_cli(tmp_path, pair_config()) == 3
+    assert capsys.readouterr().err == "solver failure: Singular matrix\n"
+
+
+def test_task_calls_the_monte_carlo_entry_point_bound_on_the_cli(tmp_path):
+    # a caller may wrap cli.mc_detector_risk before the solver layer loads
+    # (here, in a fresh interpreter) or after it (in this process)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(simulate_config()), encoding="utf-8")
+    argv = ["--config", str(path), "--out", str(tmp_path / "report")]
+    done = _fresh_python(
+        "-c", "import sys; from detector_forge import cli; "
+              "cli.mc_detector_risk = lambda *args: sys.exit(7); "
+              f"cli.main({argv!r})", returncode=7)
+    assert "Traceback" not in done.stderr
+
+    from detector_forge import cli
+    real = cli.mc_detector_risk
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    setattr(cli, "mc_detector_risk", spy)
+    try:
+        assert main(argv) == 0
+    finally:
+        setattr(cli, "mc_detector_risk", real)
+    assert len(calls) == 1
+    assert read_report(tmp_path)["results"]["mc"][0]["n"] == 4096

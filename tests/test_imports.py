@@ -28,8 +28,8 @@ def _unused_imports(source: str) -> list:
             if isinstance(node.value, (ast.List, ast.Tuple)):
                 exported |= {e.value for e in node.value.elts}
             else:
-                # the package's __all__, computed from dir(), exports
-                # every public name
+                # a computed __all__ (the package's, from its table of
+                # exports) exports every public name
                 export_public = True
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()

@@ -14,11 +14,15 @@ sub-Gaussian case, written down directly from the fast-path formula.
 Calibration purifies the cells once per call, since they do not depend on
 the margin, and ends each round at its first level over the budget.
 
-Empty pieces are dropped before any detector is built (purify).  One
-support call decides a margin chunk.  A cell of an image with a polytope
-(ConvexSet.polytope) is decided by the exact oracle that also gives its
-level tests their closest pairs (Polytope.nearest and .closest), so those
-run no Dykstra; pieces of other images take a residual check.
+Empty pieces are dropped before any detector is built (purify), and a
+piece is built only once kept.  One rule decides every piece: one support
+call per row finds a row that misses the image, which drops it, or a
+support point that meets all its rows, which keeps it; else the piece's
+seed estimate may witness it.  Only a piece that none of these settles
+takes an exact decision: over an image with a polytope
+(ConvexSet.polytope), the oracle that also gives the level tests their
+closest pairs (Polytope.nearest and .closest), so those run no Dykstra;
+over other images, a residual check.
 """
 
 from __future__ import annotations
@@ -108,33 +112,51 @@ def voronoi_geometry(estimates) -> VoronoiGeometry:
     return VoronoiGeometry(u, v)
 
 
-def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
-              base: ConvexSet, seed: np.ndarray) -> bool:
-    """Is the piece {x in base : A x <= b} non-empty?  The least value of
-    a_i x over the base is -supp(-a_i), which decides one row.  A piece
-    with a polytope is held to the polytope oracle's slack on every row
-    (its rows are the last cut rows).  It is kept when Polytope.holds takes
-    the seed or a row's support point; otherwise it is kept unless
-    Polytope.nearest of the seed raises InfeasibleError, which the oracle's
-    Lemke solve does exactly when the piece is empty to that slack.  Any
-    other piece allows each row, and the residual at the seed or its
-    Dykstra projection, up to _EMPTY_RESIDUAL * (1 + |x|)."""
-    poly = piece.polytope
+def _feasible(A: np.ndarray, b: np.ndarray, base: ConvexSet,
+              seed: np.ndarray) -> bool:
+    """Is the piece {x in base : A x <= b} non-empty?
+
+    A row's least value over the base is -supp(-a_i), at the row's support
+    point.  The piece is empty when one row misses the base by more than
+    its tolerance: over a base with a polytope, the oracle's slack
+    (Polytope.row_slack) on the rows that cut it, else _EMPTY_RESIDUAL *
+    (1 + |x|) at the point x in question.  It is kept as soon as one of
+    those support points, or else the seed, lies in the base and meets
+    every row to its tolerance.  Over a polytope the seed's stand-in is its
+    least-squares preimage clipped into the box, held to every cut row's
+    slack, the oracle's own test of a point.  Where none does, the exact
+    decision remains: over a polytope, Polytope.nearest of the seed on the
+    cut polytope, which raises InfeasibleError exactly when the oracle
+    finds it empty; over any other base, the residual at the seed's
+    Dykstra projection onto the piece."""
+    poly = base.polytope
     if poly is not None:
-        slack = poly.row_slack()[-b.size:]
-    points = [seed]
+        poly = poly.cut(A, b)
+        slack = poly.row_slack()   # the base's rows, then the piece's
+
+    def tolerance(x):
+        """Each row's tolerance at the point x."""
+        if poly is not None:
+            return slack[-b.size:]
+        return np.full(b.size,
+                       _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x))))
+
+    def meets_rows(x):
+        return bool(np.all(A @ x - b <= tolerance(x)))
+
     if base.support is not None:
-        for i, (a_i, b_i) in enumerate(zip(A, b)):
+        points = []
+        for i, a_i in enumerate(A):
             val, x = base.support(-a_i)
-            tol = (slack[i] if poly is not None else
-                   _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x))))
-            if -val - b_i > tol:
+            if -val - b[i] > tolerance(x)[i]:
                 return False
             points.append(x)
-        if b.size == 1:
+        if any(map(meets_rows, points)):
             return True
     if poly is not None:
-        if poly.holds(np.stack(points)):
+        z = np.linalg.lstsq(poly.G, seed, rcond=None)[0]
+        z = np.clip(z, poly.lo, poly.hi)
+        if np.all(poly.C @ z <= poly.d + slack):
             return True
         try:
             poly.nearest(seed)
@@ -142,11 +164,10 @@ def _feasible(piece: ConvexSet, A: np.ndarray, b: np.ndarray,
             return False
         return True
 
-    def meets(x):
-        resid = max(float(np.max(A @ x - b)), base.distance(x))
-        return resid <= _EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
+    def meets(x):   # off a polytope, every row has the one tolerance
+        return meets_rows(x) and base.distance(x) <= tolerance(x)[0]
 
-    return meets(seed) or meets(piece.project(seed))
+    return meets(seed) or meets(halfspaces(A, b, base=base).project(seed))
 
 
 def level_margins(deltas, count: int) -> np.ndarray:
@@ -169,13 +190,15 @@ class LevelSets:
 def purify(problem: AggregationProblem, deltas) -> list:
     """Cut cells and margin chunks out of the images, dropping empty pieces.
 
-    Emptiness is exact, by one support call, for one-row pieces of an
-    image with a support function; a cell of several rows is dropped when
-    one row fails that test.  Otherwise a cell of an image with a polytope
-    (ConvexSet.polytope), of any number of rows, is kept exactly when the
-    polytope oracle finds a point in it to its slack, and a cell of any
-    other image by the residual of a point found by Dykstra's method (see
-    ``_feasible``).
+    A piece is dropped when one of its rows misses the image, by one
+    support call per row, and kept when one of those support points, or
+    else its seed estimate, is a point of the image that meets all its
+    rows; a one-row piece of an image with a support function is always
+    settled so.  Any other piece of an image with a polytope
+    (ConvexSet.polytope) is kept exactly when the polytope oracle finds a
+    point in it to its slack, and one of any other image by the residual
+    of a point found by Dykstra's method (see ``_feasible``).  Only kept
+    pieces are built.
     """
     geo = voronoi_geometry(problem.estimates)
     deltas = level_margins(deltas, problem.count)
@@ -193,9 +216,8 @@ def _level_reds(problem: AggregationProblem, geo: VoronoiGeometry,
     b_cell = np.array([geo.v[l, lp] for lp in others])
     reds = []
     for i, img in enumerate(problem.images):
-        cell = halfspaces(A_cell, b_cell, base=img)
-        if _feasible(cell, A_cell, b_cell, img, problem.estimates[l]):
-            reds.append((i, cell))
+        if _feasible(A_cell, b_cell, img, problem.estimates[l]):
+            reds.append((i, halfspaces(A_cell, b_cell, base=img)))
     return reds
 
 
@@ -210,9 +232,8 @@ def _level_blues(problem: AggregationProblem, geo: VoronoiGeometry, l: int,
         A_ch = -geo.u[l, lp][None, :]
         b_ch = np.array([-(geo.v[l, lp] + delta)])
         for i, img in enumerate(problem.images):
-            chunk = halfspaces(A_ch, b_ch, base=img)
-            if _feasible(chunk, A_ch, b_ch, img, problem.estimates[lp]):
-                blues.append((lp, i, chunk))
+            if _feasible(A_ch, b_ch, img, problem.estimates[lp]):
+                blues.append((lp, i, halfspaces(A_ch, b_ch, base=img)))
     return blues
 
 

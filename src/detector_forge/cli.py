@@ -232,6 +232,29 @@ def build_family(desc: dict, path: str):
     raise ConfigError(path, f"unknown family kind {kind!r}")
 
 
+def _checked_families(cfg: dict) -> list:
+    """The config's families; one whose observation dimension differs from
+    the first family's is refused at its path, before any solve."""
+    fams = [build_family(f, f"$.families[{i}]")
+            for i, f in enumerate(cfg["families"])]
+    for i, fam in enumerate(fams):
+        if fam.obs_dim != fams[0].obs_dim:
+            raise ConfigError(f"$.families[{i}]",
+                              f"observation dimension {fam.obs_dim} does not "
+                              f"match the first family's {fams[0].obs_dim}")
+    return fams
+
+
+def _observations(rows, path: str, count: int, dim: int) -> np.ndarray:
+    """The observation matrix at ``path``: ``count`` rows of ``dim``
+    entries."""
+    obs = _matrix(rows, path)
+    if obs.shape != (count, dim):
+        raise ConfigError(path, f"expected {count} rows of {dim} entries, "
+                                f"got {obs.shape[0]} of {obs.shape[1]}")
+    return obs
+
+
 def build_sampler(desc: dict, path: str, default_seed: int):
     seed = int(desc.get("seed", default_seed))
     try:
@@ -383,8 +406,7 @@ def _render_value(v, column: int) -> str:
 
 def cmd_pair(cfg: dict, runtime: dict) -> Emitter:
     out = Emitter("pair", cfg)
-    fams = [build_family(f, f"$.families[{i}]")
-            for i, f in enumerate(cfg["families"])]
+    fams = _checked_families(cfg)
     t0 = time.perf_counter()
     det = build_detector(SaddleProblem(fams[0], fams[1]), **runtime["solver"])
     out.timings["solve"] = time.perf_counter() - t0
@@ -415,8 +437,7 @@ def _battery_task(task: str, cfg: dict, runtime: dict,
     out = Emitter(task, cfg)
     block = cfg[task]
     results = out.report["results"]
-    fams = [build_family(f, f"$.families[{i}]")
-            for i, f in enumerate(cfg["families"])]
+    fams = _checked_families(cfg)
     J = len(fams)
     if colors is not None:
         if len(colors) != J:
@@ -452,8 +473,9 @@ def _battery_task(task: str, cfg: dict, runtime: dict,
     if colors is not None:
         results["partition"] = colors
     if "observations" in block:
-        res = run_multitest(shifted, np.asarray(block["observations"],
-                                                dtype=float))
+        res = run_multitest(shifted, _observations(
+            block["observations"], f"$.{task}.observations", K,
+            fams[0].obs_dim))
         results["accepted"] = list(res.accepted)
         if colors is not None:
             results["color"] = infer_color(res, colors)
@@ -510,10 +532,9 @@ def cmd_aggregate(cfg: dict, runtime: dict) -> Emitter:
                                           float(eps), K)
         out.report["results"]["fast_deltas"] = plan.deltas
     if "observations" in block:
-        obs = _matrix(block["observations"], "$.aggregate.observations")
-        if obs.shape[0] != K:
-            raise ConfigError("$.aggregate.observations",
-                              f"expected {K} rows, got {obs.shape[0]}")
+        obs = _observations(block["observations"],
+                            "$.aggregate.observations", K,
+                            problem.Theta.shape[0])
         t0 = time.perf_counter()
         if deltas is not None:
             res = aggregate(problem, obs, deltas=deltas)

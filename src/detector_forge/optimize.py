@@ -328,19 +328,6 @@ def _row_slack(lo, hi, C, d):
                                                                 np.abs(hi)))
 
 
-def _polytope_accept(Z, lo, hi, C, d):
-    """(positions, points): the rows of Z that are points of the polytope to
-    the oracle's slack, clipped into the box: those within _FEASIBLE_RTOL of
-    the box width of [lo, hi] that, once clipped, meet C z <= d to
-    _row_slack."""
-    box_slack = _FEASIBLE_RTOL * (hi - lo)
-    keep = np.flatnonzero(np.all((Z >= lo - box_slack) & (Z <= hi + box_slack),
-                                 axis=1))
-    Z = np.clip(Z[keep], lo, hi)
-    ok = np.all(Z @ C.T <= d + _row_slack(lo, hi, C, d), axis=1)
-    return keep[ok], Z[ok]
-
-
 def _lemke(M, q) -> Optional[np.ndarray]:
     """A solution x >= 0 of the linear complementarity problem w = M x + q
     >= 0, x'w = 0, or None where Lemke's method ends on a secondary ray.
@@ -432,8 +419,8 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     when the polytope is empty.  A polytope is empty only to the oracle's
     slack, though: on a ray the solve runs once more with each cut row
     moved out by _row_slack, _FEASIBLE_RTOL of the row's scale, the slack
-    that Polytope.holds and Polytope.row_slack also read.  Coordinates with
-    lo = hi are folded into c and d.  The minimizer is clipped into the box.
+    that Polytope.row_slack also reads.  Coordinates with lo = hi are
+    folded into c and d.  The minimizer is clipped into the box.
 
     Returns (z, q(z)), or (None, inf) when no point of the box meets the
     rows to that slack.

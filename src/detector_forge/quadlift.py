@@ -324,25 +324,14 @@ def lift_gaussian(spec: QuadLiftSpec) -> RegularData:
     """
     d = spec.dim
     n = d + d * d
-    key = parts = cov_key = cov = None
 
-    def split(x):  # kept for the last x: direction, phi, grad_h ask in turn
-        nonlocal key, parts
+    def split(x):
         x = np.asarray(x, dtype=float)
-        at = x.tobytes()
-        if at != key:
-            key, parts = at, (x[:d].copy(), sym_unflatten(x[d:]))
-        return parts
+        return x[:d].copy(), sym_unflatten(x[d:])
 
     @_last_call
     def bound(x, mu):
-        # kept for the last covariance: the set's support point for H / 2
-        # often stays from one descent step to the next
-        nonlocal cov_key, cov
-        at = mu.tobytes()
-        if at != cov_key:
-            cov_key, cov = at, sym_unflatten(mu)
-        return _lifted_value(spec, *split(x), cov)
+        return _lifted_value(spec, *split(x), sym_unflatten(mu))
 
     def phi(x, mu):
         return bound(x, mu)[0]

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleError
-from .optimize import (_polytope_accept, _row_slack,
-                       minimize_polytope_quadratic, minimize_projected)
+from .optimize import (_row_slack, minimize_polytope_quadratic,
+                       minimize_projected)
 
 __all__ = [
     "ConvexSet",
@@ -82,16 +82,6 @@ class Polytope:
     def row_slack(self) -> np.ndarray:
         """How far the oracle lets a point exceed each cut row."""
         return _row_slack(self.lo, self.hi, self.C, self.d)
-
-    def holds(self, X: np.ndarray) -> bool:
-        """Does some row x of X have a preimage z = G^-1 x in the box and
-        the cut rows to the oracle's slack?  Never unless G is invertible."""
-        try:
-            Z = np.linalg.solve(self.G, X.T).T
-        except np.linalg.LinAlgError:
-            return False
-        accepted, _ = _polytope_accept(Z, self.lo, self.hi, self.C, self.d)
-        return len(accepted) > 0
 
     @cached_property
     def _gram(self) -> np.ndarray:

@@ -256,10 +256,10 @@ def test_calibration_checks_each_cell_once_and_stops_at_the_first_risky_level():
         pairs.append(1)
         return closest(*args)
 
-    def counted_feasible(piece, A, b, base, seed):
+    def counted_feasible(A, b, base, seed):
         if A.shape[0] == L - 1:   # a cell; a margin chunk has one row
             cells.append((A.tobytes(), b.tobytes(), id(base)))
-        return feasible(piece, A, b, base, seed)
+        return feasible(A, b, base, seed)
 
     with mock.patch.object(agg, "gaussian_symmetric_detector",
                            counted_closest), \
@@ -385,6 +385,7 @@ def test_empty_multirow_cell_on_an_image_costs_no_projection():
 @pytest.mark.parametrize("prob", [
     # every estimate lies in the parallelogram G [-1, 1]^2 and in its own
     # cell, so its preimage already proves each three-row cell non-empty
+    # (so does a corner of the square here)
     AggregationProblem(
         estimates=[[0.5, 0.5], [-0.8, -0.6], [-0.2, 0.7], [0.7, -0.4]],
         parameter_sets=[box([-1.0, -1.0], [1.0, 1.0])],
@@ -396,14 +397,32 @@ def test_empty_multirow_cell_on_an_image_costs_no_projection():
         parameter_sets=[box([-1.0, -1.0], [2.0, 2.0]),
                         box([1.0, 1.0], [4.0, 4.0])],
         G=np.eye(2), Theta=np.eye(2)),
+    # the centre estimate's cell, |x| + |y| <= 0.8, holds no corner of the
+    # square; only the estimate's preimage proves it non-empty
+    AggregationProblem(
+        estimates=[[0.0, 0.0], [0.8, 0.8], [-0.8, 0.8], [0.8, -0.8],
+                   [-0.8, -0.8]],
+        parameter_sets=[box([-1.0, -1.0], [1.0, 1.0])],
+        G=np.eye(2), Theta=np.eye(2)),
 ])
 def test_cells_holding_a_known_point_need_no_polytope_oracle(prob):
     calls = []
     oracle = sets_module.minimize_polytope_quadratic
+    feasible = agg._feasible
 
     def counted(*args):
         calls.append(1)
         return oracle(*args)
+
+    def nearest_feasible(A, b, base, seed):
+        # the polytope oracle on every cell; a margin chunk has one row
+        if b.size == 1:
+            return feasible(A, b, base, seed)
+        try:
+            base.polytope.cut(A, b).nearest(seed)
+        except InfeasibleError:
+            return False
+        return True
 
     cells = prob.count * len(prob.parameter_sets)
     with mock.patch.object(sets_module, "minimize_polytope_quadratic",
@@ -412,11 +431,55 @@ def test_cells_holding_a_known_point_need_no_polytope_oracle(prob):
         assert calls == []
         assert sum(len(l.reds) for l in levels) == cells
         # the oracle, asked instead, keeps the same pieces
-        with mock.patch.object(sets_module.Polytope, "holds",
-                               lambda *a: False):
+        with mock.patch.object(agg, "_feasible", nearest_feasible):
             reference = purify(prob, 0.3)
     assert len(calls) == cells
     assert _kept(levels) == _kept(reference)
+
+
+def test_cells_of_a_box_under_a_wide_map_need_no_polytope_oracle():
+    # G maps the cube onto a hexagon in the plane, so no point has a unique
+    # preimage; each cell still holds a hexagon vertex, the support point
+    # of one of its rows
+    prob = AggregationProblem(
+        estimates=[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]],
+        parameter_sets=[box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])],
+        G=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]), Theta=np.eye(2))
+    calls = []
+    oracle = sets_module.minimize_polytope_quadratic
+
+    def counted(*args):
+        calls.append(1)
+        return oracle(*args)
+
+    with mock.patch.object(sets_module, "minimize_polytope_quadratic",
+                           counted):
+        levels = purify(prob, 0.5)
+    assert [[i for i, _ in l.reds] for l in levels] == [[0]] * 3
+    assert calls == []
+
+
+def test_ball_cells_under_a_wide_map_are_kept_on_a_support_point():
+    # a 3-d ball under a 2x3 map: every cell holds a support point of one of
+    # its rows, 0.14 or more inside each row, though the residual at a
+    # Dykstra projection of the estimate (up to 6e-4) is far above its
+    # tolerance (about 2e-7)
+    prob = AggregationProblem(
+        [[-1.837826, -1.19988], [3.489838, -0.976926],
+         [2.197194, -3.675462]],
+        [ball([0.260367, 0.047664, 1.888745], 1.921729)],
+        [[0.109023, -0.064953, 0.220116], [0.860885, -0.508229, -0.381123]],
+        np.eye(2))
+    img = prob.images[0]
+    geo = voronoi_geometry(prob.estimates)
+    for l in range(3):
+        others = [lp for lp in range(3) if lp != l]
+        A = np.stack([geo.u[l, lp] for lp in others])
+        b = np.array([geo.v[l, lp] for lp in others])
+        inside = max(float(np.min(b - A @ img.support(-a)[1])) for a in A)
+        assert inside > 0.1
+    levels = purify(prob, 0.5)
+    assert [[i for i, _ in l.reds] for l in levels] == [[0]] * 3
 
 
 def test_sixteen_estimates_take_the_closest_pair_oracle_not_the_saddle():
@@ -473,11 +536,9 @@ def test_near_touching_cells_and_chunks_share_one_tolerance():
     seed = np.array([0.5, 0.5])
     for gap, kept in [(1e-12, True), (5e-8, False), (1e-4, False)]:
         A, b = np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([-1.0, 1.0 - gap])
-        cell = halfspaces(A, b, base=sq)
-        assert agg._feasible(cell, A, b, sq, seed) is kept
+        assert agg._feasible(A, b, sq, seed) is kept
         A1, b1 = np.array([[1.0, -1.0]]), np.array([-1.0 - gap])
-        chunk = halfspaces(A1, b1, base=sq)
-        assert agg._feasible(chunk, A1, b1, sq, seed) is kept
+        assert agg._feasible(A1, b1, sq, seed) is kept
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +552,7 @@ def _meets(x, A, b, base):
     return resid <= agg._EMPTY_RESIDUAL * (1.0 + float(np.linalg.norm(x)))
 
 
-def _dykstra_feasible(piece, A, b, base, seed):
+def _dykstra_feasible(A, b, base, seed):
     """The residual check at a Dykstra projection of the seed, with no
     support oracle.  Every round ends with a base projection, so on an
     empty piece the residual is at least the row gap whatever the number

@@ -325,6 +325,43 @@ def test_color_task_inference(tmp_path):
     assert rep["results"]["partition"] == [0, 1, 1]
 
 
+@pytest.mark.parametrize("task", ["pair", "multitest", "color"])
+def test_families_of_different_dimension_name_the_family(tmp_path, capsys,
+                                                         task):
+    cfg = {"schema_version": "1", "task": task,
+           "families": [_gaussian((0.0, 0.0)), _gaussian((1.0,))]}
+    if task != "pair":
+        cfg[task] = {"repetitions": 2}
+    if task == "color":
+        cfg[task]["partition"] = [0, 1]
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.families[1]:" in err
+    assert "solver failure" not in err
+
+
+@pytest.mark.parametrize("task", ["multitest", "color", "aggregate"])
+@pytest.mark.parametrize("rows", [[[0.5, 0.0]] * 3, [[0.5]] * 2])
+def test_observation_shape_names_the_field(tmp_path, capsys, task, rows):
+    # two repetitions of 2-d observations: a third row, or rows of one
+    # entry, are refused at the observations
+    block = {"repetitions": 2, "observations": rows}
+    cfg = {"schema_version": "1", "task": task, task: block}
+    if task == "aggregate":
+        block.update(estimates=[[-2.0, 0.0], [2.0, 0.0]], deltas=1.0,
+                     parameter_sets=[{"type": "box", "lo": [-4.0, -4.0],
+                                      "hi": [4.0, 4.0]}],
+                     G=np.eye(2).tolist(), Theta=np.eye(2).tolist())
+    else:
+        cfg["families"] = [_gaussian((-2.0, 0.0)), _gaussian((2.0, 0.0))]
+    if task == "color":
+        block["partition"] = [0, 1]
+    assert run_cli(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert f"config error at $.{task}.observations:" in err
+    assert "matmul" not in err
+
+
 def test_aggregate_fast_deltas_and_pick(tmp_path):
     estimates = [[-1.0], [1.0]]
     cfg = {

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detector_forge.optimize import (_polytope_accept, _row_slack,
+from detector_forge.optimize import (_FEASIBLE_RTOL, _row_slack,
                                      maximize_bounded,
                                      maximize_box_quadratic,
                                      maximize_projected,
@@ -261,9 +261,11 @@ def _polytope_reference(Q, c, lo, hi, C, d):
     [Q_ff C_Rf'; C_Rf 0] (z_f, lam) = (-c_f - Q_fp z_p, d_R - C_Rp z_p) is
     dropped when its determinant is exactly zero.  At a vertex of the set
     of minimizers, the active rows and Q leave no common null direction, so
-    some candidate's system yields that vertex.  The least value among the
-    solutions that _polytope_accept takes wins: (z, q(z)), or (None, inf)
-    when it takes none."""
+    some candidate's system yields that vertex.  A solution counts as a
+    point of the polytope to the oracle's slack when it lies within
+    _FEASIBLE_RTOL of the box width of [lo, hi] and, clipped into the box,
+    meets C z <= d to _row_slack.  The least value among those points
+    wins: (z, q(z)), or (None, inf) when there is none."""
     Q = 0.5 * (Q + Q.T)
     n, m = c.size, d.size
     Z = []
@@ -284,7 +286,11 @@ def _polytope_reference(Q, c, lo, hi, C, d):
                         continue
                     z[f] = np.linalg.solve(K, rhs)[:f.size]
                 Z.append(z)
-    _, Z = _polytope_accept(np.array(Z).reshape(-1, n), lo, hi, C, d)
+    Z = np.array(Z).reshape(-1, n)
+    box_slack = _FEASIBLE_RTOL * (hi - lo)
+    Z = np.clip(Z[np.all((Z >= lo - box_slack) & (Z <= hi + box_slack),
+                         axis=1)], lo, hi)
+    Z = Z[np.all(Z @ C.T <= d + _row_slack(lo, hi, C, d), axis=1)]
     if not len(Z):
         return None, np.inf
     vals = 0.5 * np.sum((Z @ Q) * Z, axis=1) + Z @ c

@@ -26,12 +26,18 @@ fresh ``Philox(key=(seed, block))`` starts in, which is cheaper than
 building one.  A block's stream depends only on its key, not on when it is
 drawn, so ``mc_detector_risk`` draws a group of ``_GROUP`` blocks with one
 ``draw_streams`` call, which gives the rows of one ``draw`` call on each
-block's stream, and computes the group's detector statistic and ``exp``
-at once; each block's moments are then summed alone, with the calls of a
-one-block loop, so the estimate is the one that loop gives, bit for bit.
-That rests on the elementwise maps (``ndtri``, ``log``, ``gammaln``,
-``exp``) giving the same bits whatever the length of the array, and on the
-Gaussian matmul running one (n, d) @ (d, d) product per draw.  The
+block's stream, and reduces the group at once: one detector statistic and
+``exp``, one axis-1 sum for the block sums and one stacked
+``(1, n) @ (n, 1)`` product for their sums of squares, taken after the
+blocks whose squares could overflow are rescaled.  The estimate is the
+one a one-block loop gives, bit for bit.  That rests on the elementwise
+maps (``ndtri``, ``log``, ``gammaln``, ``exp``) giving the same bits
+whatever the length of the array; on an axis-1 sum and a stacked product
+rounding each row as its own ``sum`` and ``vals @ vals`` (a BLAS ``ddot``)
+do; and on the Gaussian kernel's one ``(rows, d) @ (d, d)`` product (a
+``gemm``) for all draws of a call rounding each row as the product over
+its own draw does.  A one-row draw alone is a vector-matrix product,
+which rounds otherwise, so one-row draws keep one product each.  The
 multi-test, color and aggregation checks draw all of a block's trials
 with one ``draw_trials`` call, which gives the rows that one ``draw``
 call per trial, in trial order, would give on the block's stream.
@@ -63,9 +69,9 @@ from .aggregate import (AggregationProblem, build_level_tests, first_red,
 from .multitest import ShiftedBattery, infer_color_block, run_multitest_block
 
 _BLOCK = 1024
-# blocks that mc_detector_risk draws with one kernel call: a group's
-# uniforms take 64 KB per coordinate
-_GROUP = 8
+# blocks that mc_detector_risk draws with one kernel call and reduces at
+# once: a group's uniforms take 128 KB per coordinate
+_GROUP = 16
 _MASK64 = (1 << 64) - 1
 # smallest positive double; keeps ndtri off the u=0 singularity
 _U_FLOOR = 5e-324
@@ -74,6 +80,9 @@ _EXP_CAP = 700.0
 # sum squared) finite
 _SQUARE_SAFE = 1e150
 _INVERSION_CAP = 30.0
+# largest Poisson rate: k log(rate) in the rejection test overflows from
+# about 3e305
+_RATE_CAP = 1e300
 # buckets of a guide table (see _guide_lookup); a power of two, so the
 # bucket int(u * _GUIDE_BUCKETS) of a uniform u is exact
 _GUIDE_BUCKETS = 4096
@@ -250,10 +259,17 @@ def gaussian_sampler(mean, cov, seed: int) -> Sampler:
         raise ValueError("covariance must be positive definite") from exc
 
     def transform(u: np.ndarray) -> np.ndarray:
-        # the stacked matmul runs each draw's (n, d) @ (d, d) product; the
-        # mean goes in column by column (x + mu_j is mu_j + x, bit for bit),
-        # as a broadcast add would step through rows of d entries
-        rows = ndtri(u) @ chol.T
+        # one (rows, d) @ (d, d) product for all draws of the call: BLAS
+        # rounds a row of a product alike whatever the row count.  A
+        # one-row draw alone is a vector-matrix product, which rounds
+        # otherwise, so one-row draws keep one product each.  The mean goes
+        # in column by column (x + mu_j is mu_j + x, bit for bit), as a
+        # broadcast add would step through rows of d entries
+        z = ndtri(u)
+        if z.shape[-2] > 1:
+            rows = (z.reshape(-1, mu.size) @ chol.T).reshape(z.shape)
+        else:
+            rows = z @ chol.T
         for j, m in enumerate(mu):
             rows[..., j] += m
         return rows
@@ -281,8 +297,8 @@ def _poisson_ptrs(rate: float, gammaln):
     round draws ``u`` and then ``v`` for every pending slot of a stream,
     from that stream, and then accepts or rejects the slots of all streams
     at once, so rejected slots retry together and each stream reads the
-    uniforms that rounds over its own slots alone would read.  The test of
-    a round runs on all of its slots and is kept where it decides; log k!
+    uniforms that rounds over its own slots alone would read.  The log
+    test runs only on the slots that the quick tests leave open; log k!
     comes from a table of ``gammaln(k + 1.0)`` for k up to the rate's
     ``_poisson_top`` (at most ``_LOG_FACT_CAP``), the same ufunc on the
     same arguments, so the same bits, and from ``gammaln`` above it."""
@@ -309,32 +325,33 @@ def _poisson_ptrs(rate: float, gammaln):
         # us = 0 (u below 2**-54) divides by zero and gives k = -inf, which
         # is rejected; a v near the floor can take the log's argument to 0,
         # and log 0 = -inf accepts, as the scalar test does
-        with np.errstate(divide="ignore"):
-            k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
-            accept = (us >= 0.07) & (v <= v_r)
-            rest = (k >= 0.0) & ~((us < 0.013) & (v > us)) & ~accept
-            lhs = np.log(v * inv_alpha / (a / us ** 2 + b))
-        kept = np.clip(k, 0.0, top)
+        k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
+        accept = (us >= 0.07) & (v <= v_r)
+        test = np.flatnonzero((k >= 0.0) & ~((us < 0.013) & (v > us))
+                              & ~accept)
+        kt = k[test]
+        lhs = np.log(v[test] * inv_alpha / (a / us[test] ** 2 + b))
+        # a tested k is at least 0, so a capped one lies above the table
+        kept = np.minimum(kt, top)
         log_k_fact = log_fact[kept.astype(np.intp)]
-        # a tested slot has k >= 0, so a clipped one has k above the table
-        far = rest & (kept != k)
+        far = kept != kt
         if far.any():
-            log_k_fact[far] = gammaln(k[far] + 1.0)
-        rhs = k * log_rate - rate - log_k_fact
-        accept |= rest & (lhs <= rhs)
+            log_k_fact[far] = gammaln(kt[far] + 1.0)
+        accept[test] = lhs <= kt * log_rate - rate - log_k_fact
         return k, accept
 
     def draw(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
         out = np.empty((len(rngs), n))
         flat = out.reshape(-1)
         edges = np.arange(len(rngs) + 1) * n
-        k, accept = round_(rngs, edges)
-        flat[:] = k
-        pending = np.flatnonzero(~accept)
-        while pending.size:
-            k, accept = round_(rngs, np.searchsorted(pending, edges))
-            flat[pending[accept]] = k[accept]
-            pending = pending[~accept]
+        with np.errstate(divide="ignore"):
+            k, accept = round_(rngs, edges)
+            flat[:] = k
+            pending = np.flatnonzero(~accept)
+            while pending.size:
+                k, accept = round_(rngs, np.searchsorted(pending, edges))
+                flat[pending[accept]] = k[accept]
+                pending = pending[~accept]
         return out
 
     return draw
@@ -343,17 +360,18 @@ def _poisson_ptrs(rate: float, gammaln):
 def poisson_sampler(rates, seed: int) -> Sampler:
     """Independent Poisson coordinates.
 
-    Rates at or below 30 invert a cumulative table (one uniform per draw,
-    smallest k with CDF(k) >= u) through a guide table (``_guide_lookup``),
-    whose exact comparisons give the index a binary search gives; larger
-    rates use transformed rejection, with log k! read from a table of
-    ``gammaln``'s own values (``_poisson_ptrs``).  Each draw fills its
-    coordinates column by column.
+    Rates must lie in (0, 1e300].  Rates at or below 30 invert a
+    cumulative table (one uniform per draw, smallest k with CDF(k) >= u)
+    through a guide table (``_guide_lookup``), whose exact comparisons give
+    the index a binary search gives; larger rates use transformed
+    rejection, with log k! read from a table of ``gammaln``'s own values
+    (``_poisson_ptrs``).  Each draw fills its coordinates column by column.
     """
     from scipy.special import gammaln
     lam = np.asarray(rates, dtype=float).ravel()
-    if lam.size == 0 or not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise ValueError("rates must be positive and finite")
+    if lam.size == 0 or not np.all((lam > 0.0) & (lam <= _RATE_CAP)):
+        raise ValueError(
+            f"rates must be positive, finite and at most {_RATE_CAP:g}")
     # per coordinate: a guide lookup into the CDF table (inverted) or a
     # rejection kernel
     inverted = lam <= _INVERSION_CAP
@@ -478,9 +496,9 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
     fed with raw (unlifted) observations.  Exponents are capped at 700; a
     block whose sum of squares could overflow is summed relative to its
     largest term, so the estimate and its standard error stay finite.
-    Blocks are drawn in groups, and each block's moments are those a
-    one-block loop would sum.  ``threads`` is accepted and ignored; every
-    block runs on the calling thread."""
+    Blocks are drawn and reduced in groups, and each block's moments are
+    those a one-block loop would sum, bit for bit.  ``threads`` is accepted
+    and ignored; every block runs on the calling thread."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     n = int(n)
@@ -490,7 +508,6 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
         raise ValueError(
             f"detector dimension {_detector_dim(det)} does not match "
             f"sampler dimension {sampler.dim}")
-    sign = -1.0 if side == 1 else 1.0
     rngs = [_philox() for _ in range(_GROUP)]
     full, short = divmod(n, _BLOCK)
     # (first block, end block, rows per block): full blocks in groups, and
@@ -504,16 +521,23 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
         streams = [_rekey(rng, sampler.seed, block)
                    for rng, block in zip(rngs, range(first, stop))]
         obs = sampler.draw_streams(streams, rows).reshape(-1, sampler.dim)
-        expo = np.minimum(sign * _detector_stat(det, obs), _EXP_CAP)
+        expo = _detector_stat(det, obs)
+        if side == 1:
+            np.negative(expo, out=expo)
+        np.minimum(expo, _EXP_CAP, out=expo)
         expo = expo.reshape(len(streams), rows)
-        for block_expo, vals in zip(expo, np.exp(expo)):
-            shift, total = 0.0, float(vals.sum())
-            if total > _SQUARE_SAFE:
-                # vals @ vals could overflow: scale by the block's largest term
-                shift = float(block_expo.max())
-                vals = np.exp(block_expo - shift)
-                total = float(vals.sum())
-            moments.append((shift, total, float(vals @ vals)))
+        vals = np.exp(expo)
+        # the axis-1 sums and the stacked (1, rows) @ (rows, 1) products
+        # are each row's sum and vals @ vals, bit for bit
+        sums = vals.sum(axis=1)
+        shift = np.zeros(len(streams))
+        for i in np.flatnonzero(sums > _SQUARE_SAFE):
+            # vals @ vals could overflow: scale by the block's largest term
+            shift[i] = expo[i].max()
+            np.exp(expo[i] - shift[i], out=vals[i])
+            sums[i] = vals[i].sum()
+        squares = np.matmul(vals[:, None, :], vals[:, :, None]).ravel()
+        moments += zip(shift.tolist(), sums.tolist(), squares.tolist())
     return _moment_report(moments, n, float(det.risk))
 
 

@@ -746,6 +746,17 @@ def test_asymmetric_sampler_covariance_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_poisson_rate_above_the_cap_exits_2(tmp_path, capsys):
+    # from about 3e305, k log(rate) in the rejection test overflows
+    cfg = simulate_config()
+    cfg["simulate"]["sampler"] = {"kind": "poisson", "rates": [5.0, 3e305]}
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.simulate.sampler: " in err
+    assert "at most 1e+300" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_text_summary_to_stdout_without_out(tmp_path, capsys):
     assert run_cli(tmp_path, simulate_config()) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -174,8 +175,9 @@ def _ptrs_one_stream(rate, rng, n):
     return out
 
 
-# 1e9 lies above the log-factorial table's cap: its log k! come from gammaln
-@pytest.mark.parametrize("rate", [30.5, 36.0, 400.0, 1e9])
+# 80 and 98 are the rejection rates the montecarlo benchmark draws; 1e9
+# lies above the log-factorial table's cap: its log k! come from gammaln
+@pytest.mark.parametrize("rate", [30.5, 36.0, 80.0, 98.0, 400.0, 1e9])
 def test_poisson_rejection_matches_one_stream_rounds(rate):
     s = poisson_sampler([rate], seed=17)
     for block in range(3):
@@ -323,6 +325,16 @@ def test_poisson_sampler_validation():
         poisson_sampler([0.0], seed=0)
     with pytest.raises(ValueError):
         poisson_sampler([1.0, np.inf], seed=0)
+    with pytest.raises(ValueError):
+        poisson_sampler([np.nan], seed=0)
+    # from about 3e305, k log(rate) in the rejection test overflows
+    for rate in (np.nextafter(1e300, np.inf), 3e305, 1.7e308):
+        with pytest.raises(ValueError, match="at most 1e"):
+            poisson_sampler([5.0, rate], seed=0)
+    # the cap itself draws, with no RuntimeWarning (the suite makes it an
+    # error), within a few ulps of the rate: its standard deviation is 1e150
+    draws = poisson_sampler([1e300], seed=0).sample(2000)[:, 0]
+    assert np.allclose(draws, 1e300, rtol=1e-15, atol=0.0)
 
 
 def test_discrete_sampler_one_hot_frequencies():
@@ -376,26 +388,32 @@ def _contract_samplers():
             scenario_sampler(2, walk, seed=9)]
 
 
-@pytest.mark.parametrize("count", [1, 7, 1024])
+# _GROUP streams are those of one mc_detector_risk group
+@pytest.mark.parametrize("count", [1, 7, simulate._GROUP, 1024])
 def test_draw_trials_equals_successive_draws(count):
-    for sampler in _contract_samplers():
+    # 6 and 12 rows are the trial shapes of the multi-test and aggregation
+    # checks; a one-row Gaussian draw is a vector-matrix product, which
+    # BLAS rounds otherwise than the rows of a larger product
+    for sampler, rows in itertools.product(_contract_samplers(),
+                                           (1, 3, 6, 12)):
+        case = (sampler.kind, sampler.dim, rows)
         batched, looped = sampler.block_rng(5), sampler.block_rng(5)
-        got = sampler.draw_trials(batched, count, 3)
-        want = np.stack([sampler.draw(looped, 3) for _ in range(count)])
-        assert got.shape == (count, 3, sampler.dim), sampler.kind
-        assert got.tobytes() == want.tobytes(), sampler.kind
+        got = sampler.draw_trials(batched, count, rows)
+        want = np.stack([sampler.draw(looped, rows) for _ in range(count)])
+        assert got.shape == (count, rows, sampler.dim), case
+        assert got.tobytes() == want.tobytes(), case
         # both leave the generator at the same point of the stream
         assert batched.random(5).tobytes() == looped.random(5).tobytes()
 
         # the multi-stream kernel: one draw on each of count block streams
         grouped = [sampler.block_rng(b) for b in range(count)]
         alone = [sampler.block_rng(b) for b in range(count)]
-        got = sampler.draw_streams(grouped, 3)
-        want = np.stack([sampler.draw(rng, 3) for rng in alone])
-        assert got.shape == (count, 3, sampler.dim), sampler.kind
-        assert got.tobytes() == want.tobytes(), sampler.kind
+        got = sampler.draw_streams(grouped, rows)
+        want = np.stack([sampler.draw(rng, rows) for rng in alone])
+        assert got.shape == (count, rows, sampler.dim), case
+        assert got.tobytes() == want.tobytes(), case
         assert [_philox_state(r) for r in grouped] == \
-            [_philox_state(r) for r in alone], sampler.kind
+            [_philox_state(r) for r in alone], case
 
 
 def _philox_state(rng):
@@ -449,9 +467,9 @@ def test_gaussian_mgf_identity_within_three_se():
     assert other.bound == pytest.approx(math.exp(-0.5))
 
 
-def _per_block_risk(det, sampler, side, n):
-    """mc_detector_risk one block at a time: re-key, draw, statistic,
-    moments."""
+def _per_block_moments(det, sampler, side, n):
+    """mc_detector_risk's moments one block at a time: re-key, draw,
+    statistic, moments; each block's (shift, sum, sum of squares)."""
     sign = -1.0 if side == 1 else 1.0
     rng = simulate._philox()
     moments = []
@@ -467,7 +485,12 @@ def _per_block_risk(det, sampler, side, n):
             vals = np.exp(expo - shift)
             total = float(vals.sum())
         moments.append((shift, total, float(vals @ vals)))
-    return simulate._moment_report(moments, n, float(det.risk))
+    return moments
+
+
+def _per_block_risk(det, sampler, side, n):
+    return simulate._moment_report(_per_block_moments(det, sampler, side, n),
+                                   n, float(det.risk))
 
 
 def _walk(hist, rng):
@@ -478,7 +501,11 @@ def _walk(hist, rng):
 _GROUP_ROWS = simulate._GROUP * simulate._BLOCK
 
 
-@pytest.mark.parametrize("n", [1000, 1024, _GROUP_ROWS,
+# a part group of 8 and of 9 full blocks, a full group, and a full group
+# with a full and a short block after it
+@pytest.mark.parametrize("n", [1000, 1024, 8 * simulate._BLOCK,
+                               9 * simulate._BLOCK,
+                               9 * simulate._BLOCK + 37, _GROUP_ROWS,
                                _GROUP_ROWS + simulate._BLOCK,
                                _GROUP_ROWS + simulate._BLOCK + 37])
 def test_grouped_risk_equals_per_block_loop(n):
@@ -502,7 +529,7 @@ def test_grouped_risk_equals_per_block_loop(n):
 
 
 def test_grouped_risk_rescales_an_overflowing_block():
-    # e^{100 x} reaches the exponent cap, so blocks take the rescale
+    # e^{100 x} reaches the exponent cap, so some blocks take the rescale
     det = AffineDetector(h=np.array([100.0]), a=0.0, risk=0.5, gap=0.0)
     s = gaussian_sampler([0.0], [[1.0]], seed=3)
     n = 2 * _GROUP_ROWS + 5
@@ -510,6 +537,14 @@ def test_grouped_risk_rescales_an_overflowing_block():
     assert got == _per_block_risk(det, s, 2, n)
     assert got.estimate > simulate._SQUARE_SAFE / simulate._BLOCK
     assert math.isfinite(got.std_error)
+    # each full group mixes rescaled and plain blocks, and some rescaled
+    # block holds a term whose square overflows: a group's squares are
+    # formed after its rescale, or the suite's error::RuntimeWarning fails
+    shifts = [m[0] for m in _per_block_moments(det, s, 2, n)]
+    for lo in range(0, 2 * simulate._GROUP, simulate._GROUP):
+        group = shifts[lo:lo + simulate._GROUP]
+        assert 0.0 in group and max(group) > 0.0
+    assert max(shifts) > 0.5 * math.log(np.finfo(float).max)
 
 
 def test_mc_detector_risk_thread_count_invariant():

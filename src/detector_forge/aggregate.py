@@ -240,9 +240,12 @@ def _level_blues(problem: AggregationProblem, geo: VoronoiGeometry, l: int,
 @dataclass
 class LevelTest:
     level: int
-    alive: bool
     shifted: Optional[ShiftedBattery] = None
     colors: tuple = ()
+
+    @property
+    def alive(self) -> bool:
+        return self.shifted is not None
 
     @property
     def eps_hat(self) -> float:
@@ -259,7 +262,7 @@ def _level_test(problem: AggregationProblem, level_sets: LevelSets,
                 repetitions: int) -> LevelTest:
     """One level's battery; a level without a cell is dead."""
     if not level_sets.reds:
-        return LevelTest(level_sets.level, alive=False)
+        return LevelTest(level_sets.level)
     mean_sets = [s for _, s in level_sets.reds] + [s for *_, s in level_sets.blues]
     colors = tuple([_RED] * len(level_sets.reds) + [_BLUE] * len(level_sets.blues))
     J = len(mean_sets)
@@ -269,8 +272,8 @@ def _level_test(problem: AggregationProblem, level_sets: LevelSets,
                  for i in range(J) for j in range(i + 1, J)
                  if not rel.close(i, j)}
     battery = PairwiseBattery(mean_sets, rel, detectors)
-    return LevelTest(level_sets.level, True,
-                     shift_battery(battery, repetitions), colors)
+    return LevelTest(level_sets.level, shift_battery(battery, repetitions),
+                     colors)
 
 
 def individual_inference_block(test: LevelTest, observations) -> np.ndarray:

@@ -307,19 +307,12 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _mc_row(label: str, rep) -> dict:
-    return {"label": label, "estimate": rep.estimate,
-            "std_error": rep.std_error, "n": rep.n,
-            "bound": rep.bound, "passed": rep.passed}
-
-
 class Emitter:
     """Collects results, warnings, MC rows, and timings for one run."""
 
     def __init__(self, task: str, cfg: dict):
         self.report = {"schema_version": cfg["schema_version"], "task": task,
                        "config": cfg, "results": {}, "warnings": []}
-        self.mc_rows: list = []
         self.timings: dict = {}
 
     def warn(self, message: str) -> None:
@@ -327,22 +320,23 @@ class Emitter:
         log.warning(message)
 
     def add_mc(self, label: str, rep) -> None:
-        row = _mc_row(label, rep)
-        self.mc_rows.append(row)
-        self.report["results"].setdefault("mc", []).append(row)
+        self.report["results"].setdefault("mc", []).append({
+            "label": label, "estimate": rep.estimate,
+            "std_error": rep.std_error, "n": rep.n,
+            "bound": rep.bound, "passed": rep.passed})
 
     def json_text(self) -> str:
         return json.dumps(self.report, sort_keys=True, indent=2,
                           default=_json_default) + "\n"
 
     def csv_text(self) -> Optional[str]:
-        if not self.mc_rows:
+        if "mc" not in self.report["results"]:
             return None
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS,
                                 lineterminator="\n")
         writer.writeheader()
-        for row in self.mc_rows:
+        for row in self.report["results"]["mc"]:
             writer.writerow({k: _csv_cell(row[k]) for k in _CSV_FIELDS})
         return buf.getvalue()
 
@@ -613,18 +607,17 @@ def cmd_simulate(cfg: dict, runtime: dict) -> Emitter:
     out = Emitter("simulate", cfg)
     block = cfg["simulate"]
     d = block["detector"]
+    h, a, risk = np.asarray(d["h"], dtype=float), float(d["a"]), float(d["risk"])
     if "H" in d:
         H = _matrix(d["H"], "$.simulate.detector.H", square=True)
-        if H.shape[0] != len(d["h"]):
+        if H.shape[0] != h.size:
             raise ConfigError("$.simulate.detector.H",
                               "matrix side must match the length of h")
-        det = QuadDetector(h=np.asarray(d["h"], dtype=float), H=H,
-                           a=float(d["a"]), risk=float(d["risk"]))
+        det = QuadDetector(h=h, H=H, a=a, risk=risk)
     else:
-        det = AffineDetector(h=np.asarray(d["h"], dtype=float),
-                             a=float(d["a"]), risk=float(d["risk"]), gap=0.0)
+        det = AffineDetector(h=h, a=a, risk=risk, gap=0.0)
     sampler = _checked_sampler(block["sampler"], "$.simulate.sampler",
-                               runtime["seed"], len(d["h"]))
+                               runtime["seed"], h.size)
     t0 = time.perf_counter()
     rep = mc_detector_risk(det, sampler, int(block["side"]), int(block["n"]))
     out.timings["mc"] = time.perf_counter() - t0

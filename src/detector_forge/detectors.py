@@ -36,6 +36,15 @@ class AffineDetector:
     certified: bool = True
     meta: dict = field(default_factory=dict)
 
+    def statistic(self, obs) -> np.ndarray:
+        """h'omega + a of each observation omega, the last axis of obs."""
+        return np.asarray(obs, dtype=float) @ self.h + self.a
+
+    def repeated(self, obs) -> np.ndarray:
+        """The statistic summed over the K observations of axis -2 of obs."""
+        obs = np.atleast_2d(np.asarray(obs, dtype=float))
+        return np.sum(obs @ self.h, axis=-1) + self.a * obs.shape[-2]
+
 
 @dataclass(frozen=True)
 class TestVerdict:
@@ -85,19 +94,13 @@ def _refuse_uncertified(sol: SaddleSolution) -> None:
 
 def apply_detector(det: AffineDetector, obs) -> TestVerdict:
     """Decide between the hypotheses on one observation; ties go to the first."""
-    s = float(det.h @ np.asarray(obs, dtype=float)) + det.a
+    s = float(det.statistic(obs))
     return TestVerdict(1 if s >= 0.0 else 2, s)
-
-
-def _repeated_statistic(det: AffineDetector, observations) -> float:
-    """Detector statistic summed over a batch of observations (one per row)."""
-    obs = np.atleast_2d(np.asarray(observations, dtype=float))
-    return float(np.sum(obs @ det.h) + det.a * obs.shape[0])
 
 
 def apply_repeated(det: AffineDetector, observations: Sequence) -> TestVerdict:
     """Decide on a batch of independent observations by summing statistics."""
-    s = _repeated_statistic(det, observations)
+    s = float(det.repeated(observations))
     return TestVerdict(1 if s >= 0.0 else 2, s)
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detectors import _repeated_statistic, build_detector
+from .detectors import build_detector
 from .errors import InfeasibleError
 from .families import RegularData
 from .saddle import _TOL, SaddleProblem
@@ -89,8 +89,8 @@ class PairwiseBattery:
         if self.closeness.close(i, j):
             return 0.0
         if i < j:
-            return _repeated_statistic(self.detectors[(i, j)], observations)
-        return -_repeated_statistic(self.detectors[(j, i)], observations)
+            return float(self.detectors[(i, j)].repeated(observations))
+        return -float(self.detectors[(j, i)].repeated(observations))
 
 
 def build_battery(hypotheses: Sequence[RegularData],
@@ -160,15 +160,17 @@ class ShiftedBattery:
     repetitions: int
     alpha: np.ndarray
     eps_hat: float
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:
+        return bool(self.eps_hat >= 1.0)
 
 
 def shift_battery(battery: PairwiseBattery, repetitions: int) -> ShiftedBattery:
     """Attach balanced shifts for a given repetition count; eps_hat is the
     largest row of the shifted risk matrix, a valid risk bound."""
     alpha, _, level = perron_shifts(e_matrix(battery, repetitions))
-    return ShiftedBattery(battery, int(repetitions), alpha, level,
-                          vacuous=bool(level >= 1.0))
+    return ShiftedBattery(battery, int(repetitions), alpha, level)
 
 
 @dataclass(frozen=True)
@@ -183,13 +185,12 @@ def run_multitest_block(shifted: ShiftedBattery, observations):
 
     ``observations`` is (n, K, d): n trials of K observations each.  Each
     non-close pair's statistic comes for the whole block from one
-    (n, K, d) @ (d,) product summed over the K observations; that is the
-    arithmetic of ``PairwiseBattery.statistic`` trial by trial, so the
-    margins match it bit for bit.  (One (n K, d) @ (d, P) product for all
-    pairs would round differently.)  Returns
-    the (n, J, J) margins (zero on close pairs) and the (n, J) mask of
-    accepted hypotheses: those whose margins against every non-close
-    rival are all positive.
+    ``AffineDetector.repeated`` call, whose arithmetic is that of
+    ``PairwiseBattery.statistic`` trial by trial, so the margins match it
+    bit for bit.  (One (n K, d) @ (d, P) product for all pairs would round
+    differently.)  Returns the (n, J, J) margins (zero on close pairs) and
+    the (n, J) mask of accepted hypotheses: those whose margins against
+    every non-close rival are all positive.
     """
     obs = np.asarray(observations, dtype=float)
     bat = shifted.battery
@@ -198,12 +199,10 @@ def run_multitest_block(shifted: ShiftedBattery, observations):
         raise ValueError(
             f"expected {shifted.repetitions} observations per trial, "
             f"got an array of shape {obs.shape}")
-    K = obs.shape[1]
     tested = ~bat.closeness.matrix
     margins = np.zeros((obs.shape[0], J, J))
     for i, j in zip(*np.nonzero(np.triu(tested))):
-        det = bat.detectors[(i, j)]
-        stat = np.sum(obs @ det.h, axis=1) + det.a * K
+        stat = bat.detectors[(i, j)].repeated(obs)
         margins[:, i, j] = stat + shifted.alpha[i, j]
         margins[:, j, i] = -stat + shifted.alpha[j, i]
     accepted = np.all((margins > 0.0) | ~tested, axis=2)

@@ -167,9 +167,11 @@ class QuadDetector:
     risk: float
     meta: dict = field(default_factory=dict)
 
-    def statistic(self, obs) -> float:
+    def statistic(self, obs) -> np.ndarray:
+        """phi(z) of each observation z, the last axis of obs."""
         z = np.asarray(obs, dtype=float)
-        return float(self.h @ z + 0.5 * z @ (self.H @ z) + self.a)
+        return (z @ self.h + self.a
+                + 0.5 * np.einsum("...i,ij,...j->...", z, self.H, z))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.h, sym_flatten(self.H)])

@@ -7,8 +7,8 @@ optional bound on the Euclidean norm of the set's elements.  Sets over
 symmetric matrices are represented by their row-major flattened vectors so
 the optimizers never need to know about matrix shapes.
 
-Finite boxes, singletons and simplices, their linear images and halfspaces
-over them also carry a Polytope, whose projection, support function and
+Finite boxes, singletons, simplices and their products, linear images and
+halfspaces also carry a Polytope, whose projection, support function and
 closest pairs come from one exact oracle (optimize.minimize_polytope_quadratic,
 a Lemke pivoting solve).  That oracle finds a polytope empty only when no
 point of its box meets the cut rows to a slack of about 1e-9 of each row's
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -110,20 +110,29 @@ class Polytope:
         x = self.G @ z
         return float(g @ x), x
 
+    def times(self, other: "Polytope") -> "Polytope":
+        """The product {(x1, x2) : x1 in self, x2 in other}."""
+        def diag(X, Y):
+            return np.block([[X, np.zeros((X.shape[0], Y.shape[1]))],
+                             [np.zeros((Y.shape[0], X.shape[1])), Y]])
+
+        return Polytope(diag(self.G, other.G),
+                        np.concatenate([self.lo, other.lo]),
+                        np.concatenate([self.hi, other.hi]),
+                        diag(self.C, other.C),
+                        np.concatenate([self.d, other.d]))
+
     def closest(self, other: "Polytope", P: np.ndarray):
         """(x1 in self, x2 in other) nearest in the metric P: one oracle call
-        over z = (z1, z2) on z'Qz/2, Q = 2 M'PM with M = [G1, -G2].
-        InfeasibleError where it finds no z, that is where either polytope
-        is empty."""
-        n1, n2 = self.G.shape[1], other.G.shape[1]
+        over z = (z1, z2) of their product on z'Qz/2, Q = 2 M'PM with
+        M = [G1, -G2].  InfeasibleError where it finds no z, that is where
+        either polytope is empty."""
+        n1 = self.G.shape[1]
+        pair = self.times(other)
         M = np.hstack([self.G, -other.G])
-        C = np.block([[self.C, np.zeros((self.d.size, n2))],
-                      [np.zeros((other.d.size, n1)), other.C]])
         z, _ = minimize_polytope_quadratic(
-            2.0 * (M.T @ P @ M), np.zeros(n1 + n2),
-            np.concatenate([self.lo, other.lo]),
-            np.concatenate([self.hi, other.hi]), C,
-            np.concatenate([self.d, other.d]))
+            2.0 * (M.T @ P @ M), np.zeros(pair.lo.size), pair.lo, pair.hi,
+            pair.C, pair.d)
         if z is None:
             raise InfeasibleError("the polytope is empty")
         return self.G @ z[:n1], other.G @ z[n1:]
@@ -385,8 +394,11 @@ def product(parts: Sequence[ConvexSet]) -> ConvexSet:
     radius = None
     if all(p.bound_radius is not None for p in parts):
         radius = float(np.sqrt(sum(p.bound_radius ** 2 for p in parts)))
-    return ConvexSet(dim, proj, supp, radius, name="product",
-                     meta={"kind": "product", "parts": parts})
+    out = ConvexSet(dim, proj, supp, radius, name="product",
+                    meta={"kind": "product", "parts": parts})
+    if all(p.polytope is not None for p in parts):
+        out.polytope = reduce(Polytope.times, [p.polytope for p in parts])
+    return out
 
 
 def linear_image(base: ConvexSet, M) -> ConvexSet:

@@ -26,11 +26,11 @@ fresh ``Philox(key=(seed, block))`` starts in, which is cheaper than
 building one.  A block's stream depends only on its key, not on when it is
 drawn, so ``mc_detector_risk`` draws a group of ``_GROUP`` blocks with one
 ``draw_streams`` call, which gives the rows of one ``draw`` call on each
-block's stream, and reduces the group at once: one detector statistic and
-``exp``, one axis-1 sum for the block sums and one stacked
-``(1, n) @ (n, 1)`` product for their sums of squares, taken after the
-blocks whose squares could overflow are rescaled.  The estimate is the
-one a one-block loop gives, bit for bit.  That rests on the elementwise
+block's stream, and reduces the group at once: one call of the detector's
+own ``statistic`` and one ``exp``, one axis-1 sum for the block sums and
+one stacked ``(1, n) @ (n, 1)`` product for their sums of squares, taken
+after the blocks whose squares could overflow are rescaled.  The estimate
+is the one a one-block loop gives, bit for bit.  That rests on the elementwise
 maps (``ndtri``, ``log``, ``gammaln``, ``exp``) giving the same bits
 whatever the length of the array; on an axis-1 sum and a stacked product
 rounding each row as its own ``sum`` and ``vals @ vals`` (a BLAS ``ddot``)
@@ -452,19 +452,6 @@ def scenario_sampler(dim: int, fn: Callable, seed: int) -> Sampler:
     return _stacked("scenario", dim, seed, fill)
 
 
-def _detector_stat(det, obs: np.ndarray) -> np.ndarray:
-    h = np.asarray(det.h, dtype=float)
-    base = obs @ h + det.a
-    H = getattr(det, "H", None)
-    if H is None:
-        return base
-    return base + 0.5 * np.einsum("ni,ij,nj->n", obs, H, obs)
-
-
-def _detector_dim(det) -> int:
-    return int(np.asarray(det.h).size)
-
-
 def _map_blocks(total: int, job, threads: int) -> list:
     """Run ``job(block, lo, hi)`` over the blocks of ``total`` trials, in
     index order on the calling thread.  ``threads`` is accepted and ignored;
@@ -492,10 +479,10 @@ def _moment_report(moments: list, n: int, bound: float) -> McReport:
 def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
                      threads: int = 1) -> McReport:
     """Estimate E e^{-phi} (side 1) or E e^{+phi} (side 2) and compare to
-    the certified risk.  Works for affine detectors and for quadratic ones
-    fed with raw (unlifted) observations.  Exponents are capped at 700; a
-    block whose sum of squares could overflow is summed relative to its
-    largest term, so the estimate and its standard error stay finite.
+    the certified risk; phi is the detector's own statistic, quadratic ones
+    read raw (unlifted) observations.  Exponents are capped at 700; a block
+    whose sum of squares could overflow is summed relative to its largest
+    term, so the estimate and its standard error stay finite.
     Blocks are drawn and reduced in groups, and each block's moments are
     those a one-block loop would sum, bit for bit.  ``threads`` is accepted
     and ignored; every block runs on the calling thread."""
@@ -504,9 +491,9 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
     n = int(n)
     if n < 1000:
         raise ValueError("need at least 1000 samples for a stable estimate")
-    if _detector_dim(det) != sampler.dim:
+    if det.h.size != sampler.dim:
         raise ValueError(
-            f"detector dimension {_detector_dim(det)} does not match "
+            f"detector dimension {det.h.size} does not match "
             f"sampler dimension {sampler.dim}")
     rngs = [_philox() for _ in range(_GROUP)]
     full, short = divmod(n, _BLOCK)
@@ -521,7 +508,7 @@ def mc_detector_risk(det, sampler: Sampler, side: int, n: int, *,
         streams = [_rekey(rng, sampler.seed, block)
                    for rng, block in zip(rngs, range(first, stop))]
         obs = sampler.draw_streams(streams, rows).reshape(-1, sampler.dim)
-        expo = _detector_stat(det, obs)
+        expo = det.statistic(obs)
         if side == 1:
             np.negative(expo, out=expo)
         np.minimum(expo, _EXP_CAP, out=expo)

@@ -71,6 +71,55 @@ def test_purify_drops_unreachable_cell():
     assert all(lp != 2 for l in levels for lp, _, _ in l.blues)
 
 
+def test_dead_level_has_no_risk_and_is_never_picked():
+    # the third estimate's cell starts at x = 3, outside the box [-2, 2]:
+    # its level has no cell, so no battery, no risk and no survival
+    prob = AggregationProblem(
+        estimates=[[-1.0], [1.0], [5.0]],
+        parameter_sets=[box([-2.0], [2.0])],
+        G=np.eye(1),
+        Theta=np.eye(1),
+    )
+    tests = build_level_tests(prob, 1.0, 4)
+    assert [t.alive for t in tests] == [True, True, False]
+    assert tests[2].shifted is None and tests[2].eps_hat == 0.0
+    for x in (-1.0, 1.0, 5.0, 9.0):
+        obs = np.full((4, 1), x)
+        assert not agg.individual_inference(tests[2], obs)
+        res = aggregate(prob, obs, deltas=1.0)
+        assert res.index != 2 and res.red[2] is False
+        assert res.risk == tests[0].eps_hat + tests[1].eps_hat
+
+
+def test_multirow_cell_without_a_known_point_is_kept_by_the_oracle():
+    # the third estimate's cell meets the square [-1, 1]^2 (it holds
+    # (0.3, 0.9)), but no row's support point, a corner, lies in the cell
+    # and neither does the estimate clipped into the square: only
+    # Polytope.nearest keeps it
+    est = np.array([[1.8, 2.5], [-1.4, 0.2], [-0.3, 2.6], [-2.8, 1.4]])
+    img = box([-1.0, -1.0], [1.0, 1.0])
+    geo = voronoi_geometry(est)
+    A = np.stack([geo.u[2, lp] for lp in (0, 1, 3)])
+    b = np.array([geo.v[2, lp] for lp in (0, 1, 3)])
+    assert np.all(A @ [0.3, 0.9] < b)
+    for row in A:
+        assert np.any(A @ img.support(-row)[1] > b + 1e-3)
+    assert np.any(A @ np.clip(est[2], -1.0, 1.0) > b + 1e-3)
+    calls = []
+    nearest = sets_module.Polytope.nearest
+
+    def counted(self, y):
+        calls.append(1)
+        return nearest(self, y)
+
+    with mock.patch.object(sets_module.Polytope, "nearest", counted):
+        assert agg._feasible(A, b, img, est[2])
+    assert calls == [1]
+    prob = AggregationProblem(estimates=est, parameter_sets=[img],
+                              G=np.eye(2), Theta=np.eye(2))
+    assert len(purify(prob, 0.3)[2].reds) == 1
+
+
 def test_purify_keeps_boundary_touching_cell():
     # the second cell meets the box only at the single point x = 0
     prob = AggregationProblem(

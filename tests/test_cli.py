@@ -696,6 +696,43 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
     assert a["estimate"] == b["estimate"]
 
 
+def test_simulate_quadratic_detector_from_a_quadlift_report(tmp_path, capsys):
+    # the quadlift report's (h, H, a, risk) against draws from each
+    # hypothesis: A1 [u; 1] at u = 0 with the top covariance, A2 [0; 1]
+    cfg = quadlift_config(
+        A1=[[0.0, 1.0], [0.5, 0.2]], U1={"type": "box", "lo": [-0.3],
+                                         "hi": [0.3]},
+        cov1={"type": "psd_interval", "lo": (0.5 * np.eye(2)).tolist(),
+              "hi": np.eye(2).tolist()}, Theta1=np.eye(2).tolist(),
+        A2=[[0.0, -1.0], [0.0, 0.0]], cov2=(2.0 * np.eye(2)).tolist(),
+        Theta2=(2.0 * np.eye(2)).tolist())
+    assert run_cli(tmp_path, cfg, "--out", str(tmp_path / "q")) == 0
+    found = read_report(tmp_path, "q")["results"]
+    det = {k: found[k] for k in ("h", "H", "a", "risk")}
+    assert np.abs(det["H"]).max() > 0.1
+    estimates = []
+    for side, mean, cov in ((1, [1.0, 0.2], np.eye(2)),
+                            (2, [-1.0, 0.0], 2.0 * np.eye(2))):
+        sim = simulate_config()
+        sim["simulate"].update(
+            detector=det, side=side, n=20000,
+            sampler={"kind": "gaussian", "mean": mean, "cov": cov.tolist()})
+        assert run_cli(tmp_path, sim, "--out", str(tmp_path / "s")) == 0
+        row = read_report(tmp_path, "s")["results"]["mc"][0]
+        assert row["passed"] is True and row["bound"] == det["risk"]
+        estimates.append(row["estimate"])
+    # without H the same draws give another estimate: the harness read H
+    sim["simulate"]["detector"] = {k: det[k] for k in ("h", "a", "risk")}
+    assert run_cli(tmp_path, sim, "--out", str(tmp_path / "s")) == 0
+    assert read_report(tmp_path, "s")["results"]["mc"][0]["estimate"] != \
+        estimates[-1]
+    # an H whose side is not the length of h is refused at H
+    sim["simulate"]["detector"] = dict(det, H=np.eye(3).tolist())
+    capsys.readouterr()
+    assert run_cli(tmp_path, sim) == 2
+    assert "config error at $.simulate.detector.H:" in capsys.readouterr().err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in the report")
 

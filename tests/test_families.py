@@ -225,6 +225,70 @@ def test_refine_bounded_by_both():
             assert val <= X.support(h)[0] + 1e-9
 
 
+def _central_difference(f, x, t=1e-4):
+    return np.array([(f(x + t * e) - f(x - t * e)) / (2.0 * t)
+                     for e in np.eye(x.size)])
+
+
+def test_refined_gradients_match_finite_differences():
+    # unit-covariance sub-Gaussian base, support box [-1, 1]^2 (s = l1
+    # norm), shift ball of radius 5: the inner minimizer is
+    # g = h + mu - sign(h + mu), inside the ball and off the kinks of s at
+    # these points, so phi_hat is smooth there with grad_h = sign(h + mu)
+    # and grad_mu = sign(h + mu) - mu
+    base = sub_gaussian_family(sets.ball([0.5, -0.2], 1.0),
+                               sets.singleton(np.eye(2).ravel()))
+    ref = refine_with_support(base, sets.box([-1.0, -1.0], [1.0, 1.0]),
+                              sets.ball([0.0, 0.0], 5.0))
+    mu = np.array([0.3, 0.1])
+    for h in ([2.7, -2.6], [3.0, 2.0], [-2.5, 1.8]):
+        h = np.array(h)
+        sign = np.sign(h + mu)
+        assert ref.grad_h(h, mu) == pytest.approx(sign, abs=1e-9)
+        assert ref.grad_mu(h, mu) == pytest.approx(sign - mu, abs=1e-9)
+        fd_h = _central_difference(lambda x: ref.phi(x, mu), h)
+        fd_mu = _central_difference(lambda m: ref.phi(h, m), mu)
+        assert np.max(np.abs(ref.grad_h(h, mu) - fd_h)) <= 1e-8
+        assert np.max(np.abs(ref.grad_mu(h, mu) - fd_mu)) <= 1e-8
+
+
+def test_iid_scale_unequal_factors_gradients_match_finite_differences():
+    fam = iid_scale(discrete_family(sets.simplex(3)), [0.5, 2.0])
+    assert fam.direction is None
+    h, mu = np.array([0.4, -0.3, 1.1]), np.array([0.2, 0.5, 0.3])
+    for f, grad, x in ((lambda m: fam.phi(h, m), fam.grad_mu(h, mu), mu),
+                       (lambda y: fam.phi(y, mu), fam.grad_h(h, mu), h)):
+        assert np.max(np.abs(grad - _central_difference(f, x, 1e-5))) <= 1e-8
+
+
+def test_iterated_side_maxima_pair_risk_holds_by_monte_carlo():
+    # unequal factors leave no direction, so the saddle's side maxima climb
+    # on grad_mu; such pairs may not certify, so the detector's risk is
+    # checked by simulation at members of each side: an observation is
+    # 0.5 omega_1 + 2 omega_2, two one-hot draws
+    from detector_forge.detectors import build_detector
+    from detector_forge.saddle import SaddleProblem
+    from detector_forge.simulate import custom_sampler, mc_detector_risk
+
+    lam = np.array([0.5, 2.0])
+    f1 = iid_scale(discrete_family(sets.simplex(3, lo=[0.6, 0.0, 0.0])), lam)
+    f2 = iid_scale(discrete_family(sets.simplex(3, lo=[0.0, 0.0, 0.6])), lam)
+    det = build_detector(SaddleProblem(f1, f2), force=True)
+    assert 0.0 < det.risk < 1.0
+
+    def member(p):
+        def draw(rng, n):
+            idx = rng.choice(3, p=p, size=(n, 2))
+            return np.einsum("k,nkd->nd", lam, np.eye(3)[idx])
+
+        return draw
+
+    for side, p in ((1, [0.6, 0.2, 0.2]), (1, [0.6, 0.0, 0.4]),
+                    (2, [0.2, 0.2, 0.6]), (2, [0.0, 0.4, 0.6])):
+        sampler = custom_sampler(3, member(np.array(p)), 7)
+        assert mc_detector_risk(det, sampler, side, 20000).passed, (side, p)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 

@@ -141,6 +141,25 @@ def test_product_projection():
     assert p.bound_radius == pytest.approx(np.sqrt(2.0))
 
 
+def test_product_of_polytopes_keeps_its_polytope():
+    # quadlift's affine slice maps U x {1}; with a polytope on the product
+    # its image projects by the oracle, not by projected gradient
+    p = sets.product([sets.box([-1.0, 0.0], [1.0, 2.0]),
+                      sets.singleton([1.0])])
+    assert p.polytope is not None
+    assert sets.product([sets.box([0.0], [1.0]),
+                         sets.ball([0.0], 1.0)]).polytope is None
+    M = np.array([[1.0, 0.5, 0.2], [0.3, 1.0, -0.1], [0.0, 0.4, 0.8]])
+    img = sets.linear_image(p, M)
+    assert img.project == img.polytope.nearest
+    # the same set without a polytope projects by projected gradient
+    bare = sets.ConvexSet(p.dim, p.project, p.support, p.bound_radius)
+    descent = sets.linear_image(bare, M)
+    rng = np.random.default_rng(5)
+    for y in rng.normal(scale=3.0, size=(10, 3)):
+        assert np.max(np.abs(img.project(y) - descent.project(y))) <= 1e-12
+
+
 def test_linear_image_of_a_ball_projects_by_projected_gradient():
     # a ball has no polytope, so the image projection descends over it; the
     # reference solves min ||M z - y|| over ||z - c|| <= r through its

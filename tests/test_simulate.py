@@ -476,7 +476,7 @@ def _per_block_moments(det, sampler, side, n):
     for block, lo in enumerate(range(0, n, simulate._BLOCK)):
         obs = sampler.draw(simulate._rekey(rng, sampler.seed, block),
                            min(simulate._BLOCK, n - lo))
-        expo = np.minimum(sign * simulate._detector_stat(det, obs),
+        expo = np.minimum(sign * det.statistic(obs),
                           simulate._EXP_CAP)
         vals = np.exp(expo)
         shift, total = 0.0, float(vals.sum())

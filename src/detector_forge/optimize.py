@@ -36,7 +36,15 @@ or hi, of a pinned coordinate moves only the right-hand side), its tables
 built on a radix's first call.  Convex quadratics over a bounded polytope
 {lo <= z <= hi, C z <= d} have one too: minimize_polytope_quadratic solves
 their KKT conditions, a linear complementarity problem, by one Lemke
-pivoting solve, whose secondary ray proves the polytope empty.
+pivoting solve, whose secondary ray proves the polytope empty.  Its
+tableau is a few to a few dozen rows, where NumPy's per-call cost outweighs
+the arithmetic, so the rank-one pivot update runs in NumPy and the ratio
+test on Python floats.  The bits are those of the ratio test in NumPy:
+each division, product, subtraction and comparison is the same IEEE
+double operation, no sum is reordered (a least or largest entry is exact
+in any order), and NaN, which Python's min and max treat unlike NumPy's,
+is refused up front, with overflow during the pivots raising
+FloatingPointError.
 """
 
 from __future__ import annotations
@@ -225,15 +233,18 @@ def _box_faces(radix: tuple):
     """The candidates of maximize_box_quadratic for one radix (3 where
     T_ii < 0, else 2), built once per radix.
 
-    Returns (high, block, pair, groups, code): high marks the coordinates
-    each candidate pins at hi; block indexes the negative diagonal's block
-    of T; subset r of the negative diagonal frees neg[j] when bit j of r is
-    set, and pair[r] marks the entries of its free block; groups holds, for
-    f = 1 .. k, the subsets (S,) that free f coordinates, their free
-    coordinates (S, 1, n) and their candidates (S, 2^(n - f)) in state
-    order, which share the subset's matrix and differ in the right-hand
-    side; code is each candidate's subset.  The arrays are read-only, since
-    every caller of one radix shares them.
+    Returns (high, block, pair, groups, eye, corners, faces, face_code):
+    high marks the coordinates each candidate pins at hi; block indexes the
+    negative diagonal's block of T; subset r of the negative diagonal frees
+    neg[j] when bit j of r is set, and pair[r] marks the entries of its free
+    block; groups holds, for f = 1 .. k, the subsets (S,) that free f
+    coordinates, their free coordinates (S, 1, n) and their candidates
+    (S, 2^(n - f)) in state order, which share the subset's matrix and
+    differ in the right-hand side; eye is the identity of order n; corners
+    and faces index the candidates that free nothing and those that free
+    something, in state order, and face_code is the subset of each of the
+    latter.  The arrays are read-only, since every caller of one radix
+    shares them.
     """
     radix = np.array(radix)
     states = _box_states(radix)
@@ -254,9 +265,13 @@ def _box_faces(radix: tuple):
         groups.append((ids, mask[ids, None, :], cand))
     high, block = states == 1, np.ix_(neg, neg)
     pair = mask[:, :, None] & mask[:, None, :]
-    for a in (high, *block, pair, code, *(a for grp in groups for a in grp)):
+    eye = np.eye(radix.size)
+    corners, faces = np.flatnonzero(code == 0), np.flatnonzero(code != 0)
+    face_code = code[faces]
+    for a in (high, *block, pair, eye, corners, faces, face_code,
+              *(a for grp in groups for a in grp)):
         a.setflags(write=False)
-    return high, block, pair, groups, code
+    return high, block, pair, groups, eye, corners, faces, face_code
 
 
 def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
@@ -282,23 +297,24 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     n = g.size
-    radix = tuple(3 if t < 0.0 else 2 for t in np.diag(T).tolist())
+    radix = tuple([3 if t < 0.0 else 2 for t in T.diagonal().tolist()])
     k = radix.count(3)
     if 2 ** (n - k) * 3 ** k > _BOX_CANDIDATE_CAP:
         return None
     # convex T meets the corners in np.indices order
-    high, block, pair, groups, code = _box_faces(radix)
+    high, block, pair, groups, eye, corners, faces, face_code = \
+        _box_faces(radix)
     X = np.where(high, hi, lo)
     if k:
         # -T_FF on the free block, |T|max times the identity on the pinned
         # one, which passes the test below and leaves the free solve alone
-        size = float(np.max(np.abs(T)))
-        C = np.where(pair, -T, size * np.eye(n))
+        size = float(np.abs(T).max())
+        C = np.where(pair, -T, size * eye)
         # computed eigenvalues err by a few n eps |T|max, far below the
         # margin, so past it every free set passes the test below
         keep = None
         if np.linalg.eigvalsh(-T[block])[0] <= _INTERLACE_MARGIN * size:
-            keep = np.linalg.eigvalsh(C)[:, 0] > n * np.finfo(float).eps * size
+            keep = np.linalg.eigvalsh(C)[:, 0] > n * _EPS * size
         for ids, fr, cand in groups:
             if keep is not None:
                 sel = keep[ids]
@@ -311,12 +327,12 @@ def maximize_box_quadratic(T, g, lo, hi) -> Optional[tuple[np.ndarray, float]]:
         # the corners, then the kept stationary points in state order;
         # rounding may push a stationary point on its face's edge just
         # outside, and clipped it is still a point of the box
-        Xs = X[code != 0] if keep is None else X[keep[code] & (code != 0)]
+        Xs = X[faces] if keep is None else X[faces[keep[face_code]]]
         slack = 1e-9 * (hi - lo)
-        inside = np.all((Xs >= lo - slack) & (Xs <= hi + slack), axis=1)
-        X = np.concatenate([X[code == 0], np.clip(Xs[inside], lo, hi)])
-    vals = 0.5 * np.sum((X @ T) * X, axis=1) + X @ g
-    best = int(np.argmax(vals))
+        inside = ((Xs >= lo - slack) & (Xs <= hi + slack)).all(axis=1)
+        X = np.concatenate([X[corners], Xs[inside].clip(lo, hi)])
+    vals = 0.5 * ((X @ T) * X).sum(axis=1) + X @ g
+    best = int(vals.argmax())
     return X[best], float(vals[best])
 
 
@@ -355,26 +371,46 @@ def _lemke(M, q) -> Optional[np.ndarray]:
     values are held at zero and the others solved by least squares, so the
     vertex comes from every row that meets it.  RuntimeError past
     _MAX_PIVOTS_PER_ROW pivots per row.
+
+    The rank-one pivot update runs in NumPy; the ratio test, its tie
+    filter, the z0-first rule and the lexicographic tie-break run on Python
+    floats read from the tableau, a few entries each, since at these sizes
+    NumPy's per-call cost outweighs the arithmetic.  Both are IEEE double
+    operations, each division, product, subtraction and comparison the one
+    an elementwise NumPy expression would make, and a least or largest
+    entry is exact whatever the order it is found in, so the pivots are
+    those of the same test written in NumPy, bit for bit.  That needs
+    finite entries, since Python's min and max do not propagate NaN as
+    NumPy's do: minimize_polytope_quadratic refuses a non-finite input and
+    runs the pivots where an overflow raises FloatingPointError.
     """
     N = q.size
-    if np.all(q >= 0.0):
+    rhs = q.tolist()
+    least = min(rhs, default=0.0)
+    if least >= 0.0:
         return np.zeros(N)
     # the tableau of w - M x - e z0 = q: columns w, x and z0, then q
-    T = np.hstack([np.eye(N), -M, -np.ones((N, 1)), q[:, None]])
-    basis = np.arange(N)
+    T = np.zeros((N, 2 * N + 2))
+    np.fill_diagonal(T, 1.0)
+    T[:, N:2 * N] = -M
+    T[:, 2 * N] = -1.0
+    T[:, -1] = q
+    start = T[:, :2 * N].copy()
+    basis = list(range(N))
     art = 2 * N
     # z0 enters at the least q_i; on a tie the last such row is the
     # lexicographic minimum of (q_i, e_i)
-    row, entering = N - 1 - int(np.argmin(q[::-1])), art
+    row, entering = N - 1 - rhs[::-1].index(least), art
     for _ in range(_MAX_PIVOTS_PER_ROW * N):
         T[row] /= T[row, entering]
         col = T[:, entering].copy()
         col[row] = 0.0
-        T -= np.outer(col, T[row])
+        T -= col[:, None] * T[row]
         leaving, basis[row] = basis[row], entering
         if leaving == art:
+            basis = np.array(basis)
             x = np.zeros(2 * N)
-            columns = np.hstack([np.eye(N), -M])[:, basis]
+            columns = start[:, basis]
             x[basis] = np.linalg.solve(columns, q)
             zero = np.abs(x[basis]) <= _PIVOT_RTOL * np.max(np.abs(q))
             if np.any(zero):
@@ -385,23 +421,27 @@ def _lemke(M, q) -> Optional[np.ndarray]:
                                                       rcond=None)[0]
             return x[N:]
         entering = leaving + N if leaving < N else leaving - N
-        a = T[:, entering]
-        rows = np.flatnonzero(a > _PIVOT_RTOL * max(1.0, np.max(np.abs(a))))
-        if not rows.size:
+        a = T[:, entering].tolist()
+        floor = _PIVOT_RTOL * max(1.0, max(map(abs, a)))
+        rows = [i for i in range(N) if a[i] > floor]
+        if not rows:
             return None
-        rhs, a = T[rows, -1], a[rows]
-        step = float(np.min(rhs / a))
-        tied = rhs - a * step <= _PIVOT_RTOL * np.max(np.abs(T[:, -1]))
-        rows, a = rows[tied], a[tied]
-        if np.any(basis[rows] == art):
-            rows = rows[basis[rows] == art]
-        for j in range(N):
-            if rows.size == 1:
-                break
-            v = T[rows, j] / a
-            keep = v <= v.min() + _PIVOT_RTOL * max(1.0, np.max(np.abs(v)))
-            rows, a = rows[keep], a[keep]
-        row = int(rows[0])
+        rhs = T[:, -1].tolist()
+        step = min([rhs[i] / a[i] for i in rows])
+        floor = _PIVOT_RTOL * max(map(abs, rhs))
+        rows = [i for i in rows if rhs[i] - a[i] * step <= floor]
+        rows = [i for i in rows if basis[i] == art] or rows
+        if len(rows) > 1:
+            # each tied row with its row of the basis inverse
+            tied = list(zip(rows, T[rows, :N].tolist()))
+            for j in range(N):
+                v = [r[j] / a[i] for i, r in tied]
+                floor = min(v) + _PIVOT_RTOL * max(1.0, max(map(abs, v)))
+                tied = [t for t, vt in zip(tied, v) if vt <= floor]
+                if len(tied) == 1:
+                    break
+            rows = [i for i, _ in tied]
+        row = rows[0]
     raise RuntimeError("Lemke pivoting did not end")
 
 
@@ -423,7 +463,8 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     folded into c and d.  The minimizer is clipped into the box.
 
     Returns (z, q(z)), or (None, inf) when no point of the box meets the
-    rows to that slack.
+    rows to that slack.  A non-finite Q, c, lo, hi, C or d raises
+    FloatingPointError naming it, and so does an overflow on the way.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     Q = 0.5 * (Q + Q.T)
@@ -434,19 +475,31 @@ def minimize_polytope_quadratic(Q, c, lo, hi, C=None, d=None):
     C = np.zeros((0, n)) if C is None else np.atleast_2d(
         np.asarray(C, dtype=float)).reshape(-1, n)
     d = np.zeros(0) if d is None else np.atleast_1d(np.asarray(d, dtype=float))
-    # x = z - lo, over the coordinates with lo < hi alone
-    own = lo < hi
-    k = int(np.count_nonzero(own))
-    A = np.vstack([np.eye(k), C[:, own]])
-    M = np.block([[Q[np.ix_(own, own)], A.T],
-                  [-A, np.zeros((len(A), len(A)))]])
-    q = np.concatenate([(c + Q @ lo)[own], (hi - lo)[own], d - C @ lo])
-    x = _lemke(M, q)
-    if x is None:
-        q[2 * k:] += _row_slack(lo, hi, C, d)
+    given = {"Q": Q, "c": c, "lo": lo, "hi": hi, "C": C, "d": d}
+    if not np.isfinite(np.concatenate([a.ravel() for a in
+                                       given.values()])).all():
+        name = next(k for k, a in given.items() if not np.isfinite(a).all())
+        raise FloatingPointError(f"{name} has an entry that is not finite")
+    with np.errstate(over="raise", invalid="raise"):
+        # x = z - lo, over the coordinates with lo < hi alone
+        own = lo < hi
+        free = np.flatnonzero(own)
+        k, m = free.size, d.size
+        # M = [[Q, A'], [-A, 0]] with A = [I; C] on the free coordinates
+        A = np.zeros((k + m, k))
+        np.fill_diagonal(A, 1.0)
+        A[k:] = C[:, free]
+        M = np.zeros((2 * k + m, 2 * k + m))
+        M[:k, :k] = Q[free[:, None], free]
+        M[:k, k:] = A.T
+        M[k:, :k] = -A
+        q = np.concatenate([(c + Q @ lo)[own], (hi - lo)[own], d - C @ lo])
         x = _lemke(M, q)
         if x is None:
-            return None, math.inf
-    z = lo.copy()
-    z[own] = np.clip(lo[own] + x[:k], lo[own], hi[own])
-    return z, float(0.5 * z @ Q @ z + c @ z)
+            q[2 * k:] += _row_slack(lo, hi, C, d)
+            x = _lemke(M, q)
+            if x is None:
+                return None, math.inf
+        z = lo.copy()
+        z[own] = np.clip(lo[own] + x[:k], lo[own], hi[own])
+        return z, float(0.5 * z @ Q @ z + c @ z)

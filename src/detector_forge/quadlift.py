@@ -202,45 +202,28 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     Non-concave curvature over anything but a box raises RuntimeError.
     H must be symmetric.
     """
+    U = spec.U
+    kind = U.meta.get("kind")
     Au, a0 = spec.A[:, :-1], spec.A[:, -1]
-
-    # q(u) and its gradient share w = A [u; 1], H w and r = Qinv (H w + h)
-    def parts(u):
-        w = Au @ u + a0
-        Hw = H @ w
-        return w, Hw, Qinv @ (Hw + h)
-
-    def q_value(w, Hw, r):
-        return 0.5 * float(2.0 * h @ w + w @ Hw + (Hw + h) @ r)
-
-    def q_grad(w, r):
-        return Au.T @ (h + H @ (w + r))
-
-    def at(u, value=None):
-        w, Hw, r = parts(u)
-        if value is None:
-            value = q_value(w, Hw, r)
-        return value, w
-
-    if spec.U.meta.get("kind") == "singleton":
-        return at(spec.U.meta["point"])
+    if kind == "singleton":
+        return _tilted(Au, a0, h, H, Qinv, U.meta["point"])[:2]
 
     # q(u) = u'Tu u / 2 + <g0, u> + q(0), with g0 the gradient at u = 0
     Tu = Au.T @ (H + H @ Qinv @ H) @ Au
     curv = np.linalg.eigvalsh(Tu) if Au.size else np.zeros(1)
     scale = max(1.0, float(np.abs(curv).max()))
     concave = curv.max() <= _EIG_TOL * scale
-    w0, _, r0 = parts(np.zeros(spec.U.dim))
-    g0 = q_grad(w0, r0)
+    w0 = Au @ np.zeros(U.dim) + a0
+    g0 = Au.T @ (h + H @ (w0 + Qinv @ (H @ w0 + h)))
     if concave and curv.min() >= -_EIG_TOL * scale:
         # zero curvature: the gradient is constant, one support call is exact
-        return at(spec.U.support(g0)[1])
+        return _tilted(Au, a0, h, H, Qinv, U.support(g0)[1])[:2]
     rho = 0.0
-    if spec.U.meta.get("kind") == "box":
-        lo, hi = spec.U.meta["lo"], spec.U.meta["hi"]
+    if kind == "box":
+        lo, hi = U.meta["lo"], U.meta["hi"]
         best = maximize_box_quadratic(Tu, g0, lo, hi)
         if best is not None:
-            return at(best[0])
+            return _tilted(Au, a0, h, H, Qinv, best[0])[:2]
         # too many faces: q + rho/2 sum (u - lo)(hi - u), rho the top
         # curvature, is concave, bounds q on the box and equals it at the
         # corners (the alpha-BB overestimator)
@@ -251,13 +234,12 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
             "mean-parameter set is not a box")
 
     def climb(u):
-        w, Hw, r = parts(u)
-        v = q_value(w, Hw, r)
+        v, w, r = _tilted(Au, a0, h, H, Qinv, u)
         if rho:
             v += 0.5 * rho * float((u - lo) @ (hi - u))
 
         def grad():
-            g = q_grad(w, r)
+            g = Au.T @ (h + H @ (w + r))
             if rho:
                 g = g + 0.5 * rho * (lo + hi - 2.0 * u)
             return g
@@ -266,10 +248,19 @@ def _lifted_max(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
 
     # the climbed function is concave, so with U's support function the
     # value carries its Frank-Wolfe gap
-    res = maximize_bounded(climb, spec.U.project(np.zeros(spec.U.dim)),
-                           spec.U.project, spec.U.support, rtol=1e-11,
-                           max_iter=2000)
-    return at(res.x, res.value)
+    res = maximize_bounded(climb, U.project(np.zeros(U.dim)), U.project,
+                           U.support, rtol=1e-11, max_iter=2000)
+    return res.value, Au @ res.x + a0
+
+
+def _tilted(Au, a0, h, H, Qinv, u):
+    """(q(u), w, r) for _lifted_max: the tilted form at u, with w = A [u; 1]
+    and r = Qinv (H w + h), which its gradient Au'(h + H (w + r)) shares."""
+    w = Au @ u + a0
+    Hw = H @ w
+    b = Hw + h
+    r = Qinv @ b
+    return 0.5 * float(2.0 * h @ w + w @ Hw + b @ r), w, r
 
 
 def _phi_pieces(spec: QuadLiftSpec, H: np.ndarray):
@@ -297,7 +288,7 @@ def _lifted_value(spec: QuadLiftSpec, h: np.ndarray, H: np.ndarray,
     """
     Qinv, logdet = _phi_pieces(spec, H)
     excess = Theta - spec.Theta_star
-    tr_term = 0.5 * float(sym_flatten(excess) @ sym_flatten(H))
+    tr_term = 0.5 * float(excess.reshape(-1) @ H.reshape(-1))
     val, y = _lifted_max(spec, h, H, Qinv)
 
     def grad():

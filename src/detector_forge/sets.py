@@ -76,8 +76,11 @@ class Polytope:
 
     def cut(self, A: np.ndarray, b: np.ndarray) -> "Polytope":
         """The polytope {x in self : A x <= b}, its rows A G acting on z."""
-        return replace(self, C=np.vstack([self.C, A @ self.G]),
-                       d=np.concatenate([self.d, b]))
+        rows = np.atleast_2d(A @ self.G)
+        C = np.empty((len(self.C) + len(rows), self.C.shape[1]))
+        C[:len(self.C)] = self.C
+        C[len(self.C):] = rows
+        return replace(self, C=C, d=np.concatenate([self.d, b]))
 
     def row_slack(self) -> np.ndarray:
         """How far the oracle lets a point exceed each cut row."""
@@ -113,8 +116,10 @@ class Polytope:
     def times(self, other: "Polytope") -> "Polytope":
         """The product {(x1, x2) : x1 in self, x2 in other}."""
         def diag(X, Y):
-            return np.block([[X, np.zeros((X.shape[0], Y.shape[1]))],
-                             [np.zeros((Y.shape[0], X.shape[1])), Y]])
+            out = np.zeros((X.shape[0] + Y.shape[0], X.shape[1] + Y.shape[1]))
+            out[:X.shape[0], :X.shape[1]] = X
+            out[X.shape[0]:, X.shape[1]:] = Y
+            return out
 
         return Polytope(diag(self.G, other.G),
                         np.concatenate([self.lo, other.lo]),

@@ -450,6 +450,31 @@ def test_aggregate_vacuous_risk_warns(tmp_path):
     assert any("vacuous" in w for w in rep["warnings"])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_aggregate_with_an_overflowing_map_exits_as_a_solver_failure(
+        tmp_path, capsys):
+    # G of scale 1e200 overflows the closest pair's Q, which the polytope
+    # oracle refuses; it used to reach Lemke's tie-break as an empty
+    # reduction and exit 2 as a config error.  A user's run only prints
+    # the overflow warnings, so they are ignored here
+    cfg = {
+        "schema_version": "1",
+        "task": "aggregate",
+        "aggregate": {
+            "estimates": [[0.0, 0.0], [-3.0, 0.5]],
+            "parameter_sets": [{"type": "box", "lo": [-4.0, -4.0],
+                                "hi": [4.0, 4.0]}],
+            "G": [[1e200, 0.0], [0.0, 1e200]],
+            "Theta": [[1.0, 0.0], [0.0, 1.0]],
+            "repetitions": 2,
+            "deltas": 2.0,
+            "observations": [[-3.5, 0.8], [-3.0, 0.5]],
+        },
+    }
+    assert run_cli(tmp_path, cfg) == 3
+    assert "Q has an entry that is not finite" in capsys.readouterr().err
+
+
 def test_aggregate_deltas_length_names_the_field(tmp_path, capsys):
     cfg = {
         "schema_version": "1",

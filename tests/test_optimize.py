@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detector_forge import optimize
 from detector_forge.optimize import (_FEASIBLE_RTOL, _row_slack,
                                      maximize_bounded,
                                      maximize_box_quadratic,
                                      maximize_projected,
                                      minimize_polytope_quadratic,
                                      minimize_projected)
-from detector_forge.sets import (ball, box, halfspaces, intersection,
-                                 linear_image, simplex)
+from detector_forge.sets import (Polytope, ball, box, halfspaces,
+                                 intersection, linear_image, simplex)
 
 
 def test_huge_gradient_takes_a_step_without_overflow():
@@ -594,3 +595,158 @@ def test_polytope_quadratic_solves_a_shape_of_16_rows_to_its_kkt_residual():
     assert len(inside) >= 20
     assert np.all(value <= 0.5 * np.einsum("ki,ij,kj->k", inside, Q, inside)
                   + inside @ c + 1e-12)
+
+
+# --- the Lemke oracle written in NumPy throughout, frozen as the reference
+# for the ratio test on Python floats: the same pivots must give the same
+# bits
+
+def _frozen_lemke(M, q):
+    N = q.size
+    if np.all(q >= 0.0):
+        return np.zeros(N)
+    T = np.hstack([np.eye(N), -M, -np.ones((N, 1)), q[:, None]])
+    basis = np.arange(N)
+    art = 2 * N
+    row, entering = N - 1 - int(np.argmin(q[::-1])), art
+    for _ in range(optimize._MAX_PIVOTS_PER_ROW * N):
+        T[row] /= T[row, entering]
+        col = T[:, entering].copy()
+        col[row] = 0.0
+        T -= np.outer(col, T[row])
+        leaving, basis[row] = basis[row], entering
+        if leaving == art:
+            x = np.zeros(2 * N)
+            columns = np.hstack([np.eye(N), -M])[:, basis]
+            x[basis] = np.linalg.solve(columns, q)
+            zero = np.abs(x[basis]) <= optimize._PIVOT_RTOL * np.max(np.abs(q))
+            if np.any(zero):
+                sv = np.linalg.svd(columns, compute_uv=False)
+                if sv[0] * optimize._EPS > optimize._PIVOT_RTOL * sv[-1]:
+                    x[basis[zero]] = 0.0
+                    x[basis[~zero]] = np.linalg.lstsq(columns[:, ~zero], q,
+                                                      rcond=None)[0]
+            return x[N:]
+        entering = leaving + N if leaving < N else leaving - N
+        a = T[:, entering]
+        rows = np.flatnonzero(
+            a > optimize._PIVOT_RTOL * max(1.0, np.max(np.abs(a))))
+        if not rows.size:
+            return None
+        rhs, a = T[rows, -1], a[rows]
+        step = float(np.min(rhs / a))
+        tied = rhs - a * step <= optimize._PIVOT_RTOL * np.max(np.abs(T[:, -1]))
+        rows, a = rows[tied], a[tied]
+        if np.any(basis[rows] == art):
+            rows = rows[basis[rows] == art]
+        for j in range(N):
+            if rows.size == 1:
+                break
+            v = T[rows, j] / a
+            keep = v <= v.min() + optimize._PIVOT_RTOL * max(
+                1.0, np.max(np.abs(v)))
+            rows, a = rows[keep], a[keep]
+        row = int(rows[0])
+    raise RuntimeError("Lemke pivoting did not end")
+
+
+def _frozen_polytope_quadratic(Q, c, lo, hi, C, d):
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    Q = 0.5 * (Q + Q.T)
+    n = c.size
+    own = lo < hi
+    k = int(np.count_nonzero(own))
+    A = np.vstack([np.eye(k), C[:, own]])
+    M = np.block([[Q[np.ix_(own, own)], A.T],
+                  [-A, np.zeros((len(A), len(A)))]])
+    q = np.concatenate([(c + Q @ lo)[own], (hi - lo)[own], d - C @ lo])
+    x = _frozen_lemke(M, q)
+    if x is None:
+        q[2 * k:] += _row_slack(lo, hi, C, d)
+        x = _frozen_lemke(M, q)
+        if x is None:
+            return None, np.inf
+    z = lo.copy()
+    z[own] = np.clip(lo[own] + x[:k], lo[own], hi[own])
+    return z, float(0.5 * z @ Q @ z + c @ z)
+
+
+@st.composite
+def _lemke_problems(draw):
+    """1-6 coordinates and 0-6 cut rows; entries rounded to small integers
+    (ties in the ratio test, degenerate vertices) or not; Q = B B' of any
+    rank, 0 included (a linear program); some or all coordinates with lo =
+    hi; a row repeated with both signs (an equality); rows offset below the
+    box's points too, so that some polytopes are empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    integer = draw(st.booleans())
+
+    def entries(*shape):
+        x = rng.standard_normal(shape)
+        return np.round(x) if integer else 2.0 * x
+
+    B = entries(n, draw(st.integers(0, n)))
+    Q = B @ B.T
+    c = entries(n)
+    lo = entries(n)
+    hi = lo + np.abs(entries(n))
+    pinned = draw(st.sampled_from(["none", "some", "all"]))
+    if pinned != "none":
+        pin = rng.random(n) < 0.5 if pinned == "some" else np.ones(n, bool)
+        hi[pin] = lo[pin]
+    C = entries(m, n)
+    d = C @ rng.uniform(lo, hi) + rng.uniform(-1.0, 1.0, m)
+    if integer:
+        d = np.round(d)
+    if m and draw(st.booleans()):
+        C, d = np.vstack([C, -C[:1]]), np.append(d, -d[0])
+    return Q, c, lo, hi, C, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_lemke_problems())
+# z0 ties with another row on the way: without the z0-first rule the path
+# ends one pivot later, at -0.9999999999999999 in place of -1
+@example(tuple(map(np.array, (
+    [[2.0, 0.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [-1.0, 1.0, 3.0, 3.0],
+     [0.0, 0.0, 3.0, 6.0]], [1.0, 1.0, 2.0, -0.0], [2.0, 0.0, -1.0, -1.0],
+    [3.0, 2.0, 0.0, 2.0], [[-0.0, 1.0, 1.0, 1.0], [0.0, -1.0, -1.0, -1.0]],
+    [-1.0, 1.0]))))
+# a linear program whose least q_i ties: z0 entering at the first such row
+# in place of the last ends at another vertex's rounding
+@example(tuple(map(np.array, (
+    [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 4.0]], [-1.0, -0.0, 0.0],
+    [-1.0, 2.0, 0.0], [1.0, 3.0, 2.0],
+    [[1.0, 1.0, 2.0], [-1.0, -1.0, -0.0], [-1.0, 1.0, -1.0], [1.0, 0.0, 2.0],
+     [-1.0, -1.0, -1.0], [1.0, -3.0, 0.0]],
+    [5.0, -3.0, 2.0, 2.0, -3.0, -9.0]))))
+def test_polytope_quadratic_is_the_numpy_ratio_test_bit_for_bit(problem):
+    # the ratio test on Python floats pivots as the NumPy one did, so the
+    # minimizer and its value agree to the bit, signed zeros included, and
+    # so does the verdict on emptiness
+    z, value = minimize_polytope_quadratic(*problem)
+    z_ref, value_ref = _frozen_polytope_quadratic(*problem)
+    assert (z is None) == (z_ref is None)
+    if z is not None:
+        assert z.tobytes() == z_ref.tobytes()
+    assert np.float64(value).tobytes() == np.float64(value_ref).tobytes()
+
+
+def test_polytope_quadratic_refuses_non_finite_input():
+    # a NaN once reached Lemke's lexicographic loop as an empty reduction,
+    # and a NaN in a cut row read as an empty polytope; an overflowed Q
+    # (a closest pair of points near 1e200) is refused the same way
+    ones = np.ones(2)
+    with pytest.raises(FloatingPointError, match="c has"):
+        minimize_polytope_quadratic(np.eye(2), [np.nan, 1.0], -ones, ones)
+    with pytest.raises(FloatingPointError, match="C has"):
+        minimize_polytope_quadratic(np.eye(2), ones, -ones, ones,
+                                    [[np.nan, 1.0]], [0.5])
+    big = Polytope(1e200 * np.eye(2), -ones, ones, np.zeros((0, 2)),
+                   np.zeros(0))
+    far = Polytope(np.eye(2), ones + 1.0, ones + 2.0, np.zeros((0, 2)),
+                   np.zeros(0))
+    with np.errstate(over="ignore"), \
+            pytest.raises(FloatingPointError, match="Q has"):
+        big.closest(far, np.eye(2))

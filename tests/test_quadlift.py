@@ -702,3 +702,215 @@ def test_variance_pair_evaluates_the_folded_bound_at_most_the_pinned_count(
     # 88 before a backtrack ended at the resolution of x
     assert len(calls) <= 56
 
+
+
+# --- the lifted bound and the box quadratic as they were before their call
+# set-up was trimmed, frozen as the reference: the same arithmetic calls in
+# the same order must give the same bits
+
+def _frozen_box_faces(radix):
+    radix = np.array(radix)
+    count = int(np.prod(radix))
+    states = np.empty((count, radix.size), dtype=np.int8)
+    rest = np.arange(count)
+    for i in range(radix.size - 1, -1, -1):
+        rest, states[:, i] = np.divmod(rest, radix[i])
+    neg = np.flatnonzero(radix == 3)
+    k = neg.size
+    subsets = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1 == 1
+    mask = np.zeros((2 ** k, radix.size), dtype=bool)
+    mask[:, neg] = subsets
+    code = (states[:, neg] == 2) @ (1 << np.arange(k))
+    by_code = np.argsort(code, kind="stable")
+    ends = np.cumsum(np.bincount(code, minlength=2 ** k))
+    sizes = subsets.sum(axis=1)
+    groups = []
+    for f in range(1, k + 1):
+        ids = np.flatnonzero(sizes == f)
+        cand = np.array([by_code[ends[r - 1]:ends[r]] for r in ids])
+        groups.append((ids, mask[ids, None, :], cand))
+    pair = mask[:, :, None] & mask[:, None, :]
+    return states == 1, np.ix_(neg, neg), pair, groups, code
+
+
+def _frozen_box_quadratic(T, g, lo, hi):
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    T = 0.5 * (T + T.T)
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    n = g.size
+    radix = tuple(3 if t < 0.0 else 2 for t in np.diag(T).tolist())
+    k = radix.count(3)
+    if 2 ** (n - k) * 3 ** k > optimize._BOX_CANDIDATE_CAP:
+        return None
+    high, block, pair, groups, code = _frozen_box_faces(radix)
+    X = np.where(high, hi, lo)
+    if k:
+        size = float(np.max(np.abs(T)))
+        C = np.where(pair, -T, size * np.eye(n))
+        keep = None
+        if np.linalg.eigvalsh(-T[block])[0] <= \
+                optimize._INTERLACE_MARGIN * size:
+            keep = np.linalg.eigvalsh(C)[:, 0] > n * np.finfo(float).eps * size
+        for ids, fr, cand in groups:
+            if keep is not None:
+                sel = keep[ids]
+                ids, fr, cand = ids[sel], fr[sel], cand[sel]
+            Xs = X[cand]
+            pinned = np.where(fr, 0.0, Xs)
+            rhs = np.where(fr, g + pinned @ T, Xs)
+            sol = np.linalg.solve(C[ids], rhs.transpose(0, 2, 1))
+            X[cand] = np.where(fr, sol.transpose(0, 2, 1), Xs)
+        Xs = X[code != 0] if keep is None else X[keep[code] & (code != 0)]
+        slack = 1e-9 * (hi - lo)
+        inside = np.all((Xs >= lo - slack) & (Xs <= hi + slack), axis=1)
+        X = np.concatenate([X[code == 0], np.clip(Xs[inside], lo, hi)])
+    vals = 0.5 * np.sum((X @ T) * X, axis=1) + X @ g
+    best = int(np.argmax(vals))
+    return X[best], float(vals[best])
+
+
+def _frozen_lifted_max(spec, h, H, Qinv):
+    Au, a0 = spec.A[:, :-1], spec.A[:, -1]
+
+    def parts(u):
+        w = Au @ u + a0
+        Hw = H @ w
+        return w, Hw, Qinv @ (Hw + h)
+
+    def q_value(w, Hw, r):
+        return 0.5 * float(2.0 * h @ w + w @ Hw + (Hw + h) @ r)
+
+    def q_grad(w, r):
+        return Au.T @ (h + H @ (w + r))
+
+    def at(u, value=None):
+        w, Hw, r = parts(u)
+        if value is None:
+            value = q_value(w, Hw, r)
+        return value, w
+
+    if spec.U.meta.get("kind") == "singleton":
+        return at(spec.U.meta["point"])
+    Tu = Au.T @ (H + H @ Qinv @ H) @ Au
+    curv = np.linalg.eigvalsh(Tu) if Au.size else np.zeros(1)
+    scale = max(1.0, float(np.abs(curv).max()))
+    concave = curv.max() <= quadlift._EIG_TOL * scale
+    w0, _, r0 = parts(np.zeros(spec.U.dim))
+    g0 = q_grad(w0, r0)
+    if concave and curv.min() >= -quadlift._EIG_TOL * scale:
+        return at(spec.U.support(g0)[1])
+    rho = 0.0
+    if spec.U.meta.get("kind") == "box":
+        lo, hi = spec.U.meta["lo"], spec.U.meta["hi"]
+        best = _frozen_box_quadratic(Tu, g0, lo, hi)
+        if best is not None:
+            return at(best[0])
+        rho = max(float(curv.max()), 0.0)
+    elif not concave:
+        raise RuntimeError("not a box")
+
+    def climb(u):
+        w, Hw, r = parts(u)
+        v = q_value(w, Hw, r)
+        if rho:
+            v += 0.5 * rho * float((u - lo) @ (hi - u))
+
+        def grad():
+            g = q_grad(w, r)
+            if rho:
+                g = g + 0.5 * rho * (lo + hi - 2.0 * u)
+            return g
+
+        return v, grad
+
+    res = optimize.maximize_bounded(
+        climb, spec.U.project(np.zeros(spec.U.dim)), spec.U.project,
+        spec.U.support, rtol=1e-11, max_iter=2000)
+    return at(res.x, res.value)
+
+
+def _frozen_lifted_value(spec, h, H, Theta):
+    Ht = spec.root @ H @ spec.root
+    w, V = np.linalg.eigh(Ht)
+    Qinv = (spec.root @ V / (1.0 - w)) @ V.T @ spec.root
+    logdet = -0.5 * float(np.log1p(-w).sum())
+    excess = Theta - spec.Theta_star
+    tr_term = 0.5 * float(sym_flatten(excess) @ sym_flatten(H))
+    val, y = _frozen_lifted_max(spec, h, H, Qinv)
+    M1 = np.eye(spec.dim) + Qinv @ H
+    qh = Qinv @ h
+    My = M1 @ y
+    P = My[:, None] * qh
+    gH = 0.5 * (M1 @ (y[:, None] * y) @ M1.T + P + P.T + qh[:, None] * qh)
+    gH += 0.5 * Qinv
+    gH += 0.5 * excess
+    return logdet + tr_term + val, My + qh, 0.5 * (gH + gH.T)
+
+
+def _same_bits(x, y):
+    return np.asarray(x, dtype=float).tobytes() == \
+        np.asarray(y, dtype=float).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 4), integer=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_box_quadratic_is_its_former_glue_bit_for_bit(n, integer, seed):
+    # any curvature, on both sides of the interlacing margin: rounded
+    # entries give singular and indefinite negative blocks, zero-width
+    # sides and stationary points on the box's faces
+    rng = np.random.default_rng(seed)
+    T = 2.0 * rng.standard_normal((n, n))
+    T = np.round(T + T.T) if integer else T + T.T
+    g = rng.standard_normal(n)
+    lo = rng.uniform(-2.0, 0.0, n)
+    hi = lo + rng.uniform(0.0, 3.0, n)
+    if integer:
+        g, lo, hi = np.round(g), np.round(lo), np.round(hi)
+    x, value = maximize_box_quadratic(T, g, lo, hi)
+    x_ref, value_ref = _frozen_box_quadratic(T, g, lo, hi)
+    assert _same_bits(x, x_ref) and _same_bits(value, value_ref)
+
+
+_ROUTES = ["singleton", "zero", "convex", "concave", "indefinite",
+           "past_cap", "ball"]
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_lifted_value_is_its_former_glue_bit_for_bit(route):
+    # each route of the lifted maximum: a singleton U, H = 0 (one support
+    # call), curvature over a box that is convex, concave past the
+    # interlacing margin or indefinite within it, a box past the face cap
+    # (the ascent over its overestimator) and concave curvature over a ball
+    rng = np.random.default_rng(_ROUTES.index(route))
+    d, m = 2, {"singleton": 2, "concave": 2, "past_cap": 11}.get(route, 3)
+    U = {"singleton": singleton(rng.standard_normal(m)),
+         "ball": ball(rng.standard_normal(m), 1.5)}.get(
+        route, box(-np.ones(m), rng.uniform(0.5, 2.0, m)))
+    B = rng.standard_normal((d, d))
+    spec = QuadLiftSpec(A=rng.standard_normal((d, m + 1)), U=U,
+                        Ucov=psd_interval(0.5 * np.eye(d), B @ B.T + np.eye(d)),
+                        Theta_star=B @ B.T + 2.0 * np.eye(d))
+    for _ in range(4 if route == "past_cap" else 12):
+        h = rng.standard_normal(d)
+        H = banded_H(rng, spec, scale=rng.uniform(0.1, 1.0))
+        w, V = np.linalg.eigh(spec.root @ H @ spec.root)
+        if route == "zero":
+            H = np.zeros((d, d))
+        elif route in ("concave", "ball", "past_cap"):
+            H = -spec.iroot @ ((V * np.abs(w)) @ V.T) @ spec.iroot
+        elif route == "convex":
+            H = spec.iroot @ ((V * np.abs(w)) @ V.T) @ spec.iroot
+        elif route == "indefinite":
+            H = spec.iroot @ ((V * np.array([-1.0, 1.0]) * np.abs(w)) @ V.T) \
+                @ spec.iroot
+        H = 0.5 * (H + H.T)
+        Theta = sym_unflatten(spec.Ucov.project(
+            sym_flatten(B @ B.T + rng.uniform(0.5, 1.0) * np.eye(d))))
+        value, grad = quadlift._lifted_value(spec, h, H, Theta)
+        gh, gH = grad()
+        ref = _frozen_lifted_value(spec, h, H, Theta)
+        assert _same_bits(value, ref[0])
+        assert _same_bits(gh, ref[1]) and _same_bits(gH, ref[2])

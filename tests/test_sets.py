@@ -160,6 +160,38 @@ def test_product_of_polytopes_keeps_its_polytope():
         assert np.max(np.abs(img.project(y) - descent.project(y))) <= 1e-12
 
 
+@pytest.mark.parametrize("rows", [(0, 0), (0, 2), (3, 0), (1, 2)])
+def test_polytope_block_forms_have_the_stacked_entries(rows):
+    # times and cut fill their block diagonals and stacked rows by slice
+    # assignment; the entries, shapes and signed zeros are those of the
+    # np.block and np.vstack forms, with zero cut rows on either side too
+    rng = np.random.default_rng(sum(rows))
+
+    def poly(k, m):
+        lo = rng.uniform(-2.0, 0.0, k)
+        return sets.Polytope(-rng.standard_normal((3, k)), lo, lo + 1.0,
+                             rng.standard_normal((m, k)),
+                             rng.standard_normal(m))
+
+    p, q = poly(2, rows[0]), poly(3, rows[1])
+
+    def block_diag(X, Y):
+        return np.block([[X, np.zeros((X.shape[0], Y.shape[1]))],
+                         [np.zeros((Y.shape[0], X.shape[1])), Y]])
+
+    pq = p.times(q)
+    for got, want in [(pq.G, block_diag(p.G, q.G)),
+                      (pq.C, block_diag(p.C, q.C)),
+                      (pq.lo, np.concatenate([p.lo, q.lo])),
+                      (pq.d, np.concatenate([p.d, q.d]))]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    A, b = rng.standard_normal((rows[1], 3)), rng.standard_normal(rows[1])
+    cut = p.cut(A, b)
+    want = np.vstack([p.C, A @ p.G])
+    assert cut.C.shape == want.shape and cut.C.tobytes() == want.tobytes()
+    assert cut.d.tobytes() == np.concatenate([p.d, b]).tobytes()
+
+
 def test_linear_image_of_a_ball_projects_by_projected_gradient():
     # a ball has no polytope, so the image projection descends over it; the
     # reference solves min ||M z - y|| over ||z - c|| <= r through its
